@@ -2,41 +2,35 @@
 
 Sweeps the batch heuristics over growing meta-requests on the Table-6 shape
 (inconsistent Hi/Hi heterogeneity, 16 machines) and records per-heuristic
-wall time of the reference loops vs the vectorised kernels vs the
-heap-backed scale kernels (:mod:`repro.scheduling.scale`), plus the
-speedups, as a machine-readable JSON artifact at the repository root.  The
-artifact is the project's perf trajectory: regenerate it after kernel work
-and commit it so regressions show up in review as a diff.
+wall time of the reference loop vs the production kernel
+(:mod:`repro.scheduling.fast`), plus the speedup, as a machine-readable
+JSON artifact at the repository root.  The artifact is the project's perf
+trajectory: regenerate it after kernel work and commit it so regressions
+show up in review as a diff.
 
 Three entry points:
 
-* ``test_sched_kernel_smoke`` — CI guard: runs the smallest size (all
-  three kernel families, schema validated in-memory, vectorised must not
-  fall behind the reference by more than 1.5x) **and** one large-n
-  chunked case (n=4096, chunks smaller than the workload) asserting the
-  heap kernels stay bit-identical to the vectorised ones and inside the
-  same 1.5x envelope.
+* ``test_sched_kernel_smoke`` — CI guard: runs the smallest size (schema
+  validated in-memory, production must not fall behind the reference by
+  more than 1.5x) **and** one larger case (``SMOKE_LARGE_N`` tasks, more
+  than one ``DEFAULT_CHUNK_TASKS`` assembly chunk) whose plans are pinned
+  by digest, because the reference oracles are too slow to run there.
 * ``test_sched_kernel_scale_smoke`` — opt-in via ``BENCH_SCHED_SCALE=1``
-  (CI runs it as its own job): the n=10⁵ scale path, pinned by digest
-  against the committed trajectory's workload instead of an in-run
-  oracle — the vectorised kernel would need minutes where the scale
-  kernel needs seconds.
+  (CI runs it as its own job): the n=10⁵ ``min-min-fast`` plan, pinned by
+  digest against the committed trajectory's workload.
 * ``test_sched_kernel_full_sweep`` — the real sweep; opt-in via
   ``BENCH_SCHED_FULL=1`` since it plans up to 10⁶ tasks.  Writes
   ``BENCH_sched.json``.
 
 Caps keep the sweep honest *and* finite: reference timings stop at
 ``REFERENCE_CAP`` tasks (the pure-Python loops are quadratic in
-practice), vectorised timings at ``VECTORIZED_CAP`` (dense O(n) rescans
-per round), and each heap kernel at its own ``HEAP_CAPS`` entry —
-Min-min's claim queues reach 10⁶, while Max-min and Sufferage do not
-decompose per machine and stay parity-class with the vectorised kernels
-(their value at scale is the bounded-memory streamed assembly), so
-timing them past 10⁵ would only burn hours re-measuring a known
-quadratic.  Above a cap the corresponding field is ``null``.  Whenever
-two kernel families run at the same size their plans are asserted
-identical, so every artifact regeneration re-proves bit-identity at the
-overlapping sizes.
+practice), and each production kernel at its own ``PRODUCTION_CAPS``
+entry — Min-min's claim queues reach 10⁶, while Max-min and Sufferage
+rescan O(n) state per round, so timing them past 10⁵ would only burn
+hours re-measuring a known quadratic.  Above a cap the corresponding
+field is ``null``.  Whenever both kernels run at the same size their
+plans are asserted identical, so every artifact regeneration re-proves
+bit-identity at the overlapping sizes.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.scheduling.costs import CostProvider
+from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 from repro.scheduling.fast import (
     FastMaxMinHeuristic,
     FastMinMinHeuristic,
@@ -59,47 +53,31 @@ from repro.scheduling.fast import (
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.scale import (
-    HeapMaxMinHeuristic,
-    HeapMinMinHeuristic,
-    HeapSufferageHeuristic,
-)
 from repro.scheduling.sufferage import SufferageHeuristic
 from repro.workloads.consistency import Consistency
 from repro.workloads.heterogeneity import HIHI
 from repro.workloads.scenario import ScenarioSpec, materialize
 
-SCHEMA = "repro.bench.sched/v2"
+SCHEMA = "repro.bench.sched/v3"
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 SIZES = (64, 256, 1024, 4096, 100_000, 1_000_000)
 N_MACHINES = 16
 SEED = 0
 REFERENCE_CAP = 1024
-VECTORIZED_CAP = 100_000
-HEAP_CAPS = {"min-min": 1_000_000, "max-min": 100_000, "sufferage": 100_000}
+PRODUCTION_CAPS = {"min-min": 1_000_000, "max-min": 100_000, "sufferage": 100_000}
 REPEATS = 3
 #: Above this size one timed run (after a cheap cache warm-up) replaces
 #: best-of-``REPEATS``: the kernels run for seconds-to-minutes, far above
 #: timer noise, and the sweep must terminate on one core.
 SINGLE_REPEAT_ABOVE = 4096
-#: CI guard: the vectorised kernel must not fall behind the reference by
+#: CI guard: the production kernel must not fall behind the reference by
 #: more than this factor at the smoke size.
 SMOKE_SLOWDOWN_LIMIT = 1.5
-#: CI guard for the large-n chunked smoke: max heap/vectorized wall-time
-#: ratio per family.  Measured ratios at n=4096 on one core: min-min 0.25
-#: (the claim queues must keep *winning* — 0.75 is a real regression, not
-#: noise), max-min 1.01 and sufferage 1.45 (parity-class by design — their
-#: scale value is the bounded-memory streamed assembly — so the envelope
-#: gates the measured parity with CI-noise slack).
-SMOKE_HEAP_ENVELOPE = {"min-min": 0.75, "max-min": 1.5, "sufferage": 2.0}
-#: Chunk size of the large-n smoke case — smaller than the workload so the
-#: streaming assembly is genuinely exercised.
-SMOKE_CHUNK = 1024
 
-TRIPLES = (
-    ("min-min", MinMinHeuristic, FastMinMinHeuristic, HeapMinMinHeuristic),
-    ("max-min", MaxMinHeuristic, FastMaxMinHeuristic, HeapMaxMinHeuristic),
-    ("sufferage", SufferageHeuristic, FastSufferageHeuristic, HeapSufferageHeuristic),
+PAIRS = (
+    ("min-min", MinMinHeuristic, FastMinMinHeuristic),
+    ("max-min", MaxMinHeuristic, FastMaxMinHeuristic),
+    ("sufferage", SufferageHeuristic, FastSufferageHeuristic),
 )
 
 
@@ -150,50 +128,32 @@ def plan_digest(plan) -> str:
 
 
 def run_sweep(sizes, repeats: int = REPEATS) -> dict:
-    """Time every kernel family at every size; returns the JSON payload."""
+    """Time both kernels of every heuristic at every size; returns the JSON payload."""
     results = []
     for n_tasks in sizes:
         requests, costs, avail = build_case(n_tasks)
         reps = 1 if n_tasks > SINGLE_REPEAT_ABOVE else repeats
         if reps == 1:
             warm_provider(requests, costs)
-        for name, Reference, Fast, Heap in TRIPLES:
-            fast_s = fast_plan = None
-            if n_tasks <= VECTORIZED_CAP:
-                fast_s, fast_plan = time_plan(Fast(), requests, costs, avail, reps)
-            heap_s = heap_plan = None
-            if n_tasks <= HEAP_CAPS[name]:
-                heap_s, heap_plan = time_plan(Heap(), requests, costs, avail, reps)
+        for name, Reference, Production in PAIRS:
+            if n_tasks > PRODUCTION_CAPS[name]:
+                continue
+            prod_s, prod_plan = time_plan(Production(), requests, costs, avail, reps)
+            assert len(prod_plan) == n_tasks
             ref_s = None
             if n_tasks <= REFERENCE_CAP:
                 ref_s, ref_plan = time_plan(Reference(), requests, costs, avail, reps)
-                assert plan_keys(ref_plan) == plan_keys(fast_plan), (
-                    f"{name} vectorized plan diverged at n_tasks={n_tasks}"
+                assert plan_keys(ref_plan) == plan_keys(prod_plan), (
+                    f"{name} production plan diverged at n_tasks={n_tasks}"
                 )
-            if fast_plan is None and heap_plan is None:
-                # Every kernel family is capped at this size (max-min /
-                # sufferage at 10⁶): nothing to time, no entry.
-                continue
-            if fast_plan is not None and heap_plan is not None:
-                assert plan_keys(fast_plan) == plan_keys(heap_plan), (
-                    f"{name} heap plan diverged at n_tasks={n_tasks}"
-                )
-            committed = heap_plan if heap_plan is not None else fast_plan
-            assert len(committed) == n_tasks
             results.append(
                 {
                     "heuristic": name,
                     "n_tasks": n_tasks,
                     "repeats": reps,
                     "reference_s": ref_s,
-                    "vectorized_s": fast_s,
-                    "heap_s": heap_s,
-                    "speedup": (ref_s / fast_s) if ref_s is not None else None,
-                    "heap_speedup": (
-                        fast_s / heap_s
-                        if fast_s is not None and heap_s is not None
-                        else None
-                    ),
+                    "production_s": prod_s,
+                    "speedup": (ref_s / prod_s) if ref_s is not None else None,
                 }
             )
     return {
@@ -206,8 +166,7 @@ def run_sweep(sizes, repeats: int = REPEATS) -> dict:
             "seed": SEED,
         },
         "reference_cap": REFERENCE_CAP,
-        "vectorized_cap": VECTORIZED_CAP,
-        "heap_caps": dict(HEAP_CAPS),
+        "production_caps": dict(PRODUCTION_CAPS),
         "repeats": repeats,
         "results": results,
     }
@@ -217,46 +176,32 @@ def validate_payload(payload: dict) -> None:
     """Schema check shared by the CI smoke test and artifact consumers."""
     assert payload["schema"] == SCHEMA
     assert set(payload) == {
-        "schema", "workload", "reference_cap", "vectorized_cap", "heap_caps",
-        "repeats", "results",
+        "schema", "workload", "reference_cap", "production_caps", "repeats",
+        "results",
     }
     workload = payload["workload"]
     assert set(workload) == {
         "heterogeneity", "consistency", "n_machines", "target_load", "seed",
     }
-    names = {name for name, _, _, _ in TRIPLES}
-    assert set(payload["heap_caps"]) == names
+    names = {name for name, _, _ in PAIRS}
+    assert set(payload["production_caps"]) == names
     assert payload["results"], "empty results"
     for entry in payload["results"]:
         assert set(entry) == {
-            "heuristic", "n_tasks", "repeats", "reference_s", "vectorized_s",
-            "heap_s", "speedup", "heap_speedup",
+            "heuristic", "n_tasks", "repeats", "reference_s", "production_s",
+            "speedup",
         }
         assert entry["heuristic"] in names
-        assert entry["n_tasks"] > 0
+        assert 0 < entry["n_tasks"] <= payload["production_caps"][entry["heuristic"]]
         assert entry["repeats"] >= 1
-        n = entry["n_tasks"]
-        if n <= payload["vectorized_cap"]:
-            assert entry["vectorized_s"] > 0
-        else:
-            assert entry["vectorized_s"] is None
-        if n <= payload["heap_caps"][entry["heuristic"]]:
-            assert entry["heap_s"] > 0
-        else:
-            assert entry["heap_s"] is None
-        if n <= payload["reference_cap"]:
+        assert entry["production_s"] > 0
+        if entry["n_tasks"] <= payload["reference_cap"]:
             assert entry["reference_s"] > 0
             assert entry["speedup"] == pytest.approx(
-                entry["reference_s"] / entry["vectorized_s"]
+                entry["reference_s"] / entry["production_s"]
             )
         else:
             assert entry["reference_s"] is None and entry["speedup"] is None
-        if entry["vectorized_s"] is not None and entry["heap_s"] is not None:
-            assert entry["heap_speedup"] == pytest.approx(
-                entry["vectorized_s"] / entry["heap_s"]
-            )
-        else:
-            assert entry["heap_speedup"] is None
 
 
 def test_sched_kernel_smoke():
@@ -264,46 +209,43 @@ def test_sched_kernel_smoke():
     validate_payload(payload)
     for entry in payload["results"]:
         assert entry["speedup"] >= 1.0 / SMOKE_SLOWDOWN_LIMIT, (
-            f"vectorized {entry['heuristic']} fell behind the reference "
+            f"production {entry['heuristic']} fell behind the reference "
             f"({entry['speedup']:.2f}x) at n_tasks={entry['n_tasks']}"
         )
 
 
+#: Size of the larger smoke case: more than one streaming-assembly chunk,
+#: small enough for CI.
+SMOKE_LARGE_N = 10_000
+#: Plan digests of the production kernels at ``SMOKE_LARGE_N`` on the bench
+#: workload, computed with the reference oracles.
+SMOKE_LARGE_DIGESTS = {
+    "min-min": "8c64909b3f0b13342441046911dfd1c1dc4c989804a3f8861e6f9d6f738ca34d",
+    "max-min": "5d74e114f13fc0aaad90821550bbc31137a4655216123642426afab9d2967ee6",
+    "sufferage": "c02f52b9afee4bb90b7a452ff830a8c49264ebff35cd3b0d5b4d058d32a446ee",
+}
+
+
 def test_sched_kernel_smoke_large_chunked():
-    """One large-n case through the streaming scale path, every smoke run.
-
-    n=4096 with 1024-task chunks: big enough that the chunk iterator
-    yields several chunks and the claim structures leave their trivial
-    regime, small enough for CI.  The heap kernels must reproduce the
-    vectorised plans exactly and stay inside the smoke envelope.
-    """
-    n_tasks = SIZES[3]
-    requests, costs, avail = build_case(n_tasks)
-    warm_provider(requests, costs)
-    for name, _Reference, Fast, Heap in TRIPLES:
-        # Best-of-2 keeps the ratio guard stable against one-off stalls.
-        fast_s, fast_plan = time_plan(Fast(), requests, costs, avail, repeats=2)
-        heap_s, heap_plan = time_plan(
-            Heap(chunk_size=SMOKE_CHUNK), requests, costs, avail, repeats=2
-        )
-        assert plan_keys(fast_plan) == plan_keys(heap_plan), (
-            f"{name} heap plan diverged at n_tasks={n_tasks}"
-        )
-        assert heap_s <= fast_s * SMOKE_HEAP_ENVELOPE[name], (
-            f"heap {name} fell outside its envelope "
-            f"({heap_s / fast_s:.2f}x vs {SMOKE_HEAP_ENVELOPE[name]}x allowed) "
-            f"at n_tasks={n_tasks}"
+    """Production plans past one assembly chunk match their pinned digests."""
+    assert SMOKE_LARGE_N > DEFAULT_CHUNK_TASKS
+    requests, costs, avail = build_case(SMOKE_LARGE_N)
+    for name, _Reference, Production in PAIRS:
+        plan = Production().plan(requests, costs, avail.copy())
+        assert len(plan) == SMOKE_LARGE_N
+        assert plan_digest(plan) == SMOKE_LARGE_DIGESTS[name], (
+            f"{name} production plan diverged at n_tasks={SMOKE_LARGE_N}"
         )
 
 
-#: Pinned digest of the n=10⁵ min-min scale plan on the bench workload
-#: (seed 0, Hi/Hi inconsistent, 16 machines) — the scale smoke's oracle.
+#: Pinned digest of the n=10⁵ min-min plan on the bench workload (seed 0,
+#: Hi/Hi inconsistent, 16 machines) — the scale smoke's oracle.
 SCALE_SMOKE_N = 100_000
 SCALE_SMOKE_DIGEST = (
     "c809ddce111964f3cca8c38494a90f0673b01227ab9a6b380c5d65044d77bb43"
 )
 #: Generous wall-time ceiling for the scale smoke: the measured time is
-#: ~1.5 s on one core, so tripping this means the claim queues lost their
+#: ~1 s on one core, so tripping this means the claim queues lost their
 #: near-linear round cost, not that the runner was slow.
 SCALE_SMOKE_CEILING_S = 120.0
 
@@ -315,11 +257,11 @@ SCALE_SMOKE_CEILING_S = 120.0
 def test_sched_kernel_scale_smoke():
     requests, costs, avail = build_case(SCALE_SMOKE_N)
     warm_provider(requests, costs)
-    heap_s, plan = time_plan(HeapMinMinHeuristic(), requests, costs, avail, repeats=1)
+    prod_s, plan = time_plan(FastMinMinHeuristic(), requests, costs, avail, repeats=1)
     assert len(plan) == SCALE_SMOKE_N
     assert plan_digest(plan) == SCALE_SMOKE_DIGEST
-    assert heap_s <= SCALE_SMOKE_CEILING_S, (
-        f"min-min-heap took {heap_s:.1f}s at n={SCALE_SMOKE_N}"
+    assert prod_s <= SCALE_SMOKE_CEILING_S, (
+        f"min-min-fast took {prod_s:.1f}s at n={SCALE_SMOKE_N}"
     )
 
 
@@ -340,23 +282,17 @@ def test_sched_kernel_full_sweep():
     ARTIFACT.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     lines = [f"perf trajectory written to {ARTIFACT}"]
     for entry in payload["results"]:
-        fast_ms = (
-            f"{entry['vectorized_s'] * 1e3:10.2f}"
-            if entry["vectorized_s"] is not None
+        ref_ms = (
+            f"{entry['reference_s'] * 1e3:10.2f}"
+            if entry["reference_s"] is not None
             else "       n/a"
         )
-        heap_ms = (
-            f"{entry['heap_s'] * 1e3:10.2f}"
-            if entry["heap_s"] is not None
-            else "       n/a"
-        )
-        heap_x = (
-            f"{entry['heap_speedup']:6.2f}x"
-            if entry["heap_speedup"] is not None
-            else "   n/a"
+        speedup = (
+            f"{entry['speedup']:6.2f}x" if entry["speedup"] is not None else "   n/a"
         )
         lines.append(
             f"{entry['heuristic']:>10} n={entry['n_tasks']:<8} "
-            f"vectorized {fast_ms} ms  heap {heap_ms} ms  heap-speedup {heap_x}"
+            f"reference {ref_ms} ms  production "
+            f"{entry['production_s'] * 1e3:10.2f} ms  speedup {speedup}"
         )
     print("\n".join(lines))

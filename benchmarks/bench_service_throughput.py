@@ -5,8 +5,8 @@ service (``repro.service``) and records, per size and admission arm:
 
 * sustained ingestion throughput (submitted requests per wall second),
 * the shed fraction under bounded admission,
-* the p99 admission decision latency (the ``svc.decision_latency_s``
-  timer around queue insertion), and
+* the p99 enqueue latency (the ``svc.enqueue_latency_s`` timer around
+  queue insertion; the mapping decision happens later, per window), and
 * the service's wall-time overhead over the batch ``TRMScheduler`` on the
   identical workload — the service drives the same engine, so anything
   beyond event-plumbing overhead is a regression.
@@ -40,7 +40,7 @@ from repro.service import AdmissionPolicy, ServiceConfig, replay_scenario
 from repro.workloads.consistency import Consistency
 from repro.workloads.scenario import materialize
 
-SCHEMA = "repro.bench.service/v1"
+SCHEMA = "repro.bench.service/v2"
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 SIZES = (100, 400, 1600)
 SEED = 0
@@ -90,7 +90,7 @@ def time_service(scenario, config: ServiceConfig):
 
     Wall time is measured unmetered so the overhead ratio against the
     (equally unmetered) batch run isolates the service plane itself; one
-    extra metered replay supplies the decision-latency histogram.
+    extra metered replay supplies the enqueue-latency histogram.
     """
     aware, _ = paper_policies()
     best = float("inf")
@@ -104,7 +104,7 @@ def time_service(scenario, config: ServiceConfig):
             result = run
     metrics = MetricsRegistry()
     replay_scenario(scenario, "min-min", aware, config=config, metrics=metrics)
-    p99 = metrics.histogram("svc.decision_latency_s").p99
+    p99 = metrics.histogram("svc.enqueue_latency_s").p99
     return best, result, p99
 
 
@@ -127,7 +127,7 @@ def run_sweep(sizes, arms=ARMS) -> dict:
                     "overhead": wall_s / batch_s,
                     "throughput_rps": result.submitted / wall_s,
                     "shed_fraction": result.shed_total / result.submitted,
-                    "decision_p99_s": p99,
+                    "enqueue_p99_s": p99,
                     "windows": result.windows,
                 }
             )
@@ -155,7 +155,7 @@ def validate_payload(payload: dict) -> None:
     for entry in payload["results"]:
         assert set(entry) == {
             "arm", "n_tasks", "batch_s", "service_s", "overhead",
-            "throughput_rps", "shed_fraction", "decision_p99_s", "windows",
+            "throughput_rps", "shed_fraction", "enqueue_p99_s", "windows",
         }
         assert entry["arm"] in ARMS
         assert entry["n_tasks"] > 0
@@ -165,7 +165,7 @@ def validate_payload(payload: dict) -> None:
         )
         assert entry["throughput_rps"] > 0
         assert 0.0 <= entry["shed_fraction"] <= 1.0
-        assert entry["decision_p99_s"] >= 0.0
+        assert entry["enqueue_p99_s"] >= 0.0
         assert entry["windows"] >= 1
         if entry["arm"] == "unlimited":
             assert entry["shed_fraction"] == 0.0
@@ -206,6 +206,6 @@ def test_service_throughput_full_sweep():
             f"overhead {entry['overhead']:5.2f}x  "
             f"{entry['throughput_rps']:10.0f} req/s  "
             f"shed {entry['shed_fraction']:5.1%}  "
-            f"p99 {entry['decision_p99_s'] * 1e6:7.1f} µs"
+            f"p99 {entry['enqueue_p99_s'] * 1e6:7.1f} µs"
         )
     print("\n".join(lines))

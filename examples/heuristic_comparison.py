@@ -19,7 +19,7 @@ from repro.experiments import (
     run_paired_cell,
 )
 from repro.metrics import Table, format_percent, format_seconds
-from repro.scheduling import heuristic_names, is_batch
+from repro.scheduling import is_batch, reference_names
 from repro.workloads import Consistency
 
 
@@ -39,7 +39,7 @@ def main(replications: int = 8) -> None:
             title=f"{consistency.value} LoLo, 50 tasks, {replications} replications:",
         )
         cells = {}
-        for name in heuristic_names():
+        for name in reference_names():
             cell = run_paired_cell(
                 spec,
                 name,

@@ -8,7 +8,6 @@ from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 from repro.scheduling.duplex import DuplexHeuristic
 from repro.scheduling.esc_models import EscModel, LadderEsc, LinearEsc, TableEsc
 from repro.scheduling.fast import (
-    FastKpbHeuristic,
     FastMaxMinHeuristic,
     FastMinMinHeuristic,
     FastSufferageHeuristic,
@@ -31,19 +30,12 @@ from repro.scheduling.registry import (
     immediate_names,
     is_batch,
     make_heuristic,
+    reference_names,
     register_heuristic,
 )
 from repro.scheduling.engine import SchedulingEngine
 from repro.scheduling.result import CompletionRecord, ScheduleResult
 from repro.scheduling.sa import SwitchingHeuristic
-from repro.scheduling.scale import (
-    JIT_ENV,
-    HeapMaxMinHeuristic,
-    HeapMinMinHeuristic,
-    HeapSufferageHeuristic,
-    jit_available,
-    jit_requested,
-)
 from repro.scheduling.scheduler import TRMScheduler
 from repro.scheduling.sufferage import SufferageHeuristic
 
@@ -60,16 +52,9 @@ __all__ = [
     "LinearEsc",
     "LadderEsc",
     "TableEsc",
-    "FastKpbHeuristic",
     "FastMaxMinHeuristic",
     "FastMinMinHeuristic",
     "FastSufferageHeuristic",
-    "HeapMaxMinHeuristic",
-    "HeapMinMinHeuristic",
-    "HeapSufferageHeuristic",
-    "JIT_ENV",
-    "jit_available",
-    "jit_requested",
     "KpbHeuristic",
     "kpb_subset_size",
     "MaxMinHeuristic",
@@ -86,6 +71,7 @@ __all__ = [
     "make_heuristic",
     "register_heuristic",
     "heuristic_names",
+    "reference_names",
     "immediate_names",
     "batch_names",
     "is_batch",

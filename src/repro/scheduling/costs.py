@@ -351,10 +351,10 @@ class CostProvider:
         once per unique pricing key: the key cache is shared across chunks,
         so a key priced in chunk 0 is a dict lookup in every later chunk.
 
-        This is the assembly path of the heap-backed scale kernels in
-        :mod:`repro.scheduling.scale`; anything consuming it must reduce
-        each chunk (e.g. to per-row bests) before requesting the next one
-        for the memory bound to hold.
+        This is the assembly path of the claim-queue Min-min kernel
+        (:class:`~repro.scheduling.fast.FastMinMinHeuristic`); anything
+        consuming it must reduce each chunk (e.g. to per-machine columns)
+        before requesting the next one for the memory bound to hold.
 
         Args:
             requests: the meta-request members.

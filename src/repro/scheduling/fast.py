@@ -1,37 +1,38 @@
-"""Vectorised fast kernels for the mapping heuristics.
+"""Production kernels for the batch mapping heuristics.
 
-Following the optimisation discipline of the project's HPC guides — make it
-work, make it right, *then* make it fast against a profile — these are
-drop-in replacements for the reference heuristics with the per-round Python
-work replaced by batched and *incremental* NumPy kernels:
+Every batch heuristic has exactly two implementations: the reference loop
+in its own module (:mod:`~repro.scheduling.minmin`,
+:mod:`~repro.scheduling.maxmin`, :mod:`~repro.scheduling.sufferage`),
+which transcribes the paper's algorithm and is never optimised, and one
+production kernel here.  The production kernel must produce plans
+**bit-identical** to the reference — same assignments, same order, same
+tie-breaks — and stays in the registry only while it is measurably
+faster:
 
-* :class:`FastMinMinHeuristic` / :class:`FastMaxMinHeuristic` — incremental
-  greedy rounds: each row's (best machine, best completion) is maintained
-  across rounds and only the rows whose best sat on the committed machine's
-  column are re-minimised, instead of re-slicing the whole cost matrix
-  every round;
+* :class:`FastMinMinHeuristic` — per-machine sorted claim queues over the
+  streaming :meth:`~repro.scheduling.costs.CostProvider.mapping_ecc_chunks`
+  assembly.  Keying each machine's queue by the *static*
+  ``ecc[row, machine]`` makes a whole queue's current completions one
+  shared ``+ avail[machine]`` away, so no entry is ever re-priced when
+  availability moves: O(nm log n) total work, O(m) per round.  This is
+  the 10⁶-task path.
+* :class:`FastMaxMinHeuristic` — incremental greedy rounds: each row's
+  (best machine, best completion) is kept across rounds and only the rows
+  whose best sat on the committed machine are re-minimised.  Max-min does
+  not decompose into per-machine queues (the max of row minima is not
+  readable from column tops).
 * :class:`FastSufferageHeuristic` — best/second-best completions for all
-  remaining rows via one :func:`numpy.partition` over the live submatrix,
-  with per-machine claim resolution done by a single lexsort instead of a
-  Python loop over machines;
-* :class:`FastKpbHeuristic` — candidate subset via O(m)
-  :func:`numpy.argpartition` instead of a full sort.
+  remaining rows via one :func:`numpy.partition` over the live
+  submatrix, with per-machine claim resolution done by a single lexsort
+  instead of a Python loop over machines.
 
-All of them read their costs through the batched
-:meth:`~repro.scheduling.costs.CostProvider.mapping_ecc_matrix` assembly
-and produce plans/choices **bit-identical** to the reference kernels —
-same assignments, same order, same tie-breaks — which stay in place as the
-oracles (``_reference_plan``) the equivalence suite in
-``tests/scheduling/test_fast_equivalence.py`` checks against.  The speedup
-trajectory is measured by ``benchmarks/bench_sched_kernel.py`` and pinned
-in ``BENCH_sched.json``.  They register under ``"min-min-fast"`` /
-``"max-min-fast"`` / ``"sufferage-fast"`` / ``"kpb-fast"``.
-
-These kernels still materialise the full ``n × m`` cost matrix and rescan
-O(n) state per round; past ~10⁵ tasks use the heap-backed kernels in
-:mod:`repro.scheduling.scale` (``"min-min-heap"`` etc.), which stream the
-assembly chunk-by-chunk and are proven bit-identical to *these* kernels by
-``tests/scheduling/test_scale_equivalence.py``.
+The references stay reachable as ``_reference_plan`` oracles, and the
+equivalence suite ``tests/scheduling/test_fast_equivalence.py`` checks
+every kernel against them.  Wall times are measured by
+``benchmarks/bench_sched_kernel.py`` and recorded in ``BENCH_sched.json``.
+The kernels register under ``"min-min-fast"`` / ``"max-min-fast"`` /
+``"sufferage-fast"`` and carry ``kernel = "vectorized"``, the label of
+their ``sched.map_latency_s`` histograms.
 """
 
 from __future__ import annotations
@@ -40,16 +41,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.grid.request import Request
-from repro.scheduling.base import (
-    BatchHeuristic,
-    ImmediateHeuristic,
-    PlannedAssignment,
-    check_avail,
-)
+from repro.scheduling.base import BatchHeuristic, PlannedAssignment, check_avail
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.sufferage import SufferageHeuristic
@@ -58,18 +52,96 @@ __all__ = [
     "FastMinMinHeuristic",
     "FastMaxMinHeuristic",
     "FastSufferageHeuristic",
-    "FastKpbHeuristic",
 ]
 
 
-def _incremental_greedy_plan(
+def _sorted_column_min_plan(
     requests: Sequence[Request],
     costs: CostProvider,
     avail: np.ndarray,
-    *,
-    prefer_max: bool,
 ) -> list[PlannedAssignment]:
-    """Incremental Min-min / Max-min rounds, bit-identical to the reference.
+    """Min-min as per-machine sorted claim queues — zero re-pricing.
+
+    Correctness: the global minimum completion over all (row, machine)
+    pairs is attained by the winning row *on its own first-argmin
+    machine*, so the lexicographic minimum over machines of (candidate
+    value, candidate position, machine index) — candidate = first
+    uncommitted row in static per-column order — is exactly the
+    reference's (lowest best, lowest position, first-argmin) commit.
+    Ties inside a column surface lowest-position-first via the stable
+    sort; ties across columns resolve by position then machine index.
+    """
+    avail = check_avail(avail, costs.grid.n_machines)
+    n = len(requests)
+    if n == 0:
+        return []
+    m = costs.grid.n_machines
+    # Transpose the streaming chunks into per-machine columns; no dense
+    # row-major matrix (nor the one-shot assembly intermediates) exists.
+    cols: list[np.ndarray] = [np.empty(n, dtype=np.float64) for _ in range(m)]
+    for start, chunk in costs.mapping_ecc_chunks(requests):
+        stop = start + chunk.shape[0]
+        for j in range(m):
+            cols[j][start:stop] = chunk[:, j]
+    orders: list[np.ndarray] = []
+    for j in range(m):
+        idx = np.argsort(cols[j], kind="stable")
+        cols[j] = cols[j][idx]
+        orders.append(idx)
+
+    committed = bytearray(n)
+    ptr = [0] * m
+    avail_f = [float(avail[j]) for j in range(m)]
+    cand_pos = [-1] * m
+    cand_val = [0.0] * m
+
+    def reload(j: int) -> None:
+        """Advance machine j past committed rows and refresh its candidate."""
+        p = ptr[j]
+        order = orders[j]
+        while p < n and committed[order[p]]:
+            p += 1
+        ptr[j] = p
+        if p == n:
+            cand_pos[j] = -1
+        else:
+            cand_pos[j] = int(order[p])
+            cand_val[j] = float(cols[j][p]) + avail_f[j]
+
+    for j in range(m):
+        reload(j)
+
+    plan: list[PlannedAssignment] = []
+    for _ in range(n):
+        win_v = 0.0
+        win_p = -1
+        win_j = -1
+        for j in range(m):
+            p = cand_pos[j]
+            if p < 0:
+                continue
+            v = cand_val[j]
+            if win_p < 0 or v < win_v or (v == win_v and p < win_p):
+                win_v, win_p, win_j = v, p, j
+        committed[win_p] = 1
+        avail_f[win_j] = win_v
+        plan.append(
+            PlannedAssignment(
+                request=requests[win_p], machine_index=win_j, order=len(plan)
+            )
+        )
+        for j in range(m):
+            if cand_pos[j] == win_p or j == win_j:
+                reload(j)
+    return plan
+
+
+def _incremental_max_plan(
+    requests: Sequence[Request],
+    costs: CostProvider,
+    avail: np.ndarray,
+) -> list[PlannedAssignment]:
+    """Incremental Max-min rounds, bit-identical to the reference.
 
     Invariant: for every live row, the stored ``(best_machine, best_value)``
     equals a fresh first-index argmin over its current completion row.
@@ -98,23 +170,15 @@ def _incremental_greedy_plan(
     best_value = completion[positions, best_machine]
     del completion
     # Committed rows are retired in place: the selection key is pinned to
-    # the absorbing sentinel and the machine to -1 (no live completion is
-    # ever -inf — and +inf only on all-inf rejected rows, handled below —
-    # so retired rows cannot win a pick and never match a committed column).
-    sentinel = -np.inf if prefer_max else np.inf
+    # -inf and the machine to -1.  No live completion is ever -inf, so
+    # retired rows cannot win a pick and never match a committed column.
     plan: list[PlannedAssignment] = []
 
     for order in range(n):
-        pick = int(best_value.argmax() if prefer_max else best_value.argmin())
-        if best_machine[pick] < 0:
-            # Only reachable when every live best is +inf (all-inf rejected
-            # rows under Min-min): the global argmin landed on a retired
-            # row, so re-pick the earliest live one, as the reference does.
-            live = np.flatnonzero(best_machine >= 0)
-            pick = int(live[np.argmin(best_value[live])])
+        pick = int(best_value.argmax())
         machine = int(best_machine[pick])
         new_avail = float(best_value[pick])
-        best_value[pick] = sentinel
+        best_value[pick] = -np.inf
         best_machine[pick] = -1
         plan.append(PlannedAssignment(requests[pick], machine, order))
         if order == n - 1:
@@ -132,7 +196,7 @@ def _incremental_greedy_plan(
 
 
 class FastMinMinHeuristic(BatchHeuristic):
-    """Incremental vectorised Min-min: identical plans, O(n·m) total updates."""
+    """Sorted-claim-queue Min-min: identical plans, O(m) per round."""
 
     name = "min-min-fast"
     kernel = "vectorized"
@@ -143,7 +207,7 @@ class FastMinMinHeuristic(BatchHeuristic):
         costs: CostProvider,
         avail: np.ndarray,
     ) -> list[PlannedAssignment]:
-        return _incremental_greedy_plan(requests, costs, avail, prefer_max=False)
+        return _sorted_column_min_plan(requests, costs, avail)
 
     @staticmethod
     def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
@@ -152,7 +216,7 @@ class FastMinMinHeuristic(BatchHeuristic):
 
 
 class FastMaxMinHeuristic(BatchHeuristic):
-    """Incremental vectorised Max-min (same machinery, largest-best commit)."""
+    """Incremental vectorised Max-min: only stale rows are re-minimised."""
 
     name = "max-min-fast"
     kernel = "vectorized"
@@ -163,7 +227,7 @@ class FastMaxMinHeuristic(BatchHeuristic):
         costs: CostProvider,
         avail: np.ndarray,
     ) -> list[PlannedAssignment]:
-        return _incremental_greedy_plan(requests, costs, avail, prefer_max=True)
+        return _incremental_max_plan(requests, costs, avail)
 
     @staticmethod
     def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
@@ -245,44 +309,3 @@ class FastSufferageHeuristic(BatchHeuristic):
     def _reference_plan(requests, costs, avail) -> list[PlannedAssignment]:
         """Oracle: the reference loop this kernel must match bit-for-bit."""
         return SufferageHeuristic().plan(requests, costs, avail)
-
-
-class FastKpbHeuristic(ImmediateHeuristic):
-    """Vectorised KPB: O(m) candidate selection via argpartition.
-
-    The candidate *set* is identical to the reference's stable
-    ``argsort(...)[:subset_size]`` — all machines strictly below the
-    boundary cost plus the lowest-index machines tied at it — and the final
-    ordering by ``(cost, machine index)`` reproduces the reference
-    tie-break exactly, so choices are bit-identical at O(m) instead of
-    O(m log m).
-    """
-
-    name = "kpb-fast"
-    kernel = "vectorized"
-
-    def __init__(self, k_percent: float = 40.0) -> None:
-        if not 0.0 < k_percent <= 100.0:
-            raise ConfigurationError("k_percent must lie in (0, 100]")
-        self.k_percent = k_percent
-
-    def choose(self, request: Request, costs: CostProvider, avail: np.ndarray) -> int:
-        avail = check_avail(avail, costs.grid.n_machines)
-        ecc = costs.mapping_ecc_row(request)
-        n = ecc.shape[0]
-        subset_size = kpb_subset_size(n, self.k_percent)
-        if subset_size >= n:
-            candidates = np.arange(n)
-        else:
-            smallest = np.argpartition(ecc, subset_size - 1)[:subset_size]
-            boundary = ecc[smallest].max()
-            strict = np.flatnonzero(ecc < boundary)
-            ties = np.flatnonzero(ecc == boundary)[: subset_size - strict.size]
-            candidates = np.concatenate((strict, ties))
-        candidates = candidates[np.lexsort((candidates, ecc[candidates]))]
-        completion = avail[candidates] + ecc[candidates]
-        return int(candidates[int(np.argmin(completion))])
-
-    def _reference_choose(self, request, costs, avail) -> int:
-        """Oracle: the reference KPB choice this kernel must match."""
-        return KpbHeuristic(self.k_percent).choose(request, costs, avail)

@@ -5,9 +5,8 @@ Identical machinery to Min-min, but each round commits the request whose
 can fill the gaps.  Often better than Min-min when a few tasks dominate the
 workload, worse on uniform ones; Duplex runs both and keeps the winner.
 
-This scalar loop is the frozen oracle for the vectorised
-(:class:`~repro.scheduling.fast.FastMaxMinHeuristic`) and heap-backed
-(:class:`~repro.scheduling.scale.HeapMaxMinHeuristic`) kernels.
+This scalar loop is the frozen oracle for the production kernel
+(:class:`~repro.scheduling.fast.FastMaxMinHeuristic`).
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ completion cost over all machines, then commits the request whose best
 completion is smallest (Min-min) or largest (Max-min), updates the chosen
 machine's availability, and repeats until the meta-request is exhausted.
 
-This scalar loop is the frozen oracle: the vectorised
-(:class:`~repro.scheduling.fast.FastMinMinHeuristic`) and heap-backed
-(:class:`~repro.scheduling.scale.HeapMinMinHeuristic`) kernels must
-reproduce its plans bit-for-bit, including the lowest-index tie-breaks.
+This scalar loop is the frozen oracle: the production claim-queue kernel
+(:class:`~repro.scheduling.fast.FastMinMinHeuristic`) must reproduce its
+plans bit-for-bit, including the lowest-index tie-breaks.
 """
 
 from __future__ import annotations

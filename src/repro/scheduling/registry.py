@@ -13,7 +13,6 @@ from repro.errors import ConfigurationError
 from repro.scheduling.base import BatchHeuristic, ImmediateHeuristic
 from repro.scheduling.duplex import DuplexHeuristic
 from repro.scheduling.fast import (
-    FastKpbHeuristic,
     FastMaxMinHeuristic,
     FastMinMinHeuristic,
     FastSufferageHeuristic,
@@ -25,16 +24,12 @@ from repro.scheduling.met import MetHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.olb import OlbHeuristic
 from repro.scheduling.sa import SwitchingHeuristic
-from repro.scheduling.scale import (
-    HeapMaxMinHeuristic,
-    HeapMinMinHeuristic,
-    HeapSufferageHeuristic,
-)
 from repro.scheduling.sufferage import SufferageHeuristic
 
 __all__ = [
     "make_heuristic",
     "heuristic_names",
+    "reference_names",
     "immediate_names",
     "batch_names",
     "register_heuristic",
@@ -48,17 +43,13 @@ _REGISTRY: dict[str, HeuristicFactory] = {
     "met": MetHeuristic,
     "olb": OlbHeuristic,
     "kpb": KpbHeuristic,
-    "kpb-fast": FastKpbHeuristic,
     "sa": SwitchingHeuristic,
     "min-min": MinMinHeuristic,
     "min-min-fast": FastMinMinHeuristic,
-    "min-min-heap": HeapMinMinHeuristic,
     "max-min": MaxMinHeuristic,
     "max-min-fast": FastMaxMinHeuristic,
-    "max-min-heap": HeapMaxMinHeuristic,
     "sufferage": SufferageHeuristic,
     "sufferage-fast": FastSufferageHeuristic,
-    "sufferage-heap": HeapSufferageHeuristic,
     "duplex": DuplexHeuristic,
 }
 
@@ -92,6 +83,18 @@ def make_heuristic(name: str) -> ImmediateHeuristic | BatchHeuristic:
 def heuristic_names() -> tuple[str, ...]:
     """All registered heuristic names, sorted."""
     return tuple(sorted(_REGISTRY))
+
+
+def reference_names() -> tuple[str, ...]:
+    """One name per heuristic: the registered reference kernels, sorted.
+
+    Production kernels (``min-min-fast`` etc.) produce plans identical to
+    their reference, so comparisons across the heuristic family list each
+    heuristic once, under its reference name.
+    """
+    return tuple(
+        n for n in heuristic_names() if make_heuristic(n).kernel == "reference"
+    )
 
 
 def is_batch(name: str) -> bool:

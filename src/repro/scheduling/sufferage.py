@@ -12,11 +12,10 @@ completion) keeps the claim and the loser "will not be considered again for
 execution until the next iteration".  All surviving claims are then
 committed, machine availabilities updated, and a new iteration begins.
 
-This scalar walk is the frozen oracle for the vectorised
-(:class:`~repro.scheduling.fast.FastSufferageHeuristic`) and heap-backed
-(:class:`~repro.scheduling.scale.HeapSufferageHeuristic`) kernels — in
-particular its never-displaced NaN first claimant (NaN comparisons are
-False) is behaviour both must reproduce.
+This scalar walk is the frozen oracle for the production kernel
+(:class:`~repro.scheduling.fast.FastSufferageHeuristic`) — in particular
+its never-displaced NaN first claimant (NaN comparisons are False) is
+behaviour the kernel must reproduce.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def _best_two(completion_row: np.ndarray) -> tuple[int, float, float]:
 class SufferageHeuristic(BatchHeuristic):
     """Iterative tentative-claim Sufferage mapping (reference kernel).
 
-    This is the *reference oracle* the vectorised
+    This is the *reference oracle* the production kernel
     :class:`~repro.scheduling.fast.FastSufferageHeuristic` is proven
     bit-identical to.  Its deterministic tie-breaks are part of the
     contract: requests are visited in ascending position order, a claim is

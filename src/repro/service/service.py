@@ -637,7 +637,7 @@ class GridService:
         self._admitted += 1
         if self.metrics.enabled:
             self.metrics.counter("svc.admitted").add()
-        with self.metrics.timer("svc.decision_latency_s"):
+        with self.metrics.timer("svc.enqueue_latency_s"):
             engine.submit(request, event.time)
         self._update_latch(self._backlog())
 

@@ -48,6 +48,11 @@ class TestCliCommands:
         assert main(["families", "--replications", "2", "--tasks", "15"]) == 0
         out = capsys.readouterr().out
         assert "sufferage" in out and "duplex" in out
+        # Title, header and rule, then one row per heuristic: production
+        # kernels plan identically to their reference and are not listed.
+        rows = out.strip().splitlines()[3:]
+        assert len(rows) == 9
+        assert not [row for row in rows if "-fast" in row]
 
     def test_ablations_command(self, capsys):
         from repro.cli import main

@@ -11,8 +11,16 @@ from repro.scheduling.registry import (
     immediate_names,
     is_batch,
     make_heuristic,
+    reference_names,
     register_heuristic,
 )
+
+#: One reference oracle per heuristic plus one production kernel for each
+#: batch heuristic of the paper's Section 4.1 family.
+REFERENCE_NAMES = (
+    "duplex", "kpb", "max-min", "mct", "met", "min-min", "olb", "sa", "sufferage",
+)
+PRODUCTION_NAMES = ("max-min-fast", "min-min-fast", "sufferage-fast")
 
 
 class TestRegistry:
@@ -25,6 +33,14 @@ class TestRegistry:
         names = heuristic_names()
         for name in ("met", "olb", "kpb", "sa", "max-min", "duplex"):
             assert name in names
+
+    def test_exact_names(self):
+        assert heuristic_names() == tuple(sorted(REFERENCE_NAMES + PRODUCTION_NAMES))
+
+    def test_reference_names_list_each_heuristic_once(self):
+        assert reference_names() == REFERENCE_NAMES
+        for name in PRODUCTION_NAMES:
+            assert make_heuristic(name).kernel != "reference"
 
     def test_make_heuristic_instantiates(self):
         assert isinstance(make_heuristic("mct"), ImmediateHeuristic)

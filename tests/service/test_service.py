@@ -237,7 +237,7 @@ class TestObservability:
         assert "svc.windows" in names
         assert "svc.window_mapped" in names
         assert "svc.backlog" in names
-        assert "svc.decision_latency_s" in names
+        assert "svc.enqueue_latency_s" in names
 
     def test_trace_lifecycle_under_shedding(self, medium_scenario):
         tracer = Tracer()

@@ -8,6 +8,7 @@ public object.
 """
 
 import importlib
+import importlib.util
 import inspect
 
 import pytest
@@ -123,6 +124,16 @@ class TestTopLevelEntryPoints:
         from repro.cli import main
 
         assert callable(main)
+
+    def test_scheduling_exports_one_production_kernel_per_heuristic(self):
+        import repro.scheduling as scheduling
+
+        assert importlib.util.find_spec("repro.scheduling.scale") is None
+        kernels = sorted(n for n in scheduling.__all__ if n.startswith("Fast"))
+        assert kernels == [
+            "FastMaxMinHeuristic", "FastMinMinHeuristic", "FastSufferageHeuristic",
+        ]
+        assert not [n for n in scheduling.__all__ if n.lower().startswith(("heap", "jit"))]
 
     def test_error_hierarchy_rooted(self):
         import repro.errors as errors
