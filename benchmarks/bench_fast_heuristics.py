@@ -1,10 +1,13 @@
-"""Performance bench — reference vs vectorised batch heuristics.
+"""Performance bench — scalar oracle loops vs the registered batch kernels.
 
-Measures the planning throughput of the reference Min-min/Sufferage against
-their vectorised fast paths on a large meta-request, per the HPC guides'
-"measure, don't guess" rule.  The equivalence of the produced plans is
-asserted in-line (and property-tested in the test suite).
+Measures the planning throughput of the Min-min and Sufferage oracle
+loops against the production kernels their registry names build, on a
+large meta-request, per the HPC guides' "measure, don't guess" rule.  The
+equivalence of the produced plans is asserted in-line (and property-tested
+in the test suite).
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,14 +16,19 @@ from conftest import save_and_echo
 
 from repro.metrics.report import Table
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.fast import FastMinMinHeuristic, FastSufferageHeuristic
-from repro.scheduling.minmin import MinMinHeuristic
+from repro.scheduling.minmin import greedy_min_completion_plan
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.sufferage import SufferageHeuristic
+from repro.scheduling.registry import make_heuristic
+from repro.scheduling.sufferage import sufferage_reference_plan
 from repro.workloads.scenario import ScenarioSpec, materialize
 
 N_TASKS = 300
 N_MACHINES = 16
+
+ORACLES = {
+    "min-min": partial(greedy_min_completion_plan, prefer_max=False),
+    "sufferage": sufferage_reference_plan,
+}
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +41,13 @@ def big_batch():
     return list(scenario.requests), costs, np.zeros(N_MACHINES)
 
 
-@pytest.mark.parametrize(
-    "Heuristic",
-    [MinMinHeuristic, FastMinMinHeuristic, SufferageHeuristic, FastSufferageHeuristic],
-    ids=lambda h: h.__name__,
-)
-def test_batch_planning_speed(benchmark, big_batch, Heuristic):
+@pytest.mark.parametrize("kind", ["oracle", "production"])
+@pytest.mark.parametrize("name", list(ORACLES))
+def test_batch_planning_speed(benchmark, big_batch, name, kind):
     requests, costs, avail = big_batch
-    plan = benchmark(lambda: Heuristic().plan(requests, costs, avail.copy()))
-    assert len(plan) == N_TASKS
+    plan = ORACLES[name] if kind == "oracle" else make_heuristic(name).plan
+    planned = benchmark(lambda: plan(requests, costs, avail.copy()))
+    assert len(planned) == N_TASKS
 
 
 def test_fast_paths_match_reference(benchmark, big_batch, results_dir):
@@ -49,24 +55,21 @@ def test_fast_paths_match_reference(benchmark, big_batch, results_dir):
 
     def compare_all():
         rows = []
-        for Ref, Fast in (
-            (MinMinHeuristic, FastMinMinHeuristic),
-            (SufferageHeuristic, FastSufferageHeuristic),
-        ):
-            ref = Ref().plan(requests, costs, avail.copy())
-            fast = Fast().plan(requests, costs, avail.copy())
+        for name, oracle in ORACLES.items():
+            ref = oracle(requests, costs, avail.copy())
+            fast = make_heuristic(name).plan(requests, costs, avail.copy())
             identical = [(p.request.index, p.machine_index) for p in ref] == [
                 (p.request.index, p.machine_index) for p in fast
             ]
-            rows.append((Ref.__name__, Fast.__name__, identical))
+            rows.append((name, type(make_heuristic(name)).__name__, identical))
         return rows
 
     rows = benchmark.pedantic(compare_all, rounds=1, iterations=1)
     assert all(identical for *_names, identical in rows)
 
     table = Table(
-        headers=["Reference", "Fast path", "Plans identical"],
-        title=f"Vectorised fast paths, {N_TASKS} tasks x {N_MACHINES} machines.",
+        headers=["Registry name", "Production kernel", "Plans identical"],
+        title=f"Oracle loops vs production kernels, {N_TASKS} tasks x {N_MACHINES} machines.",
     )
     for row in rows:
         table.add_row(*row)

@@ -15,7 +15,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import run_paired_cell
 from repro.metrics.report import Table, format_percent
-from repro.scheduling.registry import reference_names
+from repro.scheduling.registry import heuristic_names
 from repro.workloads.consistency import Consistency
 
 REPS = 10
@@ -35,7 +35,7 @@ def test_heuristic_families(benchmark, results_dir):
                 replications=REPS,
                 batch_interval=PAPER_BATCH_INTERVAL,
             )
-            for name in reference_names()
+            for name in heuristic_names()
         }
 
     cells = benchmark.pedantic(run_all, rounds=1, iterations=1)

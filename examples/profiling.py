@@ -57,7 +57,7 @@ def main(seed: int = 1, output_dir: str | None = None) -> None:
 
     # 4. Pull a single number straight off the registry: the p95 mapping
     #    latency of the Min-min planner, measured per batch.
-    latency = prof.metrics.histogram("sched.map_latency_s.min-min.kernel=reference")
+    latency = prof.metrics.histogram("sched.map_latency_s.min-min")
     print(
         f"min-min mapping latency: p50 {latency.p50 * 1e6:.0f} us, "
         f"p95 {latency.p95 * 1e6:.0f} us over {latency.count} batches"

@@ -667,7 +667,7 @@ def _cmd_families(replications: int, tasks: int, workers: int | None = None) -> 
     from repro.experiments import PAPER_BATCH_INTERVAL, paper_policies, paper_spec
     from repro.experiments.parallel import run_paired_cell_parallel
     from repro.metrics import Table, format_percent, format_seconds
-    from repro.scheduling import is_batch, reference_names
+    from repro.scheduling import heuristic_names, is_batch
     from repro.workloads import Consistency
 
     aware, unaware = paper_policies()
@@ -676,7 +676,7 @@ def _cmd_families(replications: int, tasks: int, workers: int | None = None) -> 
         headers=["Heuristic", "Mode", "Unaware CT", "Aware CT", "Improvement"],
         title=f"Trust gains, inconsistent LoLo, {tasks} tasks:",
     )
-    for name in reference_names():
+    for name in heuristic_names():
         cell = run_paired_cell_parallel(
             spec, name, aware, unaware,
             replications=replications, batch_interval=PAPER_BATCH_INTERVAL,

@@ -7,11 +7,6 @@ from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 from repro.scheduling.duplex import DuplexHeuristic
 from repro.scheduling.esc_models import EscModel, LadderEsc, LinearEsc, TableEsc
-from repro.scheduling.fast import (
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
 from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.mct import MctHeuristic
@@ -30,7 +25,6 @@ from repro.scheduling.registry import (
     immediate_names,
     is_batch,
     make_heuristic,
-    reference_names,
     register_heuristic,
 )
 from repro.scheduling.engine import SchedulingEngine
@@ -52,9 +46,6 @@ __all__ = [
     "LinearEsc",
     "LadderEsc",
     "TableEsc",
-    "FastMaxMinHeuristic",
-    "FastMinMinHeuristic",
-    "FastSufferageHeuristic",
     "KpbHeuristic",
     "kpb_subset_size",
     "MaxMinHeuristic",
@@ -71,7 +62,6 @@ __all__ = [
     "make_heuristic",
     "register_heuristic",
     "heuristic_names",
-    "reference_names",
     "immediate_names",
     "batch_names",
     "is_batch",

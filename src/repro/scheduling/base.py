@@ -66,10 +66,6 @@ class ImmediateHeuristic(ABC):
 
     #: Short registry name, e.g. ``"mct"``.
     name: str = "immediate"
-    #: Kernel implementation label (``"reference"`` loops vs ``"vectorized"``
-    #: fast paths); surfaces as the ``sched.kernel`` label on the
-    #: mapping-latency histograms.
-    kernel: str = "reference"
 
     @abstractmethod
     def choose(
@@ -96,8 +92,6 @@ class BatchHeuristic(ABC):
 
     #: Short registry name, e.g. ``"min-min"``.
     name: str = "batch"
-    #: Kernel implementation label (see :attr:`ImmediateHeuristic.kernel`).
-    kernel: str = "reference"
 
     @abstractmethod
     def plan(
@@ -127,7 +121,8 @@ class BatchHeuristic(ABC):
         Rows follow the order of ``requests``; columns are machines.  This
         is the *reference* row-by-row assembly, kept as the oracle the
         vectorised :meth:`CostProvider.mapping_ecc_matrix` is equivalence-
-        tested against; fast kernels call the batched path instead.
+        tested against and used by the scalar oracle loops; the registered
+        heuristics call the batched path instead.
         """
         if not requests:
             return np.zeros((0, costs.grid.n_machines), dtype=np.float64)

@@ -352,7 +352,7 @@ class CostProvider:
         so a key priced in chunk 0 is a dict lookup in every later chunk.
 
         This is the assembly path of the claim-queue Min-min kernel
-        (:class:`~repro.scheduling.fast.FastMinMinHeuristic`); anything
+        (:class:`~repro.scheduling.minmin.MinMinHeuristic`); anything
         consuming it must reduce each chunk (e.g. to per-machine columns)
         before requesting the next one for the memory bound to hold.
 

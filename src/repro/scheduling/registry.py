@@ -12,11 +12,6 @@ from collections.abc import Callable
 from repro.errors import ConfigurationError
 from repro.scheduling.base import BatchHeuristic, ImmediateHeuristic
 from repro.scheduling.duplex import DuplexHeuristic
-from repro.scheduling.fast import (
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
 from repro.scheduling.kpb import KpbHeuristic
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.mct import MctHeuristic
@@ -29,7 +24,6 @@ from repro.scheduling.sufferage import SufferageHeuristic
 __all__ = [
     "make_heuristic",
     "heuristic_names",
-    "reference_names",
     "immediate_names",
     "batch_names",
     "register_heuristic",
@@ -45,11 +39,8 @@ _REGISTRY: dict[str, HeuristicFactory] = {
     "kpb": KpbHeuristic,
     "sa": SwitchingHeuristic,
     "min-min": MinMinHeuristic,
-    "min-min-fast": FastMinMinHeuristic,
     "max-min": MaxMinHeuristic,
-    "max-min-fast": FastMaxMinHeuristic,
     "sufferage": SufferageHeuristic,
-    "sufferage-fast": FastSufferageHeuristic,
     "duplex": DuplexHeuristic,
 }
 
@@ -83,18 +74,6 @@ def make_heuristic(name: str) -> ImmediateHeuristic | BatchHeuristic:
 def heuristic_names() -> tuple[str, ...]:
     """All registered heuristic names, sorted."""
     return tuple(sorted(_REGISTRY))
-
-
-def reference_names() -> tuple[str, ...]:
-    """One name per heuristic: the registered reference kernels, sorted.
-
-    Production kernels (``min-min-fast`` etc.) produce plans identical to
-    their reference, so comparisons across the heuristic family list each
-    heuristic once, under its reference name.
-    """
-    return tuple(
-        n for n in heuristic_names() if make_heuristic(n).kernel == "reference"
-    )
 
 
 def is_batch(name: str) -> bool:

@@ -95,9 +95,7 @@ class TRMScheduler:
             scheduler's run metrics — ``sched.mappings`` / ``completions``
             / ``retries`` / ``rejections`` / ``drops`` / ``batches``
             counters and a per-heuristic mapping-latency histogram
-            (``sched.map_latency_s.<name>.kernel=<kernel>``, the kernel
-            label separating reference loops from the vectorised fast
-            paths) — and threaded through to the
+            (``sched.map_latency_s.<name>``) — and threaded through to the
             kernel, the cost provider and the fault injector.  Disabled by
             default; instrumentation never changes scheduling decisions.
     """
@@ -137,12 +135,7 @@ class TRMScheduler:
         self.tracer = tracer if tracer is not None else Tracer.disabled()
         self.on_complete = on_complete
         self.on_failure = on_failure
-        # The kernel label separates reference and vectorised implementations
-        # of the same heuristic in the mapping-latency histograms.
-        kernel = getattr(heuristic, "kernel", "reference")
-        self._latency_metric = (
-            f"sched.map_latency_s.{heuristic.name}.kernel={kernel}"
-        )
+        self._latency_metric = f"sched.map_latency_s.{heuristic.name}"
 
         if faults is None and retry is not None:
             raise ConfigurationError(

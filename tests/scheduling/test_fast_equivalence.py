@@ -1,12 +1,14 @@
-"""Equivalence of the production kernels with the reference heuristics.
+"""Equivalence of the registered batch heuristics with their scalar oracles.
 
 Three contracts are pinned here:
 
-* **Production ≡ reference** — each batch heuristic's production kernel
-  (:mod:`repro.scheduling.fast`) produces *identical plans* — same
-  request→machine assignments in the same order — as its reference oracle
-  for arbitrary scenarios, including ties, a single machine, empty
-  batches, hard trust constraints (RELAX and REJECT), retry exclusions
+* **Production ≡ oracle** — each registered batch name (``min-min``,
+  ``max-min``, ``sufferage``, and ``duplex``, which runs the first two)
+  builds a production kernel whose plans are *identical* — same
+  request→machine assignments in the same order — to the scalar oracle
+  loop kept in its module, for arbitrary scenarios, including ties, a
+  single machine, one- and two-request windows, empty batches, hard trust
+  constraints (RELAX and REJECT, with all-``inf`` rows), retry exclusions
   and trust-cache invalidation. The claim-queue Min-min kernel is also
   run with its chunk stream forced to 1, 3, 5, 7 and 10 000 rows.
 * **Batched ≡ scalar, chunked ≡ dense** — the batched
@@ -18,7 +20,7 @@ Three contracts are pinned here:
   stays a small fraction of the dense assembly's footprint.
 
 The n=10⁴ hash goldens in ``test_tiebreaks_golden.py`` cover the
-multi-chunk plans that are too large for the reference oracles.
+multi-chunk plans that are too large for the oracles.
 """
 
 import tracemalloc
@@ -35,23 +37,16 @@ from repro.scheduling import costs as costs_module
 from repro.scheduling.base import BatchHeuristic
 from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
-from repro.scheduling.fast import (
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
-from repro.scheduling.kpb import KpbHeuristic
 from repro.scheduling.maxmin import MaxMinHeuristic
-from repro.scheduling.minmin import MinMinHeuristic
+from repro.scheduling.minmin import MinMinHeuristic, greedy_min_completion_plan
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.sufferage import SufferageHeuristic
+from repro.scheduling.registry import batch_names, heuristic_names, make_heuristic
+from repro.scheduling.sufferage import SufferageHeuristic, sufferage_reference_plan
 from repro.workloads.scenario import ScenarioSpec, materialize
+from tests.scheduling.oracles import ORACLE_PLANS, duplex_oracle_plan
 
-PAIRS = [
-    (MinMinHeuristic, FastMinMinHeuristic),
-    (MaxMinHeuristic, FastMaxMinHeuristic),
-    (SufferageHeuristic, FastSufferageHeuristic),
-]
+#: Registry names whose production kernel has its own oracle loop.
+KERNEL_NAMES = list(ORACLE_PLANS)
 
 #: Adversarial streaming granularities: single-row chunks, a size that
 #: never divides the workload, one chunk covering everything.
@@ -92,40 +87,37 @@ def apply_retry_state(scenario, costs, seed: int) -> None:
         costs.invalidate_trust_cache(req.index)
 
 
-@pytest.mark.parametrize("Reference,Fast", PAIRS, ids=lambda c: c.__name__)
-class TestEquivalence:
-    def test_idle_machines(self, Reference, Fast):
-        scenario, costs = make_case(seed=0, n_tasks=20, n_machines=5, trust_aware=True)
-        avail = np.zeros(5)
-        ref = Reference().plan(list(scenario.requests), costs, avail)
-        fast = Fast().plan(list(scenario.requests), costs, avail)
-        assert plans_equal(ref, fast)
+def assert_matches_oracle(name, requests, costs, avail) -> None:
+    oracle = ORACLE_PLANS[name](requests, costs, avail.copy())
+    kernel = make_heuristic(name).plan(requests, costs, avail.copy())
+    assert plans_equal(oracle, kernel)
 
-    def test_loaded_machines(self, Reference, Fast):
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+class TestEquivalence:
+    def test_idle_machines(self, name):
+        scenario, costs = make_case(seed=0, n_tasks=20, n_machines=5, trust_aware=True)
+        assert_matches_oracle(name, list(scenario.requests), costs, np.zeros(5))
+
+    def test_loaded_machines(self, name):
         scenario, costs = make_case(seed=1, n_tasks=15, n_machines=4, trust_aware=False)
         avail = np.array([100.0, 0.0, 250.0, 40.0])
-        ref = Reference().plan(list(scenario.requests), costs, avail)
-        fast = Fast().plan(list(scenario.requests), costs, avail)
-        assert plans_equal(ref, fast)
+        assert_matches_oracle(name, list(scenario.requests), costs, avail)
 
-    def test_single_machine(self, Reference, Fast):
+    def test_single_machine(self, name):
         scenario, costs = make_case(seed=2, n_tasks=8, n_machines=1, trust_aware=True)
-        ref = Reference().plan(list(scenario.requests), costs, np.zeros(1))
-        fast = Fast().plan(list(scenario.requests), costs, np.zeros(1))
-        assert plans_equal(ref, fast)
+        assert_matches_oracle(name, list(scenario.requests), costs, np.zeros(1))
 
-    def test_empty_batch(self, Reference, Fast):
+    def test_empty_batch(self, name):
         _, costs = make_case(seed=3, n_tasks=2, n_machines=3, trust_aware=True)
-        assert Fast().plan([], costs, np.zeros(3)) == []
+        assert make_heuristic(name).plan([], costs, np.zeros(3)) == []
 
-    def test_tied_costs(self, Reference, Fast):
+    def test_tied_costs(self, name):
         # A uniform EEC matrix makes every completion a tie: the plans agree
-        # only if the fast path reproduces the reference tie-breaks exactly.
+        # only if the kernel reproduces the oracle's tie-breaks exactly.
         scenario, costs = make_case(seed=4, n_tasks=12, n_machines=4, trust_aware=False)
         costs.eec = np.full_like(costs.eec, 7.0)
-        ref = Reference().plan(list(scenario.requests), costs, np.zeros(4))
-        fast = Fast().plan(list(scenario.requests), costs, np.zeros(4))
-        assert plans_equal(ref, fast)
+        assert_matches_oracle(name, list(scenario.requests), costs, np.zeros(4))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -134,13 +126,11 @@ class TestEquivalence:
         n_machines=st.integers(min_value=1, max_value=8),
         trust_aware=st.booleans(),
     )
-    def test_property_equivalence(self, Reference, Fast, seed, n_tasks, n_machines, trust_aware):
+    def test_property_equivalence(self, name, seed, n_tasks, n_machines, trust_aware):
         scenario, costs = make_case(seed, n_tasks, n_machines, trust_aware)
         avail_rng = np.random.default_rng(seed + 1)
         avail = avail_rng.uniform(0, 500, size=n_machines)
-        ref = Reference().plan(list(scenario.requests), costs, avail.copy())
-        fast = Fast().plan(list(scenario.requests), costs, avail.copy())
-        assert plans_equal(ref, fast)
+        assert_matches_oracle(name, list(scenario.requests), costs, avail)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -148,9 +138,7 @@ class TestEquivalence:
         max_tc=st.integers(min_value=0, max_value=6),
         infeasible=st.sampled_from(list(InfeasiblePolicy)),
     )
-    def test_property_equivalence_under_constraint(
-        self, Reference, Fast, seed, max_tc, infeasible
-    ):
+    def test_property_equivalence_under_constraint(self, name, seed, max_tc, infeasible):
         # Tight constraints produce +inf-masked (and, under REJECT, all-inf)
         # rows — the hardest tie-break territory for the production kernels.
         constraint = TrustConstraint(max_trust_cost=max_tc, infeasible=infeasible)
@@ -158,18 +146,109 @@ class TestEquivalence:
             seed, n_tasks=18, n_machines=5, trust_aware=True, constraint=constraint
         )
         avail = np.random.default_rng(seed + 1).uniform(0, 200, size=5)
-        ref = Reference().plan(list(scenario.requests), costs, avail.copy())
-        fast = Fast().plan(list(scenario.requests), costs, avail.copy())
-        assert plans_equal(ref, fast)
+        assert_matches_oracle(name, list(scenario.requests), costs, avail)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_property_equivalence_with_retry_state(self, Reference, Fast, seed):
+    def test_property_equivalence_with_retry_state(self, name, seed):
         scenario, costs = make_case(seed, n_tasks=16, n_machines=4, trust_aware=True)
         apply_retry_state(scenario, costs, seed)
-        ref = Reference().plan(list(scenario.requests), costs, np.zeros(4))
-        fast = Fast().plan(list(scenario.requests), costs, np.zeros(4))
-        assert plans_equal(ref, fast)
+        assert_matches_oracle(name, list(scenario.requests), costs, np.zeros(4))
+
+
+#: Seeds whose REJECT case at ``max_trust_cost=0`` holds an all-``inf``
+#: row, per ``(n_tasks, n_machines)``; the test asserts the row exists.
+REJECT_SEEDS = {(1, 1): 0, (2, 1): 0, (1, 5): 7, (2, 5): 2, (1, 16): 7, (2, 16): 2}
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+@pytest.mark.parametrize("n_machines", [1, 5, 16])
+@pytest.mark.parametrize("n_tasks", [1, 2])
+class TestTinyWindows:
+    """One- and two-request windows: the per-call set-up of each kernel
+    (column block, sort, candidate heads) is the whole run here."""
+
+    def test_plain(self, name, n_tasks, n_machines):
+        scenario, costs = make_case(11, n_tasks, n_machines, trust_aware=True)
+        requests = list(scenario.requests)
+        first = costs.mapping_ecc_matrix(requests)[0]
+        for avail in (
+            np.zeros(n_machines),
+            np.random.default_rng(12).uniform(0, 2000, size=n_machines),
+            # The first request completes at (nearly) the same time on
+            # every machine: its cheapest machine is the most loaded.
+            first.max() - first,
+        ):
+            assert_matches_oracle(name, requests, costs, avail)
+
+    def test_reject_all_inf_rows(self, name, n_tasks, n_machines):
+        constraint = TrustConstraint(max_trust_cost=0, infeasible=InfeasiblePolicy.REJECT)
+        scenario, costs = make_case(
+            REJECT_SEEDS[n_tasks, n_machines], n_tasks, n_machines,
+            trust_aware=True, constraint=constraint,
+        )
+        requests = list(scenario.requests)
+        assert np.isinf(costs.mapping_ecc_matrix(requests)).all(axis=1).any()
+        assert_matches_oracle(name, requests, costs, np.zeros(n_machines))
+
+    def test_retry_exclusions(self, name, n_tasks, n_machines):
+        # The first request has failed on every machine (an all-inf row);
+        # the last is re-priced after a trust-cache invalidation.
+        scenario, costs = make_case(13, n_tasks, n_machines, trust_aware=True)
+        requests = list(scenario.requests)
+        for machine in range(n_machines):
+            costs.exclude(requests[0].index, machine)
+        costs.invalidate_trust_cache(requests[-1].index)
+        assert_matches_oracle(name, requests, costs, np.zeros(n_machines))
+
+
+class TestDuplex:
+    """``duplex`` runs the Min-min and Max-min production kernels and
+    prices their makespans from the batched ECC matrix; its plans must
+    equal a Duplex built from the two oracle loops and row-by-row
+    makespans."""
+
+    def assert_matches_oracle_duplex(self, requests, costs, avail) -> None:
+        oracle = duplex_oracle_plan(requests, costs, avail.copy())
+        kernel = make_heuristic("duplex").plan(requests, costs, avail.copy())
+        assert plans_equal(oracle, kernel)
+
+    def test_tied_costs(self):
+        scenario, costs = make_case(seed=4, n_tasks=12, n_machines=4, trust_aware=False)
+        costs.eec = np.full_like(costs.eec, 7.0)
+        self.assert_matches_oracle_duplex(list(scenario.requests), costs, np.zeros(4))
+
+    def test_empty_batch(self):
+        _, costs = make_case(seed=3, n_tasks=2, n_machines=3, trust_aware=True)
+        assert make_heuristic("duplex").plan([], costs, np.zeros(3)) == []
+
+    def test_reject_all_inf_rows(self):
+        # Rejected requests book +inf: both makespans may be inf, and the
+        # tie then keeps the Min-min plan.
+        constraint = TrustConstraint(max_trust_cost=0, infeasible=InfeasiblePolicy.REJECT)
+        scenario, costs = make_case(
+            9, n_tasks=2, n_machines=5, trust_aware=True, constraint=constraint
+        )
+        requests = list(scenario.requests)
+        assert np.isinf(costs.mapping_ecc_matrix(requests)).all(axis=1).any()
+        self.assert_matches_oracle_duplex(requests, costs, np.zeros(5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_tasks=st.integers(min_value=1, max_value=30),
+        n_machines=st.integers(min_value=1, max_value=8),
+        trust_aware=st.booleans(),
+        with_retry_state=st.booleans(),
+    )
+    def test_property_equivalence(
+        self, seed, n_tasks, n_machines, trust_aware, with_retry_state
+    ):
+        scenario, costs = make_case(seed, n_tasks, n_machines, trust_aware)
+        if with_retry_state:
+            apply_retry_state(scenario, costs, seed)
+        avail = np.random.default_rng(seed + 1).uniform(0, 500, size=n_machines)
+        self.assert_matches_oracle_duplex(list(scenario.requests), costs, avail)
 
 
 class TestMatrixEquivalence:
@@ -320,22 +399,25 @@ def streamed_at(chunk_size: int):
         yield
 
 
+min_min_oracle = ORACLE_PLANS["min-min"]
+
+
 class TestClaimQueueStreaming:
     """The claim-queue Min-min kernel stitches its per-machine columns from
     streamed chunks. With the stream granularity forced below the batch
     size — single rows, sizes that never divide the batch, one chunk for
-    everything — its plans must still match the reference oracle."""
+    everything — its plans must still match the oracle loop."""
 
     def test_empty_batch(self):
         _, costs = make_case(seed=3, n_tasks=2, n_machines=3, trust_aware=True)
         with streamed_at(1):
-            assert FastMinMinHeuristic().plan([], costs, np.zeros(3)) == []
+            assert MinMinHeuristic().plan([], costs, np.zeros(3)) == []
 
     def test_single_machine(self):
         scenario, costs = make_case(seed=2, n_tasks=8, n_machines=1, trust_aware=True)
-        ref = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(1))
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(1))
         with streamed_at(3):
-            fast = FastMinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(1))
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(1))
         assert plans_equal(ref, fast)
 
     def test_tied_costs(self):
@@ -343,9 +425,9 @@ class TestClaimQueueStreaming:
         # seams between streamed chunks.
         scenario, costs = make_case(seed=4, n_tasks=12, n_machines=4, trust_aware=False)
         costs.eec = np.full_like(costs.eec, 7.0)
-        ref = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(4))
         with streamed_at(5):
-            fast = FastMinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
         assert plans_equal(ref, fast)
 
     @settings(max_examples=40, deadline=None)
@@ -359,9 +441,9 @@ class TestClaimQueueStreaming:
     def test_property_equivalence(self, seed, n_tasks, n_machines, trust_aware, chunk_size):
         scenario, costs = make_case(seed, n_tasks, n_machines, trust_aware)
         avail = np.random.default_rng(seed + 1).uniform(0, 500, size=n_machines)
-        ref = MinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
+        ref = min_min_oracle(list(scenario.requests), costs, avail.copy())
         with streamed_at(chunk_size):
-            fast = FastMinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
         assert plans_equal(ref, fast)
 
     @settings(max_examples=25, deadline=None)
@@ -376,9 +458,9 @@ class TestClaimQueueStreaming:
             seed, n_tasks=18, n_machines=5, trust_aware=True, constraint=constraint
         )
         avail = np.random.default_rng(seed + 1).uniform(0, 200, size=5)
-        ref = MinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
+        ref = min_min_oracle(list(scenario.requests), costs, avail.copy())
         with streamed_at(7):
-            fast = FastMinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
         assert plans_equal(ref, fast)
 
     @settings(max_examples=25, deadline=None)
@@ -386,39 +468,37 @@ class TestClaimQueueStreaming:
     def test_property_equivalence_with_retry_state(self, seed):
         scenario, costs = make_case(seed, n_tasks=16, n_machines=4, trust_aware=True)
         apply_retry_state(scenario, costs, seed)
-        ref = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(4))
         with streamed_at(3):
-            fast = FastMinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
         assert plans_equal(ref, fast)
 
 
 class TestRegistryExposure:
-    def test_fast_variants_registered(self):
-        from repro.scheduling.registry import is_batch, make_heuristic
+    def test_batch_names_build_production_kernels(self):
+        assert isinstance(make_heuristic("min-min"), MinMinHeuristic)
+        assert isinstance(make_heuristic("max-min"), MaxMinHeuristic)
+        assert isinstance(make_heuristic("sufferage"), SufferageHeuristic)
+        assert set(KERNEL_NAMES) | {"duplex"} == set(batch_names())
+        assert not [n for n in heuristic_names() if n.endswith("-fast")]
 
-        assert isinstance(make_heuristic("min-min-fast"), FastMinMinHeuristic)
-        assert isinstance(make_heuristic("max-min-fast"), FastMaxMinHeuristic)
-        assert isinstance(make_heuristic("sufferage-fast"), FastSufferageHeuristic)
-        for name in ("min-min-fast", "max-min-fast", "sufferage-fast"):
-            assert is_batch(name)
-
-    def test_kernel_labels(self):
-        for Fast in (
-            FastMinMinHeuristic,
-            FastMaxMinHeuristic,
-            FastSufferageHeuristic,
-        ):
-            assert Fast.kernel == "vectorized"
-        for Reference in (MinMinHeuristic, MaxMinHeuristic, SufferageHeuristic, KpbHeuristic):
-            assert Reference.kernel == "reference"
+    def test_no_kernel_selector(self):
+        # One kernel per name: no label, option or size switch picks another.
+        for name in heuristic_names():
+            heuristic = make_heuristic(name)
+            assert not hasattr(heuristic, "kernel")
+        for name in KERNEL_NAMES:
+            assert vars(make_heuristic(name)) == {}
 
     def test_reference_oracle_hooks(self):
+        # The oracles are plain module functions, outside the registry.
+        assert greedy_min_completion_plan.__module__ == "repro.scheduling.minmin"
+        assert sufferage_reference_plan.__module__ == "repro.scheduling.sufferage"
         scenario, costs = make_case(seed=6, n_tasks=6, n_machines=3, trust_aware=True)
         avail = np.zeros(3)
         requests = list(scenario.requests)
-        for Fast in (FastMinMinHeuristic, FastMaxMinHeuristic, FastSufferageHeuristic):
-            heuristic = Fast()
+        for name, oracle in ORACLE_PLANS.items():
             assert plans_equal(
-                heuristic.plan(requests, costs, avail),
-                heuristic._reference_plan(requests, costs, avail),
+                make_heuristic(name).plan(requests, costs, avail),
+                oracle(requests, costs, avail),
             )

@@ -11,16 +11,14 @@ from repro.scheduling.registry import (
     immediate_names,
     is_batch,
     make_heuristic,
-    reference_names,
     register_heuristic,
 )
 
-#: One reference oracle per heuristic plus one production kernel for each
-#: batch heuristic of the paper's Section 4.1 family.
-REFERENCE_NAMES = (
+#: One name per heuristic of the [10] family; each builds its one
+#: production implementation.
+NAMES = (
     "duplex", "kpb", "max-min", "mct", "met", "min-min", "olb", "sa", "sufferage",
 )
-PRODUCTION_NAMES = ("max-min-fast", "min-min-fast", "sufferage-fast")
 
 
 class TestRegistry:
@@ -35,12 +33,14 @@ class TestRegistry:
             assert name in names
 
     def test_exact_names(self):
-        assert heuristic_names() == tuple(sorted(REFERENCE_NAMES + PRODUCTION_NAMES))
+        assert heuristic_names() == NAMES
 
-    def test_reference_names_list_each_heuristic_once(self):
-        assert reference_names() == REFERENCE_NAMES
-        for name in PRODUCTION_NAMES:
-            assert make_heuristic(name).kernel != "reference"
+    def test_no_kernel_aliases(self):
+        # Nine names, no ``-fast`` aliases, no per-heuristic kernel label.
+        assert len(heuristic_names()) == 9
+        assert not [n for n in heuristic_names() if n.endswith("-fast")]
+        for name in heuristic_names():
+            assert not hasattr(make_heuristic(name), "kernel")
 
     def test_make_heuristic_instantiates(self):
         assert isinstance(make_heuristic("mct"), ImmediateHeuristic)

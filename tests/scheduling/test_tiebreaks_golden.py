@@ -1,8 +1,8 @@
 """Golden tie-break tests: the heuristics' deterministic tie resolution.
 
-The production kernels in :mod:`repro.scheduling.fast` are proven
-bit-identical to the reference loops, which makes the reference tie-breaks
-load-bearing API: if they drift, every equivalence proof and every frozen
+The registered batch heuristics run production kernels proven
+bit-identical to the scalar oracle loops, which makes the oracles'
+tie-breaks load-bearing API: if they drift, every equivalence proof and every frozen
 table drifts with them.  These tests pin the documented contracts on
 hand-built, tie-rich cost matrices with *literal* expected plans (derived
 by hand from the contracts — see the inline walk-throughs):
@@ -15,11 +15,12 @@ by hand from the contracts — see the inline walk-throughs):
 * KPB admits boundary-tied machines **lowest-index first** (stable
   selection) and breaks completion ties by candidate order.
 
-The reference and, for the batch heuristics, the production kernel are
-held to the same literals.
+For the batch heuristics both the production kernel and its oracle loop
+are held to the same literals.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,17 +28,14 @@ import pytest
 from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
 from repro.scheduling.costs import CostProvider
-from repro.scheduling.fast import (
-    FastMaxMinHeuristic,
-    FastMinMinHeuristic,
-    FastSufferageHeuristic,
-)
 from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
+from repro.scheduling.registry import make_heuristic
 from repro.scheduling.sufferage import SufferageHeuristic
 from repro.workloads.scenario import ScenarioSpec, materialize
+from tests.scheduling.oracles import OracleHeuristic
 
 # With the trust-unaware policy the mapping cost is EEC * 1.5 everywhere,
 # so the tie structure below is exactly the tie structure the heuristics
@@ -76,7 +74,9 @@ def as_tuples(plan):
     return [(p.request.index, p.machine_index, p.order) for p in plan]
 
 
-@pytest.mark.parametrize("Heuristic", [MinMinHeuristic, FastMinMinHeuristic])
+@pytest.mark.parametrize(
+    "Heuristic", [MinMinHeuristic, partial(OracleHeuristic, "min-min")], ids=["MinMinHeuristic", "oracle"]
+)
 def test_min_min_tie_breaks(tie_case, Heuristic):
     # Round 1: t0..t3 all have best completion 3 -> lowest position t0,
     # whose lowest-index argmin is m0.  Round 2: t1/t2/t3 tie at 3 -> t1
@@ -93,7 +93,9 @@ def test_min_min_tie_breaks(tie_case, Heuristic):
     ]
 
 
-@pytest.mark.parametrize("Heuristic", [MaxMinHeuristic, FastMaxMinHeuristic])
+@pytest.mark.parametrize(
+    "Heuristic", [MaxMinHeuristic, partial(OracleHeuristic, "max-min")], ids=["MaxMinHeuristic", "oracle"]
+)
 def test_max_min_tie_breaks(tie_case, Heuristic):
     # Round 1: t4's best (12) dominates -> m0.  Rounds 2-3: the rest all
     # tie on best 3 -> lowest position wins each round (t0 on m1, t1 on
@@ -109,7 +111,9 @@ def test_max_min_tie_breaks(tie_case, Heuristic):
     ]
 
 
-@pytest.mark.parametrize("Heuristic", [SufferageHeuristic, FastSufferageHeuristic])
+@pytest.mark.parametrize(
+    "Heuristic", [SufferageHeuristic, partial(OracleHeuristic, "sufferage")], ids=["SufferageHeuristic", "oracle"]
+)
 def test_sufferage_tie_breaks(tie_case, Heuristic):
     # Iteration 1: every sufferage is 0; t0 claims m0 and keeps it against
     # t1/t3/t4 (ties never steal a claim), t2 claims m1; commits ascend by
@@ -154,8 +158,8 @@ def test_kpb_subset_size_pinned():
 #
 # At 10⁴ tasks the reference oracles are too slow to serve as in-test
 # oracles, so the full assignment sequence is pinned as a sha256 over
-# "request:machine" pairs instead: each production kernel (proven
-# bit-identical to its reference at small n) must hit the literal digest.
+# "request:machine" pairs instead: each registered kernel (proven
+# bit-identical to its oracle at small n) must hit the literal digest.
 # 10⁴ tasks exceed DEFAULT_CHUNK_TASKS, so the claim-queue Min-min streams
 # two assembly chunks.  Any tie-break or float-path drift at scale — where
 # value collisions are plentiful — changes the digest.
@@ -188,18 +192,10 @@ def scale_case():
     return list(scenario.requests), costs
 
 
-@pytest.mark.parametrize(
-    "key,Heuristic",
-    [
-        ("min-min", FastMinMinHeuristic),
-        ("max-min", FastMaxMinHeuristic),
-        ("sufferage", FastSufferageHeuristic),
-    ],
-    ids=lambda v: v if isinstance(v, str) else v.__name__,
-)
-def test_scale_hash_goldens(scale_case, key, Heuristic):
+@pytest.mark.parametrize("key", list(GOLDEN_SCALE_HASHES))
+def test_scale_hash_goldens(scale_case, key):
     requests, costs = scale_case
     n_machines = GOLDEN_SCALE_SPEC["n_machines"]
-    plan = Heuristic().plan(requests, costs, np.zeros(n_machines))
+    plan = make_heuristic(key).plan(requests, costs, np.zeros(n_machines))
     assert len(plan) == GOLDEN_SCALE_SPEC["n_tasks"]
     assert plan_digest(plan) == GOLDEN_SCALE_HASHES[key]

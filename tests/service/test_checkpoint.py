@@ -176,6 +176,16 @@ class TestResumeGuards:
                 payload, medium_scenario.requests
             )
 
+    def test_retired_kernel_alias_refused(self, medium_scenario):
+        # Checkpoints stamped with the retired ``min-min-fast`` alias do
+        # not resume under ``min-min``: the names must match exactly.
+        payload = kill(medium_scenario, 1)
+        payload["heuristic"] = "min-min-fast"
+        with pytest.raises(CheckpointError, match="'min-min-fast'"):
+            build_service(medium_scenario).resume(
+                payload, medium_scenario.requests
+            )
+
     def test_trust_epoch_mismatch(self, medium_scenario):
         payload = kill(medium_scenario, 1)
         payload["trust_epoch"] = payload["trust_epoch"] + 1

@@ -49,7 +49,6 @@ MODULES = [
     "repro.obs.profile",
     "repro.scheduling.engine",
     "repro.scheduling.esc_models",
-    "repro.scheduling.fast",
     "repro.service.admission",
     "repro.service.backpressure",
     "repro.service.checkpoint",
@@ -129,11 +128,12 @@ class TestTopLevelEntryPoints:
         import repro.scheduling as scheduling
 
         assert importlib.util.find_spec("repro.scheduling.scale") is None
-        kernels = sorted(n for n in scheduling.__all__ if n.startswith("Fast"))
-        assert kernels == [
-            "FastMaxMinHeuristic", "FastMinMinHeuristic", "FastSufferageHeuristic",
-        ]
+        assert importlib.util.find_spec("repro.scheduling.fast") is None
+        assert not [n for n in scheduling.__all__ if n.startswith("Fast")]
+        assert "reference_names" not in scheduling.__all__
         assert not [n for n in scheduling.__all__ if n.lower().startswith(("heap", "jit"))]
+        for name in ("MinMinHeuristic", "MaxMinHeuristic", "SufferageHeuristic"):
+            assert name in scheduling.__all__
 
     def test_error_hierarchy_rooted(self):
         import repro.errors as errors

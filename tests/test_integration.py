@@ -30,6 +30,7 @@ from repro.metrics import PairedComparison
 from repro.scheduling import LadderEsc, make_heuristic
 from repro.security import plan_supplement
 from repro.workloads import Consistency, load_scenario, save_scenario
+from tests.scheduling.oracles import OracleHeuristic
 
 
 class TestPaperPipeline:
@@ -51,15 +52,16 @@ class TestPaperPipeline:
         assert cell.significance().significant()
 
     def test_fast_heuristics_through_full_scheduler(self):
-        """The vectorised fast paths are usable as drop-ins end to end."""
+        """The registered production kernel settles a full scheduler run
+        exactly as its scalar oracle loop does."""
         scenario = materialize(ScenarioSpec(n_tasks=25, target_load=4.0), seed=3)
         policy = TrustPolicy.aware(unaware_fraction=0.9)
         ref = TRMScheduler(
-            scenario.grid, scenario.eec, policy, make_heuristic("sufferage"),
+            scenario.grid, scenario.eec, policy, OracleHeuristic("sufferage"),
             batch_interval=300.0,
         ).run(scenario.requests)
         fast = TRMScheduler(
-            scenario.grid, scenario.eec, policy, make_heuristic("sufferage-fast"),
+            scenario.grid, scenario.eec, policy, make_heuristic("sufferage"),
             batch_interval=300.0,
         ).run(scenario.requests)
         assert [r.completion_time for r in ref.records] == [
