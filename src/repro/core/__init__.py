@@ -49,22 +49,9 @@ from repro.core.levels import (
     offered_levels,
     required_levels,
 )
-from repro.core.persistence import (
-    load_trust_state,
-    save_trust_state,
-    trust_table_from_dict,
-    trust_table_to_dict,
-)
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.reputation import Reputation
-from repro.core.store import (
-    STORE_SCHEMA,
-    RestoredTrustPlane,
-    TrustStoreError,
-    load_manifest,
-    restore_trust_store,
-    snapshot_trust_store,
-)
+from repro.core.store import STORE_SCHEMA
 from repro.core.tables import (
     TrustRecord,
     TrustTable,
@@ -113,16 +100,7 @@ __all__ = [
     "offered_levels",
     "required_levels",
     "AllianceRegistry",
-    "trust_table_to_dict",
-    "trust_table_from_dict",
-    "save_trust_state",
-    "load_trust_state",
     "STORE_SCHEMA",
-    "TrustStoreError",
-    "RestoredTrustPlane",
-    "snapshot_trust_store",
-    "restore_trust_store",
-    "load_manifest",
     "JOURNAL_SCHEMA",
     "TrustJournalError",
     "JournalConfig",

@@ -19,8 +19,8 @@ invalidation on that domain:
 A :class:`DomainMap` resolves entities to domains.  The default map
 buckets entities into :data:`DEFAULT_N_SHARDS` domains through a CRC-32
 of the entity's string form — *stable across processes and restarts*
-(unlike builtin ``hash``, which is salted), which the zero-copy
-persistent store (:mod:`repro.core.store`) relies on.  Deployments whose
+(unlike builtin ``hash``, which is salted), which the durable trust
+plane's base snapshots (:mod:`repro.core.store`) rely on.  Deployments whose
 entity ids encode a real domain (the Grid agents' ``"cd:3"`` /
 ``"rd:7"`` convention) can install an explicit ``domain_of`` callable
 instead and get exact per-Grid-domain invalidation.

@@ -1,13 +1,16 @@
 """Write-ahead delta journal for the trust plane (``repro.trust.journal/v1``).
 
-The zero-copy store (:mod:`repro.core.store`) checkpoints the trust plane
-by rewriting every shard segment — O(store) per checkpoint, and nothing a
-hot service wants to pay per window.  This module layers an append-only
-**write-ahead journal** over a base snapshot so the steady state fsyncs
-only the delta: every trust mutation (``record``/``remove``/
-``observe_outcome``/``declare``/``dissolve``/``set``) appends one framed
-record, and recovery replays *base + journal tail* to a state
-bit-identical to an uninterrupted run.
+:class:`DurableTrustPlane` is the one way to persist or restore trust
+state: a snapshot is a generation with an empty journal tail
+(:meth:`DurableTrustPlane.create` then :meth:`~DurableTrustPlane.close`),
+a restore is :meth:`DurableTrustPlane.recover`.  Rewriting a base
+snapshot (:mod:`repro.core.store`, the base-segment codec) costs
+O(store), which no hot service wants to pay per window, so this module
+layers an append-only **write-ahead journal** over the base and the
+steady state fsyncs only the delta: every trust mutation
+(``record``/``remove``/``observe_outcome``/``declare``/``dissolve``/
+``set``) appends one framed record, and recovery replays *base + journal
+tail* to a state bit-identical to an uninterrupted run.
 
 Frame format (all little-endian)::
 
@@ -26,6 +29,12 @@ particular everything up to the last completed :meth:`JournalWriter.sync`)
 is recovered.  A checkpoint that *pins* an offset (``upto=``) is the
 opposite contract: the pinned prefix was acknowledged as durable, so a
 tear inside it is a hard error.
+
+Every refusal — a torn pinned prefix, a wrong base, a diverging op, or a
+missing, tampered, truncated or mis-mapped base segment — raises
+:class:`TrustJournalError` naming the offending path;
+:func:`~repro.service.checkpoint.resolve_trust_journal` turns it into a
+:class:`~repro.errors.CheckpointError`.
 
 :class:`DurableTrustPlane` packages the full discipline: generation
 directories (``base-<N>/`` + ``journal-<N>.wal``) selected by an
@@ -91,8 +100,10 @@ _FRAME = struct.Struct("<II")
 
 
 class TrustJournalError(TrustModelError):
-    """A trust journal is missing, torn inside a pinned prefix, replayed
-    over the wrong base, or diverges from the state it claims to extend."""
+    """A durable trust plane cannot be restored: its base snapshot is
+    missing, malformed, tampered or mis-mapped, or its journal is torn
+    inside a pinned prefix, replayed over the wrong base, or diverges
+    from the state it claims to extend."""
 
 
 # -- CRC32C (Castagnoli) ----------------------------------------------------
@@ -647,7 +658,7 @@ class DurableTrustPlane:
     Layout under ``root``::
 
         CURRENT             {"schema": ..., "generation": N}  (atomic swap)
-        base-<N>/           zero-copy store snapshot (+ grid.json sidecar)
+        base-<N>/           base snapshot (+ grid.json sidecar)
         journal-<N>.wal     framed mutation tail over base-<N>
 
     Use :meth:`create` to provision from live objects, :meth:`recover`
@@ -768,6 +779,9 @@ class DurableTrustPlane:
             upto: pin the journal byte offset acknowledged by a
                 checkpoint; a tear inside the pin is a hard error, frames
                 past it are discarded.
+            domains: the :class:`~repro.core.domains.DomainMap` of a plane
+                created over an explicit ``domain_of`` resolver (callables
+                do not survive JSON); CRC-32 planes rebuild theirs.
             grid_table: optional pre-built Grid table to restore the
                 persisted level sidecar into (custom ETS tables do not
                 survive JSON); by default the sidecar's shape rebuilds one.
@@ -792,21 +806,35 @@ class DurableTrustPlane:
         base_dir = root / f"base-{gen}"
         journal_path = root / f"journal-{gen}.wal"
         if not (base_dir / "manifest.json").is_file():
-            raise TrustJournalError(
-                f"trust-plane generation {gen} has no base snapshot at "
-                f"{base_dir} (compacted away?); cannot recover it"
-            )
-        restored = restore_trust_store(base_dir, domains=domains)
-        digest = _manifest_digest(base_dir / "manifest.json")
+            # A crash between the two renames of an atomic re-snapshot
+            # leaves the previous (complete, fsynced) base parked as
+            # "base-<N>.old": restore that rather than refusing over a
+            # target the swap never finished.
+            parked = root / f"base-{gen}.old"
+            if not (parked / "manifest.json").is_file():
+                raise TrustJournalError(
+                    f"trust-plane generation {gen} has no base manifest at "
+                    f"{base_dir / 'manifest.json'} (compacted away?); "
+                    "cannot recover it"
+                )
+            base_dir = parked
+        table, weights = restore_trust_store(base_dir, domains=domains)
+        manifest_path = base_dir / "manifest.json"
+        digest = _manifest_digest(manifest_path)
         grid = _restore_grid_sidecar(base_dir, grid_table)
-        replay = read_journal(
-            journal_path, upto=upto, expected_base=digest, metrics=metrics
-        )
+        replay = read_journal(journal_path, upto=upto, metrics=metrics)
+        if replay.header is not None and replay.header.get("base") != digest:
+            raise TrustJournalError(
+                f"base manifest {manifest_path} is not the base "
+                f"{journal_path} was written against (sha256 {digest!r} != "
+                f"{replay.header.get('base')!r}); refusing to replay the "
+                "journal over the wrong snapshot"
+            )
         for i, op in enumerate(replay.ops):
             apply_op(
                 op,
-                table=restored.table,
-                weights=restored.weights,
+                table=table,
+                weights=weights,
                 grid_table=grid,
                 path=journal_path,
                 index=i,
@@ -830,8 +858,8 @@ class DurableTrustPlane:
         return cls(
             root=root,
             generation=gen,
-            table=restored.table,
-            weights=restored.weights,
+            table=table,
+            weights=weights,
             grid_table=grid,
             writer=writer,
             base_digest=digest,

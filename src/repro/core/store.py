@@ -1,30 +1,27 @@
-"""Zero-copy persistent trust store (``repro.trust.store/v1``).
+"""Base-snapshot codec of the durable trust plane (``repro.trust.store/v1``).
 
-A long-running Grid service must recover its trust plane after a restart
-without replaying the transaction history that produced it.  This module
-snapshots a :class:`~repro.core.tables.TrustTable` (and optionally its
-learned :class:`~repro.core.recommender.RecommenderWeights`) to disk in
-the same shape the sharded columnar mirror keeps in memory — **one
-fixed-dtype binary segment per Grid-domain shard per column**, with a
-JSON manifest carrying the shard epochs and a SHA-256 digest per segment.
-The layout follows tahoe-lafs' grid-manager certificate discipline:
-durable per-domain state files plus a signed-by-digest index, so partial
-or tampered snapshots are *refused*, never silently repaired.
+Every generation of a :class:`~repro.core.journal.DurableTrustPlane`
+starts from a base snapshot written by this module; the write-ahead
+journal then records the mutations on top of it.  The snapshot holds a
+:class:`~repro.core.tables.TrustTable` (and optionally its learned
+:class:`~repro.core.recommender.RecommenderWeights`) as **one fixed-dtype
+binary segment per Grid-domain shard per column**, with a JSON manifest
+carrying the shard epochs and a SHA-256 digest per segment.  The layout
+follows tahoe-lafs' grid-manager certificate discipline: durable
+per-domain state files plus a signed-by-digest index, so partial or
+tampered snapshots are *refused* with a
+:class:`~repro.core.journal.TrustJournalError` naming the offending file,
+never silently repaired.
 
-On restore the column segments are opened with ``numpy.memmap`` in
-read-only mode — the shard arrays of the rebuilt
-:class:`~repro.core.columnar.ColumnarOpinionStore` alias the on-disk
-pages directly (zero copy, lazily paged in), skipping the per-row
-re-interning and re-sorting a cold build would pay.  The dict-level
-:class:`TrustTable` is replayed domain by domain so the scalar oracle
-surface works identically; per-trustee opinion order is preserved (every
-opinion about ``y`` lives in ``y``'s domain segment, in insertion order),
-which is exactly the order the reputation average accumulates in — the
-restored Γ surface is bit-identical to one computed before the snapshot.
-The only observable difference is diagnostic: the scalar first-offender
-``ValueError`` for future-dated records may name a different offender,
-because the *global* interleave of records across domains is not part of
-the persisted state.
+Restore checks every segment's digest and size, then replays the rows
+domain by domain into a fresh table.  Per-trustee opinion order is
+preserved (every opinion about ``y`` lives in ``y``'s domain segment, in
+insertion order), which is exactly the order the reputation average
+accumulates in — the restored Γ surface is bit-identical to one computed
+before the snapshot.  The only observable difference is diagnostic: the
+scalar first-offender ``ValueError`` for future-dated records may name a
+different offender, because the *global* interleave of records across
+domains is not part of the persisted state.
 
 On-disk layout (all integers ``<i8``, all floats ``<f8``, little-endian):
 
@@ -42,26 +39,20 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from collections.abc import Hashable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.core.columnar import ColumnarOpinionStore, _Shard
 from repro.core.context import TrustContext
 from repro.core.domains import DomainMap
+from repro.core.journal import TrustJournalError, sync_dir, sync_file
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.tables import TrustTable
-from repro.errors import TrustModelError
 
 __all__ = [
     "STORE_SCHEMA",
-    "TrustStoreError",
-    "RestoredTrustPlane",
     "snapshot_trust_store",
-    "load_manifest",
     "restore_trust_store",
 ]
 
@@ -75,10 +66,6 @@ _COLUMNS = (
     ("time", "<f8"),
     ("txcount", "<i8"),
 )
-
-
-class TrustStoreError(TrustModelError):
-    """A persistent trust-store snapshot is missing, malformed or corrupt."""
 
 
 def _sha256(path: Path) -> str:
@@ -197,19 +184,18 @@ def snapshot_trust_store(
     swapped into place by rename — any previous snapshot at ``directory``
     is parked as ``<name>.old`` for the instant of the swap and removed
     once the new one is durable.  A kill at any point leaves either the
-    old snapshot or the new one restorable (see
-    :func:`restore_trust_store`'s fallback), never a half-written mix
-    that the digest check would turn into total loss.
+    old snapshot or the new one restorable (see the ``.old`` fallback of
+    :meth:`DurableTrustPlane.recover
+    <repro.core.journal.DurableTrustPlane.recover>`), never a
+    half-written mix that the digest check would turn into total loss.
 
     Entity identifiers and domain keys must be JSON-representable
     (strings or integers); the Grid agents' ``"cd:0"`` convention and the
     default CRC-32 bucketing both satisfy this.
 
     Raises:
-        TrustStoreError: if an entity or domain key cannot be persisted.
+        TrustJournalError: if an entity or domain key cannot be persisted.
     """
-    from repro.core.journal import sync_dir, sync_file
-
     target = Path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
     directory = target.parent / (target.name + ".tmp")
@@ -227,7 +213,7 @@ def snapshot_trust_store(
     shards: list[dict[str, Any]] = []
     for k, domain in enumerate(table.domains_present()):
         if not isinstance(domain, (str, int)):
-            raise TrustStoreError(
+            raise TrustJournalError(
                 f"domain key {domain!r} is not JSON-representable; use a "
                 "DomainMap resolving to str or int keys"
             )
@@ -237,7 +223,7 @@ def snapshot_trust_store(
         for i, ((z, y, c), rec) in enumerate(items):
             for entity in (z, y):
                 if not isinstance(entity, (str, int)):
-                    raise TrustStoreError(
+                    raise TrustJournalError(
                         f"entity {entity!r} is not JSON-representable"
                     )
                 if entity not in entity_index:
@@ -309,199 +295,127 @@ def snapshot_trust_store(
     return target / "manifest.json"
 
 
-def load_manifest(directory: str | Path) -> dict[str, Any]:
-    """Read and structurally validate a snapshot manifest.
-
-    Raises:
-        TrustStoreError: on a missing manifest, wrong schema tag or a
-            structurally incomplete shard entry.
-    """
-    directory = Path(directory)
+def _load_manifest(directory: Path) -> dict[str, Any]:
+    """Read and structurally validate a snapshot manifest."""
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
-        raise TrustStoreError(f"no trust-store manifest at {manifest_path}")
+        raise TrustJournalError(f"no trust-store manifest at {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise TrustStoreError(
+        raise TrustJournalError(
             f"corrupted trust-store manifest {manifest_path}: {exc}"
         ) from exc
     if not isinstance(manifest, dict) or manifest.get("schema") != STORE_SCHEMA:
-        raise TrustStoreError(
-            f"expected schema {STORE_SCHEMA!r}, got {manifest.get('schema')!r}"
+        raise TrustJournalError(
+            f"trust-store manifest {manifest_path}: expected schema "
+            f"{STORE_SCHEMA!r}, got {manifest.get('schema')!r}"
         )
     for key in ("domain_map", "entities", "contexts", "table_epoch", "shards"):
         if key not in manifest:
-            raise TrustStoreError(f"trust-store manifest missing {key!r}")
+            raise TrustJournalError(
+                f"trust-store manifest {manifest_path} missing {key!r}"
+            )
     for shard in manifest["shards"]:
         for key in ("domain", "epoch", "rows", "columns"):
             if key not in shard:
-                raise TrustStoreError(
-                    f"trust-store shard entry missing {key!r}"
+                raise TrustJournalError(
+                    f"trust-store manifest {manifest_path}: shard entry "
+                    f"missing {key!r}"
                 )
         for name, _ in _COLUMNS:
             meta = shard["columns"].get(name)
             if meta is None or not {"file", "dtype", "sha256"} <= set(meta):
-                raise TrustStoreError(
-                    f"trust-store shard {shard['domain']!r} missing column "
-                    f"{name!r}"
+                raise TrustJournalError(
+                    f"trust-store manifest {manifest_path}: shard "
+                    f"{shard['domain']!r} missing column {name!r}"
                 )
     return manifest
 
 
-@dataclass(frozen=True)
-class RestoredTrustPlane:
-    """Result of :func:`restore_trust_store`.
-
-    Attributes:
-        table: the rebuilt DTT/RTT table (dict level, for scalar paths).
-        store: a columnar mirror whose shard arrays are read-only
-            ``memmap`` views of the snapshot segments (zero copy).
-        weights: the restored factor resolver, or ``None`` when the
-            snapshot carried no weights.
-        manifest: the validated manifest dictionary.
-    """
-
-    table: TrustTable
-    store: ColumnarOpinionStore
-    weights: RecommenderWeights | None
-    manifest: dict[str, Any]
+def _read_segment(directory: Path, meta: dict[str, Any], rows: int) -> list:
+    """Digest- and size-check one column segment; return its values."""
+    fpath = directory / meta["file"]
+    if not fpath.is_file():
+        raise TrustJournalError(f"missing trust-store segment {fpath}")
+    data = fpath.read_bytes()
+    if hashlib.sha256(data).hexdigest() != meta["sha256"]:
+        raise TrustJournalError(
+            f"digest mismatch for trust-store segment {fpath}; "
+            "refusing to restore"
+        )
+    if len(data) != rows * 8:
+        raise TrustJournalError(
+            f"trust-store segment {fpath} has wrong size for {rows} rows"
+        )
+    return np.frombuffer(data, dtype=meta["dtype"]).tolist()
 
 
 def restore_trust_store(
-    directory: str | Path,
-    *,
-    domains: DomainMap | None = None,
-    verify: bool = True,
-) -> RestoredTrustPlane:
+    directory: str | Path, *, domains: DomainMap | None = None
+) -> tuple[TrustTable, RecommenderWeights | None]:
     """Restore a snapshot taken by :func:`snapshot_trust_store`.
 
-    Column segments are digest-checked (unless ``verify=False``) and then
-    memory-mapped read-only; the returned store's shard arrays alias the
-    on-disk pages.  Snapshots of tables with an explicit ``domain_of``
+    Every column segment is digest- and size-checked before its rows are
+    replayed.  Snapshots of tables with an explicit ``domain_of``
     resolver require the caller to pass an equivalent ``domains`` map —
-    callables do not survive JSON.
+    callables do not survive JSON.  Returns ``(table, weights)``;
+    ``weights`` is ``None`` when the snapshot carried none.
 
     Raises:
-        TrustStoreError: on schema/structure problems, a digest mismatch,
-            a truncated segment, or a missing ``domains`` for an
-            explicit-map snapshot.
+        TrustJournalError: on schema/structure problems, a digest
+            mismatch, a missing or truncated segment, a domain-map
+            mismatch, or a missing ``domains`` for an explicit-map
+            snapshot — naming the offending path.
     """
     directory = Path(directory)
-    if not (directory / "manifest.json").is_file():
-        # Recovery-ladder fallback: a crash between the two renames of an
-        # atomic re-snapshot leaves the previous (complete, fsynced)
-        # snapshot parked as "<name>.old" — restore that rather than
-        # refusing over a target the swap never finished.
-        parked = directory.parent / (directory.name + ".old")
-        if (parked / "manifest.json").is_file():
-            directory = parked
-    manifest = load_manifest(directory)
+    manifest = _load_manifest(directory)
     dm = manifest["domain_map"]
     if dm["kind"] == "crc32":
         if domains is None:
             domains = DomainMap(n_shards=int(dm["n_shards"]))
     elif domains is None:
-        raise TrustStoreError(
-            "snapshot was taken with an explicit domain resolver; pass an "
-            "equivalent DomainMap via domains="
+        raise TrustJournalError(
+            f"snapshot {directory / 'manifest.json'} was taken with an "
+            "explicit domain resolver; pass an equivalent DomainMap via "
+            "domains="
         )
-    entities = list(manifest["entities"])
+    entities = manifest["entities"]
     contexts = [TrustContext(name) for name in manifest["contexts"]]
     table = TrustTable(domains=domains)
-    store = ColumnarOpinionStore(table)
-    store._entities = entities
-    store._entity_index = {e: i for i, e in enumerate(entities)}
-    store._context_index = {c: i for i, c in enumerate(contexts)}
-    shard_builds: list[tuple[Hashable, dict[str, np.ndarray], list, dict, tuple]] = []
     for shard_meta in manifest["shards"]:
         domain = shard_meta["domain"]
         rows = int(shard_meta["rows"])
-        arrays: dict[str, np.ndarray] = {}
-        for name, dtype in _COLUMNS:
-            meta = shard_meta["columns"][name]
-            fpath = directory / meta["file"]
-            if not fpath.is_file():
-                raise TrustStoreError(f"missing trust-store segment {fpath}")
-            if verify and _sha256(fpath) != meta["sha256"]:
-                raise TrustStoreError(
-                    f"digest mismatch for trust-store segment {fpath}; "
-                    "refusing to restore"
-                )
-            if fpath.stat().st_size != rows * 8:
-                raise TrustStoreError(
-                    f"trust-store segment {fpath} has wrong size for "
-                    f"{rows} rows"
-                )
-            mm = np.memmap(fpath, dtype=meta["dtype"], mode="r", shape=(rows,))
-            arrays[name] = mm
-        truster_ids = arrays["truster"]
-        trustee_ids = arrays["trustee"]
-        context_ids = arrays["context"]
-        values = arrays["value"]
-        times = arrays["time"]
-        txcounts = arrays["txcount"]
-        pairs: list[tuple[Hashable, Hashable]] = []
-        rec_seen: dict[Hashable, None] = {}
-        trustee_seen: dict[Hashable, None] = {}
-        for i in range(rows):
-            z = entities[truster_ids[i]]
-            y = entities[trustee_ids[i]]
-            c = contexts[context_ids[i]]
+        cols = [
+            _read_segment(directory, shard_meta["columns"][name], rows)
+            for name, _ in _COLUMNS
+        ]
+        for zi, yi, ci, value, time, txcount in zip(*cols):
+            y = entities[yi]
             restored_domain = table.domain_of(y)
             if restored_domain != domain:
-                raise TrustStoreError(
-                    f"domain map mismatch: snapshot stores {y!r} in domain "
-                    f"{domain!r}, restore resolves it to {restored_domain!r}"
+                raise TrustJournalError(
+                    f"domain map mismatch: snapshot {directory} stores "
+                    f"{y!r} in domain {domain!r}, restore resolves it to "
+                    f"{restored_domain!r}"
                 )
             table.record(
-                z, y, c,
-                float(values[i]),
-                float(times[i]),
-                transaction_count=int(txcounts[i]),
+                entities[zi], y, contexts[ci], value, time,
+                transaction_count=txcount,
             )
-            pairs.append((z, y))
-            rec_seen[z] = None
-            trustee_seen[y] = None
-        participants = tuple(rec_seen) + tuple(
-            y for y in trustee_seen if y not in rec_seen
-        )
-        shard_builds.append((domain, arrays, pairs, rec_seen, participants))
-    # Fast-forward the epoch counters to their persisted values *before*
-    # building shards: the record() replay above bumped them once per
-    # surviving row, which undercounts any history with overwrites or
-    # removals.  The write-ahead journal verifies replayed ops against
-    # the original counters, and a shard built under a stale epoch would
-    # be needlessly rebuilt on first use.  Persisted >= replayed always
-    # holds (every surviving record cost at least one bump), so max()
-    # never regresses a counter.
+    # Fast-forward the epoch counters to their persisted values: the
+    # record() replay above bumped them once per surviving row, which
+    # undercounts any history with overwrites or removals.  The
+    # write-ahead journal verifies replayed ops against the original
+    # counters.  Persisted >= replayed always holds (every surviving
+    # record cost at least one bump), so max() never regresses a counter.
     for domain, count in manifest.get("domain_epochs", []):
         table._domain_epochs[domain] = max(
             table._domain_epochs.get(domain, 0), int(count)
         )
     table._epoch = max(table._epoch, int(manifest["table_epoch"]))
-    for domain, arrays, pairs, rec_seen, participants in shard_builds:
-        # The memmap columns become the shard arrays directly — read-only
-        # views over the on-disk pages, no copy, no re-sort.
-        store._shards[domain] = _Shard(
-            domain=domain,
-            built_epoch=table.domain_epoch(domain),
-            truster=np.asarray(arrays["truster"]),
-            trustee=np.asarray(arrays["trustee"]),
-            context=np.asarray(arrays["context"]),
-            values=np.asarray(arrays["value"]),
-            times=np.asarray(arrays["time"]),
-            pairs=pairs,
-            recommenders=tuple(rec_seen),
-            participants=participants,
-        )
-    store._seen_table_epoch = table.epoch
     weights_data = manifest.get("weights")
     weights = (
         None if weights_data is None else _weights_from_dict(weights_data, domains)
     )
-    if weights is not None:
-        store.set_weights(weights)
-    return RestoredTrustPlane(
-        table=table, store=store, weights=weights, manifest=manifest
-    )
+    return table, weights

@@ -183,8 +183,8 @@ class AgentFleet:
                 :class:`~repro.trustfaults.credibility.CredibilityWeights`);
                 only meaningful together with ``gamma_weights``.
             internal_table: optional pre-populated internal DTT/RTT —
-                typically restored from a persistent snapshot
-                (:func:`repro.core.store.restore_trust_store`) so a
+                typically the ``table`` of a recovered
+                :class:`~repro.core.journal.DurableTrustPlane` — so a
                 restarted session resumes with its accumulated trust
                 knowledge instead of an empty table.
         """

@@ -307,28 +307,6 @@ CredibilityWeights`, recommenders are scored against every realised
         """The session clock (advances across rounds)."""
         return self._now
 
-    def snapshot_trust(self, directory):
-        """Snapshot the session's entity-level trust plane to ``directory``.
-
-        Persists the fleet's shared internal DTT/RTT (and, for Γ-blended
-        fleets, the learned recommender weights) as a zero-copy
-        ``repro.trust.store/v1`` snapshot — per-domain column segments
-        plus a digest-pinned manifest.  Returns the manifest path; attach
-        it to a service checkpoint with
-        :func:`repro.service.checkpoint.attach_trust_store`, and seed a
-        restarted session by passing the restored table to
-        :meth:`AgentFleet.for_table <repro.grid.agents.AgentFleet.for_table>`
-        via ``internal_table=``.
-        """
-        from repro.core.store import snapshot_trust_store
-
-        assert self.fleet is not None
-        engine = self.fleet.cd_agents[0].engine if self.fleet.cd_agents else None
-        weights = engine.reputation.weights if engine is not None else None
-        return snapshot_trust_store(
-            directory, self.fleet.internal_table, weights
-        )
-
     def journal_trust(self, root, *, config=None, metrics=None):
         """Make the session's trust plane crash-durable under ``root``.
 
@@ -340,6 +318,13 @@ CredibilityWeights`, recommenders are scored against every realised
         delta — O(mutations since last checkpoint), not O(store).  The
         returned plane is also stored on the session as
         ``self.trust_plane``.
+
+        A restarted session recovers the plane with
+        :meth:`DurableTrustPlane.recover
+        <repro.core.journal.DurableTrustPlane.recover>` and seeds its
+        fleet by passing the recovered table to
+        :meth:`AgentFleet.for_table <repro.grid.agents.AgentFleet.for_table>`
+        via ``internal_table=``.
         """
         from repro.core.journal import DurableTrustPlane
 

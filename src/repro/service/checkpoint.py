@@ -19,7 +19,6 @@ round-trip.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any
@@ -31,8 +30,6 @@ __all__ = [
     "validate_checkpoint",
     "save_checkpoint",
     "load_checkpoint",
-    "attach_trust_store",
-    "resolve_trust_store",
     "attach_trust_journal",
     "resolve_trust_journal",
     "verify_trust_journal",
@@ -101,15 +98,16 @@ _MACHINE_KEYS = frozenset(
     {"available_time", "busy_time", "assigned_count", "failed_count"}
 )
 
-#: Shape of the optional zero-copy trust-store sidecar reference.
-_TRUST_STORE_KEYS = frozenset({"schema", "manifest", "sha256"})
-
 #: Shape of the optional write-ahead trust-journal sidecar (a delta
 #: checkpoint descriptor from
 #: :meth:`~repro.core.journal.DurableTrustPlane.checkpoint`).
 _TRUST_JOURNAL_KEYS = frozenset(
     {"schema", "root", "generation", "offset", "base_sha256"}
 )
+
+#: Optional top-level keys: the resilient trust source's state and the
+#: durable trust plane's sidecar.  Any other key is refused.
+_OPTIONAL_KEYS = frozenset({"trust_plane", "trust_journal"})
 
 
 def validate_checkpoint(payload: Any) -> dict:
@@ -134,6 +132,11 @@ def validate_checkpoint(payload: Any) -> dict:
     if missing:
         raise CheckpointError(
             f"checkpoint is missing keys: {sorted(missing)}"
+        )
+    unknown = payload.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
+    if unknown:
+        raise CheckpointError(
+            f"checkpoint carries unknown keys: {sorted(unknown)}"
         )
     for record in payload["records"].values():
         bad = _RECORD_KEYS.symmetric_difference(record)
@@ -164,13 +167,6 @@ def validate_checkpoint(payload: Any) -> dict:
         raise CheckpointError(
             "checkpoint next_window precedes its clock"
         )
-    sidecar = payload.get("trust_store")
-    if sidecar is not None:
-        if not isinstance(sidecar, dict) or _TRUST_STORE_KEYS - sidecar.keys():
-            raise CheckpointError(
-                "malformed trust_store sidecar (expected schema/manifest/"
-                "sha256)"
-            )
     journal = payload.get("trust_journal")
     if journal is not None:
         if not isinstance(journal, dict) or _TRUST_JOURNAL_KEYS - journal.keys():
@@ -184,64 +180,6 @@ def validate_checkpoint(payload: Any) -> dict:
                 "non-negative"
             )
     return payload
-
-
-def attach_trust_store(payload: dict, manifest_path: str | Path) -> dict:
-    """Attach a zero-copy trust-store snapshot reference to a checkpoint.
-
-    The sidecar pins the snapshot by the SHA-256 of its manifest (which in
-    turn pins every column segment by digest), so a restore can prove it
-    is recovering exactly the trust state the checkpoint was taken
-    against.  Returns ``payload`` for chaining.
-    """
-    from repro.core.store import STORE_SCHEMA
-
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise CheckpointError(
-            f"trust-store manifest {manifest_path} does not exist"
-        )
-    payload["trust_store"] = {
-        "schema": STORE_SCHEMA,
-        "manifest": str(manifest_path),
-        "sha256": hashlib.sha256(manifest_path.read_bytes()).hexdigest(),
-    }
-    return payload
-
-
-def resolve_trust_store(payload: dict) -> Path | None:
-    """Verify and resolve a checkpoint's trust-store sidecar reference.
-
-    Returns the snapshot directory (the manifest's parent) when the
-    checkpoint carries a sidecar whose manifest still matches its pinned
-    digest, or ``None`` when no sidecar is attached.
-
-    Raises:
-        CheckpointError: if the referenced manifest is missing, its
-            digest no longer matches, or its schema tag is unexpected.
-    """
-    from repro.core.store import STORE_SCHEMA
-
-    sidecar = payload.get("trust_store")
-    if sidecar is None:
-        return None
-    if sidecar.get("schema") != STORE_SCHEMA:
-        raise CheckpointError(
-            f"unsupported trust-store schema {sidecar.get('schema')!r}"
-        )
-    manifest_path = Path(sidecar["manifest"])
-    if not manifest_path.is_file():
-        raise CheckpointError(
-            f"checkpoint references missing trust-store manifest "
-            f"{manifest_path}"
-        )
-    digest = hashlib.sha256(manifest_path.read_bytes()).hexdigest()
-    if digest != sidecar["sha256"]:
-        raise CheckpointError(
-            f"trust-store manifest {manifest_path} does not match the "
-            "digest pinned in the checkpoint; refusing to resume from it"
-        )
-    return manifest_path.parent
 
 
 def attach_trust_journal(payload: dict, plane: Any) -> dict:
@@ -308,6 +246,9 @@ def resolve_trust_journal(payload: dict, **recover_kwargs: Any) -> Any:
     Raises:
         CheckpointError: when the pinned root/generation/offset can no
             longer be recovered or does not match its pinned base digest.
+            Every :class:`~repro.core.journal.TrustJournalError` — a torn
+            pinned prefix, or a missing, tampered, truncated or
+            mis-mapped base segment — surfaces here, naming the path.
     """
     from repro.core.journal import DurableTrustPlane, TrustJournalError
 

@@ -289,6 +289,36 @@ class TestDurableTrustPlane:
         assert rec.grid_table.epoch == plane.grid_table.epoch
         rec.close()
 
+    def test_record_fields_survive_recovery(self, tmp_path):
+        table = TrustTable()
+        table.record("cd:0", "rd:1", EXECUTE, 0.8, time=5.0, transaction_count=3)
+        table.record("rd:1", 7, EXECUTE, 0.6, time=9.0)
+        plane = DurableTrustPlane.create(tmp_path / "plane", table)
+        plane.table.record("cd:0", "rd:2", EXECUTE, 0.3, time=7.0)
+        plane.close()
+        rec = DurableTrustPlane.recover(tmp_path / "plane")
+        assert len(rec.table) == 3
+        # The base and the journal tail both keep value, time and count.
+        for z, y, value, time, count in (
+            ("cd:0", "rd:1", 0.8, 5.0, 3),
+            ("rd:1", 7, 0.6, 9.0, 1),
+            ("cd:0", "rd:2", 0.3, 7.0, 1),
+        ):
+            record = rec.table.get(z, y, EXECUTE)
+            assert record.value == value
+            assert record.last_transaction == time
+            assert record.transaction_count == count
+        rec.close()
+
+    def test_contexts_match_by_name_after_recovery(self, tmp_path):
+        table = TrustTable()
+        table.record("cd:0", "rd:2", TrustContext("store"), 0.3, time=7.0)
+        DurableTrustPlane.create(tmp_path / "plane", table).close()
+        rec = DurableTrustPlane.recover(tmp_path / "plane")
+        # A freshly constructed context with the same name resolves.
+        assert rec.table.get("cd:0", "rd:2", TrustContext("store")) is not None
+        rec.close()
+
     def test_unsynced_tail_lost_on_recovery(self, tmp_path):
         plane = _plane(tmp_path)
         plane.table.record("a", "b", EXECUTE, 0.7, 1.0)

@@ -1,12 +1,16 @@
-"""Zero-copy persistent opinion store: round-trip, refusal, normalization.
+"""Base-snapshot format of the durable trust plane: round-trip, refusal,
+normalization.
 
-The snapshot/restore pair promises that a restarted service recovers a
-trust plane whose Γ surface is *bit-identical* to the one it checkpointed
-— without replaying transaction history — and that it refuses to restore
-from a snapshot whose segments or manifest no longer match their pinned
-digests.  The hypothesis property drives random shard counts and
-post-restore mutation orders through the full snapshot → restore → mutate
-→ evaluate cycle against the scalar oracle and a from-scratch engine.
+A trust plane persisted by :meth:`DurableTrustPlane.create` (a generation
+with an empty journal tail) and restored by
+:meth:`DurableTrustPlane.recover` must come back with a Γ surface that is
+*bit-identical* to the one it persisted — without replaying transaction
+history — and recovery must refuse, with a :class:`TrustJournalError`
+naming the offending file, a base whose segments or manifest no longer
+match their pinned digests.  The hypothesis property drives random shard
+counts and post-restore mutation orders through the full create → recover
+→ mutate → evaluate → recover cycle against the scalar oracle and a
+from-scratch engine.
 """
 
 import json
@@ -23,13 +27,11 @@ from repro.core import (
     DomainMap,
     TrustContext,
     TrustEngine,
-    TrustStoreError,
-    load_manifest,
-    restore_trust_store,
-    snapshot_trust_store,
 )
 from repro.core.decay import ExponentialDecay
+from repro.core.journal import DurableTrustPlane, TrustJournalError
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
+from repro.core.store import restore_trust_store, snapshot_trust_store
 from repro.core.tables import TrustTable
 from repro.trustfaults.credibility import CredibilityWeights
 
@@ -73,16 +75,31 @@ def _surface(engine, entities):
     )
 
 
+def _persist(root, table, weights=None):
+    """Persist a plane as one generation with an empty journal tail."""
+    DurableTrustPlane.create(root, table, weights).close()
+    return root / "base-0" / "manifest.json"
+
+
+def _recover(root, **kwargs):
+    plane = DurableTrustPlane.recover(root, **kwargs)
+    plane.close()
+    return plane
+
+
+def _engine(table, weights):
+    return TrustEngine.build(
+        table=table, weights=weights, decay=ExponentialDecay(rate=0.01)
+    )
+
+
 class TestRoundTrip:
     def test_surface_is_bit_identical_after_restore(self, tmp_path):
         engine, entities = _build_world(credibility=True)
         before = _surface(engine, entities)
-        snapshot_trust_store(tmp_path, engine.table, engine.reputation.weights)
-        restored = restore_trust_store(tmp_path)
-        engine2 = TrustEngine.build(
-            table=restored.table, weights=restored.weights,
-            decay=ExponentialDecay(rate=0.01),
-        )
+        _persist(tmp_path, engine.table, engine.reputation.weights)
+        restored = _recover(tmp_path)
+        engine2 = _engine(restored.table, restored.weights)
         assert np.array_equal(_surface(engine2, entities), before)
 
     def test_credibility_purge_state_survives(self, tmp_path):
@@ -92,46 +109,47 @@ class TestRoundTrip:
         for _ in range(3):
             weights.observe_outcome(entities[0], 0.0, 1.0)
         assert weights.purged
-        snapshot_trust_store(tmp_path, engine.table, weights)
-        restored = restore_trust_store(tmp_path)
+        _persist(tmp_path, engine.table, weights)
+        restored = _recover(tmp_path)
         assert sorted(restored.weights.purged) == sorted(weights.purged)
         assert restored.weights.factor(entities[0], entities[5]) == 0.0
-
-    def test_restored_store_serves_without_rebuild(self, tmp_path):
-        engine, entities = _build_world()
-        snapshot_trust_store(tmp_path, engine.table, engine.reputation.weights)
-        restored = restore_trust_store(tmp_path)
-        # The restored store's shards are pre-seeded at the restored
-        # table's epochs: a refresh finds nothing dirty.
-        assert restored.store.refresh() == 0
 
     def test_explicit_domain_map_requires_caller_domains(self, tmp_path):
         domains = DomainMap(domain_of=lambda e: str(e)[:2])
         table = TrustTable(domains=domains)
         table.record("ax", "by", CONTEXTS[0], 0.5, 10.0)
-        snapshot_trust_store(tmp_path, table)
-        with pytest.raises(TrustStoreError, match="explicit"):
-            restore_trust_store(tmp_path)
-        restored = restore_trust_store(tmp_path, domains=domains)
+        _persist(tmp_path, table)
+        with pytest.raises(TrustJournalError, match="explicit"):
+            DurableTrustPlane.recover(tmp_path)
+        restored = _recover(tmp_path, domains=domains)
         assert list(restored.table.items())
+
+    def test_domain_map_mismatch_is_refused(self, tmp_path):
+        table = TrustTable(domains=DomainMap(domain_of=lambda e: str(e)[:2]))
+        table.record("ax", "by", CONTEXTS[0], 0.5, 10.0)
+        _persist(tmp_path, table)
+        other = DomainMap(domain_of=lambda e: str(e)[-1])
+        with pytest.raises(TrustJournalError, match="domain map mismatch"):
+            DurableTrustPlane.recover(tmp_path, domains=other)
 
     def test_weightless_snapshot_restores_none(self, tmp_path):
         engine, entities = _build_world()
-        snapshot_trust_store(tmp_path, engine.table)
-        restored = restore_trust_store(tmp_path)
+        _persist(tmp_path, engine.table)
+        restored = _recover(tmp_path)
         assert restored.weights is None
 
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_snapshot_mutate_restore_is_bit_identical(tmp_path_factory, data):
-    """snapshot → restore → mutate k domains ⇒ Γ bit-identical to fresh.
+    """create → recover → mutate k domains ⇒ Γ bit-identical to fresh.
 
-    For random shard counts and mutation orders, the restored plane's
-    batched surface must equal both the scalar oracle over the restored
+    For random shard counts and mutation orders, the recovered plane's
+    batched surface must equal both the scalar oracle over the recovered
     table and a from-scratch engine built over the same table — i.e. the
-    memmap-backed shards and the incremental invalidation path can never
-    drift from a cold rebuild.
+    restored shards and the incremental invalidation path can never
+    drift from a cold rebuild — and a second recovery, replaying the
+    journaled mutations over the base, must land on the same surface.
     """
     tmp_path = tmp_path_factory.mktemp("store")
     n_shards = data.draw(st.integers(min_value=1, max_value=8))
@@ -140,12 +158,9 @@ def test_snapshot_mutate_restore_is_bit_identical(tmp_path_factory, data):
         n_shards=n_shards, seed=seed, credibility=data.draw(st.booleans())
     )
     before = _surface(engine, entities)
-    snapshot_trust_store(tmp_path, engine.table, engine.reputation.weights)
-    restored = restore_trust_store(tmp_path)
-    engine2 = TrustEngine.build(
-        table=restored.table, weights=restored.weights,
-        decay=ExponentialDecay(rate=0.01),
-    )
+    _persist(tmp_path, engine.table, engine.reputation.weights)
+    restored = DurableTrustPlane.recover(tmp_path)
+    engine2 = _engine(restored.table, restored.weights)
     assert np.array_equal(_surface(engine2, entities), before)
 
     # Mutate k random domains in random order, interleaving evaluations.
@@ -161,78 +176,68 @@ def test_snapshot_mutate_restore_is_bit_identical(tmp_path_factory, data):
         )
         if data.draw(st.booleans()):
             _surface(engine2, entities)
+    restored.close()
 
     incremental = _surface(engine2, entities)
-    fresh = TrustEngine.build(
-        table=restored.table, weights=restored.weights,
-        decay=ExponentialDecay(rate=0.01),
-    )
+    fresh = _engine(restored.table, restored.weights)
     assert np.array_equal(incremental, _surface(fresh, entities))
     for k, context in enumerate(CONTEXTS):
         for i, x in enumerate(entities):
             for j, y in enumerate(entities):
                 assert incremental[k, i, j] == engine2.gamma(x, y, context, NOW)
+    replayed = _recover(tmp_path)
+    assert np.array_equal(
+        _surface(_engine(replayed.table, replayed.weights), entities),
+        incremental,
+    )
 
 
 class TestRefusal:
     def _snapshot(self, tmp_path):
         engine, entities = _build_world()
-        manifest = snapshot_trust_store(
-            tmp_path, engine.table, engine.reputation.weights
-        )
-        return manifest
+        return _persist(tmp_path, engine.table, engine.reputation.weights)
 
     def test_corrupted_segment_is_refused(self, tmp_path):
         manifest = self._snapshot(tmp_path)
-        segment = next(tmp_path.glob("shard-*.value.bin"))
+        segment = next(manifest.parent.glob("shard-*.value.bin"))
         data = bytearray(segment.read_bytes())
         data[0] ^= 0xFF
         segment.write_bytes(bytes(data))
-        with pytest.raises(TrustStoreError, match="digest"):
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError, match="digest"):
+            DurableTrustPlane.recover(tmp_path)
         assert manifest.is_file()
 
     def test_truncated_segment_is_refused(self, tmp_path):
-        self._snapshot(tmp_path)
-        segment = next(tmp_path.glob("shard-*.time.bin"))
+        manifest = self._snapshot(tmp_path)
+        segment = next(manifest.parent.glob("shard-*.time.bin"))
         segment.write_bytes(segment.read_bytes()[:-8])
-        with pytest.raises(TrustStoreError):
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_corrupted_manifest_is_refused(self, tmp_path):
         manifest = self._snapshot(tmp_path)
         manifest.write_text(manifest.read_text()[:-40])
-        with pytest.raises(TrustStoreError):
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_wrong_schema_tag_is_refused(self, tmp_path):
         manifest = self._snapshot(tmp_path)
         payload = json.loads(manifest.read_text())
         payload["schema"] = "repro.trust.store/v0"
         manifest.write_text(json.dumps(payload))
-        with pytest.raises(TrustStoreError, match="schema"):
-            load_manifest(tmp_path)
+        with pytest.raises(TrustJournalError, match="schema"):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_missing_manifest_is_refused(self, tmp_path):
-        with pytest.raises(TrustStoreError):
-            restore_trust_store(tmp_path)
-
-    def test_unverified_restore_skips_digests(self, tmp_path):
-        """``verify=False`` trusts the directory (fast path, same values)."""
-        self._snapshot(tmp_path)
-        engine, entities = _build_world()
-        restored = restore_trust_store(tmp_path, verify=False)
-        engine2 = TrustEngine.build(
-            table=restored.table, weights=restored.weights,
-            decay=ExponentialDecay(rate=0.01),
-        )
-        assert np.array_equal(_surface(engine2, entities), _surface(engine, entities))
+        self._snapshot(tmp_path).unlink()
+        with pytest.raises(TrustJournalError):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_non_json_entities_are_rejected_at_snapshot(self, tmp_path):
         table = TrustTable()
         table.record(("tuple", "id"), "y", CONTEXTS[0], 0.5, 1.0)
-        with pytest.raises(TrustStoreError, match="JSON"):
-            snapshot_trust_store(tmp_path, table)
+        with pytest.raises(TrustJournalError, match="JSON"):
+            DurableTrustPlane.create(tmp_path, table)
 
 
 class TestEpochNormalization:
@@ -301,7 +306,7 @@ class TestManifest:
         path = snapshot_trust_store(
             tmp_path, engine.table, engine.reputation.weights
         )
-        manifest = load_manifest(tmp_path)
+        manifest = json.loads(path.read_text())
         assert manifest["schema"] == STORE_SCHEMA
         assert manifest["domain_map"]["kind"] == "crc32"
         assert manifest["shards"]
@@ -321,54 +326,51 @@ class TestManifest:
         snapshot_trust_store(b, engine.table, engine.reputation.weights)
         assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
 
+
 class TestRefusalNamesOffendingPath:
-    """Every refusal must say *which* file is bad (ISSUE: typed errors
-    naming the offending path), so an operator can triage a corrupt
-    checkpoint without bisecting the directory by hand."""
+    """Every refusal must say *which* file is bad, so an operator can
+    triage a corrupt plane without bisecting the directory by hand."""
 
     def _snapshot(self, tmp_path):
         engine, _ = _build_world()
-        return snapshot_trust_store(
-            tmp_path, engine.table, engine.reputation.weights
-        )
+        return _persist(tmp_path, engine.table, engine.reputation.weights)
 
     def test_truncated_manifest_names_manifest(self, tmp_path):
         manifest = self._snapshot(tmp_path)
         manifest.write_text(manifest.read_text()[:-40])
-        with pytest.raises(TrustStoreError, match=re.escape(str(manifest))):
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError, match=re.escape(str(manifest))):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_missing_segment_names_segment(self, tmp_path):
-        self._snapshot(tmp_path)
-        segment = next(tmp_path.glob("shard-*.value.bin"))
+        manifest = self._snapshot(tmp_path)
+        segment = next(manifest.parent.glob("shard-*.value.bin"))
         segment.unlink()
-        with pytest.raises(TrustStoreError, match=re.escape(str(segment))):
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError, match=re.escape(str(segment))):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_digest_mismatch_names_segment(self, tmp_path):
-        self._snapshot(tmp_path)
-        segment = next(tmp_path.glob("shard-*.txcount.bin"))
+        manifest = self._snapshot(tmp_path)
+        segment = next(manifest.parent.glob("shard-*.txcount.bin"))
         data = bytearray(segment.read_bytes())
         data[-1] ^= 0x01
         segment.write_bytes(bytes(data))
-        with pytest.raises(TrustStoreError) as exc_info:
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError) as exc_info:
+            DurableTrustPlane.recover(tmp_path)
         assert str(segment) in str(exc_info.value)
         assert "digest" in str(exc_info.value)
 
     def test_truncated_segment_names_segment(self, tmp_path):
-        self._snapshot(tmp_path)
-        segment = next(tmp_path.glob("shard-*.time.bin"))
+        manifest = self._snapshot(tmp_path)
+        segment = next(manifest.parent.glob("shard-*.time.bin"))
         segment.write_bytes(segment.read_bytes()[:-8])
-        with pytest.raises(TrustStoreError, match=re.escape(str(segment))):
-            restore_trust_store(tmp_path)
+        with pytest.raises(TrustJournalError, match=re.escape(str(segment))):
+            DurableTrustPlane.recover(tmp_path)
 
     def test_missing_manifest_names_manifest(self, tmp_path):
-        with pytest.raises(
-            TrustStoreError,
-            match=re.escape(str(tmp_path / "manifest.json")),
-        ):
-            restore_trust_store(tmp_path)
+        manifest = self._snapshot(tmp_path)
+        manifest.unlink()
+        with pytest.raises(TrustJournalError, match=re.escape(str(manifest))):
+            DurableTrustPlane.recover(tmp_path)
 
 
 class TestAtomicSnapshot:
@@ -425,3 +427,21 @@ class TestAtomicSnapshot:
         snapshot_trust_store(target, engine.table, engine.reputation.weights)
         assert not stale.exists()
         restore_trust_store(target)
+
+    def test_recover_falls_back_to_parked_base(self, tmp_path):
+        """A kill between the two renames of a re-snapshot leaves the
+        previous base parked as ``base-<N>.old``; recovery restores it and
+        replays its journal instead of refusing."""
+        engine, entities = _build_world()
+        plane = DurableTrustPlane.create(
+            tmp_path, engine.table, engine.reputation.weights
+        )
+        engine.table.record(entities[0], entities[1], CONTEXTS[0], 0.9, 99.0)
+        plane.checkpoint()
+        plane.close()
+        before = _surface(engine, entities)
+        (tmp_path / "base-0").rename(tmp_path / "base-0.old")
+        restored = _recover(tmp_path)
+        assert restored.recovered_ops == 1
+        engine2 = _engine(restored.table, restored.weights)
+        assert np.array_equal(_surface(engine2, entities), before)

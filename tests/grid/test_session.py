@@ -187,34 +187,43 @@ class TestTrustKernelInstrumentation:
 
 
 class TestTrustSnapshot:
-    """Session-level zero-copy trust persistence and restart seeding."""
+    """Session-level durable trust plane and restart seeding."""
+
+    @staticmethod
+    def _journal_and_recover(session, root):
+        from repro.core.journal import DurableTrustPlane
+
+        session.run_round(30)
+        session.journal_trust(root)
+        session.run_round(30)
+        pin = session.checkpoint_trust()
+        assert pin["offset"] > 0, "the journal should carry the second round"
+        session.trust_plane.close()
+        return DurableTrustPlane.recover(root)
 
     def test_snapshot_and_reseed_resumes_with_knowledge(self, tmp_path):
-        from repro.core.store import restore_trust_store
         from repro.grid.trust_table import GridTrustTable
 
         session = make_session()
-        session.run_round(30)
-        session.run_round(30)
+        recovered = self._journal_and_recover(session, tmp_path)
         internal = session.fleet.internal_table
         assert list(internal.items()), "rounds should populate the DTT/RTT"
+        assert dict(recovered.table.items()) == dict(internal.items())
+        assert np.array_equal(
+            recovered.grid_table.levels, session.grid.trust_table.levels
+        )
+        recovered.close()
 
-        manifest = session.snapshot_trust(tmp_path)
-        assert manifest.is_file()
-        restored = restore_trust_store(tmp_path)
-        assert dict(restored.table.items()) == dict(internal.items())
-
-        # A restarted fleet seeded with the restored table resumes with
+        # A restarted fleet seeded with the recovered table resumes with
         # the accumulated trust knowledge instead of a blank slate.
         shape = session.grid.trust_table.shape
         fleet = AgentFleet.for_table(
-            GridTrustTable(*shape), internal_table=restored.table
+            GridTrustTable(*shape), internal_table=recovered.table
         )
-        assert fleet.internal_table is restored.table
+        assert fleet.internal_table is recovered.table
         assert dict(fleet.internal_table.items()) == dict(internal.items())
 
     def test_gamma_fleet_snapshot_keeps_weights(self, tmp_path):
-        from repro.core.store import restore_trust_store
         from repro.grid.trust_table import GridTrustTable
 
         grid = make_grid()
@@ -222,7 +231,18 @@ class TestTrustSnapshot:
             grid.trust_table, gamma_weights=(0.7, 0.3)
         )
         session = make_session(grid=grid, fleet=fleet)
-        session.run_round(25)
-        manifest = session.snapshot_trust(tmp_path)
-        restored = restore_trust_store(tmp_path)
-        assert restored.weights is not None
+        recovered = self._journal_and_recover(session, tmp_path)
+        recovered.close()
+        weights = fleet.cd_agents[0].engine.reputation.weights
+        assert recovered.weights is not None
+        assert recovered.weights._accuracy == weights._accuracy
+        assert recovered.weights._epoch == weights._epoch
+        assert recovered.weights._domain_epochs == weights._domain_epochs
+        assert dict(recovered.table.items()) == dict(fleet.internal_table.items())
+        reseeded = AgentFleet.for_table(
+            GridTrustTable(*grid.trust_table.shape),
+            gamma_weights=(0.7, 0.3),
+            recommender_weights=recovered.weights,
+            internal_table=recovered.table,
+        )
+        assert reseeded.internal_table is recovered.table

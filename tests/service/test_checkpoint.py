@@ -5,6 +5,7 @@ settled accounting identical to the uninterrupted run."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +102,19 @@ class TestValidation:
         assert payload["records"], "need at least one settled record to mangle"
         (next(iter(payload["records"].values()))).pop("eec")
         with pytest.raises(CheckpointError, match="completion record"):
+            validate_checkpoint(payload)
+
+    def test_legacy_trust_store_sidecar_is_refused(self, medium_scenario):
+        # A payload from before the durable trust plane carried its trust
+        # state in a ``trust_store`` sidecar; resuming it would silently
+        # drop that state, so any unknown top-level key is refused.
+        payload = kill(medium_scenario, 1)
+        payload["trust_store"] = {
+            "schema": "repro.trust.store/v1",
+            "manifest": "trust/manifest.json",
+            "sha256": "0" * 64,
+        }
+        with pytest.raises(CheckpointError, match="trust_store"):
             validate_checkpoint(payload)
 
 
@@ -257,82 +271,6 @@ class TestKillAndRestoreProperty:
         assert_same_settlement(resumed, baseline)
 
 
-class TestTrustStoreSidecar:
-    """The optional zero-copy trust-store reference pinned by digest."""
-
-    def _snapshot(self, tmp_path):
-        from repro.core import TrustTable, snapshot_trust_store
-        from repro.core.context import EXECUTION
-
-        table = TrustTable()
-        table.record("cd:0", "rd:0", EXECUTION, 0.7, 10.0)
-        table.record("cd:1", "rd:0", EXECUTION, 0.4, 20.0)
-        return snapshot_trust_store(tmp_path / "trust", table)
-
-    def test_attach_and_resolve_round_trip(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        validate_checkpoint(payload)
-        path = save_checkpoint(payload, tmp_path / "svc.json")
-        loaded = load_checkpoint(path)
-        assert resolve_trust_store(loaded) == manifest.parent
-
-    def test_resolve_without_sidecar_is_none(self, medium_scenario):
-        from repro.service.checkpoint import resolve_trust_store
-
-        assert resolve_trust_store(kill(medium_scenario, 1)) is None
-
-    def test_tampered_manifest_is_refused(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        manifest.write_text(manifest.read_text() + "\n")
-        with pytest.raises(CheckpointError, match="digest"):
-            resolve_trust_store(payload)
-
-    def test_missing_manifest_is_refused(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        manifest.unlink()
-        with pytest.raises(CheckpointError, match="missing"):
-            resolve_trust_store(payload)
-
-    def test_attach_requires_existing_manifest(self, tmp_path, medium_scenario):
-        from repro.service.checkpoint import attach_trust_store
-
-        payload = kill(medium_scenario, 1)
-        with pytest.raises(CheckpointError, match="does not exist"):
-            attach_trust_store(payload, tmp_path / "absent" / "manifest.json")
-
-    def test_malformed_sidecar_is_rejected(self, medium_scenario):
-        payload = kill(medium_scenario, 1)
-        payload["trust_store"] = {"schema": "repro.trust.store/v1"}
-        with pytest.raises(CheckpointError, match="sidecar"):
-            validate_checkpoint(payload)
-
-    def test_restore_from_sidecar_recovers_the_plane(self, tmp_path, medium_scenario):
-        from repro.core import restore_trust_store
-        from repro.core.context import EXECUTION
-        from repro.service.checkpoint import attach_trust_store, resolve_trust_store
-
-        manifest = self._snapshot(tmp_path)
-        payload = kill(medium_scenario, 1)
-        attach_trust_store(payload, manifest)
-        payload = json.loads(json.dumps(payload))  # file round-trip shape
-        directory = resolve_trust_store(payload)
-        restored = restore_trust_store(directory)
-        record = restored.table.get("cd:0", "rd:0", EXECUTION)
-        assert record is not None and record.value == 0.7
-
-
 class TestTrustJournalSidecar:
     """Delta checkpoints: the ``trust_journal`` sidecar pins a durable
     trust plane by root, generation, base digest, and journal offset."""
@@ -430,6 +368,81 @@ class TestTrustJournalSidecar:
         journal.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="pinned"):
             resolve_trust_journal(payload)
+
+    def _pinned_then_closed(self, tmp_path, medium_scenario):
+        from repro.service.checkpoint import attach_trust_journal
+
+        plane = self._plane(tmp_path)
+        plane.compact()  # fold the records into a base with segments
+        payload = kill(medium_scenario, 1)
+        attach_trust_journal(payload, plane)
+        plane.close()
+        base = tmp_path / "plane" / f"base-{plane.generation}"
+        return json.loads(json.dumps(payload)), base
+
+    def test_corrupted_base_segment_is_refused(self, tmp_path, medium_scenario):
+        from repro.service.checkpoint import resolve_trust_journal
+
+        payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
+        segment = next(base.glob("shard-*.value.bin"))
+        data = bytearray(segment.read_bytes())
+        data[0] ^= 0xFF
+        segment.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="digest") as exc:
+            resolve_trust_journal(payload)
+        assert str(segment) in str(exc.value)
+
+    def test_truncated_base_segment_is_refused(self, tmp_path, medium_scenario):
+        from repro.service.checkpoint import resolve_trust_journal
+
+        payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
+        segment = next(base.glob("shard-*.time.bin"))
+        segment.write_bytes(segment.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match=re.escape(str(segment))):
+            resolve_trust_journal(payload)
+
+    def test_tampered_base_manifest_is_refused(self, tmp_path, medium_scenario):
+        from repro.service.checkpoint import resolve_trust_journal
+
+        payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
+        manifest = base / "manifest.json"
+        manifest.write_text(manifest.read_text() + "\n")
+        with pytest.raises(CheckpointError, match=re.escape(str(manifest))):
+            resolve_trust_journal(payload)
+
+    def test_missing_base_manifest_is_refused(self, tmp_path, medium_scenario):
+        from repro.service.checkpoint import resolve_trust_journal
+
+        payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
+        manifest = base / "manifest.json"
+        manifest.unlink()
+        with pytest.raises(CheckpointError, match=re.escape(str(manifest))):
+            resolve_trust_journal(payload)
+
+    def test_explicit_map_without_domains_is_refused(
+        self, tmp_path, medium_scenario
+    ):
+        from repro.core import DomainMap, DurableTrustPlane, TrustTable
+        from repro.core.context import EXECUTION
+        from repro.service.checkpoint import (
+            attach_trust_journal,
+            resolve_trust_journal,
+        )
+
+        domains = DomainMap(domain_of=lambda e: str(e).split(":")[0])
+        table = TrustTable(domains=domains)
+        table.record("cd:0", "rd:0", EXECUTION, 0.7, 10.0)
+        plane = DurableTrustPlane.create(tmp_path / "plane", table)
+        payload = kill(medium_scenario, 1)
+        attach_trust_journal(payload, plane)
+        plane.close()
+        manifest = tmp_path / "plane" / "base-0" / "manifest.json"
+        with pytest.raises(CheckpointError, match="explicit") as exc:
+            resolve_trust_journal(payload)
+        assert str(manifest) in str(exc.value)
+        recovered = resolve_trust_journal(payload, domains=domains)
+        assert recovered.table.get("cd:0", "rd:0", EXECUTION).value == 0.7
+        recovered.close()
 
     def test_malformed_sidecar_is_rejected(self, medium_scenario):
         from repro.core.journal import JOURNAL_SCHEMA

@@ -33,7 +33,6 @@ MODULES = [
     "repro.errors",
     "repro.cli",
     "repro.core.ets",
-    "repro.core.persistence",
     "repro.grid.session",
     "repro.grid.behavior",
     "repro.sim.process",
@@ -134,6 +133,35 @@ class TestTopLevelEntryPoints:
         assert not [n for n in scheduling.__all__ if n.lower().startswith(("heap", "jit"))]
         for name in ("MinMinHeuristic", "MaxMinHeuristic", "SufferageHeuristic"):
             assert name in scheduling.__all__
+
+    def test_one_durable_trust_format(self):
+        import repro.core as core
+        import repro.core.store as store
+        import repro.service.checkpoint as checkpoint
+        from repro.grid.session import GridSession
+
+        assert importlib.util.find_spec("repro.core.persistence") is None
+        retired = (
+            "snapshot_trust_store",
+            "restore_trust_store",
+            "load_manifest",
+            "RestoredTrustPlane",
+            "TrustStoreError",
+            "save_trust_state",
+            "load_trust_state",
+            "trust_table_to_dict",
+            "trust_table_from_dict",
+        )
+        assert not [n for n in retired if hasattr(core, n)]
+        assert not [n for n in ("attach_trust_store", "resolve_trust_store")
+                    if hasattr(checkpoint, n)]
+        assert not hasattr(GridSession, "snapshot_trust")
+        # The base-segment codec knows nothing of the columnar shard layout.
+        assert not hasattr(store, "ColumnarOpinionStore")
+        assert not hasattr(store, "_Shard")
+        restore = inspect.signature(store.restore_trust_store)
+        assert "verify" not in restore.parameters
+        assert "DurableTrustPlane" in core.__all__
 
     def test_error_hierarchy_rooted(self):
         import repro.errors as errors
