@@ -11,7 +11,6 @@ Subcommands::
     repro-trms faults               # fault-injection resilience comparison
     repro-trms trustfaults          # adversarial recommenders vs purging
     repro-trms profile paper        # instrumented run: manifest + traces
-    repro-trms bench trust          # regenerate the trust-kernel perf artifact
 
 Experiment subcommands accept ``--workers N`` to spread independent
 replications or study arms over a process pool (default: every core);
@@ -166,16 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_positive_int, default=None,
         help="run the study arms in parallel processes (default: every core)",
     )
-
-    p_bench = sub.add_parser(
-        "bench", help="regenerate a perf-trajectory artifact (JSON)"
-    )
-    p_bench.add_argument("target", choices=["trust"])
-    p_bench.add_argument(
-        "--output", default=None,
-        help="artifact path (default: BENCH_trust.json at the repo root)",
-    )
-    p_bench.add_argument("--repeats", type=int, default=3)
 
     p_val = sub.add_parser(
         "validate", help="run the codified acceptance checks of DESIGN.md"
@@ -428,8 +417,6 @@ def _dispatch(args) -> int:
                 args.artifact, args.workers,
             )
         )
-    elif args.command == "bench":
-        print(_cmd_bench(args.target, args.output, args.repeats))
     elif args.command == "validate":
         from repro.experiments import validate_reproduction
 
@@ -831,20 +818,6 @@ def _cmd_trustfaults(
         path = write_study_artifact(study, artifact)
         lines += ["", f"artifact written to {path}"]
     return "\n".join(lines)
-
-
-def _cmd_bench(target: str, output: str | None, repeats: int) -> str:
-    from repro.experiments.trustbench import (
-        DEFAULT_ARTIFACT,
-        render_sweep,
-        run_sweep,
-        write_artifact,
-    )
-
-    assert target == "trust"  # argparse choices guard
-    payload = run_sweep(repeats=repeats)
-    path = write_artifact(payload, output if output is not None else DEFAULT_ARTIFACT)
-    return "\n".join([render_sweep(payload), "", f"perf trajectory written to {path}"])
 
 
 def _cmd_session(rounds: int, requests: int, seed: int) -> str:

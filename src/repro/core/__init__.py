@@ -14,7 +14,6 @@ from repro.core.context import (
     STORAGE,
     TrustContext,
 )
-from repro.core.columnar import ColumnarOpinionStore, OpinionBlock
 from repro.core.decay import (
     DecayFunction,
     ExponentialDecay,
@@ -72,8 +71,6 @@ __all__ = [
     "PRINTING",
     "DISPLAY",
     "DEFAULT_CONTEXTS",
-    "ColumnarOpinionStore",
-    "OpinionBlock",
     "DomainMap",
     "DEFAULT_DOMAINS",
     "DEFAULT_N_SHARDS",

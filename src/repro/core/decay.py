@@ -38,8 +38,8 @@ class DecayFunction(ABC):
 
     The vectorised :meth:`apply` is the single source of truth; the scalar
     ``__call__`` routes through it on a one-element array so the two paths
-    cannot drift (``math.exp`` and ``np.exp`` differ in the last ulp, which
-    would break bit-identity between scalar and batched trust evaluation).
+    cannot drift (``math.exp`` and ``np.exp`` differ in the last ulp, so a
+    second transcription could disagree with the vectorised one).
     """
 
     def __call__(self, age: float) -> float:

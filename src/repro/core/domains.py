@@ -2,8 +2,8 @@
 
 Section 3 of the paper evaluates trust *per Grid-domain pair*; the trust
 plane mirrors that structure by assigning every entity of the internal
-DTT/RTT table to a **Grid domain**, and keying all fine-grained
-invalidation on that domain:
+DTT/RTT table to a **Grid domain**, and keying its per-domain mutation
+counters on that domain:
 
 * :class:`~repro.core.tables.TrustTable` buckets its records by the
   *trustee's* domain (every opinion about ``y`` lives in ``y``'s domain)
@@ -11,10 +11,10 @@ invalidation on that domain:
 * :class:`~repro.core.recommender.AllianceRegistry` and
   :class:`~repro.core.recommender.RecommenderWeights` bump the domain of
   every member / recommender they touch;
-* the sharded :class:`~repro.core.columnar.ColumnarOpinionStore` keeps
-  one array segment per domain and rebuilds only dirty segments, and the
-  Γ memo of :class:`~repro.core.engine.TrustEngine` retains rows whose
-  domain epoch signature is still current.
+* the write-ahead journal (:mod:`repro.core.journal`) carries those
+  counters on every op as ``e`` and checks them on replay, and the
+  base-segment codec (:mod:`repro.core.store`) writes one segment per
+  domain.
 
 A :class:`DomainMap` resolves entities to domains.  The default map
 buckets entities into :data:`DEFAULT_N_SHARDS` domains through a CRC-32
@@ -23,7 +23,7 @@ of the entity's string form — *stable across processes and restarts*
 plane's base snapshots (:mod:`repro.core.store`) rely on.  Deployments whose
 entity ids encode a real domain (the Grid agents' ``"cd:3"`` /
 ``"rd:7"`` convention) can install an explicit ``domain_of`` callable
-instead and get exact per-Grid-domain invalidation.
+instead and get exact per-Grid-domain segments.
 """
 
 from __future__ import annotations

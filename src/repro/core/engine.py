@@ -12,14 +12,9 @@ direct relationship with x than the reputation of y, α will be larger than
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.core.columnar import ColumnarOpinionStore
 from repro.core.context import TrustContext
 from repro.core.decay import DecayFunction, NoDecay
 from repro.core.direct import DirectTrust
@@ -32,10 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["TrustEngine"]
-
-#: Monotonic source of trustee-tuple interning tokens (never recycled, so a
-#: token uniquely identifies one trustee set for the life of the process).
-_SUB_TOKEN_COUNTER = itertools.count(1)
 
 
 @dataclass
@@ -54,36 +45,9 @@ class TrustEngine:
     reputation: Reputation
     alpha: float = 0.7
     beta: float = 0.3
-    _dstore: ColumnarOpinionStore | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _metrics: "MetricsRegistry | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _memo_version: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # Interning map: per-domain trustee tuple -> small integer token.  Memo
-    # keys carry the token, so a lookup hashes a handful of scalars instead
-    # of a shard-sized tuple on every (truster, domain) probe.
-    _sub_tokens: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    SUB_TOKEN_CAPACITY = 4096
-    # Domain-grouping cache: (store token, trustee tuple) -> prebuilt
-    # [(domain, sub, sub_token, cols)] groups.  Grouping depends only on
-    # the (immutable) domain map, so repeated surfaces over the same
-    # trustee population skip the per-call bucketing pass.
-    _group_cache: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    GROUP_CACHE_CAPACITY = 64
-
-    # Upper bound on retained Γ sub-rows; oldest entries are evicted FIFO.
-    # Sub-rows are narrow (one truster × one domain's trustees), so the
-    # cap bounds memory without measurable hit-rate loss at bench scale.
-    MEMO_CAPACITY = 32768
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
@@ -125,25 +89,12 @@ class TrustEngine:
         return self.direct.table
 
     def bind_metrics(self, registry: "MetricsRegistry") -> None:
-        """Attach a metrics registry recording trust-kernel instrumentation.
+        """Attach a metrics registry timing every :meth:`gamma` call.
 
-        Feeds the ``trust.batch_rows`` / ``trust.memo_hits`` /
-        ``trust.memo_invalidations`` counters and the
-        ``trust.gamma_latency_s.kernel=scalar|batched`` histograms.
-        Instrumentation never changes a trust value.
+        Feeds the ``trust.gamma_latency_s`` histogram.  Instrumentation
+        never changes a trust value.
         """
         self._metrics = registry
-
-    def clear_memo(self) -> None:
-        """Drop every memoised Γ sub-row.
-
-        The memo already invalidates itself per domain on epoch-map
-        changes (and wholesale on structural changes); benchmarks clear it
-        explicitly between repeats so the timings measure the batched
-        kernel rather than the cache.
-        """
-        self._memo.clear()
-        self._memo_version = None
 
     def gamma(
         self, truster: EntityId, trustee: EntityId, context: TrustContext, now: float
@@ -154,7 +105,7 @@ class TrustEngine:
         """
         metrics = self._metrics
         if metrics is not None and metrics.enabled:
-            with metrics.timer("trust.gamma_latency_s.kernel=scalar"):
+            with metrics.timer("trust.gamma_latency_s"):
                 return self._gamma_unmetered(truster, trustee, context, now)
         return self._gamma_unmetered(truster, trustee, context, now)
 
@@ -164,258 +115,6 @@ class TrustEngine:
         theta = self.direct.evaluate(truster, trustee, context, now)
         omega = self.reputation.evaluate(trustee, context, now, asking=truster)
         return self.alpha * theta + self.beta * omega
-
-    def gamma_matrix(
-        self,
-        trusters: Sequence[EntityId],
-        trustees: Sequence[EntityId],
-        context: TrustContext,
-        now: float,
-    ) -> np.ndarray:
-        """Batched ``Γ``: ``out[i, j] = gamma(trusters[i], trustees[j], ...)``.
-
-        Bit-identical to the scalar :meth:`gamma` per pair.  Trustees are
-        grouped by Grid domain; each group's Θ is gathered from that
-        domain's DTT shard and its Ω shares one opinion gather across all
-        trusters, applying each truster's own-opinion exclusion as a mask
-        over the common contribution array.  Computed **sub-rows** (one
-        truster × one domain's trustees) are memoised keyed by
-        ``(truster, domain, trustees, context, now)`` together with the
-        domain's shard signature — a mutation in domain D drops only the
-        sub-rows whose trustee or recommender set touches D, while
-        structural changes (α/β, priors, decay, store identity) still
-        clear the memo wholesale.
-
-        Falls back to scalar evaluation per pair — never touching the
-        memo — when a ``source_filter`` is installed on the reputation
-        component (degraded trust sources are stateful per query), and to
-        surface the exact scalar ``ValueError`` for future-dated records.
-        """
-        metrics = self._metrics
-        if metrics is not None and metrics.enabled:
-            with metrics.timer("trust.gamma_latency_s.kernel=batched"):
-                return self._gamma_matrix_impl(trusters, trustees, context, now, metrics)
-        return self._gamma_matrix_impl(trusters, trustees, context, now, None)
-
-    def _gamma_matrix_impl(
-        self,
-        trusters: Sequence[EntityId],
-        trustees: Sequence[EntityId],
-        context: TrustContext,
-        now: float,
-        metrics: "MetricsRegistry | None",
-    ) -> np.ndarray:
-        truster_list = list(trusters)
-        trustee_list = list(trustees)
-        n_x, n_y = len(truster_list), len(trustee_list)
-        out = np.empty((n_x, n_y), dtype=np.float64)
-        if n_x == 0 or n_y == 0:
-            return out
-        if self.reputation.source_filter is not None:
-            # Degraded / filtered sources: the availability predicate is
-            # stateful and per-query, so rows are computed scalar and
-            # never memoised (recovery must re-price exactly).
-            for i, truster in enumerate(truster_list):
-                for j, trustee in enumerate(trustee_list):
-                    out[i, j] = self._gamma_unmetered(truster, trustee, context, now)
-            return out
-        store = self.reputation.columnar_store()
-        store.refresh()
-        if self.direct.table is self.reputation.table:
-            dstore = store
-        else:
-            dstore = self._direct_store()
-            dstore.refresh()
-        rep_decay = self.reputation.decay_for(context)
-        dir_decay = self.direct.decay_for(context)
-        # Structural version: identity of the array mirrors (monotonic
-        # tokens, never recycled ids) plus every engine parameter that
-        # enters the Γ formula.  Epoch-map changes are handled per domain
-        # below; a structural change clears the memo wholesale.
-        version = (
-            store.token,
-            None if dstore is store else dstore.token,
-            self.alpha,
-            self.beta,
-            self.direct.unknown_prior,
-            self.reputation.unknown_prior,
-            id(rep_decay),
-            id(dir_decay),
-        )
-        if version != self._memo_version:
-            if self._memo:
-                self._memo.clear()
-                if metrics is not None:
-                    metrics.counter("trust.memo_invalidations").add()
-            self._memo_version = version
-        # Group trustees by Grid domain (first-appearance order).
-        table = store.table
-        group_key = (store.token, tuple(trustee_list))
-        groups = self._group_cache.get(group_key)
-        if groups is None:
-            dom_groups: dict = {}
-            for j, trustee in enumerate(trustee_list):
-                dom_groups.setdefault(table.domain_of(trustee), []).append(j)
-            groups = []
-            for domain, js in dom_groups.items():
-                sub = tuple(trustee_list[j] for j in js)
-                sub_token = self._sub_tokens.get(sub)
-                if sub_token is None:
-                    # Re-tokenising after an eviction orphans old memo
-                    # entries (they can never match again) — harmless: the
-                    # memo's own FIFO cap reclaims them.
-                    if len(self._sub_tokens) >= self.SUB_TOKEN_CAPACITY:
-                        self._sub_tokens.clear()
-                    # Monotonic (never reused after a clear): a recycled
-                    # token could alias a different trustee set still keyed
-                    # in the memo.
-                    sub_token = next(_SUB_TOKEN_COUNTER)
-                    self._sub_tokens[sub] = sub_token
-                groups.append((domain, sub, sub_token, np.array(js, dtype=np.int64)))
-            if len(self._group_cache) >= self.GROUP_CACHE_CAPACITY:
-                self._group_cache.clear()
-            self._group_cache[group_key] = groups
-        hits = 0
-        stale = 0
-        computed = 0
-        memo = self._memo
-        scalar_replay = False
-        # Context identity is its name (a str with a cached hash) — cheaper
-        # per memo probe than the frozen dataclass's generated __hash__.
-        ctx_name = context.name
-        for domain, sub, sub_token, cols in groups:
-            if dstore is store:
-                sig = (store.shard_signature(domain),)
-            else:
-                # Θ comes from a different table: its records for these
-                # trustees live in the *direct* table's domain shards.
-                ddomains: dict = {}
-                for trustee in sub:
-                    ddomains[dstore.table.domain_of(trustee)] = None
-                sig = (
-                    store.shard_signature(domain),
-                    tuple(dstore.shard_signature(d) for d in ddomains),
-                )
-            missing: list[tuple[int, EntityId]] = []
-            for i, truster in enumerate(truster_list):
-                key = (truster, domain, sub_token, ctx_name, now)
-                entry = memo.get(key)
-                if entry is not None:
-                    if entry[0] == sig:
-                        out[i, cols] = entry[1]
-                        hits += 1
-                        continue
-                    del memo[key]
-                    stale += 1
-                missing.append((i, truster))
-            if missing:
-                rows = self._gamma_rows(
-                    [x for _, x in missing], list(sub), context, now,
-                    store, dstore, rep_decay, dir_decay,
-                )
-                if rows is None:
-                    scalar_replay = True
-                    break
-                computed += len(missing)
-                for (i, truster), row in zip(missing, rows):
-                    row.setflags(write=False)
-                    memo[(truster, domain, sub_token, ctx_name, now)] = (sig, row)
-                    out[i, cols] = row
-        if scalar_replay:
-            # A contributing record is future-dated: replay the scalar
-            # loops, which raise the exact error for the first offender.
-            for i, truster in enumerate(truster_list):
-                for j, trustee in enumerate(trustee_list):
-                    out[i, j] = self._gamma_unmetered(truster, trustee, context, now)
-            return out
-        if len(memo) > self.MEMO_CAPACITY:
-            evict = len(memo) - self.MEMO_CAPACITY
-            for key in list(itertools.islice(iter(memo), evict)):
-                del memo[key]
-        if metrics is not None:
-            if hits:
-                metrics.counter("trust.memo_hits").add(hits)
-            if stale:
-                metrics.counter("trust.memo_invalidations").add(stale)
-            if computed:
-                metrics.counter("trust.batch_rows").add(computed)
-        return out
-
-    def _direct_store(self) -> ColumnarOpinionStore:
-        store = self._dstore
-        if store is None or store.table is not self.direct.table:
-            store = ColumnarOpinionStore(self.direct.table)
-            self._dstore = store
-        return store
-
-    def _gamma_rows(
-        self,
-        trusters: list[EntityId],
-        trustees: list[EntityId],
-        context: TrustContext,
-        now: float,
-        store: ColumnarOpinionStore,
-        dstore: ColumnarOpinionStore,
-        rep_decay: DecayFunction,
-        dir_decay: DecayFunction,
-    ) -> list[np.ndarray] | None:
-        """Compute fresh Γ rows; ``None`` signals a future-dated record."""
-        n_x, n_y = len(trusters), len(trustees)
-        # Θ: one sorted-key gather over the DTT mirror.
-        direct_values, direct_times, found = dstore.pair_block(
-            trusters, trustees, context
-        )
-        direct_ages = now - direct_times
-        if bool(np.any(found & (direct_ages < 0))):
-            return None
-        theta = np.full((n_x, n_y), float(self.direct.unknown_prior), dtype=np.float64)
-        if found.any():
-            theta[found] = direct_values[found] * dir_decay.apply(direct_ages[found])
-        # Ω: one opinion gather shared by every truster row.
-        unique_index: dict[EntityId, int] = {}
-        unique: list[EntityId] = []
-        inverse = np.empty(n_y, dtype=np.int64)
-        for j, trustee in enumerate(trustees):
-            k = unique_index.get(trustee)
-            if k is None:
-                k = len(unique)
-                unique_index[trustee] = k
-                unique.append(trustee)
-            inverse[j] = k
-        prior = float(self.reputation.unknown_prior)
-        omega = np.full((n_x, len(unique)), prior, dtype=np.float64)
-        block = store.opinion_block(unique, context)
-        if block is not None:
-            ages = now - block.times
-            negative = ages < 0
-            weights = block.factors
-            nonzero = weights != 0.0
-            contrib = np.zeros_like(ages)
-            valid = ~negative
-            contrib[valid] = (
-                block.values[valid] * weights[valid] * rep_decay.apply(ages[valid])
-            )
-            any_negative = bool(negative.any())
-            for k, truster in enumerate(trusters):
-                truster_id = store.entity_index_of(truster)
-                if truster_id is None:
-                    own = np.zeros(len(ages), dtype=bool)
-                else:
-                    own = block.truster == truster_id
-                if any_negative and bool(np.any(negative & ~own)):
-                    # The scalar loop would raise for this truster: a
-                    # future-dated opinion it does not itself hold.
-                    return None
-                mask = nonzero & ~own
-                totals = np.bincount(
-                    block.pos[mask], weights=contrib[mask], minlength=len(unique)
-                )
-                counts = np.bincount(block.pos[mask], minlength=len(unique))
-                omega[k] = np.where(
-                    counts > 0, totals / np.maximum(counts, 1), omega[k]
-                )
-        gamma = self.alpha * theta + self.beta * omega[:, inverse]
-        return [gamma[i] for i in range(n_x)]
 
     def gamma_level(
         self, truster: EntityId, trustee: EntityId, context: TrustContext, now: float

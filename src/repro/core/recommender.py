@@ -16,23 +16,14 @@ accuracy.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.domains import DEFAULT_DOMAINS, DomainMap
 
 __all__ = ["AllianceRegistry", "RecommenderWeights"]
 
 EntityId = Hashable
-
-# Monotonic instance tokens.  Epoch tuples must identify *which* registry /
-# weights object they were computed against; ``id()`` is unsafe for that
-# because CPython reuses addresses after garbage collection, which would
-# silently suppress an invalidation.  A process-wide counter never repeats.
-_INSTANCE_TOKENS = itertools.count(1)
 
 
 class AllianceRegistry:
@@ -51,7 +42,6 @@ class AllianceRegistry:
         self._membership: dict[EntityId, set[str]] = {}
         self._epoch = 0
         self._domain_epochs: dict[Hashable, int] = {}
-        self.token = next(_INSTANCE_TOKENS)
         # Write-ahead journal sink (see repro.core.journal); when set,
         # declare/dissolve append a framed delta after applying.
         self._journal = None
@@ -65,8 +55,7 @@ class AllianceRegistry:
         """Mutation counter of one Grid domain (0 if never touched).
 
         Declaring or dissolving a group bumps the domain of every member
-        involved, so a shard whose entities' domains all show unchanged
-        counters is guaranteed to see identical ``allied`` answers.
+        involved; the base-segment codec persists these counters.
         """
         return self._domain_epochs.get(domain, 0)
 
@@ -121,28 +110,6 @@ class AllianceRegistry:
         allies.discard(entity)
         return frozenset(allies)
 
-    def allied_matrix(self, entities: Sequence[EntityId]) -> np.ndarray:
-        """Boolean matrix ``M[i, j] = allied(entities[i], entities[j])``.
-
-        The diagonal is ``True`` (an entity is trivially allied with
-        itself), matching :meth:`allied`.  Built as a group-membership
-        matrix product so the columnar kernels can assemble a dense
-        ``R(z, y)`` factor matrix without per-pair Python calls.
-        """
-        ents = list(entities)
-        n = len(ents)
-        out = np.eye(n, dtype=bool)
-        if self._groups and n:
-            names = sorted(self._groups)
-            member = np.zeros((n, len(names)), dtype=bool)
-            for j, name in enumerate(names):
-                group = self._groups[name]
-                for i, entity in enumerate(ents):
-                    if entity in group:
-                        member[i, j] = True
-            out |= member @ member.T
-        return out
-
     def groups(self) -> frozenset[str]:
         """Names of all declared alliance groups."""
         return frozenset(self._groups)
@@ -189,35 +156,6 @@ class RecommenderWeights:
             raise ValueError("default_accuracy must lie in [0, 1]")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
-        self.token = next(_INSTANCE_TOKENS)
-
-    @property
-    def epoch(self) -> tuple:
-        """Opaque version token; compare for equality only.
-
-        Changes whenever anything that can alter a :meth:`factor` result
-        changes: learned accuracies (:meth:`observe_outcome`) or the
-        alliance registry (declare/dissolve or wholesale replacement —
-        tracked by the registry's monotonic ``token``, never ``id()``,
-        which CPython may reuse).
-        """
-        return (self._epoch, self.alliances.token, self.alliances.epoch)
-
-    @property
-    def is_inert(self) -> bool:
-        """Whether this resolver is indistinguishable from no weights at all.
-
-        True when :meth:`factor` is identically ``1.0``: no accuracy has
-        ever been learned, no alliance group exists, and the default
-        accuracy is 1.  The reputation evaluators treat ``weights=None``
-        as weight-1 recommenders, so an inert resolver and ``None`` are
-        the *same* cache state — epoch keys normalise through this.
-        """
-        return (
-            not self._accuracy
-            and not self.alliances._groups
-            and self.default_accuracy == 1.0
-        )
 
     def domain_epoch(self, domain: Hashable) -> tuple:
         """Composite per-domain version: own learned-accuracy counter for
@@ -233,21 +171,6 @@ class RecommenderWeights:
         if self.alliances.allied(recommender, target):
             r *= self.ally_weight
         return r
-
-    def factor_matrix(self, entities: Sequence[EntityId]) -> np.ndarray:
-        """Dense ``F[i, j] = factor(entities[i], entities[j])`` matrix.
-
-        Bit-identical to calling :meth:`factor` per pair: the unallied
-        branch multiplies by exactly ``1.0``, which preserves every float
-        in ``[0, 1]``.
-        """
-        ents = list(entities)
-        acc = np.array(
-            [self._accuracy.get(z, self.default_accuracy) for z in ents],
-            dtype=np.float64,
-        )
-        allied = self.alliances.allied_matrix(ents)
-        return acc[:, None] * np.where(allied, self.ally_weight, 1.0)
 
     def accuracy(self, recommender: EntityId) -> float:
         """Current learned accuracy of ``recommender``."""

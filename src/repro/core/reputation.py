@@ -12,12 +12,9 @@ caller-supplied prior (default 0).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.columnar import ColumnarOpinionStore
 from repro.core.context import TrustContext
 from repro.core.decay import DecayFunction, NoDecay
 from repro.core.recommender import RecommenderWeights
@@ -52,9 +49,6 @@ class Reputation:
     )
     _context_decay: dict[TrustContext, DecayFunction] = field(
         default_factory=dict, repr=False
-    )
-    _store: ColumnarOpinionStore | None = field(
-        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -113,91 +107,3 @@ class Reputation:
         if count == 0:
             return self.unknown_prior
         return total / count
-
-    def columnar_store(self) -> ColumnarOpinionStore:
-        """The columnar mirror backing :meth:`evaluate_many` (lazily built).
-
-        Replaced automatically if ``table`` or ``weights`` are swapped for
-        different objects; call ``refresh()`` on it before reading arrays.
-        """
-        store = self._store
-        if store is None or store.table is not self.table:
-            store = ColumnarOpinionStore(self.table, self.weights)
-            self._store = store
-        elif store.weights is not self.weights:
-            # Swapping the resolver keeps the (weight-independent) array
-            # shards; only factor columns whose signature moved recompute.
-            store.set_weights(self.weights)
-        return store
-
-    def evaluate_many(
-        self,
-        trustees: Sequence[EntityId],
-        context: TrustContext,
-        now: float,
-        *,
-        asking: EntityId,
-    ) -> np.ndarray:
-        """Batched :meth:`evaluate`: one ``Ω`` per trustee, bit-identical.
-
-        Computes the reputation average for every trustee in one
-        vectorized gather → decay → weighted masked segment-sum over the
-        columnar mirror.  Falls back to the scalar loop per trustee when a
-        ``source_filter`` is installed (source availability is stateful
-        and per-query — exactly the degraded regime the scalar ladder
-        already handles) and to surface the exact negative-age error.
-
-        Raises:
-            ValueError: if any contributing opinion's last transaction
-                lies in the future (same error, same first offender, as
-                the scalar path).
-        """
-        trustee_list = list(trustees)
-        if not trustee_list:
-            return np.empty(0, dtype=np.float64)
-        if self.source_filter is not None:
-            return np.array(
-                [self.evaluate(y, context, now, asking=asking) for y in trustee_list],
-                dtype=np.float64,
-            )
-        store = self.columnar_store()
-        store.refresh()
-        unique_index: dict[EntityId, int] = {}
-        unique: list[EntityId] = []
-        inverse = np.empty(len(trustee_list), dtype=np.int64)
-        for i, trustee in enumerate(trustee_list):
-            j = unique_index.get(trustee)
-            if j is None:
-                j = len(unique)
-                unique_index[trustee] = j
-                unique.append(trustee)
-            inverse[i] = j
-        out = np.full(len(unique), float(self.unknown_prior), dtype=np.float64)
-        block = store.opinion_block(unique, context)
-        if block is None:
-            return out[inverse]
-        truster, pos = block.truster, block.pos
-        values, times, factors = block.values, block.times, block.factors
-        asker_id = store.entity_index_of(asking)
-        if asker_id is not None:
-            keep = truster != asker_id
-            truster, pos = truster[keep], pos[keep]
-            values, times, factors = values[keep], times[keep], factors[keep]
-        ages = now - times
-        if np.any(ages < 0):
-            # Delegate to the scalar loop, which raises the exact error
-            # for the first offending opinion in insertion order.
-            return np.array(
-                [self.evaluate(y, context, now, asking=asking) for y in trustee_list],
-                dtype=np.float64,
-            )
-        weights = factors
-        nonzero = weights != 0.0
-        decayed = self.decay_for(context).apply(ages)
-        contrib = values * weights * decayed
-        totals = np.bincount(
-            pos[nonzero], weights=contrib[nonzero], minlength=len(unique)
-        )
-        counts = np.bincount(pos[nonzero], minlength=len(unique))
-        out = np.where(counts > 0, totals / np.maximum(counts, 1), out)
-        return out[inverse]

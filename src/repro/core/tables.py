@@ -88,9 +88,9 @@ class TrustTable:
     Records are additionally bucketed by the **Grid domain of the
     trustee** (resolved through ``domains``): every opinion about ``y``
     lives in ``y``'s domain bucket, in the same relative order it holds
-    in the global table.  Each bucket carries its own mutation epoch, so
-    the sharded columnar mirror (:mod:`repro.core.columnar`) rebuilds
-    only the domains a mutation actually touched.
+    in the global table.  Each bucket carries its own mutation epoch,
+    which journal ops carry as ``e`` and the base-segment codec
+    (:mod:`repro.core.store`) persists next to that domain's segment.
     """
 
     def __init__(self, domains: DomainMap = DEFAULT_DOMAINS) -> None:
@@ -109,9 +109,8 @@ class TrustTable:
     def epoch(self) -> int:
         """Monotonic mutation counter, bumped by every :meth:`record`/:meth:`remove`.
 
-        The coarse invalidation signal: anything keyed on it is dropped
-        by *any* table mutation.  The sharded kernels prefer the
-        fine-grained :meth:`domain_epoch` counters.
+        The coarse mutation signal: *any* table mutation bumps it.  Journal
+        replay checks the fine-grained :meth:`domain_epoch` counters.
         """
         return self._epoch
 
@@ -144,9 +143,9 @@ class TrustTable:
         """Iterate one domain's ``(key, record)`` pairs in insertion order.
 
         The order is the subsequence of the global insertion order whose
-        trustees fall in ``domain`` — exactly the order the scalar
-        reputation loop visits those records, which is what keeps the
-        sharded batched kernels bit-identical.
+        trustees fall in ``domain`` — exactly the order the reputation
+        loop visits those records.  The base-segment codec
+        (:mod:`repro.core.store`) writes each domain's segment in it.
         """
         for key in self._by_domain.get(domain, ()):
             yield key, self._records[key]

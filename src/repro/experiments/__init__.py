@@ -45,12 +45,6 @@ from repro.experiments.series import (
     improvement_vs_load,
     improvement_vs_machines,
 )
-from repro.experiments.trustbench import (
-    render_sweep as render_trust_sweep,
-    run_sweep as run_trust_sweep,
-    validate_trust_payload,
-    write_artifact as write_trust_artifact,
-)
 from repro.experiments.validation import CheckResult, validate_reproduction
 from repro.experiments.tables import (
     TableReproduction,
@@ -94,10 +88,6 @@ __all__ = [
     "write_report",
     "CheckResult",
     "validate_reproduction",
-    "render_trust_sweep",
-    "run_trust_sweep",
-    "validate_trust_payload",
-    "write_trust_artifact",
     "Series",
     "SeriesPoint",
     "ascii_chart",

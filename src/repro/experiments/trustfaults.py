@@ -189,11 +189,10 @@ def _gamma_surface(session: GridSession) -> np.ndarray:
     now = session.now
     trusters = [domain_entity_id(AgentSide.CLIENT_DOMAIN, i) for i in range(n_cd)]
     trustees = [domain_entity_id(AgentSide.RESOURCE_DOMAIN, j) for j in range(n_rd)]
-    # One batched Γ evaluation per activity context; bit-identical to the
-    # scalar triple loop (and falling back to it internally while the
-    # availability filter of an attacked arm is installed).
     for k, activity in enumerate(activities):
-        surface[:, :, k] = engine.gamma_matrix(trusters, trustees, activity.context, now)
+        for i, truster in enumerate(trusters):
+            for j, trustee in enumerate(trustees):
+                surface[i, j, k] = engine.gamma(truster, trustee, activity.context, now)
     return surface
 
 

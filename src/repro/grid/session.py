@@ -241,8 +241,7 @@ CredibilityWeights`, recommenders are scored against every realised
         self._score_weights = None
         if self.trustfaults is not None and self.trustfaults.enabled:
             self._wire_trustfaults()
-        # Γ-blended fleets report trust-kernel instrumentation (batch rows,
-        # memo hits/invalidations, gamma latency) into the session registry.
+        # Γ-blended fleets report their Γ latency into the session registry.
         if self.metrics.enabled:
             for agent in (*self.fleet.cd_agents, *self.fleet.rd_agents):
                 if agent.engine is not None:

@@ -72,16 +72,6 @@ class CredibilityWeights(RecommenderWeights):
             return 0.0
         return super().factor(recommender, target)
 
-    def factor_matrix(self, entities):
-        """Dense factor matrix with purged recommenders zeroed row-wise."""
-        ents = list(entities)
-        out = super().factor_matrix(ents)
-        if self._purged:
-            for i, entity in enumerate(ents):
-                if entity in self._purged:
-                    out[i, :] = 0.0
-        return out
-
     def observe_outcome(
         self, recommender: EntityId, predicted: float, actual: float
     ) -> float:

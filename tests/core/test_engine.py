@@ -142,3 +142,13 @@ class TestTrustEngine:
         g_now = engine.gamma("x", "y", EXECUTION, now=0.0)
         g_later = engine.gamma("x", "y", EXECUTION, now=50.0)
         assert g_later < g_now
+
+    def test_gamma_feeds_the_latency_histogram(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        engine = make_engine()
+        engine.table.record("x", "y", EXECUTION, 0.5, time=0.0)
+        registry = MetricsRegistry(enabled=True)
+        engine.bind_metrics(registry)
+        engine.gamma("x", "y", EXECUTION, now=1.0)
+        assert registry.histogram("trust.gamma_latency_s").count == 1

@@ -205,24 +205,3 @@ class TestDomainEpochs:
         registry.dissolve("g")
         assert registry.domain_epoch("a") == 2
         assert registry.domain_epoch("c") == 0
-
-    def test_tokens_are_unique_per_instance(self):
-        from repro.core.recommender import AllianceRegistry, RecommenderWeights
-
-        a, b = AllianceRegistry(), AllianceRegistry()
-        assert a.token != b.token
-        w1, w2 = RecommenderWeights(), RecommenderWeights()
-        assert w1.token != w2.token
-
-    def test_inert_detection(self):
-        from repro.core.recommender import AllianceRegistry, RecommenderWeights
-
-        weights = RecommenderWeights()
-        assert weights.is_inert
-        weights.observe_outcome("z", 0.5, 0.5)
-        assert not weights.is_inert
-        allied = RecommenderWeights(alliances=AllianceRegistry())
-        allied.alliances.declare("g", ["a", "b"])
-        assert not allied.is_inert
-        biased = RecommenderWeights(default_accuracy=0.5)
-        assert not biased.is_inert

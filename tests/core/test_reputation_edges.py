@@ -1,17 +1,13 @@
-"""Edge semantics of Ω, pinned on the scalar *and* batched paths.
-
-Three behaviours the batched kernel must reproduce exactly:
+"""Edge semantics of Ω, pinned on :meth:`Reputation.evaluate`.
 
 * every source rejected by ``source_filter`` -> the unknown prior, not an
-  average over nothing;
+  average over nothing; a partial filter shrinks the divisor;
 * ``R = 0`` recommenders leave the divisor too (a purged badmouther must
   not drag its target toward zero);
-* an opinion recorded in the future raises, and is never silently masked —
-  unless it belongs to the asker, whose opinion is excluded before the age
-  check.
+* an opinion recorded in the future raises and names its holder — unless
+  it belongs to the asker, whose opinion is excluded before the age check.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.context import TrustContext
@@ -40,94 +36,56 @@ def _purging_weights(*victims: str) -> CredibilityWeights:
     return weights
 
 
-def _both(rep: Reputation, trustee: str = "y", asking: str = "q"):
-    """(scalar, batched) Ω for one trustee, for exact comparison."""
-    scalar = rep.evaluate(trustee, CTX, NOW, asking=asking)
-    batched = rep.evaluate_many([trustee], CTX, NOW, asking=asking)
-    assert batched.shape == (1,)
-    return scalar, batched[0]
+def _omega(rep: Reputation, trustee: str = "y", asking: str = "q") -> float:
+    return rep.evaluate(trustee, CTX, NOW, asking=asking)
 
 
 class TestAllSourcesFiltered:
-    def test_scalar_and_batched_fall_back_to_unknown_prior(self):
+    def test_falls_back_to_unknown_prior(self):
         rep = Reputation(
             table=_table(),
             unknown_prior=0.25,
             source_filter=lambda recommender, now: False,
         )
-        scalar, batched = _both(rep)
-        assert scalar == 0.25
-        assert batched == 0.25
+        assert _omega(rep) == 0.25
 
     def test_partial_filter_excludes_source_from_divisor(self):
         rep = Reputation(
             table=_table(), source_filter=lambda recommender, now: recommender == "a"
         )
-        scalar, batched = _both(rep)
         # Only "a" survives: 0.8 / 1, not (0.8 + 0.4) / 2 or 0.8 / 2.
-        assert scalar == 0.8
-        assert batched == 0.8
+        assert _omega(rep) == 0.8
 
 
 class TestZeroFactorExcludedFromDivisor:
     def test_purged_recommender_leaves_the_average(self):
         rep = Reputation(table=_table(), weights=_purging_weights("b"))
-        scalar, batched = _both(rep)
-        assert scalar == 0.8  # 0.8 / 1 — "b" is gone, so is its slot
-        assert batched == 0.8
+        assert _omega(rep) == 0.8  # 0.8 / 1 — "b" is gone, so is its slot
 
     def test_all_recommenders_purged_gives_unknown_prior(self):
         rep = Reputation(
             table=_table(), weights=_purging_weights("a", "b"), unknown_prior=0.5
         )
-        scalar, batched = _both(rep)
-        assert scalar == 0.5
-        assert batched == 0.5
+        assert _omega(rep) == 0.5
 
     def test_unpurged_baseline_uses_full_divisor(self):
         rep = Reputation(table=_table())
-        scalar, batched = _both(rep)
-        assert scalar == (0.8 + 0.4) / 2
-        assert batched == scalar
+        assert _omega(rep) == (0.8 + 0.4) / 2
 
 
 class TestNegativeAge:
-    def test_future_opinion_raises_in_both_paths(self):
+    def test_future_opinion_raises_and_names_the_offender(self):
         table = _table()
         table.record("c", "y", CTX, 0.6, NOW + 5.0)
         rep = Reputation(table=table)
         with pytest.raises(ValueError, match="precedes opinion of 'c'"):
-            rep.evaluate("y", CTX, NOW, asking="q")
-        with pytest.raises(ValueError, match="precedes opinion of 'c'"):
-            rep.evaluate_many(["y"], CTX, NOW, asking="q")
-
-    def test_batched_never_masks_the_error(self):
-        # A healthy trustee alongside the poisoned one: the batch must
-        # still raise rather than return a partial row.
-        table = _table()
-        table.record("a", "z", CTX, 0.9, 30.0)
-        table.record("c", "y", CTX, 0.6, NOW + 5.0)
-        rep = Reputation(table=table)
-        with pytest.raises(ValueError, match="precedes opinion of 'c'"):
-            rep.evaluate_many(["z", "y"], CTX, NOW, asking="q")
+            _omega(rep)
 
     def test_askers_own_future_opinion_is_excluded_before_the_check(self):
         table = _table()
         table.record("q", "y", CTX, 0.9, NOW + 50.0)
         rep = Reputation(table=table)
-        scalar, batched = _both(rep, asking="q")
-        assert scalar == (0.8 + 0.4) / 2
-        assert batched == scalar
+        assert _omega(rep, asking="q") == (0.8 + 0.4) / 2
         # Any other asker still trips over q's future opinion.
         with pytest.raises(ValueError, match="precedes opinion of 'q'"):
-            rep.evaluate_many(["y"], CTX, NOW, asking="other")
-
-
-class TestBatchedShapeContract:
-    def test_empty_and_duplicate_trustees(self):
-        rep = Reputation(table=_table(), unknown_prior=0.1)
-        assert rep.evaluate_many([], CTX, NOW, asking="q").shape == (0,)
-        out = rep.evaluate_many(["y", "unknown", "y"], CTX, NOW, asking="q")
-        assert out[0] == out[2] == rep.evaluate("y", CTX, NOW, asking="q")
-        assert out[1] == 0.1
-        assert out.dtype == np.float64
+            _omega(rep, asking="other")

@@ -163,6 +163,25 @@ class TestTopLevelEntryPoints:
         assert "verify" not in restore.parameters
         assert "DurableTrustPlane" in core.__all__
 
+    def test_one_trust_evaluator(self):
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.core.engine import TrustEngine
+        from repro.core.reputation import Reputation
+
+        assert importlib.util.find_spec("repro.core.columnar") is None
+        assert importlib.util.find_spec("repro.experiments.trustbench") is None
+        assert not hasattr(TrustEngine, "gamma_matrix")
+        assert not hasattr(Reputation, "evaluate_many")
+        assert not hasattr(Reputation, "columnar_store")
+        subcommands = next(
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert "bench" not in subcommands
+
     def test_error_hierarchy_rooted(self):
         import repro.errors as errors
 
