@@ -26,9 +26,18 @@ hard constraint against the locally-derivable *forced* TC row (``RTL = F``
 still forces the maximum supplement under Table 1, so REJECT admission
 control keeps holding), and skips the row cache so the next access retries
 the plane — rows re-price to the exact fresh values the moment the source
-recovers.  Ground-truth accessors (:meth:`CostProvider.trust_cost_row`)
-never route through the source: completion accounting reads the table
-directly, as the paper's RMS does once a machine is committed.
+recovers.  Ground-truth accessors (:meth:`CostProvider.trust_cost_row`,
+:meth:`CostProvider.realized_costs`) never route through the source, so
+completion accounting cannot fail on a plane outage.  They do not read the
+trust table afresh either: they resolve through the same ``(CD, ToA)`` TC
+cache as mapping, which is keyed without the table's CD epoch, so a row
+priced before agents publish new levels is reused after it (ROADMAP.md,
+item F1).
+
+A window's plan is committed by :meth:`CostProvider.realized_costs` in one
+vector pass: one EEC gather at ``(task, machine)`` and one
+:meth:`~repro.scheduling.policy.TrustPolicy.realized_ecc` call over the
+gathered vectors.
 """
 
 from __future__ import annotations
@@ -285,6 +294,17 @@ class CostProvider:
         self._row_cache[request.index] = row
         return row
 
+    def _task_indices(self, requests: Sequence[Request]) -> np.ndarray:
+        """Task indices of ``requests``, bound-checked against the EEC rows."""
+        n = len(requests)
+        tasks = np.fromiter((r.task.index for r in requests), dtype=np.int64, count=n)
+        if n and (tasks.min() < 0 or tasks.max() >= self.eec.shape[0]):
+            bad = int(tasks[(tasks < 0) | (tasks >= self.eec.shape[0])][0])
+            raise ConfigurationError(
+                f"task index {bad} outside the EEC matrix ({self.eec.shape[0]} rows)"
+            )
+        return tasks
+
     # -- batched assembly ----------------------------------------------------
 
     def mapping_ecc_matrix(self, requests: Sequence[Request]) -> np.ndarray:
@@ -305,13 +325,7 @@ class CostProvider:
             return np.zeros((0, m), dtype=np.float64)
         if self.metrics.enabled:
             self.metrics.counter("costs.ecc_rows").add(n)
-        tasks = np.fromiter((r.task.index for r in requests), dtype=np.int64, count=n)
-        if tasks.min() < 0 or tasks.max() >= self.eec.shape[0]:
-            bad = int(tasks[(tasks < 0) | (tasks >= self.eec.shape[0])][0])
-            raise ConfigurationError(
-                f"task index {bad} outside the EEC matrix ({self.eec.shape[0]} rows)"
-            )
-        eec = self.eec[tasks]
+        eec = self.eec[self._task_indices(requests)]
         tc, degraded = self._tc_matrix(requests)
         ecc = self.policy.mapping_ecc(eec, tc)
         if degraded.any():
@@ -527,18 +541,45 @@ class CostProvider:
             return bool(self.constraint.feasible_mask(tc).any())
         return bool(self.constraint.feasible_mask(self.trust_cost_row(request)).any())
 
-    def realized_ecc_row(self, request: Request) -> np.ndarray:
-        """Completion cost the system *pays*, per machine.
+    def realized_costs(
+        self, requests: Sequence[Request], machines: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What each committed assignment ``requests[i] → machines[i]`` pays.
+
+        One EEC gather at ``(task, machine)`` and one
+        :meth:`TrustPolicy.realized_ecc` call over the gathered vectors
+        commit a whole plan; element ``i`` is bit-identical to element
+        ``machines[i]`` of the per-row realised cost.  TC resolves through
+        the same dirty/override/key-cache lookup as :meth:`trust_cost_row`
+        (ground truth, never the ``trust_source``).
 
         A request mapped under degraded pricing pays the blanket
         trust-unaware security cost: without trust data at commitment time
         the deployment applies conservative security on every element, the
         paper's fallback stance.
+
+        Returns:
+            ``(eec, cost, tc)`` float vectors of length ``len(requests)``.
         """
-        eec = self.eec_row(request)
-        if request.index in self._degraded:
-            return eec + self.policy.esc_unaware(eec)
-        return self.policy.realized_ecc(eec, self.trust_cost_row(request))
+        n = len(requests)
+        tasks = self._task_indices(requests)
+        eec = self.eec[tasks, np.asarray(machines, dtype=np.int64)]
+        tc_row = self._tc_row
+        fetch = self._compute_tc_row
+        tc = np.fromiter(
+            (tc_row(r, fetch)[m] for r, m in zip(requests, machines)),
+            dtype=np.float64,
+            count=n,
+        )
+        cost = self.policy.realized_ecc(eec, tc)
+        if self._degraded:
+            degraded = np.fromiter(
+                (r.index in self._degraded for r in requests), dtype=bool, count=n
+            )
+            if degraded.any():
+                blanket = eec[degraded]
+                cost[degraded] = blanket + self.policy.esc_unaware(blanket)
+        return eec, cost, tc
 
     def with_policy(self, policy: TrustPolicy) -> "CostProvider":
         """A provider over the same workload under a different policy.

@@ -123,6 +123,7 @@ class SchedulingEngine:
         completion: float,
         eec: float,
         cost: float,
+        tc: float,
         attempt: int,
     ) -> None:
         sched = self.scheduler
@@ -135,7 +136,7 @@ class SchedulingEngine:
             completion_time=completion,
             eec=eec,
             realized_cost=cost,
-            trust_cost=float(sched.costs.trust_cost_row(request)[machine]),
+            trust_cost=tc,
             attempt=attempt,
         )
         if request.index in self.records:
@@ -198,16 +199,31 @@ class SchedulingEngine:
 
     # -- execution -----------------------------------------------------------
 
-    def _realize(self, request: Request, machine: int, mapped_time: float) -> None:
+    def _commit(
+        self, requests: Sequence[Request], machines: Sequence[int], mapped_time: float
+    ) -> None:
+        """Realise a checked plan: one vector pass prices every assignment,
+        then each is booked in order."""
+        eec, cost, tc = self.scheduler.costs.realized_costs(requests, machines)
+        for item in zip(requests, machines, eec.tolist(), cost.tolist(), tc.tolist()):
+            self._realize(*item, mapped_time)
+
+    def _realize(
+        self,
+        request: Request,
+        machine: int,
+        eec: float,
+        cost: float,
+        tc: float,
+        mapped_time: float,
+    ) -> None:
         sched = self.scheduler
         state = self.states[machine]
-        eec = float(sched.costs.eec_row(request)[machine])
-        cost = float(sched.costs.realized_ecc_row(request)[machine])
         if sched.faults is None:
             start = max(state.available_time, mapped_time)
             completion = state.assign(mapped_time, cost)
             self._complete(
-                request, machine, mapped_time, start, completion, eec, cost, 1
+                request, machine, mapped_time, start, completion, eec, cost, tc, 1
             )
             return
 
@@ -232,6 +248,7 @@ class SchedulingEngine:
                 outcome.end_time,
                 eec,
                 cost,
+                tc,
                 attempt,
             )
             return
@@ -351,8 +368,8 @@ class SchedulingEngine:
                 )
             if sched.metrics.enabled:
                 sched.metrics.counter("sched.mappings").add()
-            self._check_machine(machine)
-            self._realize(request, machine, time)
+            self._check_machine(request, machine)
+            self._commit([request], [machine], time)
         else:
             self.pending.append(request)
 
@@ -390,9 +407,14 @@ class SchedulingEngine:
         # million-item plan every window.
         if any(a.order > b.order for a, b in zip(plan, plan[1:])):
             plan = sorted(plan, key=lambda p: p.order)
+        # Refuse a bad plan before anything is booked.
         for item in plan:
-            self._check_machine(item.machine_index)
-            self._realize(item.request, item.machine_index, time)
+            self._check_machine(item.request, item.machine_index)
+        self._commit(
+            [item.request for item in plan],
+            [item.machine_index for item in plan],
+            time,
+        )
         self.pending.clear()
         return len(meta)
 
@@ -465,6 +487,10 @@ class SchedulingEngine:
             dropped=tuple(sorted(self.dropped)),
         )
 
-    def _check_machine(self, machine: int) -> None:
+    def _check_machine(self, request: Request, machine: int) -> None:
         if not 0 <= machine < self.scheduler.grid.n_machines:
-            raise SchedulingError(f"heuristic chose invalid machine {machine}")
+            raise SchedulingError(
+                f"{self.scheduler.heuristic.name} chose invalid machine "
+                f"{machine} for request {request.index} (the grid has "
+                f"{self.scheduler.grid.n_machines} machines)"
+            )

@@ -207,13 +207,12 @@ class TRMScheduler:
                     priority=EventPriority.BATCH,
                 )
 
-        for request in requests:
-            sim.schedule(
-                request.arrival_time,
-                on_arrival,
-                priority=EventPriority.ARRIVAL,
-                payload=request,
-            )
+        sim.schedule_many(
+            [request.arrival_time for request in requests],
+            on_arrival,
+            priority=EventPriority.ARRIVAL,
+            payloads=requests,
+        )
         if self.batch_interval is not None and total > 0:
             sim.schedule(self.batch_interval, on_batch, priority=EventPriority.BATCH)
         if total > 0:
@@ -228,7 +227,3 @@ class TRMScheduler:
                 f"dropped of {total} requests"
             )
         return engine.result(requests)
-
-    def _check_machine(self, machine: int) -> None:
-        if not 0 <= machine < self.grid.n_machines:
-            raise SchedulingError(f"heuristic chose invalid machine {machine}")

@@ -277,13 +277,12 @@ class GridService:
         engine, sim = self._begin(
             requests, kill_after_window, checkpoint_every
         )
-        for request in requests:
-            sim.schedule(
-                request.arrival_time,
-                self._on_arrival,
-                priority=EventPriority.ARRIVAL,
-                payload=request,
-            )
+        sim.schedule_many(
+            [request.arrival_time for request in requests],
+            self._on_arrival,
+            priority=EventPriority.ARRIVAL,
+            payloads=requests,
+        )
         if self._total > 0:
             sim.schedule(
                 self.interval, self._on_window, priority=EventPriority.BATCH
@@ -408,15 +407,13 @@ class GridService:
             | {int(k) for k in payload["inflight_failures"]}
             | {int(k) for k in payload["inflight_retries"]}
         )
-        for request in requests:
-            if request.index in ingested:
-                continue
-            sim.schedule(
-                max(request.arrival_time, clock),
-                self._on_arrival,
-                priority=EventPriority.ARRIVAL,
-                payload=request,
-            )
+        remaining = [r for r in requests if r.index not in ingested]
+        sim.schedule_many(
+            [max(request.arrival_time, clock) for request in remaining],
+            self._on_arrival,
+            priority=EventPriority.ARRIVAL,
+            payloads=remaining,
+        )
         # In-flight recovery events: the attempt outcomes are already on
         # the machines' books; only the pending notifications re-arm.
         for k, d in sorted(

@@ -9,7 +9,8 @@ agents are all plugged in as handlers.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections.abc import Callable, Sequence
+from typing import Any
 
 from repro.errors import EventOrderError, SimulationError
 from repro.obs.metrics import MetricsRegistry
@@ -69,6 +70,35 @@ class Simulator:
         event = Event(time=time, priority=priority, handler=handler, payload=payload)
         return self._queue.push(event)
 
+    def schedule_many(
+        self,
+        times: Sequence[float],
+        handler: Callable[[Event], None] | None,
+        *,
+        priority: EventPriority = EventPriority.GENERIC,
+        payloads: Sequence[Any],
+    ) -> None:
+        """Schedule ``handler`` once per ``(times[i], payloads[i])`` pair.
+
+        Fires exactly like ``schedule(times[i], handler, priority=...,
+        payload=payloads[i])`` called in input order, but the entries wait
+        in a sorted stream and each becomes an :class:`Event` only when it
+        fires — the bulk path for a run's arrivals.  Nothing is enqueued
+        when any time is refused.
+
+        Raises:
+            EventOrderError: if any time lies in the simulation's past
+                (negative times included, as in :meth:`schedule`).
+            ValueError: if ``times`` and ``payloads`` differ in length.
+        """
+        if len(times):
+            earliest = min(times)
+            if earliest < self.now:
+                raise EventOrderError(
+                    f"cannot schedule at {earliest}: clock is already at {self.now}"
+                )
+        self._queue.push_many(times, handler, priority, payloads)
+
     def schedule_after(
         self,
         delay: float,
@@ -101,10 +131,13 @@ class Simulator:
         Raises:
             SimulationError: if no events are pending.
         """
-        try:
-            event = self._queue.pop()
-        except IndexError:
-            raise SimulationError("no pending events to step") from None
+        event = self._queue.pop_due(None)
+        if event is None:
+            raise SimulationError("no pending events to step")
+        self._fire(event)
+        return event
+
+    def _fire(self, event: Event) -> None:
         if event.time < self.now:  # pragma: no cover - guarded at schedule time
             raise EventOrderError(
                 f"event at {event.time} fired with clock at {self.now}"
@@ -115,7 +148,6 @@ class Simulator:
             self.metrics.counter("sim.events").add()
             self.metrics.histogram("sim.queue_depth").observe(len(self._queue))
         event.fire()
-        return event
 
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
@@ -134,14 +166,9 @@ class Simulator:
         self._running = True
         try:
             with self.metrics.timer("sim.run_wall_s"):
-                while self._queue:
-                    next_time = self._queue.peek_time()
-                    if next_time is None:
-                        break
-                    if until is not None and next_time > until:
-                        self.now = until
-                        break
-                    self.step()
+                pop_due = self._queue.pop_due
+                while (event := pop_due(until)) is not None:
+                    self._fire(event)
                     if self.processed > self._max_events:
                         raise SimulationError(self._exhaustion_diagnostic())
             if until is not None and self.now < until:

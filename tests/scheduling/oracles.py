@@ -48,3 +48,17 @@ def duplex_oracle_plan(requests, costs, avail):
     if believed_makespan(plan_min) <= believed_makespan(plan_max):
         return plan_min
     return plan_max
+
+
+def realized_ecc_row_oracle(costs, request):
+    """Per-row realised cost of ``request`` on every machine.
+
+    The row-by-row form of :meth:`CostProvider.realized_costs`: a request
+    mapped under degraded pricing pays the blanket trust-unaware cost,
+    every other request pays the policy's realised cost over its
+    ground-truth TC row.
+    """
+    eec = costs.eec_row(request)
+    if request.index in costs.degraded_requests:
+        return eec + costs.policy.esc_unaware(eec)
+    return costs.policy.realized_ecc(eec, costs.trust_cost_row(request))

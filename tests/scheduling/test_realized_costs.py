@@ -1,0 +1,195 @@
+"""The one-pass commit equals the per-row realised-cost oracle, byte for byte.
+
+:meth:`CostProvider.realized_costs` prices a whole plan with one EEC gather
+and one policy call; :func:`realized_ecc_row_oracle` prices each item from
+its full per-machine rows.  Both run on twin providers brought into the same
+state — fresh, degraded by a trust-plane blackout, retry-dirty or holding a
+retry override priced after trust evolved — so each path resolves its own
+retry state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.grid.activities import ActivityCatalog, ActivitySet
+from repro.grid.request import Request, Task
+from repro.grid.topology import GridBuilder
+from repro.scheduling.costs import CostProvider
+from repro.scheduling.esc_models import LadderEsc, LinearEsc, TableEsc
+from repro.scheduling.policy import SecurityAccounting, TrustPolicy
+from repro.trustfaults.model import TrustQueryConfig, TrustSourceFault
+from repro.trustfaults.query import ResilientTrustSource
+from tests.scheduling.oracles import realized_ecc_row_oracle
+
+ESC_MODELS = (
+    LinearEsc(),
+    LinearEsc(7.5),
+    TableEsc((0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8)),
+    LadderEsc(),
+)
+STATES = ("fresh", "degraded", "retry-dirty", "retry-override")
+LEVELS = "ABCDE"
+N_MACHINES = 3
+N_ACTIVITIES = 3
+
+
+def policy_for(kind: str, esc_model) -> TrustPolicy:
+    if kind == "aware":
+        return TrustPolicy.aware(esc_model=esc_model)
+    accounting = (
+        SecurityAccounting.CONSERVATIVE_FLAT
+        if kind == "unaware-flat"
+        else SecurityAccounting.PAIR_REALIZED
+    )
+    return TrustPolicy.unaware(accounting=accounting, esc_model=esc_model)
+
+
+def build_grid():
+    """2 RDs (3 machines), 2 CDs (2 clients), 3 ToAs — a fresh trust table."""
+    catalog = ActivityCatalog(["execute", "store", "print"])
+    builder = GridBuilder(catalog)
+    gd_a = builder.grid_domain("site-a")
+    gd_b = builder.grid_domain("site-b")
+    rd0 = builder.resource_domain(gd_a, required_level="B")
+    rd1 = builder.resource_domain(gd_b, required_level="D")
+    builder.machine(rd0)
+    builder.machine(rd0)
+    builder.machine(rd1)
+    cd0 = builder.client_domain(gd_a, required_level="C")
+    cd1 = builder.client_domain(gd_b, required_level="A")
+    builder.client(cd0)
+    builder.client(cd1)
+    return builder.build()
+
+
+@st.composite
+def scenarios(draw):
+    n_tasks = draw(st.integers(1, 4))
+    eec = np.array(
+        draw(
+            st.lists(
+                st.floats(0.5, 1e4, allow_nan=False),
+                min_size=n_tasks * N_MACHINES,
+                max_size=n_tasks * N_MACHINES,
+            )
+        )
+    ).reshape(n_tasks, N_MACHINES)
+    items = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_tasks - 1),  # task
+                st.integers(0, 1),  # client
+                st.sets(st.integers(0, N_ACTIVITIES - 1), min_size=1),
+                st.integers(0, N_MACHINES - 1),  # machine
+                st.sampled_from(STATES),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    # Trust evolving after the shared rows were priced: (cd, rd, activity, level).
+    evolution = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.integers(0, 1),
+                st.integers(0, N_ACTIVITIES - 1),
+                st.sampled_from(LEVELS),
+            ),
+            max_size=4,
+        )
+    )
+    return eec, items, evolution
+
+
+def prepared(policy, eec, items, evolution):
+    """A provider behind a blacked-out trust plane, in the scenario's state."""
+    grid = build_grid()
+    source = ResilientTrustSource(
+        grid, fault=TrustSourceFault(blackout=True), config=TrustQueryConfig()
+    )
+    provider = CostProvider(grid=grid, eec=eec, policy=policy, trust_source=source)
+    requests = [
+        Request(
+            index=i,
+            client=grid.clients[client],
+            task=Task(
+                index=task,
+                activities=ActivitySet.of([grid.catalog.by_index(a) for a in acts]),
+            ),
+            arrival_time=0.0,
+        )
+        for i, (task, client, acts, _machine, _state) in enumerate(items)
+    ]
+    states = [item[4] for item in items]
+    for request, state in zip(requests, states):
+        if state == "degraded":
+            provider.mapping_ecc_row(request)  # the plane refuses: degraded
+    for request in requests:
+        provider.trust_cost_row(request)  # shared rows at the old levels
+    for cd, rd, activity, level in evolution:
+        grid.trust_table.set(cd, rd, activity, level)
+    for request, state in zip(requests, states):
+        if state.startswith("retry"):
+            provider.invalidate_trust_cache(request.index)
+        if state == "retry-override":
+            provider.trust_cost_row(request)  # override at the new levels
+    return provider, requests
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scenario=scenarios(),
+    kind=st.sampled_from(("aware", "unaware-flat", "unaware-pair")),
+    esc_model=st.sampled_from(ESC_MODELS),
+)
+def test_realized_costs_equal_the_per_row_oracle(scenario, kind, esc_model):
+    eec, items, evolution = scenario
+    policy = policy_for(kind, esc_model)
+    machines = [item[3] for item in items]
+    fast, fast_requests = prepared(policy, eec, items, evolution)
+    slow, slow_requests = prepared(policy, eec, items, evolution)
+    degraded = {i for i, item in enumerate(items) if item[4] == "degraded"}
+    assert fast.degraded_requests == slow.degraded_requests == degraded
+
+    got_eec, got_cost, got_tc = fast.realized_costs(fast_requests, machines)
+
+    want_cost = np.array(
+        [realized_ecc_row_oracle(slow, r)[m] for r, m in zip(slow_requests, machines)]
+    )
+    want_eec = np.array([slow.eec_row(r)[m] for r, m in zip(slow_requests, machines)])
+    want_tc = np.array(
+        [slow.trust_cost_row(r)[m] for r, m in zip(slow_requests, machines)]
+    )
+    assert got_eec.tobytes() == want_eec.tobytes()
+    assert got_cost.tobytes() == want_cost.tobytes()
+    assert got_tc.tobytes() == want_tc.tobytes()
+
+
+class TestRefusals:
+    def request(self, grid, task=0):
+        return Request(
+            index=0,
+            client=grid.clients[0],
+            task=Task(index=task, activities=ActivitySet.of([grid.catalog.by_index(0)])),
+            arrival_time=0.0,
+        )
+
+    def test_negative_trust_cost_still_raises(self, monkeypatch):
+        grid = build_grid()
+        provider = CostProvider(grid, np.ones((1, N_MACHINES)), TrustPolicy.aware())
+        monkeypatch.setattr(
+            provider, "_compute_tc_row", lambda request: np.full(N_MACHINES, -1.0)
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            provider.realized_costs([self.request(grid)], [0])
+
+    def test_task_index_is_bound_checked(self):
+        from repro.errors import ConfigurationError
+
+        grid = build_grid()
+        provider = CostProvider(grid, np.ones((1, N_MACHINES)), TrustPolicy.aware())
+        with pytest.raises(ConfigurationError, match="task index 3"):
+            provider.realized_costs([self.request(grid, task=3)], [0])

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
+from repro.scheduling.base import BatchHeuristic, PlannedAssignment
+from repro.scheduling.engine import SchedulingEngine
 from repro.scheduling.mct import MctHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
 from repro.scheduling.scheduler import TRMScheduler
+from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
 
@@ -164,6 +167,42 @@ class TestBatchMode:
             small_grid, eec, TrustPolicy.aware(), MinMinHeuristic(), batch_interval=10.0
         ).run(reqs)
         assert result.records[0].mapped_time == 10.0
+
+
+class LastItemOffGrid(BatchHeuristic):
+    """Plans every request onto machine 0, except the last onto a machine
+    the grid does not have."""
+
+    name = "off-grid"
+
+    def plan(self, requests, costs, avail):
+        machines = [0] * (len(requests) - 1) + [costs.grid.n_machines]
+        return [
+            PlannedAssignment(request=r, machine_index=m, order=k)
+            for k, (r, m) in enumerate(zip(requests, machines))
+        ]
+
+
+class TestBadPlanRefusal:
+    def test_refused_atomically_naming_heuristic_request_and_machine(
+        self, small_grid
+    ):
+        neutral_trust(small_grid)
+        scheduler = TRMScheduler(
+            small_grid, np.full((3, 3), 1.0), TrustPolicy.aware(),
+            LastItemOffGrid(), batch_interval=5.0,
+        )
+        engine = SchedulingEngine(scheduler, Simulator())
+        requests = make_requests(small_grid, [1.0, 2.0, 3.0])
+        for request in requests:
+            engine.submit(request, request.arrival_time)
+        with pytest.raises(
+            SchedulingError, match=r"off-grid chose invalid machine 3 for request 2"
+        ):
+            engine.form_batch(5.0)
+        assert engine.records == {}
+        assert [s.available_time for s in engine.states] == [0.0, 0.0, 0.0]
+        assert engine.pending == requests
 
 
 class TestPairedDeterminism:

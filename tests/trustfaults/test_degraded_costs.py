@@ -131,9 +131,10 @@ class TestDegradedPricing:
         )
         req = make_request(small_grid, index=0)
         provider.mapping_ecc_row(req)  # degrades
-        np.testing.assert_allclose(
-            provider.realized_ecc_row(req), eec[0] + policy.esc_unaware(eec[0])
-        )
+        machines = list(range(small_grid.n_machines))
+        paid_eec, cost, _tc = provider.realized_costs([req] * len(machines), machines)
+        np.testing.assert_array_equal(paid_eec, eec[0])
+        np.testing.assert_allclose(cost, eec[0] + policy.esc_unaware(eec[0]))
 
     def test_exclusions_still_apply_when_degraded(self, small_grid, eec):
         provider = CostProvider(
