@@ -67,11 +67,6 @@ class Grid:
         self.cd_required = np.array(
             [int(cd.required_level) for cd in self.client_domains], dtype=np.int64
         )
-        # Trust-cost memo with per-key CD-epoch signatures: a row depends
-        # only on its own client domain's slice of the table, so publishes
-        # to *other* CDs leave it valid.  Each entry stores the epochs of
-        # the CDs it actually reads and is re-validated lazily on lookup.
-        self._tc_memo: dict = {}
 
     def _validate(self) -> None:
         if not self.machines:
@@ -122,18 +117,12 @@ class Grid:
 
         Combines :meth:`required_per_rd` with the trust table's OTLs and
         expands the per-RD costs to per-machine via the machine→RD map.
+        Always reads the table as it stands; callers memoise.
         """
-        key = ("row", cd_index, tuple(activities))
-        sig = (self.trust_table.cd_epoch(cd_index),)
-        cached = self._tc_lookup(key, sig)
-        if cached is not None:
-            return cached.copy()
         per_rd = self.trust_table.trust_cost_row(
             cd_index, activities, self.required_per_rd(cd_index)
         )
-        result = per_rd[self.machine_rd]
-        self._tc_store(key, sig, result)
-        return result.copy()
+        return per_rd[self.machine_rd]
 
     def trust_cost_matrix(
         self, cd_indices: np.ndarray, activity_masks: np.ndarray
@@ -156,35 +145,9 @@ class Grid:
                 f"client domain indices must lie in [0, {n_cd - 1}]"
             )
         masks = np.asarray(activity_masks, dtype=bool)
-        key = ("matrix", cds.shape, cds.tobytes(), masks.shape, masks.tobytes())
-        table = self.trust_table
-        sig = tuple(table.cd_epoch(int(c)) for c in np.unique(cds))
-        cached = self._tc_lookup(key, sig)
-        if cached is not None:
-            return cached.copy()
         required = np.maximum(self.cd_required[cds][:, None], self.rd_required[None, :])
-        per_rd = table.trust_cost_rows(cds, masks, required)
-        result = per_rd[:, self.machine_rd]
-        self._tc_store(key, sig, result)
-        return result.copy()
-
-    def _tc_lookup(self, key: tuple, sig: tuple) -> np.ndarray | None:
-        entry = self._tc_memo.get(key)
-        if entry is None:
-            return None
-        if entry[0] == sig:
-            return entry[1]
-        # This key's CD slice changed since the row was priced — drop
-        # just this row; rows over untouched CDs stay cached.
-        del self._tc_memo[key]
-        return None
-
-    def _tc_store(self, key: tuple, sig: tuple, result: np.ndarray) -> None:
-        # Wholesale eviction bounds the memo; pricing keys per round are
-        # few, so this trips only under adversarial query diversity.
-        if len(self._tc_memo) >= 512:
-            self._tc_memo.clear()
-        self._tc_memo[key] = (sig, result)
+        per_rd = self.trust_table.trust_cost_rows(cds, masks, required)
+        return per_rd[:, self.machine_rd]
 
 
 class GridBuilder:

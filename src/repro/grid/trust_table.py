@@ -69,12 +69,7 @@ class GridTrustTable:
 
     @property
     def epoch(self) -> int:
-        """Monotonic mutation counter, bumped by :meth:`set`/:meth:`fill_from`.
-
-        :class:`~repro.grid.topology.Grid` keys its memoised trust-cost
-        rows on this value, so every published level change re-prices
-        exactly while unchanged tables reuse prior rows across rounds.
-        """
+        """Monotonic mutation counter, bumped by :meth:`set`/:meth:`fill_from`."""
         return self._epoch
 
     def cd_epoch(self, cd: int) -> int:
@@ -82,9 +77,10 @@ class GridTrustTable:
 
         Bumped whenever :meth:`set` touches an entry of client domain
         ``cd`` (and for every CD on :meth:`fill_from`).  Trust-cost rows
-        depend only on their own CD's slice of the table, so a memoised
-        row stays valid while its CD epoch does — even when publishes to
-        *other* CDs advance the global :attr:`epoch`.
+        depend only on their own CD's slice of the table, so
+        :class:`~repro.scheduling.costs.CostProvider` checks its memoised
+        rows against this counter: a row stays valid while its CD epoch
+        does, even when publishes to *other* CDs advance :attr:`epoch`.
         """
         return self._cd_epochs.get(cd, 0)
 

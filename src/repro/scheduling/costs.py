@@ -4,14 +4,14 @@ Bridges the workload (EEC matrix), the Grid trust model (trust costs) and
 the :class:`~repro.scheduling.policy.TrustPolicy` into the per-request cost
 rows the heuristics consume.
 
-Two caching layers keep the hot path off the Python interpreter:
-
-* trust-cost rows are cached per **pricing key** ``(client domain, ToA
-  set)`` — TC depends only on those, so duplicate requests share one row —
-  with per-request overrides layered on top for retry re-pricing;
-* final mapping rows (policy + constraint + exclusions applied) are cached
-  per request and invalidated whenever the inputs of that one request
-  change (``exclude`` / ``clear_exclusions`` / ``invalidate_trust_cache``).
+One memo keeps the hot path off the Python interpreter: trust-cost rows
+are cached per **pricing key** ``(client domain, ToA set)`` — TC depends
+only on those, so duplicate requests share one row — and each entry
+records the :meth:`~repro.grid.trust_table.GridTrustTable.cd_epoch` it was
+priced at.  An entry whose CD epoch has moved (agents published new levels
+for that client domain) is re-priced on its next read, so every mapping
+and every commit prices against the trust table as it stands at that
+moment.  Publishes to other client domains leave the entry valid.
 
 Batch heuristics should prefer :meth:`CostProvider.mapping_ecc_matrix`,
 which assembles all believed-cost rows of a meta-request in one vectorised
@@ -24,15 +24,14 @@ gracefully: a failed query prices the affected row with the trust-unaware
 blanket formula (``EEC + ESC_unaware``) instead of raising, applies the
 hard constraint against the locally-derivable *forced* TC row (``RTL = F``
 still forces the maximum supplement under Table 1, so REJECT admission
-control keeps holding), and skips the row cache so the next access retries
+control keeps holding), and caches nothing, so the next access retries
 the plane — rows re-price to the exact fresh values the moment the source
-recovers.  Ground-truth accessors (:meth:`CostProvider.trust_cost_row`,
-:meth:`CostProvider.realized_costs`) never route through the source, so
-completion accounting cannot fail on a plane outage.  They do not read the
-trust table afresh either: they resolve through the same ``(CD, ToA)`` TC
-cache as mapping, which is keyed without the table's CD epoch, so a row
-priced before agents publish new levels is reused after it (ROADMAP.md,
-item F1).
+recovers.  A guarded query happens exactly when the memo's row is missing
+or out of date, or a retry demands a fresh fetch.  Ground-truth accessors
+(:meth:`CostProvider.trust_cost_row`, :meth:`CostProvider.realized_costs`)
+never route through the source, so completion accounting cannot fail on a
+plane outage; they resolve through the same epoch-checked memo, refreshing
+stale entries from the table directly.
 
 A window's plan is committed by :meth:`CostProvider.realized_costs` in one
 vector pass: one EEC gather at ``(task, machine)`` and one
@@ -84,7 +83,8 @@ class CostProvider:
             priced at ``+inf`` in *mapping* rows (realised rows are
             untouched — a relaxed assignment still pays its true cost).
         metrics: optional registry counting ``costs.ecc_rows`` (rows served),
-            ``costs.tc_rows`` (rows actually computed) and
+            ``costs.tc_rows`` (rows actually computed: first pricings of a
+            key, re-pricings after a publish to its CD, and retry fetches) and
             ``costs.degraded_rows`` (rows priced without fresh trust data) —
             disabled by default.
         trust_source: optional resilient trust-plane front.  When set,
@@ -102,11 +102,11 @@ class CostProvider:
         default_factory=MetricsRegistry.disabled, repr=False
     )
     trust_source: "ResilientTrustSource | None" = None
-    _tc_cache: dict[TcKey, np.ndarray] = field(default_factory=dict, repr=False)
+    _tc_cache: dict[TcKey, tuple[int, np.ndarray]] = field(
+        default_factory=dict, repr=False
+    )
     _key_cache: dict[int, TcKey] = field(default_factory=dict, repr=False)
-    _tc_override: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _tc_dirty: set[int] = field(default_factory=set, repr=False)
-    _row_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _excluded: dict[int, set[int]] = field(default_factory=dict, repr=False)
     _degraded: set[int] = field(default_factory=set, repr=False)
     _forced_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -120,8 +120,14 @@ class CostProvider:
                 f"EEC matrix has {self.eec.shape[1]} columns but the grid has "
                 f"{self.grid.n_machines} machines"
             )
-        if np.any(self.eec <= 0):
-            raise ConfigurationError("EEC entries must be strictly positive")
+        bad = ~(np.isfinite(self.eec) & (self.eec > 0))
+        if bad.any():
+            task, machine = (int(i) for i in np.argwhere(bad)[0])
+            raise ConfigurationError(
+                f"EEC entry (task {task}, machine {machine}) is "
+                f"{self.eec[task, machine]}; entries must be finite and "
+                "strictly positive"
+            )
 
     # -- rows ---------------------------------------------------------------
 
@@ -171,37 +177,33 @@ class CostProvider:
     def _tc_row(
         self, request: Request, fetch: Callable[[Request], np.ndarray]
     ) -> np.ndarray:
-        """Dirty/override/key-cache resolution around one fetch function.
+        """Epoch-checked memo resolution around one fetch function.
 
-        Retry state is only consumed when the fetch succeeds: a dirty
-        request whose resilient fetch raises stays dirty, so the next
-        attempt still demands fresh data.
+        The memo's row is served while its CD epoch is current.  Otherwise
+        — or when the request is retry-dirty — ``fetch`` prices the key and
+        refreshes the shared entry.  Retry state is only consumed when the
+        fetch succeeds: a dirty request whose resilient fetch raises stays
+        dirty, so the next attempt still demands fresh data.
         """
-        idx = request.index
-        if idx in self._tc_dirty:
-            row = fetch(request)
-            self._tc_dirty.discard(idx)
-            self._tc_override[idx] = row
-            return row
-        override = self._tc_override.get(idx)
-        if override is not None:
-            return override
         key = self._tc_key(request)
-        cached = self._tc_cache.get(key)
-        if cached is not None:
-            return cached
+        epoch = self.grid.trust_table.cd_epoch(key[0])
+        idx = request.index
+        if idx not in self._tc_dirty:
+            entry = self._tc_cache.get(key)
+            if entry is not None and entry[0] == epoch:
+                return entry[1]
         row = fetch(request)
-        self._tc_cache[key] = row
+        self._tc_dirty.discard(idx)
+        self._tc_cache[key] = (epoch, row)
         return row
 
     def trust_cost_row(self, request: Request) -> np.ndarray:
-        """Trust cost TC of the request on every machine (cached).
+        """Trust cost TC of the request on every machine (memoised).
 
         TC depends only on the originating CD, the task's ToA set and the
         machine's RD, so one row is computed per unique *pricing key* and
-        shared by duplicate requests.  A request whose cache was invalidated
-        (retry re-pricing) recomputes into a per-request override without
-        disturbing the shared row its siblings keep using.
+        shared by duplicate requests until a publish to that CD moves its
+        epoch; the row always equals the table as it stands now.
 
         Always reads the table directly (ground truth), even with a
         ``trust_source`` installed — completion accounting must not fail.
@@ -242,9 +244,9 @@ class CostProvider:
     def _degraded_row(self, request: Request) -> np.ndarray:
         """Trust-unaware fallback mapping row for one plane-failed request.
 
-        Never cached in the row cache: every access re-attempts the plane
-        (a fast-fail against an open breaker is one counter bump and an
-        exception), so rows re-price to exact fresh values on recovery.
+        Never memoised: every access re-attempts the plane (a fast-fail
+        against an open breaker is one counter bump and an exception), so
+        rows re-price to exact fresh values on recovery.
         """
         self._degraded.add(request.index)
         if self.metrics.enabled:
@@ -266,19 +268,15 @@ class CostProvider:
 
         With a hard constraint installed, machines exceeding the trust-cost
         threshold are returned as ``+inf`` (an all-``inf`` row signals a
-        rejected request under the ``REJECT`` infeasible policy).  The
-        finished row — constraint and exclusions applied — is cached per
-        request and returned read-only; repeated queries (every round of a
-        batch heuristic) cost one dict lookup.
+        rejected request under the ``REJECT`` infeasible policy).  The row
+        is assembled on every call from the memoised TC row and returned
+        read-only.
 
         With a ``trust_source`` installed a failed trust-plane query falls
         back to the degraded trust-unaware row instead of raising.
         """
         if self.metrics.enabled:
             self.metrics.counter("costs.ecc_rows").add()
-        cached = self._row_cache.get(request.index)
-        if cached is not None:
-            return cached
         try:
             tc = self._mapping_tc_row(request)
         except TrustQueryError:
@@ -291,7 +289,6 @@ class CostProvider:
         if excluded:
             row[list(excluded)] = np.inf
         row.setflags(write=False)
-        self._row_cache[request.index] = row
         return row
 
     def _task_indices(self, requests: Sequence[Request]) -> np.ndarray:
@@ -311,10 +308,10 @@ class CostProvider:
         """Believed ECC rows of a whole meta-request, in one vectorised pass.
 
         Row ``i`` is bit-identical to ``mapping_ecc_row(requests[i])``: EEC
-        rows are gathered by task-index fancy indexing, trust-cost rows are
-        computed once per unique pricing key (honouring per-request retry
-        overrides), and constraint masking plus retry exclusions are applied
-        as whole-matrix operations.
+        rows are gathered by task-index fancy indexing, trust-cost rows come
+        from the epoch-checked memo (stale and missing keys re-priced in one
+        batch), and constraint masking plus retry exclusions are applied as
+        whole-matrix operations.
 
         Returns:
             A writable float matrix of shape ``(len(requests), n_machines)``.
@@ -386,9 +383,10 @@ class CostProvider:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Float TC matrix for ``requests``; one computation per unique key.
 
-        Requests carrying retry state (dirty or overridden) resolve through
-        the scalar path; everything else shares rows via the key cache, with
-        the missing keys computed in one batched trust-table pass.  With a
+        Retry-dirty requests resolve through the scalar path; everything
+        else reads the memo, with the missing keys and the keys whose CD
+        epoch has moved re-priced in one batched trust-table pass and
+        written into the matrix in one vectorised assignment.  With a
         ``trust_source`` installed, that batched pass is guarded by a single
         :meth:`~repro.trustfaults.query.ResilientTrustSource.check` (one
         plane round-trip per assembly) and dirty requests query per-row;
@@ -401,23 +399,29 @@ class CostProvider:
         n = len(requests)
         tc = np.empty((n, self.grid.n_machines), dtype=np.float64)
         degraded = np.zeros(n, dtype=bool)
-        missing: dict[TcKey, list[int]] = {}
+        table = self.grid.trust_table
+        epochs: dict[int, int] = {}
+        # Stale or missing keys, numbered in discovery order, and the
+        # positions that read each: ``tc[miss_pos[j]]`` is key ``miss_slot[j]``.
+        missing: dict[TcKey, int] = {}
+        miss_pos: list[int] = []
+        miss_slot: list[int] = []
         retrying: list[int] = []
         for pos, request in enumerate(requests):
-            idx = request.index
-            if idx in self._tc_dirty:
+            if request.index in self._tc_dirty:
                 retrying.append(pos)
                 continue
-            override = self._tc_override.get(idx)
-            if override is not None:
-                tc[pos] = override
-                continue
             key = self._tc_key(request)
-            cached = self._tc_cache.get(key)
-            if cached is not None:
-                tc[pos] = cached
+            cd = key[0]
+            epoch = epochs.get(cd)
+            if epoch is None:
+                epoch = epochs[cd] = table.cd_epoch(cd)
+            entry = self._tc_cache.get(key)
+            if entry is not None and entry[0] == epoch:
+                tc[pos] = entry[1]
             else:
-                missing.setdefault(key, []).append(pos)
+                miss_pos.append(pos)
+                miss_slot.append(missing.setdefault(key, len(missing)))
         for pos in retrying:
             request = requests[pos]
             try:
@@ -440,23 +444,20 @@ class CostProvider:
                     (cd for cd, _ in keys), dtype=np.int64, count=len(keys)
                 )
                 masks = np.zeros((len(keys), len(self.grid.catalog)), dtype=bool)
-                for i, (_cd, activities) in enumerate(keys):
-                    masks[i, list(activities)] = True
+                masks[
+                    [i for i, (_cd, acts) in enumerate(keys) for _ in acts],
+                    [a for _cd, acts in keys for a in acts],
+                ] = True
                 rows = np.asarray(
                     self.grid.trust_cost_matrix(cds, masks), dtype=np.float64
                 )
-                for i, key in enumerate(keys):
-                    row = rows[i].copy()
-                    row.setflags(write=False)
-                    self._tc_cache[key] = row
-                    for pos in missing[key]:
-                        tc[pos] = row
+                rows.setflags(write=False)
+                for key, row in zip(keys, rows):
+                    self._tc_cache[key] = (epochs[key[0]], row)
             else:
-                for (cd, _activities), positions in missing.items():
-                    row = self._forced_tc_row(cd)
-                    for pos in positions:
-                        tc[pos] = row
-                        degraded[pos] = True
+                rows = np.stack([self._forced_tc_row(cd) for cd, _ in missing])
+                degraded[miss_pos] = True
+            tc[miss_pos] = rows[miss_slot]
         if degraded.any():
             if self.metrics.enabled:
                 self.metrics.counter("costs.degraded_rows").add(
@@ -484,7 +485,6 @@ class CostProvider:
         if not 0 <= machine_index < self.grid.n_machines:
             raise ConfigurationError(f"machine index {machine_index} out of range")
         self._excluded.setdefault(request_index, set()).add(machine_index)
-        self._row_cache.pop(request_index, None)
 
     def exclusions(self, request_index: int) -> frozenset[int]:
         """Machines currently excluded for ``request_index``."""
@@ -493,7 +493,6 @@ class CostProvider:
     def clear_exclusions(self, request_index: int) -> None:
         """Drop all exclusions of one request (relaxation fallback)."""
         self._excluded.pop(request_index, None)
-        self._row_cache.pop(request_index, None)
 
     def all_exclusions(self) -> dict[int, frozenset[int]]:
         """Every request's current machine exclusions (checkpoint view)."""
@@ -504,16 +503,15 @@ class CostProvider:
         }
 
     def invalidate_trust_cache(self, request_index: int) -> None:
-        """Forget the cached TC row of one request.
+        """Make the next pricing of one request fetch its TC row afresh.
 
         Retried requests are re-priced so a re-mapping decision sees trust
-        levels as evolved by the failures observed meanwhile.  Only the
-        retried request recomputes — an identical sibling request keeps the
-        shared row it was priced with.
+        levels as evolved by the failures observed meanwhile.  With a
+        ``trust_source`` installed the fetch is a guarded query (which may
+        degrade the row); the fetched row refreshes the shared memo entry
+        of the request's pricing key.
         """
         self._tc_dirty.add(request_index)
-        self._tc_override.pop(request_index, None)
-        self._row_cache.pop(request_index, None)
 
     @property
     def degraded_requests(self) -> frozenset[int]:
@@ -550,8 +548,8 @@ class CostProvider:
         :meth:`TrustPolicy.realized_ecc` call over the gathered vectors
         commit a whole plan; element ``i`` is bit-identical to element
         ``machines[i]`` of the per-row realised cost.  TC resolves through
-        the same dirty/override/key-cache lookup as :meth:`trust_cost_row`
-        (ground truth, never the ``trust_source``).
+        the same epoch-checked memo as :meth:`trust_cost_row` (ground
+        truth, never the ``trust_source``).
 
         A request mapped under degraded pricing pays the blanket
         trust-unaware security cost: without trust data at commitment time
@@ -584,11 +582,10 @@ class CostProvider:
     def with_policy(self, policy: TrustPolicy) -> "CostProvider":
         """A provider over the same workload under a different policy.
 
-        The TC cache is shared structure-wise (same grid, same requests) but
-        rebuilt lazily; rows are identical because TC is policy-independent.
-        The installed hard constraint (and metrics registry, and resilient
-        trust source) carry over — paired aware/unaware comparisons must
-        price feasibility identically.
+        The TC memo is rebuilt lazily; rows are identical because TC is
+        policy-independent.  The installed hard constraint (and metrics
+        registry, and resilient trust source) carry over — paired
+        aware/unaware comparisons must price feasibility identically.
         """
         return CostProvider(
             grid=self.grid,

@@ -5,8 +5,17 @@ import pytest
 
 from repro.core.ets import EtsTable
 from repro.errors import ConfigurationError
-from repro.grid.activities import ActivityCatalog
+from repro.grid.activities import ActivityCatalog, ActivitySet
+from repro.grid.request import Request, Task
 from repro.grid.topology import GridBuilder
+from repro.obs.metrics import MetricsRegistry
+from repro.scheduling.costs import CostProvider
+from repro.scheduling.policy import TrustPolicy
+
+
+def make_request(grid, index, client):
+    task = Task(index=index, activities=ActivitySet.of([grid.catalog.by_index(0)]))
+    return Request(index=index, client=grid.clients[client], task=task, arrival_time=0.0)
 
 
 class TestGridBuilder:
@@ -85,18 +94,32 @@ class TestGridQueries:
 
 
 class TestTrustCostMemoRetention:
-    """Publishes to one CD must not evict the other CDs' priced rows."""
+    """``Grid`` reads the table as it stands; the one trust-cost memo lives
+    in :class:`CostProvider`, checked against each CD's epoch.  Publishes
+    to one CD must not evict the other CDs' priced rows."""
+
+    def provider(self, grid):
+        metrics = MetricsRegistry(enabled=True)
+        provider = CostProvider(
+            grid=grid, eec=np.ones((2, 3)), policy=TrustPolicy.aware(), metrics=metrics
+        )
+        return provider, metrics.counter("costs.tc_rows")
 
     def test_foreign_cd_publish_keeps_rows_cached(self, small_grid):
-        acts = [0]
-        row0 = small_grid.trust_cost_per_machine(0, acts)
-        small_grid.trust_cost_per_machine(1, acts)
-        assert len(small_grid._tc_memo) == 2
-        cached_entry = small_grid._tc_memo[("row", 0, (0,))]
+        provider, tc_rows = self.provider(small_grid)
+        cd0 = make_request(small_grid, index=0, client=0)
+        cd1 = make_request(small_grid, index=1, client=1)
+        row0 = provider.trust_cost_row(cd0)
+        provider.trust_cost_row(cd1)
+        assert tc_rows.value == 2
         small_grid.trust_table.set(1, 0, 0, "E")  # CD 1 only
-        row0_after = small_grid.trust_cost_per_machine(0, acts)
-        assert small_grid._tc_memo[("row", 0, (0,))] is cached_entry
-        assert np.array_equal(row0, row0_after)
+        assert provider.trust_cost_row(cd0) is row0
+        assert tc_rows.value == 2
+        # CD 1's row re-prices to the published level.
+        assert np.array_equal(
+            provider.trust_cost_row(cd1), small_grid.trust_cost_per_machine(1, [0])
+        )
+        assert tc_rows.value == 3
 
     def test_own_cd_publish_reprices_exactly(self, small_grid):
         acts = [0]
@@ -111,21 +134,32 @@ class TestTrustCostMemoRetention:
         assert np.array_equal(after, fresh)
 
     def test_matrix_rows_survive_foreign_publishes(self, small_grid):
+        provider, tc_rows = self.provider(small_grid)
+        requests = [
+            make_request(small_grid, index=0, client=0),
+            make_request(small_grid, index=1, client=0),
+        ]
+        before = provider.mapping_ecc_matrix(requests)
+        assert tc_rows.value == 1
+        small_grid.trust_table.set(1, 0, 0, "E")  # CD 1: not in the key
+        after = provider.mapping_ecc_matrix(requests)
+        assert tc_rows.value == 1
+        assert np.array_equal(before, after)
+        small_grid.trust_table.set(0, 0, 0, "E")  # CD 0: must reprice
+        repriced = provider.mapping_ecc_matrix(requests)
+        assert tc_rows.value == 2
+        assert not np.array_equal(before, repriced)
         cds = np.array([0, 0])
         masks = np.zeros((2, 3), dtype=bool)
         masks[:, 0] = True
-        before = small_grid.trust_cost_matrix(cds, masks)
-        keys = [k for k in small_grid._tc_memo if k[0] == "matrix"]
-        assert len(keys) == 1
-        entry = small_grid._tc_memo[keys[0]]
-        small_grid.trust_table.set(1, 0, 0, "E")  # CD 1: not in the key's set
-        after = small_grid.trust_cost_matrix(cds, masks)
-        assert small_grid._tc_memo[keys[0]] is entry
-        assert np.array_equal(before, after)
-        small_grid.trust_table.set(0, 0, 0, "E")  # CD 0: must reprice
-        repriced = small_grid.trust_cost_matrix(cds, masks)
-        assert small_grid._tc_memo[keys[0]] is not entry
-        scalar_rows = np.stack(
-            [small_grid.trust_cost_per_machine(int(c), [0]) for c in cds]
+        assert np.array_equal(
+            small_grid.trust_cost_matrix(cds, masks),
+            np.stack([small_grid.trust_cost_per_machine(int(c), [0]) for c in cds]),
         )
-        assert np.array_equal(repriced, scalar_rows)
+        assert np.array_equal(
+            repriced,
+            TrustPolicy.aware().mapping_ecc(
+                np.ones((2, 3)),
+                small_grid.trust_cost_matrix(cds, masks).astype(np.float64),
+            ),
+        )

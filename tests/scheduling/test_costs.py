@@ -37,6 +37,28 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             CostProvider(small_grid, np.zeros((2, 3)), TrustPolicy.aware())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_eec_must_be_finite(self, small_grid, value):
+        eec = np.ones((2, 3))
+        eec[1, 2] = value
+        with pytest.raises(ConfigurationError, match=r"\(task 1, machine 2\)"):
+            CostProvider(small_grid, eec, TrustPolicy.aware())
+
+    def test_nan_eec_from_scenario_json_is_refused(self, small_scenario):
+        import json
+
+        from repro.scheduling.mct import MctHeuristic
+        from repro.scheduling.scheduler import TRMScheduler
+        from repro.workloads.serialization import scenario_from_dict, scenario_to_dict
+
+        data = scenario_to_dict(small_scenario)
+        data["eec"][3][1] = float("nan")
+        scenario = scenario_from_dict(json.loads(json.dumps(data)))
+        with pytest.raises(ConfigurationError, match=r"\(task 3, machine 1\) is nan"):
+            TRMScheduler(
+                scenario.grid, scenario.eec, TrustPolicy.aware(), MctHeuristic()
+            ).run(list(scenario.requests))
+
     def test_eec_must_be_2d(self, small_grid):
         with pytest.raises(ConfigurationError):
             CostProvider(small_grid, np.ones(3), TrustPolicy.aware())
@@ -186,12 +208,13 @@ class TestRetryPricing:
         req = make_request(small_grid, index=0)
         before = provider.trust_cost_row(req).copy()
         # Trust evolves between attempts: rd0's level for activity 0 rises.
+        # The publish moves CD 0's epoch, so the next read re-prices.
         small_grid.trust_table.set(0, 0, 0, "E")
-        # Cached row is stale until the retry invalidates it.
-        np.testing.assert_allclose(provider.trust_cost_row(req), before)
-        provider.invalidate_trust_cache(req.index)
         after = provider.trust_cost_row(req)
         assert after[0] < before[0]
+        # A retry's forced fetch prices the same evolved row.
+        provider.invalidate_trust_cache(req.index)
+        np.testing.assert_array_equal(provider.trust_cost_row(req), after)
 
     def test_exclusions_are_per_request(self, small_grid, provider):
         first = make_request(small_grid, index=0)
@@ -250,37 +273,57 @@ class TestSharedTrustCostCache:
         sibling = make_request(small_grid, index=1, client=0, activities=(0,))
         before = provider.trust_cost_row(retried)
         assert provider.trust_cost_row(sibling) is before
-        # Trust evolves between attempts; only the retried request re-prices.
+        # Trust evolves between attempts; the retry's fresh fetch re-prices.
         small_grid.trust_table.set(0, 0, 0, "E")
         provider.invalidate_trust_cache(retried.index)
         after = provider.trust_cost_row(retried)
         assert after[0] < before[0]
         assert metrics.counter("costs.tc_rows").value == 2
-        # The identical sibling keeps the shared row, with no recompute.
-        assert provider.trust_cost_row(sibling) is before
+        # The fetch refreshed the shared entry: the identical sibling reads
+        # the evolved row with no recompute of its own.
+        assert provider.trust_cost_row(sibling) is after
         assert metrics.counter("costs.tc_rows").value == 2
-        # The override is sticky for the retried request.
         assert provider.trust_cost_row(retried) is after
+        # A retry demands a fresh fetch even at an unchanged epoch.
+        provider.invalidate_trust_cache(retried.index)
+        provider.trust_cost_row(retried)
+        assert metrics.counter("costs.tc_rows").value == 3
 
 
 class TestMappingRowCache:
-    """Regression: ``mapping_ecc_row`` used to rebuild (and copy) the row on
-    every call for requests carrying exclusions; the finished row is now
-    cached and invalidated exactly at the exclusion/invalidation points."""
+    """``mapping_ecc_row`` keeps no finished-row cache: it assembles the row
+    on every call from the one epoch-checked TC memo, so exclusions and
+    published trust show on the next call while the TC row underneath is
+    computed once per pricing key and epoch."""
 
-    def test_repeated_calls_return_cached_object(self, small_grid, provider):
+    def make_provider(self, small_grid):
+        metrics = MetricsRegistry(enabled=True)
+        eec = np.array([[10.0, 20.0, 30.0], [5.0, 5.0, 5.0]])
+        provider = CostProvider(
+            grid=small_grid, eec=eec, policy=TrustPolicy.aware(), metrics=metrics
+        )
+        return provider, metrics.counter("costs.tc_rows")
+
+    def test_repeated_calls_return_cached_object(self, small_grid):
+        provider, tc_rows = self.make_provider(small_grid)
         req = make_request(small_grid, index=0)
         row = provider.mapping_ecc_row(req)
-        assert provider.mapping_ecc_row(req) is row
+        tc = provider.trust_cost_row(req)
+        again = provider.mapping_ecc_row(req)
+        np.testing.assert_array_equal(again, row)
+        assert provider.trust_cost_row(req) is tc  # the cached TC object
+        assert tc_rows.value == 1
         with pytest.raises(ValueError):
-            row[0] = 0.0  # cached row is frozen
+            row[0] = 0.0  # returned rows are frozen
 
-    def test_excluded_request_row_is_cached_too(self, small_grid, provider):
+    def test_excluded_request_row_is_cached_too(self, small_grid):
+        provider, tc_rows = self.make_provider(small_grid)
         req = make_request(small_grid, index=0)
         provider.exclude(req.index, 1)
         row = provider.mapping_ecc_row(req)
         assert np.isinf(row[1])
-        assert provider.mapping_ecc_row(req) is row  # no per-call copy
+        np.testing.assert_array_equal(provider.mapping_ecc_row(req), row)
+        assert tc_rows.value == 1  # exclusions never re-price TC
 
     def test_exclude_invalidates_cached_row(self, small_grid, provider):
         req = make_request(small_grid, index=0)
@@ -301,10 +344,10 @@ class TestMappingRowCache:
         req = make_request(small_grid, index=0)
         before = provider.mapping_ecc_row(req)
         small_grid.trust_table.set(0, 0, 0, "E")
-        assert provider.mapping_ecc_row(req) is before  # stale until retry
-        provider.invalidate_trust_cache(req.index)
-        after = provider.mapping_ecc_row(req)
+        after = provider.mapping_ecc_row(req)  # the publish alone re-prices
         assert after[0] < before[0]
+        provider.invalidate_trust_cache(req.index)
+        np.testing.assert_array_equal(provider.mapping_ecc_row(req), after)
 
 
 class TestMatrixAssembly:

@@ -3,9 +3,13 @@
 :meth:`CostProvider.realized_costs` prices a whole plan with one EEC gather
 and one policy call; :func:`realized_ecc_row_oracle` prices each item from
 its full per-machine rows.  Both run on twin providers brought into the same
-state — fresh, degraded by a trust-plane blackout, retry-dirty or holding a
-retry override priced after trust evolved — so each path resolves its own
+state — fresh, degraded by a trust-plane outage, retry-dirty or holding a
+retry fetch priced after trust evolved — so each path resolves its own
 retry state.
+
+The plane then recovers and agents keep publishing between calls: every TC
+read through any accessor must equal a memo-free recompute from
+:meth:`GridTrustTable.trust_cost_row` at that moment.
 """
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from repro.grid.activities import ActivityCatalog, ActivitySet
 from repro.grid.request import Request, Task
 from repro.grid.topology import GridBuilder
+from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import CostProvider
 from repro.scheduling.esc_models import LadderEsc, LinearEsc, TableEsc
 from repro.scheduling.policy import SecurityAccounting, TrustPolicy
@@ -29,7 +34,16 @@ ESC_MODELS = (
     TableEsc((0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8)),
     LadderEsc(),
 )
-STATES = ("fresh", "degraded", "retry-dirty", "retry-override")
+STATES = ("fresh", "degraded", "retry-dirty", "retry-fetched")
+ACCESSORS = (
+    "mapping_ecc_matrix",
+    "mapping_ecc_row",
+    "trust_cost_row",
+    "realized_costs",
+    "is_feasible",
+)
+#: The plane is down from t=0 until OUTAGE_END, then answers again.
+OUTAGE_END = 1e6
 LEVELS = "ABCDE"
 N_MACHINES = 3
 N_ACTIVITIES = 3
@@ -90,27 +104,43 @@ def scenarios(draw):
         )
     )
     # Trust evolving after the shared rows were priced: (cd, rd, activity, level).
-    evolution = draw(
+    publishes = st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(0, 1),
+            st.integers(0, N_ACTIVITIES - 1),
+            st.sampled_from(LEVELS),
+        ),
+        max_size=4,
+    )
+    evolution = draw(publishes)
+    # After recovery: publishes between calls, each call one accessor
+    # (row accessors read the request at ``pick``).
+    steps = draw(
         st.lists(
-            st.tuples(
-                st.integers(0, 1),
-                st.integers(0, 1),
-                st.integers(0, N_ACTIVITIES - 1),
-                st.sampled_from(LEVELS),
-            ),
-            max_size=4,
+            st.tuples(publishes, st.sampled_from(ACCESSORS), st.integers(0, 9)),
+            max_size=6,
         )
     )
-    return eec, items, evolution
+    cap = draw(st.integers(0, 6))
+    return eec, items, evolution, steps, cap
 
 
-def prepared(policy, eec, items, evolution):
-    """A provider behind a blacked-out trust plane, in the scenario's state."""
+def prepared(policy, eec, items, evolution, cap):
+    """A provider behind a trust plane that is down, in the scenario's state."""
     grid = build_grid()
     source = ResilientTrustSource(
-        grid, fault=TrustSourceFault(blackout=True), config=TrustQueryConfig()
+        grid,
+        fault=TrustSourceFault(outages=((0.0, OUTAGE_END),)),
+        config=TrustQueryConfig(),
     )
-    provider = CostProvider(grid=grid, eec=eec, policy=policy, trust_source=source)
+    provider = CostProvider(
+        grid=grid,
+        eec=eec,
+        policy=policy,
+        constraint=TrustConstraint(cap, InfeasiblePolicy.REJECT),
+        trust_source=source,
+    )
     requests = [
         Request(
             index=i,
@@ -134,9 +164,55 @@ def prepared(policy, eec, items, evolution):
     for request, state in zip(requests, states):
         if state.startswith("retry"):
             provider.invalidate_trust_cache(request.index)
-        if state == "retry-override":
-            provider.trust_cost_row(request)  # override at the new levels
+        if state == "retry-fetched":
+            provider.trust_cost_row(request)  # fetched at the new levels
     return provider, requests
+
+
+def fresh_tc(grid, request):
+    """The request's TC row recomputed from the table, with no memo."""
+    cd = request.client_domain_index
+    per_rd = grid.trust_table.trust_cost_row(
+        cd, request.task.activities.indices, grid.required_per_rd(cd)
+    )
+    return per_rd[grid.machine_rd].astype(np.float64)
+
+
+def fresh_mapping_row(provider, request):
+    tc = fresh_tc(provider.grid, request)
+    row = provider.policy.mapping_ecc(provider.eec_row(request), tc)
+    return provider.constraint.apply(row, tc)
+
+
+def check_reads_track_publishes(provider, requests, machines, steps):
+    """Publish, then read through one accessor; compare to a recompute."""
+    grid = provider.grid
+    provider.trust_source.advance(2 * OUTAGE_END)  # the plane has recovered
+    for publishes, accessor, pick in steps:
+        for cd, rd, activity, level in publishes:
+            grid.trust_table.set(cd, rd, activity, level)
+        request = requests[pick % len(requests)]
+        if accessor == "mapping_ecc_matrix":
+            want = np.stack([fresh_mapping_row(provider, r) for r in requests])
+            got = provider.mapping_ecc_matrix(requests)
+        elif accessor == "mapping_ecc_row":
+            want = fresh_mapping_row(provider, request)
+            got = provider.mapping_ecc_row(request)
+        elif accessor == "trust_cost_row":
+            want = fresh_tc(grid, request)
+            got = provider.trust_cost_row(request)
+        elif accessor == "realized_costs":
+            degraded = provider.degraded_requests
+            eec, cost, tc = provider.realized_costs(requests, machines)
+            want = np.array([fresh_tc(grid, r)[m] for r, m in zip(requests, machines)])
+            assert tc.tobytes() == want.tobytes()
+            live = [r.index not in degraded for r in requests]
+            want = provider.policy.realized_ecc(eec[live], want[live])
+            got = cost[live]
+        else:
+            want = provider.constraint.feasible_mask(fresh_tc(grid, request)).any()
+            got = provider.is_feasible(request)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), accessor
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,11 +222,11 @@ def prepared(policy, eec, items, evolution):
     esc_model=st.sampled_from(ESC_MODELS),
 )
 def test_realized_costs_equal_the_per_row_oracle(scenario, kind, esc_model):
-    eec, items, evolution = scenario
+    eec, items, evolution, steps, cap = scenario
     policy = policy_for(kind, esc_model)
     machines = [item[3] for item in items]
-    fast, fast_requests = prepared(policy, eec, items, evolution)
-    slow, slow_requests = prepared(policy, eec, items, evolution)
+    fast, fast_requests = prepared(policy, eec, items, evolution, cap)
+    slow, slow_requests = prepared(policy, eec, items, evolution, cap)
     degraded = {i for i, item in enumerate(items) if item[4] == "degraded"}
     assert fast.degraded_requests == slow.degraded_requests == degraded
 
@@ -166,6 +242,8 @@ def test_realized_costs_equal_the_per_row_oracle(scenario, kind, esc_model):
     assert got_eec.tobytes() == want_eec.tobytes()
     assert got_cost.tobytes() == want_cost.tobytes()
     assert got_tc.tobytes() == want_tc.tobytes()
+
+    check_reads_track_publishes(fast, fast_requests, machines, steps)
 
 
 class TestRefusals:

@@ -169,6 +169,34 @@ class TestBatchMode:
         assert result.records[0].mapped_time == 10.0
 
 
+class TestEvolvingTrust:
+    def test_publish_between_windows_reprices_same_key(self, small_grid):
+        # The default table offers A everywhere: cd0's TC row is [2, 2, 3].
+        # Request 0's completion publishes E for (cd0, rd0, activity 0);
+        # request 1 carries the same pricing key and maps in a later window,
+        # so it must be priced against the table as it stands then.
+        published = []
+
+        def publish(record):
+            small_grid.trust_table.set(0, 0, 0, "E")
+            published.append(record.request_index)
+
+        eec = np.full((2, 3), 1.0)
+        reqs = make_requests(small_grid, [1.0, 25.0])
+        result = TRMScheduler(
+            small_grid, eec, TrustPolicy.aware(), MinMinHeuristic(),
+            batch_interval=10.0, on_complete=publish,
+        ).run(reqs)
+        first, second = result.records
+        assert published[0] == 0 and second.mapped_time == 30.0
+        assert first.trust_cost == 2.0
+        current = small_grid.trust_cost_per_machine(0, [0])
+        assert current.tolist() == [0, 0, 3]
+        assert second.machine_index in (0, 1)
+        assert second.trust_cost == current[second.machine_index] == 0.0
+        assert second.realized_cost == pytest.approx(1.0)
+
+
 class LastItemOffGrid(BatchHeuristic):
     """Plans every request onto machine 0, except the last onto a machine
     the grid does not have."""
