@@ -23,7 +23,6 @@ from repro.core.decay import (
     StepDecay,
 )
 from repro.core.direct import DirectTrust
-from repro.core.domains import DEFAULT_DOMAINS, DEFAULT_N_SHARDS, DomainMap
 from repro.core.engine import TrustEngine
 from repro.core.ets import EtsTable, TC_MAX, TC_MIN, expected_trust_supplement, trust_cost
 from repro.core.evolution import TransactionOutcome, TrustEvolver
@@ -71,9 +70,6 @@ __all__ = [
     "PRINTING",
     "DISPLAY",
     "DEFAULT_CONTEXTS",
-    "DomainMap",
-    "DEFAULT_DOMAINS",
-    "DEFAULT_N_SHARDS",
     "DecayFunction",
     "NoDecay",
     "ExponentialDecay",

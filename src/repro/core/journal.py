@@ -1,4 +1,4 @@
-"""Write-ahead delta journal for the trust plane (``repro.trust.journal/v1``).
+"""Write-ahead delta journal for the trust plane (``repro.trust.journal/v2``).
 
 :class:`DurableTrustPlane` is the one way to persist or restore trust
 state: a snapshot is a generation with an empty journal tail
@@ -18,8 +18,12 @@ Frame format (all little-endian)::
 
 The first frame is a header pinning the journal schema and the SHA-256 of
 the base snapshot's manifest, so a journal can never be replayed over the
-wrong base.  Each mutation op carries the *domain epoch the mutation
-produced*; replay re-applies the op and verifies the epoch, turning any
+wrong base.  Each mutation op carries, as ``e``, the epoch the mutation
+produced on the object it mutated (``TrustTable.epoch`` for
+``record``/``remove``, the weights' counter for ``observe``,
+``AllianceRegistry.epoch`` for ``declare``/``dissolve``,
+``GridTrustTable.cd_epoch`` for ``set`` and ``.epoch`` for ``fill``);
+replay re-applies the op and verifies the epoch, turning any
 base/journal divergence into a typed refusal instead of silent skew.
 
 Torn tails are expected, not fatal: a crash mid-append leaves a short or
@@ -30,8 +34,9 @@ is recovered.  A checkpoint that *pins* an offset (``upto=``) is the
 opposite contract: the pinned prefix was acknowledged as durable, so a
 tear inside it is a hard error.
 
-Every refusal — a torn pinned prefix, a wrong base, a diverging op, or a
-missing, tampered, truncated or mis-mapped base segment — raises
+Every refusal — a plane of another schema, a torn pinned prefix, a wrong
+base, a diverging op, or a missing, tampered or truncated base segment
+(Grid levels included) — raises
 :class:`TrustJournalError` naming the offending path;
 :func:`~repro.service.checkpoint.resolve_trust_journal` turns it into a
 :class:`~repro.errors.CheckpointError`.
@@ -65,14 +70,12 @@ from typing import Any
 import numpy as np
 
 from repro.core.context import TrustContext
-from repro.core.domains import DomainMap
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.tables import TrustTable
 from repro.errors import TrustModelError
 
 __all__ = [
     "JOURNAL_SCHEMA",
-    "GRID_SIDECAR_SCHEMA",
     "TrustJournalError",
     "JournalConfig",
     "JournalReplay",
@@ -90,18 +93,14 @@ __all__ = [
 
 #: Schema tag carried by every journal header frame and delta-checkpoint
 #: descriptor.
-JOURNAL_SCHEMA = "repro.trust.journal/v1"
-
-#: Schema tag of the Grid-table sidecar a :class:`DurableTrustPlane`
-#: persists next to each base snapshot.
-GRID_SIDECAR_SCHEMA = "repro.trust.journal.grid/v1"
+JOURNAL_SCHEMA = "repro.trust.journal/v2"
 
 _FRAME = struct.Struct("<II")
 
 
 class TrustJournalError(TrustModelError):
-    """A durable trust plane cannot be restored: its base snapshot is
-    missing, malformed, tampered or mis-mapped, or its journal is torn
+    """A durable trust plane cannot be restored: it has another schema,
+    its base snapshot is missing, malformed or tampered, or its journal is torn
     inside a pinned prefix, replayed over the wrong base, or diverges
     from the state it claims to extend."""
 
@@ -388,8 +387,7 @@ class JournalWriter:
         if valid < path.stat().st_size:
             with path.open("r+b") as fh:
                 fh.truncate(valid)
-                fh.flush()
-                os.fsync(fh.fileno())
+            sync_file(path)
         if replay.header is None:
             return cls.create(
                 path, base=None if base is _UNSET else base, metrics=metrics
@@ -421,7 +419,7 @@ class JournalWriter:
 
     def append(self, op: dict[str, Any]) -> int:
         """Buffer one op frame; returns the offset it will sync up to."""
-        for key in ("z", "y", "d", "g"):
+        for key in ("z", "y", "g"):
             value = op.get(key)
             if value is not None and not isinstance(value, (str, int)):
                 raise TrustJournalError(
@@ -524,7 +522,7 @@ def apply_op(
             float(op["v"]), float(op["t"]),
             transaction_count=int(op["n"]),
         )
-        check(t.domain_epoch(op["d"]), f"domain {op['d']!r} epoch")
+        check(t.epoch, "table epoch")
     elif kind == "remove":
         t = need(table, "trust table")
         try:
@@ -534,13 +532,11 @@ def apply_op(
                 f"{where} (remove) deletes a record the base does not "
                 f"hold ({op['z']!r}, {op['y']!r}, {op['c']!r})"
             ) from None
-        check(t.domain_epoch(op["d"]), f"domain {op['d']!r} epoch")
+        check(t.epoch, "table epoch")
     elif kind == "observe":
         w = need(weights, "recommender weights")
         w.observe_outcome(op["z"], float(op["p"]), float(op["a"]))
-        check(
-            w._domain_epochs.get(op["d"], 0), f"domain {op['d']!r} epoch"
-        )
+        check(w._epoch, "weights epoch")
     elif kind == "declare":
         reg = alliances if alliances is not None else (
             weights.alliances if weights is not None else None
@@ -569,7 +565,7 @@ def apply_op(
         g = need(grid_table, "Grid trust table")
         arr = np.asarray(op["levels"], dtype=np.int64).reshape(op["shape"])
         g.fill_from(arr)
-        check(g.epoch, "table epoch")
+        check(g.epoch, "Grid table epoch")
     else:
         raise TrustJournalError(f"{where}: unknown journal op {kind!r}")
 
@@ -658,7 +654,7 @@ class DurableTrustPlane:
     Layout under ``root``::
 
         CURRENT             {"schema": ..., "generation": N}  (atomic swap)
-        base-<N>/           base snapshot (+ grid.json sidecar)
+        base-<N>/           base snapshot (table, weights, Grid levels)
         journal-<N>.wal     framed mutation tail over base-<N>
 
     Use :meth:`create` to provision from live objects, :meth:`recover`
@@ -731,8 +727,9 @@ class DurableTrustPlane:
         root.mkdir(parents=True, exist_ok=True)
         config = config or JournalConfig()
         base_dir = root / "base-0"
-        manifest_path = snapshot_trust_store(base_dir, table, weights)
-        _write_grid_sidecar(base_dir, grid_table)
+        manifest_path = snapshot_trust_store(
+            base_dir, table, weights, grid_table=grid_table
+        )
         digest = _manifest_digest(manifest_path)
         writer = JournalWriter.create(
             root / "journal-0.wal", base=digest, metrics=metrics
@@ -760,7 +757,6 @@ class DurableTrustPlane:
         *,
         generation: int | None = None,
         upto: int | None = None,
-        domains: DomainMap | None = None,
         grid_table: Any = None,
         config: JournalConfig | None = None,
         metrics: Any = None,
@@ -779,12 +775,9 @@ class DurableTrustPlane:
             upto: pin the journal byte offset acknowledged by a
                 checkpoint; a tear inside the pin is a hard error, frames
                 past it are discarded.
-            domains: the :class:`~repro.core.domains.DomainMap` of a plane
-                created over an explicit ``domain_of`` resolver (callables
-                do not survive JSON); CRC-32 planes rebuild theirs.
             grid_table: optional pre-built Grid table to restore the
-                persisted level sidecar into (custom ETS tables do not
-                survive JSON); by default the sidecar's shape rebuilds one.
+                persisted Grid levels into (custom ETS tables do not
+                survive JSON); by default the persisted shape rebuilds one.
         """
         from repro.core.store import restore_trust_store
 
@@ -818,11 +811,11 @@ class DurableTrustPlane:
                     "cannot recover it"
                 )
             base_dir = parked
-        table, weights = restore_trust_store(base_dir, domains=domains)
         manifest_path = base_dir / "manifest.json"
         digest = _manifest_digest(manifest_path)
-        grid = _restore_grid_sidecar(base_dir, grid_table)
         replay = read_journal(journal_path, upto=upto, metrics=metrics)
+        # The header pins the manifest, which pins every segment: check
+        # the pin first, so a tampered manifest is named as the offender.
         if replay.header is not None and replay.header.get("base") != digest:
             raise TrustJournalError(
                 f"base manifest {manifest_path} is not the base "
@@ -830,6 +823,9 @@ class DurableTrustPlane:
                 f"{replay.header.get('base')!r}); refusing to replay the "
                 "journal over the wrong snapshot"
             )
+        table, weights, grid = restore_trust_store(
+            base_dir, grid_table=grid_table
+        )
         for i, op in enumerate(replay.ops):
             apply_op(
                 op,
@@ -928,9 +924,8 @@ class DurableTrustPlane:
         new_gen = self.generation + 1
         base_dir = self.root / f"base-{new_gen}"
         manifest_path = snapshot_trust_store(
-            base_dir, self.table, self.weights
+            base_dir, self.table, self.weights, grid_table=self.grid_table
         )
-        _write_grid_sidecar(base_dir, self.grid_table)
         digest = _manifest_digest(manifest_path)
         writer = JournalWriter.create(
             self.root / f"journal-{new_gen}.wal",
@@ -995,54 +990,3 @@ def _drop_generations(
         except OSError:  # pragma: no cover - cleanup is advisory
             pass
 
-
-def _write_grid_sidecar(base_dir: Path, grid_table: Any) -> None:
-    """Persist the Grid TL table next to a base snapshot (atomic)."""
-    if grid_table is None:
-        return
-    levels = np.asarray(grid_table.levels)
-    _atomic_write_json(
-        base_dir / "grid.json",
-        {
-            "schema": GRID_SIDECAR_SCHEMA,
-            "shape": list(levels.shape),
-            "levels": levels.ravel().tolist(),
-            "epoch": grid_table.epoch,
-            "cd_epochs": sorted(grid_table._cd_epochs.items()),
-        },
-    )
-
-
-def _restore_grid_sidecar(base_dir: Path, grid_table: Any) -> Any:
-    """Rebuild (or refill) the Grid TL table from a base sidecar."""
-    sidecar_path = base_dir / "grid.json"
-    if not sidecar_path.is_file():
-        return grid_table
-    try:
-        data = json.loads(sidecar_path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TrustJournalError(
-            f"corrupt Grid sidecar {sidecar_path}: {exc}"
-        ) from exc
-    if data.get("schema") != GRID_SIDECAR_SCHEMA:
-        raise TrustJournalError(
-            f"Grid sidecar {sidecar_path} has schema "
-            f"{data.get('schema')!r}, expected {GRID_SIDECAR_SCHEMA!r}"
-        )
-    shape = tuple(int(s) for s in data["shape"])
-    if grid_table is None:
-        from repro.grid.trust_table import GridTrustTable
-
-        grid_table = GridTrustTable(*shape)
-    if tuple(grid_table.shape) != shape:
-        raise TrustJournalError(
-            f"Grid sidecar {sidecar_path} has shape {shape}, but the "
-            f"provided table is {tuple(grid_table.shape)}"
-        )
-    arr = np.asarray(data["levels"], dtype=np.int64).reshape(shape)
-    # Direct assignment (not fill_from) so restore neither bumps epochs
-    # nor re-validates levels the original table already accepted.
-    grid_table._levels[...] = arr
-    grid_table._epoch = int(data["epoch"])
-    grid_table._cd_epochs = {int(cd): int(e) for cd, e in data["cd_epochs"]}
-    return grid_table

@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
-from repro.core.domains import DEFAULT_DOMAINS, DomainMap
-
 __all__ = ["AllianceRegistry", "RecommenderWeights"]
 
 EntityId = Hashable
@@ -33,15 +31,13 @@ class AllianceRegistry:
     the same group is allied.  An entity may belong to several groups.
     """
 
-    def __init__(self, domains: DomainMap = DEFAULT_DOMAINS) -> None:
-        self.domains = domains
+    def __init__(self) -> None:
         self._groups: dict[str, set[EntityId]] = {}
         # Inverted index entity -> group names; alliance checks sit on the
         # reputation hot path (one per recommender per Γ evaluation), so
         # membership must resolve without scanning every declared group.
         self._membership: dict[EntityId, set[str]] = {}
         self._epoch = 0
-        self._domain_epochs: dict[Hashable, int] = {}
         # Write-ahead journal sink (see repro.core.journal); when set,
         # declare/dissolve append a framed delta after applying.
         self._journal = None
@@ -51,18 +47,6 @@ class AllianceRegistry:
         """Monotonic mutation counter bumped by :meth:`declare`/:meth:`dissolve`."""
         return self._epoch
 
-    def domain_epoch(self, domain: Hashable) -> int:
-        """Mutation counter of one Grid domain (0 if never touched).
-
-        Declaring or dissolving a group bumps the domain of every member
-        involved; the base-segment codec persists these counters.
-        """
-        return self._domain_epochs.get(domain, 0)
-
-    def _bump_domains(self, members: Iterable[EntityId]) -> None:
-        for domain in {self.domains.resolve(m) for m in members}:
-            self._domain_epochs[domain] = self._domain_epochs.get(domain, 0) + 1
-
     def declare(self, name: str, members: Iterable[EntityId]) -> None:
         """Create or extend the alliance ``name`` with ``members``."""
         group = self._groups.setdefault(name, set())
@@ -71,7 +55,6 @@ class AllianceRegistry:
             group.add(member)
             self._membership.setdefault(member, set()).add(name)
         self._epoch += 1
-        self._bump_domains(members)
         if self._journal is not None:
             self._journal.append(
                 {"op": "declare", "g": name, "m": members, "e": self._epoch}
@@ -86,7 +69,6 @@ class AllianceRegistry:
             if not names:
                 del self._membership[member]
         self._epoch += 1
-        self._bump_domains(group)
         if self._journal is not None:
             self._journal.append({"op": "dissolve", "g": name, "e": self._epoch})
 
@@ -139,12 +121,8 @@ class RecommenderWeights:
     ally_weight: float = 0.5
     default_accuracy: float = 1.0
     learning_rate: float = 0.1
-    domains: DomainMap = DEFAULT_DOMAINS
     _accuracy: dict[EntityId, float] = field(default_factory=dict, repr=False)
     _epoch: int = field(default=0, repr=False, compare=False)
-    _domain_epochs: dict[Hashable, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     # Write-ahead journal sink (see repro.core.journal); when set,
     # observe_outcome appends a framed delta after applying.
     _journal: object = field(default=None, repr=False, compare=False)
@@ -156,14 +134,6 @@ class RecommenderWeights:
             raise ValueError("default_accuracy must lie in [0, 1]")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
-
-    def domain_epoch(self, domain: Hashable) -> tuple:
-        """Composite per-domain version: own learned-accuracy counter for
-        ``domain`` plus the alliance registry's counter for it."""
-        return (
-            self._domain_epochs.get(domain, 0),
-            self.alliances.domain_epoch(domain),
-        )
 
     def factor(self, recommender: EntityId, target: EntityId) -> float:
         """Return ``R(recommender, target)`` in ``[0, 1]``."""
@@ -197,8 +167,6 @@ class RecommenderWeights:
         new = (1.0 - self.learning_rate) * old + self.learning_rate * sample
         self._accuracy[recommender] = new
         self._epoch += 1
-        domain = self.domains.resolve(recommender)
-        self._domain_epochs[domain] = self._domain_epochs.get(domain, 0) + 1
         if self._journal is not None:
             self._journal.append(
                 {
@@ -206,8 +174,7 @@ class RecommenderWeights:
                     "z": recommender,
                     "p": predicted,
                     "a": actual,
-                    "d": domain,
-                    "e": self._domain_epochs[domain],
+                    "e": self._epoch,
                 }
             )
         return new

@@ -1,37 +1,37 @@
-"""Base-snapshot codec of the durable trust plane (``repro.trust.store/v1``).
+"""Base-snapshot codec of the durable trust plane (``repro.trust.store/v2``).
 
 Every generation of a :class:`~repro.core.journal.DurableTrustPlane`
 starts from a base snapshot written by this module; the write-ahead
 journal then records the mutations on top of it.  The snapshot holds a
-:class:`~repro.core.tables.TrustTable` (and optionally its learned
-:class:`~repro.core.recommender.RecommenderWeights`) as **one fixed-dtype
-binary segment per Grid-domain shard per column**, with a JSON manifest
-carrying the shard epochs and a SHA-256 digest per segment.  The layout
-follows tahoe-lafs' grid-manager certificate discipline: durable
-per-domain state files plus a signed-by-digest index, so partial or
-tampered snapshots are *refused* with a
-:class:`~repro.core.journal.TrustJournalError` naming the offending file,
-never silently repaired.
+:class:`~repro.core.tables.TrustTable`, optionally its learned
+:class:`~repro.core.recommender.RecommenderWeights`, and optionally the
+Grid's CD×RD×ToA :class:`~repro.grid.trust_table.GridTrustTable`, as
+**one fixed-dtype binary segment per column** plus one segment of Grid
+levels, with a JSON manifest carrying the epoch counters and a SHA-256
+digest per segment.  The layout follows tahoe-lafs' grid-manager
+certificate discipline: durable state files plus a signed-by-digest
+index, so partial or tampered snapshots are *refused* with a
+:class:`~repro.core.journal.TrustJournalError` naming the offending
+file, never silently repaired.  This module owns the whole base format;
+the journal header pins the manifest's SHA-256, which in turn pins every
+segment.
 
 Restore checks every segment's digest and size, then replays the rows
-domain by domain into a fresh table.  Per-trustee opinion order is
-preserved (every opinion about ``y`` lives in ``y``'s domain segment, in
-insertion order), which is exactly the order the reputation average
-accumulates in — the restored Γ surface is bit-identical to one computed
-before the snapshot.  The only observable difference is diagnostic: the
-scalar first-offender ``ValueError`` for future-dated records may name a
-different offender, because the *global* interleave of records across
-domains is not part of the persisted state.
+in the table's insertion order into a fresh table: the restored table
+iterates exactly like the original, so the reputation average
+accumulates in the same order and the restored Γ surface is
+bit-identical to one computed before the snapshot.
 
 On-disk layout (all integers ``<i8``, all floats ``<f8``, little-endian):
 
 .. code-block:: text
 
-    <dir>/manifest.json                     repro.trust.store/v1
-    <dir>/shard-<k>.<column>.bin            6 columns per shard:
+    <dir>/manifest.json                     repro.trust.store/v2
+    <dir>/<column>.bin                      6 table columns, one row per record:
         truster, trustee, context           indices into manifest lists
         value, time                         float payload
         txcount                             TrustRecord.transaction_count
+    <dir>/grid-levels.bin                   Grid levels, C order (if persisted)
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Any
 import numpy as np
 
 from repro.core.context import TrustContext
-from repro.core.domains import DomainMap
 from repro.core.journal import TrustJournalError, sync_dir, sync_file
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.tables import TrustTable
@@ -56,7 +55,7 @@ __all__ = [
     "restore_trust_store",
 ]
 
-STORE_SCHEMA = "repro.trust.store/v1"
+STORE_SCHEMA = "repro.trust.store/v2"
 
 _COLUMNS = (
     ("truster", "<i8"),
@@ -67,13 +66,20 @@ _COLUMNS = (
     ("txcount", "<i8"),
 )
 
+_SEGMENT_KEYS = frozenset({"file", "dtype", "sha256"})
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+
+def _write_segment(directory: Path, fname: str, data: np.ndarray) -> dict[str, Any]:
+    """Write and fsync one segment; return its manifest entry."""
+    payload = data.tobytes()
+    fpath = directory / fname
+    fpath.write_bytes(payload)
+    sync_file(fpath)
+    return {
+        "file": fname,
+        "dtype": data.dtype.str,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
 
 
 def _weights_to_dict(weights: RecommenderWeights) -> dict[str, Any]:
@@ -86,21 +92,12 @@ def _weights_to_dict(weights: RecommenderWeights) -> dict[str, Any]:
             name: sorted(weights.alliances._groups[name])
             for name in sorted(weights.alliances._groups)
         },
-        # Epoch counters, persisted as [key, count] pairs (JSON object
-        # keys would coerce int domains to strings).  The write-ahead
-        # journal (repro.core.journal) verifies each replayed op against
-        # these, so a restore must reproduce them exactly — replay-derived
-        # counts undercount whenever history contained overwrites.
-        "epochs": {
-            "self": weights._epoch,
-            "domains": sorted(weights._domain_epochs.items(), key=repr),
-        },
-        "alliance_epochs": {
-            "self": weights.alliances._epoch,
-            "domains": sorted(
-                weights.alliances._domain_epochs.items(), key=repr
-            ),
-        },
+        # The write-ahead journal (repro.core.journal) verifies each
+        # replayed op against these counters, so a restore must reproduce
+        # them exactly — replay-derived counts undercount whenever history
+        # contained overwrites.
+        "epoch": weights._epoch,
+        "alliance_epoch": weights.alliances._epoch,
     }
     purged = getattr(weights, "_purged", None)
     if purged is not None:
@@ -113,10 +110,8 @@ def _weights_to_dict(weights: RecommenderWeights) -> dict[str, Any]:
     return payload
 
 
-def _weights_from_dict(
-    data: dict[str, Any], domains: DomainMap
-) -> RecommenderWeights:
-    alliances = AllianceRegistry(domains=domains)
+def _weights_from_dict(data: dict[str, Any]) -> RecommenderWeights:
+    alliances = AllianceRegistry()
     for name, members in data.get("alliances", {}).items():
         alliances.declare(name, members)
     cred = data.get("credibility")
@@ -128,7 +123,6 @@ def _weights_from_dict(
             ally_weight=float(data["ally_weight"]),
             default_accuracy=float(data["default_accuracy"]),
             learning_rate=float(data["learning_rate"]),
-            domains=domains,
             purge_threshold=float(cred["purge_threshold"]),
             min_observations=int(cred["min_observations"]),
         )
@@ -142,7 +136,6 @@ def _weights_from_dict(
             ally_weight=float(data["ally_weight"]),
             default_accuracy=float(data["default_accuracy"]),
             learning_rate=float(data["learning_rate"]),
-            domains=domains,
         )
     for entity, accuracy in data.get("accuracy", {}).items():
         weights._accuracy[entity] = float(accuracy)
@@ -150,34 +143,29 @@ def _weights_from_dict(
     # above produced synthetic counts (one bump per group), but journal
     # replay verifies ops against the *original* counters.  The persisted
     # value is always >= the replayed one, so max() never regresses.
-    epochs = data.get("epochs")
-    if epochs is not None:
-        weights._epoch = max(weights._epoch, int(epochs["self"]))
-        for domain, count in epochs["domains"]:
-            weights._domain_epochs[domain] = max(
-                weights._domain_epochs.get(domain, 0), int(count)
-            )
-    alliance_epochs = data.get("alliance_epochs")
-    if alliance_epochs is not None:
-        alliances._epoch = max(alliances._epoch, int(alliance_epochs["self"]))
-        for domain, count in alliance_epochs["domains"]:
-            alliances._domain_epochs[domain] = max(
-                alliances._domain_epochs.get(domain, 0), int(count)
-            )
+    weights._epoch = max(weights._epoch, int(data["epoch"]))
+    alliances._epoch = max(alliances._epoch, int(data["alliance_epoch"]))
     return weights
+
+
 
 
 def snapshot_trust_store(
     directory: str | Path,
     table: TrustTable,
     weights: RecommenderWeights | None = None,
+    *,
+    grid_table: Any = None,
 ) -> Path:
-    """Snapshot ``table`` (and optionally ``weights``) into ``directory``.
+    """Snapshot ``table`` (and optionally ``weights`` and ``grid_table``)
+    into ``directory``.
 
-    Writes one little-endian binary segment per shard per column plus a
-    ``manifest.json`` carrying the schema tag, the interned entity and
-    context lists, every shard's mutation epoch and a SHA-256 digest per
-    segment.  Returns the manifest path.
+    Writes one little-endian binary segment per column, in the table's
+    insertion order, plus (with ``grid_table``) one segment of Grid
+    levels, and a ``manifest.json`` carrying the schema tag, the
+    interned entity and context lists, the epoch counters, the Grid
+    table's shape and a SHA-256 digest per segment.  Returns the
+    manifest path.
 
     The snapshot is **crash-atomic**: segments and manifest are written
     into a temporary sibling directory (``<name>.tmp``), fsynced, and
@@ -189,12 +177,11 @@ def snapshot_trust_store(
     <repro.core.journal.DurableTrustPlane.recover>`), never a
     half-written mix that the digest check would turn into total loss.
 
-    Entity identifiers and domain keys must be JSON-representable
-    (strings or integers); the Grid agents' ``"cd:0"`` convention and the
-    default CRC-32 bucketing both satisfy this.
+    Entity identifiers must be JSON-representable (strings or integers);
+    the Grid agents' ``"cd:0"`` convention satisfies this.
 
     Raises:
-        TrustJournalError: if an entity or domain key cannot be persisted.
+        TrustJournalError: if an entity cannot be persisted.
     """
     target = Path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -210,72 +197,48 @@ def snapshot_trust_store(
     entity_index: dict = {}
     contexts: list[str] = []
     context_index: dict[TrustContext, int] = {}
-    shards: list[dict[str, Any]] = []
-    for k, domain in enumerate(table.domains_present()):
-        if not isinstance(domain, (str, int)):
-            raise TrustJournalError(
-                f"domain key {domain!r} is not JSON-representable; use a "
-                "DomainMap resolving to str or int keys"
-            )
-        items = list(table.domain_records(domain))
-        n = len(items)
-        cols = {name: np.empty(n, dtype=dtype) for name, dtype in _COLUMNS}
-        for i, ((z, y, c), rec) in enumerate(items):
-            for entity in (z, y):
+    rows: dict[str, list] = {name: [] for name, _ in _COLUMNS}
+    for (z, y, c), rec in table.items():
+        for entity in (z, y):
+            if entity not in entity_index:
                 if not isinstance(entity, (str, int)):
                     raise TrustJournalError(
                         f"entity {entity!r} is not JSON-representable"
                     )
-                if entity not in entity_index:
-                    entity_index[entity] = len(entities)
-                    entities.append(entity)
-            ci = context_index.get(c)
-            if ci is None:
-                ci = len(contexts)
-                context_index[c] = ci
-                contexts.append(c.name)
-            cols["truster"][i] = entity_index[z]
-            cols["trustee"][i] = entity_index[y]
-            cols["context"][i] = ci
-            cols["value"][i] = rec.value
-            cols["time"][i] = rec.last_transaction
-            cols["txcount"][i] = rec.transaction_count
-        column_meta: dict[str, Any] = {}
-        for name, dtype in _COLUMNS:
-            fname = f"shard-{k}.{name}.bin"
-            fpath = directory / fname
-            fpath.write_bytes(cols[name].tobytes())
-            sync_file(fpath)
-            column_meta[name] = {
-                "file": fname,
-                "dtype": dtype,
-                "sha256": _sha256(fpath),
-            }
-        shards.append(
-            {
-                "domain": domain,
-                "epoch": table.domain_epoch(domain),
-                "rows": n,
-                "columns": column_meta,
-            }
+                entity_index[entity] = len(entities)
+                entities.append(entity)
+        if c not in context_index:
+            context_index[c] = len(contexts)
+            contexts.append(c.name)
+        rows["truster"].append(entity_index[z])
+        rows["trustee"].append(entity_index[y])
+        rows["context"].append(context_index[c])
+        rows["value"].append(rec.value)
+        rows["time"].append(rec.last_transaction)
+        rows["txcount"].append(rec.transaction_count)
+    columns = {
+        name: _write_segment(
+            directory, f"{name}.bin", np.asarray(rows[name], dtype=dtype)
         )
-    domain_map: dict[str, Any]
-    if table.domains.domain_of is None:
-        domain_map = {"kind": "crc32", "n_shards": table.domains.n_shards}
-    else:
-        domain_map = {"kind": "explicit"}
+        for name, dtype in _COLUMNS
+    }
+    grid: dict[str, Any] | None = None
+    if grid_table is not None:
+        levels = np.asarray(grid_table.levels, dtype="<i8")
+        grid = {
+            "shape": list(levels.shape),
+            "epoch": grid_table.epoch,
+            "cd_epochs": sorted(grid_table._cd_epochs.items()),
+            **_write_segment(directory, "grid-levels.bin", levels),
+        }
     manifest: dict[str, Any] = {
         "schema": STORE_SCHEMA,
-        "domain_map": domain_map,
         "entities": entities,
         "contexts": contexts,
         "table_epoch": table.epoch,
-        # Every domain counter, including domains whose buckets are
-        # currently empty (removals leave a bumped counter behind); the
-        # per-shard "epoch" fields only cover populated domains, and the
-        # write-ahead journal needs the full map to verify replays.
-        "domain_epochs": sorted(table._domain_epochs.items(), key=repr),
-        "shards": shards,
+        "rows": len(table),
+        "columns": columns,
+        "grid": grid,
         "weights": None if weights is None else _weights_to_dict(weights),
     }
     manifest_path = directory / "manifest.json"
@@ -311,30 +274,29 @@ def _load_manifest(directory: Path) -> dict[str, Any]:
             f"trust-store manifest {manifest_path}: expected schema "
             f"{STORE_SCHEMA!r}, got {manifest.get('schema')!r}"
         )
-    for key in ("domain_map", "entities", "contexts", "table_epoch", "shards"):
+    for key in ("entities", "contexts", "table_epoch", "rows", "columns"):
         if key not in manifest:
             raise TrustJournalError(
                 f"trust-store manifest {manifest_path} missing {key!r}"
             )
-    for shard in manifest["shards"]:
-        for key in ("domain", "epoch", "rows", "columns"):
-            if key not in shard:
-                raise TrustJournalError(
-                    f"trust-store manifest {manifest_path}: shard entry "
-                    f"missing {key!r}"
-                )
-        for name, _ in _COLUMNS:
-            meta = shard["columns"].get(name)
-            if meta is None or not {"file", "dtype", "sha256"} <= set(meta):
-                raise TrustJournalError(
-                    f"trust-store manifest {manifest_path}: shard "
-                    f"{shard['domain']!r} missing column {name!r}"
-                )
+    for name, _ in _COLUMNS:
+        meta = manifest["columns"].get(name)
+        if meta is None or not _SEGMENT_KEYS <= set(meta):
+            raise TrustJournalError(
+                f"trust-store manifest {manifest_path} missing column {name!r}"
+            )
+    grid = manifest.get("grid")
+    if grid is not None and not (
+        _SEGMENT_KEYS | {"shape", "epoch", "cd_epochs"}
+    ) <= set(grid):
+        raise TrustJournalError(
+            f"trust-store manifest {manifest_path}: malformed Grid-levels entry"
+        )
     return manifest
 
 
-def _read_segment(directory: Path, meta: dict[str, Any], rows: int) -> list:
-    """Digest- and size-check one column segment; return its values."""
+def _read_segment(directory: Path, meta: dict[str, Any], count: int) -> np.ndarray:
+    """Digest- and size-check one segment; return its values."""
     fpath = directory / meta["file"]
     if not fpath.is_file():
         raise TrustJournalError(f"missing trust-store segment {fpath}")
@@ -344,78 +306,76 @@ def _read_segment(directory: Path, meta: dict[str, Any], rows: int) -> list:
             f"digest mismatch for trust-store segment {fpath}; "
             "refusing to restore"
         )
-    if len(data) != rows * 8:
+    if len(data) != count * 8:
         raise TrustJournalError(
-            f"trust-store segment {fpath} has wrong size for {rows} rows"
+            f"trust-store segment {fpath} has wrong size for {count} values"
         )
-    return np.frombuffer(data, dtype=meta["dtype"]).tolist()
+    return np.frombuffer(data, dtype=meta["dtype"])
+
+
+def _restore_grid(directory: Path, meta: dict[str, Any], grid_table: Any) -> Any:
+    """Rebuild (or refill) the Grid trust table from its levels segment."""
+    shape = tuple(int(s) for s in meta["shape"])
+    levels = _read_segment(directory, meta, int(np.prod(shape)))
+    if grid_table is None:
+        from repro.grid.trust_table import GridTrustTable
+
+        grid_table = GridTrustTable(*shape)
+    if tuple(grid_table.shape) != shape:
+        raise TrustJournalError(
+            f"Grid levels in {directory / meta['file']} have shape {shape}, "
+            f"but the provided table is {tuple(grid_table.shape)}"
+        )
+    # Direct assignment (not fill_from) so restore neither bumps epochs
+    # nor re-validates levels the original table already accepted.
+    grid_table._levels[...] = levels.reshape(shape)
+    grid_table._epoch = int(meta["epoch"])
+    grid_table._cd_epochs = {int(cd): int(e) for cd, e in meta["cd_epochs"]}
+    return grid_table
 
 
 def restore_trust_store(
-    directory: str | Path, *, domains: DomainMap | None = None
-) -> tuple[TrustTable, RecommenderWeights | None]:
+    directory: str | Path, *, grid_table: Any = None
+) -> tuple[TrustTable, RecommenderWeights | None, Any]:
     """Restore a snapshot taken by :func:`snapshot_trust_store`.
 
-    Every column segment is digest- and size-checked before its rows are
-    replayed.  Snapshots of tables with an explicit ``domain_of``
-    resolver require the caller to pass an equivalent ``domains`` map —
-    callables do not survive JSON.  Returns ``(table, weights)``;
-    ``weights`` is ``None`` when the snapshot carried none.
+    Every segment is digest- and size-checked before its values are
+    used.  Returns ``(table, weights, grid_table)``: ``weights`` is
+    ``None`` when the snapshot carried none; the persisted Grid levels
+    are restored into ``grid_table`` when given (custom ETS tables do not
+    survive JSON), into a fresh table of the persisted shape otherwise,
+    and ``grid_table`` is passed through unchanged when the snapshot
+    carried no Grid levels.
 
     Raises:
         TrustJournalError: on schema/structure problems, a digest
-            mismatch, a missing or truncated segment, a domain-map
-            mismatch, or a missing ``domains`` for an explicit-map
-            snapshot — naming the offending path.
+            mismatch, a missing or truncated segment, or a Grid table of
+            the wrong shape — naming the offending path.
     """
     directory = Path(directory)
     manifest = _load_manifest(directory)
-    dm = manifest["domain_map"]
-    if dm["kind"] == "crc32":
-        if domains is None:
-            domains = DomainMap(n_shards=int(dm["n_shards"]))
-    elif domains is None:
-        raise TrustJournalError(
-            f"snapshot {directory / 'manifest.json'} was taken with an "
-            "explicit domain resolver; pass an equivalent DomainMap via "
-            "domains="
-        )
     entities = manifest["entities"]
     contexts = [TrustContext(name) for name in manifest["contexts"]]
-    table = TrustTable(domains=domains)
-    for shard_meta in manifest["shards"]:
-        domain = shard_meta["domain"]
-        rows = int(shard_meta["rows"])
-        cols = [
-            _read_segment(directory, shard_meta["columns"][name], rows)
-            for name, _ in _COLUMNS
-        ]
-        for zi, yi, ci, value, time, txcount in zip(*cols):
-            y = entities[yi]
-            restored_domain = table.domain_of(y)
-            if restored_domain != domain:
-                raise TrustJournalError(
-                    f"domain map mismatch: snapshot {directory} stores "
-                    f"{y!r} in domain {domain!r}, restore resolves it to "
-                    f"{restored_domain!r}"
-                )
-            table.record(
-                entities[zi], y, contexts[ci], value, time,
-                transaction_count=txcount,
-            )
-    # Fast-forward the epoch counters to their persisted values: the
-    # record() replay above bumped them once per surviving row, which
-    # undercounts any history with overwrites or removals.  The
-    # write-ahead journal verifies replayed ops against the original
-    # counters.  Persisted >= replayed always holds (every surviving
-    # record cost at least one bump), so max() never regresses a counter.
-    for domain, count in manifest.get("domain_epochs", []):
-        table._domain_epochs[domain] = max(
-            table._domain_epochs.get(domain, 0), int(count)
+    count = int(manifest["rows"])
+    cols = [
+        _read_segment(directory, manifest["columns"][name], count).tolist()
+        for name, _ in _COLUMNS
+    ]
+    table = TrustTable()
+    for zi, yi, ci, value, time, txcount in zip(*cols):
+        table.record(
+            entities[zi], entities[yi], contexts[ci], value, time,
+            transaction_count=txcount,
         )
+    # Fast-forward the epoch counter to its persisted value: the record()
+    # replay above bumped it once per surviving row, which undercounts any
+    # history with overwrites or removals.  The write-ahead journal
+    # verifies replayed ops against the original counter.  Persisted >=
+    # replayed always holds (every surviving record cost at least one
+    # bump), so max() never regresses it.
     table._epoch = max(table._epoch, int(manifest["table_epoch"]))
     weights_data = manifest.get("weights")
-    weights = (
-        None if weights_data is None else _weights_from_dict(weights_data, domains)
-    )
-    return table, weights
+    weights = None if weights_data is None else _weights_from_dict(weights_data)
+    if manifest.get("grid") is not None:
+        grid_table = _restore_grid(directory, manifest["grid"], grid_table)
+    return table, weights, grid_table

@@ -20,11 +20,10 @@ Helpers convert between the continuous scale and the six discrete levels of
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterator, Mapping
+from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
 from repro.core.context import TrustContext
-from repro.core.domains import DEFAULT_DOMAINS, DomainMap
 from repro.core.levels import TrustLevel
 from repro.errors import UnknownEntityError
 
@@ -83,24 +82,15 @@ class TrustTable:
     """Mutable mapping ``(truster, trustee, context) -> TrustRecord``.
 
     Serves as both DTT and RTT (see module docstring).  Iteration order is
-    insertion order, which keeps replays deterministic.
-
-    Records are additionally bucketed by the **Grid domain of the
-    trustee** (resolved through ``domains``): every opinion about ``y``
-    lives in ``y``'s domain bucket, in the same relative order it holds
-    in the global table.  Each bucket carries its own mutation epoch,
-    which journal ops carry as ``e`` and the base-segment codec
-    (:mod:`repro.core.store`) persists next to that domain's segment.
+    insertion order, which keeps replays deterministic; the base-segment
+    codec (:mod:`repro.core.store`) persists records in it, so a restored
+    table iterates exactly like the original.
     """
 
-    def __init__(self, domains: DomainMap = DEFAULT_DOMAINS) -> None:
-        self.domains = domains
+    def __init__(self) -> None:
         self._records: dict[tuple[EntityId, EntityId, TrustContext], TrustRecord] = {}
         self._entities: set[EntityId] = set()
         self._epoch = 0
-        self._domain_epochs: dict[Hashable, int] = {}
-        self._by_domain: dict[Hashable, dict[tuple, None]] = {}
-        self._domain_cache: dict[EntityId, Hashable] = {}
         # Write-ahead journal sink (see repro.core.journal); when set,
         # every record/remove appends a framed delta after applying.
         self._journal = None
@@ -109,46 +99,10 @@ class TrustTable:
     def epoch(self) -> int:
         """Monotonic mutation counter, bumped by every :meth:`record`/:meth:`remove`.
 
-        The coarse mutation signal: *any* table mutation bumps it.  Journal
-        replay checks the fine-grained :meth:`domain_epoch` counters.
+        Journal ops carry the value it reached as ``e``, and replay
+        verifies it (see :func:`repro.core.journal.apply_op`).
         """
         return self._epoch
-
-    # -- domain sharding ---------------------------------------------------
-
-    def domain_of(self, entity: EntityId) -> Hashable:
-        """The Grid-domain key of ``entity`` (cached resolution)."""
-        domain = self._domain_cache.get(entity)
-        if domain is None:
-            domain = self.domains.resolve(entity)
-            self._domain_cache[entity] = domain
-        return domain
-
-    def domain_epoch(self, domain: Hashable) -> int:
-        """Mutation counter of one domain bucket (0 if never touched)."""
-        return self._domain_epochs.get(domain, 0)
-
-    def domain_epochs(self) -> Mapping[Hashable, int]:
-        """Read-only snapshot of every domain's mutation counter."""
-        return dict(self._domain_epochs)
-
-    def domains_present(self) -> tuple[Hashable, ...]:
-        """Domains that currently hold at least one record, in
-        first-appearance order."""
-        return tuple(d for d, bucket in self._by_domain.items() if bucket)
-
-    def domain_records(
-        self, domain: Hashable
-    ) -> Iterator[tuple[tuple[EntityId, EntityId, TrustContext], TrustRecord]]:
-        """Iterate one domain's ``(key, record)`` pairs in insertion order.
-
-        The order is the subsequence of the global insertion order whose
-        trustees fall in ``domain`` — exactly the order the reputation
-        loop visits those records.  The base-segment codec
-        (:mod:`repro.core.store`) writes each domain's segment in it.
-        """
-        for key in self._by_domain.get(domain, ()):
-            yield key, self._records[key]
 
     # -- mutation ---------------------------------------------------------
 
@@ -174,11 +128,6 @@ class TrustTable:
         self._entities.add(truster)
         self._entities.add(trustee)
         self._epoch += 1
-        domain = self.domain_of(trustee)
-        # dict re-assignment keeps the key's original position, matching the
-        # insertion-order semantics of the global record dict.
-        self._by_domain.setdefault(domain, {})[key] = None
-        self._domain_epochs[domain] = self._domain_epochs.get(domain, 0) + 1
         if self._journal is not None:
             self._journal.append(
                 {
@@ -189,8 +138,7 @@ class TrustTable:
                     "v": rec.value,
                     "t": rec.last_transaction,
                     "n": rec.transaction_count,
-                    "d": domain,
-                    "e": self._domain_epochs[domain],
+                    "e": self._epoch,
                 }
             )
         return rec
@@ -200,9 +148,6 @@ class TrustTable:
         key = (truster, trustee, context)
         del self._records[key]
         self._epoch += 1
-        domain = self.domain_of(trustee)
-        self._by_domain.get(domain, {}).pop(key, None)
-        self._domain_epochs[domain] = self._domain_epochs.get(domain, 0) + 1
         if self._journal is not None:
             self._journal.append(
                 {
@@ -210,8 +155,7 @@ class TrustTable:
                     "z": truster,
                     "y": trustee,
                     "c": context.name,
-                    "d": domain,
-                    "e": self._domain_epochs[domain],
+                    "e": self._epoch,
                 }
             )
 

@@ -105,6 +105,37 @@ _TRUST_JOURNAL_KEYS = frozenset(
     {"schema", "root", "generation", "offset", "base_sha256"}
 )
 
+
+def _check_trust_journal_sidecar(sidecar: Any) -> None:
+    """Structurally validate a ``trust_journal`` sidecar.
+
+    Raises :class:`~repro.errors.CheckpointError` naming the missing or
+    ill-typed key.
+    """
+    if not isinstance(sidecar, dict):
+        raise CheckpointError(
+            "malformed trust_journal sidecar: expected a dict, got "
+            f"{type(sidecar).__name__}"
+        )
+    missing = _TRUST_JOURNAL_KEYS - sidecar.keys()
+    if missing:
+        raise CheckpointError(
+            f"malformed trust_journal sidecar: missing keys {sorted(missing)}"
+        )
+    if not isinstance(sidecar["root"], str):
+        raise CheckpointError(
+            "malformed trust_journal sidecar: 'root' must be a path string, "
+            f"got {sidecar['root']!r}"
+        )
+    for key in ("generation", "offset"):
+        value = sidecar[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise CheckpointError(
+                f"malformed trust_journal sidecar: {key!r} must be a "
+                f"non-negative integer, got {value!r}"
+            )
+
+
 #: Optional top-level keys: the resilient trust source's state and the
 #: durable trust plane's sidecar.  Any other key is refused.
 _OPTIONAL_KEYS = frozenset({"trust_plane", "trust_journal"})
@@ -167,18 +198,8 @@ def validate_checkpoint(payload: Any) -> dict:
         raise CheckpointError(
             "checkpoint next_window precedes its clock"
         )
-    journal = payload.get("trust_journal")
-    if journal is not None:
-        if not isinstance(journal, dict) or _TRUST_JOURNAL_KEYS - journal.keys():
-            raise CheckpointError(
-                "malformed trust_journal sidecar (expected schema/root/"
-                "generation/offset/base_sha256)"
-            )
-        if journal["offset"] < 0 or journal["generation"] < 0:
-            raise CheckpointError(
-                "trust_journal sidecar offset/generation must be "
-                "non-negative"
-            )
+    if payload.get("trust_journal") is not None:
+        _check_trust_journal_sidecar(payload["trust_journal"])
     return payload
 
 
@@ -240,26 +261,28 @@ def resolve_trust_journal(payload: dict, **recover_kwargs: Any) -> Any:
     exactly the pinned generation and journal offset (discarding any
     later, unacknowledged timeline), or ``None`` when the checkpoint
     carries no ``trust_journal`` sidecar.  Extra keyword arguments
-    (``domains=``, ``grid_table=``, ``metrics=``, …) pass through to
+    (``grid_table=``, ``config=``, ``metrics=``) pass through to
     :meth:`~repro.core.journal.DurableTrustPlane.recover`.
 
     Raises:
-        CheckpointError: when the pinned root/generation/offset can no
-            longer be recovered or does not match its pinned base digest.
-            Every :class:`~repro.core.journal.TrustJournalError` — a torn
-            pinned prefix, or a missing, tampered, truncated or
-            mis-mapped base segment — surfaces here, naming the path.
+        CheckpointError: when the sidecar is malformed (naming the bad
+            key), or the pinned root/generation/offset can no longer be
+            recovered or does not match its pinned base digest.  Every
+            :class:`~repro.core.journal.TrustJournalError` — a torn
+            pinned prefix, or a missing, tampered or truncated base
+            segment — surfaces here, naming the path.
     """
     from repro.core.journal import DurableTrustPlane, TrustJournalError
 
     sidecar = payload.get("trust_journal")
     if sidecar is None:
         return None
+    _check_trust_journal_sidecar(sidecar)
     try:
         plane = DurableTrustPlane.recover(
             sidecar["root"],
-            generation=int(sidecar["generation"]),
-            upto=int(sidecar["offset"]),
+            generation=sidecar["generation"],
+            upto=sidecar["offset"],
             **recover_kwargs,
         )
     except TrustJournalError as exc:

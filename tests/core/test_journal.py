@@ -2,7 +2,7 @@
 
 Covers the frame codec (CRC32C vectors, torn/short/corrupt tails),
 :class:`~repro.core.journal.JournalWriter` round trips and pinned-prefix
-refusal, replay epoch verification, the grid sidecar, and
+refusal, replay epoch verification, the fsync seam, and
 :class:`~repro.core.journal.DurableTrustPlane` lifecycle — create,
 recover, checkpoint, compaction, generation retention, and rollback to a
 pinned generation.
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.context import TrustContext
 from repro.core.journal import (
-    GRID_SIDECAR_SCHEMA,
     JOURNAL_SCHEMA,
     DurableTrustPlane,
     JournalConfig,
@@ -26,6 +25,7 @@ from repro.core.journal import (
     apply_op,
     crc32c,
     read_journal,
+    set_sync_hook,
 )
 from repro.core.recommender import RecommenderWeights
 from repro.core.tables import TrustTable
@@ -63,7 +63,7 @@ class TestCrc32c:
 class TestFrameCodec:
     def test_round_trip(self, tmp_path):
         ops = [{"op": "record", "z": "a", "y": "b", "c": "execute",
-                "v": 0.5, "t": 1.0, "n": 1, "d": "a", "e": 1}]
+                "v": 0.5, "t": 1.0, "n": 1, "e": 1}]
         path = _raw_journal(
             tmp_path, [json.dumps(o, sort_keys=True).encode() for o in ops]
         )
@@ -225,7 +225,7 @@ class TestApplyOp:
         weights = RecommenderWeights()
         grid = GridTrustTable(2, 2, 2)
         op = {"op": "record", "z": "a", "y": "b", "c": "execute",
-              "v": 0.5, "t": 1.0, "n": 1, "d": "a", "e": 99}
+              "v": 0.5, "t": 1.0, "n": 1, "e": 99}
         with pytest.raises(TrustJournalError, match="epoch"):
             apply_op(
                 op, table=table, weights=weights, alliances=None,
@@ -242,8 +242,7 @@ class TestApplyOp:
             )
 
     def test_remove_missing_key_refused(self, tmp_path):
-        op = {"op": "remove", "z": "a", "y": "b", "c": "execute",
-              "d": "a", "e": 1}
+        op = {"op": "remove", "z": "a", "y": "b", "c": "execute", "e": 1}
         with pytest.raises(TrustJournalError):
             apply_op(
                 op, table=TrustTable(), weights=RecommenderWeights(),
@@ -329,13 +328,23 @@ class TestDurableTrustPlane:
         assert rec.table.get("a", "c", EXECUTE) is None
         rec.close()
 
-    def test_grid_sidecar_written_and_restored(self, tmp_path):
+    def test_torn_tail_truncation_passes_the_sync_hook(self, tmp_path):
         plane = _plane(tmp_path)
-        sidecar = tmp_path / "plane" / "base-0" / "grid.json"
-        data = json.loads(sidecar.read_text())
-        assert data["schema"] == GRID_SIDECAR_SCHEMA
-        assert data["shape"] == [2, 3, 2]
+        plane.table.record("a", "b", EXECUTE, 0.7, 1.0)
+        plane.checkpoint()
         plane.close()
+        journal = tmp_path / "plane" / "journal-0.wal"
+        journal.write_bytes(journal.read_bytes() + b"\x01\x02\x03")
+        events = []
+        set_sync_hook(lambda phase, kind, path: events.append((phase, kind, path)))
+        try:
+            rec = DurableTrustPlane.recover(tmp_path / "plane")
+        finally:
+            set_sync_hook(None)
+        assert rec.recovered_truncated
+        assert ("before", "file", journal) in events
+        assert ("after", "file", journal) in events
+        rec.close()
 
     def test_compaction_folds_tail_and_prunes(self, tmp_path):
         plane = _plane(

@@ -172,36 +172,3 @@ class TestRecommenderWeights:
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RecommenderWeights(**kwargs)
-
-
-class TestDomainEpochs:
-    """Weights/alliances bump per-domain counters for shard factor sigs."""
-
-    def _domains(self):
-        from repro.core.domains import DomainMap
-
-        return DomainMap(domain_of=lambda e: str(e))
-
-    def test_observe_outcome_bumps_the_recommender_domain(self):
-        from repro.core.recommender import AllianceRegistry, RecommenderWeights
-
-        domains = self._domains()
-        weights = RecommenderWeights(
-            alliances=AllianceRegistry(domains=domains), domains=domains
-        )
-        e0_z, e0_other = weights.domain_epoch("z"), weights.domain_epoch("o")
-        weights.observe_outcome("z", 0.8, 0.2)
-        assert weights.domain_epoch("z") != e0_z
-        assert weights.domain_epoch("o") == e0_other
-
-    def test_alliance_churn_bumps_every_member_domain(self):
-        from repro.core.recommender import AllianceRegistry
-
-        registry = AllianceRegistry(domains=self._domains())
-        registry.declare("g", ["a", "b"])
-        assert registry.domain_epoch("a") == 1
-        assert registry.domain_epoch("b") == 1
-        assert registry.domain_epoch("c") == 0
-        registry.dissolve("g")
-        assert registry.domain_epoch("a") == 2
-        assert registry.domain_epoch("c") == 0

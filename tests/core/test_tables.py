@@ -114,71 +114,9 @@ class TestTrustTable:
         assert items[0][0] == ("x", "y", EXECUTION)
         assert ("x", "y", EXECUTION) in table
 
-
-class TestDomainEpochs:
-    """Per-domain mutation counters: the shard-invalidation contract."""
-
-    def _table(self):
-        from repro.core.domains import DomainMap
-
-        # One domain per trustee, so bucket behaviour is deterministic.
-        return TrustTable(domains=DomainMap(domain_of=lambda e: str(e)))
-
-    def test_record_bumps_the_trustee_domain_only(self):
-        table = self._table()
-        table.record("x", "y", EXECUTION, 0.5, 1.0)
-        assert table.domain_epoch("y") == 1
-        assert table.domain_epoch("x") == 0
-        table.record("z", "y", EXECUTION, 0.6, 2.0)
-        assert table.domain_epoch("y") == 2
-        assert table.domain_epoch("z") == 0
-
-    def test_remove_bumps_the_trustee_domain(self):
-        table = self._table()
-        table.record("x", "y", EXECUTION, 0.5, 1.0)
-        table.record("x", "w", EXECUTION, 0.5, 1.0)
-        table.remove("x", "y", EXECUTION)
-        assert table.domain_epoch("y") == 2
-        assert table.domain_epoch("w") == 1
-
-    def test_domains_present_tracks_live_buckets(self):
-        table = self._table()
-        assert table.domains_present() == ()
-        table.record("x", "y", EXECUTION, 0.5, 1.0)
-        table.record("x", "w", EXECUTION, 0.5, 1.0)
-        assert table.domains_present() == ("y", "w")
-        table.remove("x", "y", EXECUTION)
-        assert table.domains_present() == ("w",)
-
-    def test_domain_records_preserves_insertion_order(self):
-        from repro.core.domains import DomainMap
-
-        # Two trustees share one bucket: their records interleave in the
-        # global insertion order, which the bucket must preserve.
-        table = TrustTable(domains=DomainMap(domain_of=lambda e: "all"))
-        table.record("a", "y", EXECUTION, 0.1, 1.0)
-        table.record("a", "w", EXECUTION, 0.2, 2.0)
-        table.record("b", "y", STORAGE, 0.3, 3.0)
-        keys = [key for key, _ in table.domain_records("all")]
-        assert keys == [
-            ("a", "y", EXECUTION), ("a", "w", EXECUTION), ("b", "y", STORAGE),
-        ]
-        # Overwriting keeps the key's original position.
-        table.record("a", "y", EXECUTION, 0.9, 4.0)
-        assert [key for key, _ in table.domain_records("all")][0] == (
-            "a", "y", EXECUTION,
-        )
-
-    def test_global_epoch_still_advances(self):
-        table = self._table()
-        before = table.epoch
-        table.record("x", "y", EXECUTION, 0.5, 1.0)
-        assert table.epoch == before + 1
-
-    def test_crc32_default_is_process_stable(self):
-        import zlib
-
+    def test_epoch_counts_every_mutation(self):
         table = TrustTable()
         table.record("x", "y", EXECUTION, 0.5, 1.0)
-        expected = zlib.crc32(b"y") % table.domains.n_shards
-        assert table.domain_of("y") == expected
+        table.record("x", "y", EXECUTION, 0.6, 2.0)  # overwrite
+        table.remove("x", "y", EXECUTION)
+        assert table.epoch == 3

@@ -5,36 +5,44 @@ with an empty journal tail) and restored by
 :meth:`DurableTrustPlane.recover` must come back with a Γ surface that is
 *bit-identical* to the one it persisted — without replaying transaction
 history — and recovery must refuse, with a :class:`TrustJournalError`
-naming the offending file, a base whose segments or manifest no longer
-match their pinned digests.  The hypothesis property drives random shard
-counts and post-restore mutation orders through the full create → recover
-→ mutate → evaluate → recover cycle.
+naming the offending file, a base whose segments (Grid levels included)
+or manifest no longer match their pinned digests.  The hypothesis
+property drives random worlds and post-restore mutation orders through
+the full create → recover → mutate → evaluate → recover cycle.
 """
 
+import hashlib
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import STORE_SCHEMA, DomainMap, TrustContext, TrustEngine
+from repro.core import STORE_SCHEMA, TrustContext, TrustEngine
 from repro.core.decay import ExponentialDecay
-from repro.core.journal import DurableTrustPlane, TrustJournalError
+from repro.core.journal import (
+    DurableTrustPlane,
+    TrustJournalError,
+    crc32c,
+    read_journal,
+)
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.store import restore_trust_store, snapshot_trust_store
 from repro.core.tables import TrustTable
+from repro.grid.trust_table import GridTrustTable
 from repro.trustfaults.credibility import CredibilityWeights
 
 NOW = 100.0
 CONTEXTS = (TrustContext("c0"), TrustContext("c1"))
 
 
-def _build_world(n_entities=12, n_shards=4, n_records=40, seed=0, credibility=False):
+def _build_world(n_entities=12, n_records=40, seed=0, credibility=False):
     rng = np.random.default_rng(seed)
     entities = [f"e{i}" for i in range(n_entities)]
-    table = TrustTable(domains=DomainMap(n_shards=n_shards))
+    table = TrustTable()
     for _ in range(n_records):
         i, j = rng.integers(0, n_entities, size=2)
         if i == j:
@@ -44,7 +52,7 @@ def _build_world(n_entities=12, n_shards=4, n_records=40, seed=0, credibility=Fa
             CONTEXTS[int(rng.integers(0, len(CONTEXTS)))],
             float(rng.random()), float(rng.uniform(0.0, NOW - 10.0)),
         )
-    alliances = AllianceRegistry(domains=table.domains)
+    alliances = AllianceRegistry()
     alliances.declare("g1", entities[:3])
     if credibility:
         weights = CredibilityWeights(
@@ -68,10 +76,42 @@ def _surface(engine, entities):
     )
 
 
-def _persist(root, table, weights=None):
+def _grid():
+    grid = GridTrustTable(2, 3, 2)
+    grid.set(0, 1, 0, 3)
+    grid.set(1, 2, 1, 5)
+    return grid
+
+
+def _persist(root, table, weights=None, grid_table=None):
     """Persist a plane as one generation with an empty journal tail."""
-    DurableTrustPlane.create(root, table, weights).close()
+    DurableTrustPlane.create(root, table, weights, grid_table=grid_table).close()
     return root / "base-0" / "manifest.json"
+
+
+def _rewrite_journal_header(root, **fields):
+    """Rewrite the header frame of an empty generation-0 journal."""
+    journal = root / "journal-0.wal"
+    header = {**read_journal(journal).header, **fields}
+    payload = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    journal.write_bytes(struct.pack("<II", len(payload), crc32c(payload)) + payload)
+
+
+def _tamper_grid_levels(manifest, where):
+    """Flip one byte of the Grid-levels segment or of its manifest entry;
+    return the file that was changed."""
+    entry = json.loads(manifest.read_text())["grid"]
+    if where == "segment":
+        target = manifest.parent / entry["file"]
+        data = bytearray(target.read_bytes())
+        data[0] ^= 0x01
+    else:
+        target = manifest
+        data = bytearray(target.read_bytes())
+        i = data.index(entry["sha256"].encode())
+        data[i] = ord("0") if data[i] != ord("0") else ord("1")
+    target.write_bytes(bytes(data))
+    return target
 
 
 def _recover(root, **kwargs):
@@ -107,23 +147,29 @@ class TestRoundTrip:
         assert sorted(restored.weights.purged) == sorted(weights.purged)
         assert restored.weights.factor(entities[0], entities[5]) == 0.0
 
-    def test_explicit_domain_map_requires_caller_domains(self, tmp_path):
-        domains = DomainMap(domain_of=lambda e: str(e)[:2])
-        table = TrustTable(domains=domains)
-        table.record("ax", "by", CONTEXTS[0], 0.5, 10.0)
-        _persist(tmp_path, table)
-        with pytest.raises(TrustJournalError, match="explicit"):
-            DurableTrustPlane.recover(tmp_path)
-        restored = _recover(tmp_path, domains=domains)
-        assert list(restored.table.items())
+    def test_insertion_order_survives_restore(self, tmp_path):
+        engine, entities = _build_world()
+        table = engine.table
+        # Remove and re-add one record so it moves to the end, and
+        # overwrite another in place: order is history, not key order.
+        (z, y, c), _ = next(iter(table.items()))
+        table.remove(z, y, c)
+        table.record(z, y, c, 0.25, 50.0)
+        (z, y, c), _ = next(iter(table.items()))
+        table.record(z, y, c, 0.75, 60.0)
+        _persist(tmp_path, table, engine.reputation.weights)
+        restored = _recover(tmp_path)
+        assert list(restored.table.items()) == list(table.items())
+        assert restored.table.epoch == table.epoch
 
-    def test_domain_map_mismatch_is_refused(self, tmp_path):
-        table = TrustTable(domains=DomainMap(domain_of=lambda e: str(e)[:2]))
-        table.record("ax", "by", CONTEXTS[0], 0.5, 10.0)
-        _persist(tmp_path, table)
-        other = DomainMap(domain_of=lambda e: str(e)[-1])
-        with pytest.raises(TrustJournalError, match="domain map mismatch"):
-            DurableTrustPlane.recover(tmp_path, domains=other)
+    def test_grid_levels_and_epochs_survive_restore(self, tmp_path):
+        engine, _ = _build_world()
+        grid = _grid()
+        _persist(tmp_path, engine.table, grid_table=grid)
+        restored = _recover(tmp_path)
+        assert np.array_equal(restored.grid_table.levels, grid.levels)
+        assert restored.grid_table.epoch == grid.epoch
+        assert restored.grid_table._cd_epochs == grid._cd_epochs
 
     def test_weightless_snapshot_restores_none(self, tmp_path):
         engine, entities = _build_world()
@@ -135,18 +181,17 @@ class TestRoundTrip:
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_snapshot_mutate_restore_is_bit_identical(tmp_path_factory, data):
-    """create → recover → mutate k domains ⇒ Γ bit-identical after replay.
+    """create → recover → mutate k records ⇒ Γ bit-identical after replay.
 
-    For random shard counts and mutation orders, the recovered plane's Γ
+    For random worlds and mutation orders, the recovered plane's Γ
     surface must equal the persisted one, and a second recovery,
     replaying the journaled mutations over the base, must land on the
     mutated plane's surface.
     """
     tmp_path = tmp_path_factory.mktemp("store")
-    n_shards = data.draw(st.integers(min_value=1, max_value=8))
     seed = data.draw(st.integers(min_value=0, max_value=2**16))
     engine, entities = _build_world(
-        n_shards=n_shards, seed=seed, credibility=data.draw(st.booleans())
+        seed=seed, credibility=data.draw(st.booleans())
     )
     before = _surface(engine, entities)
     _persist(tmp_path, engine.table, engine.reputation.weights)
@@ -154,7 +199,7 @@ def test_snapshot_mutate_restore_is_bit_identical(tmp_path_factory, data):
     engine2 = _engine(restored.table, restored.weights)
     assert np.array_equal(_surface(engine2, entities), before)
 
-    # Mutate k random domains in random order.
+    # Mutate k random records in random order.
     for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
         i = data.draw(st.integers(0, len(entities) - 1))
         j = data.draw(st.integers(0, len(entities) - 2))
@@ -178,11 +223,13 @@ def test_snapshot_mutate_restore_is_bit_identical(tmp_path_factory, data):
 class TestRefusal:
     def _snapshot(self, tmp_path):
         engine, entities = _build_world()
-        return _persist(tmp_path, engine.table, engine.reputation.weights)
+        return _persist(
+            tmp_path, engine.table, engine.reputation.weights, _grid()
+        )
 
     def test_corrupted_segment_is_refused(self, tmp_path):
         manifest = self._snapshot(tmp_path)
-        segment = next(manifest.parent.glob("shard-*.value.bin"))
+        segment = manifest.parent / "value.bin"
         data = bytearray(segment.read_bytes())
         data[0] ^= 0xFF
         segment.write_bytes(bytes(data))
@@ -190,9 +237,15 @@ class TestRefusal:
             DurableTrustPlane.recover(tmp_path)
         assert manifest.is_file()
 
+    @pytest.mark.parametrize("where", ["segment", "manifest entry"])
+    def test_tampered_grid_levels_are_refused(self, tmp_path, where):
+        _tamper_grid_levels(self._snapshot(tmp_path), where)
+        with pytest.raises(TrustJournalError):
+            DurableTrustPlane.recover(tmp_path)
+
     def test_truncated_segment_is_refused(self, tmp_path):
         manifest = self._snapshot(tmp_path)
-        segment = next(manifest.parent.glob("shard-*.time.bin"))
+        segment = manifest.parent / "time.bin"
         segment.write_bytes(segment.read_bytes()[:-8])
         with pytest.raises(TrustJournalError):
             DurableTrustPlane.recover(tmp_path)
@@ -208,7 +261,18 @@ class TestRefusal:
         payload = json.loads(manifest.read_text())
         payload["schema"] = "repro.trust.store/v0"
         manifest.write_text(json.dumps(payload))
-        with pytest.raises(TrustJournalError, match="schema"):
+        # Re-pin the journal to the edited manifest so the schema check,
+        # not the pin check, is what refuses it.
+        _rewrite_journal_header(
+            tmp_path, base=hashlib.sha256(manifest.read_bytes()).hexdigest()
+        )
+        with pytest.raises(TrustJournalError, match="got 'repro.trust.store/v0'"):
+            DurableTrustPlane.recover(tmp_path)
+
+    def test_v1_plane_is_refused(self, tmp_path):
+        self._snapshot(tmp_path)
+        _rewrite_journal_header(tmp_path, schema="repro.trust.journal/v1")
+        with pytest.raises(TrustJournalError, match="repro.trust.journal/v1"):
             DurableTrustPlane.recover(tmp_path)
 
     def test_missing_manifest_is_refused(self, tmp_path):
@@ -226,20 +290,27 @@ class TestRefusal:
 class TestManifest:
     def test_manifest_shape(self, tmp_path):
         engine, entities = _build_world()
+        grid = _grid()
         path = snapshot_trust_store(
-            tmp_path, engine.table, engine.reputation.weights
+            tmp_path, engine.table, engine.reputation.weights, grid_table=grid
         )
         manifest = json.loads(path.read_text())
-        assert manifest["schema"] == STORE_SCHEMA
-        assert manifest["domain_map"]["kind"] == "crc32"
-        assert manifest["shards"]
-        for shard in manifest["shards"]:
-            assert set(shard["columns"]) == {
-                "truster", "trustee", "context", "value", "time", "txcount",
-            }
-            for meta in shard["columns"].values():
-                assert (tmp_path / meta["file"]).is_file()
-                assert len(meta["sha256"]) == 64
+        assert manifest["schema"] == STORE_SCHEMA == "repro.trust.store/v2"
+        assert manifest["rows"] == len(engine.table)
+        assert set(manifest["columns"]) == {
+            "truster", "trustee", "context", "value", "time", "txcount",
+        }
+        assert manifest["grid"]["shape"] == [2, 3, 2]
+        assert manifest["grid"]["epoch"] == grid.epoch
+        assert manifest["grid"]["dtype"] == "<i8"
+        segments = [*manifest["columns"].values(), manifest["grid"]]
+        for meta in segments:
+            assert (tmp_path / meta["file"]).is_file()
+            assert len(meta["sha256"]) == 64
+        # One manifest plus one segment per column and one of Grid levels.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["manifest.json", *(meta["file"] for meta in segments)]
+        )
         assert path.name == "manifest.json"
 
     def test_snapshot_is_deterministic(self, tmp_path):
@@ -256,7 +327,9 @@ class TestRefusalNamesOffendingPath:
 
     def _snapshot(self, tmp_path):
         engine, _ = _build_world()
-        return _persist(tmp_path, engine.table, engine.reputation.weights)
+        return _persist(
+            tmp_path, engine.table, engine.reputation.weights, _grid()
+        )
 
     def test_truncated_manifest_names_manifest(self, tmp_path):
         manifest = self._snapshot(tmp_path)
@@ -266,14 +339,14 @@ class TestRefusalNamesOffendingPath:
 
     def test_missing_segment_names_segment(self, tmp_path):
         manifest = self._snapshot(tmp_path)
-        segment = next(manifest.parent.glob("shard-*.value.bin"))
+        segment = manifest.parent / "value.bin"
         segment.unlink()
         with pytest.raises(TrustJournalError, match=re.escape(str(segment))):
             DurableTrustPlane.recover(tmp_path)
 
     def test_digest_mismatch_names_segment(self, tmp_path):
         manifest = self._snapshot(tmp_path)
-        segment = next(manifest.parent.glob("shard-*.txcount.bin"))
+        segment = manifest.parent / "txcount.bin"
         data = bytearray(segment.read_bytes())
         data[-1] ^= 0x01
         segment.write_bytes(bytes(data))
@@ -282,9 +355,15 @@ class TestRefusalNamesOffendingPath:
         assert str(segment) in str(exc_info.value)
         assert "digest" in str(exc_info.value)
 
+    @pytest.mark.parametrize("where", ["segment", "manifest entry"])
+    def test_tampered_grid_levels_name_the_file(self, tmp_path, where):
+        offending = _tamper_grid_levels(self._snapshot(tmp_path), where)
+        with pytest.raises(TrustJournalError, match=re.escape(str(offending))):
+            DurableTrustPlane.recover(tmp_path)
+
     def test_truncated_segment_names_segment(self, tmp_path):
         manifest = self._snapshot(tmp_path)
-        segment = next(manifest.parent.glob("shard-*.time.bin"))
+        segment = manifest.parent / "time.bin"
         segment.write_bytes(segment.read_bytes()[:-8])
         with pytest.raises(TrustJournalError, match=re.escape(str(segment))):
             DurableTrustPlane.recover(tmp_path)

@@ -237,7 +237,7 @@ class TestTrustSnapshot:
         assert recovered.weights is not None
         assert recovered.weights._accuracy == weights._accuracy
         assert recovered.weights._epoch == weights._epoch
-        assert recovered.weights._domain_epochs == weights._domain_epochs
+        assert recovered.weights.alliances.epoch == weights.alliances.epoch
         assert dict(recovered.table.items()) == dict(fleet.internal_table.items())
         reseeded = AgentFleet.for_table(
             GridTrustTable(*grid.trust_table.shape),

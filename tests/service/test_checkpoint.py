@@ -384,7 +384,7 @@ class TestTrustJournalSidecar:
         from repro.service.checkpoint import resolve_trust_journal
 
         payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
-        segment = next(base.glob("shard-*.value.bin"))
+        segment = base / "value.bin"
         data = bytearray(segment.read_bytes())
         data[0] ^= 0xFF
         segment.write_bytes(bytes(data))
@@ -396,7 +396,7 @@ class TestTrustJournalSidecar:
         from repro.service.checkpoint import resolve_trust_journal
 
         payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
-        segment = next(base.glob("shard-*.time.bin"))
+        segment = base / "time.bin"
         segment.write_bytes(segment.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match=re.escape(str(segment))):
             resolve_trust_journal(payload)
@@ -419,38 +419,28 @@ class TestTrustJournalSidecar:
         with pytest.raises(CheckpointError, match=re.escape(str(manifest))):
             resolve_trust_journal(payload)
 
-    def test_explicit_map_without_domains_is_refused(
-        self, tmp_path, medium_scenario
-    ):
-        from repro.core import DomainMap, DurableTrustPlane, TrustTable
-        from repro.core.context import EXECUTION
-        from repro.service.checkpoint import (
-            attach_trust_journal,
-            resolve_trust_journal,
-        )
-
-        domains = DomainMap(domain_of=lambda e: str(e).split(":")[0])
-        table = TrustTable(domains=domains)
-        table.record("cd:0", "rd:0", EXECUTION, 0.7, 10.0)
-        plane = DurableTrustPlane.create(tmp_path / "plane", table)
-        payload = kill(medium_scenario, 1)
-        attach_trust_journal(payload, plane)
-        plane.close()
-        manifest = tmp_path / "plane" / "base-0" / "manifest.json"
-        with pytest.raises(CheckpointError, match="explicit") as exc:
-            resolve_trust_journal(payload)
-        assert str(manifest) in str(exc.value)
-        recovered = resolve_trust_journal(payload, domains=domains)
-        assert recovered.table.get("cd:0", "rd:0", EXECUTION).value == 0.7
-        recovered.close()
-
     def test_malformed_sidecar_is_rejected(self, medium_scenario):
         from repro.core.journal import JOURNAL_SCHEMA
+        from repro.service.checkpoint import resolve_trust_journal
 
         payload = kill(medium_scenario, 1)
-        payload["trust_journal"] = {"schema": JOURNAL_SCHEMA}
-        with pytest.raises(CheckpointError, match="sidecar"):
-            validate_checkpoint(payload)
+        good = {
+            "schema": JOURNAL_SCHEMA, "root": "plane", "generation": 0,
+            "offset": 0, "base_sha256": "0" * 64,
+        }
+        bad = [
+            ({"schema": JOURNAL_SCHEMA}, "base_sha256"),
+            ({k: v for k, v in good.items() if k != "root"}, "root"),
+            ({**good, "root": 7}, "root"),
+            ({**good, "generation": "a"}, "generation"),
+            ({**good, "offset": -1}, "offset"),
+        ]
+        # Both entry points share one shape check that names the bad key.
+        for entry in (validate_checkpoint, resolve_trust_journal):
+            for sidecar, key in bad:
+                payload["trust_journal"] = sidecar
+                with pytest.raises(CheckpointError, match=f"sidecar.*'{key}'"):
+                    entry(payload)
 
     def test_service_checkpoint_embeds_sidecar(self, tmp_path, medium_scenario):
         plane = self._plane(tmp_path)

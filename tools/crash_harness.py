@@ -158,24 +158,18 @@ def state_fingerprint(
 ) -> tuple:
     """Everything recovery must reproduce exactly, as comparable data."""
     return (
-        # Sorted: snapshot restore replays rows in shard order, not the
-        # live table's insertion order; contents must match, order may not.
-        sorted(
+        [
             (z, y, c.name, r.value, r.last_transaction, r.transaction_count)
             for (z, y, c), r in table.items()
-        ),
+        ],
         table.epoch,
-        sorted(table.domain_epochs().items(), key=repr),
         sorted(weights._accuracy.items()),
-        (weights._epoch, sorted(weights._domain_epochs.items(), key=repr)),
+        weights._epoch,
         {
             name: sorted(weights.alliances._groups[name])
             for name in weights.alliances._groups
         },
-        (
-            weights.alliances._epoch,
-            sorted(weights.alliances._domain_epochs.items(), key=repr),
-        ),
+        weights.alliances.epoch,
         grid.levels.tolist(),
         (grid.epoch, sorted(grid._cd_epochs.items())),
     )
@@ -192,8 +186,8 @@ def assert_equivalent(
     if got != want:
         for g, w, part in zip(
             got, want,
-            ("records", "epoch", "domain epochs", "accuracy", "w-epochs",
-             "groups", "a-epochs", "grid", "g-epochs"),
+            ("records", "epoch", "accuracy", "w-epoch", "groups",
+             "a-epoch", "grid", "g-epochs"),
         ):
             if g != w:
                 raise AssertionError(
