@@ -35,7 +35,6 @@ from repro.core.journal import (
     TrustJournalError,
     apply_op,
     attach_journal,
-    crc32c,
     detach_journal,
     read_journal,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "JournalReplay",
     "JournalWriter",
     "DurableTrustPlane",
-    "crc32c",
     "read_journal",
     "apply_op",
     "attach_journal",

@@ -21,8 +21,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "DecayFunction",
     "NoDecay",
@@ -34,47 +32,32 @@ __all__ = [
 
 
 class DecayFunction(ABC):
-    """Protocol for trust decay: callable age -> multiplier in ``[0, 1]``.
+    """Protocol for trust decay: callable age -> multiplier in ``[0, 1]``."""
 
-    The vectorised :meth:`apply` is the single source of truth; the scalar
-    ``__call__`` routes through it on a one-element array so the two paths
-    cannot drift (``math.exp`` and ``np.exp`` differ in the last ulp, so a
-    second transcription could disagree with the vectorised one).
-    """
-
+    @abstractmethod
     def __call__(self, age: float) -> float:
         """Return the decay multiplier for information ``age`` time units old.
 
         Raises:
-            ValueError: if ``age`` is negative (information from the future).
-        """
-        age = self._check_age(age)
-        return float(self.apply(np.asarray([age], dtype=np.float64))[0])
-
-    @abstractmethod
-    def apply(self, ages: np.ndarray) -> np.ndarray:
-        """Vectorised decay over an array of ages.
-
-        Raises:
-            ValueError: if any age is negative.
+            ValueError: if ``age`` is negative (information from the future)
+                or NaN.
         """
 
     @staticmethod
     def _check_age(age: float) -> float:
-        if age < 0:
+        age = float(age)
+        if not age >= 0:
             raise ValueError(f"age must be non-negative, got {age}")
-        return float(age)
+        return age
 
 
 @dataclass(frozen=True, slots=True)
 class NoDecay(DecayFunction):
     """Identity decay: trust never ages (useful as a control in ablations)."""
 
-    def apply(self, ages: np.ndarray) -> np.ndarray:
-        ages = np.asarray(ages, dtype=np.float64)
-        if np.any(ages < 0):
-            raise ValueError("ages must be non-negative")
-        return np.ones_like(ages)
+    def __call__(self, age: float) -> float:
+        self._check_age(age)
+        return 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,11 +78,9 @@ class ExponentialDecay(DecayFunction):
         if not 0.0 <= self.floor <= 1.0:
             raise ValueError("floor must lie in [0, 1]")
 
-    def apply(self, ages: np.ndarray) -> np.ndarray:
-        ages = np.asarray(ages, dtype=np.float64)
-        if np.any(ages < 0):
-            raise ValueError("ages must be non-negative")
-        return self.floor + (1.0 - self.floor) * np.exp(-self.rate * ages)
+    def __call__(self, age: float) -> float:
+        age = self._check_age(age)
+        return self.floor + (1.0 - self.floor) * math.exp(-self.rate * age)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,12 +101,9 @@ class LinearDecay(DecayFunction):
         if not 0.0 <= self.floor <= 1.0:
             raise ValueError("floor must lie in [0, 1]")
 
-    def apply(self, ages: np.ndarray) -> np.ndarray:
-        ages = np.asarray(ages, dtype=np.float64)
-        if np.any(ages < 0):
-            raise ValueError("ages must be non-negative")
-        frac = np.minimum(ages / self.horizon, 1.0)
-        return 1.0 - (1.0 - self.floor) * frac
+    def __call__(self, age: float) -> float:
+        age = self._check_age(age)
+        return 1.0 - (1.0 - self.floor) * min(age / self.horizon, 1.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,11 +122,9 @@ class StepDecay(DecayFunction):
         if not 0.0 <= self.stale_value <= 1.0:
             raise ValueError("stale_value must lie in [0, 1]")
 
-    def apply(self, ages: np.ndarray) -> np.ndarray:
-        ages = np.asarray(ages, dtype=np.float64)
-        if np.any(ages < 0):
-            raise ValueError("ages must be non-negative")
-        return np.where(ages <= self.fresh_for, 1.0, self.stale_value)
+    def __call__(self, age: float) -> float:
+        age = self._check_age(age)
+        return 1.0 if age <= self.fresh_for else float(self.stale_value)
 
 
 class HalfLifeDecay(ExponentialDecay):

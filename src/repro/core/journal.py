@@ -1,4 +1,4 @@
-"""Write-ahead delta journal for the trust plane (``repro.trust.journal/v2``).
+"""Write-ahead delta journal for the trust plane (``repro.trust.journal/v3``).
 
 :class:`DurableTrustPlane` is the one way to persist or restore trust
 state: a snapshot is a generation with an empty journal tail
@@ -14,7 +14,7 @@ tail* to a state bit-identical to an uninterrupted run.
 
 Frame format (all little-endian)::
 
-    <u32 payload length> <u32 CRC32C(payload)> <payload: compact JSON>
+    <u32 payload length> <u32 CRC-32 (zlib) of payload> <payload: compact JSON>
 
 The first frame is a header pinning the journal schema and the SHA-256 of
 the base snapshot's manifest, so a journal can never be replayed over the
@@ -34,7 +34,8 @@ is recovered.  A checkpoint that *pins* an offset (``upto=``) is the
 opposite contract: the pinned prefix was acknowledged as durable, so a
 tear inside it is a hard error.
 
-Every refusal — a plane of another schema, a torn pinned prefix, a wrong
+Every refusal — a plane of another schema (named by ``CURRENT``, checked
+before any journal is read), a torn pinned prefix, a wrong
 base, a diverging op, or a missing, tampered or truncated base segment
 (Grid levels included) — raises
 :class:`TrustJournalError` naming the offending path;
@@ -62,6 +63,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,7 +83,6 @@ __all__ = [
     "JournalReplay",
     "JournalWriter",
     "DurableTrustPlane",
-    "crc32c",
     "read_journal",
     "apply_op",
     "attach_journal",
@@ -93,7 +94,7 @@ __all__ = [
 
 #: Schema tag carried by every journal header frame and delta-checkpoint
 #: descriptor.
-JOURNAL_SCHEMA = "repro.trust.journal/v2"
+JOURNAL_SCHEMA = "repro.trust.journal/v3"
 
 _FRAME = struct.Struct("<II")
 
@@ -103,36 +104,6 @@ class TrustJournalError(TrustModelError):
     its base snapshot is missing, malformed or tampered, or its journal is torn
     inside a pinned prefix, replayed over the wrong base, or diverges
     from the state it claims to extend."""
-
-
-# -- CRC32C (Castagnoli) ----------------------------------------------------
-#
-# The stdlib only ships CRC-32 (zlib.crc32, polynomial 0x04C11DB7); journal
-# frames use CRC-32C (0x1EDC6F41), the checksum storage systems standardise
-# on for torn-write detection, as a table-driven pure-Python routine so the
-# journal has no dependency the container lacks.
-
-def _crc32c_table() -> tuple[int, ...]:
-    poly = 0x82F63B78  # reflected Castagnoli polynomial
-    table = []
-    for n in range(256):
-        c = n
-        for _ in range(8):
-            c = (c >> 1) ^ poly if c & 1 else c >> 1
-        table.append(c)
-    return tuple(table)
-
-
-_CRC32C = _crc32c_table()
-
-
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC-32C (Castagnoli) of ``data``, continuing from ``crc``."""
-    table = _CRC32C
-    crc = ~crc & 0xFFFFFFFF
-    for b in data:
-        crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return ~crc & 0xFFFFFFFF
 
 
 # -- fsync seam -------------------------------------------------------------
@@ -189,7 +160,7 @@ def _frame(op: dict[str, Any]) -> bytes:
         raise TrustJournalError(
             f"journal op is not JSON-representable: {exc}"
         ) from exc
-    return _FRAME.pack(len(payload), crc32c(payload)) + payload
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 @dataclass(frozen=True)
@@ -264,8 +235,8 @@ def read_journal(
         if len(payload) < length:
             reason = f"short frame payload at offset {pos}"
             break
-        if crc32c(payload) != crc:
-            reason = f"CRC32C mismatch at offset {pos}"
+        if zlib.crc32(payload) != crc:
+            reason = f"CRC-32 (zlib) mismatch at offset {pos}"
             break
         try:
             op = json.loads(payload.decode("utf-8"))
@@ -790,11 +761,19 @@ class DurableTrustPlane:
             )
         try:
             current = json.loads(current_path.read_text("utf-8"))
+            schema = current["schema"]
             active = int(current["generation"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise TrustJournalError(
                 f"corrupt trust-plane CURRENT file {current_path}: {exc}"
             ) from exc
+        # Checked before any journal is read: an older plane's frames fail
+        # this codec's checksum and would otherwise be truncated as a tear.
+        if schema != JOURNAL_SCHEMA:
+            raise TrustJournalError(
+                f"trust plane {current_path} has schema {schema!r}, not "
+                f"{JOURNAL_SCHEMA!r}; refusing to recover it"
+            )
         gen = active if generation is None else generation
         base_dir = root / f"base-{gen}"
         journal_path = root / f"journal-{gen}.wal"

@@ -85,11 +85,17 @@ class TrustTable:
     insertion order, which keeps replays deterministic; the base-segment
     codec (:mod:`repro.core.store`) persists records in it, so a restored
     table iterates exactly like the original.
+
+    A ``(trustee, context) -> {truster: record}`` index, kept in the same
+    insertion order, serves :meth:`recommenders` without scanning every
+    record.
     """
 
     def __init__(self) -> None:
         self._records: dict[tuple[EntityId, EntityId, TrustContext], TrustRecord] = {}
-        self._entities: set[EntityId] = set()
+        self._by_trustee: dict[
+            tuple[EntityId, TrustContext], dict[EntityId, TrustRecord]
+        ] = {}
         self._epoch = 0
         # Write-ahead journal sink (see repro.core.journal); when set,
         # every record/remove appends a framed delta after applying.
@@ -125,8 +131,7 @@ class TrustTable:
         rec = TrustRecord(value=value, last_transaction=time, transaction_count=transaction_count)
         key = (truster, trustee, context)
         self._records[key] = rec
-        self._entities.add(truster)
-        self._entities.add(trustee)
+        self._by_trustee.setdefault((trustee, context), {})[truster] = rec
         self._epoch += 1
         if self._journal is not None:
             self._journal.append(
@@ -147,6 +152,10 @@ class TrustTable:
         """Delete an entry; raises :class:`KeyError` if it does not exist."""
         key = (truster, trustee, context)
         del self._records[key]
+        bucket = self._by_trustee[trustee, context]
+        del bucket[truster]
+        if not bucket:
+            del self._by_trustee[trustee, context]
         self._epoch += 1
         if self._journal is not None:
             self._journal.append(
@@ -185,15 +194,17 @@ class TrustTable:
         """Iterate ``(z, record)`` for every third party ``z != excluding``
         that holds an opinion about ``trustee`` in ``context``.
 
-        This is exactly the set the reputation sum of Section 2.2 ranges over.
+        This is exactly the set the reputation sum of Section 2.2 ranges over,
+        in the order the records were inserted.
         """
-        for (truster, target, ctx), rec in self._records.items():
-            if target == trustee and ctx == context and truster != excluding:
+        for truster, rec in self._by_trustee.get((trustee, context), {}).items():
+            if truster != excluding:
                 yield truster, rec
 
     def entities(self) -> frozenset[EntityId]:
-        """All entities that appear in the table (as truster or trustee)."""
-        return frozenset(self._entities)
+        """All entities that appear in the current records (as truster or
+        trustee)."""
+        return frozenset(entity for key in self._records for entity in key[:2])
 
     def __len__(self) -> int:
         return len(self._records)

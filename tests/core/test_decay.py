@@ -1,5 +1,7 @@
 """Tests for repro.core.decay."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -44,26 +46,49 @@ class TestDecayProtocol:
             decay(-1.0)
 
     def test_vectorised_matches_scalar(self, decay):
+        # The numpy transcription the scalar closed forms replaced; the
+        # two may differ only in the last ulp (``math.exp`` vs ``np.exp``).
         ages = np.array([0.0, 3.5, 42.0, 1e4])
         np.testing.assert_allclose(
-            decay.apply(ages), [decay(a) for a in ages], rtol=1e-12
+            _numpy_reference(decay, ages), [decay(a) for a in ages], rtol=1e-12
         )
 
     def test_vectorised_rejects_negative(self, decay):
+        # Ages taken from a numpy array arrive as np.float64 and are
+        # validated like Python floats.
         with pytest.raises(ValueError):
-            decay.apply(np.array([1.0, -0.5]))
+            [decay(a) for a in np.array([1.0, -0.5])]
+
+    def test_nan_age_rejected(self, decay):
+        with pytest.raises(ValueError, match="nan"):
+            decay(math.nan)
+
+
+def _numpy_reference(decay, ages):
+    if isinstance(decay, NoDecay):
+        return np.ones_like(ages)
+    if isinstance(decay, ExponentialDecay):
+        return decay.floor + (1.0 - decay.floor) * np.exp(-decay.rate * ages)
+    if isinstance(decay, LinearDecay):
+        return 1.0 - (1.0 - decay.floor) * np.minimum(ages / decay.horizon, 1.0)
+    return np.where(ages <= decay.fresh_for, 1.0, decay.stale_value)
+
+
+def _math_closed_form(decay, age):
+    if isinstance(decay, NoDecay):
+        return 1.0
+    if isinstance(decay, ExponentialDecay):
+        return decay.floor + (1.0 - decay.floor) * math.exp(-decay.rate * age)
+    if isinstance(decay, LinearDecay):
+        return 1.0 - (1.0 - decay.floor) * min(age / decay.horizon, 1.0)
+    return 1.0 if age <= decay.fresh_for else decay.stale_value
 
 
 @pytest.mark.parametrize("decay", ALL_DECAYS, ids=lambda d: type(d).__name__)
 @given(age=ages)
-def test_scalar_call_is_single_element_apply(decay, age):
-    """``__call__`` must be *bit-identical* to a one-element ``apply``.
-
-    The scalar Γ path and the batched kernels share ``apply`` precisely so
-    they agree to the last ulp (``math.exp`` and ``np.exp`` differ); exact
-    equality here is the contract the equivalence suite builds on.
-    """
-    assert decay(age) == decay.apply(np.asarray([age], dtype=np.float64))[0]
+def test_scalar_call_is_math_closed_form(decay, age):
+    """``__call__`` is exactly its closed form in scalar ``math``."""
+    assert decay(age) == _math_closed_form(decay, age)
 
 
 class TestSpecifics:

@@ -1,6 +1,6 @@
 """Unit tests for the trust-plane write-ahead journal.
 
-Covers the frame codec (CRC32C vectors, torn/short/corrupt tails),
+Covers the frame codec (CRC-32 check vector, torn/short/corrupt tails),
 :class:`~repro.core.journal.JournalWriter` round trips and pinned-prefix
 refusal, replay epoch verification, the fsync seam, and
 :class:`~repro.core.journal.DurableTrustPlane` lifecycle — create,
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.core.journal import (
     JournalWriter,
     TrustJournalError,
     apply_op,
-    crc32c,
     read_journal,
     set_sync_hook,
 )
@@ -37,7 +37,7 @@ _FRAME = struct.Struct("<II")
 
 
 def _frame(payload: bytes) -> bytes:
-    return _FRAME.pack(len(payload), crc32c(payload)) + payload
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def _raw_journal(tmp_path, payloads, name="j.wal"):
@@ -50,14 +50,22 @@ def _raw_journal(tmp_path, payloads, name="j.wal"):
     return path
 
 
-class TestCrc32c:
+class TestFrameChecksum:
     def test_check_vector(self):
-        # RFC 3720 test vector for the Castagnoli polynomial.
-        assert crc32c(b"123456789") == 0xE3069283
+        # The standard CRC-32 check value of the frame checksum.
+        assert zlib.crc32(b"123456789") == 0xCBF43926
+
+    def test_writer_frames_carry_zlib_crc32(self, tmp_path):
+        path = tmp_path / "j.wal"
+        JournalWriter.create(path).close()
+        data = path.read_bytes()
+        length, crc = _FRAME.unpack_from(data)
+        assert len(data) == _FRAME.size + length
+        assert crc == zlib.crc32(data[_FRAME.size :])
 
     def test_empty_and_incremental(self):
-        assert crc32c(b"") == 0
-        assert crc32c(b"ab") != crc32c(b"ba")
+        assert zlib.crc32(b"") == 0
+        assert zlib.crc32(b"ab") != zlib.crc32(b"ba")
 
 
 class TestFrameCodec:
@@ -102,7 +110,7 @@ class TestFrameCodec:
         assert replay.ops == ()
 
     def test_all_zero_tail_is_torn_not_fatal(self, tmp_path):
-        # crc32c(b"") == 0, so a zeroed region decodes as a "valid" empty
+        # zlib.crc32(b"") == 0, so a zeroed region decodes as a "valid" empty
         # frame; the undecodable-JSON rule must classify it as torn.
         path = _raw_journal(tmp_path, [b'{"op": "remove", "z": "a"}'])
         good = path.stat().st_size

@@ -1,10 +1,11 @@
 """Tests for repro.core.tables (DTT/RTT) and level/value conversion."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import EXECUTION, STORAGE
+from repro.core.journal import DurableTrustPlane
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable, level_to_value, value_to_level
 from repro.errors import UnknownEntityError
@@ -120,3 +121,81 @@ class TestTrustTable:
         table.record("x", "y", EXECUTION, 0.6, 2.0)  # overwrite
         table.remove("x", "y", EXECUTION)
         assert table.epoch == 3
+
+    def test_entities_of_live_and_recovered_tables_agree_after_remove(self, tmp_path):
+        table = TrustTable()
+        table.record("a", "b", EXECUTION, 0.5, 1.0)
+        table.record("x", "y", EXECUTION, 0.6, 1.0)
+        table.remove("x", "y", EXECUTION)
+        DurableTrustPlane.create(tmp_path, table).close()
+        recovered = DurableTrustPlane.recover(tmp_path)
+        try:
+            assert table.entities() == recovered.table.entities() == {"a", "b"}
+        finally:
+            recovered.close()
+
+
+# Few trustees and contexts, so overwrites, removes and re-records of keys
+# sharing a (trustee, context) bucket are common.
+ENTITIES = ("e0", "e1", "e2", "e3", "e4")
+TRUSTEES = ENTITIES[:3]
+CONTEXTS = (EXECUTION, STORAGE)
+
+_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(("record", "record", "remove")),
+        st.sampled_from(ENTITIES),
+        st.sampled_from(TRUSTEES),
+        st.sampled_from(CONTEXTS),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    min_size=8,
+    max_size=60,
+)
+
+
+def _scan_recommenders(table, trustee, context, excluding):
+    """The full-table scan the (trustee, context) index replaces."""
+    return [
+        (z, rec)
+        for (z, y, c), rec in table.items()
+        if y == trustee and c == context and z != excluding
+    ]
+
+
+def _assert_index_matches_scan(table):
+    for trustee in TRUSTEES:
+        for context in CONTEXTS:
+            for excluding in ENTITIES:
+                assert list(
+                    table.recommenders(trustee, context, excluding=excluding)
+                ) == _scan_recommenders(table, trustee, context, excluding)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_mutations)
+def test_recommender_index_matches_full_scan(tmp_path_factory, ops):
+    """Record, overwrite, remove (absent keys raise ``KeyError``) and
+    re-record in any order: the index yields exactly the scan's
+    recommenders, in the scan's order — also after a create → recover
+    round trip."""
+    table = TrustTable()
+    for i, (op, z, y, c, value) in enumerate(ops):
+        if z == y:
+            continue
+        if op == "record":
+            table.record(z, y, c, value, float(i))
+        elif (z, y, c) in table:
+            table.remove(z, y, c)
+        else:
+            with pytest.raises(KeyError):
+                table.remove(z, y, c)
+    _assert_index_matches_scan(table)
+    root = tmp_path_factory.mktemp("plane")
+    DurableTrustPlane.create(root, table).close()
+    recovered = DurableTrustPlane.recover(root)
+    try:
+        _assert_index_matches_scan(recovered.table)
+        assert list(recovered.table.items()) == list(table.items())
+    finally:
+        recovered.close()

@@ -15,6 +15,7 @@ import hashlib
 import json
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 from repro.core import STORE_SCHEMA, TrustContext, TrustEngine
 from repro.core.decay import ExponentialDecay
 from repro.core.journal import (
+    JOURNAL_SCHEMA,
     DurableTrustPlane,
     TrustJournalError,
-    crc32c,
     read_journal,
 )
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
@@ -89,12 +90,22 @@ def _persist(root, table, weights=None, grid_table=None):
     return root / "base-0" / "manifest.json"
 
 
-def _rewrite_journal_header(root, **fields):
+def _rewrite_journal_header(root, crc=zlib.crc32, **fields):
     """Rewrite the header frame of an empty generation-0 journal."""
     journal = root / "journal-0.wal"
     header = {**read_journal(journal).header, **fields}
     payload = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
-    journal.write_bytes(struct.pack("<II", len(payload), crc32c(payload)) + payload)
+    journal.write_bytes(struct.pack("<II", len(payload), crc(payload)) + payload)
+
+
+def _crc32c(data):
+    """CRC-32C (Castagnoli), the frame checksum before journal/v3."""
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+    return crc ^ 0xFFFFFFFF
 
 
 def _tamper_grid_levels(manifest, where):
@@ -270,10 +281,25 @@ class TestRefusal:
             DurableTrustPlane.recover(tmp_path)
 
     def test_v1_plane_is_refused(self, tmp_path):
-        self._snapshot(tmp_path)
-        _rewrite_journal_header(tmp_path, schema="repro.trust.journal/v1")
-        with pytest.raises(TrustJournalError, match="repro.trust.journal/v1"):
-            DurableTrustPlane.recover(tmp_path)
+        # An older plane names its schema in CURRENT and frames its journal
+        # with CRC-32C, so its header would read as a torn tail; it must be
+        # refused by name before the journal is read (or truncated).
+        for schema in ("repro.trust.journal/v1", "repro.trust.journal/v2"):
+            root = tmp_path / schema.rsplit("/", 1)[1]
+            self._snapshot(root)
+            current = root / "CURRENT"
+            current.write_text(
+                json.dumps({**json.loads(current.read_text()), "schema": schema})
+            )
+            _rewrite_journal_header(root, crc=_crc32c, schema=schema)
+            journal = root / "journal-0.wal"
+            before = journal.read_bytes()
+            with pytest.raises(TrustJournalError) as err:
+                DurableTrustPlane.recover(root)
+            message = str(err.value)
+            assert str(current) in message
+            assert repr(schema) in message and repr(JOURNAL_SCHEMA) in message
+            assert journal.read_bytes() == before
 
     def test_missing_manifest_is_refused(self, tmp_path):
         self._snapshot(tmp_path).unlink()
