@@ -24,17 +24,12 @@ from repro.experiments.trustfaults import (
     run_trustfault_study,
     write_study_artifact,
 )
-from repro.experiments.figures import (
-    Figure1,
-    improvement_vs_load_series,
-    reproduce_figure1,
-)
+from repro.experiments.figures import Figure1, reproduce_figure1
 from repro.experiments.report import (
     ReproductionReport,
     generate_report,
     write_report,
 )
-from repro.experiments.cache import CellCache, cell_key
 from repro.experiments.parallel import run_paired_cell_parallel
 from repro.experiments.runner import CellResult, run_paired_cell, run_single
 from repro.experiments.series import (
@@ -75,11 +70,8 @@ __all__ = [
     "run_trustfault_study",
     "write_study_artifact",
     "Figure1",
-    "improvement_vs_load_series",
     "reproduce_figure1",
     "CellResult",
-    "CellCache",
-    "cell_key",
     "run_paired_cell",
     "run_paired_cell_parallel",
     "run_single",

@@ -4,11 +4,6 @@ The paper has a single figure — Figure 1, the block diagram of the
 trust-aware RMS.  :func:`reproduce_figure1` builds the *actual* component
 graph from a live system (grid + agent fleet + scheduler wiring), verifies
 the connections the diagram shows, and renders an ASCII block diagram.
-
-:func:`improvement_vs_load_series` produces the supplementary
-improvement-versus-offered-load curve used by the ablation benchmarks
-(the paper reports only fixed-load tables; the series shows where the
-trust advantage grows and saturates).
 """
 
 from __future__ import annotations
@@ -19,17 +14,10 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
 
-from repro.experiments.config import (
-    PAPER_BATCH_INTERVAL,
-    paper_policies,
-    paper_spec,
-)
-from repro.experiments.runner import run_paired_cell
 from repro.grid.agents import AgentFleet
 from repro.grid.topology import Grid
-from repro.workloads.consistency import Consistency
 
-__all__ = ["Figure1", "reproduce_figure1", "improvement_vs_load_series"]
+__all__ = ["Figure1", "reproduce_figure1"]
 
 
 @dataclass
@@ -115,33 +103,3 @@ def reproduce_figure1(grid: Grid | None = None) -> Figure1:
     lines.append("          (requests in -> allocations out)")
     return Figure1(graph=g, rendering="\n".join(lines))
 
-
-def improvement_vs_load_series(
-    heuristic: str,
-    loads: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0, 8.0),
-    *,
-    n_tasks: int = 50,
-    replications: int = 10,
-    consistency: Consistency = Consistency.INCONSISTENT,
-    base_seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Improvement fraction as a function of the offered-load multiple.
-
-    Returns:
-        ``[(load, mean improvement), ...]`` suitable for plotting.
-    """
-    aware, unaware = paper_policies()
-    series: list[tuple[float, float]] = []
-    for load in loads:
-        spec = paper_spec(n_tasks, consistency, target_load=load)
-        cell = run_paired_cell(
-            spec,
-            heuristic,
-            aware,
-            unaware,
-            replications=replications,
-            base_seed=base_seed,
-            batch_interval=PAPER_BATCH_INTERVAL,
-        )
-        series.append((load, cell.mean_improvement))
-    return series

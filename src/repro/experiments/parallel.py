@@ -2,63 +2,34 @@
 
 Replications are embarrassingly parallel — each is an independent seeded
 simulation — so the paired-cell runner parallelises across processes with
-:class:`concurrent.futures.ProcessPoolExecutor`.  Per the HPC guides, the
-parallel path reuses the sequential per-replication code verbatim (one
-worker function), merges the per-replication samples deterministically
-(results are ordered by seed, so parallel and sequential cells are
-bit-identical), and falls back to the sequential runner for tiny cells
-where process startup would dominate.
+:class:`concurrent.futures.ProcessPoolExecutor`.  The pool runs the
+sequential runner's own per-replication function, and the rows go through
+its aggregator in seed order, so parallel and sequential cells are
+bit-identical.  Cells with few replications, or with one resolved worker,
+run sequentially: there a pool would only add process startup.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import CellResult, run_paired_cell
-from repro.metrics.improvement import PairedComparison
-from repro.scheduling.base import BatchHeuristic
+from repro.experiments.runner import (
+    CellResult,
+    _aggregate,
+    _check_cell_args,
+    _run_replication,
+    run_paired_cell,
+)
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.registry import make_heuristic
-from repro.scheduling.scheduler import TRMScheduler
-from repro.sim.stats import RunningStats
-from repro.workloads.scenario import ScenarioSpec, materialize
+from repro.workloads.scenario import ScenarioSpec
 
 __all__ = ["run_paired_cell_parallel"]
 
 #: Below this many replications the sequential runner is used outright.
 _MIN_PARALLEL_REPLICATIONS = 4
-
-
-def _run_replication(
-    spec: ScenarioSpec,
-    heuristic_name: str,
-    aware: TrustPolicy,
-    unaware: TrustPolicy,
-    seed: int,
-    batch_interval: float | None,
-) -> tuple[float, float, float, float, float]:
-    """One paired replication; returns the five per-replication samples.
-
-    Module-level so process pools can pickle it.
-    """
-    scenario = materialize(spec, seed=seed)
-    results = {}
-    for label, policy in (("aware", aware), ("unaware", unaware)):
-        heuristic = make_heuristic(heuristic_name)
-        interval = batch_interval if isinstance(heuristic, BatchHeuristic) else None
-        results[label] = TRMScheduler(
-            scenario.grid, scenario.eec, policy, heuristic, batch_interval=interval
-        ).run(scenario.requests)
-    pair = PairedComparison(aware=results["aware"], unaware=results["unaware"])
-    return (
-        results["aware"].average_completion_time,
-        results["unaware"].average_completion_time,
-        results["aware"].machine_utilization,
-        results["unaware"].machine_utilization,
-        pair.completion_improvement,
-    )
 
 
 def run_paired_cell_parallel(
@@ -79,17 +50,15 @@ def run_paired_cell_parallel(
             replication count.
 
     Returns:
-        A :class:`CellResult` identical to the sequential runner's (same
-        seeds, same aggregation order).
+        A :class:`CellResult` equal to the sequential runner's (same seeds,
+        same aggregation order).
     """
-    if replications < 1:
-        raise ConfigurationError("replications must be >= 1")
-    if not aware.trust_aware or unaware.trust_aware:
-        raise ConfigurationError("expected (trust-aware, trust-unaware) policy pair")
+    _check_cell_args(replications, aware, unaware)
     if workers is not None and workers < 1:
         raise ConfigurationError("workers must be >= 1")
 
-    if replications < _MIN_PARALLEL_REPLICATIONS or workers == 1:
+    n_workers = min(workers or os.cpu_count() or 1, replications)
+    if replications < _MIN_PARALLEL_REPLICATIONS or n_workers == 1:
         return run_paired_cell(
             spec,
             heuristic_name,
@@ -100,47 +69,14 @@ def run_paired_cell_parallel(
             batch_interval=batch_interval,
         )
 
-    n_workers = min(workers or os.cpu_count() or 1, replications)
-    seeds = [base_seed + i for i in range(replications)]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        rows = list(
-            pool.map(
-                _run_replication,
-                [spec] * replications,
-                [heuristic_name] * replications,
-                [aware] * replications,
-                [unaware] * replications,
-                seeds,
-                [batch_interval] * replications,
-            )
-        )
-
-    stats = {
-        name: RunningStats()
-        for name in (
-            "aware_completion",
-            "unaware_completion",
-            "aware_utilization",
-            "unaware_utilization",
-            "improvement",
-        )
-    }
-    aware_samples: list[float] = []
-    unaware_samples: list[float] = []
-    for aware_ct, unaware_ct, aware_util, unaware_util, improvement in rows:
-        stats["aware_completion"].add(aware_ct)
-        stats["unaware_completion"].add(unaware_ct)
-        stats["aware_utilization"].add(aware_util)
-        stats["unaware_utilization"].add(unaware_util)
-        stats["improvement"].add(improvement)
-        aware_samples.append(aware_ct)
-        unaware_samples.append(unaware_ct)
-
-    return CellResult(
-        heuristic=heuristic_name,
-        n_tasks=spec.n_tasks,
-        replications=replications,
-        aware_samples=tuple(aware_samples),
-        unaware_samples=tuple(unaware_samples),
-        **stats,
+    run = partial(
+        _run_replication,
+        spec,
+        heuristic_name,
+        aware,
+        unaware,
+        batch_interval=batch_interval,
     )
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        rows = list(pool.map(run, range(base_seed, base_seed + replications)))
+    return _aggregate(spec, heuristic_name, rows)

@@ -65,6 +65,29 @@ class CellResult:
         return paired_t_test(self.unaware_samples, self.aware_samples)
 
 
+_STATS = (
+    "aware_completion",
+    "unaware_completion",
+    "aware_utilization",
+    "unaware_utilization",
+    "improvement",
+)
+
+
+def _schedule(
+    scenario, heuristic_name: str, policy: TrustPolicy, batch_interval: float | None
+):
+    heuristic = make_heuristic(heuristic_name)
+    interval = batch_interval if isinstance(heuristic, BatchHeuristic) else None
+    return TRMScheduler(
+        scenario.grid,
+        scenario.eec,
+        policy,
+        heuristic,
+        batch_interval=interval,
+    ).run(scenario.requests)
+
+
 def run_single(
     spec: ScenarioSpec,
     heuristic_name: str,
@@ -74,17 +97,57 @@ def run_single(
     batch_interval: float | None = None,
 ):
     """Run one scenario under one policy; returns the ScheduleResult."""
+    return _schedule(materialize(spec, seed=seed), heuristic_name, policy, batch_interval)
+
+
+def _check_cell_args(replications: int, aware: TrustPolicy, unaware: TrustPolicy) -> None:
+    if replications < 1:
+        raise ConfigurationError("replications must be >= 1")
+    if not aware.trust_aware or unaware.trust_aware:
+        raise ConfigurationError("expected (trust-aware, trust-unaware) policy pair")
+
+
+def _run_replication(
+    spec: ScenarioSpec,
+    heuristic_name: str,
+    aware: TrustPolicy,
+    unaware: TrustPolicy,
+    seed: int,
+    batch_interval: float | None,
+) -> tuple[float, float, float, float, float]:
+    """One paired replication: the five samples named by ``_STATS``.
+
+    Both policies run on the one scenario materialised from ``seed``.
+    Module-level so process pools can pickle it.
+    """
     scenario = materialize(spec, seed=seed)
-    heuristic = make_heuristic(heuristic_name)
-    interval = batch_interval if isinstance(heuristic, BatchHeuristic) else None
-    scheduler = TRMScheduler(
-        scenario.grid,
-        scenario.eec,
-        policy,
-        heuristic,
-        batch_interval=interval,
+    aware_run = _schedule(scenario, heuristic_name, aware, batch_interval)
+    unaware_run = _schedule(scenario, heuristic_name, unaware, batch_interval)
+    pair = PairedComparison(aware=aware_run, unaware=unaware_run)
+    return (
+        aware_run.average_completion_time,
+        unaware_run.average_completion_time,
+        aware_run.machine_utilization,
+        unaware_run.machine_utilization,
+        pair.completion_improvement,
     )
-    return scheduler.run(scenario.requests)
+
+
+def _aggregate(spec: ScenarioSpec, heuristic_name: str, rows) -> CellResult:
+    """Fold per-replication rows, in seed order, into one :class:`CellResult`."""
+    rows = list(rows)
+    stats = {name: RunningStats() for name in _STATS}
+    for row in rows:
+        for name, value in zip(_STATS, row):
+            stats[name].add(value)
+    return CellResult(
+        heuristic=heuristic_name,
+        n_tasks=spec.n_tasks,
+        replications=len(rows),
+        aware_samples=tuple(row[0] for row in rows),
+        unaware_samples=tuple(row[1] for row in rows),
+        **stats,
+    )
 
 
 def run_paired_cell(
@@ -103,55 +166,14 @@ def run_paired_cell(
     uses seed ``base_seed + i`` so the aware and unaware runs of a
     replication see the identical scenario.
     """
-    if replications < 1:
-        raise ConfigurationError("replications must be >= 1")
-    if not aware.trust_aware or unaware.trust_aware:
-        raise ConfigurationError(
-            "expected (trust-aware, trust-unaware) policy pair"
-        )
-
-    stats = {
-        name: RunningStats()
-        for name in (
-            "aware_completion",
-            "unaware_completion",
-            "aware_utilization",
-            "unaware_utilization",
-            "improvement",
-        )
-    }
-    aware_samples: list[float] = []
-    unaware_samples: list[float] = []
-    for i in range(replications):
-        seed = base_seed + i
-        scenario = materialize(spec, seed=seed)
-        results = {}
-        for label, policy in (("aware", aware), ("unaware", unaware)):
-            heuristic = make_heuristic(heuristic_name)
-            interval = (
-                batch_interval if isinstance(heuristic, BatchHeuristic) else None
+    _check_cell_args(replications, aware, unaware)
+    return _aggregate(
+        spec,
+        heuristic_name,
+        (
+            _run_replication(
+                spec, heuristic_name, aware, unaware, base_seed + i, batch_interval
             )
-            results[label] = TRMScheduler(
-                scenario.grid,
-                scenario.eec,
-                policy,
-                heuristic,
-                batch_interval=interval,
-            ).run(scenario.requests)
-        pair = PairedComparison(aware=results["aware"], unaware=results["unaware"])
-        stats["aware_completion"].add(results["aware"].average_completion_time)
-        stats["unaware_completion"].add(results["unaware"].average_completion_time)
-        stats["aware_utilization"].add(results["aware"].machine_utilization)
-        stats["unaware_utilization"].add(results["unaware"].machine_utilization)
-        stats["improvement"].add(pair.completion_improvement)
-        aware_samples.append(results["aware"].average_completion_time)
-        unaware_samples.append(results["unaware"].average_completion_time)
-
-    return CellResult(
-        heuristic=heuristic_name,
-        n_tasks=spec.n_tasks,
-        replications=replications,
-        aware_samples=tuple(aware_samples),
-        unaware_samples=tuple(unaware_samples),
-        **stats,
+            for i in range(replications)
+        ),
     )

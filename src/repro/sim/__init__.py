@@ -10,11 +10,9 @@ from repro.sim.arrivals import (
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.mmpp import MmppProcess
-from repro.sim.process import Condition, Delay, ProcessEnv, Signal, WaitFor, spawn
 from repro.sim.queue import EventQueue
-from repro.sim.resources import Acquire, Release, Resource
 from repro.sim.rng import RngFactory
-from repro.sim.stats import RunningStats, TimeWeightedStats
+from repro.sim.stats import RunningStats
 from repro.sim.trace import TraceEntry, Tracer
 
 __all__ = [
@@ -27,18 +25,8 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "MmppProcess",
-    "Condition",
-    "Delay",
-    "ProcessEnv",
-    "Signal",
-    "WaitFor",
-    "spawn",
-    "Resource",
-    "Acquire",
-    "Release",
     "RngFactory",
     "RunningStats",
-    "TimeWeightedStats",
     "TraceEntry",
     "Tracer",
 ]

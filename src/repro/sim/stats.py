@@ -1,8 +1,8 @@
-"""Online statistics accumulators.
+"""Online statistics accumulator.
 
-Single-pass, numerically stable (Welford) accumulators used by the metric
-collectors and the experiment runner, so long simulations never need to
-retain per-sample arrays unless a caller asks for them.
+A single-pass, numerically stable (Welford) accumulator used by the
+experiment runner and the calibration study, so long simulations never
+need to retain per-sample arrays unless a caller asks for them.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RunningStats", "TimeWeightedStats"]
+__all__ = ["RunningStats"]
 
 
 @dataclass
@@ -60,72 +60,3 @@ class RunningStats:
         """Normal-approximation CI around the mean (default 95%)."""
         half = z * self.stderr
         return (self.mean - half, self.mean + half)
-
-    def merge(self, other: "RunningStats") -> "RunningStats":
-        """Return a new accumulator combining both sets of samples."""
-        if other.count == 0:
-            out = RunningStats()
-            out.__dict__.update(self.__dict__)
-            return out
-        if self.count == 0:
-            out = RunningStats()
-            out.__dict__.update(other.__dict__)
-            return out
-        merged = RunningStats()
-        merged.count = self.count + other.count
-        delta = other.mean - self.mean
-        merged.mean = self.mean + delta * other.count / merged.count
-        merged._m2 = (
-            self._m2
-            + other._m2
-            + delta * delta * self.count * other.count / merged.count
-        )
-        merged.minimum = min(self.minimum, other.minimum)
-        merged.maximum = max(self.maximum, other.maximum)
-        return merged
-
-
-@dataclass
-class TimeWeightedStats:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes; the accumulator weights
-    each value by how long it persisted.  Used e.g. for average queue length.
-    """
-
-    last_time: float = 0.0
-    last_value: float = 0.0
-    _area: float = 0.0
-    _origin: float | None = None
-
-    def update(self, time: float, value: float) -> None:
-        """Record that the signal takes ``value`` from ``time`` onwards.
-
-        Raises:
-            ValueError: if ``time`` precedes the previous update.
-        """
-        if self._origin is None:
-            self._origin = time
-        elif time < self.last_time:
-            raise ValueError(
-                f"updates must be time-ordered: {time} < {self.last_time}"
-            )
-        else:
-            self._area += self.last_value * (time - self.last_time)
-        self.last_time = time
-        self.last_value = value
-
-    def average(self, until: float) -> float:
-        """Time-weighted mean over ``[first update, until]``.
-
-        Returns 0 before any update or over a zero-length window.
-        """
-        if self._origin is None:
-            return 0.0
-        if until < self.last_time:
-            raise ValueError(f"until={until} precedes last update {self.last_time}")
-        span = until - self._origin
-        if span <= 0:
-            return 0.0
-        area = self._area + self.last_value * (until - self.last_time)
-        return area / span

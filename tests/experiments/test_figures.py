@@ -1,8 +1,8 @@
-"""Tests for the Figure-1 reproduction and supplementary series."""
+"""Tests for the Figure-1 reproduction."""
 
 import networkx as nx
 
-from repro.experiments.figures import improvement_vs_load_series, reproduce_figure1
+from repro.experiments.figures import reproduce_figure1
 from repro.workloads.scenario import ScenarioSpec, materialize
 
 
@@ -42,12 +42,3 @@ class TestFigure1:
     def test_graph_is_dag(self):
         assert nx.is_directed_acyclic_graph(reproduce_figure1().graph)
 
-
-class TestImprovementSeries:
-    def test_series_shape(self):
-        series = improvement_vs_load_series(
-            "mct", loads=(1.0, 4.0), n_tasks=15, replications=3
-        )
-        assert [load for load, _ in series] == [1.0, 4.0]
-        # Higher load amplifies the trust advantage.
-        assert series[1][1] > series[0][1]

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.experiments.parallel as parallel
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import run_paired_cell_parallel
 from repro.experiments.runner import run_paired_cell
@@ -15,13 +16,13 @@ UNAWARE = TrustPolicy.unaware()
 
 class TestParallelRunner:
     def test_matches_sequential_exactly(self):
-        kwargs = dict(replications=6, base_seed=11)
-        seq = run_paired_cell(SPEC, "mct", AWARE, UNAWARE, **kwargs)
-        par = run_paired_cell_parallel(SPEC, "mct", AWARE, UNAWARE, workers=3, **kwargs)
-        assert par.aware_samples == seq.aware_samples
-        assert par.unaware_samples == seq.unaware_samples
-        assert par.improvement.mean == pytest.approx(seq.improvement.mean)
-        assert par.aware_utilization.mean == pytest.approx(seq.aware_utilization.mean)
+        for heuristic, batch_interval in (("mct", None), ("min-min", 200.0)):
+            kwargs = dict(replications=6, base_seed=11, batch_interval=batch_interval)
+            seq = run_paired_cell(SPEC, heuristic, AWARE, UNAWARE, **kwargs)
+            par = run_paired_cell_parallel(
+                SPEC, heuristic, AWARE, UNAWARE, workers=3, **kwargs
+            )
+            assert par == seq
 
     def test_small_cells_fall_back_to_sequential(self):
         cell = run_paired_cell_parallel(
@@ -34,6 +35,15 @@ class TestParallelRunner:
             SPEC, "mct", AWARE, UNAWARE, replications=6, workers=1
         )
         assert cell.replications == 6
+
+    def test_one_cpu_runs_sequentially(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker cell must not start a pool")
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        cell = run_paired_cell_parallel(SPEC, "mct", AWARE, UNAWARE, replications=6)
+        assert cell == run_paired_cell(SPEC, "mct", AWARE, UNAWARE, replications=6)
 
     def test_batch_heuristic(self):
         cell = run_paired_cell_parallel(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import RunningStats, TimeWeightedStats
+from repro.sim.stats import RunningStats
 
 samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=100
@@ -35,27 +35,6 @@ class TestRunningStats:
         assert s.minimum == min(values)
         assert s.maximum == max(values)
 
-    @given(samples, samples)
-    def test_merge_equals_concatenation(self, a, b):
-        sa, sb = RunningStats(), RunningStats()
-        sa.extend(a)
-        sb.extend(b)
-        merged = sa.merge(sb)
-        both = RunningStats()
-        both.extend(a + b)
-        assert merged.count == both.count
-        assert merged.mean == pytest.approx(both.mean, rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(both.variance, rel=1e-6, abs=1e-4)
-
-    def test_merge_with_empty(self):
-        s = RunningStats()
-        s.extend([1.0, 2.0])
-        merged = s.merge(RunningStats())
-        assert merged.count == 2
-        assert merged.mean == 1.5
-        other = RunningStats().merge(s)
-        assert other.mean == 1.5
-
     def test_confidence_interval_brackets_mean(self):
         s = RunningStats()
         s.extend([1.0, 2.0, 3.0, 4.0])
@@ -63,35 +42,3 @@ class TestRunningStats:
         assert lo <= s.mean <= hi
         assert hi > lo
 
-
-class TestTimeWeightedStats:
-    def test_piecewise_constant_average(self):
-        tw = TimeWeightedStats()
-        tw.update(0.0, 2.0)   # value 2 on [0, 10)
-        tw.update(10.0, 4.0)  # value 4 on [10, 20]
-        assert tw.average(until=20.0) == pytest.approx(3.0)
-
-    def test_average_before_any_update(self):
-        assert TimeWeightedStats().average(until=10.0) == 0.0
-
-    def test_zero_span(self):
-        tw = TimeWeightedStats()
-        tw.update(5.0, 3.0)
-        assert tw.average(until=5.0) == 0.0
-
-    def test_out_of_order_update_rejected(self):
-        tw = TimeWeightedStats()
-        tw.update(10.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(5.0, 2.0)
-
-    def test_until_before_last_update_rejected(self):
-        tw = TimeWeightedStats()
-        tw.update(10.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.average(until=5.0)
-
-    def test_nonzero_origin(self):
-        tw = TimeWeightedStats()
-        tw.update(10.0, 6.0)
-        assert tw.average(until=20.0) == pytest.approx(6.0)

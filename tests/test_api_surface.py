@@ -10,23 +10,20 @@ public object.
 import importlib
 import importlib.util
 import inspect
+import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
-PACKAGES = [
-    "repro",
-    "repro.core",
-    "repro.grid",
-    "repro.sim",
-    "repro.workloads",
-    "repro.scheduling",
-    "repro.faults",
-    "repro.obs",
-    "repro.security",
-    "repro.metrics",
-    "repro.experiments",
-    "repro.analysis",
-    "repro.service",
+import repro
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import gen_api_docs  # noqa: E402
+
+PACKAGES = ["repro"] + [
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
 ]
 
 MODULES = [
@@ -35,8 +32,6 @@ MODULES = [
     "repro.core.ets",
     "repro.grid.session",
     "repro.grid.behavior",
-    "repro.sim.process",
-    "repro.sim.resources",
     "repro.sim.mmpp",
     "repro.scheduling.constraints",
     "repro.faults.model",
@@ -54,7 +49,6 @@ MODULES = [
     "repro.service.replay",
     "repro.service.service",
     "repro.security.plan",
-    "repro.experiments.cache",
     "repro.experiments.parallel",
     "repro.experiments.series",
     "repro.experiments.validation",
@@ -89,6 +83,18 @@ class TestPackageSurface:
     def test_package_docstring(self, package):
         module = importlib.import_module(package)
         assert module.__doc__ and module.__doc__.strip()
+
+
+def test_package_list_is_discovered():
+    assert "repro.trustfaults" in PACKAGES
+    assert gen_api_docs.PACKAGES == PACKAGES
+
+
+def test_api_docs_are_current():
+    committed = Path(gen_api_docs.OUT).read_text(encoding="utf-8")
+    assert committed == gen_api_docs.render(), (
+        "docs/API.md is stale; run PYTHONPATH=src python tools/gen_api_docs.py"
+    )
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -162,6 +168,18 @@ class TestTopLevelEntryPoints:
         restore = inspect.signature(store.restore_trust_store)
         assert "verify" not in restore.parameters
         assert "DurableTrustPlane" in core.__all__
+
+    def test_one_des_programming_model(self):
+        import repro.experiments as experiments
+        import repro.sim as sim
+        from repro.sim.stats import RunningStats
+
+        assert importlib.util.find_spec("repro.sim.process") is None
+        assert importlib.util.find_spec("repro.sim.resources") is None
+        assert importlib.util.find_spec("repro.experiments.cache") is None
+        assert "TimeWeightedStats" not in sim.__all__
+        assert not hasattr(RunningStats, "merge")
+        assert "improvement_vs_load_series" not in experiments.__all__
 
     def test_one_trust_evaluator(self):
         import argparse
