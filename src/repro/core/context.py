@@ -37,6 +37,11 @@ class TrustContext:
         if not self.name:
             raise ValueError("trust context name must be non-empty")
 
+    def __hash__(self) -> int:
+        # The name's own (cached) hash: contexts key every trust-table
+        # lookup, and the generated hash would build a tuple per call.
+        return hash(self.name)
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
 

@@ -56,7 +56,10 @@ class NoDecay(DecayFunction):
     """Identity decay: trust never ages (useful as a control in ablations)."""
 
     def __call__(self, age: float) -> float:
-        self._check_age(age)
+        # Υ ≡ 1 is the default decay, called once per opinion in Ω: only an
+        # age that is not ``>= 0`` (negative or NaN) pays for the check.
+        if not age >= 0:
+            self._check_age(age)
         return 1.0
 
 

@@ -60,12 +60,15 @@ boundary.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import struct
 import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -97,6 +100,9 @@ __all__ = [
 JOURNAL_SCHEMA = "repro.trust.journal/v3"
 
 _FRAME = struct.Struct("<II")
+
+#: Entity-id types whose JSON spelling :func:`_id_json` writes directly.
+_ID_TYPES = (str, int)
 
 
 class TrustJournalError(TrustModelError):
@@ -151,15 +157,82 @@ def sync_dir(path: str | Path) -> None:
 
 # -- frame codec ------------------------------------------------------------
 
-def _frame(op: dict[str, Any]) -> bytes:
+@functools.lru_cache(maxsize=1 << 16, typed=True)
+def _id_json(entity: str | int) -> str:
+    """JSON spelling of an exact ``str`` or ``int`` entity id, as
+    ``json.dumps`` writes it (``typed=True`` keeps ``1`` and ``True`` apart)."""
+    if type(entity) is str:
+        return encode_basestring_ascii(entity)
+    return int.__repr__(entity)
+
+
+def _direct_payload(op: dict[str, Any]) -> str | None:
+    """The compact sorted-key JSON of a ``record`` or ``set`` op, written
+    without the encoder, or ``None`` when ``json.dumps`` must write it.
+
+    The two hot ops are written only when they carry exactly their own
+    keys, every id is an exact ``str``/``int``, every count an exact
+    ``int`` and every float an exact, finite ``float`` (spelled with
+    ``float.__repr__``, as ``json`` does); the output is then
+    byte-identical to ``json.dumps(op, separators=(",", ":"),
+    sort_keys=True)``.
+    """
+    kind = op.get("op")
     try:
-        payload = json.dumps(op, separators=(",", ":"), sort_keys=True).encode(
-            "utf-8"
-        )
-    except (TypeError, ValueError) as exc:
-        raise TrustJournalError(
-            f"journal op is not JSON-representable: {exc}"
-        ) from exc
+        if kind == "record" and len(op) == 8:
+            z, y, c = op["z"], op["y"], op["c"]
+            v, t, n, e = op["v"], op["t"], op["n"], op["e"]
+            if (
+                type(c) is str
+                and type(z) in _ID_TYPES
+                and type(y) in _ID_TYPES
+                and type(v) is float
+                and type(t) is float
+                and type(n) is int
+                and type(e) is int
+                and math.isfinite(v)
+                and math.isfinite(t)
+            ):
+                return '{"c":%s,"e":%d,"n":%d,"op":"record","t":%r,"v":%r,"y":%s,"z":%s}' % (
+                    _id_json(c), e, n, t, v, _id_json(y), _id_json(z),
+                )
+        elif kind == "set" and len(op) == 6:
+            cd, rd, k, lv, e = op["cd"], op["rd"], op["k"], op["l"], op["e"]
+            if (
+                type(cd) is int
+                and type(rd) is int
+                and type(k) is int
+                and type(lv) is int
+                and type(e) is int
+            ):
+                return '{"cd":%d,"e":%d,"k":%d,"l":%d,"op":"set","rd":%d}' % (
+                    cd, e, k, lv, rd,
+                )
+    except (KeyError, ValueError):
+        # A missing key, or an int past the interpreter's digit limit:
+        # json.dumps writes (or refuses) it.
+        pass
+    return None
+
+
+def _frame(op: dict[str, Any]) -> bytes:
+    text = _direct_payload(op)
+    if text is None:
+        # A directly written payload has exact str/int ids already.
+        for key in ("z", "y", "g"):
+            value = op.get(key)
+            if value is not None and not isinstance(value, (str, int)):
+                raise TrustJournalError(
+                    f"journal op field {key!r} carries {value!r}, which is "
+                    "not JSON-representable (use str or int entity ids)"
+                )
+        try:
+            text = json.dumps(op, separators=(",", ":"), sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise TrustJournalError(
+                f"journal op is not JSON-representable: {exc}"
+            ) from exc
+    payload = text.encode("utf-8")
     return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -390,13 +463,6 @@ class JournalWriter:
 
     def append(self, op: dict[str, Any]) -> int:
         """Buffer one op frame; returns the offset it will sync up to."""
-        for key in ("z", "y", "g"):
-            value = op.get(key)
-            if value is not None and not isinstance(value, (str, int)):
-                raise TrustJournalError(
-                    f"journal op field {key!r} carries {value!r}, which is "
-                    "not JSON-representable (use str or int entity ids)"
-                )
         self._buffer += _frame(op)
         if self._metrics is not None and self._metrics.enabled:
             self._metrics.counter("store.journal_appends").add()

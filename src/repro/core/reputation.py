@@ -80,14 +80,14 @@ class Reputation:
             ValueError: if any opinion's last transaction lies in the future.
         """
         decay = self.decay_for(context)
+        source_filter = self.source_filter
+        factor = self.weights.factor
         total = 0.0
         count = 0
         for recommender, rec in self.table.recommenders(
             trustee, context, excluding=asking
         ):
-            if self.source_filter is not None and not self.source_filter(
-                recommender, now
-            ):
+            if source_filter is not None and not source_filter(recommender, now):
                 continue
             age = now - rec.last_transaction
             if age < 0:
@@ -95,7 +95,7 @@ class Reputation:
                     f"now={now} precedes opinion of {recommender!r} recorded at "
                     f"{rec.last_transaction}"
                 )
-            weight = self.weights.factor(recommender, trustee)
+            weight = factor(recommender, trustee)
             if weight == 0.0:
                 # R = 0 marks a recommendation carrying no information (a
                 # purged or fully distrusted recommender); it is excluded

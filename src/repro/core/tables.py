@@ -20,6 +20,7 @@ Helpers convert between the continuous scale and the six discrete levels of
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterator
 from dataclasses import dataclass
 
@@ -31,6 +32,10 @@ __all__ = ["TrustRecord", "TrustTable", "value_to_level", "level_to_value"]
 
 EntityId = Hashable
 
+#: Level of each sixth of the unit interval, indexed by ``int(value * 6)``;
+#: ``value == 1`` lands in the seventh slot, which is ``F`` as well.
+_LEVEL_OF_BIN = (*TrustLevel, TrustLevel.F)
+
 
 def value_to_level(value: float) -> TrustLevel:
     """Quantise a continuous trust value in ``[0, 1]`` to a discrete level.
@@ -40,7 +45,7 @@ def value_to_level(value: float) -> TrustLevel:
     """
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"trust value must lie in [0, 1], got {value}")
-    return TrustLevel(min(int(value * 6) + 1, int(TrustLevel.F)))
+    return _LEVEL_OF_BIN[int(value * 6)]
 
 
 def level_to_value(level: TrustLevel | int | str) -> float:
@@ -56,7 +61,7 @@ class TrustRecord:
     Attributes:
         value: continuous trust value in ``[0, 1]``.
         last_transaction: simulation time of the most recent supporting
-            transaction (the paper's ``t_xy``).
+            transaction (the paper's ``t_xy``); must be finite.
         transaction_count: number of transactions folded into ``value``; the
             update policies in :mod:`repro.core.update` use this to decide
             when enough evidence has accumulated to publish a new level.
@@ -71,6 +76,10 @@ class TrustRecord:
             raise ValueError(f"trust value must lie in [0, 1], got {self.value}")
         if self.transaction_count < 0:
             raise ValueError("transaction_count must be non-negative")
+        if not math.isfinite(self.last_transaction):
+            raise ValueError(
+                f"last_transaction must be finite, got {self.last_transaction}"
+            )
 
     @property
     def level(self) -> TrustLevel:

@@ -13,7 +13,7 @@ tables can be stored as NumPy arrays, plus a bridge to the generic
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.context import TrustContext
 
@@ -31,17 +31,16 @@ class ActivityType:
 
     index: int
     name: str
+    #: The equivalent :class:`TrustContext` for the Section-2 engine, built
+    #: once here: the trust loop reads it on every observed transaction.
+    context: TrustContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError("activity index must be non-negative")
         if not self.name:
             raise ValueError("activity name must be non-empty")
-
-    @property
-    def context(self) -> TrustContext:
-        """The equivalent :class:`TrustContext` for the Section-2 engine."""
-        return TrustContext(self.name)
+        object.__setattr__(self, "context", TrustContext(self.name))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name

@@ -49,10 +49,6 @@ def domain_entity_id(side: AgentSide, index: int) -> str:
     return f"{side.value}:{index}"
 
 
-# Backwards-compatible private alias (internal call sites).
-_entity_id = domain_entity_id
-
-
 @dataclass
 class DomainTrustAgent:
     """Monitoring agent for one domain (Fig. 1).
@@ -78,11 +74,24 @@ class DomainTrustAgent:
     policy: SignificancePolicy = field(default_factory=AlwaysPublish)
     engine: TrustEngine | None = None
     published_count: int = field(default=0, init=False)
+    # The agent's own id and the id prefix of its counterparts, built once:
+    # observe_transaction runs on every completion.
+    _entity_id: str = field(init=False, repr=False, compare=False)
+    _counterpart_prefix: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        other_side = (
+            AgentSide.RESOURCE_DOMAIN
+            if self.side is AgentSide.CLIENT_DOMAIN
+            else AgentSide.CLIENT_DOMAIN
+        )
+        self._entity_id = domain_entity_id(self.side, self.domain_index)
+        self._counterpart_prefix = f"{other_side.value}:"
 
     @property
     def entity_id(self) -> str:
         """The agent's identity in the internal trust table."""
-        return _entity_id(self.side, self.domain_index)
+        return self._entity_id
 
     def observe_transaction(
         self,
@@ -104,15 +113,11 @@ class DomainTrustAgent:
             The newly published :class:`TrustLevel`, or ``None`` when the
             evidence was folded in without a table update.
         """
-        other_side = (
-            AgentSide.RESOURCE_DOMAIN
-            if self.side is AgentSide.CLIENT_DOMAIN
-            else AgentSide.CLIENT_DOMAIN
-        )
+        context = activity.context
         outcome = TransactionOutcome(
-            truster=self.entity_id,
-            trustee=_entity_id(other_side, counterpart_index),
-            context=activity.context,
+            truster=self._entity_id,
+            trustee=f"{self._counterpart_prefix}{counterpart_index}",
+            context=context,
             satisfaction=satisfaction,
             time=time,
         )
@@ -123,9 +128,7 @@ class DomainTrustAgent:
         if not self.policy.should_publish(record, published):
             return None
         if self.engine is not None:
-            gamma = self.engine.gamma(
-                self.entity_id, outcome.trustee, activity.context, time
-            )
+            gamma = self.engine.gamma(self._entity_id, outcome.trustee, context, time)
             level = value_to_level(gamma)
         else:
             level = value_to_level(record.value)

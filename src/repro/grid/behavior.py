@@ -42,8 +42,10 @@ class BehaviorProfile(ABC):
 
     def sample(self, time: float, rng: np.random.Generator) -> float:
         """Draw one satisfaction observation in ``[0, 1]``."""
-        value = rng.normal(self.mean_at(time), self.noise)
-        return float(np.clip(value, 0.0, 1.0))
+        value = float(rng.normal(self.mean_at(time), self.noise))
+        # Scalar clip: equal to ``np.clip(value, 0.0, 1.0)``, NaN included
+        # (``max``/``min`` keep their first argument when comparisons fail).
+        return min(max(value, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,14 @@ import numpy as np
 
 from repro.core.ets import EtsTable
 from repro.core.levels import MAX_OFFERED_LEVEL, MIN_LEVEL, TrustLevel
+from repro.errors import ConfigurationError
 
 __all__ = ["GridTrustTable"]
+
+#: The levels in value order: stored level ``v`` (always ``A..E``, since
+#: every write is validated) is ``_LEVELS[v - 1]``.
+_LEVELS = tuple(TrustLevel)
+_AXES = ("client-domain", "resource-domain", "activity")
 
 
 class GridTrustTable:
@@ -106,15 +112,22 @@ class GridTrustTable:
     # -- access -----------------------------------------------------------
 
     def get(self, cd: int, rd: int, activity: int) -> TrustLevel:
-        """The stored level for one (CD, RD, ToA) triple."""
-        return TrustLevel(int(self._levels[cd, rd, activity]))
+        """The stored level for one (CD, RD, ToA) triple.
+
+        Raises:
+            ConfigurationError: if an index lies outside its axis.
+        """
+        self._check_cell(cd, rd, activity)
+        return _LEVELS[self._levels.item(cd, rd, activity) - 1]
 
     def set(self, cd: int, rd: int, activity: int, level: TrustLevel | int | str) -> None:
         """Publish a new level for one (CD, RD, ToA) triple.
 
         Raises:
+            ConfigurationError: if an index lies outside its axis.
             ValueError: if the level is ``F`` (not an offerable level).
         """
+        self._check_cell(cd, rd, activity)
         value = TrustLevel.from_value(level)
         if not value.is_offerable:
             raise ValueError("offered levels span A..E; F cannot be stored")
@@ -273,6 +286,17 @@ class GridTrustTable:
                 f"required_per_rd shape {required.shape} != {otls.shape}"
             )
         return self._ets.lookup_many(required, otls)
+
+    def _check_cell(self, cd: int, rd: int, activity: int) -> None:
+        # Refuse what numpy would wrap around: a negative CD would write
+        # another CD's row while bumping the wrong CD epoch.
+        n_cd, n_rd, n_act = self._levels.shape
+        if not (0 <= cd < n_cd and 0 <= rd < n_rd and 0 <= activity < n_act):
+            for axis, index, n in zip(_AXES, (cd, rd, activity), (n_cd, n_rd, n_act)):
+                if not 0 <= index < n:
+                    raise ConfigurationError(
+                        f"{axis} index {index!r} lies outside [0, {n})"
+                    )
 
     def _check_activities(self, activities: Sequence[int]) -> np.ndarray:
         acts = np.asarray(list(activities), dtype=np.int64)

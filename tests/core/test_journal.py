@@ -1,6 +1,7 @@
 """Unit tests for the trust-plane write-ahead journal.
 
-Covers the frame codec (CRC-32 check vector, torn/short/corrupt tails),
+Covers the frame codec (CRC-32 check vector, byte identity of every frame
+with ``json.dumps``, torn/short/corrupt tails),
 :class:`~repro.core.journal.JournalWriter` round trips and pinned-prefix
 refusal, replay epoch verification, the fsync seam, and
 :class:`~repro.core.journal.DurableTrustPlane` lifecycle — create,
@@ -11,10 +12,14 @@ pinned generation.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.context import TrustContext
 from repro.core.journal import (
@@ -23,12 +28,16 @@ from repro.core.journal import (
     JournalConfig,
     JournalWriter,
     TrustJournalError,
+    _frame as journal_frame,
     apply_op,
     read_journal,
     set_sync_hook,
 )
 from repro.core.recommender import RecommenderWeights
 from repro.core.tables import TrustTable
+from repro.grid.activities import ActivityCatalog
+from repro.grid.agents import AgentFleet
+from repro.grid.behavior import StationaryBehavior
 from repro.grid.trust_table import GridTrustTable
 from repro.obs import MetricsRegistry
 
@@ -141,6 +150,142 @@ class TestFrameCodec:
         metrics = MetricsRegistry()
         read_journal(path, metrics=metrics)
         assert metrics.counter("store.torn_frames").value == 1
+
+
+def _json_frame(op) -> bytes:
+    return _frame(json.dumps(op, separators=(",", ":"), sort_keys=True).encode())
+
+
+# Ids and values the encoder must spell exactly as json.dumps does: text with
+# quotes, backslashes, control characters and non-ASCII (a lone surrogate
+# too), bools beside ints, numpy scalars, -0.0, subnormals, non-finite
+# floats and ints far past 64 bits.
+_texts = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t", "é", "日本", "\ud800", "🙂"]),
+)
+_big_ints = st.integers(min_value=-(2**200), max_value=2**200)
+_exact_ints = st.one_of(st.integers(min_value=0, max_value=1 << 20), _big_ints)
+_exact_floats = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+_ints = st.one_of(
+    _exact_ints,
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+)
+_floats = st.one_of(
+    _exact_floats,
+    st.floats(),
+    st.floats(allow_nan=False).map(np.float64),
+)
+
+
+@st.composite
+def _ops(draw):
+    kind = draw(st.sampled_from(["record", "set", "observe", "fill", "declare"]))
+    # Half the ops carry only exact str/int/float fields under exactly their
+    # own keys, the shape the encoder writes directly (non-finite floats
+    # aside); the rest mix in bools, numpy scalars and missing or extra keys.
+    exact = draw(st.booleans())
+    ints = _exact_ints if exact else _ints
+    floats = _exact_floats if exact else _floats
+    ids = _texts | ints
+    if kind == "record":
+        op = {"op": kind, "z": draw(ids), "y": draw(ids), "c": draw(_texts),
+              "v": draw(floats), "t": draw(floats), "n": draw(ints), "e": draw(ints)}
+    elif kind == "set":
+        op = {"op": kind, "cd": draw(ints), "rd": draw(ints), "k": draw(ints),
+              "l": draw(ints), "e": draw(ints)}
+    elif kind == "observe":
+        op = {"op": kind, "z": draw(ids), "p": draw(floats), "a": draw(floats),
+              "e": draw(ints)}
+    elif kind == "fill":
+        op = {"op": kind, "levels": draw(st.lists(ints, max_size=4)),
+              "shape": draw(st.lists(ints, max_size=3)), "e": draw(ints)}
+    else:
+        op = {"op": kind, "g": draw(_texts), "m": draw(st.lists(ids, max_size=3)),
+              "e": draw(ints)}
+    if exact:
+        return op
+    if draw(st.booleans()):
+        del op[draw(st.sampled_from(sorted(k for k in op if k != "op")))]
+    extra_keys = st.text(max_size=3).filter(lambda k: k not in ("op", "z", "y", "g"))
+    op.update(draw(st.dictionaries(extra_keys, _floats | _ints | _texts, max_size=2)))
+    return op
+
+
+class TestFrameBytes:
+    """``_frame`` writes the hot ops without the encoder; every frame must
+    still be byte-identical to the ``json.dumps`` one."""
+
+    @given(_ops())
+    def test_frame_equals_json_dumps_frame(self, op):
+        try:
+            expected = _json_frame(op)
+        except (TypeError, ValueError):
+            with pytest.raises(TrustJournalError):
+                journal_frame(op)
+        else:
+            assert journal_frame(op) == expected
+
+    def test_equal_ids_of_other_types_keep_their_spelling(self):
+        # 1 == True == 1.0 share a dict key; the id spelling cache must not
+        # hand one's spelling to another, in whatever order they arrive.
+        for entity in (1, True, 1, False, 0, "1", True, 1.0):
+            op = {"op": "record", "z": "cd:0", "y": entity, "c": "execute",
+                  "v": 0.5, "t": 1.0, "n": 1, "e": 1}
+            if isinstance(entity, float):
+                with pytest.raises(TrustJournalError, match="entity ids"):
+                    journal_frame(op)
+            else:
+                assert journal_frame(op) == _json_frame(op)
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "record", "z": "a", "y": "b", "c": "x", "v": 0.5, "t": 1.0,
+             "n": 1, "e": 10**5000},
+            {"op": "set", "cd": 10**5000, "rd": 0, "k": 0, "l": 1, "e": 1},
+        ],
+    )
+    def test_int_past_the_digit_limit_is_refused_typed(self, op):
+        # json.dumps refuses such an int with a ValueError; the direct
+        # spelling must hand it over rather than raise untyped.
+        with pytest.raises(TrustJournalError, match="not JSON-representable"):
+            journal_frame(op)
+
+    def test_seeded_fleet_journal_equals_json_dumps_frames(self, tmp_path):
+        grid = GridTrustTable(3, 4, 2)
+        fleet = AgentFleet.for_table(grid, gamma_weights=(0.7, 0.3))
+        weights = fleet.cd_agents[0].engine.reputation.weights
+        plane = DurableTrustPlane.create(
+            tmp_path / "plane", fleet.internal_table, weights, grid_table=grid
+        )
+        activities = list(ActivityCatalog.default(2))
+        rng = np.random.default_rng(11)
+        behavior = [StationaryBehavior(mean=m) for m in (0.2, 0.5, 0.75, 0.95)]
+        for step in range(300):
+            cd, rd = int(rng.integers(3)), int(rng.integers(4))
+            activity = activities[int(rng.integers(2))]
+            now = step * 0.75
+            satisfaction = behavior[rd].sample(now, rng)
+            fleet.cd_agents[cd].observe_transaction(rd, activity, satisfaction, now)
+            fleet.rd_agents[rd].observe_transaction(cd, activity, satisfaction, now)
+        weights.observe_outcome("cd:0", 0.4, 0.6)
+        weights.alliances.declare("g", ["cd:0", "rd:1"])
+        plane.close()
+        path = plane.journal_path
+        replay = read_journal(path)
+        kinds = [op["op"] for op in replay.ops]
+        assert kinds.count("record") == 600 and kinds.count("set") > 0
+        reframed = _json_frame(replay.header) + b"".join(
+            _json_frame(op) for op in replay.ops
+        )
+        assert path.read_bytes() == reframed
 
 
 class TestPinnedPrefix:

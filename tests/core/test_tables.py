@@ -1,11 +1,13 @@
 """Tests for repro.core.tables (DTT/RTT) and level/value conversion."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import EXECUTION, STORAGE
-from repro.core.journal import DurableTrustPlane
+from repro.core.journal import DurableTrustPlane, apply_op
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable, level_to_value, value_to_level
 from repro.errors import UnknownEntityError
@@ -33,6 +35,21 @@ class TestConversions:
     def test_roundtrip_through_midpoint(self, level):
         assert value_to_level(level_to_value(level)) is level
 
+    @pytest.mark.parametrize("k", range(7))
+    def test_bin_edges_match_the_enum_call(self, k):
+        # The tuple lookup must agree with the IntEnum call it replaced at
+        # every bin edge and one ulp either side of it.
+        edge = k / 6
+        for v in (math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)):
+            if 0.0 <= v <= 1.0:
+                assert value_to_level(v) is TrustLevel(min(int(v * 6) + 1, 6))
+        assert value_to_level(0.0) is TrustLevel.A
+        assert value_to_level(1.0) is TrustLevel.F
+
+    def test_nan_refused(self):
+        with pytest.raises(ValueError):
+            value_to_level(math.nan)
+
 
 class TestTrustRecord:
     def test_level_property(self):
@@ -46,6 +63,22 @@ class TestTrustRecord:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             TrustRecord(value=0.5, last_transaction=0.0, transaction_count=-1)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_refused_by_record(self, time):
+        table = TrustTable()
+        with pytest.raises(ValueError, match=f"finite, got {time}"):
+            table.record("x", "y", EXECUTION, 0.5, time)
+        assert len(table) == 0 and table.epoch == 0
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_non_finite_time_refused_by_replay(self, time):
+        table = TrustTable()
+        op = {"op": "record", "z": "x", "y": "y", "c": EXECUTION.name,
+              "v": 0.5, "t": time, "n": 1, "e": 1}
+        with pytest.raises(ValueError, match=f"finite, got {time}"):
+            apply_op(op, table=table)
+        assert len(table) == 0
 
 
 class TestTrustTable:

@@ -1,7 +1,10 @@
 """Tests for repro.grid.activities."""
 
+import pickle
+
 import pytest
 
+from repro.core.context import TrustContext
 from repro.grid.activities import ActivityCatalog, ActivitySet, ActivityType
 
 
@@ -9,6 +12,20 @@ class TestActivityType:
     def test_context_bridge(self):
         a = ActivityType(index=0, name="execute")
         assert a.context.name == "execute"
+
+    def test_context_is_built_once(self):
+        a = ActivityType(index=2, name="store")
+        assert a.context == TrustContext("store")
+        assert a.context is a.context
+
+    def test_context_leaves_identity_alone(self):
+        a, b = ActivityType(1, "x"), ActivityType(1, "x")
+        assert a == b and hash(a) == hash(b)
+        assert a != ActivityType(2, "x") and a != ActivityType(1, "y")
+        assert repr(a) == "ActivityType(index=1, name='x')"
+        restored = pickle.loads(pickle.dumps(a))
+        assert restored == a and hash(restored) == hash(a)
+        assert restored.context == TrustContext("x")
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,19 @@ class TestStationaryBehavior:
         assert all(0.0 <= s <= 1.0 for s in samples)
         assert np.mean(samples) == pytest.approx(0.7, abs=0.02)
 
+    def test_scalar_clip_equals_numpy_clip_draw_for_draw(self):
+        # sample() clips with min/max; the stream must equal the np.clip
+        # formulation it replaced, RNG draws and clipped ends included.
+        b = StationaryBehavior(mean=0.5, noise=0.4)
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        samples = [b.sample(0.0, ours) for _ in range(10_000)]
+        expected = [
+            float(np.clip(theirs.normal(0.5, 0.4), 0.0, 1.0)) for _ in range(10_000)
+        ]
+        assert samples == expected
+        assert all(type(s) is float for s in samples)
+        assert samples.count(0.0) > 0 and samples.count(1.0) > 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StationaryBehavior(mean=1.5)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.ets import EtsTable
 from repro.core.levels import TrustLevel
+from repro.errors import ConfigurationError
 from repro.grid.trust_table import GridTrustTable
 
 
@@ -152,3 +153,42 @@ class TestPerCdEpochs:
         table.fill_from(np.full((3, 2, 2), 3, dtype=np.int64))
         assert [table.cd_epoch(cd) for cd in range(3)] == [1, 1, 1]
         assert table.epoch == 1
+
+
+class TestIndexBounds:
+    @pytest.mark.parametrize(
+        "cell,axis,index",
+        [
+            ((-1, 0, 0), "client-domain", -1),
+            ((3, 0, 0), "client-domain", 3),
+            ((0, -1, 0), "resource-domain", -1),
+            ((0, 2, 0), "resource-domain", 2),
+            ((0, 0, -2), "activity", -2),
+            ((0, 0, 2), "activity", 2),
+        ],
+    )
+    def test_set_and_get_refuse_indices_outside_their_axis(self, cell, axis, index):
+        table = GridTrustTable(3, 2, 2)
+        before = table.levels.copy()
+        with pytest.raises(ConfigurationError, match=f"{axis} index {index} "):
+            table.set(*cell, "D")
+        with pytest.raises(ConfigurationError, match=f"{axis} index {index} "):
+            table.get(*cell)
+        assert np.array_equal(table.levels, before)
+        assert table.epoch == 0
+
+    def test_negative_cd_cannot_publish_past_the_last_cds_epoch(self):
+        # numpy would wrap CD -1 onto CD n-1 while the epoch of "-1" moved,
+        # so a trust-cost memo checked against cd_epoch(n-1) kept serving
+        # the old row.  The write is refused and no epoch moves.
+        table = GridTrustTable(3, 2, 2)
+        with pytest.raises(ConfigurationError):
+            table.set(-1, 1, 0, "E")
+        assert table.get(2, 1, 0) is TrustLevel.A
+        assert [table.cd_epoch(cd) for cd in (-1, 0, 1, 2)] == [0, 0, 0, 0]
+
+    def test_get_returns_the_enum_members(self):
+        table = GridTrustTable(1, 1, 5)
+        table.fill_from(np.arange(1, 6, dtype=np.int64).reshape(1, 1, 5))
+        assert [table.get(0, 0, k) for k in range(5)] == list(TrustLevel)[:5]
+        assert all(table.get(0, 0, k) is TrustLevel(k + 1) for k in range(5))
