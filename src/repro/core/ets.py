@@ -99,9 +99,9 @@ class EtsTable:
         """Vectorised lookup for integer arrays of RTL and OTL values (1-based)."""
         rtls = np.asarray(rtls, dtype=np.int64)
         otls = np.asarray(otls, dtype=np.int64)
-        if np.any((rtls < 1) | (rtls > 6)):
+        if rtls.size and (rtls.min() < 1 or rtls.max() > 6):
             raise ValueError("RTL values must lie in [1, 6]")
-        if np.any((otls < 1) | (otls > 5)):
+        if otls.size and (otls.min() < 1 or otls.max() > 5):
             raise ValueError("OTL values must lie in [1, 5]")
         return self.matrix[rtls - 1, otls - 1]
 

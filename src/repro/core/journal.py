@@ -803,6 +803,8 @@ class DurableTrustPlane:
         The journal tail past the last intact frame is truncated (torn
         frames are expected after a crash); everything up to the last
         completed sync is replayed and epoch-verified against the base.
+        An intact op the trust objects refuse raises
+        :class:`TrustJournalError` naming the path, op index and op kind.
 
         Args:
             generation: pin a specific generation (a service checkpoint's
@@ -872,14 +874,23 @@ class DurableTrustPlane:
             base_dir, grid_table=grid_table
         )
         for i, op in enumerate(replay.ops):
-            apply_op(
-                op,
-                table=table,
-                weights=weights,
-                grid_table=grid,
-                path=journal_path,
-                index=i,
-            )
+            try:
+                apply_op(
+                    op,
+                    table=table,
+                    weights=weights,
+                    grid_table=grid,
+                    path=journal_path,
+                    index=i,
+                )
+            except (ValueError, TypeError, KeyError) as exc:
+                # A CRC-valid op the trust objects refuse (a value off its
+                # range, a cell off the table, a missing field) is corrupt
+                # content, not a torn tail: name it rather than truncate it.
+                raise TrustJournalError(
+                    f"journal op #{i} in {journal_path} ({op.get('op')}) is "
+                    f"refused on replay: {exc!r}"
+                ) from exc
         writer = JournalWriter.open(
             journal_path,
             base=digest,

@@ -52,6 +52,7 @@ class Grid:
     client_cd: np.ndarray = field(init=False, repr=False)
     rd_required: np.ndarray = field(init=False, repr=False)
     cd_required: np.ndarray = field(init=False, repr=False)
+    pair_required: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._validate()
@@ -67,6 +68,10 @@ class Grid:
         self.cd_required = np.array(
             [int(cd.required_level) for cd in self.client_domains], dtype=np.int64
         )
+        self.pair_required = np.maximum(
+            self.cd_required[:, None], self.rd_required[None, :]
+        )
+        self.pair_required.setflags(write=False)
 
     def _validate(self) -> None:
         if not self.machines:
@@ -108,26 +113,16 @@ class Grid:
         """
         if not 0 <= cd_index < len(self.client_domains):
             raise ConfigurationError(f"client domain index {cd_index} out of range")
-        return np.maximum(self.cd_required[cd_index], self.rd_required)
-
-    def trust_cost_per_machine(
-        self, cd_index: int, activities: Sequence[int]
-    ) -> np.ndarray:
-        """Trust cost TC for each machine, for a request from ``cd_index``.
-
-        Combines :meth:`required_per_rd` with the trust table's OTLs and
-        expands the per-RD costs to per-machine via the machine→RD map.
-        Always reads the table as it stands; callers memoise.
-        """
-        per_rd = self.trust_table.trust_cost_row(
-            cd_index, activities, self.required_per_rd(cd_index)
-        )
-        return per_rd[self.machine_rd]
+        return self.pair_required[cd_index].copy()
 
     def trust_cost_matrix(
         self, cd_indices: np.ndarray, activity_masks: np.ndarray
     ) -> np.ndarray:
-        """Batched :meth:`trust_cost_per_machine` over many (CD, ToA-set) keys.
+        """Trust cost TC on every machine for many (CD, ToA-set) keys.
+
+        Prices each key against the trust table as it stands (callers
+        memoise) and expands the per-RD costs to per-machine via the
+        machine→RD map.
 
         Args:
             cd_indices: client-domain index per key, shape ``(k,)``.
@@ -135,18 +130,11 @@ class Grid:
                 key (see :meth:`GridTrustTable.offered_rows`).
 
         Returns:
-            Integer TC matrix of shape ``(k, n_machines)``; row ``i`` is
-            bit-identical to ``trust_cost_per_machine(cd_indices[i], ...)``.
+            Integer TC matrix of shape ``(k, n_machines)``.
         """
-        cds = np.asarray(cd_indices, dtype=np.int64)
-        n_cd = len(self.client_domains)
-        if cds.size and (cds.min() < 0 or cds.max() >= n_cd):
-            raise ConfigurationError(
-                f"client domain indices must lie in [0, {n_cd - 1}]"
-            )
-        masks = np.asarray(activity_masks, dtype=bool)
-        required = np.maximum(self.cd_required[cds][:, None], self.rd_required[None, :])
-        per_rd = self.trust_table.trust_cost_rows(cds, masks, required)
+        per_rd = self.trust_table.trust_cost_rows(
+            cd_indices, activity_masks, self.pair_required
+        )
         return per_rd[:, self.machine_rd]
 
 

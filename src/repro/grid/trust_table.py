@@ -32,6 +32,8 @@ __all__ = ["GridTrustTable"]
 #: every write is validated) is ``_LEVELS[v - 1]``.
 _LEVELS = tuple(TrustLevel)
 _AXES = ("client-domain", "resource-domain", "activity")
+#: Initial value of the masked OTL min: above every storable level.
+_ABOVE_OFFERED = np.int64(int(MAX_OFFERED_LEVEL) + 1)
 
 
 class GridTrustTable:
@@ -182,15 +184,6 @@ class GridTrustTable:
         acts = self._check_activities(activities)
         return TrustLevel(int(self._levels[cd, rd, acts].min()))
 
-    def offered_row(self, cd: int, activities: Sequence[int]) -> np.ndarray:
-        """Vector of OTLs for client domain ``cd`` across *all* RDs.
-
-        Returns an integer array of shape ``(n_resource_domains,)``; this is
-        the primitive the schedulers use to build per-request cost rows.
-        """
-        acts = self._check_activities(activities)
-        return self._levels[cd, :, acts].min(axis=0)
-
     def trust_cost(
         self,
         cd: int,
@@ -214,8 +207,13 @@ class GridTrustTable:
                 select at least one activity).
 
         Returns:
-            Integer OTL matrix of shape ``(k, n_resource_domains)``; row
-            ``i`` equals ``offered_row(cds[i], <set of masks[i]>)``.
+            Integer OTL matrix of shape ``(k, n_resource_domains)``; entry
+            ``[i, rd]`` equals ``offered_level(cds[i], rd, <set of masks[i]>)``.
+
+        Raises:
+            ConfigurationError: if a client-domain index lies outside the
+                table.
+            ValueError: if the masks are misshapen or a mask is empty.
         """
         cds = np.asarray(cds, dtype=np.int64)
         masks = np.asarray(activity_masks, dtype=bool)
@@ -225,67 +223,44 @@ class GridTrustTable:
                 f"activity_masks shape {masks.shape} != ({cds.shape[0]}, {n_act})"
             )
         if cds.size and (cds.min() < 0 or cds.max() >= n_cd):
-            raise ValueError(f"client-domain indices must lie in [0, {n_cd - 1}]")
+            raise ConfigurationError(
+                f"client domain indices must lie in [0, {n_cd - 1}]"
+            )
         if not masks.any(axis=1).all():
             raise ValueError("every activity mask must select at least one ToA")
-        # Non-member activities are raised above any storable level so the
-        # min over the activity axis sees only the member ToAs.
-        levels = self._levels[cds]  # (k, n_rd, n_act)
-        sentinel = np.int64(int(MAX_OFFERED_LEVEL) + 1)
-        masked = np.where(masks[:, None, :], levels, sentinel)
-        return masked.min(axis=2)
-
-    def trust_cost_row(
-        self,
-        cd: int,
-        activities: Sequence[int],
-        required_per_rd: np.ndarray,
-    ) -> np.ndarray:
-        """Vector of trust costs for client domain ``cd`` across all RDs.
-
-        Args:
-            cd: client-domain index.
-            activities: activity indices of the request's task.
-            required_per_rd: integer RTL per resource domain — typically
-                ``max(cd_rtl, rd_rtl[j])`` computed by the caller.
-
-        Returns:
-            Integer TC array of shape ``(n_resource_domains,)``.
-        """
-        otls = self.offered_row(cd, activities)
-        required = np.asarray(required_per_rd, dtype=np.int64)
-        if required.shape != otls.shape:
-            raise ValueError(
-                f"required_per_rd shape {required.shape} != ({otls.shape[0]},)"
-            )
-        return self._ets.lookup_many(required, otls)
+        # The min over the activity axis sees only the member ToAs.
+        return self._levels[cds].min(
+            axis=2, where=masks[:, None, :], initial=_ABOVE_OFFERED
+        )
 
     def trust_cost_rows(
         self,
         cds: np.ndarray,
         activity_masks: np.ndarray,
-        required_per_rd: np.ndarray,
+        required_per_pair: np.ndarray,
     ) -> np.ndarray:
-        """Trust-cost matrix for many (CD, ToA-set) keys in one pass.
+        """Trust-cost matrix ``TC = ETS(RTL, OTL)`` for many (CD, ToA-set) keys.
 
         Args:
             cds: client-domain indices, shape ``(k,)``.
             activity_masks: boolean ``(k, n_activities)`` ToA membership.
-            required_per_rd: integer RTL matrix of shape
-                ``(k, n_resource_domains)`` — row ``i`` is the effective
-                requirement of key ``i`` against every RD.
+            required_per_pair: integer RTL matrix of shape
+                ``(n_client_domains, n_resource_domains)`` — entry
+                ``[cd, rd]`` is the effective requirement of that pairing
+                (:attr:`~repro.grid.topology.Grid.pair_required`).
 
         Returns:
-            Integer TC matrix of shape ``(k, n_resource_domains)``, row-wise
-            identical to :meth:`trust_cost_row` on each key.
+            Integer TC matrix of shape ``(k, n_resource_domains)``; entry
+            ``[i, rd]`` equals ``trust_cost(cds[i], rd, <set of masks[i]>,
+            required_per_pair[cds[i], rd])``.
         """
         otls = self.offered_rows(cds, activity_masks)
-        required = np.asarray(required_per_rd, dtype=np.int64)
-        if required.shape != otls.shape:
+        if required_per_pair.shape != self._levels.shape[:2]:
             raise ValueError(
-                f"required_per_rd shape {required.shape} != {otls.shape}"
+                f"required_per_pair shape {required_per_pair.shape} != "
+                f"{self._levels.shape[:2]}"
             )
-        return self._ets.lookup_many(required, otls)
+        return self._ets.lookup_many(required_per_pair[cds], otls)
 
     def _check_cell(self, cd: int, rd: int, activity: int) -> None:
         # Refuse what numpy would wrap around: a negative CD would write

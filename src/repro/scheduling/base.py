@@ -56,7 +56,7 @@ def check_avail(avail: np.ndarray, n_machines: int) -> np.ndarray:
         )
     if n_machines == 0:
         raise NoFeasibleMachineError("no machines to map onto")
-    if np.any(avail < 0):
+    if (avail < 0).any():
         raise NoFeasibleMachineError("availability times must be non-negative")
     return avail
 

@@ -4,44 +4,48 @@ Bridges the workload (EEC matrix), the Grid trust model (trust costs) and
 the :class:`~repro.scheduling.policy.TrustPolicy` into the per-request cost
 rows the heuristics consume.
 
-One memo keeps the hot path off the Python interpreter: trust-cost rows
-are cached per **pricing key** ``(client domain, ToA set)`` — TC depends
-only on those, so duplicate requests share one row — and each entry
+Every trust-cost (TC) row comes from one resolver over one memo.  Rows are
+cached per **pricing key** ``(client domain, ToA set)`` — TC depends only
+on those, so duplicate requests share one read-only row — and each entry
 records the :meth:`~repro.grid.trust_table.GridTrustTable.cd_epoch` it was
-priced at.  An entry whose CD epoch has moved (agents published new levels
-for that client domain) is re-priced on its next read, so every mapping
+priced at.  The resolver serves an entry while its CD epoch is current and
+prices every stale or missing key, plus the keys of retry-dirty requests
+(:meth:`CostProvider.invalidate_trust_cache`), in one batched
+:meth:`~repro.grid.topology.Grid.trust_cost_matrix` call, so every mapping
 and every commit prices against the trust table as it stands at that
-moment.  Publishes to other client domains leave the entry valid.
+moment.  Publishes to other client domains leave an entry valid.
+
+The resolver runs in one of two modes:
+
+* **ground truth** — :meth:`CostProvider.trust_cost_row` and
+  :meth:`CostProvider.realized_costs` read the table directly, even with a
+  trust source installed, so completion accounting cannot fail on a plane
+  outage;
+* **guarded** — with a :class:`~repro.trustfaults.query.ResilientTrustSource`
+  installed, the mapping accessors (:meth:`CostProvider.mapping_ecc_row`,
+  :meth:`CostProvider.mapping_ecc_matrix`, :meth:`CostProvider.is_feasible`)
+  precede each fetch with the source's guarded query: one per retry-dirty
+  request, then one for the batch of missing keys, none for memo hits.  A
+  failed query caches nothing and leaves the request dirty; its row gets
+  the locally derivable *forced* TC row (``RTL = F`` still forces the
+  maximum supplement under Table 1, so REJECT admission control keeps
+  holding) and, in mapping rows, the trust-unaware blanket price
+  ``EEC + ESC_unaware``.  The next access retries the plane, so rows
+  re-price to the exact fresh values the moment the source recovers.
 
 Batch heuristics should prefer :meth:`CostProvider.mapping_ecc_matrix`,
 which assembles all believed-cost rows of a meta-request in one vectorised
-pass (EEC gathered by task-index fancy indexing, TC computed once per
-unique pricing key, constraint masking and exclusions as matrix ops).
-
-With a :class:`~repro.trustfaults.query.ResilientTrustSource` installed,
-*mapping* TC fetches route through its guarded query path and degrade
-gracefully: a failed query prices the affected row with the trust-unaware
-blanket formula (``EEC + ESC_unaware``) instead of raising, applies the
-hard constraint against the locally-derivable *forced* TC row (``RTL = F``
-still forces the maximum supplement under Table 1, so REJECT admission
-control keeps holding), and caches nothing, so the next access retries
-the plane — rows re-price to the exact fresh values the moment the source
-recovers.  A guarded query happens exactly when the memo's row is missing
-or out of date, or a retry demands a fresh fetch.  Ground-truth accessors
-(:meth:`CostProvider.trust_cost_row`, :meth:`CostProvider.realized_costs`)
-never route through the source, so completion accounting cannot fail on a
-plane outage; they resolve through the same epoch-checked memo, refreshing
-stale entries from the table directly.
-
-A window's plan is committed by :meth:`CostProvider.realized_costs` in one
-vector pass: one EEC gather at ``(task, machine)`` and one
+pass (EEC gathered by task-index fancy indexing, constraint masking and
+exclusions as matrix ops).  A window's plan is committed by
+:meth:`CostProvider.realized_costs` in one vector pass: one EEC gather at
+``(task, machine)`` and one
 :meth:`~repro.scheduling.policy.TrustPolicy.realized_ecc` call over the
 gathered vectors.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -152,73 +156,18 @@ class CostProvider:
             self._key_cache[request.index] = key
         return key
 
-    def _compute_tc_row(self, request: Request) -> np.ndarray:
-        if self.metrics.enabled:
-            self.metrics.counter("costs.tc_rows").add()
-        row = self.grid.trust_cost_per_machine(
-            request.client_domain_index, request.task.activities.indices
-        )
-        row = np.asarray(row, dtype=np.float64)
-        row.setflags(write=False)
-        return row
-
-    def _resilient_tc_fetch(self, request: Request) -> np.ndarray:
-        """TC row via the guarded trust-plane query (may raise)."""
-        assert self.trust_source is not None
-        row = self.trust_source.trust_cost_per_machine(
-            request.client_domain_index, request.task.activities.indices
-        )
-        if self.metrics.enabled:
-            self.metrics.counter("costs.tc_rows").add()
-        row = np.asarray(row, dtype=np.float64)
-        row.setflags(write=False)
-        return row
-
-    def _tc_row(
-        self, request: Request, fetch: Callable[[Request], np.ndarray]
-    ) -> np.ndarray:
-        """Epoch-checked memo resolution around one fetch function.
-
-        The memo's row is served while its CD epoch is current.  Otherwise
-        — or when the request is retry-dirty — ``fetch`` prices the key and
-        refreshes the shared entry.  Retry state is only consumed when the
-        fetch succeeds: a dirty request whose resilient fetch raises stays
-        dirty, so the next attempt still demands fresh data.
-        """
-        key = self._tc_key(request)
-        epoch = self.grid.trust_table.cd_epoch(key[0])
-        idx = request.index
-        if idx not in self._tc_dirty:
-            entry = self._tc_cache.get(key)
-            if entry is not None and entry[0] == epoch:
-                return entry[1]
-        row = fetch(request)
-        self._tc_dirty.discard(idx)
-        self._tc_cache[key] = (epoch, row)
-        return row
-
     def trust_cost_row(self, request: Request) -> np.ndarray:
         """Trust cost TC of the request on every machine (memoised).
 
         TC depends only on the originating CD, the task's ToA set and the
-        machine's RD, so one row is computed per unique *pricing key* and
-        shared by duplicate requests until a publish to that CD moves its
-        epoch; the row always equals the table as it stands now.
+        machine's RD, so one read-only row is shared by every request with
+        the same *pricing key* until a publish to that CD moves its epoch;
+        the row always equals the table as it stands now.
 
         Always reads the table directly (ground truth), even with a
         ``trust_source`` installed — completion accounting must not fail.
         """
-        return self._tc_row(request, self._compute_tc_row)
-
-    def _mapping_tc_row(self, request: Request) -> np.ndarray:
-        """TC row for mapping decisions; resilient when a source is set.
-
-        Raises:
-            TrustQueryError: when the guarded query fails (caller degrades).
-        """
-        if self.trust_source is None:
-            return self._tc_row(request, self._compute_tc_row)
-        return self._tc_row(request, self._resilient_tc_fetch)
+        return self._tc_rows((request,), guarded=False)[0][0]
 
     def _forced_tc_row(self, cd_index: int) -> np.ndarray:
         """Per-machine TC floor derivable *without* the trust table.
@@ -241,27 +190,110 @@ class CostProvider:
             self._forced_cache[cd_index] = row
         return row
 
-    def _degraded_row(self, request: Request) -> np.ndarray:
-        """Trust-unaware fallback mapping row for one plane-failed request.
+    def _plane_answers(self) -> bool:
+        """One guarded trust-plane query; False when it failed."""
+        try:
+            self.trust_source.check()
+        except TrustQueryError:
+            return False
+        return True
 
-        Never memoised: every access re-attempts the plane (a fast-fail
-        against an open breaker is one counter bump and an exception), so
-        rows re-price to exact fresh values on recovery.
+    def _tc_rows(
+        self, requests: Sequence[Request], *, guarded: bool
+    ) -> tuple[list[np.ndarray], list[int]]:
+        """The memo's read-only TC row for each request, and the degraded ones.
+
+        Memo hits are served as they stand.  Every other key — missing,
+        priced at an older CD epoch, or read by a retry-dirty request — is
+        priced in one batched :meth:`Grid.trust_cost_matrix` call, and the
+        memo entry refreshed.  With ``guarded`` set, each retry-dirty
+        request (in position order) and then the batch of missing keys is
+        preceded by one :meth:`ResilientTrustSource.check`; a failed check
+        writes no entry, leaves the request dirty and hands its position
+        the forced TC row.  A successful fetch consumes the dirty flag.
+
+        Returns:
+            ``(rows, degraded)``: one row per request, and the positions
+            whose row is forced because the plane failed.
         """
-        self._degraded.add(request.index)
+        rows: list[np.ndarray] = [None] * len(requests)  # type: ignore[list-item]
+        cache = self._tc_cache
+        dirty = self._tc_dirty
+        cd_epoch = self.grid.trust_table.cd_epoch
+        tc_key = self._tc_key
+        # Positions whose key is stale or missing; ``fetch_slot`` will hold
+        # the row of the priced batch that serves each of them.
+        fetch_pos: list[int] = []
+        retrying: list[int] = []
+        for pos, request in enumerate(requests):
+            if dirty and request.index in dirty:
+                retrying.append(pos)
+                continue
+            key = tc_key(request)
+            entry = cache.get(key)
+            if entry is not None and entry[0] == cd_epoch(key[0]):
+                rows[pos] = entry[1]
+            else:
+                fetch_pos.append(pos)
+        if not (fetch_pos or retrying):
+            return rows, []
+        # The stale or missing keys, numbered in discovery order.
+        missing: dict[TcKey, int] = {}
+        fetch_slot = [
+            missing.setdefault(tc_key(requests[pos]), len(missing))
+            for pos in fetch_pos
+        ]
+        degraded: list[int] = []
+        retried: list[int] = []
+        for pos in retrying:
+            if guarded and not self._plane_answers():
+                degraded.append(pos)
+            else:
+                retried.append(pos)
+        if missing and guarded and not self._plane_answers():
+            degraded += fetch_pos
+            fetch_pos, fetch_slot, missing = [], [], {}
+        keys = list(missing)
+        for pos in retried:
+            fetch_pos.append(pos)
+            fetch_slot.append(len(keys))
+            keys.append(tc_key(requests[pos]))
+        if keys:
+            priced = self._price(keys)
+            for key, row in zip(keys, priced):
+                cache[key] = (cd_epoch(key[0]), row)
+            for pos, slot in zip(fetch_pos, fetch_slot):
+                rows[pos] = priced[slot]
+            dirty.difference_update(requests[pos].index for pos in retried)
+        for pos in degraded:
+            rows[pos] = self._forced_tc_row(requests[pos].client_domain_index)
+        return rows, degraded
+
+    def _price(self, keys: list[TcKey]) -> list[np.ndarray]:
+        """Read-only float TC rows of ``keys``, priced in one table pass."""
         if self.metrics.enabled:
-            self.metrics.counter("costs.degraded_rows").add()
-        eec = self.eec_row(request)
-        row = eec + self.policy.esc_unaware(eec)
-        if self.constraint is not None:
-            row = self.constraint.apply(
-                row, self._forced_tc_row(request.client_domain_index)
-            )
-        excluded = self._excluded.get(request.index)
-        if excluded:
-            row[list(excluded)] = np.inf
-        row.setflags(write=False)
-        return row
+            self.metrics.counter("costs.tc_rows").add(len(keys))
+        n_act = len(self.grid.catalog)
+        masks = np.zeros(len(keys) * n_act, dtype=bool)
+        masks[[i * n_act + a for i, (_cd, acts) in enumerate(keys) for a in acts]] = True
+        rows = self.grid.trust_cost_matrix(
+            np.array([cd for cd, _ in keys], dtype=np.int64),
+            masks.reshape(len(keys), n_act),
+        ).astype(np.float64)
+        rows.setflags(write=False)
+        return list(rows)
+
+    def _mark_degraded(self, requests: Sequence[Request], degraded: list[int]) -> None:
+        """Record which of ``requests`` the latest mapping priced degraded."""
+        if degraded and self.metrics.enabled:
+            self.metrics.counter("costs.degraded_rows").add(len(degraded))
+        if degraded or self._degraded:
+            flagged = set(degraded)
+            for pos, request in enumerate(requests):
+                if pos in flagged:
+                    self._degraded.add(request.index)
+                else:
+                    self._degraded.discard(request.index)
 
     def mapping_ecc_row(self, request: Request) -> np.ndarray:
         """Expected completion cost the *scheduler believes*, per machine.
@@ -272,17 +304,21 @@ class CostProvider:
         is assembled on every call from the memoised TC row and returned
         read-only.
 
-        With a ``trust_source`` installed a failed trust-plane query falls
-        back to the degraded trust-unaware row instead of raising.
+        With a ``trust_source`` installed a failed trust-plane query prices
+        the row trust-unaware (``EEC + ESC_unaware``) and applies the
+        constraint against the forced TC row, instead of raising.
         """
         if self.metrics.enabled:
             self.metrics.counter("costs.ecc_rows").add()
-        try:
-            tc = self._mapping_tc_row(request)
-        except TrustQueryError:
-            return self._degraded_row(request)
-        self._degraded.discard(request.index)
-        row = self.policy.mapping_ecc(self.eec_row(request), tc)
+        (tc,), degraded = self._tc_rows(
+            (request,), guarded=self.trust_source is not None
+        )
+        self._mark_degraded((request,), degraded)
+        eec = self.eec_row(request)
+        if degraded:
+            row = eec + self.policy.esc_unaware(eec)
+        else:
+            row = self.policy.mapping_ecc(eec, tc)
         if self.constraint is not None:
             row = self.constraint.apply(row, tc)
         excluded = self._excluded.get(request.index)
@@ -323,9 +359,13 @@ class CostProvider:
         if self.metrics.enabled:
             self.metrics.counter("costs.ecc_rows").add(n)
         eec = self.eec[self._task_indices(requests)]
-        tc, degraded = self._tc_matrix(requests)
+        rows, degraded = self._tc_rows(
+            requests, guarded=self.trust_source is not None
+        )
+        self._mark_degraded(requests, degraded)
+        tc = np.array(rows)
         ecc = self.policy.mapping_ecc(eec, tc)
-        if degraded.any():
+        if degraded:
             # Plane-failed rows carry forced TC; their believed cost is the
             # blanket trust-unaware price, exactly as in the scalar path.
             ecc[degraded] = eec[degraded] + self.policy.esc_unaware(eec[degraded])
@@ -377,101 +417,6 @@ class CostProvider:
             raise ConfigurationError("chunk_size must be >= 1")
         for start in range(0, len(requests), size):
             yield start, self.mapping_ecc_matrix(requests[start : start + size])
-
-    def _tc_matrix(
-        self, requests: Sequence[Request]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Float TC matrix for ``requests``; one computation per unique key.
-
-        Retry-dirty requests resolve through the scalar path; everything
-        else reads the memo, with the missing keys and the keys whose CD
-        epoch has moved re-priced in one batched trust-table pass and
-        written into the matrix in one vectorised assignment.  With a
-        ``trust_source`` installed, that batched pass is guarded by a single
-        :meth:`~repro.trustfaults.query.ResilientTrustSource.check` (one
-        plane round-trip per assembly) and dirty requests query per-row;
-        failed positions receive the forced TC row and are flagged in the
-        returned boolean ``degraded`` vector.
-
-        Returns:
-            ``(tc, degraded)`` of shapes ``(n, n_machines)`` and ``(n,)``.
-        """
-        n = len(requests)
-        tc = np.empty((n, self.grid.n_machines), dtype=np.float64)
-        degraded = np.zeros(n, dtype=bool)
-        table = self.grid.trust_table
-        epochs: dict[int, int] = {}
-        # Stale or missing keys, numbered in discovery order, and the
-        # positions that read each: ``tc[miss_pos[j]]`` is key ``miss_slot[j]``.
-        missing: dict[TcKey, int] = {}
-        miss_pos: list[int] = []
-        miss_slot: list[int] = []
-        retrying: list[int] = []
-        for pos, request in enumerate(requests):
-            if request.index in self._tc_dirty:
-                retrying.append(pos)
-                continue
-            key = self._tc_key(request)
-            cd = key[0]
-            epoch = epochs.get(cd)
-            if epoch is None:
-                epoch = epochs[cd] = table.cd_epoch(cd)
-            entry = self._tc_cache.get(key)
-            if entry is not None and entry[0] == epoch:
-                tc[pos] = entry[1]
-            else:
-                miss_pos.append(pos)
-                miss_slot.append(missing.setdefault(key, len(missing)))
-        for pos in retrying:
-            request = requests[pos]
-            try:
-                tc[pos] = self._mapping_tc_row(request)
-            except TrustQueryError:
-                tc[pos] = self._forced_tc_row(request.client_domain_index)
-                degraded[pos] = True
-        if missing:
-            plane_ok = True
-            if self.trust_source is not None:
-                try:
-                    self.trust_source.check()
-                except TrustQueryError:
-                    plane_ok = False
-            if plane_ok:
-                keys = list(missing)
-                if self.metrics.enabled:
-                    self.metrics.counter("costs.tc_rows").add(len(keys))
-                cds = np.fromiter(
-                    (cd for cd, _ in keys), dtype=np.int64, count=len(keys)
-                )
-                masks = np.zeros((len(keys), len(self.grid.catalog)), dtype=bool)
-                masks[
-                    [i for i, (_cd, acts) in enumerate(keys) for _ in acts],
-                    [a for _cd, acts in keys for a in acts],
-                ] = True
-                rows = np.asarray(
-                    self.grid.trust_cost_matrix(cds, masks), dtype=np.float64
-                )
-                rows.setflags(write=False)
-                for key, row in zip(keys, rows):
-                    self._tc_cache[key] = (epochs[key[0]], row)
-            else:
-                rows = np.stack([self._forced_tc_row(cd) for cd, _ in missing])
-                degraded[miss_pos] = True
-            tc[miss_pos] = rows[miss_slot]
-        if degraded.any():
-            if self.metrics.enabled:
-                self.metrics.counter("costs.degraded_rows").add(
-                    int(degraded.sum())
-                )
-            for pos, request in enumerate(requests):
-                if degraded[pos]:
-                    self._degraded.add(request.index)
-                else:
-                    self._degraded.discard(request.index)
-        elif self._degraded:
-            for request in requests:
-                self._degraded.discard(request.index)
-        return tc, degraded
 
     # -- retry support -------------------------------------------------------
 
@@ -531,13 +476,10 @@ class CostProvider:
             return True
         if self.constraint.infeasible is InfeasiblePolicy.RELAX:
             return True
-        if self.trust_source is not None:
-            try:
-                tc = self._mapping_tc_row(request)
-            except TrustQueryError:
-                tc = self._forced_tc_row(request.client_domain_index)
-            return bool(self.constraint.feasible_mask(tc).any())
-        return bool(self.constraint.feasible_mask(self.trust_cost_row(request)).any())
+        (tc,), _degraded = self._tc_rows(
+            (request,), guarded=self.trust_source is not None
+        )
+        return bool(self.constraint.feasible_mask(tc).any())
 
     def realized_costs(
         self, requests: Sequence[Request], machines: Sequence[int]
@@ -562,12 +504,9 @@ class CostProvider:
         n = len(requests)
         tasks = self._task_indices(requests)
         eec = self.eec[tasks, np.asarray(machines, dtype=np.int64)]
-        tc_row = self._tc_row
-        fetch = self._compute_tc_row
+        rows, _degraded = self._tc_rows(requests, guarded=False)
         tc = np.fromiter(
-            (tc_row(r, fetch)[m] for r, m in zip(requests, machines)),
-            dtype=np.float64,
-            count=n,
+            (row[m] for row, m in zip(rows, machines)), dtype=np.float64, count=n
         )
         cost = self.policy.realized_ecc(eec, tc)
         if self._degraded:

@@ -152,12 +152,7 @@ class SchedulingEngine:
             machine=machine,
             completion=completion,
         )
-        if sched.on_complete is not None:
-            self.sim.schedule(
-                completion,
-                lambda ev, rec=record: sched.on_complete(rec),
-                priority=EventPriority.COMPLETION,
-            )
+        self.rearm_completion(record)
 
     def reject(self, request: Request, time: float) -> None:
         """Settle ``request`` as refused by the admission constraint."""
@@ -326,6 +321,21 @@ class SchedulingEngine:
             lambda ev, r=request: self.submit(r, ev.time, retry=True),
             priority=EventPriority.ARRIVAL,
         )
+
+    def rearm_completion(self, record: CompletionRecord) -> None:
+        """Schedule the ``on_complete`` notification of a booked record.
+
+        Called when a request completes and, on checkpoint restore, for
+        every record still running at the checkpoint clock, so the hook
+        (and the trust evolution it drives) sees every transaction once.
+        """
+        sched = self.scheduler
+        if sched.on_complete is not None:
+            self.sim.schedule(
+                record.completion_time,
+                lambda ev, rec=record: sched.on_complete(rec),
+                priority=EventPriority.COMPLETION,
+            )
 
     def rearm_failure(self, failure: FailureEvent, request: Request) -> None:
         """Re-schedule an in-flight failure notification (checkpoint restore).

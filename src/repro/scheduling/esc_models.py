@@ -60,7 +60,7 @@ class LinearEsc(EscModel):
 
     def fractions(self, tc: np.ndarray) -> np.ndarray:
         tc = np.asarray(tc, dtype=np.float64)
-        if np.any(tc < 0):
+        if (tc < 0).any():
             raise ValueError("trust costs must be non-negative")
         return tc * self.weight / 100.0
 

@@ -20,6 +20,8 @@ round-trip.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -38,65 +40,134 @@ __all__ = [
 #: Schema tag stamped into every checkpoint payload.
 CHECKPOINT_SCHEMA = "repro.service.checkpoint/v1"
 
-#: Top-level keys every v1 checkpoint must carry.
-_REQUIRED_KEYS = frozenset(
+
+@dataclass(frozen=True)
+class _Obj:
+    """Spec of a JSON object with exactly ``fields`` (field → spec)."""
+
+    what: str
+    fields: dict
+
+
+#: Key spec of an object keyed by request index (``{_INDEX: value spec}``).
+_INDEX = "request index"
+
+_FAILURE = _Obj(
+    "failure event",
     {
-        "schema",
-        "epoch",
-        "clock",
-        "next_window",
-        "heuristic",
-        "policy",
-        "window_interval",
-        "trust_epoch",
-        "machines",
-        "records",
-        "rejected",
-        "dropped",
-        "failures",
-        "attempts",
-        "batches_formed",
-        "pending",
-        "inflight_failures",
-        "inflight_retries",
-        "exclusions",
-        "admission",
-        "backpressure",
-        "watchdog",
-        "counters",
-    }
+        "request_index": int,
+        "machine_index": int,
+        "attempt": int,
+        "start_time": float,
+        "failure_time": float,
+        "wasted_work": float,
+        "kind": str,
+    },
 )
 
-_RECORD_KEYS = frozenset(
-    {
-        "request_index",
-        "machine_index",
-        "arrival_time",
-        "mapped_time",
-        "start_time",
-        "completion_time",
-        "eec",
-        "realized_cost",
-        "trust_cost",
-        "attempt",
-    }
-)
+#: Every key a v1 checkpoint must carry → the spec its value must conform
+#: to (see :func:`_conform`; ``float`` means a finite number).
+_PAYLOAD = {
+    "schema": str,
+    "epoch": int,
+    "clock": float,
+    "next_window": float,
+    "heuristic": str,
+    "policy": str,
+    "window_interval": float,
+    "trust_epoch": int,
+    "machines": [
+        _Obj(
+            "machine state",
+            {"available_time": float, "busy_time": float,
+             "assigned_count": int, "failed_count": int},
+        )
+    ],
+    "records": {
+        _INDEX: _Obj(
+            "completion record",
+            {
+                "request_index": int,
+                "machine_index": int,
+                "arrival_time": float,
+                "mapped_time": float,
+                "start_time": float,
+                "completion_time": float,
+                "eec": float,
+                "realized_cost": float,
+                "trust_cost": float,
+                "attempt": int,
+            },
+        )
+    },
+    "rejected": {_INDEX: str},
+    "dropped": [int],
+    "failures": [_FAILURE],
+    "attempts": {_INDEX: int},
+    "batches_formed": int,
+    "pending": [int],
+    "inflight_failures": {_INDEX: _FAILURE},
+    "inflight_retries": {_INDEX: (float, int)},
+    "exclusions": {_INDEX: [int]},
+    "admission": object,
+    "backpressure": object,
+    "watchdog": _Obj(
+        "watchdog state",
+        {"trips": int, "stalled_windows": int, "last_settled": int},
+    ),
+    "counters": _Obj(
+        "service counters",
+        {"submitted": int, "admitted": int, "shed": {str: int}},
+    ),
+}
 
-_FAILURE_KEYS = frozenset(
-    {
-        "request_index",
-        "machine_index",
-        "attempt",
-        "start_time",
-        "failure_time",
-        "wasted_work",
-        "kind",
-    }
-)
+def _conform(value: Any, spec: Any, where: str) -> None:
+    """Refuse ``value`` unless it conforms to ``spec``, naming ``where``.
 
-_MACHINE_KEYS = frozenset(
-    {"available_time", "busy_time", "assigned_count", "failed_count"}
-)
+    A spec is a type (``float`` admits integers but neither NaN nor
+    infinity, and booleans are never numbers), ``[item]`` for a list,
+    ``(first, second)`` for a pair, ``{key kind: item}`` for an object
+    keyed by request index (``_INDEX``) or by any string (``str``), or an
+    :class:`_Obj` with exact fields.
+    """
+    if isinstance(spec, _Obj):
+        _conform(value, dict, where)
+        bad = spec.fields.keys() ^ value.keys()
+        if bad:
+            raise CheckpointError(
+                f"malformed {spec.what} in checkpoint (keys off by {sorted(bad)})"
+            )
+        for key, field in spec.fields.items():
+            _conform(value[key], field, f"{where}.{key}")
+    elif isinstance(spec, dict):
+        ((keys, item),) = spec.items()
+        _conform(value, dict, where)
+        for key, member in value.items():
+            if not isinstance(key, str) or (keys == _INDEX and not key.isdecimal()):
+                raise CheckpointError(
+                    f"checkpoint {where} key {key!r} is not a {keys}"
+                )
+            _conform(member, item, f"{where}[{key}]")
+    elif isinstance(spec, list):
+        _conform(value, list, where)
+        for i, member in enumerate(value):
+            _conform(member, spec[0], f"{where}[{i}]")
+    elif isinstance(spec, tuple):
+        _conform(value, list, where)
+        if len(value) != len(spec):
+            raise CheckpointError(
+                f"checkpoint {where} must hold {len(spec)} items, got {value!r}"
+            )
+        for i, (member, item) in enumerate(zip(value, spec)):
+            _conform(member, item, f"{where}[{i}]")
+    elif (
+        not isinstance(value, (int, float) if spec is float else spec)
+        or (spec in (int, float) and isinstance(value, bool))
+        or (spec is float and not math.isfinite(value))
+    ):
+        kind = "a finite number" if spec is float else f"of type {spec.__name__}"
+        raise CheckpointError(f"checkpoint {where} must be {kind}, got {value!r}")
+
 
 #: Shape of the optional write-ahead trust-journal sidecar (a delta
 #: checkpoint descriptor from
@@ -159,39 +230,18 @@ def validate_checkpoint(payload: Any) -> dict:
             f"unsupported checkpoint schema {schema!r} "
             f"(expected {CHECKPOINT_SCHEMA!r})"
         )
-    missing = _REQUIRED_KEYS - payload.keys()
+    missing = _PAYLOAD.keys() - payload.keys()
     if missing:
         raise CheckpointError(
             f"checkpoint is missing keys: {sorted(missing)}"
         )
-    unknown = payload.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
+    unknown = payload.keys() - _PAYLOAD.keys() - _OPTIONAL_KEYS
     if unknown:
         raise CheckpointError(
             f"checkpoint carries unknown keys: {sorted(unknown)}"
         )
-    for record in payload["records"].values():
-        bad = _RECORD_KEYS.symmetric_difference(record)
-        if bad:
-            raise CheckpointError(
-                f"malformed completion record in checkpoint (keys off by "
-                f"{sorted(bad)})"
-            )
-    for failure in list(payload["failures"]) + list(
-        payload["inflight_failures"].values()
-    ):
-        bad = _FAILURE_KEYS.symmetric_difference(failure)
-        if bad:
-            raise CheckpointError(
-                f"malformed failure event in checkpoint (keys off by "
-                f"{sorted(bad)})"
-            )
-    for machine in payload["machines"]:
-        bad = _MACHINE_KEYS.symmetric_difference(machine)
-        if bad:
-            raise CheckpointError(
-                f"malformed machine state in checkpoint (keys off by "
-                f"{sorted(bad)})"
-            )
+    for key, spec in _PAYLOAD.items():
+        _conform(payload[key], spec, key)
     if payload["epoch"] < 0:
         raise CheckpointError("checkpoint epoch must be non-negative")
     if payload["next_window"] < payload["clock"]:

@@ -414,8 +414,13 @@ class GridService:
             priority=EventPriority.ARRIVAL,
             payloads=remaining,
         )
-        # In-flight recovery events: the attempt outcomes are already on
-        # the machines' books; only the pending notifications re-arm.
+        # In-flight events: the attempt outcomes are already on the
+        # machines' books; only the pending notifications re-arm.  A
+        # completion at the checkpoint clock already fired (COMPLETION
+        # outranks the window's BATCH priority at equal times).
+        for record in engine.records.values():
+            if record.completion_time > clock:
+                engine.rearm_completion(record)
         for k, d in sorted(
             payload["inflight_failures"].items(), key=lambda kv: int(kv[0])
         ):

@@ -227,11 +227,6 @@ class ResilientTrustSource:
         """The breaker state at the current clock."""
         return self.breaker.state(self.now)
 
-    def trust_cost_per_machine(self, cd_index: int, activities) -> np.ndarray:
-        """Guarded :meth:`~repro.grid.topology.Grid.trust_cost_per_machine`."""
-        self.check()
-        return self.grid.trust_cost_per_machine(cd_index, activities)
-
     @classmethod
     def from_model(
         cls,

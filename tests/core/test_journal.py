@@ -575,3 +575,33 @@ class TestDurableTrustPlane:
         rec = DurableTrustPlane.recover(tmp_path / "plane", metrics=metrics)
         assert metrics.counter("store.recoveries").value == 1
         rec.close()
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            {"op": "record", "z": "a", "y": "b", "c": "execute",
+             "v": 1.5, "t": 1.0, "n": 1, "e": 1},
+            {"op": "record", "z": "a", "y": "b", "c": "execute",
+             "v": 0.5, "t": math.nan, "n": 1, "e": 1},
+            {"op": "set", "cd": 5, "rd": 0, "k": 0, "l": 3, "e": 1},
+            {"op": "record", "z": "a", "y": "b", "c": "execute",
+             "v": 0.5, "n": 1, "e": 1},
+        ],
+        ids=["value-off-range", "nan-time", "cell-off-table", "missing-key"],
+    )
+    def test_refused_op_is_named_not_truncated(self, tmp_path, op):
+        from repro.errors import CheckpointError
+        from repro.service.checkpoint import resolve_trust_journal
+
+        plane = _plane(tmp_path)
+        plane.append(op)
+        pin = plane.checkpoint()
+        plane.close()
+        journal = tmp_path / "plane" / "journal-0.wal"
+        before = journal.read_bytes()
+        where = rf"journal op #0 in .*journal-0\.wal \({op['op']}\) is refused"
+        with pytest.raises(TrustJournalError, match=where):
+            DurableTrustPlane.recover(tmp_path / "plane")
+        with pytest.raises(CheckpointError, match=where):
+            resolve_trust_journal({"trust_journal": pin})
+        assert journal.read_bytes() == before

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ets import EtsTable
 from repro.errors import ConfigurationError
@@ -11,6 +13,25 @@ from repro.grid.topology import GridBuilder
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.costs import CostProvider
 from repro.scheduling.policy import TrustPolicy
+
+
+def first_activity(k):
+    """Activity masks of ``k`` keys whose ToA set is activity 0 of three."""
+    masks = np.zeros((k, 3), dtype=bool)
+    masks[:, 0] = True
+    return masks
+
+
+def scalar_tc(grid, cd, acts):
+    """Per-machine TC from the table's scalar pricing, with no memo."""
+    return np.array(
+        [
+            grid.trust_table.trust_cost(
+                cd, int(rd), acts, int(max(grid.cd_required[cd], grid.rd_required[rd]))
+            )
+            for rd in grid.machine_rd
+        ]
+    )
 
 
 def make_request(grid, index, client):
@@ -79,14 +100,19 @@ class TestGridQueries:
         with pytest.raises(ConfigurationError):
             small_grid.required_per_rd(2)
 
-    def test_trust_cost_per_machine_expands_rds(self, small_grid):
+    def test_trust_cost_matrix_expands_rds(self, small_grid):
         # Set OTLs: cd0 x rd0 -> E, cd0 x rd1 -> A for activity 0.
         small_grid.trust_table.set(0, 0, 0, "E")
         small_grid.trust_table.set(0, 1, 0, "A")
-        costs = small_grid.trust_cost_per_machine(0, [0])
+        costs = small_grid.trust_cost_matrix(np.array([0]), first_activity(1))
         # machines 0,1 in rd0: RTL=C(3) vs OTL E(5) -> 0; machine 2 in rd1:
         # RTL=D(4) vs OTL A(1) -> 3.
-        assert costs.tolist() == [0, 0, 3]
+        assert costs.tolist() == [[0, 0, 3]]
+
+    def test_trust_cost_matrix_cd_bounds(self, small_grid):
+        for cd in (-1, 2):
+            with pytest.raises(ConfigurationError, match="client domain"):
+                small_grid.trust_cost_matrix(np.array([cd]), first_activity(1))
 
     def test_machine_rd_mapping_consistent(self, small_grid):
         for m in small_grid.machines:
@@ -116,22 +142,16 @@ class TestTrustCostMemoRetention:
         assert provider.trust_cost_row(cd0) is row0
         assert tc_rows.value == 2
         # CD 1's row re-prices to the published level.
-        assert np.array_equal(
-            provider.trust_cost_row(cd1), small_grid.trust_cost_per_machine(1, [0])
-        )
+        assert np.array_equal(provider.trust_cost_row(cd1), scalar_tc(small_grid, 1, [0]))
         assert tc_rows.value == 3
 
     def test_own_cd_publish_reprices_exactly(self, small_grid):
-        acts = [0]
-        before = small_grid.trust_cost_per_machine(0, acts)
+        before = small_grid.trust_cost_matrix(np.array([0]), first_activity(1))
         small_grid.trust_table.set(0, 0, 0, "E")
-        after = small_grid.trust_cost_per_machine(0, acts)
-        assert not np.array_equal(before, after)
-        # The repriced row matches a memo-free recompute.
-        fresh = small_grid.trust_table.trust_cost_row(
-            0, acts, small_grid.required_per_rd(0)
-        )[small_grid.machine_rd]
-        assert np.array_equal(after, fresh)
+        (after,) = small_grid.trust_cost_matrix(np.array([0]), first_activity(1))
+        assert not np.array_equal(before[0], after)
+        # The repriced row matches a memo-free scalar recompute.
+        assert np.array_equal(after, scalar_tc(small_grid, 0, [0]))
 
     def test_matrix_rows_survive_foreign_publishes(self, small_grid):
         provider, tc_rows = self.provider(small_grid)
@@ -149,17 +169,67 @@ class TestTrustCostMemoRetention:
         repriced = provider.mapping_ecc_matrix(requests)
         assert tc_rows.value == 2
         assert not np.array_equal(before, repriced)
-        cds = np.array([0, 0])
-        masks = np.zeros((2, 3), dtype=bool)
-        masks[:, 0] = True
+        tc = np.stack([scalar_tc(small_grid, 0, [0])] * 2)
         assert np.array_equal(
-            small_grid.trust_cost_matrix(cds, masks),
-            np.stack([small_grid.trust_cost_per_machine(int(c), [0]) for c in cds]),
+            small_grid.trust_cost_matrix(np.array([0, 0]), first_activity(2)), tc
         )
         assert np.array_equal(
-            repriced,
-            TrustPolicy.aware().mapping_ecc(
-                np.ones((2, 3)),
-                small_grid.trust_cost_matrix(cds, masks).astype(np.float64),
-            ),
+            repriced, TrustPolicy.aware().mapping_ecc(np.ones((2, 3)), tc)
         )
+
+
+LEVELS = "ABCDEF"
+
+
+@st.composite
+def pricing_cases(draw):
+    """A random grid (RTLs, machine→RD map, levels, ETS variant) and keys."""
+    n_act = draw(st.integers(1, 4))
+    cd_rtl = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3))
+    rd_rtl = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3))
+    machine_rd = draw(
+        st.lists(st.integers(0, len(rd_rtl) - 1), min_size=1, max_size=5)
+    )
+    f_forces_max = draw(st.booleans())
+    builder = GridBuilder(ActivityCatalog.default(n_act))
+    gd = builder.grid_domain("site")
+    rds = [builder.resource_domain(gd, required_level=level) for level in rd_rtl]
+    for rd in machine_rd:
+        builder.machine(rds[rd])
+    for level in cd_rtl:
+        builder.client(builder.client_domain(gd, required_level=level))
+    grid = builder.build(ets=EtsTable(f_forces_max=f_forces_max))
+    seed = draw(st.integers(0, 2**32 - 1))
+    levels = np.random.default_rng(seed).integers(
+        1, 6, size=(len(cd_rtl), len(rd_rtl), n_act)
+    )
+    grid.trust_table.fill_from(levels)
+    key = st.tuples(
+        st.integers(0, len(cd_rtl) - 1),
+        st.sets(st.integers(0, n_act - 1), min_size=1),
+    )
+    keys = draw(st.lists(key, min_size=1, max_size=6))
+    # Duplicate keys in one call must price identically.
+    keys += draw(st.lists(st.sampled_from(keys), max_size=2))
+    rtl = {
+        (cd, rd): max(LEVELS.index(a), LEVELS.index(b)) + 1
+        for cd, a in enumerate(cd_rtl)
+        for rd, b in enumerate(rd_rtl)
+    }
+    return grid, machine_rd, rtl, keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(pricing_cases())
+def test_trust_cost_matrix_equals_scalar_oracle(case):
+    """Every cell is ``trust_cost(cd, rd, acts, max(cd RTL, rd RTL))``."""
+    grid, machine_rd, rtl, keys = case
+    masks = np.zeros((len(keys), len(grid.catalog)), dtype=bool)
+    for i, (_cd, acts) in enumerate(keys):
+        masks[i, sorted(acts)] = True
+    got = grid.trust_cost_matrix(np.array([cd for cd, _ in keys]), masks)
+    assert got.shape == (len(keys), len(machine_rd))
+    for i, (cd, acts) in enumerate(keys):
+        for m, rd in enumerate(machine_rd):
+            want = grid.trust_table.trust_cost(cd, rd, sorted(acts), rtl[cd, rd])
+            assert got[i, m] == want, (i, m)

@@ -11,6 +11,10 @@ from repro.errors import ConfigurationError
 from repro.grid.trust_table import GridTrustTable
 
 
+#: Activity mask of one key whose ToA set is activity 0 alone.
+ONLY_FIRST = np.array([[True, False, False, False]])
+
+
 @pytest.fixture
 def table() -> GridTrustTable:
     return GridTrustTable(2, 3, 4)
@@ -82,8 +86,8 @@ class TestTrustQueries:
         table.set(0, 0, 0, "C")
         table.set(0, 1, 0, "E")
         table.set(0, 2, 0, "A")
-        row = table.offered_row(0, [0])
-        assert row.tolist() == [3, 5, 1]
+        rows = table.offered_rows(np.array([0]), ONLY_FIRST)
+        assert rows.tolist() == [[3, 5, 1]]
 
     def test_trust_cost_uses_ets(self, table):
         table.set(0, 0, 0, "B")
@@ -94,13 +98,13 @@ class TestTrustQueries:
     def test_trust_cost_row_vectorised(self, table):
         for rd, level in enumerate(["B", "D", "E"]):
             table.set(0, rd, 0, level)
-        required = np.array([4, 4, 4])  # RTL = D for every RD
-        costs = table.trust_cost_row(0, [0], required)
-        assert costs.tolist() == [2, 0, 0]
+        required = np.full((2, 3), 4)  # RTL = D for every pairing
+        costs = table.trust_cost_rows(np.array([0]), ONLY_FIRST, required)
+        assert costs.tolist() == [[2, 0, 0]]
 
     def test_trust_cost_row_shape_mismatch(self, table):
-        with pytest.raises(ValueError):
-            table.trust_cost_row(0, [0], np.array([1, 2]))
+        with pytest.raises(ValueError, match="required_per_pair"):
+            table.trust_cost_rows(np.array([0]), ONLY_FIRST, np.array([[1, 2]]))
 
     def test_empty_activity_set_rejected(self, table):
         with pytest.raises(ValueError):
@@ -132,10 +136,11 @@ class TestVectorisedEquivalence:
         activities = list(
             rng.choice(n_act, size=int(rng.integers(1, n_act + 1)), replace=False)
         )
-        required = rng.integers(1, 7, size=n_rd)
-        row = table.trust_cost_row(0, activities, required)
+        required = rng.integers(1, 7, size=(n_cd, n_rd))
+        mask = np.isin(np.arange(n_act), activities)[None, :]
+        (row,) = table.trust_cost_rows(np.array([0]), mask, required)
         for rd in range(n_rd):
-            assert row[rd] == table.trust_cost(0, rd, activities, int(required[rd]))
+            assert row[rd] == table.trust_cost(0, rd, activities, int(required[0, rd]))
 
 
 class TestPerCdEpochs:

@@ -9,7 +9,7 @@ retry state.
 
 The plane then recovers and agents keep publishing between calls: every TC
 read through any accessor must equal a memo-free recompute from
-:meth:`GridTrustTable.trust_cost_row` at that moment.
+:meth:`GridTrustTable.trust_cost` at that moment.
 """
 
 import numpy as np
@@ -170,12 +170,17 @@ def prepared(policy, eec, items, evolution, cap):
 
 
 def fresh_tc(grid, request):
-    """The request's TC row recomputed from the table, with no memo."""
+    """The request's TC row from the table's scalar pricing, with no memo."""
     cd = request.client_domain_index
-    per_rd = grid.trust_table.trust_cost_row(
-        cd, request.task.activities.indices, grid.required_per_rd(cd)
+    acts = request.task.activities.indices
+    required = grid.required_per_rd(cd)
+    return np.array(
+        [
+            grid.trust_table.trust_cost(cd, int(rd), acts, int(required[rd]))
+            for rd in grid.machine_rd
+        ],
+        dtype=np.float64,
     )
-    return per_rd[grid.machine_rd].astype(np.float64)
 
 
 def fresh_mapping_row(provider, request):
@@ -259,7 +264,9 @@ class TestRefusals:
         grid = build_grid()
         provider = CostProvider(grid, np.ones((1, N_MACHINES)), TrustPolicy.aware())
         monkeypatch.setattr(
-            provider, "_compute_tc_row", lambda request: np.full(N_MACHINES, -1.0)
+            grid,
+            "trust_cost_matrix",
+            lambda cds, masks: np.full((len(cds), N_MACHINES), -1),
         )
         with pytest.raises(ValueError, match="non-negative"):
             provider.realized_costs([self.request(grid)], [0])

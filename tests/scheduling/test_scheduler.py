@@ -190,7 +190,9 @@ class TestEvolvingTrust:
         first, second = result.records
         assert published[0] == 0 and second.mapped_time == 30.0
         assert first.trust_cost == 2.0
-        current = small_grid.trust_cost_per_machine(0, [0])
+        (current,) = small_grid.trust_cost_matrix(
+            np.array([0]), np.array([[True, False, False]])
+        )
         assert current.tolist() == [0, 0, 3]
         assert second.machine_index in (0, 1)
         assert second.trust_cost == current[second.machine_index] == 0.0

@@ -38,7 +38,7 @@ FAULTS = FaultModel(
 )
 
 
-def build_service(scenario, *, blackout=False, metrics=None):
+def build_service(scenario, *, blackout=False, metrics=None, on_complete=None):
     """A deterministic faulted service; construct one per run/resume."""
     aware, _ = paper_policies()
     trust_source = (
@@ -60,6 +60,7 @@ def build_service(scenario, *, blackout=False, metrics=None):
         retry=RetryPolicy(backoff_base=30.0),
         metrics=metrics,
         trust_source=trust_source,
+        on_complete=on_complete,
     )
     return GridService(scheduler)
 
@@ -103,6 +104,44 @@ class TestValidation:
         (next(iter(payload["records"].values()))).pop("eec")
         with pytest.raises(CheckpointError, match="completion record"):
             validate_checkpoint(payload)
+
+    @pytest.mark.parametrize(
+        "mutate,key",
+        [
+            (lambda p: p.update(epoch="1"), "epoch"),
+            (lambda p: p.update(clock=None), "clock"),
+            (lambda p: p["counters"].update(submitted=None), "counters.submitted"),
+            (
+                lambda p: next(iter(p["records"].values())).update(eec="1.0"),
+                r"records\[\d+\]\.eec",
+            ),
+            (lambda p: p.update(records=[]), "records"),
+            (lambda p: p.update(pending=[1, "a"]), r"pending\[1\]"),
+            (
+                lambda p: p["machines"][0].update(available_time="soon"),
+                r"machines\[0\]\.available_time",
+            ),
+            (lambda p: p.update(next_window=float("nan")), "next_window"),
+        ],
+        ids=[
+            "string-epoch",
+            "null-clock",
+            "null-counter",
+            "string-record-field",
+            "records-as-list",
+            "string-pending-index",
+            "string-machine-time",
+            "nan-next-window",
+        ],
+    )
+    def test_ill_typed_values_are_refused_by_key(self, medium_scenario, mutate, key):
+        payload = kill(medium_scenario, 3)
+        assert payload["records"], "need at least one settled record to mangle"
+        mutate(payload)
+        with pytest.raises(CheckpointError, match=rf"checkpoint {key} must be"):
+            validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=rf"checkpoint {key} must be"):
+            build_service(medium_scenario).resume(payload, medium_scenario.requests)
 
     def test_legacy_trust_store_sidecar_is_refused(self, medium_scenario):
         # A payload from before the durable trust plane carried its trust
@@ -259,16 +298,26 @@ class TestKillAndRestoreProperty:
     def test_random_boundary_recovers_exactly(self, seed, window):
         spec = ScenarioSpec(n_tasks=30, n_machines=4, target_load=3.0)
         scenario = materialize(spec, seed=seed)
-        baseline = build_service(scenario).serve(scenario.requests)
+        completed = []
+
+        def hook(record):
+            completed.append((record.request_index, record.completion_time))
+
+        baseline = build_service(scenario, on_complete=hook).serve(scenario.requests)
+        uninterrupted, completed[:] = list(completed), []
         try:
-            payload = kill(scenario, window)
+            payload = kill(scenario, window, on_complete=hook)
         except pytest.fail.Exception:
             # The run drained before the kill window — nothing to restore,
             # which is itself a pass (the service just finished).
             return
         payload = json.loads(json.dumps(payload))
-        resumed = build_service(scenario).resume(payload, scenario.requests)
+        resumed = build_service(scenario, on_complete=hook).resume(
+            payload, scenario.requests
+        )
         assert_same_settlement(resumed, baseline)
+        # Completions still running at the checkpoint fire after the resume.
+        assert completed == uninterrupted
 
 
 class TestTrustJournalSidecar:
