@@ -138,7 +138,12 @@ class RecommenderWeights:
     def factor(self, recommender: EntityId, target: EntityId) -> float:
         """Return ``R(recommender, target)`` in ``[0, 1]``."""
         r = self._accuracy.get(recommender, self.default_accuracy)
-        if self.alliances.allied(recommender, target):
+        alliances = self.alliances
+        # Membership is looked up only once some alliance exists; an entity
+        # is allied with itself either way.
+        if recommender == target or (
+            alliances._membership and alliances.allied(recommender, target)
+        ):
             r *= self.ally_weight
         return r
 

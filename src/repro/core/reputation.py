@@ -84,9 +84,9 @@ class Reputation:
         factor = self.weights.factor
         total = 0.0
         count = 0
-        for recommender, rec in self.table.recommenders(
-            trustee, context, excluding=asking
-        ):
+        for recommender, rec in self.table.opinions(trustee, context).items():
+            if recommender == asking:
+                continue
             if source_filter is not None and not source_filter(recommender, now):
                 continue
             age = now - rec.last_transaction

@@ -21,8 +21,9 @@ Helpers convert between the continuous scale and the six discrete levels of
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterator
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.core.context import TrustContext
 from repro.core.levels import TrustLevel
@@ -35,6 +36,9 @@ EntityId = Hashable
 #: Level of each sixth of the unit interval, indexed by ``int(value * 6)``;
 #: ``value == 1`` lands in the seventh slot, which is ``F`` as well.
 _LEVEL_OF_BIN = (*TrustLevel, TrustLevel.F)
+
+#: What :meth:`TrustTable.opinions` returns for a pair nobody has rated.
+_NO_OPINIONS: Mapping = MappingProxyType({})
 
 
 def value_to_level(value: float) -> TrustLevel:
@@ -197,6 +201,14 @@ class TrustTable:
             )
         return rec
 
+    def opinions(
+        self, trustee: EntityId, context: TrustContext
+    ) -> Mapping[EntityId, TrustRecord]:
+        """Every truster's record about ``trustee`` in ``context``, in
+        insertion order — the index bucket itself, to be read, not changed.
+        """
+        return self._by_trustee.get((trustee, context), _NO_OPINIONS)
+
     def recommenders(
         self, trustee: EntityId, context: TrustContext, *, excluding: EntityId
     ) -> Iterator[tuple[EntityId, TrustRecord]]:
@@ -206,7 +218,7 @@ class TrustTable:
         This is exactly the set the reputation sum of Section 2.2 ranges over,
         in the order the records were inserted.
         """
-        for truster, rec in self._by_trustee.get((trustee, context), {}).items():
+        for truster, rec in self.opinions(trustee, context).items():
             if truster != excluding:
                 yield truster, rec
 

@@ -18,7 +18,14 @@ callers:
 The extraction is behaviour-preserving: the engine executes the exact event
 sequence of the old closures (same event priorities, same metric and trace
 emission order, same tie-breaks), which the golden and hypothesis suites
-pin.  For the service's crash recovery, the engine additionally tracks its
+pin.  Booking is one loop for fault-free and faulted runs alike
+(:meth:`SchedulingEngine._commit`): a plan is priced in one vector pass,
+its record invariants are checked once per window before anything is
+booked, and each assignment then costs a few attribute reads and writes —
+a disabled tracer, disabled metrics and an absent completion hook are
+tested once per window, not per item.
+
+For the service's crash recovery, the engine additionally tracks its
 *in-flight* recovery events — failure notifications and retry re-dispatches
 that are scheduled on the simulator but have not fired yet — so a
 checkpoint can capture, and a restore re-schedule, everything that was in
@@ -114,46 +121,6 @@ class SchedulingEngine:
 
     # -- settling ------------------------------------------------------------
 
-    def _complete(
-        self,
-        request: Request,
-        machine: int,
-        mapped_time: float,
-        start: float,
-        completion: float,
-        eec: float,
-        cost: float,
-        tc: float,
-        attempt: int,
-    ) -> None:
-        sched = self.scheduler
-        record = CompletionRecord(
-            request_index=request.index,
-            machine_index=machine,
-            arrival_time=request.arrival_time,
-            mapped_time=mapped_time,
-            start_time=start,
-            completion_time=completion,
-            eec=eec,
-            realized_cost=cost,
-            trust_cost=tc,
-            attempt=attempt,
-        )
-        if request.index in self.records:
-            raise SchedulingError(f"request {request.index} was mapped twice")
-        self.records[request.index] = record
-        self.settled += 1
-        if sched.metrics.enabled:
-            sched.metrics.counter("sched.completions").add()
-        sched.tracer.emit(
-            mapped_time,
-            "assign",
-            request=request.index,
-            machine=machine,
-            completion=completion,
-        )
-        self.rearm_completion(record)
-
     def reject(self, request: Request, time: float) -> None:
         """Settle ``request`` as refused by the admission constraint."""
         self.rejected[request.index] = REASON_CONSTRAINT
@@ -197,79 +164,110 @@ class SchedulingEngine:
     def _commit(
         self, requests: Sequence[Request], machines: Sequence[int], mapped_time: float
     ) -> None:
-        """Realise a checked plan: one vector pass prices every assignment,
-        then each is booked in order."""
-        eec, cost, tc = self.scheduler.costs.realized_costs(requests, machines)
-        for item in zip(requests, machines, eec.tolist(), cost.tolist(), tc.tolist()):
-            self._realize(*item, mapped_time)
+        """Book a checked plan: the one booking loop of every run.
 
-    def _realize(
-        self,
-        request: Request,
-        machine: int,
-        eec: float,
-        cost: float,
-        tc: float,
-        mapped_time: float,
-    ) -> None:
+        One vector pass prices every assignment.  The record invariants
+        are then checked once over the window, before any machine state,
+        record or hook changes:
+
+        * every arrival is at or before ``mapped_time`` — each booking
+          starts no earlier than ``mapped_time`` (the fault injector only
+          ever delays a start), so start ≥ arrival;
+        * every realised cost is non-negative — a completed booking ends at
+          ``start + cost``, so completion ≥ start.
+
+        Attempt numbers are 1 fault-free and one past the request's booked
+        attempts otherwise, so attempt ≥ 1.  Records are therefore built
+        without per-record checks.  A request already holding a record is
+        refused before its own booking.
+
+        A disabled tracer, a disabled metrics registry and an absent
+        ``on_complete`` hook each cost one test per window.
+        """
         sched = self.scheduler
-        state = self.states[machine]
-        if sched.faults is None:
-            start = max(state.available_time, mapped_time)
-            completion = state.assign(mapped_time, cost)
-            self._complete(
-                request, machine, mapped_time, start, completion, eec, cost, tc, 1
+        eec, cost, tc = sched.costs.realized_costs(requests, machines)
+        eec, cost, tc = eec.tolist(), cost.tolist(), tc.tolist()
+        arrivals = [request.arrival_time for request in requests]
+        if max(arrivals) > mapped_time:
+            pos = next(i for i, a in enumerate(arrivals) if a > mapped_time)
+            raise SchedulingError(
+                f"request {requests[pos].index} arrives at {arrivals[pos]}, "
+                f"after its mapping at {mapped_time}"
             )
-            return
-
-        attempt = self.attempts.get(request.index, 0) + 1
-        self.attempts[request.index] = attempt
-        outcome = sched.faults.attempt_outcome(
-            request_index=request.index,
-            machine_index=machine,
-            attempt=attempt,
-            begin=max(state.available_time, mapped_time),
-            cost=cost,
-        )
-        state.book_attempt(
-            outcome.executed, outcome.next_free, failed=outcome.failed
-        )
-        if not outcome.failed:
-            self._complete(
-                request,
-                machine,
-                mapped_time,
-                outcome.start_time,
-                outcome.end_time,
-                eec,
-                cost,
-                tc,
-                attempt,
+        if min(cost) < 0:
+            pos = next(i for i, c in enumerate(cost) if c < 0)
+            raise SchedulingError(
+                f"request {requests[pos].index} has negative realized cost "
+                f"{cost[pos]}"
             )
-            return
-        failure = FailureEvent(
-            request_index=request.index,
-            machine_index=machine,
-            attempt=attempt,
-            start_time=outcome.start_time,
-            failure_time=outcome.end_time,
-            wasted_work=outcome.executed,
-            kind=outcome.failure,
-        )
-        self.failures.append(failure)
-        sched.tracer.emit(
-            mapped_time,
-            "assign",
-            request=request.index,
-            machine=machine,
-            completion=outcome.end_time,
-        )
-        self.inflight_failures[request.index] = failure
-        self.sim.schedule(
-            outcome.end_time,
-            lambda ev, f=failure, r=request: self._on_failed_attempt(ev, f, r),
-            priority=EventPriority.FAILURE,
-        )
+        faults = sched.faults
+        tracer = sched.tracer if sched.tracer.enabled else None
+        hooked = sched.on_complete is not None
+        states = self.states
+        records = self.records
+        new_record = tuple.__new__
+        booked = 0
+        for request, arrival, machine, e, c, t in zip(
+            requests, arrivals, machines, eec, cost, tc
+        ):
+            index = request.index
+            if index in records:
+                raise SchedulingError(f"request {index} was mapped twice")
+            state = states[machine]
+            start = state.available_time
+            if mapped_time > start:
+                start = mapped_time
+            if faults is None:
+                attempt = 1
+                end = start + c
+                state.available_time = end
+                state.busy_time += c
+                state.assigned_count += 1
+                failed = False
+            else:
+                attempt = self.attempts.get(index, 0) + 1
+                self.attempts[index] = attempt
+                outcome = faults.attempt_outcome(
+                    request_index=index,
+                    machine_index=machine,
+                    attempt=attempt,
+                    begin=start,
+                    cost=c,
+                )
+                state.book_attempt(
+                    outcome.executed, outcome.next_free, failed=outcome.failed
+                )
+                start, end = outcome.start_time, outcome.end_time
+                failed = outcome.failed
+            if tracer is not None:
+                tracer.emit(
+                    mapped_time, "assign",
+                    request=index, machine=machine, completion=end,
+                )
+            if failed:
+                failure = FailureEvent(
+                    request_index=index,
+                    machine_index=machine,
+                    attempt=attempt,
+                    start_time=start,
+                    failure_time=end,
+                    wasted_work=outcome.executed,
+                    kind=outcome.failure,
+                )
+                self.failures.append(failure)
+                self.rearm_failure(failure, request)
+                continue
+            record = new_record(
+                CompletionRecord,
+                (index, machine, arrival, mapped_time, start, end, e, c, t, attempt),
+            )
+            records[index] = record
+            booked += 1
+            if hooked:
+                self.rearm_completion(record)
+        self.settled += booked
+        if booked and sched.metrics.enabled:
+            sched.metrics.counter("sched.completions").add(booked)
 
     def _on_failed_attempt(
         self, event: Event, failure: FailureEvent, request: Request
@@ -338,11 +336,13 @@ class SchedulingEngine:
             )
 
     def rearm_failure(self, failure: FailureEvent, request: Request) -> None:
-        """Re-schedule an in-flight failure notification (checkpoint restore).
+        """Schedule the FAILURE event of a failed attempt.
 
-        The attempt's outcome was already booked against the machine before
-        the checkpoint; only the pending FAILURE event (the trace entry, the
-        ``on_failure`` hook and the retry-or-drop decision) is re-created.
+        Called when an attempt fails at booking and, on checkpoint restore,
+        for every failure still in flight.  The attempt's outcome is already
+        booked against the machine; only the pending FAILURE event (the
+        trace entry, the ``on_failure`` hook and the retry-or-drop decision)
+        is created.
         """
         self.inflight_failures[request.index] = failure
         self.sim.schedule(
@@ -400,7 +400,8 @@ class SchedulingEngine:
         if sched.metrics.enabled:
             sched.metrics.counter("sched.batches").add()
             sched.metrics.histogram("sched.batch_size").observe(len(meta))
-        sched.tracer.emit(time, "batch", size=len(meta))
+        if sched.tracer.enabled:
+            sched.tracer.emit(time, "batch", size=len(meta))
         with sched.metrics.timer(sched._latency_metric):
             plan = sched.heuristic.plan(  # type: ignore[union-attr]
                 list(meta), sched.costs, self.availability(time)
@@ -417,14 +418,13 @@ class SchedulingEngine:
         # million-item plan every window.
         if any(a.order > b.order for a, b in zip(plan, plan[1:])):
             plan = sorted(plan, key=lambda p: p.order)
+        requests = [item.request for item in plan]
+        machines = [item.machine_index for item in plan]
         # Refuse a bad plan before anything is booked.
-        for item in plan:
-            self._check_machine(item.request, item.machine_index)
-        self._commit(
-            [item.request for item in plan],
-            [item.machine_index for item in plan],
-            time,
-        )
+        if min(machines) < 0 or max(machines) >= sched.grid.n_machines:
+            for request, machine in zip(requests, machines):
+                self._check_machine(request, machine)
+        self._commit(requests, machines, time)
         self.pending.clear()
         return len(meta)
 

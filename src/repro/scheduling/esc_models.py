@@ -35,8 +35,12 @@ class EscModel(ABC):
 
     def esc(self, eec: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Expected security cost row: ``EEC × fraction(TC)``."""
-        eec = np.asarray(eec, dtype=np.float64)
-        tc = np.asarray(tc, dtype=np.float64)
+        return self.esc_of(
+            np.asarray(eec, dtype=np.float64), np.asarray(tc, dtype=np.float64)
+        )
+
+    def esc_of(self, eec: np.ndarray, tc: np.ndarray) -> np.ndarray:
+        """:meth:`esc` of rows the caller already holds as float64 arrays."""
         if eec.shape != tc.shape:
             raise ValueError(
                 f"EEC and TC rows must have equal shape, got {eec.shape} vs {tc.shape}"

@@ -25,7 +25,7 @@ implemented (see DESIGN.md):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,19 +73,32 @@ class TrustPolicy:
             raise ConfigurationError("tc_weight must be non-negative")
         if self.unaware_fraction < 0:
             raise ConfigurationError("unaware_fraction must be non-negative")
+        # Resolved once: ESC is evaluated per mapping row and per commit.
+        object.__setattr__(
+            self,
+            "_aware_model",
+            self.esc_model if self.esc_model is not None else LinearEsc(self.tc_weight),
+        )
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only; the resolved model is derived from them.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     @property
     def aware_model(self) -> EscModel:
         """The effective trust-aware ESC model."""
-        return self.esc_model if self.esc_model is not None else LinearEsc(self.tc_weight)
+        return self._aware_model
 
     # -- ESC formulas -------------------------------------------------------
 
     def esc_aware(self, eec: np.ndarray, tc: np.ndarray) -> np.ndarray:
         """Trust-aware expected security cost (default: ``EEC × TC × w / 100``)."""
-        return self.aware_model.esc(
-            np.asarray(eec, dtype=np.float64), np.asarray(tc, dtype=np.float64)
-        )
+        return self._aware_model.esc(eec, tc)
 
     def esc_unaware(self, eec: np.ndarray) -> np.ndarray:
         """Trust-unaware expected security cost: ``EEC × fraction``."""
@@ -101,7 +114,8 @@ class TrustPolicy:
         """
         eec = np.asarray(eec, dtype=np.float64)
         if self.trust_aware:
-            return eec + self.esc_aware(eec, tc)
+            tc = np.asarray(tc, dtype=np.float64)
+            return eec + self._aware_model.esc_of(eec, tc)
         return eec + self.esc_unaware(eec)
 
     def realized_ecc(self, eec: np.ndarray, tc: np.ndarray) -> np.ndarray:
@@ -111,11 +125,13 @@ class TrustPolicy:
         A trust-unaware deployment pays according to the accounting mode.
         """
         eec = np.asarray(eec, dtype=np.float64)
-        if self.trust_aware:
-            return eec + self.esc_aware(eec, tc)
-        if self.accounting is SecurityAccounting.CONSERVATIVE_FLAT:
+        if (
+            not self.trust_aware
+            and self.accounting is SecurityAccounting.CONSERVATIVE_FLAT
+        ):
             return eec + self.esc_unaware(eec)
-        return eec + self.esc_aware(eec, tc)
+        tc = np.asarray(tc, dtype=np.float64)
+        return eec + self._aware_model.esc_of(eec, tc)
 
     @property
     def label(self) -> str:

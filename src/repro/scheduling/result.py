@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -25,9 +25,30 @@ from repro.grid.machine import MachineState
 __all__ = ["CompletionRecord", "ScheduleResult"]
 
 
-@dataclass(frozen=True, slots=True)
-class CompletionRecord:
+class _CompletionFields(NamedTuple):
+    request_index: int
+    machine_index: int
+    arrival_time: float
+    mapped_time: float
+    start_time: float
+    completion_time: float
+    eec: float
+    realized_cost: float
+    trust_cost: float
+    attempt: int = 1
+
+
+class CompletionRecord(_CompletionFields):
     """The realised execution of one request.
+
+    Records are immutable tuples.  The public constructor (and
+    ``_make``/``_replace``) refuses a record whose completion precedes its
+    start, whose start precedes its arrival, or whose attempt is below 1,
+    with :class:`ValueError`.  The scheduling engine builds its records
+    with ``tuple.__new__`` instead: it checks the same invariants once per
+    window on the plan's values before booking anything (see
+    :meth:`SchedulingEngine._commit
+    <repro.scheduling.engine.SchedulingEngine._commit>`).
 
     Attributes:
         request_index: dense request index.
@@ -45,24 +66,48 @@ class CompletionRecord:
             anything higher means earlier attempts failed and were retried).
     """
 
-    request_index: int
-    machine_index: int
-    arrival_time: float
-    mapped_time: float
-    start_time: float
-    completion_time: float
-    eec: float
-    realized_cost: float
-    trust_cost: float
-    attempt: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.completion_time < self.start_time:
+    def __new__(
+        cls,
+        request_index: int,
+        machine_index: int,
+        arrival_time: float,
+        mapped_time: float,
+        start_time: float,
+        completion_time: float,
+        eec: float,
+        realized_cost: float,
+        trust_cost: float,
+        attempt: int = 1,
+    ) -> CompletionRecord:
+        if completion_time < start_time:
             raise ValueError("completion cannot precede start")
-        if self.start_time < self.arrival_time:
+        if start_time < arrival_time:
             raise ValueError("execution cannot start before arrival")
-        if self.attempt < 1:
+        if attempt < 1:
             raise ValueError("attempt numbers are 1-based")
+        return tuple.__new__(
+            cls,
+            (
+                request_index,
+                machine_index,
+                arrival_time,
+                mapped_time,
+                start_time,
+                completion_time,
+                eec,
+                realized_cost,
+                trust_cost,
+                attempt,
+            ),
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> CompletionRecord:
+        # namedtuple's _make (and _replace, which calls it) would skip the
+        # checks; route both through the validating constructor.
+        return cls(*iterable)
 
     @property
     def flow_time(self) -> float:

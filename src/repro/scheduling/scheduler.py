@@ -195,7 +195,8 @@ class TRMScheduler:
 
         def on_arrival(event: Event) -> None:
             request: Request = event.payload
-            self.tracer.emit(event.time, "arrival", request=request.index)
+            if self.tracer.enabled:
+                self.tracer.emit(event.time, "arrival", request=request.index)
             engine.submit(request, event.time)
 
         def on_batch(event: Event) -> None:

@@ -384,6 +384,14 @@ class GridService:
         engine.attempts = {
             int(k): int(v) for k, v in payload["attempts"].items()
         }
+        # The booking loop numbers a retry one past these counts and builds
+        # its record unchecked, so the counts must already be 1-based.
+        for index, booked in engine.attempts.items():
+            if booked < 1:
+                raise CheckpointError(
+                    f"checkpoint attempts of request {index} must be >= 1, "
+                    f"got {booked}"
+                )
         engine.batches_formed = int(payload["batches_formed"])
         engine.settled = (
             len(engine.records) + len(engine.rejected) + len(engine.dropped)
@@ -521,7 +529,7 @@ class GridService:
                 for s in engine.states
             ],
             "records": {
-                str(k): _record_dict(r) for k, r in engine.records.items()
+                str(k): r._asdict() for k, r in engine.records.items()
             },
             "rejected": {str(k): v for k, v in engine.rejected.items()},
             "dropped": list(engine.dropped),
@@ -612,18 +620,20 @@ class GridService:
     def _on_arrival(self, event: Event) -> None:
         engine, _ = self._running()
         request: Request = event.payload
-        self.scheduler.tracer.emit(
-            event.time, "arrival", request=request.index
-        )
+        tracer = self.scheduler.tracer
+        if tracer.enabled:
+            tracer.emit(event.time, "arrival", request=request.index)
         self._submitted += 1
-        if self.metrics.enabled:
+        metered = self.metrics.enabled
+        if metered:
             self.metrics.counter("svc.submitted").add()
+        latch = self.latch
         reason = self.admission.decide(
             request,
             event.time,
             queue=engine.pending,
             queue_bounded=self._batch_mode,
-            backpressure=self.latch.engaged if self.latch is not None else False,
+            backpressure=latch is not None and latch.engaged,
         )
         if reason is ShedReason.QUEUE_FULL:
             victim = self.admission.eviction_victim(request, engine.pending)
@@ -637,11 +647,14 @@ class GridService:
             self._shed_request(request, event.time, reason)
             return
         self._admitted += 1
-        if self.metrics.enabled:
+        if metered:
             self.metrics.counter("svc.admitted").add()
-        with self.metrics.timer("svc.enqueue_latency_s"):
+            with self.metrics.timer("svc.enqueue_latency_s"):
+                engine.submit(request, event.time)
+        else:
             engine.submit(request, event.time)
-        self._update_latch(self._backlog())
+        if latch is not None:
+            self._update_latch(self._backlog())
 
     def _on_window(self, event: Event) -> None:
         engine, sim = self._running()
@@ -822,21 +835,6 @@ class GridService:
 
 
 # -- (de)serialisation helpers ----------------------------------------------
-
-
-def _record_dict(record: CompletionRecord) -> dict:
-    return {
-        "request_index": record.request_index,
-        "machine_index": record.machine_index,
-        "arrival_time": record.arrival_time,
-        "mapped_time": record.mapped_time,
-        "start_time": record.start_time,
-        "completion_time": record.completion_time,
-        "eec": record.eec,
-        "realized_cost": record.realized_cost,
-        "trust_cost": record.trust_cost,
-        "attempt": record.attempt,
-    }
 
 
 def _failure_dict(failure: FailureEvent) -> dict:

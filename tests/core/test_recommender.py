@@ -87,6 +87,14 @@ class TestRecommenderWeights:
     def test_default_factor_is_full(self):
         assert RecommenderWeights().factor("z", "y") == 1.0
 
+    def test_self_opinion_discounted_without_any_alliance(self):
+        # allied(a, a) holds with an empty registry, so R(a, a) keeps the
+        # ally discount even though no membership is ever looked up.
+        weights = RecommenderWeights(ally_weight=0.25)
+        assert weights.alliances.allied("z", "z")
+        assert weights.factor("z", "z") == 0.25
+        assert weights.factor("z", "y") == 1.0
+
     def test_allied_recommendation_discounted(self):
         reg = AllianceRegistry()
         reg.declare("cartel", ["z", "y"])

@@ -199,6 +199,9 @@ def _scan_recommenders(table, trustee, context, excluding):
 def _assert_index_matches_scan(table):
     for trustee in TRUSTEES:
         for context in CONTEXTS:
+            assert list(
+                table.opinions(trustee, context).items()
+            ) == _scan_recommenders(table, trustee, context, object())
             for excluding in ENTITIES:
                 assert list(
                     table.recommenders(trustee, context, excluding=excluding)

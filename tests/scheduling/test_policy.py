@@ -1,11 +1,15 @@
 """Tests for the trust policy cost formulas (paper Section 4.1)."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.obs.profile import config_hash
 from repro.scheduling.policy import (
     TRUST_WEIGHT,
     UNAWARE_FRACTION,
@@ -105,3 +109,42 @@ class TestValidation:
         policy = TrustPolicy.aware(tc_weight=10.0)
         esc = policy.esc_aware(np.array([100.0]), np.array([2.0]))
         assert esc[0] == pytest.approx(20.0)
+
+
+class TestResolvedModel:
+    """The ESC model is resolved once; the policy's value semantics hold."""
+
+    def test_model_resolved_once(self):
+        policy = TrustPolicy.aware(tc_weight=10.0)
+        assert policy.aware_model is policy.aware_model
+        assert policy.aware_model.weight == 10.0
+
+    def test_equality_and_hash_ignore_the_resolved_model(self):
+        assert TrustPolicy.aware() == TrustPolicy.aware()
+        assert hash(TrustPolicy.aware()) == hash(TrustPolicy.aware())
+        assert TrustPolicy.aware() != TrustPolicy.aware(tc_weight=10.0)
+
+    def test_pickle_carries_the_fields_only(self):
+        policy = TrustPolicy.aware()
+        data = pickle.dumps(policy, protocol=4)
+        # The bytes a policy has always pickled to: fields, no derived state.
+        assert hashlib.sha256(data).hexdigest() == (
+            "bbb0127f4343f30f942677fce314585dd30b4e68a1b0eb00b28c316709c2edff"
+        )
+        clone = pickle.loads(data)
+        assert clone == policy
+        np.testing.assert_array_equal(
+            clone.esc_aware(np.array([100.0]), np.array([3.0])), [45.0]
+        )
+
+    def test_config_hash_unchanged(self):
+        assert config_hash({"p": TrustPolicy.aware()}) == (
+            "9a63a8e522b5efd430488ab0042806edd2a2b3709f766f773c19f2f522cb150e"
+        )
+
+    def test_shape_and_sign_checks_kept(self):
+        policy = TrustPolicy.aware()
+        with pytest.raises(ValueError, match="equal shape"):
+            policy.mapping_ecc(np.array([1.0, 2.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            policy.realized_ecc(np.array([1.0]), np.array([-1.0]))

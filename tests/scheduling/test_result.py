@@ -1,5 +1,7 @@
 """Tests for CompletionRecord and ScheduleResult."""
 
+import pickle
+
 import pytest
 
 from repro.grid.machine import MachineState
@@ -35,6 +37,31 @@ class TestCompletionRecord:
             record(arrival=5.0, start=4.0)
         with pytest.raises(ValueError):
             record(start=10.0, completion=9.0)
+
+    def test_attempt_validated(self):
+        with pytest.raises(ValueError, match="1-based"):
+            CompletionRecord(*record()[:-1], attempt=0)
+
+    def test_replace_and_make_validate(self):
+        rec = record(arrival=5.0, start=8.0, completion=23.0)
+        assert rec._replace(attempt=2).attempt == 2
+        with pytest.raises(ValueError):
+            rec._replace(start_time=4.0)
+        with pytest.raises(ValueError):
+            CompletionRecord._make([*rec[:-1], 0])
+
+    def test_fields_are_read_only(self):
+        rec = record()
+        with pytest.raises(AttributeError):
+            rec.start_time = 99.0
+        with pytest.raises(AttributeError):
+            rec.note = "extra"
+
+    def test_pickle_round_trip(self):
+        rec = record(arrival=5.0, start=8.0, completion=23.0)
+        clone = pickle.loads(pickle.dumps(rec))
+        assert clone == rec
+        assert type(clone) is CompletionRecord
 
 
 def make_result(records, n_machines=2) -> ScheduleResult:

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError
+from repro.faults.injector import FaultInjector
+from repro.faults.model import FaultModel, MachineFailureModel, TaskFailureModel
+from repro.faults.retry import RetryPolicy
 from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
 from repro.scheduling.base import BatchHeuristic, PlannedAssignment
 from repro.scheduling.engine import SchedulingEngine
+from repro.scheduling.esc_models import EscModel
 from repro.scheduling.mct import MctHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
+from repro.scheduling.result import CompletionRecord
 from repro.scheduling.scheduler import TRMScheduler
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
@@ -233,6 +238,89 @@ class TestBadPlanRefusal:
         assert engine.records == {}
         assert [s.available_time for s in engine.states] == [0.0, 0.0, 0.0]
         assert engine.pending == requests
+
+
+class Rebate(EscModel):
+    """A stub ESC model paying back twice the EEC: every cost is negative."""
+
+    def fractions(self, tc):
+        return np.full_like(np.asarray(tc, dtype=np.float64), -2.0)
+
+
+def assert_nothing_booked(engine, sim, hooked):
+    assert engine.records == {}
+    assert engine.settled == 0
+    assert [
+        (s.available_time, s.busy_time, s.assigned_count) for s in engine.states
+    ] == [(0.0, 0.0, 0)] * len(engine.states)
+    assert sim.pending == 0
+    assert hooked == []
+
+
+class TestWindowChecks:
+    """The booking loop checks each window's plan before booking any of it."""
+
+    def build(self, grid, heuristic, policy=None, **kwargs):
+        neutral_trust(grid)
+        hooked = []
+        scheduler = TRMScheduler(
+            grid, np.full((3, 3), 2.0), policy or TrustPolicy.aware(), heuristic,
+            on_complete=hooked.append, **kwargs,
+        )
+        sim = Simulator()
+        return SchedulingEngine(scheduler, sim), sim, hooked
+
+    def test_negative_realized_cost_refused_in_batch(self, small_grid):
+        engine, sim, hooked = self.build(
+            small_grid, MinMinHeuristic(),
+            TrustPolicy.aware(esc_model=Rebate()), batch_interval=5.0,
+        )
+        engine.pending.extend(make_requests(small_grid, [1.0, 2.0, 3.0]))
+        with pytest.raises(
+            SchedulingError,
+            match=r"request [0-2] has negative realized cost -2\.0",
+        ):
+            engine.form_batch(5.0)
+        assert_nothing_booked(engine, sim, hooked)
+
+    def test_negative_realized_cost_refused_immediately(self, small_grid):
+        engine, sim, hooked = self.build(
+            small_grid, MctHeuristic(), TrustPolicy.aware(esc_model=Rebate())
+        )
+        (request,) = make_requests(small_grid, [1.0])
+        with pytest.raises(
+            SchedulingError, match=r"request 0 has negative realized cost -2\.0"
+        ):
+            engine.submit(request, 1.0)
+        assert_nothing_booked(engine, sim, hooked)
+
+    def test_arrival_after_the_mapping_refused(self, small_grid):
+        # (A batch window refuses late members earlier, in MetaRequest.)
+        engine, sim, hooked = self.build(small_grid, MctHeuristic())
+        (request,) = make_requests(small_grid, [6.0])
+        with pytest.raises(
+            SchedulingError, match=r"request 0 arrives at 6\.0, after its mapping at 5\.0"
+        ):
+            engine.submit(request, 5.0)
+        assert_nothing_booked(engine, sim, hooked)
+
+    def test_faulted_run_books_valid_records(self, small_scenario):
+        model = FaultModel(
+            tasks=TaskFailureModel(default_crash_prob=0.3),
+            machines=MachineFailureModel(mtbf=500.0, mttr=50.0),
+        )
+        result = TRMScheduler(
+            small_scenario.grid, small_scenario.eec, TrustPolicy.aware(),
+            MinMinHeuristic(), batch_interval=50.0,
+            faults=FaultInjector(model, rng=4),
+            retry=RetryPolicy(max_attempts=8),
+        ).run(small_scenario.requests)
+        assert result.failures
+        assert any(r.attempt > 1 for r in result.records)
+        for rec in result.records:
+            assert rec.attempt >= 1
+            # The validating constructor accepts every unchecked record.
+            assert CompletionRecord(*rec) == rec
 
 
 class TestPairedDeterminism:

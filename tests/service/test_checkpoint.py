@@ -247,6 +247,14 @@ class TestResumeGuards:
                 payload, medium_scenario.requests
             )
 
+    def test_attempt_counts_must_be_one_based(self, medium_scenario):
+        payload = kill(medium_scenario, 1)
+        payload["attempts"]["0"] = 0
+        with pytest.raises(CheckpointError, match="attempts of request 0"):
+            build_service(medium_scenario).resume(
+                payload, medium_scenario.requests
+            )
+
     def test_workload_mismatch(self, medium_scenario):
         payload = kill(medium_scenario, 1)
         with pytest.raises(CheckpointError, match="absent"):
