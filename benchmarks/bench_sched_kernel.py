@@ -28,7 +28,9 @@ Three entry points:
   by digest, because the oracles are too slow to run there.
 * ``test_sched_kernel_scale_smoke`` — opt-in via ``BENCH_SCHED_SCALE=1``
   (CI runs it as its own job): the n=10⁵ ``min-min`` plan, pinned by
-  digest against the committed trajectory's workload.
+  digest against the committed trajectory's workload, and its traced
+  memory peak (``test_sched_kernel_scale_smoke_memory``), bounded against
+  the element-wise claim loop's.
 * ``test_sched_kernel_full_sweep`` — the real sweep; opt-in via
   ``BENCH_SCHED_FULL=1`` since it plans up to 10⁶ tasks.  Writes
   ``BENCH_sched.json``.
@@ -46,10 +48,12 @@ at the overlapping sizes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -317,13 +321,30 @@ SCALE_SMOKE_DIGEST = (
 SCALE_SMOKE_CEILING_S = 120.0
 
 
-@pytest.mark.skipif(
+#: Traced peak of one n=10⁵ ``min-min`` plan (tracemalloc, warmed trust-cost
+#: caches) when the claim loop still read its queues element by element
+#: into frozen-dataclass plan items: 33.5 MiB.  The block cursors and tuple
+#: items measure 35.7 MiB; the bound holds the kernel within 10 % of the
+#: element-wise loop, so a cursor that buffers whole queues fails it.
+SCALE_SMOKE_ELEMENTWISE_PEAK_MIB = 33.5
+SCALE_SMOKE_PEAK_LIMIT = 1.10
+
+scale_smoke = pytest.mark.skipif(
     os.environ.get("BENCH_SCHED_SCALE") != "1",
     reason="scale smoke is opt-in: BENCH_SCHED_SCALE=1",
 )
-def test_sched_kernel_scale_smoke():
+
+
+@pytest.fixture(scope="module")
+def scale_case():
     requests, costs, avail = build_case(SCALE_SMOKE_N)
     warm_provider(requests, costs)
+    return requests, costs, avail
+
+
+@scale_smoke
+def test_sched_kernel_scale_smoke(scale_case):
+    requests, costs, avail = scale_case
     prod_s, plan = time_plan(
         make_heuristic("min-min").plan, requests, costs, avail, repeats=1
     )
@@ -331,6 +352,25 @@ def test_sched_kernel_scale_smoke():
     assert plan_digest(plan) == SCALE_SMOKE_DIGEST
     assert prod_s <= SCALE_SMOKE_CEILING_S, (
         f"min-min took {prod_s:.1f}s at n={SCALE_SMOKE_N}"
+    )
+
+
+@scale_smoke
+def test_sched_kernel_scale_smoke_memory(scale_case):
+    requests, costs, avail = scale_case
+    heuristic = make_heuristic("min-min")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = heuristic.plan(requests, costs, avail.copy())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == SCALE_SMOKE_N
+    limit = SCALE_SMOKE_ELEMENTWISE_PEAK_MIB * SCALE_SMOKE_PEAK_LIMIT
+    assert peak / 2**20 <= limit, (
+        f"min-min peaked at {peak / 2**20:.1f} MiB at n={SCALE_SMOKE_N} "
+        f"(limit {limit:.1f} MiB)"
     )
 
 

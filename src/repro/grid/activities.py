@@ -107,12 +107,26 @@ class ActivitySet:
     """
 
     activities: tuple[ActivityType, ...]
+    #: The member indices in ascending order, built once here: with the
+    #: client domain it forms the set's trust-cost pricing key, read for
+    #: every request a window prices.
+    sorted_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.activities:
             raise ValueError("an activity set must contain at least one ToA")
-        if len({a.index for a in self.activities}) != len(self.activities):
+        indices = {a.index for a in self.activities}
+        if len(indices) != len(self.activities):
             raise ValueError("activity set contains duplicate ToAs")
+        object.__setattr__(self, "sorted_indices", tuple(sorted(indices)))
+
+    def __getstate__(self) -> dict:
+        # Pickle the field only; the sorted indices are derived from it.
+        return {"activities": self.activities}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "activities", state["activities"])
+        self.__post_init__()
 
     @classmethod
     def of(cls, activities: Sequence[ActivityType] | ActivityType) -> "ActivitySet":

@@ -15,11 +15,9 @@ scheduler's job, keeping the belief/reality distinction of Section 5.3 in
 exactly one place.
 """
 
-from __future__ import annotations
-
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,9 +28,11 @@ from repro.scheduling.costs import CostProvider
 __all__ = ["PlannedAssignment", "ImmediateHeuristic", "BatchHeuristic", "check_avail"]
 
 
-@dataclass(frozen=True, slots=True)
-class PlannedAssignment:
+class PlannedAssignment(NamedTuple):
     """One request→machine decision inside a batch plan.
+
+    Plan items are immutable tuples: a window's kernel builds one per
+    request, so an item costs what a tuple costs.
 
     Attributes:
         request: the mapped request.

@@ -41,6 +41,16 @@ exclusions as matrix ops).  A window's plan is committed by
 ``(task, machine)`` and one
 :meth:`~repro.scheduling.policy.TrustPolicy.realized_ecc` call over the
 gathered vectors.
+
+The commit does not resolve again what the window's mapping just
+resolved: :meth:`CostProvider.mapping_ecc_matrix` hands each request's TC
+row (bar the degraded ones) to the commit, stamped with the table's
+:attr:`~repro.grid.trust_table.GridTrustTable.epoch`.  The commit serves a
+request from that handoff only while the epoch is unchanged and the
+request is not retry-dirty, resolves every other request as ground truth,
+and empties the handoff.  A request's pricing key is read from its
+activity set (:attr:`~repro.grid.activities.ActivitySet.sorted_indices`),
+so no per-request state is kept.
 """
 
 from __future__ import annotations
@@ -109,7 +119,8 @@ class CostProvider:
     _tc_cache: dict[TcKey, tuple[int, np.ndarray]] = field(
         default_factory=dict, repr=False
     )
-    _key_cache: dict[int, TcKey] = field(default_factory=dict, repr=False)
+    _handoff: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _handoff_epoch: int = field(default=-1, repr=False)
     _tc_dirty: set[int] = field(default_factory=set, repr=False)
     _excluded: dict[int, set[int]] = field(default_factory=dict, repr=False)
     _degraded: set[int] = field(default_factory=set, repr=False)
@@ -144,17 +155,13 @@ class CostProvider:
             )
         return self.eec[task]
 
-    def _tc_key(self, request: Request) -> TcKey:
-        # Memoised per request index: requests are immutable, and building
-        # the key (sorting the ToA indices) shows up on the warm batch path.
-        key = self._key_cache.get(request.index)
-        if key is None:
-            key = (
-                request.client_domain_index,
-                tuple(sorted(request.task.activities.indices)),
-            )
-            self._key_cache[request.index] = key
-        return key
+    @staticmethod
+    def _tc_key(request: Request) -> TcKey:
+        # The activity set sorts its indices once, when it is built.
+        return (
+            request.client.client_domain.index,
+            request.task.activities.sorted_indices,
+        )
 
     def trust_cost_row(self, request: Request) -> np.ndarray:
         """Trust cost TC of the request on every machine (memoised).
@@ -229,7 +236,11 @@ class CostProvider:
             if dirty and request.index in dirty:
                 retrying.append(pos)
                 continue
-            key = tc_key(request)
+            # ``_tc_key`` inlined: this loop runs once per request priced.
+            key = (
+                request.client.client_domain.index,
+                request.task.activities.sorted_indices,
+            )
             entry = cache.get(key)
             if entry is not None and entry[0] == cd_epoch(key[0]):
                 rows[pos] = entry[1]
@@ -327,14 +338,14 @@ class CostProvider:
         row.setflags(write=False)
         return row
 
-    def _task_indices(self, requests: Sequence[Request]) -> np.ndarray:
+    def _task_indices(self, requests: Sequence[Request]) -> list[int]:
         """Task indices of ``requests``, bound-checked against the EEC rows."""
-        n = len(requests)
-        tasks = np.fromiter((r.task.index for r in requests), dtype=np.int64, count=n)
-        if n and (tasks.min() < 0 or tasks.max() >= self.eec.shape[0]):
-            bad = int(tasks[(tasks < 0) | (tasks >= self.eec.shape[0])][0])
+        tasks = [r.task.index for r in requests]
+        n_rows = self.eec.shape[0]
+        if tasks and (min(tasks) < 0 or max(tasks) >= n_rows):
+            bad = next(t for t in tasks if not 0 <= t < n_rows)
             raise ConfigurationError(
-                f"task index {bad} outside the EEC matrix ({self.eec.shape[0]} rows)"
+                f"task index {bad} outside the EEC matrix ({n_rows} rows)"
             )
         return tasks
 
@@ -349,6 +360,11 @@ class CostProvider:
         batch), and constraint masking plus retry exclusions are applied as
         whole-matrix operations.
 
+        The TC row of every request not priced degraded is left in the
+        window's handoff, stamped with the table's
+        :attr:`~repro.grid.trust_table.GridTrustTable.epoch`, for
+        :meth:`realized_costs` to commit without resolving it again.
+
         Returns:
             A writable float matrix of shape ``(len(requests), n_machines)``.
         """
@@ -359,10 +375,20 @@ class CostProvider:
         if self.metrics.enabled:
             self.metrics.counter("costs.ecc_rows").add(n)
         eec = self.eec[self._task_indices(requests)]
+        # Stamped before the rows resolve: a publish while they do leaves
+        # the stamp behind the table, and the commit resolves afresh.
+        epoch = self.grid.trust_table.epoch
         rows, degraded = self._tc_rows(
             requests, guarded=self.trust_source is not None
         )
         self._mark_degraded(requests, degraded)
+        handoff = self._handoff
+        if epoch != self._handoff_epoch:
+            handoff.clear()
+            self._handoff_epoch = epoch
+        handoff.update(zip([r.index for r in requests], rows))
+        for pos in degraded:
+            del handoff[requests[pos].index]
         tc = np.array(rows)
         ecc = self.policy.mapping_ecc(eec, tc)
         if degraded:
@@ -399,7 +425,7 @@ class CostProvider:
         but no ``(n, n_machines)`` array — nor any of the same-shaped
         trust-cost / constraint-mask intermediates the dense assembly
         allocates — ever materialises.  Trust-cost rows are still computed
-        once per unique pricing key: the key cache is shared across chunks,
+        once per unique pricing key: the TC memo is shared across chunks,
         so a key priced in chunk 0 is a dict lookup in every later chunk.
 
         This is the assembly path of the claim-queue Min-min kernel
@@ -493,6 +519,12 @@ class CostProvider:
         the same epoch-checked memo as :meth:`trust_cost_row` (ground
         truth, never the ``trust_source``).
 
+        A request whose row :meth:`mapping_ecc_matrix` left in the handoff
+        is served from it while the table's epoch is unchanged and the
+        request is not retry-dirty: no publish since the mapping means the
+        memo would serve that very row.  Every other request resolves here.
+        The handoff is emptied either way, so it never outlives a window.
+
         A request mapped under degraded pricing pays the blanket
         trust-unaware security cost: without trust data at commitment time
         the deployment applies conservative security on every element, the
@@ -503,11 +535,27 @@ class CostProvider:
         """
         n = len(requests)
         tasks = self._task_indices(requests)
-        eec = self.eec[tasks, np.asarray(machines, dtype=np.int64)]
-        rows, _degraded = self._tc_rows(requests, guarded=False)
-        tc = np.fromiter(
-            (row[m] for row, m in zip(rows, machines)), dtype=np.float64, count=n
-        )
+        eec = self.eec[tasks, machines]
+        handoff = self._handoff
+        if handoff and self._handoff_epoch == self.grid.trust_table.epoch:
+            dirty = self._tc_dirty
+            get = handoff.get
+            rows = [
+                None if dirty and r.index in dirty else get(r.index)
+                for r in requests
+            ]
+            unresolved = [pos for pos, row in enumerate(rows) if row is None]
+            if unresolved:
+                fetched, _degraded = self._tc_rows(
+                    [requests[pos] for pos in unresolved], guarded=False
+                )
+                for pos, row in zip(unresolved, fetched):
+                    rows[pos] = row
+        else:
+            # Nothing handed off, as in immediate mode, or a publish since.
+            rows, _degraded = self._tc_rows(requests, guarded=False)
+        handoff.clear()
+        tc = np.array([row.item(m) for row, m in zip(rows, machines)], dtype=np.float64)
         cost = self.policy.realized_ecc(eec, tc)
         if self._degraded:
             degraded = np.fromiter(

@@ -35,6 +35,7 @@ the air at a window boundary.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from operator import attrgetter, gt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +43,7 @@ import numpy as np
 from repro.errors import SchedulingError
 from repro.faults.records import FailureEvent
 from repro.grid.machine import MachineState
-from repro.grid.request import MetaRequest, Request
+from repro.grid.request import Request
 from repro.scheduling.result import CompletionRecord, ScheduleResult
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
@@ -54,6 +55,11 @@ __all__ = ["SchedulingEngine", "REASON_CONSTRAINT"]
 
 #: Reason tag recorded for constraint-driven rejections.
 REASON_CONSTRAINT = "constraint-infeasible"
+
+#: A window's mapping order: by arrival, ties by request index.
+_ARRIVAL_ORDER = attrgetter("arrival_time", "index")
+#: A plan's execution order.
+_PLAN_ORDER = attrgetter("order")
 
 
 class SchedulingEngine:
@@ -96,7 +102,7 @@ class SchedulingEngine:
         self.scheduler = scheduler
         self.sim = sim
         self._more_work = more_work if more_work is not None else (lambda: True)
-        self.states = [MachineState(machine=m) for m in scheduler.grid.machines]
+        self.states = list(map(MachineState, scheduler.grid.machines))
         self.records: dict[int, CompletionRecord] = {}
         self.rejected: dict[int, str] = {}
         self.dropped: list[int] = []
@@ -386,47 +392,52 @@ class SchedulingEngine:
     def form_batch(self, time: float) -> int:
         """Form and execute a meta-request from :attr:`pending` at ``time``.
 
+        The window is :attr:`pending` itself, sorted in place by arrival
+        (ties by request index) and replaced by a fresh list once booked.
+        A member arriving after ``time`` is refused by the booking loop's
+        window check, before anything is booked.
+
         Returns the number of requests mapped (0 for an empty window).
         """
         sched = self.scheduler
         if sched.trust_source is not None:
             sched.trust_source.advance(time)
-        if not self.pending:
+        window = self.pending
+        if not window:
             return 0
-        meta = MetaRequest.of(
-            self.pending, formed_at=time, index=self.batches_formed
-        )
+        window.sort(key=_ARRIVAL_ORDER)
+        size = len(window)
         self.batches_formed += 1
         if sched.metrics.enabled:
             sched.metrics.counter("sched.batches").add()
-            sched.metrics.histogram("sched.batch_size").observe(len(meta))
+            sched.metrics.histogram("sched.batch_size").observe(size)
         if sched.tracer.enabled:
-            sched.tracer.emit(time, "batch", size=len(meta))
+            sched.tracer.emit(time, "batch", size=size)
         with sched.metrics.timer(sched._latency_metric):
             plan = sched.heuristic.plan(  # type: ignore[union-attr]
-                list(meta), sched.costs, self.availability(time)
+                window, sched.costs, self.availability(time)
             )
         if sched.metrics.enabled:
-            sched.metrics.counter("sched.mappings").add(len(meta))
-        if len(plan) != len(meta):
+            sched.metrics.counter("sched.mappings").add(size)
+        if len(plan) != size:
             raise SchedulingError(
                 f"{sched.heuristic.name} planned {len(plan)} of "
-                f"{len(meta)} requests"
+                f"{size} requests"
             )
         # Every shipped heuristic appends in commit order, so the common
         # case is already sorted — an O(n) check beats re-sorting a
         # million-item plan every window.
-        if any(a.order > b.order for a, b in zip(plan, plan[1:])):
-            plan = sorted(plan, key=lambda p: p.order)
-        requests = [item.request for item in plan]
-        machines = [item.machine_index for item in plan]
+        requests, machines, orders = zip(*plan)
+        if any(map(gt, orders, orders[1:])):
+            plan = sorted(plan, key=_PLAN_ORDER)
+            requests, machines, _orders = zip(*plan)
         # Refuse a bad plan before anything is booked.
         if min(machines) < 0 or max(machines) >= sched.grid.n_machines:
             for request, machine in zip(requests, machines):
                 self._check_machine(request, machine)
         self._commit(requests, machines, time)
-        self.pending.clear()
-        return len(meta)
+        self.pending = []
+        return size
 
     # -- machine up/down transitions as first-class DES events ---------------
     # The injector's timelines are the source of truth (outcomes are
@@ -476,11 +487,10 @@ class SchedulingEngine:
     def result(self, requests: Sequence[Request]) -> ScheduleResult:
         """Assemble the cumulative :class:`ScheduleResult` over ``requests``."""
         sched = self.scheduler
-        ordered = tuple(
-            self.records[r.index]
-            for r in sorted(requests, key=lambda r: r.index)
-            if r.index in self.records
-        )
+        indices = [r.index for r in requests]
+        indices.sort()
+        # Records are non-empty tuples: ``filter`` drops only the misses.
+        ordered = tuple(filter(None, map(self.records.get, indices)))
         return ScheduleResult(
             heuristic=sched.heuristic.name,
             policy_label=sched.policy.label,

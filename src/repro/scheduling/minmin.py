@@ -8,7 +8,8 @@ completion cost over all machines, then commits the request whose best
 completion is smallest (Min-min) or largest (Max-min), updates the chosen
 machine's availability, and repeats until the meta-request is exhausted.
 
-:class:`MinMinHeuristic` runs this as per-machine sorted claim queues.
+:class:`MinMinHeuristic` runs this as per-machine sorted claim queues,
+which its claim loop reads through bounded Python-list block cursors.
 :func:`greedy_min_completion_plan` is the scalar transcription of the
 rounds above: an unregistered oracle that the equivalence suite and the
 kernel bench hold the production kernels to, bit-for-bit, including the
@@ -26,6 +27,11 @@ from repro.scheduling.base import BatchHeuristic, PlannedAssignment, check_avail
 from repro.scheduling.costs import CostProvider
 
 __all__ = ["MinMinHeuristic", "greedy_min_completion_plan"]
+
+#: Claim-queue entries :class:`MinMinHeuristic` reads into Python lists at a
+#: time, per machine.  Bounded so the lists stay small at any window size:
+#: a whole-queue ``.tolist()`` would cost over a GiB at 10⁶ tasks.
+_BLOCK = 256
 
 
 def greedy_min_completion_plan(
@@ -71,11 +77,7 @@ def greedy_min_completion_plan(
         req_pos = remaining.pop(pick)
         machine = int(best_machine[pick])
         avail[machine] = float(best_value[pick])
-        plan.append(
-            PlannedAssignment(
-                request=requests[req_pos], machine_index=machine, order=len(plan)
-            )
-        )
+        plan.append(PlannedAssignment(requests[req_pos], machine, len(plan)))
     return plan
 
 
@@ -99,6 +101,12 @@ class MinMinHeuristic(BatchHeuristic):
     (lowest best, lowest position, first-argmin) commit.  Ties inside a
     column surface lowest-position-first via the stable sort; ties across
     columns resolve by position then machine index.
+
+    Block cursors: the claim loop reads each queue through a Python-list
+    block of at most :data:`_BLOCK` entries (the rows in static order and
+    their ECC in that column), refilled by slicing the sorted order when
+    the cursor runs off its end.  The loop then touches Python ints and
+    floats only, while the blocks stay O(m · _BLOCK) at any window size.
     """
 
     name = "min-min"
@@ -121,51 +129,70 @@ class MinMinHeuristic(BatchHeuristic):
         for start, chunk in costs.mapping_ecc_chunks(requests):
             cols[:, start : start + chunk.shape[0]] = chunk.T
         orders = np.argsort(cols, axis=1, kind="stable")
-        # Queue j occupies flat slots [j*n, (j+1)*n) of both arrays; the
-        # values stay unsorted and are read at ``j*n + row``.
-        order_flat = orders.ravel()
-        ecc_flat = cols.ravel()
 
+        # Queue j's cursor: its current block of rows (static order) and
+        # their values, where the block starts in the queue, and the
+        # candidate's place in the block.
+        block = _BLOCK
+        heads = orders[:, :block]
+        q_rows = heads.tolist()
+        q_vals = cols[np.arange(m)[:, None], heads].tolist()
+        q_lo = [0] * m
+        q_at = [0] * m
         committed = bytearray(n)
-        ptr = list(range(0, m * n, n))
         avail_f = avail.tolist()
         # Nothing is committed yet: every queue's candidate is its head.
-        heads = orders[:, 0]
-        cand_pos = heads.tolist()
-        cand_val = (cols[np.arange(m), heads] + avail).tolist()
+        cand_pos = [rows[0] for rows in q_rows]
+        cand_val = [vals[0] + a for vals, a in zip(q_vals, avail_f)]
 
         plan: list[PlannedAssignment] = []
-        for _ in range(n):
-            win_v = 0.0
-            win_p = -1
-            win_j = -1
-            for j in range(m):
-                p = cand_pos[j]
-                if p < 0:
-                    continue
+        new_item = tuple.__new__
+        others = range(1, m)
+        for order in range(n):
+            # Lexicographic minimum of (value, position, machine).  Every
+            # queue holds every row, so none runs dry before the last round.
+            win_v = cand_val[0]
+            win_p = cand_pos[0]
+            win_j = 0
+            for j in others:
                 v = cand_val[j]
-                if win_p < 0 or v < win_v or (v == win_v and p < win_p):
-                    win_v, win_p, win_j = v, p, j
+                if v < win_v or (v == win_v and cand_pos[j] < win_p):
+                    win_v = v
+                    win_p = cand_pos[j]
+                    win_j = j
             committed[win_p] = 1
             avail_f[win_j] = win_v
             plan.append(
-                PlannedAssignment(
-                    request=requests[win_p], machine_index=win_j, order=len(plan)
-                )
+                new_item(PlannedAssignment, (requests[win_p], win_j, order))
             )
-            for j in range(m):
-                if cand_pos[j] != win_p and j != win_j:
-                    continue
-                # Advance queue j past committed rows and refresh its candidate.
-                p = ptr[j]
-                end = (j + 1) * n
-                while p < end and committed[order_flat[p]]:
-                    p += 1
-                ptr[j] = p
-                if p == end:
-                    cand_pos[j] = -1
-                else:
-                    row = int(order_flat[p])
-                    cand_pos[j] = row
-                    cand_val[j] = float(ecc_flat[j * n + row]) + avail_f[j]
+            if order == n - 1:
+                break  # every row is committed: no queue has a next candidate
+            # Only queues whose candidate was the committed row move (the
+            # winning machine's among them); every other candidate, and
+            # its machine's availability, is unchanged.
+            j = win_j
+            while True:
+                rows = q_rows[j]
+                at = q_at[j] + 1
+                end = len(rows)
+                while True:
+                    while at < end and committed[rows[at]]:
+                        at += 1
+                    if at < end:
+                        break
+                    # Past the block: read the next one.  Some row is
+                    # still uncommitted, so the queue has one to give.
+                    lo = q_lo[j] + end
+                    picked = orders[j, lo : lo + block]
+                    rows = q_rows[j] = picked.tolist()
+                    q_vals[j] = cols[j, picked].tolist()
+                    q_lo[j] = lo
+                    at = 0
+                    end = len(rows)
+                q_at[j] = at
+                cand_pos[j] = rows[at]
+                cand_val[j] = q_vals[j][at] + avail_f[j]
+                if win_p not in cand_pos:
+                    break
+                j = cand_pos.index(win_p)
         return plan

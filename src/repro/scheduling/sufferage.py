@@ -84,11 +84,7 @@ def sufferage_reference_plan(
         for machine, (pos, _suff, best) in sorted(claims.items()):
             avail[machine] = best
             remaining.discard(pos)
-            plan.append(
-                PlannedAssignment(
-                    request=requests[pos], machine_index=machine, order=len(plan)
-                )
-            )
+            plan.append(PlannedAssignment(requests[pos], machine, len(plan)))
     return plan
 
 
@@ -156,9 +152,7 @@ class SufferageHeuristic(BatchHeuristic):
                 avail[machine] = float(best[winner])
                 plan.append(
                     PlannedAssignment(
-                        request=requests[int(remaining[winner])],
-                        machine_index=machine,
-                        order=len(plan),
+                        requests[int(remaining[winner])], machine, len(plan)
                     )
                 )
             taken = np.zeros(k, dtype=bool)

@@ -43,13 +43,19 @@ def build_requests(
             "activity_sets, arrival_times and client_indices must have equal length"
         )
     requests: list[Request] = []
+    # Activity sets are immutable, and a catalog admits few distinct ones:
+    # requests naming the same ToAs in the same order share one set.
+    shared: dict[tuple[int, ...], ActivitySet] = {}
     for i in range(n):
         ci = int(client_indices[i])
         if not 0 <= ci < len(grid.clients):
             raise WorkloadError(f"client index {ci} out of range")
-        activities = ActivitySet.of(
-            [grid.catalog.by_index(a) for a in activity_sets[i]]
-        )
+        members = tuple(activity_sets[i])
+        activities = shared.get(members)
+        if activities is None:
+            activities = shared[members] = ActivitySet.of(
+                [grid.catalog.by_index(a) for a in members]
+            )
         task = Task(index=i, activities=activities)
         requests.append(
             Request(

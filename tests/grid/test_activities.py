@@ -90,3 +90,28 @@ class TestActivitySet:
         a = ActivityType(0, "x")
         with pytest.raises(ValueError):
             ActivitySet.of([a, a])
+
+    def test_sorted_indices_are_built_once(self):
+        catalog = ActivityCatalog(["a", "b", "c", "d"])
+        s = ActivitySet.of([catalog.by_index(3), catalog.by_index(0), catalog.by_index(2)])
+        assert s.indices == (3, 0, 2)
+        assert s.sorted_indices == (0, 2, 3)
+        assert s.sorted_indices is s.sorted_indices
+
+    def test_sorted_indices_leave_identity_alone(self):
+        catalog = ActivityCatalog(["a", "b", "c"])
+        a, c = catalog.by_name("a"), catalog.by_name("c")
+        s, t = ActivitySet.of([c, a]), ActivitySet.of([c, a])
+        assert s == t and hash(s) == hash(t) == hash((s.activities,))
+        # Member order still distinguishes sets, as before.
+        assert s != ActivitySet.of([a, c])
+        assert repr(s) == f"ActivitySet(activities={s.activities!r})"
+
+    def test_pickle_carries_only_the_activities(self):
+        catalog = ActivityCatalog(["a", "b", "c"])
+        s = ActivitySet.of([catalog.by_name("c"), catalog.by_name("b")])
+        # The pickled state is the one field; the sorted indices are rebuilt.
+        assert s.__reduce_ex__(2)[2] == {"activities": s.activities}
+        restored = pickle.loads(pickle.dumps(s))
+        assert restored == s and hash(restored) == hash(s)
+        assert restored.sorted_indices == (1, 2)

@@ -1,5 +1,7 @@
 """Tests for the heuristic base helpers."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,9 +61,39 @@ class TestMappingMatrix:
 
 
 class TestPlannedAssignment:
+    def request(self, grid):
+        task = Task(index=0, activities=ActivitySet.of(grid.catalog.by_index(0)))
+        return Request(index=0, client=grid.clients[0], task=task, arrival_time=0.0)
+
     def test_fields(self, small_grid):
-        task = Task(index=0, activities=ActivitySet.of(small_grid.catalog.by_index(0)))
-        req = Request(index=0, client=small_grid.clients[0], task=task, arrival_time=0.0)
+        req = self.request(small_grid)
         pa = PlannedAssignment(request=req, machine_index=1, order=0)
         assert pa.machine_index == 1
         assert pa.request is req
+
+    def test_field_order(self):
+        assert PlannedAssignment._fields == ("request", "machine_index", "order")
+
+    def test_keyword_and_positional_construction_agree(self, small_grid):
+        req = self.request(small_grid)
+        by_keyword = PlannedAssignment(request=req, machine_index=2, order=5)
+        by_position = PlannedAssignment(req, 2, 5)
+        assert by_keyword == by_position
+        assert tuple(by_position) == (req, 2, 5)
+        # The kernels' unchecked construction builds the same item.
+        assert tuple.__new__(PlannedAssignment, (req, 2, 5)) == by_keyword
+
+    def test_fields_are_read_only(self, small_grid):
+        pa = PlannedAssignment(self.request(small_grid), 1, 0)
+        for name in PlannedAssignment._fields:
+            with pytest.raises(AttributeError):
+                setattr(pa, name, None)
+        with pytest.raises(AttributeError):
+            pa.extra = 1  # no instance dict
+
+    def test_pickle_round_trip(self, small_grid):
+        pa = PlannedAssignment(self.request(small_grid), 1, 3)
+        back = pickle.loads(pickle.dumps(pa))
+        assert type(back) is PlannedAssignment
+        assert back == pa
+        assert (back.request.index, back.machine_index, back.order) == (0, 1, 3)

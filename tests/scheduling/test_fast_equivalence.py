@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.scheduling import costs as costs_module
+from repro.scheduling import minmin as minmin_module
 from repro.scheduling.base import BatchHeuristic
 from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
@@ -471,6 +472,133 @@ class TestClaimQueueStreaming:
         ref = min_min_oracle(list(scenario.requests), costs, np.zeros(4))
         with streamed_at(3):
             fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+        assert plans_equal(ref, fast)
+
+
+@contextmanager
+def blocks_of(size: int):
+    """Run with the Min-min claim loop reading ``size``-entry blocks."""
+    with mock.patch.object(minmin_module, "_BLOCK", size):
+        yield
+
+
+#: (block, n_tasks): one short of a block, exactly one, one past, and past
+#: a second seam, for blocks small enough that every window crosses seams.
+SEAM_CASES = [
+    (block, n_tasks)
+    for block in (1, 2, 3)
+    for n_tasks in (block - 1, block, block + 1, 2 * block + 1)
+    if n_tasks > 0
+]
+
+
+def first_reject_case(n_tasks: int, n_machines: int):
+    """The first seed whose REJECT case at ``max_trust_cost=0`` holds an
+    all-``inf`` row (found by scanning, so the test states what it needs)."""
+    constraint = TrustConstraint(max_trust_cost=0, infeasible=InfeasiblePolicy.REJECT)
+    for seed in range(200):
+        scenario, costs = make_case(
+            seed, n_tasks, n_machines, trust_aware=True, constraint=constraint
+        )
+        rows = costs.mapping_ecc_matrix(list(scenario.requests))
+        if np.isinf(rows).all(axis=1).any():
+            return scenario, costs
+    raise AssertionError("no seed below 200 yields an all-inf row")
+
+
+class TestBlockSeams:
+    """The claim loop reads each machine's queue through a bounded block of
+    Python lists.  With the block shrunk to 1–3 entries every window
+    crosses block seams, at every cursor advance; plans must still equal
+    the oracle loop's."""
+
+    @pytest.mark.parametrize("block,n_tasks", SEAM_CASES)
+    def test_plain(self, block, n_tasks):
+        scenario, costs = make_case(21, n_tasks, 4, trust_aware=True)
+        avail = np.random.default_rng(22).uniform(0, 300, size=4)
+        ref = min_min_oracle(list(scenario.requests), costs, avail.copy())
+        with blocks_of(block):
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
+        assert plans_equal(ref, fast)
+
+    @pytest.mark.parametrize("block,n_tasks", SEAM_CASES)
+    def test_tied_costs(self, block, n_tasks):
+        scenario, costs = make_case(4, n_tasks, 4, trust_aware=False)
+        costs.eec = np.full_like(costs.eec, 7.0)
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(4))
+        with blocks_of(block):
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+        assert plans_equal(ref, fast)
+
+    @pytest.mark.parametrize("block,n_tasks", SEAM_CASES)
+    def test_ties_across_machines(self, block, n_tasks):
+        # Two cost levels: candidates tie on value across machines while
+        # sitting at different positions, so the position tie-break decides.
+        scenario, costs = make_case(5, n_tasks, 4, trust_aware=False)
+        rng = np.random.default_rng(n_tasks)
+        costs.eec = rng.choice([5.0, 7.0], size=costs.eec.shape)
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(4))
+        with blocks_of(block):
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(4))
+        assert plans_equal(ref, fast)
+
+    @pytest.mark.parametrize("block,n_tasks", SEAM_CASES)
+    def test_reject_all_inf_rows(self, block, n_tasks):
+        scenario, costs = first_reject_case(n_tasks, 5)
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(5))
+        with blocks_of(block):
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(5))
+        assert plans_equal(ref, fast)
+
+    @pytest.mark.parametrize("block,n_tasks", SEAM_CASES)
+    def test_retry_exclusions(self, block, n_tasks):
+        # The first request failed on every machine (an all-inf row); a few
+        # others lost one machine, and the last is re-priced.
+        scenario, costs = make_case(13, n_tasks, 4, trust_aware=True)
+        requests = list(scenario.requests)
+        apply_retry_state(scenario, costs, seed=n_tasks)
+        for machine in range(4):
+            costs.exclude(requests[0].index, machine)
+        costs.invalidate_trust_cache(requests[-1].index)
+        ref = min_min_oracle(requests, costs, np.zeros(4))
+        with blocks_of(block):
+            fast = MinMinHeuristic().plan(requests, costs, np.zeros(4))
+        assert plans_equal(ref, fast)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, minmin_module._BLOCK + 1])
+    def test_default_block_seams(self, extra):
+        n_tasks = minmin_module._BLOCK + extra
+        scenario, costs = make_case(23, n_tasks, 3, trust_aware=True)
+        ref = min_min_oracle(list(scenario.requests), costs, np.zeros(3))
+        fast = MinMinHeuristic().plan(list(scenario.requests), costs, np.zeros(3))
+        assert plans_equal(ref, fast)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        n_tasks=st.integers(min_value=1, max_value=24),
+        n_machines=st.integers(min_value=1, max_value=6),
+        block=st.sampled_from([1, 2, 3, 5]),
+        max_tc=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+        retry_state=st.booleans(),
+    )
+    def test_property_equivalence(
+        self, seed, n_tasks, n_machines, block, max_tc, retry_state
+    ):
+        constraint = (
+            None
+            if max_tc is None
+            else TrustConstraint(max_trust_cost=max_tc, infeasible=InfeasiblePolicy.REJECT)
+        )
+        scenario, costs = make_case(
+            seed, n_tasks, n_machines, trust_aware=True, constraint=constraint
+        )
+        if retry_state:
+            apply_retry_state(scenario, costs, seed)
+        avail = np.random.default_rng(seed + 1).uniform(0, 500, size=n_machines)
+        ref = min_min_oracle(list(scenario.requests), costs, avail.copy())
+        with blocks_of(block):
+            fast = MinMinHeuristic().plan(list(scenario.requests), costs, avail.copy())
         assert plans_equal(ref, fast)
 
 

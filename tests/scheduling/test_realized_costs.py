@@ -10,6 +10,9 @@ retry state.
 The plane then recovers and agents keep publishing between calls: every TC
 read through any accessor must equal a memo-free recompute from
 :meth:`GridTrustTable.trust_cost` at that moment.
+
+A commit served from the rows the window's mapping handed off must equal
+one that resolves every row afresh, whatever happened in between.
 """
 
 import numpy as np
@@ -20,10 +23,15 @@ from hypothesis import strategies as st
 from repro.grid.activities import ActivityCatalog, ActivitySet
 from repro.grid.request import Request, Task
 from repro.grid.topology import GridBuilder
+from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import CostProvider
+from repro.scheduling.engine import SchedulingEngine
 from repro.scheduling.esc_models import LadderEsc, LinearEsc, TableEsc
+from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import SecurityAccounting, TrustPolicy
+from repro.scheduling.scheduler import TRMScheduler
+from repro.sim.kernel import Simulator
 from repro.trustfaults.model import TrustQueryConfig, TrustSourceFault
 from repro.trustfaults.query import ResilientTrustSource
 from tests.scheduling.oracles import realized_ecc_row_oracle
@@ -278,3 +286,173 @@ class TestRefusals:
         provider = CostProvider(grid, np.ones((1, N_MACHINES)), TrustPolicy.aware())
         with pytest.raises(ConfigurationError, match="task index 3"):
             provider.realized_costs([self.request(grid, task=3)], [0])
+
+
+#: Publishes between a window's mapping and its commit.
+between_publishes = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, 1),
+        st.integers(0, N_ACTIVITIES - 1),
+        st.sampled_from(LEVELS),
+    ),
+    max_size=2,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    scenario=scenarios(),
+    plane_up=st.booleans(),
+    publishes=between_publishes,
+    invalidated=st.lists(st.integers(0, 9), max_size=2),
+)
+def test_commit_from_the_handoff_equals_a_fresh_resolution(
+    scenario, plane_up, publishes, invalidated
+):
+    eec, items, evolution, _steps, cap = scenario
+    machines = [item[3] for item in items]
+    twins = [
+        prepared(TrustPolicy.aware(), eec, items, evolution, cap) for _ in range(2)
+    ]
+    for provider, requests in twins:
+        provider.metrics = MetricsRegistry()
+        if plane_up:
+            provider.trust_source.advance(2 * OUTAGE_END)
+        provider.mapping_ecc_matrix(requests)
+        for cd, rd, activity, level in publishes:
+            provider.grid.trust_table.set(cd, rd, activity, level)
+        for pick in invalidated:
+            provider.invalidate_trust_cache(requests[pick % len(requests)].index)
+    (handed, requests), (fresh, _) = twins
+    fresh._handoff.clear()  # this twin resolves every row at commit
+
+    got = handed.realized_costs(requests, machines)
+    want = fresh.realized_costs(twins[1][1], machines)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    ground = np.array([fresh_tc(handed.grid, r)[m] for r, m in zip(requests, machines)])
+    assert got[2].tobytes() == ground.tobytes()
+    # The same rows were priced, the same dirty flags consumed, and
+    # nothing outlives the commit.
+    assert handed._tc_dirty == fresh._tc_dirty
+    assert handed.metrics.snapshot() == fresh.metrics.snapshot()
+    assert not handed._handoff and not fresh._handoff
+
+
+def one_toa_requests(grid, n):
+    """``n`` requests sharing task 0 and ToA 0, alternating the two CDs."""
+    activities = ActivitySet.of([grid.catalog.by_index(0)])
+    return [
+        Request(
+            index=i,
+            client=grid.clients[i % 2],
+            task=Task(index=0, activities=activities),
+            arrival_time=0.0,
+        )
+        for i in range(n)
+    ]
+
+
+class PublishingMinMin(MinMinHeuristic):
+    """Min-min whose mapping is followed by a publish to every CD's row of
+    ToA 0, so the window commits against a table its plan never saw."""
+
+    def plan(self, requests, costs, avail):
+        plan = super().plan(requests, costs, avail)
+        table = costs.grid.trust_table
+        for cd in range(2):
+            for rd in range(2):
+                table.set(cd, rd, 0, "E")
+        return plan
+
+
+class TestHandoff:
+    def test_publish_between_mapping_and_commit_is_paid(self):
+        grid = build_grid()
+        eec = np.full((1, N_MACHINES), 10.0)
+        scheduler = TRMScheduler(
+            grid, eec, TrustPolicy.aware(), PublishingMinMin(), batch_interval=1.0
+        )
+        engine = SchedulingEngine(scheduler, Simulator())
+        requests = one_toa_requests(grid, 4)
+        before = {r.index: fresh_tc(grid, r) for r in requests}
+        engine.pending.extend(requests)
+        engine.form_batch(1.0)
+        after = {r.index: fresh_tc(grid, r) for r in requests}
+        paid = {
+            index: record.trust_cost for index, record in engine.records.items()
+        }
+        assert paid == {
+            index: after[index][record.machine_index]
+            for index, record in engine.records.items()
+        }
+        assert paid != {
+            index: before[index][record.machine_index]
+            for index, record in engine.records.items()
+        }
+        assert not scheduler.costs._handoff
+
+    def test_degraded_retry_pays_ground_truth_and_consumes_its_flag(self):
+        grid = build_grid()
+        provider = CostProvider(
+            grid,
+            np.full((1, N_MACHINES), 10.0),
+            TrustPolicy.aware(),
+            trust_source=ResilientTrustSource(
+                grid,
+                fault=TrustSourceFault(outages=((0.0, OUTAGE_END),)),
+                config=TrustQueryConfig(),
+            ),
+        )
+        requests = one_toa_requests(grid, 2)
+        provider.trust_cost_row(requests[0])  # memo filled before the outage
+        grid.trust_table.set(0, 0, 0, "C")
+        provider.invalidate_trust_cache(requests[0].index)
+        provider.mapping_ecc_matrix(requests)
+        # The plane is down: the retry fetch failed, the request stays
+        # dirty and its row was not handed to the commit.
+        assert provider.degraded_requests == {0, 1}
+        assert requests[0].index in provider._tc_dirty
+        assert requests[0].index not in provider._handoff
+
+        eec, cost, tc = provider.realized_costs(requests, [0, 2])
+        want = [fresh_tc(grid, r)[m] for r, m in zip(requests, [0, 2])]
+        assert tc.tolist() == want
+        # Degraded rows pay the blanket trust-unaware price.
+        assert cost.tolist() == (eec + provider.policy.esc_unaware(eec)).tolist()
+        assert requests[0].index not in provider._tc_dirty
+        assert not provider._handoff
+
+    def test_handoff_is_empty_after_every_commit(self):
+        grid = build_grid()
+        eec = np.full((1, N_MACHINES), 10.0)
+        scheduler = TRMScheduler(
+            grid, eec, TrustPolicy.aware(), MinMinHeuristic(), batch_interval=1.0
+        )
+        engine = SchedulingEngine(scheduler, Simulator())
+        requests = one_toa_requests(grid, 9)
+        for window in range(3):
+            engine.pending.extend(requests[3 * window : 3 * window + 3])
+            engine.form_batch(float(window + 1))
+            assert not scheduler.costs._handoff
+        assert len(engine.records) == 9
+
+    def test_no_per_request_pricing_state(self):
+        # Requests share two pricing keys; whatever the provider keeps must
+        # be bounded by those keys, not grow with the requests served.
+        grid = build_grid()
+        provider = CostProvider(grid, np.full((1, N_MACHINES), 10.0), TrustPolicy.aware())
+        requests = one_toa_requests(grid, 64)
+        for start in range(0, len(requests), 8):
+            window = requests[start : start + 8]
+            provider.mapping_ecc_matrix(window)
+            provider.realized_costs(window, [0] * len(window))
+            provider.mapping_ecc_row(window[0])
+            provider.trust_cost_row(window[1])
+        sizes = {
+            name: len(value)
+            for name, value in vars(provider).items()
+            if isinstance(value, (dict, set, list))
+        }
+        assert max(sizes.values()) <= 2, sizes

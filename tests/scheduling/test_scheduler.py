@@ -295,7 +295,6 @@ class TestWindowChecks:
         assert_nothing_booked(engine, sim, hooked)
 
     def test_arrival_after_the_mapping_refused(self, small_grid):
-        # (A batch window refuses late members earlier, in MetaRequest.)
         engine, sim, hooked = self.build(small_grid, MctHeuristic())
         (request,) = make_requests(small_grid, [6.0])
         with pytest.raises(
@@ -303,6 +302,20 @@ class TestWindowChecks:
         ):
             engine.submit(request, 5.0)
         assert_nothing_booked(engine, sim, hooked)
+
+    def test_late_batch_member_refused(self, small_grid):
+        engine, sim, hooked = self.build(
+            small_grid, MinMinHeuristic(), batch_interval=5.0
+        )
+        window = make_requests(small_grid, [6.0, 1.0, 2.0])
+        engine.pending.extend(window)
+        with pytest.raises(
+            SchedulingError, match=r"request 0 arrives at 6\.0, after its mapping at 5\.0"
+        ):
+            engine.form_batch(5.0)
+        assert_nothing_booked(engine, sim, hooked)
+        # The refused window stays pending, in mapping order.
+        assert [r.index for r in engine.pending] == [1, 2, 0]
 
     def test_faulted_run_books_valid_records(self, small_scenario):
         model = FaultModel(

@@ -21,6 +21,21 @@ class TestBuildRequests:
         assert reqs[1].arrival_time == 2.0
         assert reqs[0].client_domain_index == 0
 
+    def test_equal_toa_lists_share_one_activity_set(self, small_grid):
+        reqs = build_requests(
+            small_grid,
+            activity_sets=[(0, 2), [0, 2], (2, 0), (0, 2)],
+            arrival_times=[0.0] * 4,
+            client_indices=[0, 1, 0, 1],
+        )
+        first = reqs[0].task.activities
+        assert reqs[1].task.activities is first
+        assert reqs[3].task.activities is first
+        # Member order is part of a set's identity, so it is not shared.
+        assert reqs[2].task.activities.indices == (2, 0)
+        assert reqs[2].task.activities != first
+        assert [r.task.index for r in reqs] == [0, 1, 2, 3]
+
     def test_length_mismatch_rejected(self, small_grid):
         with pytest.raises(WorkloadError):
             build_requests(small_grid, [(0,)], [1.0, 2.0], [0])
