@@ -18,17 +18,31 @@ well-behaved mechanism so the Fig. 1 agents have something to run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.context import TrustContext
 from repro.core.recommender import RecommenderWeights
 from repro.core.tables import EntityId, TrustRecord, TrustTable
+from repro.errors import ConfigurationError
 
 __all__ = ["TransactionOutcome", "TrustEvolver"]
 
 
-@dataclass(frozen=True, slots=True)
-class TransactionOutcome:
+class _OutcomeFields(NamedTuple):
+    truster: EntityId
+    trustee: EntityId
+    context: TrustContext
+    satisfaction: float
+    time: float
+
+
+class TransactionOutcome(_OutcomeFields):
     """Result of one completed transaction, as observed by ``truster``.
+
+    Outcomes are immutable tuples, built once per observed transaction;
+    the constructor (and ``_make``/``_replace``) refuses a satisfaction
+    outside ``[0, 1]`` and a truster that is its own trustee with
+    :class:`~repro.errors.ConfigurationError`.
 
     Attributes:
         truster: the entity updating its opinion.
@@ -38,19 +52,32 @@ class TransactionOutcome:
         time: completion time of the transaction.
     """
 
-    truster: EntityId
-    trustee: EntityId
-    context: TrustContext
-    satisfaction: float
-    time: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.satisfaction <= 1.0:
-            raise ValueError(
-                f"satisfaction must lie in [0, 1], got {self.satisfaction}"
+    def __new__(
+        cls,
+        truster: EntityId,
+        trustee: EntityId,
+        context: TrustContext,
+        satisfaction: float,
+        time: float,
+    ) -> TransactionOutcome:
+        if not 0.0 <= satisfaction <= 1.0:
+            raise ConfigurationError(
+                f"satisfaction must lie in [0, 1], got {satisfaction}"
             )
-        if self.truster == self.trustee:
-            raise ValueError("truster and trustee must differ")
+        if truster == trustee:
+            raise ConfigurationError(
+                "truster and trustee must differ, got "
+                f"truster={truster!r} trustee={trustee!r}"
+            )
+        return tuple.__new__(cls, (truster, trustee, context, satisfaction, time))
+
+    @classmethod
+    def _make(cls, iterable) -> TransactionOutcome:
+        # namedtuple's _make (and _replace, which calls it) would skip the
+        # checks; route both through the validating constructor.
+        return cls(*iterable)
 
 
 @dataclass
@@ -75,45 +102,42 @@ class TrustEvolver:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must lie in (0, 1]")
+            raise ConfigurationError(
+                f"smoothing must lie in (0, 1], got {self.smoothing!r}"
+            )
         if self.initial_value is not None and not 0.0 <= self.initial_value <= 1.0:
-            raise ValueError("initial_value must lie in [0, 1]")
+            raise ConfigurationError(
+                f"initial_value must lie in [0, 1], got {self.initial_value!r}"
+            )
 
     def observe(self, outcome: TransactionOutcome) -> TrustRecord:
         """Fold one outcome into the table and return the updated record.
 
         Raises:
-            ValueError: if the outcome is older than the stored record
-                (outcomes must be applied in time order per pair).
+            ConfigurationError: if the outcome is older than the stored
+                record (outcomes must be applied in time order per pair);
+                the table is left unchanged.
         """
-        prior = self.table.get(outcome.truster, outcome.trustee, outcome.context)
+        truster, trustee, context, satisfaction, time = outcome
+        table = self.table
+        prior = table.get(truster, trustee, context)
+        smoothing = self.smoothing
         if prior is None:
             if self.initial_value is None:
-                value = outcome.satisfaction
+                value = satisfaction
             else:
-                value = (
-                    (1.0 - self.smoothing) * self.initial_value
-                    + self.smoothing * outcome.satisfaction
-                )
+                value = (1.0 - smoothing) * self.initial_value + smoothing * satisfaction
             count = 1
         else:
-            if outcome.time < prior.last_transaction:
-                raise ValueError(
+            if time < prior.last_transaction:
+                raise ConfigurationError(
                     "outcomes must be observed in non-decreasing time order: "
-                    f"{outcome.time} < {prior.last_transaction}"
+                    f"time {time!r} < {prior.last_transaction!r}"
                 )
-            value = (
-                (1.0 - self.smoothing) * prior.value
-                + self.smoothing * outcome.satisfaction
-            )
+            value = (1.0 - smoothing) * prior.value + smoothing * satisfaction
             count = prior.transaction_count + 1
-        return self.table.record(
-            outcome.truster,
-            outcome.trustee,
-            outcome.context,
-            value,
-            outcome.time,
-            transaction_count=count,
+        return table.record(
+            truster, trustee, context, value, time, transaction_count=count
         )
 
     def score_recommendations(

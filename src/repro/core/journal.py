@@ -157,13 +157,26 @@ def sync_dir(path: str | Path) -> None:
 
 # -- frame codec ------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1 << 16, typed=True)
+@functools.lru_cache(maxsize=1 << 16)
 def _id_json(entity: str | int) -> str:
-    """JSON spelling of an exact ``str`` or ``int`` entity id, as
-    ``json.dumps`` writes it (``typed=True`` keeps ``1`` and ``True`` apart)."""
+    """JSON spelling of an exact ``str`` or ``int`` id, as ``json.dumps``
+    writes it (the callers check the type, so ``1`` and ``True`` never
+    share an entry)."""
     if type(entity) is str:
         return encode_basestring_ascii(entity)
     return int.__repr__(entity)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _record_tail_json(y: str | int, z: str | int) -> str:
+    """The ``"y":…,"z":…`` tail of a ``record`` op's JSON, for exact
+    ``str``/``int`` ids (the caller checks the types).
+
+    One lookup per (trustee, truster) pair serves every later frame of
+    that pair; the context, of which a run has a handful, is spelled by
+    :func:`_id_json`.
+    """
+    return f'"y":{_id_json(y)},"z":{_id_json(z)}'
 
 
 def _direct_payload(op: dict[str, Any]) -> str | None:
@@ -193,8 +206,9 @@ def _direct_payload(op: dict[str, Any]) -> str | None:
                 and math.isfinite(v)
                 and math.isfinite(t)
             ):
-                return '{"c":%s,"e":%d,"n":%d,"op":"record","t":%r,"v":%r,"y":%s,"z":%s}' % (
-                    _id_json(c), e, n, t, v, _id_json(y), _id_json(z),
+                return (
+                    f'{{"c":{_id_json(c)},"e":{e},"n":{n},"op":"record",'
+                    f'"t":{t!r},"v":{v!r},{_record_tail_json(y, z)}}}'
                 )
         elif kind == "set" and len(op) == 6:
             cd, rd, k, lv, e = op["cd"], op["rd"], op["k"], op["l"], op["e"]
@@ -205,9 +219,7 @@ def _direct_payload(op: dict[str, Any]) -> str | None:
                 and type(lv) is int
                 and type(e) is int
             ):
-                return '{"cd":%d,"e":%d,"k":%d,"l":%d,"op":"set","rd":%d}' % (
-                    cd, e, k, lv, rd,
-                )
+                return f'{{"cd":{cd},"e":{e},"k":{k},"l":{lv},"op":"set","rd":{rd}}}'
     except (KeyError, ValueError):
         # A missing key, or an int past the interpreter's digit limit:
         # json.dumps writes (or refuses) it.

@@ -61,7 +61,10 @@ class Reputation:
 
     def decay_for(self, context: TrustContext) -> DecayFunction:
         """The decay function that applies to ``context``."""
-        return self._context_decay.get(context, self.decay)
+        # Most engines install no per-context decay: skip hashing the
+        # context then (this runs on every evaluation).
+        overrides = self._context_decay
+        return overrides.get(context, self.decay) if overrides else self.decay
 
     def evaluate(
         self,

@@ -193,29 +193,27 @@ def snapshot_trust_store(
         elif leftover.exists():
             leftover.unlink()
     directory.mkdir()
-    entities: list = []
-    entity_index: dict = {}
-    contexts: list[str] = []
-    context_index: dict[TrustContext, int] = {}
-    rows: dict[str, list] = {name: [] for name, _ in _COLUMNS}
-    for (z, y, c), rec in table.items():
-        for entity in (z, y):
-            if entity not in entity_index:
-                if not isinstance(entity, (str, int)):
-                    raise TrustJournalError(
-                        f"entity {entity!r} is not JSON-representable"
-                    )
-                entity_index[entity] = len(entities)
-                entities.append(entity)
-        if c not in context_index:
-            context_index[c] = len(contexts)
-            contexts.append(c.name)
-        rows["truster"].append(entity_index[z])
-        rows["trustee"].append(entity_index[y])
-        rows["context"].append(context_index[c])
-        rows["value"].append(rec.value)
-        rows["time"].append(rec.last_transaction)
-        rows["txcount"].append(rec.transaction_count)
+    keys = list(table)
+    records = [rec for _, rec in table.items()]
+    # Entities and contexts are numbered in order of first appearance,
+    # truster before trustee; contexts are keyed by their name (their
+    # identity), whose hash the string caches.
+    entities = list(dict.fromkeys(e for key in keys for e in key[:2]))
+    for entity in entities:
+        if not isinstance(entity, (str, int)):
+            raise TrustJournalError(f"entity {entity!r} is not JSON-representable")
+    entity_index = {e: i for i, e in enumerate(entities)}
+    context_names = [c.name for _, _, c in keys]
+    contexts = list(dict.fromkeys(context_names))
+    context_index = {name: i for i, name in enumerate(contexts)}
+    rows = {
+        "truster": [entity_index[z] for z, _, _ in keys],
+        "trustee": [entity_index[y] for _, y, _ in keys],
+        "context": [context_index[name] for name in context_names],
+        "value": [rec.value for rec in records],
+        "time": [rec.last_transaction for rec in records],
+        "txcount": [rec.transaction_count for rec in records],
+    }
     columns = {
         name: _write_segment(
             directory, f"{name}.bin", np.asarray(rows[name], dtype=dtype)

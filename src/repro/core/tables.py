@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from repro.core.context import TrustContext
 from repro.core.levels import TrustLevel
-from repro.errors import UnknownEntityError
+from repro.errors import ConfigurationError, UnknownEntityError
 
 __all__ = ["TrustRecord", "TrustTable", "value_to_level", "level_to_value"]
 
@@ -48,7 +48,7 @@ def value_to_level(value: float) -> TrustLevel:
     ``[5/6, 1] -> F``.
     """
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"trust value must lie in [0, 1], got {value}")
+        raise ConfigurationError(f"trust value must lie in [0, 1], got {value}")
     return _LEVEL_OF_BIN[int(value * 6)]
 
 
@@ -75,15 +75,24 @@ class TrustRecord:
     last_transaction: float
     transaction_count: int = 1
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"trust value must lie in [0, 1], got {self.value}")
-        if self.transaction_count < 0:
-            raise ValueError("transaction_count must be non-negative")
-        if not math.isfinite(self.last_transaction):
-            raise ValueError(
-                f"last_transaction must be finite, got {self.last_transaction}"
+    def __init__(
+        self, value: float, last_transaction: float, transaction_count: int = 1
+    ) -> None:
+        # Written out (not generated plus __post_init__): the table builds
+        # one record per observed transaction.
+        if not 0.0 <= value <= 1.0:
+            raise ConfigurationError(f"trust value must lie in [0, 1], got {value}")
+        if transaction_count < 0:
+            raise ConfigurationError(
+                f"transaction_count must be non-negative, got {transaction_count!r}"
             )
+        if not math.isfinite(last_transaction):
+            raise ConfigurationError(
+                f"last_transaction must be finite, got {last_transaction}"
+            )
+        self.value = value
+        self.last_transaction = last_transaction
+        self.transaction_count = transaction_count
 
     @property
     def level(self) -> TrustLevel:
@@ -99,16 +108,15 @@ class TrustTable:
     codec (:mod:`repro.core.store`) persists records in it, so a restored
     table iterates exactly like the original.
 
-    A ``(trustee, context) -> {truster: record}`` index, kept in the same
-    insertion order, serves :meth:`recommenders` without scanning every
-    record.
+    A ``(trustee, context name) -> {truster: record}`` index, kept in
+    the same insertion order, serves :meth:`opinions` and
+    :meth:`recommenders` without scanning every record.  It is keyed by
+    the context's name (its identity), whose hash the string caches.
     """
 
     def __init__(self) -> None:
         self._records: dict[tuple[EntityId, EntityId, TrustContext], TrustRecord] = {}
-        self._by_trustee: dict[
-            tuple[EntityId, TrustContext], dict[EntityId, TrustRecord]
-        ] = {}
+        self._by_trustee: dict[tuple[EntityId, str], dict[EntityId, TrustRecord]] = {}
         self._epoch = 0
         # Write-ahead journal sink (see repro.core.journal); when set,
         # every record/remove appends a framed delta after applying.
@@ -138,13 +146,23 @@ class TrustTable:
         """Insert or overwrite the entry for ``(truster, trustee, context)``.
 
         Returns the stored :class:`TrustRecord`.
+
+        Raises:
+            ConfigurationError: if ``truster`` is ``trustee``, or the record
+                is invalid (see :class:`TrustRecord`); the table is left
+                unchanged.
         """
         if truster == trustee:
-            raise ValueError("an entity cannot hold a trust record about itself")
-        rec = TrustRecord(value=value, last_transaction=time, transaction_count=transaction_count)
-        key = (truster, trustee, context)
-        self._records[key] = rec
-        self._by_trustee.setdefault((trustee, context), {})[truster] = rec
+            raise ConfigurationError(
+                "an entity cannot hold a trust record about itself, got "
+                f"truster={truster!r} trustee={trustee!r}"
+            )
+        rec = TrustRecord(value, time, transaction_count)
+        self._records[truster, trustee, context] = rec
+        bucket = self._by_trustee.get((trustee, context.name))
+        if bucket is None:
+            bucket = self._by_trustee[trustee, context.name] = {}
+        bucket[truster] = rec
         self._epoch += 1
         if self._journal is not None:
             self._journal.append(
@@ -165,10 +183,10 @@ class TrustTable:
         """Delete an entry; raises :class:`KeyError` if it does not exist."""
         key = (truster, trustee, context)
         del self._records[key]
-        bucket = self._by_trustee[trustee, context]
+        bucket = self._by_trustee[trustee, context.name]
         del bucket[truster]
         if not bucket:
-            del self._by_trustee[trustee, context]
+            del self._by_trustee[trustee, context.name]
         self._epoch += 1
         if self._journal is not None:
             self._journal.append(
@@ -207,7 +225,7 @@ class TrustTable:
         """Every truster's record about ``trustee`` in ``context``, in
         insertion order — the index bucket itself, to be read, not changed.
         """
-        return self._by_trustee.get((trustee, context), _NO_OPINIONS)
+        return self._by_trustee.get((trustee, context.name), _NO_OPINIONS)
 
     def recommenders(
         self, trustee: EntityId, context: TrustContext, *, excluding: EntityId

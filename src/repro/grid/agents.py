@@ -74,19 +74,23 @@ class DomainTrustAgent:
     policy: SignificancePolicy = field(default_factory=AlwaysPublish)
     engine: TrustEngine | None = None
     published_count: int = field(default=0, init=False)
-    # The agent's own id and the id prefix of its counterparts, built once:
-    # observe_transaction runs on every completion.
+    # The agent's own id and its counterparts' ids (by counterpart index),
+    # built once: observe_transaction runs on every completion.
     _entity_id: str = field(init=False, repr=False, compare=False)
-    _counterpart_prefix: str = field(init=False, repr=False, compare=False)
+    _counterpart_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _is_client: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        other_side = (
-            AgentSide.RESOURCE_DOMAIN
-            if self.side is AgentSide.CLIENT_DOMAIN
-            else AgentSide.CLIENT_DOMAIN
+        self._is_client = self.side is AgentSide.CLIENT_DOMAIN
+        other_side, n_other = (
+            (AgentSide.RESOURCE_DOMAIN, self.grid_table.shape[1])
+            if self._is_client
+            else (AgentSide.CLIENT_DOMAIN, self.grid_table.shape[0])
         )
         self._entity_id = domain_entity_id(self.side, self.domain_index)
-        self._counterpart_prefix = f"{other_side.value}:"
+        self._counterpart_ids = tuple(
+            domain_entity_id(other_side, i) for i in range(n_other)
+        )
 
     @property
     def entity_id(self) -> str:
@@ -102,6 +106,9 @@ class DomainTrustAgent:
     ) -> TrustLevel | None:
         """Fold one observed transaction and possibly publish a new level.
 
+        The Grid cell is checked first: a refused observation leaves the
+        internal table, its journal and the Grid table as they were.
+
         Args:
             counterpart_index: index of the domain on the other side (an RD
                 index for a CD agent and vice versa).
@@ -112,39 +119,39 @@ class DomainTrustAgent:
         Returns:
             The newly published :class:`TrustLevel`, or ``None`` when the
             evidence was folded in without a table update.
-        """
-        context = activity.context
-        outcome = TransactionOutcome(
-            truster=self._entity_id,
-            trustee=f"{self._counterpart_prefix}{counterpart_index}",
-            context=context,
-            satisfaction=satisfaction,
-            time=time,
-        )
-        record = self.evolver.observe(outcome)
 
-        cd, rd = self._pair_indices(counterpart_index)
-        published = self.grid_table.get(cd, rd, activity.index)
+        Raises:
+            ConfigurationError: if the (CD, RD, ToA) cell lies outside the
+                Grid table, ``satisfaction`` lies outside ``[0, 1]``, or
+                ``time`` precedes the pair's last transaction.
+        """
+        if self._is_client:
+            cd, rd = self.domain_index, counterpart_index
+        else:
+            cd, rd = counterpart_index, self.domain_index
+        k = activity.index
+        grid_table = self.grid_table
+        published = grid_table.get(cd, rd, k)
+        context = activity.context
+        trustee = self._counterpart_ids[counterpart_index]
+        record = self.evolver.observe(
+            TransactionOutcome(self._entity_id, trustee, context, satisfaction, time)
+        )
         if not self.policy.should_publish(record, published):
             return None
         if self.engine is not None:
-            gamma = self.engine.gamma(self._entity_id, outcome.trustee, context, time)
-            level = value_to_level(gamma)
+            level = value_to_level(
+                self.engine.gamma(self._entity_id, trustee, context, time)
+            )
         else:
             level = value_to_level(record.value)
         if not level.is_offerable:
             level = MAX_OFFERED_LEVEL
         if level == published:
             return None
-        self.grid_table.set(cd, rd, activity.index, level)
+        grid_table.set(cd, rd, k, level)
         self.published_count += 1
         return level
-
-    def _pair_indices(self, counterpart_index: int) -> tuple[int, int]:
-        """Resolve (cd, rd) table coordinates regardless of agent side."""
-        if self.side is AgentSide.CLIENT_DOMAIN:
-            return self.domain_index, counterpart_index
-        return counterpart_index, self.domain_index
 
 
 @dataclass

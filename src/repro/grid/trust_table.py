@@ -19,6 +19,7 @@ vectorised lookup.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -91,6 +92,14 @@ class GridTrustTable:
         does, even when publishes to *other* CDs advance :attr:`epoch`.
         """
         return self._cd_epochs.get(cd, 0)
+
+    def cd_epochs(self) -> list[int]:
+        """Every client domain's :meth:`cd_epoch`, indexed by CD.
+
+        One read serves a whole window of trust-cost lookups: the list is
+        a copy, valid until the next :meth:`set`/:meth:`fill_from`.
+        """
+        return list(map(self._cd_epochs.get, range(self._levels.shape[0]), repeat(0)))
 
     # -- shape ------------------------------------------------------------
 

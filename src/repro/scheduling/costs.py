@@ -226,7 +226,9 @@ class CostProvider:
         rows: list[np.ndarray] = [None] * len(requests)  # type: ignore[list-item]
         cache = self._tc_cache
         dirty = self._tc_dirty
-        cd_epoch = self.grid.trust_table.cd_epoch
+        # Read once, before any pricing: a row is never stamped with an
+        # epoch newer than the table it was priced from.
+        cd_epochs = self.grid.trust_table.cd_epochs()
         tc_key = self._tc_key
         # Positions whose key is stale or missing; ``fetch_slot`` will hold
         # the row of the priced batch that serves each of them.
@@ -242,7 +244,7 @@ class CostProvider:
                 request.task.activities.sorted_indices,
             )
             entry = cache.get(key)
-            if entry is not None and entry[0] == cd_epoch(key[0]):
+            if entry is not None and entry[0] == cd_epochs[key[0]]:
                 rows[pos] = entry[1]
             else:
                 fetch_pos.append(pos)
@@ -272,7 +274,7 @@ class CostProvider:
         if keys:
             priced = self._price(keys)
             for key, row in zip(keys, priced):
-                cache[key] = (cd_epoch(key[0]), row)
+                cache[key] = (cd_epochs[key[0]], row)
             for pos, slot in zip(fetch_pos, fetch_slot):
                 rows[pos] = priced[slot]
             dirty.difference_update(requests[pos].index for pos in retried)
@@ -389,7 +391,7 @@ class CostProvider:
         handoff.update(zip([r.index for r in requests], rows))
         for pos in degraded:
             del handoff[requests[pos].index]
-        tc = np.array(rows)
+        tc = np.concatenate(rows).reshape(n, m)
         ecc = self.policy.mapping_ecc(eec, tc)
         if degraded:
             # Plane-failed rows carry forced TC; their believed cost is the

@@ -34,6 +34,7 @@ import time as _time
 from collections import Counter as _Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -247,6 +248,10 @@ class GridService:
         self._stalled_windows = 0
         self._last_settled = 0
         self._checkpoints: list[dict] = []
+        # str(request index) -> field dict of every record a checkpoint
+        # has serialised, in booking order: each checkpoint serialises
+        # only the records booked since the previous one.
+        self._record_fields: dict[str, dict[str, Any]] = {}
         self._kill_after: int | None = None
         self._checkpoint_every: int | None = None
 
@@ -493,7 +498,11 @@ class GridService:
         """Capture the complete service state at a window boundary.
 
         Returns a JSON-compatible payload (see
-        :mod:`repro.service.checkpoint`).  Only deterministic trust-fault
+        :mod:`repro.service.checkpoint`).  Each completion record is
+        serialised once, by the first checkpoint that sees it: ``records``
+        is a fresh mapping per payload, but its per-record field dicts are
+        shared with the later checkpoints of the run, so treat them as
+        read-only while the run goes on.  Only deterministic trust-fault
         configurations can be checkpointed: a trust source with a *random*
         outage process (``outage_mtbf``) materialises its timeline lazily
         and cannot be restored faithfully.
@@ -510,6 +519,11 @@ class GridService:
                 "process (outage_mtbf); use blackout/explicit outage "
                 "windows for recoverable runs"
             )
+        # The engine only ever adds records, in booking order, so the ones
+        # past the cached count are exactly those booked since last time.
+        fields = self._record_fields
+        for k, r in islice(engine.records.items(), len(fields), None):
+            fields[str(k)] = r._asdict()
         payload: dict[str, Any] = {
             "schema": CHECKPOINT_SCHEMA,
             "epoch": self._epoch,
@@ -528,9 +542,7 @@ class GridService:
                 }
                 for s in engine.states
             ],
-            "records": {
-                str(k): r._asdict() for k, r in engine.records.items()
-            },
+            "records": dict(fields),
             "rejected": {str(k): v for k, v in engine.rejected.items()},
             "dropped": list(engine.dropped),
             "failures": [_failure_dict(f) for f in engine.failures],

@@ -7,6 +7,7 @@ from repro.core.evolution import TransactionOutcome, TrustEvolver
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable
 from repro.core.update import AlwaysPublish, HysteresisPolicy, MinEvidencePolicy
+from repro.errors import ConfigurationError
 
 
 def outcome(satisfaction: float, time: float) -> TransactionOutcome:
@@ -115,3 +116,52 @@ class TestPublicationPolicies:
     def test_bad_policy_parameters(self, factory):
         with pytest.raises(ValueError):
             factory()
+
+
+@pytest.mark.parametrize(
+    "refuse,match",
+    [
+        (lambda: outcome(1.5, 0.0), r"satisfaction must lie in \[0, 1\], got 1.5"),
+        (
+            lambda: TransactionOutcome("x", "x", EXECUTION, 0.5, 0.0),
+            r"must differ, got truster='x' trustee='x'",
+        ),
+        (
+            lambda: TrustEvolver(table=TrustTable(), smoothing=1.5),
+            r"smoothing must lie in \(0, 1\], got 1.5",
+        ),
+        (
+            lambda: TrustEvolver(table=TrustTable(), initial_value=-0.25),
+            r"initial_value must lie in \[0, 1\], got -0.25",
+        ),
+    ],
+    ids=["satisfaction", "self-outcome", "smoothing", "initial-value"],
+)
+def test_refusals_are_typed_and_name_the_value(refuse, match):
+    with pytest.raises(ConfigurationError, match=match):
+        refuse()
+
+
+def test_out_of_order_refusal_is_typed_and_leaves_the_table_unchanged():
+    evolver = TrustEvolver(table=TrustTable())
+    evolver.observe(outcome(0.5, 10.0))
+    before = (list(evolver.table.items()), evolver.table.epoch)
+    with pytest.raises(ConfigurationError, match=r"time 9.0 < 10.0"):
+        evolver.observe(outcome(0.5, 9.0))
+    assert (list(evolver.table.items()), evolver.table.epoch) == before
+
+
+class TestOutcomeTuple:
+    def test_positional_and_keyword_construction_agree(self):
+        assert outcome(0.5, 1.0) == TransactionOutcome("x", "y", EXECUTION, 0.5, 1.0)
+        assert outcome(0.5, 1.0).satisfaction == 0.5
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(ConfigurationError):
+            outcome(0.5, 1.0)._replace(satisfaction=2.0)
+        with pytest.raises(ConfigurationError):
+            TransactionOutcome._make(("x", "x", EXECUTION, 0.5, 1.0))
+
+    def test_outcomes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            outcome(0.5, 1.0).satisfaction = 0.1

@@ -10,7 +10,7 @@ from repro.core.context import EXECUTION, STORAGE
 from repro.core.journal import DurableTrustPlane, apply_op
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable, level_to_value, value_to_level
-from repro.errors import UnknownEntityError
+from repro.errors import ConfigurationError, UnknownEntityError
 
 
 class TestConversions:
@@ -235,3 +235,45 @@ def test_recommender_index_matches_full_scan(tmp_path_factory, ops):
         assert list(recovered.table.items()) == list(table.items())
     finally:
         recovered.close()
+
+
+@pytest.mark.parametrize(
+    "refuse,match",
+    [
+        (lambda: value_to_level(1.25), r"trust value must lie in \[0, 1\], got 1.25"),
+        (
+            lambda: TrustRecord(value=-0.5, last_transaction=0.0),
+            r"trust value must lie in \[0, 1\], got -0.5",
+        ),
+        (
+            lambda: TrustRecord(value=0.5, last_transaction=0.0, transaction_count=-3),
+            r"transaction_count must be non-negative, got -3",
+        ),
+        (
+            lambda: TrustRecord(value=0.5, last_transaction=math.nan),
+            r"last_transaction must be finite, got nan",
+        ),
+        (
+            lambda: TrustTable().record("x", "x", EXECUTION, 0.5, 0.0),
+            r"itself, got truster='x' trustee='x'",
+        ),
+    ],
+    ids=["level-value", "record-value", "record-count", "record-time", "self-record"],
+)
+def test_refusals_are_typed_and_name_the_value(refuse, match):
+    with pytest.raises(ConfigurationError, match=match):
+        refuse()
+
+
+def test_refused_record_leaves_the_table_unchanged():
+    table = TrustTable()
+    table.record("x", "y", EXECUTION, 0.5, 1.0)
+    before = (list(table.items()), table.epoch, list(table.opinions("y", EXECUTION)))
+    for bad in (
+        lambda: table.record("x", "y", EXECUTION, 1.5, 2.0),
+        lambda: table.record("x", "y", EXECUTION, 0.5, math.inf),
+        lambda: table.record("y", "y", EXECUTION, 0.5, 2.0),
+    ):
+        with pytest.raises(ConfigurationError):
+            bad()
+    assert (list(table.items()), table.epoch, list(table.opinions("y", EXECUTION))) == before

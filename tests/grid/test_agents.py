@@ -3,11 +3,13 @@
 import pytest
 
 from repro.core.evolution import TrustEvolver
+from repro.core.journal import DurableTrustPlane
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustTable
 from repro.core.update import MinEvidencePolicy
 from repro.grid.activities import ActivityCatalog
 from repro.grid.agents import AgentFleet, AgentSide, DomainTrustAgent
+from repro.errors import ConfigurationError
 from repro.grid.trust_table import GridTrustTable
 
 
@@ -125,3 +127,73 @@ class TestAgentFleet:
         )
         assert len(recs) == 1
         assert recs[0][0] == "cd:0"
+
+
+class TestRefusedObservations:
+    """A refused observation leaves no trace: not in the internal table,
+    not in its epoch, not in the journal buffer, not in the Grid table."""
+
+    @pytest.fixture
+    def journaled(self, grid_table, catalog, tmp_path):
+        fleet = AgentFleet.for_table(grid_table, gamma_weights=(0.7, 0.3))
+        fleet.cd_agents[0].observe_transaction(1, catalog.by_index(0), 0.4, 1.0)
+        plane = DurableTrustPlane.create(
+            tmp_path / "plane",
+            fleet.internal_table,
+            fleet.cd_agents[0].engine.reputation.weights,
+            grid_table=grid_table,
+        )
+        yield fleet, plane
+        plane.close()
+
+    @staticmethod
+    def state(fleet, plane):
+        return (
+            list(fleet.internal_table.items()),
+            fleet.internal_table.epoch,
+            plane._writer.pending_bytes,
+            fleet.grid_table.levels.tobytes(),
+            fleet.grid_table.epoch,
+            fleet.total_published(),
+        )
+
+    @pytest.mark.parametrize(
+        "side,counterpart,satisfaction,time,match",
+        [
+            ("cd", 5, 0.9, 1.0, "resource-domain index 5"),
+            ("cd", -1, 0.9, 1.0, "resource-domain index -1"),
+            ("rd", 2, 0.9, 1.0, "client-domain index 2"),
+            ("rd", -1, 0.9, 1.0, "client-domain index -1"),
+            ("cd", 1, 1.5, 2.0, "satisfaction must lie in \\[0, 1\\], got 1.5"),
+            ("cd", 1, float("nan"), 2.0, "satisfaction .* got nan"),
+            ("cd", 1, 0.9, 0.5, "time order: time 0.5 < 1.0"),
+            ("cd", 1, 0.9, float("inf"), "last_transaction must be finite, got inf"),
+        ],
+        ids=[
+            "rd-past-axis", "rd-negative", "cd-past-axis", "cd-negative",
+            "satisfaction-above-one", "satisfaction-nan", "time-backwards",
+            "time-infinite",
+        ],
+    )
+    def test_refusal_leaves_no_trace(
+        self, journaled, catalog, side, counterpart, satisfaction, time, match
+    ):
+        fleet, plane = journaled
+        agents = fleet.cd_agents if side == "cd" else fleet.rd_agents
+        act = catalog.by_index(0)
+        before = self.state(fleet, plane)
+        with pytest.raises(ConfigurationError, match=match):
+            agents[0].observe_transaction(counterpart, act, satisfaction, time)
+        assert self.state(fleet, plane) == before
+
+    def test_accepted_observation_after_refusals_journals_one_record(
+        self, journaled, catalog
+    ):
+        fleet, _ = journaled
+        act = catalog.by_index(0)
+        with pytest.raises(ConfigurationError):
+            fleet.cd_agents[0].observe_transaction(5, act, 0.9, 1.0)
+        epoch = fleet.internal_table.epoch
+        fleet.cd_agents[0].observe_transaction(1, act, 0.9, 2.0)
+        assert fleet.internal_table.epoch == epoch + 1
+        assert ("cd:0", "rd:5", act.context) not in fleet.internal_table

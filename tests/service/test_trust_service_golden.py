@@ -1,0 +1,168 @@
+"""Golden pins of a journaled, checkpointed trust-feedback service run.
+
+A seeded, scaled-down copy of the trust-service shape: a Γ-blended
+``AgentFleet`` whose CD and RD agents observe every completion, a
+``DurableTrustPlane`` journaling each mutation, token-bucket admission,
+and a checkpoint every two windows with a compaction threshold low
+enough that the plane compacts during the run.  The hashes pin what the
+trust feedback path must leave unchanged when it is reworked for speed:
+the schedule, the plane directory's bytes, the Grid levels, the
+internal table's items and the checkpoint payloads.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core.journal import DurableTrustPlane, JournalConfig
+from repro.experiments.config import PAPER_BATCH_INTERVAL, paper_policies
+from repro.grid.agents import AgentFleet
+from repro.grid.behavior import BehaviorModel, StationaryBehavior
+from repro.scheduling import TRMScheduler, make_heuristic
+from repro.service import AdmissionPolicy, GridService, ServiceConfig
+from repro.workloads.consistency import Consistency
+from repro.workloads.scenario import ScenarioSpec, materialize
+
+SEED = 5
+
+#: Captured before the trust-feedback path was reworked for speed.
+GOLDEN = {
+    "schedule": "7b31b4fb6c1b125d1b15090cb649430ea51f0a66d74be7c5ac7681c1eee95562",
+    "plane": "3a60a43c19fbcd9e760cad4a85c3fb071d572b08902a332a438cc9b43a9ce553",
+    "grid_levels": "896e6f5a31085d7e1f91e69c8f34f080a8a118ef37529ee5232d553476ae8ed4",
+    "internal_items": "074cf5b68197a88add081f0198adeb702e2ab8daa907cab74e5325095eb78624",
+    "checkpoints": "efeee016d34a71cf3fb82d5c853601932c6a7d94bf06652d377bcfde25a41e50",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_trust_service(root: Path) -> dict:
+    """Serve the scaled-down trust-service workload journaled at ``root``."""
+    spec = ScenarioSpec(
+        n_tasks=400,
+        n_machines=8,
+        consistency=Consistency.INCONSISTENT,
+        target_load=1.2,
+        cd_range=(6, 6),
+        rd_range=(6, 6),
+    )
+    scenario = materialize(spec, SEED)
+    grid = scenario.grid
+    n_rd = grid.trust_table.shape[1]
+    means = np.random.default_rng([SEED, 1]).permutation(np.linspace(0.3, 0.95, n_rd))
+    behavior = BehaviorModel(
+        {rd: StationaryBehavior(mean=float(m)) for rd, m in enumerate(means)}
+    )
+    fleet = AgentFleet.for_table(grid.trust_table, gamma_weights=(0.7, 0.3))
+    engine = fleet.cd_agents[0].engine
+    plane = DurableTrustPlane.create(
+        root,
+        fleet.internal_table,
+        engine.reputation.weights,
+        grid_table=grid.trust_table,
+        config=JournalConfig(min_compact_bytes=8192),
+    )
+    by_index = {r.index: r for r in scenario.requests}
+    rng = np.random.default_rng([SEED, 2])
+
+    def observe(record) -> None:
+        request = by_index[record.request_index]
+        rd = int(grid.machine_rd[record.machine_index])
+        cd = request.client_domain_index
+        activity = request.task.activities.activities[0]
+        satisfaction = behavior.sample(rd, record.completion_time, rng)
+        fleet.cd_agents[cd].observe_transaction(rd, activity, satisfaction, record.completion_time)
+        fleet.rd_agents[rd].observe_transaction(cd, activity, satisfaction, record.completion_time)
+
+    scheduler = TRMScheduler(
+        grid, scenario.eec, paper_policies()[0], make_heuristic("min-min"),
+        batch_interval=PAPER_BATCH_INTERVAL, on_complete=observe,
+    )
+    config = ServiceConfig(
+        admission=AdmissionPolicy(
+            queue_capacity=4096, rate=0.97 * scenario.arrival_rate, burst=16.0
+        )
+    )
+    service = GridService(scheduler, config, trust_plane=plane)
+    result = service.serve(scenario.requests, checkpoint_every=2)
+    plane.close()
+    return {
+        "result": result,
+        "plane": plane,
+        "fleet": fleet,
+        "grid": grid,
+    }
+
+
+def _plane_digest(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def _digests(run: dict, root: Path) -> dict[str, str]:
+    result = run["result"]
+    rows = np.array(
+        [
+            (r.request_index, r.machine_index, r.mapped_time, r.completion_time)
+            for r in result.schedule.records
+        ],
+        dtype=[("r", "<i8"), ("m", "<i8"), ("t", "<f8"), ("c", "<f8")],
+    )
+    items = [
+        (z, y, c.name, rec.value.hex(), rec.last_transaction.hex(), rec.transaction_count)
+        for (z, y, c), rec in run["fleet"].internal_table.items()
+    ]
+    payloads = json.dumps(list(result.checkpoint_payloads), sort_keys=True)
+    return {
+        "schedule": _sha(rows.tobytes()),
+        "plane": _plane_digest(root),
+        "grid_levels": _sha(np.ascontiguousarray(run["grid"].trust_table.levels).tobytes()),
+        "internal_items": _sha(repr(items).encode()),
+        "checkpoints": _sha(payloads.replace(str(root), "<root>").encode()),
+    }
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trust-service") / "plane"
+    run = run_trust_service(root)
+    # Hashed before any test touches the payloads.
+    return run, _digests(run, root)
+
+
+def test_run_checkpoints_and_compacts(served):
+    run, _ = served
+    payloads = run["result"].checkpoint_payloads
+    assert len(payloads) >= 2
+    assert run["plane"].generation >= 1, "the plane never compacted"
+    assert run["fleet"].total_published() > 0
+
+
+def test_outputs_match_the_pinned_run(served):
+    _, digests = served
+    assert digests == GOLDEN
+
+
+def test_checkpoint_records_are_not_shared_between_checkpoints(served):
+    run, _ = served
+    first, *_, last = run["result"].checkpoint_payloads
+    assert first["records"] and len(last["records"]) > len(first["records"])
+    before = json.dumps(last["records"], sort_keys=True)
+    key = next(iter(first["records"]))
+    first["records"][key] = None
+    first["records"]["-1"] = {}
+    del first["records"][next(k for k in first["records"] if k != key)]
+    assert json.dumps(last["records"], sort_keys=True) == before
