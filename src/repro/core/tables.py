@@ -40,6 +40,9 @@ _LEVEL_OF_BIN = (*TrustLevel, TrustLevel.F)
 #: What :meth:`TrustTable.opinions` returns for a pair nobody has rated.
 _NO_OPINIONS: Mapping = MappingProxyType({})
 
+#: What :meth:`TrustTable.latest` returns for a pair nobody has rated.
+_NEVER = -math.inf
+
 
 def value_to_level(value: float) -> TrustLevel:
     """Quantise a continuous trust value in ``[0, 1]`` to a discrete level.
@@ -112,11 +115,14 @@ class TrustTable:
     the same insertion order, serves :meth:`opinions` and
     :meth:`recommenders` without scanning every record.  It is keyed by
     the context's name (its identity), whose hash the string caches.
+    Beside it, the newest ``last_transaction`` of each bucket serves
+    :meth:`latest` in O(1).
     """
 
     def __init__(self) -> None:
         self._records: dict[tuple[EntityId, EntityId, TrustContext], TrustRecord] = {}
         self._by_trustee: dict[tuple[EntityId, str], dict[EntityId, TrustRecord]] = {}
+        self._latest: dict[tuple[EntityId, str], float] = {}
         self._epoch = 0
         # Write-ahead journal sink (see repro.core.journal); when set,
         # every record/remove appends a framed delta after applying.
@@ -159,10 +165,16 @@ class TrustTable:
             )
         rec = TrustRecord(value, time, transaction_count)
         self._records[truster, trustee, context] = rec
-        bucket = self._by_trustee.get((trustee, context.name))
+        key = (trustee, context.name)
+        bucket = self._by_trustee.get(key)
         if bucket is None:
-            bucket = self._by_trustee[trustee, context.name] = {}
+            bucket = self._by_trustee[key] = {}
         bucket[truster] = rec
+        if time >= self._latest.get(key, _NEVER):
+            self._latest[key] = time
+        else:
+            # A backdated overwrite may have been the newest opinion.
+            self._latest[key] = max(r.last_transaction for r in bucket.values())
         self._epoch += 1
         if self._journal is not None:
             self._journal.append(
@@ -183,10 +195,14 @@ class TrustTable:
         """Delete an entry; raises :class:`KeyError` if it does not exist."""
         key = (truster, trustee, context)
         del self._records[key]
-        bucket = self._by_trustee[trustee, context.name]
-        del bucket[truster]
+        index = (trustee, context.name)
+        bucket = self._by_trustee[index]
+        rec = bucket.pop(truster)
         if not bucket:
-            del self._by_trustee[trustee, context.name]
+            del self._by_trustee[index]
+            del self._latest[index]
+        elif rec.last_transaction == self._latest[index]:
+            self._latest[index] = max(r.last_transaction for r in bucket.values())
         self._epoch += 1
         if self._journal is not None:
             self._journal.append(
@@ -226,6 +242,11 @@ class TrustTable:
         insertion order — the index bucket itself, to be read, not changed.
         """
         return self._by_trustee.get((trustee, context.name), _NO_OPINIONS)
+
+    def latest(self, trustee: EntityId, context: TrustContext) -> float:
+        """The newest ``last_transaction`` of any opinion about ``trustee``
+        in ``context`` (``-inf`` when nobody rated it); O(1)."""
+        return self._latest.get((trustee, context.name), _NEVER)
 
     def recommenders(
         self, trustee: EntityId, context: TrustContext, *, excluding: EntityId

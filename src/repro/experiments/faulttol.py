@@ -158,7 +158,8 @@ def run_fault_recovery(
             of the attempt (late crashes waste more and deny the "fails
             fast, looks idle" attraction of flaky machines).
         flaky_satisfaction: behaviour score of the flaky domains' completed
-            work (failures additionally score ``failure_satisfaction``).
+            work (failures additionally score
+            :data:`~repro.grid.feedback.FAILURE_SATISFACTION`).
         mtbf: when set, machines additionally go down with this mean time
             between failures (and ``mttr`` mean repair time).
         retry: recovery policy; default allows 3 attempts with backoff.

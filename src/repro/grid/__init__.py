@@ -12,6 +12,7 @@ from repro.grid.behavior import (
     StationaryBehavior,
 )
 from repro.grid.client import Client
+from repro.grid.feedback import TrustFeedback
 from repro.grid.session import GridSession, RoundResult, SessionResult
 from repro.grid.domain import ClientDomain, GridDomain, ResourceDomain
 from repro.grid.machine import Machine, MachineState
@@ -33,6 +34,7 @@ __all__ = [
     "OscillatingBehavior",
     "FlipBehavior",
     "GridSession",
+    "TrustFeedback",
     "RoundResult",
     "SessionResult",
     "Client",

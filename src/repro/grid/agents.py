@@ -27,6 +27,7 @@ from repro.core.levels import MAX_OFFERED_LEVEL, TrustLevel
 from repro.core.recommender import RecommenderWeights
 from repro.core.tables import TrustTable, value_to_level
 from repro.core.update import AlwaysPublish, SignificancePolicy
+from repro.errors import ConfigurationError
 from repro.grid.activities import ActivityType
 from repro.grid.trust_table import GridTrustTable
 
@@ -123,7 +124,9 @@ class DomainTrustAgent:
         Raises:
             ConfigurationError: if the (CD, RD, ToA) cell lies outside the
                 Grid table, ``satisfaction`` lies outside ``[0, 1]``, or
-                ``time`` precedes the pair's last transaction.
+                ``time`` precedes the pair's last transaction (with a Γ
+                engine: any truster's last transaction about the
+                counterpart in this context).
         """
         if self._is_client:
             cd, rd = self.domain_index, counterpart_index
@@ -134,14 +137,24 @@ class DomainTrustAgent:
         published = grid_table.get(cd, rd, k)
         context = activity.context
         trustee = self._counterpart_ids[counterpart_index]
+        engine = self.engine
+        if engine is not None:
+            # Ω refuses a clock older than any opinion it averages; check
+            # that here, before anything is folded or journaled.
+            latest = engine.reputation.table.latest(trustee, context)
+            if time < latest:
+                raise ConfigurationError(
+                    f"time order: time {time!r} < {latest!r}, the newest "
+                    f"opinion about {trustee!r} in context {context.name!r}"
+                )
         record = self.evolver.observe(
             TransactionOutcome(self._entity_id, trustee, context, satisfaction, time)
         )
         if not self.policy.should_publish(record, published):
             return None
-        if self.engine is not None:
+        if engine is not None:
             level = value_to_level(
-                self.engine.gamma(self._entity_id, trustee, context, time)
+                engine.gamma(self._entity_id, trustee, context, time)
             )
         else:
             level = value_to_level(record.value)

@@ -8,8 +8,10 @@ updated trust.  :class:`GridSession` packages that loop:
 * each **round** generates a fresh workload (EEC matrix + Poisson request
   stream) against the session's Grid and schedules it with the configured
   policy and heuristic;
-* every completion is scored against a ground-truth
-  :class:`~repro.grid.behavior.BehaviorModel` and fed to the client-domain
+* every settled attempt goes through the session's
+  :class:`~repro.grid.feedback.TrustFeedback`: a completion is scored
+  against a ground-truth :class:`~repro.grid.behavior.BehaviorModel`, a
+  failure as an unsatisfactory transaction, and fed to the client-domain
   agents (optionally the resource-domain agents score clients too);
 * agents evolve their internal Section-2 records and publish new levels
   into the shared trust-level table under the configured significance
@@ -30,17 +32,17 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.model import FaultModel
-from repro.faults.records import FailureEvent
 from repro.faults.retry import RetryPolicy
-from repro.grid.agents import AgentFleet, AgentSide, domain_entity_id
+from repro.grid.agents import AgentFleet
 from repro.grid.behavior import BehaviorModel
+from repro.grid.feedback import TrustFeedback
 from repro.grid.topology import Grid
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.base import BatchHeuristic
 from repro.scheduling.constraints import TrustConstraint
 from repro.scheduling.policy import TrustPolicy
 from repro.scheduling.registry import make_heuristic
-from repro.scheduling.result import CompletionRecord, ScheduleResult
+from repro.scheduling.result import ScheduleResult
 from repro.scheduling.scheduler import TRMScheduler
 from repro.sim.arrivals import PoissonProcess
 from repro.sim.rng import RngFactory
@@ -167,7 +169,9 @@ class GridSession:
             observation happens for them).
         faults: optional fault model; each round gets a fresh injector off
             the round's random streams, so fault processes are reproducible
-            per (seed, round) and independent of the workload draws.
+            per (seed, round) and independent of the workload draws.  A
+            failed attempt is observed as
+            :data:`~repro.grid.feedback.FAILURE_SATISFACTION`.
         trustfaults: optional trust-plane fault model
             (:mod:`repro.trustfaults`).  Availability faults put one
             persistent :class:`~repro.trustfaults.query.ResilientTrustSource`
@@ -179,17 +183,17 @@ class GridSession:
 CredibilityWeights`, recommenders are scored against every realised
             outcome (completion satisfactions and failures alike).
         retry: recovery policy for failed requests; requires ``faults``.
-        failure_satisfaction: the satisfaction value a failed attempt feeds
-            to the observing agents — by default 0.0, a maximally
-            unsatisfactory transaction, so failures actively erode the
-            offending domain's trust and trust-aware scheduling learns to
-            route around flaky domains.
         metrics: optional :class:`MetricsRegistry` shared by all rounds —
             counts ``session.rounds`` / ``requests`` / ``trust_updates``
-            (published table levels) / ``gamma_evals`` (agent Γ
-            re-evaluations on observed transactions), and is threaded
+            (published table levels) / ``observations`` (agent
+            observations, one or two per settled attempt), and is threaded
             through to each round's scheduler, kernel and injector.
             Disabled by default.
+
+    The Figure-1 feedback loop is :attr:`feedback`, a
+    :class:`~repro.grid.feedback.TrustFeedback` over ``fleet`` drawing
+    satisfactions from the session's ``"behavior"`` stream; make its
+    trust state durable with ``session.feedback.journal(root)``.
     """
 
     grid: Grid
@@ -205,10 +209,10 @@ CredibilityWeights`, recommenders are scored against every realised
     constraint: "TrustConstraint | None" = None
     faults: FaultModel | None = None
     retry: RetryPolicy | None = None
-    failure_satisfaction: float = 0.0
     metrics: MetricsRegistry | None = None
     trustfaults: "TrustFaultModel | None" = None
 
+    feedback: TrustFeedback = field(init=False, repr=False)
     _now: float = field(default=0.0, init=False)
     _round: int = field(default=0, init=False)
 
@@ -217,20 +221,18 @@ CredibilityWeights`, recommenders are scored against every realised
             raise ConfigurationError("arrival_rate must be positive")
         if self.metrics is None:
             self.metrics = MetricsRegistry.disabled()
-        if self.fleet is None:
-            self.fleet = AgentFleet.for_table(self.grid.trust_table)
-        if self.fleet.grid_table is not self.grid.trust_table:
-            raise ConfigurationError(
-                "the agent fleet must maintain this grid's trust table"
-            )
+        self._rng = RngFactory(seed=self.seed)
+        self.feedback = TrustFeedback(
+            self.grid,
+            self.behavior,
+            self._rng.stream("behavior"),
+            fleet=self.fleet,
+            score_clients=self.score_clients,
+            metrics=self.metrics,
+        )
+        self.fleet = self.feedback.fleet
         if self.retry is not None and self.faults is None:
             raise ConfigurationError("a retry policy requires a fault model")
-        if not 0.0 <= self.failure_satisfaction <= 1.0:
-            raise ConfigurationError(
-                "failure_satisfaction must lie in [0, 1]"
-            )
-        self._rng = RngFactory(seed=self.seed)
-        self._behavior_rng = self._rng.stream("behavior")
         probe = make_heuristic(self.heuristic)
         if isinstance(probe, BatchHeuristic) and self.batch_interval is None:
             raise ConfigurationError(
@@ -238,7 +240,6 @@ CredibilityWeights`, recommenders are scored against every realised
             )
         self._trust_source = None
         self._adversaries = None
-        self._score_weights = None
         if self.trustfaults is not None and self.trustfaults.enabled:
             self._wire_trustfaults()
         # Γ-blended fleets report their Γ latency into the session registry.
@@ -299,62 +300,12 @@ CredibilityWeights`, recommenders are scored against every realised
             # against what the transaction actually revealed.  With purging
             # CredibilityWeights this is the countermeasure; with plain
             # RecommenderWeights it is the paper's soft down-weighting.
-            self._score_weights = engine.reputation.weights
+            self.feedback.score_weights = engine.reputation.weights
 
     @property
     def now(self) -> float:
         """The session clock (advances across rounds)."""
         return self._now
-
-    def journal_trust(self, root, *, config=None, metrics=None):
-        """Make the session's trust plane crash-durable under ``root``.
-
-        Provisions a :class:`~repro.core.journal.DurableTrustPlane` over
-        the fleet's shared internal DTT/RTT, the learned recommender
-        weights, and the grid's published TL table: one base snapshot,
-        then a write-ahead journal frame per mutation the rounds produce.
-        Call :meth:`checkpoint_trust` per round (or window) to fsync the
-        delta — O(mutations since last checkpoint), not O(store).  The
-        returned plane is also stored on the session as
-        ``self.trust_plane``.
-
-        A restarted session recovers the plane with
-        :meth:`DurableTrustPlane.recover
-        <repro.core.journal.DurableTrustPlane.recover>` and seeds its
-        fleet by passing the recovered table to
-        :meth:`AgentFleet.for_table <repro.grid.agents.AgentFleet.for_table>`
-        via ``internal_table=``.
-        """
-        from repro.core.journal import DurableTrustPlane
-
-        assert self.fleet is not None
-        engine = self.fleet.cd_agents[0].engine if self.fleet.cd_agents else None
-        weights = engine.reputation.weights if engine is not None else None
-        self.trust_plane = DurableTrustPlane.create(
-            root,
-            self.fleet.internal_table,
-            weights,
-            grid_table=self.grid.trust_table,
-            config=config,
-            metrics=metrics,
-        )
-        return self.trust_plane
-
-    def checkpoint_trust(self):
-        """Delta-checkpoint the plane provisioned by :meth:`journal_trust`.
-
-        Returns the descriptor dict (root / generation / durable offset /
-        base digest); raises :class:`~repro.errors.ServiceError` when no
-        plane is attached.
-        """
-        from repro.errors import ServiceError
-
-        plane = getattr(self, "trust_plane", None)
-        if plane is None:
-            raise ServiceError(
-                "no durable trust plane attached; call journal_trust first"
-            )
-        return plane.checkpoint()
 
     def run_round(self, n_requests: int) -> RoundResult:
         """Generate, schedule and score one round of ``n_requests``.
@@ -381,12 +332,11 @@ CredibilityWeights`, recommenders are scored against every realised
             self.batch_interval if isinstance(heuristic, BatchHeuristic) else None
         )
         injector = None
-        on_failure = None
         if self.faults is not None and self.faults.enabled:
             injector = self.faults.injector(
                 round_rng.child("faults"), start=self._now
             )
-            on_failure = self._score_failure(requests)
+        feedback = self.feedback.bind(requests)
         injected = 0
         if self._adversaries is not None:
             injected = self._adversaries.inject(self._now, self._round)
@@ -398,11 +348,11 @@ CredibilityWeights`, recommenders are scored against every realised
             self.policy,
             heuristic,
             batch_interval=interval,
-            on_complete=self._score_completion(requests),
+            on_complete=feedback,
             constraint=self.constraint,
             faults=injector,
             retry=self.retry if injector is not None else None,
-            on_failure=on_failure,
+            on_failure=feedback.failure if injector is not None else None,
             metrics=self.metrics,
             trust_source=self._trust_source,
         )
@@ -438,75 +388,3 @@ CredibilityWeights`, recommenders are scored against every realised
         return SessionResult(
             rounds=tuple(self.run_round(requests_per_round) for _ in range(rounds))
         )
-
-    # -- internal -----------------------------------------------------------
-
-    def _score_completion(self, requests):
-        by_index = {r.index: r for r in requests}
-
-        def hook(record: CompletionRecord) -> None:
-            request = by_index[record.request_index]
-            rd_index = int(self.grid.machine_rd[record.machine_index])
-            cd_index = request.client_domain_index
-            # Score one representative activity of the request's ToA set;
-            # the trust context is per-activity.
-            activity = request.task.activities.activities[0]
-            satisfaction = self.behavior.sample(
-                rd_index, record.completion_time, self._behavior_rng
-            )
-            self._score_recommenders(cd_index, rd_index, activity, satisfaction)
-            self.fleet.cd_agents[cd_index].observe_transaction(
-                rd_index, activity, satisfaction, record.completion_time
-            )
-            if self.metrics.enabled:  # type: ignore[union-attr]
-                self.metrics.counter("session.gamma_evals").add(
-                    2 if self.score_clients else 1
-                )
-            if self.score_clients:
-                self.fleet.rd_agents[rd_index].observe_transaction(
-                    cd_index, activity, satisfaction, record.completion_time
-                )
-
-        return hook
-
-    def _score_failure(self, requests):
-        by_index = {r.index: r for r in requests}
-
-        def hook(failure: FailureEvent) -> None:
-            request = by_index[failure.request_index]
-            rd_index = int(self.grid.machine_rd[failure.machine_index])
-            cd_index = request.client_domain_index
-            activity = request.task.activities.activities[0]
-            # A failed attempt is observed as a (strongly) unsatisfactory
-            # transaction — no behaviour sampling, the outcome is a fact.
-            self._score_recommenders(
-                cd_index, rd_index, activity, self.failure_satisfaction
-            )
-            self.fleet.cd_agents[cd_index].observe_transaction(
-                rd_index, activity, self.failure_satisfaction,
-                failure.failure_time,
-            )
-            if self.metrics.enabled:  # type: ignore[union-attr]
-                self.metrics.counter("session.gamma_evals").add()
-
-        return hook
-
-    def _score_recommenders(
-        self, cd_index: int, rd_index: int, activity, actual: float
-    ) -> None:
-        """Score every opinion about the observed RD against the outcome.
-
-        Each recommender that currently claims something about the resource
-        domain (in this transaction's context) is judged by how far its
-        claim sits from what the transaction revealed — the "learned based
-        on actual outcomes" loop, which is what eventually purges
-        adversarial recommenders.
-        """
-        if self._score_weights is None:
-            return
-        trustee = domain_entity_id(AgentSide.RESOURCE_DOMAIN, rd_index)
-        observer = domain_entity_id(AgentSide.CLIENT_DOMAIN, cd_index)
-        for rec_id, rec in self.fleet.internal_table.recommenders(
-            trustee, activity.context, excluding=observer
-        ):
-            self._score_weights.observe_outcome(rec_id, rec.value, actual)

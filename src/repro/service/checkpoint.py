@@ -8,7 +8,9 @@ records, rejections, drops, failure history), machine bookkeeping, the
 pending queue, in-flight recovery events (scheduled failure notifications
 and retry re-dispatches), cost-provider exclusions, admission/backpressure/
 watchdog state, the service counters, and — when a resilient trust plane is
-attached — its query clock, circuit-breaker state and RNG state.
+attached — its query clock, circuit-breaker state and RNG state, and —
+when the completion hook is a :class:`~repro.grid.feedback.TrustFeedback`
+— its satisfaction RNG state and per-agent publish counts.
 
 The payload is produced by :meth:`GridService.checkpoint
 <repro.service.service.GridService.checkpoint>` and consumed by
@@ -23,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import NoneType, UnionType
 from typing import Any
 
 from repro.errors import CheckpointError
@@ -121,24 +124,60 @@ _PAYLOAD = {
     ),
 }
 
+#: Specs of the optional top-level sections, checked when present and not
+#: ``None``: the resilient trust source's state and the trust feedback
+#: loop's state.
+_OPTIONAL = {
+    "trust_plane": _Obj(
+        "trust-plane state",
+        {
+            "now": float,
+            "breaker": _Obj(
+                "circuit-breaker state",
+                {
+                    "state": frozenset({"closed", "open", "half-open"}),
+                    "failures": int,
+                    "probes_ok": int,
+                    "opened_at": float | None,
+                    "transitions": int,
+                },
+            ),
+            "rng": dict,
+        },
+    ),
+    "feedback": _Obj("feedback state", {"rng": dict, "published": [int]}),
+}
+
+
 def _conform(value: Any, spec: Any, where: str) -> None:
     """Refuse ``value`` unless it conforms to ``spec``, naming ``where``.
 
     A spec is a type (``float`` admits integers but neither NaN nor
-    infinity, and booleans are never numbers), ``[item]`` for a list,
-    ``(first, second)`` for a pair, ``{key kind: item}`` for an object
-    keyed by request index (``_INDEX``) or by any string (``str``), or an
-    :class:`_Obj` with exact fields.
+    infinity, and booleans are never numbers), ``spec | None`` for a
+    nullable value, a frozenset of the admitted strings, ``[item]`` for a
+    list, ``(first, second)`` for a pair, ``{key kind: item}`` for an
+    object keyed by request index (``_INDEX``) or by any string (``str``),
+    or an :class:`_Obj` with exact fields.
     """
     if isinstance(spec, _Obj):
         _conform(value, dict, where)
         bad = spec.fields.keys() ^ value.keys()
         if bad:
             raise CheckpointError(
-                f"malformed {spec.what} in checkpoint (keys off by {sorted(bad)})"
+                f"malformed {spec.what} in checkpoint {where} "
+                f"(keys off by {sorted(bad)})"
             )
         for key, field in spec.fields.items():
             _conform(value[key], field, f"{where}.{key}")
+    elif isinstance(spec, UnionType):
+        if value is not None:
+            (inner,) = set(spec.__args__) - {NoneType}
+            _conform(value, inner, where)
+    elif isinstance(spec, frozenset):
+        if not isinstance(value, str) or value not in spec:
+            raise CheckpointError(
+                f"checkpoint {where} must be one of {sorted(spec)}, got {value!r}"
+            )
     elif isinstance(spec, dict):
         ((keys, item),) = spec.items()
         _conform(value, dict, where)
@@ -207,11 +246,6 @@ def _check_trust_journal_sidecar(sidecar: Any) -> None:
             )
 
 
-#: Optional top-level keys: the resilient trust source's state and the
-#: durable trust plane's sidecar.  Any other key is refused.
-_OPTIONAL_KEYS = frozenset({"trust_plane", "trust_journal"})
-
-
 def validate_checkpoint(payload: Any) -> dict:
     """Structurally validate a checkpoint payload.
 
@@ -235,7 +269,7 @@ def validate_checkpoint(payload: Any) -> dict:
         raise CheckpointError(
             f"checkpoint is missing keys: {sorted(missing)}"
         )
-    unknown = payload.keys() - _PAYLOAD.keys() - _OPTIONAL_KEYS
+    unknown = payload.keys() - _PAYLOAD.keys() - _OPTIONAL.keys() - {"trust_journal"}
     if unknown:
         raise CheckpointError(
             f"checkpoint carries unknown keys: {sorted(unknown)}"
@@ -248,6 +282,9 @@ def validate_checkpoint(payload: Any) -> dict:
         raise CheckpointError(
             "checkpoint next_window precedes its clock"
         )
+    for key, spec in _OPTIONAL.items():
+        if payload.get(key) is not None:
+            _conform(payload[key], spec, key)
     if payload.get("trust_journal") is not None:
         _check_trust_journal_sidecar(payload["trust_journal"])
     return payload

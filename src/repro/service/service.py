@@ -48,6 +48,7 @@ from repro.errors import (
     ServiceStalled,
 )
 from repro.faults.records import FailureEvent, FailureKind
+from repro.grid.feedback import TrustFeedback
 from repro.grid.request import Request
 from repro.scheduling.engine import SchedulingEngine
 from repro.scheduling.result import CompletionRecord, ScheduleResult
@@ -310,7 +311,9 @@ class GridService:
         window interval, machine count, trust table epoch) — mismatches
         raise :class:`~repro.errors.CheckpointError`.  Settled accounting
         resumes exactly where the checkpoint left it: nothing settles
-        twice, nothing is lost.
+        twice, nothing is lost.  A ``feedback`` section is restored into a
+        :class:`~repro.grid.feedback.TrustFeedback` ``on_complete`` hook,
+        and either without the other is refused.
         """
         payload = validate_checkpoint(checkpoint)
         sched = self.scheduler
@@ -356,6 +359,21 @@ class GridService:
                 "the resumed service has a durable trust plane but the "
                 "checkpoint carries no trust-journal sidecar; resuming "
                 "would journal onto unpinned state"
+            )
+        feedback = (
+            sched.on_complete
+            if isinstance(sched.on_complete, TrustFeedback)
+            else None
+        )
+        if payload.get("feedback") is not None and feedback is None:
+            raise CheckpointError(
+                "checkpoint carries feedback state but the resumed "
+                "service's on_complete hook is no TrustFeedback"
+            )
+        if payload.get("feedback") is None and feedback is not None:
+            raise CheckpointError(
+                "the resumed service's on_complete hook is a TrustFeedback "
+                "but the checkpoint carries no feedback state"
             )
 
         engine, sim = self._begin(
@@ -408,6 +426,13 @@ class GridService:
             for m in machines:
                 sched.costs.exclude(int(idx), int(m))
         self._restore_trust_plane(payload)
+        if feedback is not None:
+            try:
+                feedback.restore(_unjsonify_rng_state(payload["feedback"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CheckpointError(
+                    f"checkpoint feedback state cannot be restored: {exc}"
+                ) from exc
 
         # Arrivals not yet ingested resume their schedule; everything at or
         # before the checkpoint clock already fired (ARRIVAL outranks the
@@ -505,7 +530,10 @@ class GridService:
         read-only while the run goes on.  Only deterministic trust-fault
         configurations can be checkpointed: a trust source with a *random*
         outage process (``outage_mtbf``) materialises its timeline lazily
-        and cannot be restored faithfully.
+        and cannot be restored faithfully.  When the scheduler's
+        ``on_complete`` hook is a :class:`~repro.grid.feedback.TrustFeedback`,
+        its :meth:`~repro.grid.feedback.TrustFeedback.state_dict` rides
+        along as the ``feedback`` section.
         """
         engine, sim = self._running()
         ts = self.scheduler.trust_source
@@ -581,19 +609,15 @@ class GridService:
             },
         }
         if ts is not None:
-            breaker = ts.breaker
-            opened_at = breaker._opened_at
             payload["trust_plane"] = {
                 "now": ts.now,
-                "breaker": {
-                    "state": breaker._state.value,
-                    "failures": breaker._failures,
-                    "probes_ok": breaker._probes_ok,
-                    "opened_at": None if np.isneginf(opened_at) else opened_at,
-                    "transitions": breaker._transitions,
-                },
+                "breaker": ts.breaker.state_dict(),
                 "rng": _jsonify_rng_state(ts._rng.bit_generator.state),
             }
+        if isinstance(self.scheduler.on_complete, TrustFeedback):
+            payload["feedback"] = _jsonify_rng_state(
+                self.scheduler.on_complete.state_dict()
+            )
         if self.trust_plane is not None:
             # Delta-checkpoint the durable trust plane: fsync only the
             # journal tail (O(changes)), pin the durable offset.
@@ -615,17 +639,14 @@ class GridService:
                 "checkpoint carries trust-plane state but the resumed "
                 "service has no trust source"
             )
+        try:
+            ts._rng.bit_generator.state = _unjsonify_rng_state(plane["rng"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint trust_plane.rng cannot be restored: {exc}"
+            ) from exc
         ts.now = float(plane["now"])
-        b = plane["breaker"]
-        breaker = ts.breaker
-        breaker._state = _breaker_state(b["state"])
-        breaker._failures = int(b["failures"])
-        breaker._probes_ok = int(b["probes_ok"])
-        breaker._opened_at = (
-            -np.inf if b["opened_at"] is None else float(b["opened_at"])
-        )
-        breaker._transitions = int(b["transitions"])
-        ts._rng.bit_generator.state = _unjsonify_rng_state(plane["rng"])
+        ts.breaker.restore(plane["breaker"])
 
     # -- event handlers ------------------------------------------------------
 
@@ -871,12 +892,6 @@ def _failure_from(d: dict) -> FailureEvent:
         wasted_work=float(d["wasted_work"]),
         kind=FailureKind(d["kind"]),
     )
-
-
-def _breaker_state(value: str):
-    from repro.trustfaults.breaker import BreakerState
-
-    return BreakerState(value)
 
 
 def _jsonify_rng_state(state: Any) -> Any:

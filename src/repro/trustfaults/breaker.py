@@ -97,6 +97,28 @@ class CircuitBreaker:
         """Total state transitions so far."""
         return self._transitions
 
+    # -- checkpoint ----------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """The breaker's restorable state (``opened_at`` is ``None`` until
+        it first opens)."""
+        return {
+            "state": self._state.value,
+            "failures": self._failures,
+            "probes_ok": self._probes_ok,
+            "opened_at": None if self._opened_at == -np.inf else self._opened_at,
+            "transitions": self._transitions,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Restore state captured by :meth:`state_dict`."""
+        self._state = BreakerState(state["state"])
+        self._failures = int(state["failures"])
+        self._probes_ok = int(state["probes_ok"])
+        opened_at = state["opened_at"]
+        self._opened_at = -np.inf if opened_at is None else float(opened_at)
+        self._transitions = int(state["transitions"])
+
     # -- outcomes ------------------------------------------------------------
 
     def record_success(self, now: float) -> None:

@@ -158,33 +158,44 @@ class TestRefusedObservations:
         )
 
     @pytest.mark.parametrize(
-        "side,counterpart,satisfaction,time,match",
+        "side,agent,counterpart,satisfaction,time,match",
         [
-            ("cd", 5, 0.9, 1.0, "resource-domain index 5"),
-            ("cd", -1, 0.9, 1.0, "resource-domain index -1"),
-            ("rd", 2, 0.9, 1.0, "client-domain index 2"),
-            ("rd", -1, 0.9, 1.0, "client-domain index -1"),
-            ("cd", 1, 1.5, 2.0, "satisfaction must lie in \\[0, 1\\], got 1.5"),
-            ("cd", 1, float("nan"), 2.0, "satisfaction .* got nan"),
-            ("cd", 1, 0.9, 0.5, "time order: time 0.5 < 1.0"),
-            ("cd", 1, 0.9, float("inf"), "last_transaction must be finite, got inf"),
+            ("cd", 0, 5, 0.9, 1.0, "resource-domain index 5"),
+            ("cd", 0, -1, 0.9, 1.0, "resource-domain index -1"),
+            ("rd", 0, 2, 0.9, 1.0, "client-domain index 2"),
+            ("rd", 0, -1, 0.9, 1.0, "client-domain index -1"),
+            ("cd", 0, 1, 1.5, 2.0, "satisfaction must lie in \\[0, 1\\], got 1.5"),
+            ("cd", 0, 1, float("nan"), 2.0, "satisfaction .* got nan"),
+            ("cd", 0, 1, 0.9, 0.5, "time order: time 0.5 < 1.0"),
+            ("cd", 0, 1, 0.9, float("inf"), "last_transaction must be finite, got inf"),
+            # cd:0 rated rd:1 at 1.0; Ω cannot average that opinion at 0.5.
+            ("cd", 1, 1, 0.2, 0.5, "time order: time 0.5 < 1.0, .* about 'rd:1'"),
         ],
         ids=[
             "rd-past-axis", "rd-negative", "cd-past-axis", "cd-negative",
             "satisfaction-above-one", "satisfaction-nan", "time-backwards",
-            "time-infinite",
+            "time-infinite", "time-before-another-truster",
         ],
     )
     def test_refusal_leaves_no_trace(
-        self, journaled, catalog, side, counterpart, satisfaction, time, match
+        self, journaled, catalog, side, agent, counterpart, satisfaction, time, match
     ):
         fleet, plane = journaled
         agents = fleet.cd_agents if side == "cd" else fleet.rd_agents
         act = catalog.by_index(0)
         before = self.state(fleet, plane)
         with pytest.raises(ConfigurationError, match=match):
-            agents[0].observe_transaction(counterpart, act, satisfaction, time)
+            agents[agent].observe_transaction(counterpart, act, satisfaction, time)
         assert self.state(fleet, plane) == before
+
+    def test_direct_only_fleet_orders_time_per_pair_only(self, grid_table, catalog):
+        # Without a Γ engine nobody averages other trusters' opinions, so
+        # an observation older than another truster's is accepted.
+        fleet = AgentFleet.for_table(grid_table)
+        act = catalog.by_index(0)
+        fleet.cd_agents[0].observe_transaction(0, act, 0.9, 5.0)
+        fleet.cd_agents[1].observe_transaction(0, act, 0.2, 1.0)
+        assert len(fleet.internal_table) == 2
 
     def test_accepted_observation_after_refusals_journals_one_record(
         self, journaled, catalog

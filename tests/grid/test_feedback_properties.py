@@ -10,19 +10,19 @@ raise ``ConfigurationError`` and leave the live state and the journal
 buffer as they were; every accepted one must survive
 ``DurableTrustPlane.recover`` exactly.
 
-Observation times follow one fleet-wide clock that never runs backwards,
-as the simulator delivers completions; a stale observation is dated
-before its own pair's last transaction.  (A Γ agent handed an
-observation older than *another* truster's opinion about the same
-trustee folds it and only then has Ω refuse the clock with a plain
-``ValueError``; that case is outside this property.)
+Observation times follow either one fleet-wide clock that never runs
+backwards, as the simulator delivers completions, or one random clock per
+(truster, trustee, context) pair, so an observation can be older than
+*another* truster's opinion about the same trustee, which Ω cannot
+average and a Γ agent refuses; a stale observation is dated before its
+own pair's last transaction.
 """
 
 from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.journal import DurableTrustPlane, JournalConfig
@@ -50,6 +50,22 @@ observations = st.lists(
     max_size=40,
 )
 
+#: The same shape with every observation on the grid and well-formed, so
+#: a stream is dense in clock refusals.
+on_grid = st.lists(
+    st.tuples(
+        st.sampled_from(["cd", "rd"]),
+        st.integers(0, max(N_CD, N_RD) - 1),
+        st.integers(0, min(N_CD, N_RD) - 1),
+        st.integers(0, N_ACT - 1),
+        st.floats(0.0, 1.0),
+        st.integers(0, 3),
+        st.booleans(),
+        st.booleans(),
+    ),
+    max_size=40,
+)
+
 
 def _state(fleet, plane):
     grid = fleet.grid_table
@@ -70,17 +86,27 @@ def _pair_ids(side, agent, counterpart):
     return f"rd:{agent}", f"cd:{counterpart}"
 
 
-def _refused(prior, side, counterpart, satisfaction, time):
+def _refused(opinions, side, counterpart, satisfaction, time):
     n_other = N_RD if side == "cd" else N_CD
     if not 0 <= counterpart < n_other or not 0.0 <= satisfaction <= 1.0:
         return True
-    return prior is not None and time < prior.last_transaction
+    # Every agent is Γ-blended: no opinion about the trustee in this
+    # context, its own included, may be newer than the observation.
+    return any(time < rec.last_transaction for rec in opinions.values())
 
 
-@settings(max_examples=40, deadline=None)
-@given(stream=observations)
+@settings(max_examples=80, deadline=None)
+@given(stream=st.one_of(observations, on_grid), shared_clock=st.booleans())
+# cd:1's clock lags cd:0's: its observation of rd:0 predates cd:0's opinion.
+@example(
+    stream=[
+        ("cd", 0, 0, 0, 0.9, 3, False, False),
+        ("cd", 1, 0, 0, 0.2, 1, False, False),
+    ],
+    shared_clock=False,
+)
 def test_live_state_equals_recovered_and_refusals_leave_no_trace(
-    stream, tmp_path_factory
+    stream, shared_clock, tmp_path_factory
 ):
     grid = GridTrustTable(N_CD, N_RD, N_ACT, initial_level="C")
     catalog = ActivityCatalog.default(N_ACT)
@@ -91,20 +117,20 @@ def test_live_state_equals_recovered_and_refusals_leave_no_trace(
         root, fleet.internal_table, weights, grid_table=grid,
         config=JournalConfig(min_compact_bytes=256),
     )
-    clock = 0.0
+    clocks: dict = {}
     try:
         for side, agent, counterpart, k, satisfaction, tick, stale, checkpoint in stream:
             agents = fleet.cd_agents if side == "cd" else fleet.rd_agents
             agent %= len(agents)
             activity = catalog.by_index(k)
-            clock += tick
-            time = clock
-            prior = fleet.internal_table.get(
-                *_pair_ids(side, agent, counterpart), activity.context
-            )
+            truster, trustee = _pair_ids(side, agent, counterpart)
+            clock = None if shared_clock else (truster, trustee, k)
+            time = clocks[clock] = clocks.get(clock, 0.0) + tick
+            prior = fleet.internal_table.get(truster, trustee, activity.context)
             if stale and prior is not None:
                 time = prior.last_transaction - 1.0
-            expect_refusal = _refused(prior, side, counterpart, satisfaction, time)
+            opinions = fleet.internal_table.opinions(trustee, activity.context)
+            expect_refusal = _refused(opinions, side, counterpart, satisfaction, time)
             before = _state(fleet, plane)
             try:
                 agents[agent].observe_transaction(counterpart, activity, satisfaction, time)

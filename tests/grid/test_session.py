@@ -178,6 +178,21 @@ class TestTrustKernelInstrumentation:
         # evaluation lands in the Γ latency histogram.
         assert metrics.histogram("trust.gamma_latency_s").count > 0
 
+    @pytest.mark.parametrize("score_clients", [False, True])
+    def test_observations_are_counted_per_agent_observation(self, score_clients):
+        from repro.obs.metrics import MetricsRegistry
+
+        metrics = MetricsRegistry(enabled=True)
+        session = make_session(metrics=metrics, score_clients=score_clients)
+        result = session.run(rounds=2, requests_per_round=8)
+        completions = sum(len(r.schedule.records) for r in result.rounds)
+        per_completion = 2 if score_clients else 1
+        # A direct-only fleet never evaluates Γ, but every agent
+        # observation counts.
+        assert metrics.counter("session.observations").value == per_completion * completions
+        assert "session.gamma_evals" not in metrics.snapshot()
+        assert metrics.histogram("trust.gamma_latency_s").count == 0
+
     def test_disabled_metrics_stay_silent(self):
         grid = make_grid()
         fleet = AgentFleet.for_table(grid.trust_table, gamma_weights=(0.7, 0.3))
@@ -194,11 +209,11 @@ class TestTrustSnapshot:
         from repro.core.journal import DurableTrustPlane
 
         session.run_round(30)
-        session.journal_trust(root)
+        plane = session.feedback.journal(root)
         session.run_round(30)
-        pin = session.checkpoint_trust()
+        pin = plane.checkpoint()
         assert pin["offset"] > 0, "the journal should carry the second round"
-        session.trust_plane.close()
+        plane.close()
         return DurableTrustPlane.recover(root)
 
     def test_snapshot_and_reseed_resumes_with_knowledge(self, tmp_path):

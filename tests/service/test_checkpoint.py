@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from repro.faults.model import (
     TaskFailureModel,
 )
 from repro.faults.retry import RetryPolicy
+from repro.grid.behavior import BehaviorModel
+from repro.grid.feedback import TrustFeedback
 from repro.scheduling import TRMScheduler, make_heuristic
 from repro.service import GridService
 from repro.service.checkpoint import (
@@ -165,6 +168,108 @@ def kill(scenario, window, **kwargs):
     return exc.value.checkpoint
 
 
+def fresh_scenario():
+    """A scenario of its own: a feedback run evolves the grid's trust."""
+    return materialize(ScenarioSpec(n_tasks=40, n_machines=4, target_load=3.0), seed=9)
+
+
+def feedback_for(scenario):
+    return TrustFeedback(
+        scenario.grid, BehaviorModel.uniform(0.3), np.random.default_rng(4)
+    ).bind(scenario.requests)
+
+
+class TestMalformedSections:
+    """The optional ``trust_plane`` and ``feedback`` sections are refused
+    by key, by validation and by resume alike."""
+
+    @pytest.mark.parametrize(
+        "mutate,match",
+        [
+            (lambda p: p.update(trust_plane={}), r"trust_plane \(keys off by \['breaker', 'now', 'rng'\]\)"),
+            (lambda p: p.update(trust_plane={"now": "x"}), r"trust_plane \(keys off by \['breaker', 'rng'\]\)"),
+            (lambda p: p["trust_plane"].update(now="x"), "checkpoint trust_plane.now must be"),
+            (lambda p: p.update(trust_plane=[]), "checkpoint trust_plane must be"),
+            (
+                lambda p: p["trust_plane"]["breaker"].update(state="ajar"),
+                r"checkpoint trust_plane.breaker.state must be one of",
+            ),
+            (
+                lambda p: p["trust_plane"]["breaker"].update(state=[]),
+                r"checkpoint trust_plane.breaker.state must be one of",
+            ),
+            (
+                lambda p: p["trust_plane"]["breaker"].update(opened_at="x"),
+                "checkpoint trust_plane.breaker.opened_at must be",
+            ),
+            (lambda p: p["trust_plane"].update(rng=7), "checkpoint trust_plane.rng must be"),
+        ],
+        ids=[
+            "empty", "only-string-now", "string-now", "list",
+            "unknown-breaker-state", "list-breaker-state", "string-opened-at",
+            "int-rng",
+        ],
+    )
+    def test_trust_plane_section(self, medium_scenario, mutate, match):
+        payload = kill(medium_scenario, 2, blackout=True)
+        mutate(payload)
+        with pytest.raises(CheckpointError, match=match):
+            validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=match):
+            build_service(medium_scenario, blackout=True).resume(
+                payload, medium_scenario.requests
+            )
+
+    def test_trust_plane_rng_state_is_refused_on_resume(self, medium_scenario):
+        payload = kill(medium_scenario, 2, blackout=True)
+        payload["trust_plane"]["rng"] = {"bit_generator": "PCG64"}
+        validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match="trust_plane.rng"):
+            build_service(medium_scenario, blackout=True).resume(
+                payload, medium_scenario.requests
+            )
+
+    @pytest.mark.parametrize(
+        "mutate,match",
+        [
+            (lambda p: p.update(feedback={}), r"feedback \(keys off by \['published', 'rng'\]\)"),
+            (lambda p: p.update(feedback=[]), "checkpoint feedback must be"),
+            (lambda p: p["feedback"].update(published=["1"]), r"checkpoint feedback.published\[0\] must be"),
+            (lambda p: p["feedback"].update(rng=None), "checkpoint feedback.rng must be"),
+        ],
+        ids=["empty", "list", "string-count", "null-rng"],
+    )
+    def test_feedback_section(self, mutate, match):
+        scenario = fresh_scenario()
+        payload = kill(scenario, 2, on_complete=feedback_for(scenario))
+        mutate(payload)
+        with pytest.raises(CheckpointError, match=match):
+            validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=match):
+            build_service(scenario, on_complete=feedback_for(scenario)).resume(
+                payload, scenario.requests
+            )
+
+    @pytest.mark.parametrize(
+        "mutate,match",
+        [
+            (lambda s: s.update(published=s["published"][1:]), "publish counts"),
+            (lambda s: s["published"].__setitem__(0, -1), "publish counts"),
+            (lambda s: s.update(rng={"bit_generator": "PCG64"}), "feedback state"),
+        ],
+        ids=["one-count-short", "negative-count", "partial-rng"],
+    )
+    def test_feedback_state_is_refused_on_resume(self, mutate, match):
+        scenario = fresh_scenario()
+        payload = kill(scenario, 2, on_complete=feedback_for(scenario))
+        mutate(payload["feedback"])
+        validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=match):
+            build_service(scenario, on_complete=feedback_for(scenario)).resume(
+                payload, scenario.requests
+            )
+
+
 class TestFileRoundTrip:
     def test_save_load(self, tmp_path, medium_scenario):
         payload = kill(medium_scenario, 1)
@@ -268,6 +373,20 @@ class TestResumeGuards:
             build_service(medium_scenario, blackout=True).resume(
                 payload, medium_scenario.requests
             )
+
+    def test_feedback_section_without_feedback_hook(self):
+        scenario = fresh_scenario()
+        payload = kill(scenario, 2, on_complete=feedback_for(scenario))
+        assert "feedback" in payload
+        with pytest.raises(CheckpointError, match="carries feedback state"):
+            build_service(scenario).resume(payload, scenario.requests)
+
+    def test_feedback_hook_without_feedback_section(self, medium_scenario):
+        payload = kill(medium_scenario, 2)
+        with pytest.raises(CheckpointError, match="no feedback state"):
+            build_service(
+                medium_scenario, on_complete=feedback_for(medium_scenario)
+            ).resume(payload, medium_scenario.requests)
 
     def test_random_outage_process_is_not_checkpointable(
         self, medium_scenario

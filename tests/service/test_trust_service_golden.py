@@ -7,7 +7,11 @@ and a checkpoint every two windows with a compaction threshold low
 enough that the plane compacts during the run.  The hashes pin what the
 trust feedback path must leave unchanged when it is reworked for speed:
 the schedule, the plane directory's bytes, the Grid levels, the
-internal table's items and the checkpoint payloads.
+internal table's items and the checkpoint payloads.  The run is served
+twice: through a hand-written ``observe`` closure, the reference, and
+through :class:`~repro.grid.feedback.TrustFeedback`, which must leave the
+same bytes (its checkpoints add a ``feedback`` section, removed before
+hashing).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.core.journal import DurableTrustPlane, JournalConfig
 from repro.experiments.config import PAPER_BATCH_INTERVAL, paper_policies
 from repro.grid.agents import AgentFleet
 from repro.grid.behavior import BehaviorModel, StationaryBehavior
+from repro.grid.feedback import TrustFeedback
 from repro.scheduling import TRMScheduler, make_heuristic
 from repro.service import AdmissionPolicy, GridService, ServiceConfig
 from repro.workloads.consistency import Consistency
@@ -44,8 +49,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_trust_service(root: Path) -> dict:
-    """Serve the scaled-down trust-service workload journaled at ``root``."""
+def trust_service_scenario():
+    """The seeded scenario and resource-domain behaviour of the run."""
     spec = ScenarioSpec(
         n_tasks=400,
         n_machines=8,
@@ -55,43 +60,63 @@ def run_trust_service(root: Path) -> dict:
         rd_range=(6, 6),
     )
     scenario = materialize(spec, SEED)
-    grid = scenario.grid
-    n_rd = grid.trust_table.shape[1]
+    n_rd = scenario.grid.trust_table.shape[1]
     means = np.random.default_rng([SEED, 1]).permutation(np.linspace(0.3, 0.95, n_rd))
     behavior = BehaviorModel(
         {rd: StationaryBehavior(mean=float(m)) for rd, m in enumerate(means)}
     )
-    fleet = AgentFleet.for_table(grid.trust_table, gamma_weights=(0.7, 0.3))
-    engine = fleet.cd_agents[0].engine
-    plane = DurableTrustPlane.create(
-        root,
-        fleet.internal_table,
-        engine.reputation.weights,
-        grid_table=grid.trust_table,
-        config=JournalConfig(min_compact_bytes=8192),
-    )
-    by_index = {r.index: r for r in scenario.requests}
-    rng = np.random.default_rng([SEED, 2])
+    return scenario, behavior
 
-    def observe(record) -> None:
-        request = by_index[record.request_index]
-        rd = int(grid.machine_rd[record.machine_index])
-        cd = request.client_domain_index
-        activity = request.task.activities.activities[0]
-        satisfaction = behavior.sample(rd, record.completion_time, rng)
-        fleet.cd_agents[cd].observe_transaction(rd, activity, satisfaction, record.completion_time)
-        fleet.rd_agents[rd].observe_transaction(cd, activity, satisfaction, record.completion_time)
 
+def trust_service(scenario, on_complete, plane) -> GridService:
+    """A token-bucket Min-min service over ``scenario`` journaling ``plane``."""
     scheduler = TRMScheduler(
-        grid, scenario.eec, paper_policies()[0], make_heuristic("min-min"),
-        batch_interval=PAPER_BATCH_INTERVAL, on_complete=observe,
+        scenario.grid, scenario.eec, paper_policies()[0], make_heuristic("min-min"),
+        batch_interval=PAPER_BATCH_INTERVAL, on_complete=on_complete,
     )
     config = ServiceConfig(
         admission=AdmissionPolicy(
             queue_capacity=4096, rate=0.97 * scenario.arrival_rate, burst=16.0
         )
     )
-    service = GridService(scheduler, config, trust_plane=plane)
+    return GridService(scheduler, config, trust_plane=plane)
+
+
+#: The compaction threshold that makes the plane compact during the run.
+JOURNAL = JournalConfig(min_compact_bytes=8192)
+
+
+def run_trust_service(root: Path, *, via_feedback: bool = False) -> dict:
+    """Serve the scaled-down trust-service workload journaled at ``root``."""
+    scenario, behavior = trust_service_scenario()
+    grid = scenario.grid
+    fleet = AgentFleet.for_table(grid.trust_table, gamma_weights=(0.7, 0.3))
+    rng = np.random.default_rng([SEED, 2])
+    if via_feedback:
+        observe = TrustFeedback(
+            grid, behavior, rng, fleet=fleet, score_clients=True
+        ).bind(scenario.requests)
+        plane = observe.journal(root, config=JOURNAL)
+    else:
+        plane = DurableTrustPlane.create(
+            root,
+            fleet.internal_table,
+            fleet.cd_agents[0].engine.reputation.weights,
+            grid_table=grid.trust_table,
+            config=JOURNAL,
+        )
+        by_index = {r.index: r for r in scenario.requests}
+
+        def observe(record) -> None:
+            request = by_index[record.request_index]
+            rd = int(grid.machine_rd[record.machine_index])
+            cd = request.client_domain_index
+            activity = request.task.activities.activities[0]
+            satisfaction = behavior.sample(rd, record.completion_time, rng)
+            fleet.cd_agents[cd].observe_transaction(rd, activity, satisfaction, record.completion_time)
+            fleet.rd_agents[rd].observe_transaction(cd, activity, satisfaction, record.completion_time)
+
+    service = trust_service(scenario, observe, plane)
     result = service.serve(scenario.requests, checkpoint_every=2)
     plane.close()
     return {
@@ -125,7 +150,13 @@ def _digests(run: dict, root: Path) -> dict[str, str]:
         (z, y, c.name, rec.value.hex(), rec.last_transaction.hex(), rec.transaction_count)
         for (z, y, c), rec in run["fleet"].internal_table.items()
     ]
-    payloads = json.dumps(list(result.checkpoint_payloads), sort_keys=True)
+    payloads = json.dumps(
+        [
+            {key: value for key, value in payload.items() if key != "feedback"}
+            for payload in result.checkpoint_payloads
+        ],
+        sort_keys=True,
+    )
     return {
         "schedule": _sha(rows.tobytes()),
         "plane": _plane_digest(root),
@@ -140,6 +171,13 @@ def served(tmp_path_factory):
     root = tmp_path_factory.mktemp("trust-service") / "plane"
     run = run_trust_service(root)
     # Hashed before any test touches the payloads.
+    return run, _digests(run, root)
+
+
+@pytest.fixture(scope="module")
+def served_via_feedback(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trust-feedback") / "plane"
+    run = run_trust_service(root, via_feedback=True)
     return run, _digests(run, root)
 
 
@@ -166,3 +204,12 @@ def test_checkpoint_records_are_not_shared_between_checkpoints(served):
     first["records"]["-1"] = {}
     del first["records"][next(k for k in first["records"] if k != key)]
     assert json.dumps(last["records"], sort_keys=True) == before
+
+
+def test_trust_feedback_reproduces_the_pinned_run(served_via_feedback):
+    run, digests = served_via_feedback
+    assert digests == GOLDEN
+    payloads = run["result"].checkpoint_payloads
+    assert all("feedback" in payload for payload in payloads)
+    published = [sum(payload["feedback"]["published"]) for payload in payloads]
+    assert published == sorted(published) and published[-1] > 0

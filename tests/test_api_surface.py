@@ -31,6 +31,7 @@ MODULES = [
     "repro.cli",
     "repro.core.ets",
     "repro.grid.session",
+    "repro.grid.feedback",
     "repro.grid.behavior",
     "repro.sim.mmpp",
     "repro.scheduling.constraints",

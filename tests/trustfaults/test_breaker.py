@@ -87,6 +87,41 @@ class TestBreakerStateMachine:
             CircuitBreaker(**kwargs)
 
 
+class TestBreakerCheckpoint:
+    def test_fresh_breaker_has_no_opening_time(self):
+        assert CircuitBreaker().state_dict() == {
+            "state": "closed",
+            "failures": 0,
+            "probes_ok": 0,
+            "opened_at": None,
+            "transitions": 0,
+        }
+
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, 5])
+    def test_restore_continues_exactly(self, steps):
+        # Failures at t=0,1 trip the breaker, the cooldown half-opens it at
+        # t=11, one probe success does not close it (two are needed).
+        outcomes = [
+            ("failure", 0.0), ("failure", 1.0), ("success", 11.0),
+            ("failure", 12.0), ("success", 30.0), ("success", 31.0),
+        ]
+
+        def make():
+            return CircuitBreaker(failure_threshold=2, cooldown=10.0, probe_successes=2)
+
+        def feed(breaker, items):
+            for kind, t in items:
+                getattr(breaker, f"record_{kind}")(t)
+            return breaker
+
+        straight = feed(make(), outcomes)
+        restored = make()
+        restored.restore(feed(make(), outcomes[:steps]).state_dict())
+        feed(restored, outcomes[steps:])
+        assert restored.state_dict() == straight.state_dict()
+        assert restored.state(40.0) is straight.state(40.0)
+
+
 class TestBackoffPolicy:
     def test_exponential_growth_without_jitter(self):
         policy = BackoffPolicy(base=1.0, factor=2.0, max_delay=60.0, jitter=0.0)
