@@ -24,10 +24,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from operator import gt
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.state import Obj
 
 __all__ = [
     "TaskFailureModel",
@@ -141,6 +143,12 @@ class MachineTimeline:
     outcomes.
     """
 
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`).
+    STATE = Obj(
+        "outage timeline",
+        {"cursor": float, "down_starts": [float], "down_ends": [float]},
+    )
+
     def __init__(
         self,
         rng: np.random.Generator,
@@ -157,6 +165,38 @@ class MachineTimeline:
         self._cursor = start
         self._down_starts: list[float] = []
         self._down_ends: list[float] = []
+
+    def state_dict(self) -> dict:
+        """The path materialised so far: where it ends, and its downtimes.
+
+        The generator that extends the path belongs to whoever passed it
+        in, and is saved by that owner.
+        """
+        return {
+            "cursor": self._cursor,
+            "down_starts": list(self._down_starts),
+            "down_ends": list(self._down_ends),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Restore a path captured by :meth:`state_dict`.
+
+        Raises:
+            ConfigurationError: unless the downtimes are ordered, disjoint
+                intervals ending at or before the cursor; nothing is
+                restored then.
+        """
+        cursor = float(state["cursor"])
+        starts = [float(t) for t in state["down_starts"]]
+        ends = [float(t) for t in state["down_ends"]]
+        bounds = [b for pair in zip(starts, ends) for b in pair] + [cursor]
+        if len(starts) != len(ends) or any(map(gt, bounds, bounds[1:])):
+            raise ConfigurationError(
+                f"outage timeline of {len(starts)} down-starts and "
+                f"{len(ends)} down-ends is not ordered, disjoint downtimes "
+                f"ending by its cursor {cursor}"
+            )
+        self._cursor, self._down_starts, self._down_ends = cursor, starts, ends
 
     def _extend(self) -> None:
         down = self._cursor + float(self._rng.exponential(self._mtbf))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
+
 __all__ = ["FailureKind", "FailureEvent"]
 
 
@@ -49,8 +51,15 @@ class FailureEvent:
 
     def __post_init__(self) -> None:
         if self.attempt < 1:
-            raise ValueError("attempt numbers are 1-based")
+            raise ConfigurationError(
+                f"attempt numbers are 1-based, got attempt {self.attempt}"
+            )
         if self.failure_time < self.start_time:
-            raise ValueError("failure cannot precede the attempt's start")
+            raise ConfigurationError(
+                f"failure at {self.failure_time} cannot precede the "
+                f"attempt's start at {self.start_time}"
+            )
         if self.wasted_work < 0:
-            raise ValueError("wasted work must be non-negative")
+            raise ConfigurationError(
+                f"wasted work must be non-negative, got {self.wasted_work}"
+            )

@@ -29,6 +29,7 @@ from repro.grid.agents import AgentFleet, AgentSide, domain_entity_id
 from repro.grid.behavior import BehaviorModel
 from repro.grid.request import Request
 from repro.obs.metrics import MetricsRegistry
+from repro.state import Obj, restore_rng, rng_state
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.grid.topology import Grid
@@ -59,6 +60,9 @@ class TrustFeedback:
         metrics: optional registry counting ``session.observations``
             (agent observations, one or two per completion).
     """
+
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`).
+    STATE = Obj("feedback state", {"rng": dict, "published": [int]})
 
     def __init__(
         self,
@@ -173,7 +177,7 @@ class TrustFeedback:
         RNG's ``bit_generator.state`` and each agent's publish count (CD
         agents, then RD agents)."""
         return {
-            "rng": self.rng.bit_generator.state,
+            "rng": rng_state(self.rng),
             "published": [agent.published_count for agent in self._agents],
         }
 
@@ -182,8 +186,8 @@ class TrustFeedback:
 
         Raises:
             ConfigurationError: if the publish counts do not match the
-                fleet's agents one to one, or one is negative; nothing is
-                restored then.
+                fleet's agents one to one, or one is negative, or numpy
+                refuses the RNG state; nothing is restored then.
         """
         published = state["published"]
         if len(published) != len(self._agents) or min(published, default=0) < 0:
@@ -191,6 +195,6 @@ class TrustFeedback:
                 f"feedback state holds publish counts {published!r}, the "
                 f"fleet has {len(self._agents)} agents"
             )
-        self.rng.bit_generator.state = state["rng"]
+        restore_rng(self.rng, state["rng"])
         for agent, count in zip(self._agents, published):
             agent.published_count = count

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -68,6 +68,7 @@ from repro.grid.topology import Grid
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.policy import TrustPolicy
+from repro.state import INDEX, Obj
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.trustfaults.query import ResilientTrustSource
@@ -107,6 +108,13 @@ class CostProvider:
             instead of raising (see the module docstring).  ``None`` keeps
             the direct table reads (bit-identical results).
     """
+
+    #: Spec of :meth:`state_dict` without a trust source (see
+    #: :mod:`repro.state`).
+    STATE = Obj("cost-provider state", {"exclusions": {INDEX: [int]}})
+    #: Spec of the guarded-pricing keys :meth:`state_dict` adds to the
+    #: trust source's own state in ``trust_plane``.
+    PRICING = {"tc_memo": [(int, [int])], "tc_dirty": [int], "degraded": [int]}
 
     grid: Grid
     eec: np.ndarray
@@ -467,13 +475,86 @@ class CostProvider:
         """Drop all exclusions of one request (relaxation fallback)."""
         self._excluded.pop(request_index, None)
 
-    def all_exclusions(self) -> dict[int, frozenset[int]]:
-        """Every request's current machine exclusions (checkpoint view)."""
-        return {
-            idx: frozenset(machines)
-            for idx, machines in self._excluded.items()
-            if machines
+    # -- checkpoint ----------------------------------------------------------
+
+    def state_dict(self) -> dict[str, Any]:
+        """Every request's machine exclusions and, with a ``trust_source``
+        installed, the ``trust_plane`` section: the source's own
+        :meth:`~repro.trustfaults.query.ResilientTrustSource.state_dict`
+        plus the guarded-pricing state (:attr:`PRICING`).
+
+        That state is the memo's keys still current at the table's CD
+        epochs, the retry-dirty requests and the requests last priced
+        degraded.  A memo hit skips the guarded query a miss makes, so the
+        memo decides which queries a resumed run makes; without a trust
+        source nothing reads it, and it is not written.
+        """
+        state: dict[str, Any] = {
+            "exclusions": {
+                str(k): sorted(machines)
+                for k, machines in self._excluded.items()
+                if machines
+            }
         }
+        if self.trust_source is not None:
+            epochs = self.grid.trust_table.cd_epochs()
+            state["trust_plane"] = {
+                **self.trust_source.state_dict(),
+                "tc_memo": [
+                    [cd, list(acts)]
+                    for (cd, acts), (epoch, _row) in self._tc_cache.items()
+                    if epoch == epochs[cd]
+                ],
+                "tc_dirty": sorted(self._tc_dirty),
+                "degraded": sorted(self._degraded),
+            }
+        return state
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Restore state captured by :meth:`state_dict`.
+
+        The memo's keys are priced again from the table, unguarded: a
+        service resumes only onto the trust epoch its checkpoint pinned,
+        so every row comes back as it was.
+
+        Raises:
+            ConfigurationError: naming an excluded machine or a memo key
+                outside the grid (before anything is restored), or as the
+                trust source's restore does.
+        """
+        excluded = {int(k): set(v) for k, v in state["exclusions"].items()}
+        machines = set(range(self.grid.n_machines))
+        bad = {k: sorted(v) for k, v in excluded.items() if not v <= machines}
+        if bad:
+            raise ConfigurationError(
+                f"exclusions {bad} name machines the grid's "
+                f"{len(machines)} do not include"
+            )
+        plane = state.get("trust_plane")
+        keys = [(cd, tuple(acts)) for cd, acts in plane["tc_memo"]] if plane else []
+        n_cd = len(self.grid.trust_table.cd_epochs())
+        activities = set(range(len(self.grid.catalog)))
+        bad = [
+            [cd, list(acts)]
+            for cd, acts in keys
+            if not 0 <= cd < n_cd or list(acts) != sorted(set(acts) & activities)
+        ]
+        if bad:
+            raise ConfigurationError(
+                f"trust-cost memo keys {bad} are not a client domain of the "
+                f"grid's {n_cd} and a sorted set of its {len(activities)} "
+                "activity indices"
+            )
+        self._excluded = excluded
+        if self.trust_source is not None:
+            self.trust_source.restore(plane)
+            epochs = self.grid.trust_table.cd_epochs()
+            rows = self._price(keys) if keys else []
+            self._tc_cache = {
+                key: (epochs[key[0]], row) for key, row in zip(keys, rows)
+            }
+            self._tc_dirty = set(plane["tc_dirty"])
+            self._degraded = set(plane["degraded"])
 
     def invalidate_trust_cache(self, request_index: int) -> None:
         """Make the next pricing of one request fetch its TC row afresh.

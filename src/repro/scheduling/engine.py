@@ -27,26 +27,29 @@ tested once per window, not per item.
 
 For the service's crash recovery, the engine additionally tracks its
 *in-flight* recovery events — failure notifications and retry re-dispatches
-that are scheduled on the simulator but have not fired yet — so a
-checkpoint can capture, and a restore re-schedule, everything that was in
-the air at a window boundary.
+that are scheduled on the simulator but have not fired yet — so its
+:meth:`~SchedulingEngine.state_dict` captures, and
+:meth:`~SchedulingEngine.restore` plus :meth:`~SchedulingEngine.rearm`
+re-schedule, everything that was in the air at a window boundary.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from itertools import islice
 from operator import attrgetter, gt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.errors import SchedulingError
-from repro.faults.records import FailureEvent
+from repro.errors import CheckpointError, SchedulingError
+from repro.faults.records import FailureEvent, FailureKind
 from repro.grid.machine import MachineState
 from repro.grid.request import Request
 from repro.scheduling.result import CompletionRecord, ScheduleResult
 from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
+from repro.state import INDEX, Obj
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.scheduling.scheduler import TRMScheduler
@@ -61,6 +64,36 @@ _ARRIVAL_ORDER = attrgetter("arrival_time", "index")
 #: A plan's execution order.
 _PLAN_ORDER = attrgetter("order")
 
+#: Serialised fields of a machine's bookkeeping: two times, two counts.
+_MACHINE = ("available_time", "busy_time", "assigned_count", "failed_count")
+_IDS = ("request_index", "machine_index", "attempt")
+_FAILURE = Obj(
+    "failure event",
+    {
+        **dict.fromkeys(_IDS, int),
+        **dict.fromkeys(("start_time", "failure_time", "wasted_work"), float),
+        "kind": frozenset(kind.value for kind in FailureKind),
+    },
+)
+
+
+def _failure_state(failure: FailureEvent) -> dict[str, Any]:
+    state = {key: getattr(failure, key) for key in _FAILURE.fields}
+    state["kind"] = failure.kind.value
+    return state
+
+
+def _load(make: Callable[..., Any], fields: dict[str, Any], where: str) -> Any:
+    """``make(**fields)``, with an invariant it refuses named by ``where``."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint {where} is refused: {exc}") from exc
+
+
+def _failure_from(state: dict[str, Any], where: str) -> FailureEvent:
+    return _load(FailureEvent, {**state, "kind": FailureKind(state["kind"])}, where)
+
 
 class SchedulingEngine:
     """One scheduler's execution state, bound to one simulator.
@@ -70,11 +103,11 @@ class SchedulingEngine:
             provider, heuristic, policy, hooks, fault injector and retry
             policy the engine executes.
         sim: the simulator the engine schedules its events on.
-        more_work: predicate consulted by the self-perpetuating machine
-            up/down event chain — the chain stops rescheduling once this
-            returns False, letting the run terminate.  ``TRMScheduler``
-            passes "not every request settled yet"; the service passes
-            "still serving".
+        total: how many requests the run settles: the self-perpetuating
+            machine up/down event chain stops rescheduling once that many
+            have settled, letting the run terminate (``None``: never).  A
+            count rather than a predicate closing over the engine, so a
+            finished engine is freed at once, not by the cycle collector.
 
     Attributes:
         states: per-machine bookkeeping (availability, busy time).
@@ -92,16 +125,50 @@ class SchedulingEngine:
             re-dispatch scheduled but not fired yet.
     """
 
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`); its keys sit
+    #: at the top level of a service checkpoint.
+    STATE = Obj(
+        "engine state",
+        {
+            "machines": [
+                Obj(
+                    "machine state",
+                    {
+                        **dict.fromkeys(_MACHINE[:2], float),
+                        **dict.fromkeys(_MACHINE[2:], int),
+                    },
+                )
+            ],
+            "records": {
+                INDEX: Obj(
+                    "completion record",
+                    {
+                        **dict.fromkeys(CompletionRecord._fields, float),
+                        **dict.fromkeys(_IDS, int),
+                    },
+                )
+            },
+            "rejected": {INDEX: str},
+            "dropped": [int],
+            "failures": [_FAILURE],
+            "attempts": {INDEX: int},
+            "batches_formed": int,
+            "pending": [int],
+            "inflight_failures": {INDEX: _FAILURE},
+            "inflight_retries": {INDEX: (float, int)},
+        },
+    )
+
     def __init__(
         self,
         scheduler: "TRMScheduler",
         sim: Simulator,
         *,
-        more_work: Callable[[], bool] | None = None,
+        total: int | None = None,
     ) -> None:
         self.scheduler = scheduler
         self.sim = sim
-        self._more_work = more_work if more_work is not None else (lambda: True)
+        self._total = total
         self.states = list(map(MachineState, scheduler.grid.machines))
         self.records: dict[int, CompletionRecord] = {}
         self.rejected: dict[int, str] = {}
@@ -113,6 +180,10 @@ class SchedulingEngine:
         self.batches_formed = 0
         self.inflight_failures: dict[int, FailureEvent] = {}
         self.inflight_retries: dict[int, tuple[float, int]] = {}
+        # str(request index) -> field dict of every record a state_dict
+        # has serialised, in booking order: each state_dict serialises
+        # only the records booked since the previous one.
+        self._record_fields: dict[str, dict[str, Any]] = {}
         if scheduler.faults is not None:
             scheduler.faults.bind(scheduler.grid)
 
@@ -444,7 +515,7 @@ class SchedulingEngine:
     # resolved against them at booking time); these events mirror the
     # transitions into the simulation so they are traceable and ordered
     # against completions and arrivals.  The chain stops rescheduling once
-    # ``more_work`` turns False, letting the run terminate.
+    # ``total`` requests have settled, letting the run terminate.
 
     def start_machine_watch(self, *, after: float = 0.0) -> None:
         """Begin mirroring every machine's up/down timeline into the sim."""
@@ -466,6 +537,9 @@ class SchedulingEngine:
             priority=EventPriority.MACHINE,
         )
 
+    def _more_work(self) -> bool:
+        return self._total is None or self.settled < self._total
+
     def _on_machine_down(self, event: Event, machine: int, repair_end: float) -> None:
         self.scheduler.tracer.emit(
             event.time, "machine-down", machine=machine, until=repair_end
@@ -481,6 +555,136 @@ class SchedulingEngine:
         self.scheduler.tracer.emit(event.time, "machine-up", machine=machine)
         if self._more_work():
             self._schedule_next_down(machine, after=event.time)
+
+    # -- checkpoint ----------------------------------------------------------
+
+    def state_dict(self) -> dict[str, Any]:
+        """The engine's restorable state, JSON-ready (spec :attr:`STATE`).
+
+        Each completion record is serialised once, by the first call that
+        sees it: ``records`` is a fresh mapping per call, but its
+        per-record field dicts are shared with later calls, so treat them
+        as read-only while the run goes on.
+        """
+        # Records are only ever added, in booking order, so the ones past
+        # the cached count are exactly those booked since last time.
+        fields = self._record_fields
+        for k, r in islice(self.records.items(), len(fields), None):
+            fields[str(k)] = r._asdict()
+        return {
+            "machines": [
+                {key: getattr(s, key) for key in _MACHINE} for s in self.states
+            ],
+            "records": dict(fields),
+            "rejected": {str(k): v for k, v in self.rejected.items()},
+            "dropped": list(self.dropped),
+            "failures": [_failure_state(f) for f in self.failures],
+            "attempts": {str(k): v for k, v in self.attempts.items()},
+            "batches_formed": self.batches_formed,
+            "pending": [r.index for r in self.pending],
+            "inflight_failures": {
+                str(k): _failure_state(f)
+                for k, f in self.inflight_failures.items()
+            },
+            "inflight_retries": {
+                str(k): [due, attempt]
+                for k, (due, attempt) in self.inflight_retries.items()
+            },
+        }
+
+    def restore(self, state: dict[str, Any], requests: Mapping[int, Request]) -> None:
+        """Restore state captured by :meth:`state_dict` onto a fresh engine.
+
+        ``requests`` maps request index → request of the resumed workload.
+        No event is scheduled here: :meth:`rearm` does that, once the
+        caller has scheduled the arrivals still to come.
+
+        Raises:
+            CheckpointError: naming the key of a record or failure that
+                breaks its invariants, of an attempt count below 1, or of
+                a request absent from ``requests``, and on a machine count
+                other than the grid's; the engine is left untouched then.
+        """
+        n_machines = self.scheduler.grid.n_machines
+        if len(state["machines"]) != n_machines:
+            raise CheckpointError(
+                f"checkpoint has {len(state['machines'])} machines, "
+                f"grid has {n_machines}"
+            )
+        for key in ("pending", "inflight_failures", "inflight_retries"):
+            for index in map(int, state[key]):
+                if index not in requests:
+                    raise CheckpointError(
+                        f"checkpoint {key} references request {index}, which "
+                        "is absent from the resumed workload"
+                    )
+        # The booking loop numbers a retry one past these counts and builds
+        # its record unchecked, so the counts must already be 1-based.
+        attempts = {int(k): v for k, v in state["attempts"].items()}
+        for index, booked in attempts.items():
+            if booked < 1:
+                raise CheckpointError(
+                    f"checkpoint attempts of request {index} must be >= 1, "
+                    f"got {booked}"
+                )
+        records = {
+            int(k): _load(CompletionRecord, v, f"records[{k}]")
+            for k, v in state["records"].items()
+        }
+        failures = [
+            _failure_from(d, f"failures[{i}]")
+            for i, d in enumerate(state["failures"])
+        ]
+        inflight = {
+            int(k): _failure_from(d, f"inflight_failures[{k}]")
+            for k, d in state["inflight_failures"].items()
+        }
+        for machine, d in zip(self.states, state["machines"]):
+            machine.available_time = float(d["available_time"])
+            machine.busy_time = float(d["busy_time"])
+            machine.assigned_count = d["assigned_count"]
+            machine.failed_count = d["failed_count"]
+        self.records = records
+        self.rejected = {int(k): v for k, v in state["rejected"].items()}
+        self.dropped = list(state["dropped"])
+        self.failures = failures
+        self.attempts = attempts
+        self.batches_formed = state["batches_formed"]
+        self.settled = len(records) + len(self.rejected) + len(self.dropped)
+        self.pending = [requests[i] for i in state["pending"]]
+        self.inflight_failures = inflight
+        self.inflight_retries = {
+            int(k): (float(due), attempt)
+            for k, (due, attempt) in state["inflight_retries"].items()
+        }
+
+    def ingested(self) -> set[int]:
+        """Indices of every request the engine holds, settled or not."""
+        return (
+            self.records.keys()
+            | self.rejected.keys()
+            | set(self.dropped)
+            | {r.index for r in self.pending}
+            | self.inflight_failures.keys()
+            | self.inflight_retries.keys()
+        )
+
+    def rearm(self, clock: float, requests: Mapping[int, Request]) -> None:
+        """Schedule the events a restored engine still awaits after ``clock``.
+
+        The attempt outcomes are already on the machines' books; only the
+        notifications re-arm: the completion hook of every record still
+        running (one completing at ``clock`` already fired — COMPLETION
+        outranks the window's BATCH priority at equal times), and every
+        in-flight failure and retry, in request order.
+        """
+        for record in self.records.values():
+            if record.completion_time > clock:
+                self.rearm_completion(record)
+        for index, failure in sorted(self.inflight_failures.items()):
+            self.rearm_failure(failure, requests[index])
+        for index, (due, attempt) in sorted(self.inflight_retries.items()):
+            self.schedule_retry(requests[index], max(due, clock), attempt)
 
     # -- results -------------------------------------------------------------
 

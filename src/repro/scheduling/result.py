@@ -19,6 +19,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.faults.records import FailureEvent
 from repro.grid.machine import MachineState
 
@@ -44,7 +45,8 @@ class CompletionRecord(_CompletionFields):
     Records are immutable tuples.  The public constructor (and
     ``_make``/``_replace``) refuses a record whose completion precedes its
     start, whose start precedes its arrival, or whose attempt is below 1,
-    with :class:`ValueError`.  The scheduling engine builds its records
+    with :class:`~repro.errors.ConfigurationError` (a :class:`ValueError`)
+    naming the offending values.  The scheduling engine builds its records
     with ``tuple.__new__`` instead: it checks the same invariants once per
     window on the plan's values before booking anything (see
     :meth:`SchedulingEngine._commit
@@ -82,11 +84,19 @@ class CompletionRecord(_CompletionFields):
         attempt: int = 1,
     ) -> CompletionRecord:
         if completion_time < start_time:
-            raise ValueError("completion cannot precede start")
+            raise ConfigurationError(
+                f"completion at {completion_time} cannot precede start at "
+                f"{start_time}"
+            )
         if start_time < arrival_time:
-            raise ValueError("execution cannot start before arrival")
+            raise ConfigurationError(
+                f"execution cannot start at {start_time}, before arrival at "
+                f"{arrival_time}"
+            )
         if attempt < 1:
-            raise ValueError("attempt numbers are 1-based")
+            raise ConfigurationError(
+                f"attempt numbers are 1-based, got attempt {attempt}"
+            )
         return tuple.__new__(
             cls,
             (

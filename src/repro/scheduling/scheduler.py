@@ -189,9 +189,7 @@ class TRMScheduler:
         """
         sim = Simulator(metrics=self.metrics)
         total = len(requests)
-        engine = SchedulingEngine(
-            self, sim, more_work=lambda: engine.settled < total
-        )
+        engine = SchedulingEngine(self, sim, total=total)
 
         def on_arrival(event: Event) -> None:
             request: Request = event.payload

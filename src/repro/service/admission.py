@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.grid.request import Request
+from repro.state import Obj
 
 __all__ = ["ShedReason", "TokenBucket", "AdmissionPolicy", "AdmissionController"]
 
@@ -66,6 +67,12 @@ class TokenBucket:
     """
 
     __slots__ = ("rate", "burst", "tokens", "last_refill")
+
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`); a checkpoint
+    #: of a service without a rate limit holds ``None``.
+    STATE = Obj(
+        "token-bucket state", {"tokens": float, "last_refill": float}, nullable=True
+    )
 
     def __init__(self, rate: float, burst: float = 1.0) -> None:
         if rate <= 0:

@@ -11,6 +11,7 @@ prevents the latch from flapping once per request at the boundary.
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
+from repro.state import Obj
 
 __all__ = ["BackpressureLatch"]
 
@@ -28,6 +29,14 @@ class BackpressureLatch:
     """
 
     __slots__ = ("high", "low", "engaged", "engagements", "releases")
+
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`); a checkpoint
+    #: of a service without backpressure holds ``None``.
+    STATE = Obj(
+        "backpressure state",
+        {"engaged": bool, "engagements": int, "releases": int},
+        nullable=True,
+    )
 
     def __init__(self, high: int, low: int | None = None) -> None:
         if high < 1:

@@ -1,18 +1,23 @@
 """Service checkpoints: schema, validation, and (de)serialisation.
 
-A checkpoint is a plain JSON-compatible dictionary capturing *everything*
-the service needs to resume a run from a window boundary with
-settled-exactly-once accounting: the epoch counter, the simulation clock
-and the next window's exact float time, settled accounting (completion
-records, rejections, drops, failure history), machine bookkeeping, the
-pending queue, in-flight recovery events (scheduled failure notifications
-and retry re-dispatches), cost-provider exclusions, admission/backpressure/
-watchdog state, the service counters, and — when a resilient trust plane is
-attached — its query clock, circuit-breaker state and RNG state, and —
-when the completion hook is a :class:`~repro.grid.feedback.TrustFeedback`
-— its satisfaction RNG state and per-agent publish counts.
+A checkpoint is a plain JSON-compatible dictionary from which a service
+resumes a run at a window boundary with settled-exactly-once accounting:
+a **header** (schema tag, window epoch, clock, the next window's exact
+float time, the heuristic, policy, window interval and trust-table epoch
+the resumed service must match, the watchdog and the service counters)
+plus **sections**, each written by the ``state_dict()`` of the part that
+owns it and read back by its ``restore()``: the
+:class:`~repro.scheduling.engine.SchedulingEngine`'s keys (spread over
+the top level), the :class:`~repro.scheduling.costs.CostProvider`'s
+``exclusions`` and — with a resilient trust source — ``trust_plane``,
+the token bucket's ``admission`` and the latch's ``backpressure``
+(``None`` without one), and a
+:class:`~repro.grid.feedback.TrustFeedback` hook's ``feedback`` and a
+durable trust plane's ``trust_journal`` pin (absent without one).
 
-The payload is produced by :meth:`GridService.checkpoint
+Each owner declares the spec of its state next to its ``state_dict()``
+(see :mod:`repro.state`); :func:`validate_checkpoint` composes them.  The
+payload is produced by :meth:`GridService.checkpoint
 <repro.service.service.GridService.checkpoint>` and consumed by
 :meth:`GridService.resume <repro.service.service.GridService.resume>`;
 this module owns the schema tag, structural validation, and the file
@@ -22,13 +27,17 @@ round-trip.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from types import NoneType, UnionType
 from typing import Any
 
 from repro.errors import CheckpointError
+from repro.grid.feedback import TrustFeedback
+from repro.scheduling.costs import CostProvider
+from repro.scheduling.engine import SchedulingEngine
+from repro.service.admission import TokenBucket
+from repro.service.backpressure import BackpressureLatch
+from repro.state import Obj, conform
+from repro.trustfaults.query import ResilientTrustSource
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -43,33 +52,8 @@ __all__ = [
 #: Schema tag stamped into every checkpoint payload.
 CHECKPOINT_SCHEMA = "repro.service.checkpoint/v1"
 
-
-@dataclass(frozen=True)
-class _Obj:
-    """Spec of a JSON object with exactly ``fields`` (field → spec)."""
-
-    what: str
-    fields: dict
-
-
-#: Key spec of an object keyed by request index (``{_INDEX: value spec}``).
-_INDEX = "request index"
-
-_FAILURE = _Obj(
-    "failure event",
-    {
-        "request_index": int,
-        "machine_index": int,
-        "attempt": int,
-        "start_time": float,
-        "failure_time": float,
-        "wasted_work": float,
-        "kind": str,
-    },
-)
-
 #: Every key a v1 checkpoint must carry → the spec its value must conform
-#: to (see :func:`_conform`; ``float`` means a finite number).
+#: to (see :func:`repro.state.conform`; ``float`` means a finite number).
 _PAYLOAD = {
     "schema": str,
     "epoch": int,
@@ -79,133 +63,29 @@ _PAYLOAD = {
     "policy": str,
     "window_interval": float,
     "trust_epoch": int,
-    "machines": [
-        _Obj(
-            "machine state",
-            {"available_time": float, "busy_time": float,
-             "assigned_count": int, "failed_count": int},
-        )
-    ],
-    "records": {
-        _INDEX: _Obj(
-            "completion record",
-            {
-                "request_index": int,
-                "machine_index": int,
-                "arrival_time": float,
-                "mapped_time": float,
-                "start_time": float,
-                "completion_time": float,
-                "eec": float,
-                "realized_cost": float,
-                "trust_cost": float,
-                "attempt": int,
-            },
-        )
-    },
-    "rejected": {_INDEX: str},
-    "dropped": [int],
-    "failures": [_FAILURE],
-    "attempts": {_INDEX: int},
-    "batches_formed": int,
-    "pending": [int],
-    "inflight_failures": {_INDEX: _FAILURE},
-    "inflight_retries": {_INDEX: (float, int)},
-    "exclusions": {_INDEX: [int]},
-    "admission": object,
-    "backpressure": object,
-    "watchdog": _Obj(
+    **SchedulingEngine.STATE.fields,
+    **CostProvider.STATE.fields,
+    "admission": TokenBucket.STATE,
+    "backpressure": BackpressureLatch.STATE,
+    "watchdog": Obj(
         "watchdog state",
         {"trips": int, "stalled_windows": int, "last_settled": int},
     ),
-    "counters": _Obj(
+    "counters": Obj(
         "service counters",
         {"submitted": int, "admitted": int, "shed": {str: int}},
     ),
 }
 
-#: Specs of the optional top-level sections, checked when present and not
-#: ``None``: the resilient trust source's state and the trust feedback
-#: loop's state.
+#: Specs of the sections a checkpoint carries only when the service has
+#: their owner, checked when present and not ``None``.
 _OPTIONAL = {
-    "trust_plane": _Obj(
+    "trust_plane": Obj(
         "trust-plane state",
-        {
-            "now": float,
-            "breaker": _Obj(
-                "circuit-breaker state",
-                {
-                    "state": frozenset({"closed", "open", "half-open"}),
-                    "failures": int,
-                    "probes_ok": int,
-                    "opened_at": float | None,
-                    "transitions": int,
-                },
-            ),
-            "rng": dict,
-        },
+        {**ResilientTrustSource.STATE.fields, **CostProvider.PRICING},
     ),
-    "feedback": _Obj("feedback state", {"rng": dict, "published": [int]}),
+    "feedback": TrustFeedback.STATE,
 }
-
-
-def _conform(value: Any, spec: Any, where: str) -> None:
-    """Refuse ``value`` unless it conforms to ``spec``, naming ``where``.
-
-    A spec is a type (``float`` admits integers but neither NaN nor
-    infinity, and booleans are never numbers), ``spec | None`` for a
-    nullable value, a frozenset of the admitted strings, ``[item]`` for a
-    list, ``(first, second)`` for a pair, ``{key kind: item}`` for an
-    object keyed by request index (``_INDEX``) or by any string (``str``),
-    or an :class:`_Obj` with exact fields.
-    """
-    if isinstance(spec, _Obj):
-        _conform(value, dict, where)
-        bad = spec.fields.keys() ^ value.keys()
-        if bad:
-            raise CheckpointError(
-                f"malformed {spec.what} in checkpoint {where} "
-                f"(keys off by {sorted(bad)})"
-            )
-        for key, field in spec.fields.items():
-            _conform(value[key], field, f"{where}.{key}")
-    elif isinstance(spec, UnionType):
-        if value is not None:
-            (inner,) = set(spec.__args__) - {NoneType}
-            _conform(value, inner, where)
-    elif isinstance(spec, frozenset):
-        if not isinstance(value, str) or value not in spec:
-            raise CheckpointError(
-                f"checkpoint {where} must be one of {sorted(spec)}, got {value!r}"
-            )
-    elif isinstance(spec, dict):
-        ((keys, item),) = spec.items()
-        _conform(value, dict, where)
-        for key, member in value.items():
-            if not isinstance(key, str) or (keys == _INDEX and not key.isdecimal()):
-                raise CheckpointError(
-                    f"checkpoint {where} key {key!r} is not a {keys}"
-                )
-            _conform(member, item, f"{where}[{key}]")
-    elif isinstance(spec, list):
-        _conform(value, list, where)
-        for i, member in enumerate(value):
-            _conform(member, spec[0], f"{where}[{i}]")
-    elif isinstance(spec, tuple):
-        _conform(value, list, where)
-        if len(value) != len(spec):
-            raise CheckpointError(
-                f"checkpoint {where} must hold {len(spec)} items, got {value!r}"
-            )
-        for i, (member, item) in enumerate(zip(value, spec)):
-            _conform(member, item, f"{where}[{i}]")
-    elif (
-        not isinstance(value, (int, float) if spec is float else spec)
-        or (spec in (int, float) and isinstance(value, bool))
-        or (spec is float and not math.isfinite(value))
-    ):
-        kind = "a finite number" if spec is float else f"of type {spec.__name__}"
-        raise CheckpointError(f"checkpoint {where} must be {kind}, got {value!r}")
 
 
 #: Shape of the optional write-ahead trust-journal sidecar (a delta
@@ -275,7 +155,7 @@ def validate_checkpoint(payload: Any) -> dict:
             f"checkpoint carries unknown keys: {sorted(unknown)}"
         )
     for key, spec in _PAYLOAD.items():
-        _conform(payload[key], spec, key)
+        conform(payload[key], spec, key)
     if payload["epoch"] < 0:
         raise CheckpointError("checkpoint epoch must be non-negative")
     if payload["next_window"] < payload["clock"]:
@@ -284,7 +164,7 @@ def validate_checkpoint(payload: Any) -> dict:
         )
     for key, spec in _OPTIONAL.items():
         if payload.get(key) is not None:
-            _conform(payload[key], spec, key)
+            conform(payload[key], spec, key)
     if payload.get("trust_journal") is not None:
         _check_trust_journal_sidecar(payload["trust_journal"])
     return payload

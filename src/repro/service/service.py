@@ -34,10 +34,7 @@ import time as _time
 from collections import Counter as _Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Any
-
-import numpy as np
 
 from repro.errors import (
     CheckpointError,
@@ -47,11 +44,10 @@ from repro.errors import (
     ServiceKilled,
     ServiceStalled,
 )
-from repro.faults.records import FailureEvent, FailureKind
 from repro.grid.feedback import TrustFeedback
 from repro.grid.request import Request
 from repro.scheduling.engine import SchedulingEngine
-from repro.scheduling.result import CompletionRecord, ScheduleResult
+from repro.scheduling.result import ScheduleResult
 from repro.scheduling.scheduler import TRMScheduler
 from repro.service.admission import AdmissionController, AdmissionPolicy, ShedReason
 from repro.service.backpressure import BackpressureLatch
@@ -75,6 +71,21 @@ __all__ = [
 #: Window period used for immediate heuristics when none is configured
 #: (batch heuristics always use their ``batch_interval``).
 DEFAULT_WINDOW_INTERVAL = 600.0
+
+#: Each optional checkpoint section → what it holds, and the part of a
+#: service that owns it.  A section without its owner, or an owner without
+#: its section, is refused on resume.
+_SECTIONS = {
+    "admission": ("token-bucket state", "rate limit"),
+    "backpressure": ("backpressure state", "backpressure latch"),
+    "trust_plane": ("trust-plane state", "trust source"),
+    "feedback": ("feedback state", "TrustFeedback completion hook"),
+    "trust_journal": (
+        "trust-journal pin",
+        "durable trust plane (only one recovered with resolve_trust_journal "
+        "resumes; any other journals onto unpinned state)",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -249,10 +260,6 @@ class GridService:
         self._stalled_windows = 0
         self._last_settled = 0
         self._checkpoints: list[dict] = []
-        # str(request index) -> field dict of every record a checkpoint
-        # has serialised, in booking order: each checkpoint serialises
-        # only the records booked since the previous one.
-        self._record_fields: dict[str, dict[str, Any]] = {}
         self._kill_after: int | None = None
         self._checkpoint_every: int | None = None
 
@@ -311,9 +318,10 @@ class GridService:
         window interval, machine count, trust table epoch) — mismatches
         raise :class:`~repro.errors.CheckpointError`.  Settled accounting
         resumes exactly where the checkpoint left it: nothing settles
-        twice, nothing is lost.  A ``feedback`` section is restored into a
-        :class:`~repro.grid.feedback.TrustFeedback` ``on_complete`` hook,
-        and either without the other is refused.
+        twice, nothing is lost.  Each section is restored by the part that
+        owns it (see :meth:`checkpoint`); a section without its owner here,
+        or an owner here without its section, is refused, before anything
+        is restored.
         """
         payload = validate_checkpoint(checkpoint)
         sched = self.scheduler
@@ -339,112 +347,56 @@ class GridService:
                 f"{payload['trust_epoch']}); restore onto a grid at the "
                 "checkpointed trust epoch"
             )
-        if len(payload["machines"]) != sched.grid.n_machines:
-            raise CheckpointError(
-                f"checkpoint has {len(payload['machines'])} machines, "
-                f"grid has {sched.grid.n_machines}"
-            )
-        journal_sidecar = payload.get("trust_journal")
-        if journal_sidecar is not None:
-            if self.trust_plane is None:
+        owners = self._owners()
+        for name, owner in owners.items():
+            if (payload.get(name) is None) != (owner is None):
+                what, part = _SECTIONS[name]
                 raise CheckpointError(
-                    "checkpoint carries a trust-journal sidecar but the "
-                    "resumed service has no durable trust plane attached; "
-                    "recover it via resolve_trust_journal and pass "
-                    "trust_plane="
+                    f"checkpoint carries {what} ({name}) but the resumed "
+                    f"service has no {part}"
+                    if owner is None
+                    else f"the resumed service has a {part} but the "
+                    f"checkpoint carries no {what} ({name})"
                 )
-            verify_trust_journal(journal_sidecar, self.trust_plane)
-        elif self.trust_plane is not None:
-            raise CheckpointError(
-                "the resumed service has a durable trust plane but the "
-                "checkpoint carries no trust-journal sidecar; resuming "
-                "would journal onto unpinned state"
-            )
-        feedback = (
-            sched.on_complete
-            if isinstance(sched.on_complete, TrustFeedback)
-            else None
-        )
-        if payload.get("feedback") is not None and feedback is None:
-            raise CheckpointError(
-                "checkpoint carries feedback state but the resumed "
-                "service's on_complete hook is no TrustFeedback"
-            )
-        if payload.get("feedback") is None and feedback is not None:
-            raise CheckpointError(
-                "the resumed service's on_complete hook is a TrustFeedback "
-                "but the checkpoint carries no feedback state"
-            )
+        if self.trust_plane is not None:
+            verify_trust_journal(payload["trust_journal"], self.trust_plane)
 
         engine, sim = self._begin(
             requests, kill_after_window, checkpoint_every
         )
-        clock = float(payload["clock"])
         by_index = {r.index: r for r in requests}
-
-        def request_of(index: int) -> Request:
-            try:
-                return by_index[index]
-            except KeyError:
-                raise CheckpointError(
-                    f"checkpoint references request {index}, which is "
-                    "absent from the resumed workload"
-                ) from None
-
-        # Settled accounting and machine bookkeeping.
-        for state, d in zip(engine.states, payload["machines"]):
-            state.available_time = float(d["available_time"])
-            state.busy_time = float(d["busy_time"])
-            state.assigned_count = int(d["assigned_count"])
-            state.failed_count = int(d["failed_count"])
-        engine.records = {
-            int(k): CompletionRecord(**v)
-            for k, v in payload["records"].items()
-        }
-        engine.rejected = {int(k): v for k, v in payload["rejected"].items()}
-        engine.dropped = [int(i) for i in payload["dropped"]]
-        engine.failures = [_failure_from(d) for d in payload["failures"]]
-        engine.attempts = {
-            int(k): int(v) for k, v in payload["attempts"].items()
-        }
-        # The booking loop numbers a retry one past these counts and builds
-        # its record unchecked, so the counts must already be 1-based.
-        for index, booked in engine.attempts.items():
-            if booked < 1:
-                raise CheckpointError(
-                    f"checkpoint attempts of request {index} must be >= 1, "
-                    f"got {booked}"
-                )
-        engine.batches_formed = int(payload["batches_formed"])
-        engine.settled = (
-            len(engine.records) + len(engine.rejected) + len(engine.dropped)
-        )
-        engine.pending = [
-            request_of(int(i)) for i in payload["pending"]
-        ]
-        for idx, machines in payload["exclusions"].items():
-            for m in machines:
-                sched.costs.exclude(int(idx), int(m))
-        self._restore_trust_plane(payload)
-        if feedback is not None:
-            try:
-                feedback.restore(_unjsonify_rng_state(payload["feedback"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CheckpointError(
-                    f"checkpoint feedback state cannot be restored: {exc}"
-                ) from exc
+        engine.restore(payload, by_index)
+        for what, owner, state in (
+            ("cost-provider state (exclusions, trust_plane)", sched.costs, payload),
+            *(
+                (f"{_SECTIONS[name][0]} ({name})", owners[name], payload.get(name))
+                for name in ("admission", "backpressure", "feedback")
+            ),
+        ):
+            if owner is not None:
+                try:
+                    owner.restore(state)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise CheckpointError(
+                        f"checkpoint {what} cannot be restored: {exc}"
+                    ) from exc
+        wd = payload["watchdog"]
+        self._watchdog_trips = wd["trips"]
+        self._stalled_windows = wd["stalled_windows"]
+        self._last_settled = wd["last_settled"]
+        counters = payload["counters"]
+        self._submitted = counters["submitted"]
+        self._admitted = counters["admitted"]
+        self._shed = _Counter(counters["shed"])
+        self._epoch = payload["epoch"]
+        self._next_window = float(payload["next_window"])
 
         # Arrivals not yet ingested resume their schedule; everything at or
         # before the checkpoint clock already fired (ARRIVAL outranks the
-        # window's BATCH priority at equal times).
-        ingested = (
-            set(engine.records)
-            | set(engine.rejected)
-            | set(engine.dropped)
-            | {r.index for r in engine.pending}
-            | {int(k) for k in payload["inflight_failures"]}
-            | {int(k) for k in payload["inflight_retries"]}
-        )
+        # window's BATCH priority at equal times).  They are scheduled
+        # before the engine re-arms, as in the uninterrupted run.
+        clock = float(payload["clock"])
+        ingested = engine.ingested()
         remaining = [r for r in requests if r.index not in ingested]
         sim.schedule_many(
             [max(request.arrival_time, clock) for request in remaining],
@@ -452,53 +404,7 @@ class GridService:
             priority=EventPriority.ARRIVAL,
             payloads=remaining,
         )
-        # In-flight events: the attempt outcomes are already on the
-        # machines' books; only the pending notifications re-arm.  A
-        # completion at the checkpoint clock already fired (COMPLETION
-        # outranks the window's BATCH priority at equal times).
-        for record in engine.records.values():
-            if record.completion_time > clock:
-                engine.rearm_completion(record)
-        for k, d in sorted(
-            payload["inflight_failures"].items(), key=lambda kv: int(kv[0])
-        ):
-            engine.rearm_failure(_failure_from(d), request_of(int(k)))
-        for k, due_attempt in sorted(
-            payload["inflight_retries"].items(), key=lambda kv: int(kv[0])
-        ):
-            due, attempt = due_attempt
-            engine.schedule_retry(
-                request_of(int(k)), max(float(due), clock), int(attempt)
-            )
-
-        # Service-plane state.
-        if payload["admission"] is not None:
-            if self.admission.bucket is None:
-                raise CheckpointError(
-                    "checkpoint carries token-bucket state but the resumed "
-                    "service has no rate limit configured"
-                )
-            self.admission.bucket.restore(payload["admission"])
-        if payload["backpressure"] is not None:
-            if self.latch is None:
-                raise CheckpointError(
-                    "checkpoint carries backpressure state but the resumed "
-                    "service has no backpressure configured"
-                )
-            self.latch.restore(payload["backpressure"])
-        wd = payload["watchdog"]
-        self._watchdog_trips = int(wd["trips"])
-        self._stalled_windows = int(wd["stalled_windows"])
-        self._last_settled = int(wd["last_settled"])
-        counters = payload["counters"]
-        self._submitted = int(counters["submitted"])
-        self._admitted = int(counters["admitted"])
-        self._shed = _Counter(
-            {str(k): int(v) for k, v in counters["shed"].items()}
-        )
-        self._epoch = int(payload["epoch"])
-        self._next_window = float(payload["next_window"])
-
+        engine.rearm(clock, by_index)
         if engine.settled < self._total:
             sim.schedule(
                 self._next_window, self._on_window,
@@ -523,80 +429,33 @@ class GridService:
         """Capture the complete service state at a window boundary.
 
         Returns a JSON-compatible payload (see
-        :mod:`repro.service.checkpoint`).  Each completion record is
-        serialised once, by the first checkpoint that sees it: ``records``
-        is a fresh mapping per payload, but its per-record field dicts are
-        shared with the later checkpoints of the run, so treat them as
-        read-only while the run goes on.  Only deterministic trust-fault
-        configurations can be checkpointed: a trust source with a *random*
-        outage process (``outage_mtbf``) materialises its timeline lazily
-        and cannot be restored faithfully.  When the scheduler's
-        ``on_complete`` hook is a :class:`~repro.grid.feedback.TrustFeedback`,
-        its :meth:`~repro.grid.feedback.TrustFeedback.state_dict` rides
-        along as the ``feedback`` section.
+        :mod:`repro.service.checkpoint`): the service's header, then each
+        stateful part's own ``state_dict()`` — the engine's keys and the
+        cost provider's (which carry a resilient trust source's
+        ``trust_plane``, random outage process included), the token
+        bucket's ``admission`` and the latch's ``backpressure`` (``None``
+        when not configured), a :class:`~repro.grid.feedback.TrustFeedback`
+        completion hook's ``feedback`` and a durable trust plane's
+        ``trust_journal`` pin (absent when not configured).  Completion
+        records are serialised once per run, so treat the per-record
+        field dicts as read-only while the run goes on (see
+        :meth:`SchedulingEngine.state_dict
+        <repro.scheduling.engine.SchedulingEngine.state_dict>`).
         """
         engine, sim = self._running()
-        ts = self.scheduler.trust_source
-        if (
-            ts is not None
-            and ts.fault is not None
-            and ts.fault.outage_mtbf is not None
-        ):
-            raise CheckpointError(
-                "cannot checkpoint a trust source with a random outage "
-                "process (outage_mtbf); use blackout/explicit outage "
-                "windows for recoverable runs"
-            )
-        # The engine only ever adds records, in booking order, so the ones
-        # past the cached count are exactly those booked since last time.
-        fields = self._record_fields
-        for k, r in islice(engine.records.items(), len(fields), None):
-            fields[str(k)] = r._asdict()
+        sched = self.scheduler
+        owners = self._owners()
         payload: dict[str, Any] = {
             "schema": CHECKPOINT_SCHEMA,
             "epoch": self._epoch,
             "clock": sim.now,
             "next_window": self._next_window,
-            "heuristic": self.scheduler.heuristic.name,
-            "policy": self.scheduler.policy.label,
+            "heuristic": sched.heuristic.name,
+            "policy": sched.policy.label,
             "window_interval": self.interval,
-            "trust_epoch": self.scheduler.grid.trust_table.epoch,
-            "machines": [
-                {
-                    "available_time": s.available_time,
-                    "busy_time": s.busy_time,
-                    "assigned_count": s.assigned_count,
-                    "failed_count": s.failed_count,
-                }
-                for s in engine.states
-            ],
-            "records": dict(fields),
-            "rejected": {str(k): v for k, v in engine.rejected.items()},
-            "dropped": list(engine.dropped),
-            "failures": [_failure_dict(f) for f in engine.failures],
-            "attempts": {str(k): v for k, v in engine.attempts.items()},
-            "batches_formed": engine.batches_formed,
-            "pending": [r.index for r in engine.pending],
-            "inflight_failures": {
-                str(k): _failure_dict(f)
-                for k, f in engine.inflight_failures.items()
-            },
-            "inflight_retries": {
-                str(k): [due, attempt]
-                for k, (due, attempt) in engine.inflight_retries.items()
-            },
-            "exclusions": {
-                str(k): sorted(machines)
-                for k, machines in self.scheduler.costs.all_exclusions().items()
-            },
-            "admission": (
-                self.admission.bucket.state_dict()
-                if self.admission.bucket is not None
-                else None
-            ),
-            "backpressure": (
-                self.latch.state_dict() if self.latch is not None else None
-            ),
+            "trust_epoch": sched.grid.trust_table.epoch,
+            **engine.state_dict(),
+            **sched.costs.state_dict(),
             "watchdog": {
                 "trips": self._watchdog_trips,
                 "stalled_windows": self._stalled_windows,
@@ -608,45 +467,35 @@ class GridService:
                 "shed": dict(self._shed),
             },
         }
-        if ts is not None:
-            payload["trust_plane"] = {
-                "now": ts.now,
-                "breaker": ts.breaker.state_dict(),
-                "rng": _jsonify_rng_state(ts._rng.bit_generator.state),
-            }
-        if isinstance(self.scheduler.on_complete, TrustFeedback):
-            payload["feedback"] = _jsonify_rng_state(
-                self.scheduler.on_complete.state_dict()
-            )
+        # v1 layout: without an owner, admission and backpressure are null
+        # and feedback is absent.
+        for name in ("admission", "backpressure", "feedback"):
+            owner = owners[name]
+            if owner is not None:
+                payload[name] = owner.state_dict()
+            elif name != "feedback":
+                payload[name] = None
         if self.trust_plane is not None:
             # Delta-checkpoint the durable trust plane: fsync only the
             # journal tail (O(changes)), pin the durable offset.
             attach_trust_journal(payload, self.trust_plane)
         return payload
 
-    def _restore_trust_plane(self, payload: dict) -> None:
-        ts = self.scheduler.trust_source
-        plane = payload.get("trust_plane")
-        if plane is None:
-            if ts is not None:
-                raise CheckpointError(
-                    "the resumed service has a trust source but the "
-                    "checkpoint carries no trust-plane state"
-                )
-            return
-        if ts is None:
-            raise CheckpointError(
-                "checkpoint carries trust-plane state but the resumed "
-                "service has no trust source"
-            )
-        try:
-            ts._rng.bit_generator.state = _unjsonify_rng_state(plane["rng"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint trust_plane.rng cannot be restored: {exc}"
-            ) from exc
-        ts.now = float(plane["now"])
-        ts.breaker.restore(plane["breaker"])
+    def _owners(self) -> dict[str, Any]:
+        """Each optional checkpoint section → the part of this service
+        that owns it, or ``None`` when the service has no such part."""
+        sched = self.scheduler
+        return {
+            "admission": self.admission.bucket,
+            "backpressure": self.latch,
+            "trust_plane": sched.costs.trust_source,
+            "feedback": (
+                sched.on_complete
+                if isinstance(sched.on_complete, TrustFeedback)
+                else None
+            ),
+            "trust_journal": self.trust_plane,
+        }
 
     # -- event handlers ------------------------------------------------------
 
@@ -787,9 +636,7 @@ class GridService:
             raise ConfigurationError("checkpoint_every must be >= 1")
         sim = Simulator(metrics=self.metrics)
         total = len(requests)
-        engine = SchedulingEngine(
-            self.scheduler, sim, more_work=lambda: engine.settled < total
-        )
+        engine = SchedulingEngine(self.scheduler, sim, total=total)
         self._sim = sim
         self._engine = engine
         self._requests = requests
@@ -865,50 +712,3 @@ class GridService:
         if self._engine is None or self._sim is None:
             raise ServiceError("the service has no active run")
         return self._engine, self._sim
-
-
-# -- (de)serialisation helpers ----------------------------------------------
-
-
-def _failure_dict(failure: FailureEvent) -> dict:
-    return {
-        "request_index": failure.request_index,
-        "machine_index": failure.machine_index,
-        "attempt": failure.attempt,
-        "start_time": failure.start_time,
-        "failure_time": failure.failure_time,
-        "wasted_work": failure.wasted_work,
-        "kind": failure.kind.value,
-    }
-
-
-def _failure_from(d: dict) -> FailureEvent:
-    return FailureEvent(
-        request_index=int(d["request_index"]),
-        machine_index=int(d["machine_index"]),
-        attempt=int(d["attempt"]),
-        start_time=float(d["start_time"]),
-        failure_time=float(d["failure_time"]),
-        wasted_work=float(d["wasted_work"]),
-        kind=FailureKind(d["kind"]),
-    )
-
-
-def _jsonify_rng_state(state: Any) -> Any:
-    """Recursively coerce numpy scalars in a bit-generator state to Python."""
-    if isinstance(state, dict):
-        return {k: _jsonify_rng_state(v) for k, v in state.items()}
-    if isinstance(state, np.ndarray):
-        return {"__ndarray__": state.tolist(), "dtype": str(state.dtype)}
-    if isinstance(state, np.generic):
-        return state.item()
-    return state
-
-
-def _unjsonify_rng_state(state: Any) -> Any:
-    """Invert :func:`_jsonify_rng_state` after a JSON round-trip."""
-    if isinstance(state, dict):
-        if "__ndarray__" in state:
-            return np.array(state["__ndarray__"], dtype=state["dtype"])
-        return {k: _unjsonify_rng_state(v) for k, v in state.items()}
-    return state

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
+from repro.state import Obj
 
 __all__ = ["BreakerState", "CircuitBreaker", "BackoffPolicy"]
 
@@ -54,6 +55,18 @@ class CircuitBreaker:
         metrics: optional registry counting state transitions
             (``trustq.breaker.<name>.<from>-><to>``); disabled by default.
     """
+
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`).
+    STATE = Obj(
+        "circuit-breaker state",
+        {
+            "state": frozenset(s.value for s in BreakerState),
+            "failures": int,
+            "probes_ok": int,
+            "opened_at": float | None,
+            "transitions": int,
+        },
+    )
 
     name: str = "table"
     failure_threshold: int = 3

@@ -28,6 +28,9 @@ reputation average (availability-aware selection) instead of blocking it.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Any
+
 import numpy as np
 
 from repro.errors import (
@@ -40,6 +43,7 @@ from repro.faults.model import MachineTimeline
 from repro.grid.topology import Grid
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.rng import RngFactory
+from repro.state import Obj, restore_rng, rng_state
 from repro.trustfaults.breaker import BreakerState, CircuitBreaker
 from repro.trustfaults.model import TrustFaultModel, TrustQueryConfig, TrustSourceFault
 
@@ -64,7 +68,7 @@ class SourcePath:
         start: float = 0.0,
     ) -> None:
         self._fault = fault
-        self._timeline = (
+        self.timeline = (
             MachineTimeline(
                 rng, fault.outage_mtbf, fault.outage_mttr, start=start
             )
@@ -79,7 +83,7 @@ class SourcePath:
         for lo, hi in self._fault.outages:
             if lo <= t < hi:
                 return True
-        if self._timeline is not None and not self._timeline.is_up(t):
+        if self.timeline is not None and not self.timeline.is_up(t):
             return True
         return False
 
@@ -116,6 +120,17 @@ class ResilientTrustSource:
         name: source label used in metric names.
         start: initial clock value.
     """
+
+    #: Spec of :meth:`state_dict` (see :mod:`repro.state`).
+    STATE = Obj(
+        "trust-source state",
+        {
+            "now": float,
+            "breaker": CircuitBreaker.STATE,
+            "rng": dict,
+            "timeline": replace(MachineTimeline.STATE, nullable=True),
+        },
+    )
 
     def __init__(
         self,
@@ -164,6 +179,50 @@ class ResilientTrustSource:
         """
         self.metrics = metrics
         self.breaker.metrics = metrics
+
+    # -- checkpoint ----------------------------------------------------------
+
+    def state_dict(self) -> dict[str, Any]:
+        """The query clock, the breaker, the RNG and the outage timeline.
+
+        ``timeline`` is the random outage process as far as it has been
+        materialised (``None`` without an ``outage_mtbf``).  The RNG both
+        samples latencies and extends that timeline lazily, so the two are
+        saved together: a restored source draws what the saved one would
+        have drawn, and sees the same outages.
+        """
+        timeline = self._path.timeline if self._path is not None else None
+        return {
+            "now": self.now,
+            "breaker": self.breaker.state_dict(),
+            "rng": rng_state(self._rng),
+            "timeline": None if timeline is None else timeline.state_dict(),
+        }
+
+    def restore(self, state: dict[str, Any]) -> None:
+        """Restore state captured by :meth:`state_dict` (other keys of
+        ``state`` are ignored).
+
+        Raises:
+            ConfigurationError: when the state has an outage timeline and
+                this source has no random outage process, or the other way
+                round, or numpy refuses the RNG state, or the timeline is
+                not ordered; the RNG and timeline checks run before the
+                clock and breaker are restored.
+        """
+        timeline = self._path.timeline if self._path is not None else None
+        if (state["timeline"] is None) != (timeline is None):
+            has = "has no" if timeline is None else "has a"
+            raise ConfigurationError(
+                f"trust-source state with outage timeline {state['timeline']!r:.60}"
+                f" cannot restore a source that {has} random outage process "
+                "(outage_mtbf)"
+            )
+        if timeline is not None:
+            timeline.restore(state["timeline"])
+        restore_rng(self._rng, state["rng"])
+        self.now = float(state["now"])
+        self.breaker.restore(state["breaker"])
 
     # -- the guarded query ---------------------------------------------------
 

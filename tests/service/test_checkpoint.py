@@ -4,6 +4,7 @@ settled accounting identical to the uninterrupted run."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -23,8 +24,10 @@ from repro.faults.model import (
 from repro.faults.retry import RetryPolicy
 from repro.grid.behavior import BehaviorModel
 from repro.grid.feedback import TrustFeedback
+from repro.obs.metrics import MetricsRegistry
 from repro.scheduling import TRMScheduler, make_heuristic
-from repro.service import GridService
+from repro.cli import main
+from repro.service import AdmissionPolicy, GridService, ServiceConfig
 from repro.service.checkpoint import (
     CHECKPOINT_SCHEMA,
     load_checkpoint,
@@ -41,16 +44,37 @@ FAULTS = FaultModel(
 )
 
 
-def build_service(scenario, *, blackout=False, metrics=None, on_complete=None):
+#: The trust-source axis of the kill/restore properties: no source, a dead
+#: one, one down in fixed windows, and a random up-down process whose
+#: timeline is drawn lazily from the same RNG as the answer latencies.
+TRUST_FAULTS = {
+    "none": None,
+    "blackout": TrustSourceFault(blackout=True),
+    "windows": TrustSourceFault(outages=((500.0, 1400.0), (2600.0, 3300.0))),
+    "random": TrustSourceFault(
+        outage_mtbf=600.0, outage_mttr=150.0, latency_mean=0.5
+    ),
+}
+
+
+def build_service(
+    scenario,
+    *,
+    blackout=False,
+    trust_fault=None,
+    metrics=None,
+    on_complete=None,
+    config=None,
+):
     """A deterministic faulted service; construct one per run/resume."""
     aware, _ = paper_policies()
+    if blackout:
+        trust_fault = TRUST_FAULTS["blackout"]
     trust_source = (
         ResilientTrustSource.from_model(
-            scenario.grid,
-            TrustFaultModel(table=TrustSourceFault(blackout=True)),
-            rng=2,
+            scenario.grid, TrustFaultModel(table=trust_fault), rng=2
         )
-        if blackout
+        if trust_fault is not None
         else None
     )
     scheduler = TRMScheduler(
@@ -65,7 +89,7 @@ def build_service(scenario, *, blackout=False, metrics=None, on_complete=None):
         trust_source=trust_source,
         on_complete=on_complete,
     )
-    return GridService(scheduler)
+    return GridService(scheduler, config)
 
 
 def assert_same_settlement(resumed, baseline):
@@ -186,8 +210,16 @@ class TestMalformedSections:
     @pytest.mark.parametrize(
         "mutate,match",
         [
-            (lambda p: p.update(trust_plane={}), r"trust_plane \(keys off by \['breaker', 'now', 'rng'\]\)"),
-            (lambda p: p.update(trust_plane={"now": "x"}), r"trust_plane \(keys off by \['breaker', 'rng'\]\)"),
+            (
+                lambda p: p.update(trust_plane={}),
+                r"trust_plane \(keys off by \['breaker', 'degraded', 'now', 'rng', "
+                r"'tc_dirty', 'tc_memo', 'timeline'\]\)",
+            ),
+            (
+                lambda p: p.update(trust_plane={"now": "x"}),
+                r"trust_plane \(keys off by \['breaker', 'degraded', 'rng', "
+                r"'tc_dirty', 'tc_memo', 'timeline'\]\)",
+            ),
             (lambda p: p["trust_plane"].update(now="x"), "checkpoint trust_plane.now must be"),
             (lambda p: p.update(trust_plane=[]), "checkpoint trust_plane must be"),
             (
@@ -224,8 +256,62 @@ class TestMalformedSections:
         payload = kill(medium_scenario, 2, blackout=True)
         payload["trust_plane"]["rng"] = {"bit_generator": "PCG64"}
         validate_checkpoint(payload)
-        with pytest.raises(CheckpointError, match="trust_plane.rng"):
+        with pytest.raises(CheckpointError, match=r"trust_plane\) cannot be restored: rng state"):
             build_service(medium_scenario, blackout=True).resume(
+                payload, medium_scenario.requests
+            )
+
+    @pytest.mark.parametrize(
+        "trust,mutate,match",
+        [
+            (
+                "blackout",
+                lambda p: p["trust_plane"]["tc_memo"].append([99, [0]]),
+                r"trust_plane\).*memo keys \[\[99, \[0\]\]\]",
+            ),
+            (
+                "blackout",
+                lambda p: p["trust_plane"]["tc_memo"].append([0, [1, 0]]),
+                r"memo keys \[\[0, \[1, 0\]\]\]",
+            ),
+            (
+                "blackout",
+                lambda p: p["exclusions"].update({"0": [7]}),
+                r"exclusions \{0: \[7\]\}",
+            ),
+            (
+                "blackout",
+                lambda p: p["trust_plane"].update(
+                    timeline={"cursor": 1.0, "down_starts": [], "down_ends": []}
+                ),
+                "has no random outage process",
+            ),
+            (
+                "random",
+                lambda p: p["trust_plane"].update(timeline=None),
+                "has a random outage process",
+            ),
+            (
+                "random",
+                lambda p: p["trust_plane"].update(
+                    timeline={"cursor": 1.0, "down_starts": [5.0], "down_ends": [2.0]}
+                ),
+                "not ordered",
+            ),
+        ],
+        ids=[
+            "memo-cd-off-grid", "memo-unsorted-activities", "machine-off-grid",
+            "timeline-without-process", "process-without-timeline",
+            "unordered-timeline",
+        ],
+    )
+    def test_pricing_state_is_refused_on_resume(self, medium_scenario, trust, mutate, match):
+        fault = TRUST_FAULTS[trust]
+        payload = kill(medium_scenario, 2, trust_fault=fault)
+        mutate(payload)
+        validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=match):
+            build_service(medium_scenario, trust_fault=fault).resume(
                 payload, medium_scenario.requests
             )
 
@@ -300,17 +386,42 @@ class TestKillAndRestore:
             assert_same_settlement(resumed, baseline)
 
     def test_restore_through_trust_blackout(self, medium_scenario):
+        # Ground-truth commits fill the trust-cost memo unguarded, and a
+        # memo hit skips the dead source's query: a resume that dropped
+        # the memo priced degraded where the uninterrupted run did not.
         baseline = build_service(medium_scenario, blackout=True).serve(
             medium_scenario.requests
         )
-        payload = json.loads(
-            json.dumps(kill(medium_scenario, 2, blackout=True))
-        )
-        assert "trust_plane" in payload
-        resumed = build_service(medium_scenario, blackout=True).resume(
-            payload, medium_scenario.requests
-        )
-        assert_same_settlement(resumed, baseline)
+        for window in (1, 2, 3, 4):
+            payload = json.loads(
+                json.dumps(kill(medium_scenario, window, blackout=True))
+            )
+            assert "trust_plane" in payload
+            resumed = build_service(medium_scenario, blackout=True).resume(
+                payload, medium_scenario.requests
+            )
+            assert_same_settlement(resumed, baseline)
+
+    def test_restore_through_random_trust_outages(self, medium_scenario):
+        fault = TRUST_FAULTS["random"]
+        metrics = MetricsRegistry()
+        service = build_service(medium_scenario, trust_fault=fault, metrics=metrics)
+        baseline = service.serve(medium_scenario.requests)
+        source = service.scheduler.trust_source
+        assert metrics.counter("costs.degraded_rows").value > 0
+        assert baseline.windows > 2
+        for window in range(1, baseline.windows):
+            payload = json.loads(
+                json.dumps(kill(medium_scenario, window, trust_fault=fault))
+            )
+            assert payload["trust_plane"]["timeline"] is not None
+            resumed_service = build_service(medium_scenario, trust_fault=fault)
+            resumed = resumed_service.resume(payload, medium_scenario.requests)
+            assert_same_settlement(resumed, baseline)
+            assert (
+                resumed_service.scheduler.trust_source.state_dict()
+                == source.state_dict()
+            )
 
     def test_counters_resume(self, medium_scenario):
         baseline = build_service(medium_scenario).serve(
@@ -360,6 +471,36 @@ class TestResumeGuards:
                 payload, medium_scenario.requests
             )
 
+    def test_record_completing_before_its_start_is_refused(self, medium_scenario):
+        payload = kill(medium_scenario, 3)
+        key, record = next(iter(payload["records"].items()))
+        record["completion_time"] = record["start_time"] - 1.0
+        validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=rf"records\[{key}\].*precede"):
+            build_service(medium_scenario).resume(
+                payload, medium_scenario.requests
+            )
+
+    def test_failure_with_attempt_zero_is_refused(self, medium_scenario):
+        payload = kill(medium_scenario, 3)
+        payload["failures"][0]["attempt"] = 0
+        validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=r"failures\[0\].*attempt 0"):
+            build_service(medium_scenario).resume(
+                payload, medium_scenario.requests
+            )
+
+    def test_unknown_failure_kind_is_refused(self, medium_scenario):
+        payload = kill(medium_scenario, 3)
+        payload["failures"][0]["kind"] = "bogus"
+        match = r"checkpoint failures\[0\]\.kind must be one of"
+        with pytest.raises(CheckpointError, match=match):
+            validate_checkpoint(payload)
+        with pytest.raises(CheckpointError, match=match):
+            build_service(medium_scenario).resume(
+                payload, medium_scenario.requests
+            )
+
     def test_workload_mismatch(self, medium_scenario):
         payload = kill(medium_scenario, 1)
         with pytest.raises(CheckpointError, match="absent"):
@@ -388,63 +529,91 @@ class TestResumeGuards:
                 medium_scenario, on_complete=feedback_for(medium_scenario)
             ).resume(payload, medium_scenario.requests)
 
-    def test_random_outage_process_is_not_checkpointable(
-        self, medium_scenario
-    ):
-        aware, _ = paper_policies()
-        trust_source = ResilientTrustSource.from_model(
-            medium_scenario.grid,
-            TrustFaultModel(
-                table=TrustSourceFault(outage_mtbf=500.0, outage_mttr=50.0)
-            ),
-            rng=2,
-        )
-        scheduler = TRMScheduler(
-            medium_scenario.grid,
-            medium_scenario.eec,
-            aware,
-            make_heuristic("min-min"),
-            batch_interval=PAPER_BATCH_INTERVAL,
-            trust_source=trust_source,
-        )
-        service = GridService(scheduler)
-        with pytest.raises(CheckpointError, match="outage"):
-            service.serve(
-                medium_scenario.requests, kill_after_window=1
-            )
-
 
 class TestKillAndRestoreProperty:
     """Satellite 3: the round-trip holds at *random* window boundaries."""
 
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=24, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=6),
         window=st.integers(min_value=1, max_value=4),
+        trust=st.sampled_from(sorted(TRUST_FAULTS)),
     )
-    def test_random_boundary_recovers_exactly(self, seed, window):
+    def test_random_boundary_recovers_exactly(self, seed, window, trust):
         spec = ScenarioSpec(n_tasks=30, n_machines=4, target_load=3.0)
         scenario = materialize(spec, seed=seed)
+        fault = TRUST_FAULTS[trust]
         completed = []
 
         def hook(record):
             completed.append((record.request_index, record.completion_time))
 
-        baseline = build_service(scenario, on_complete=hook).serve(scenario.requests)
+        baseline = build_service(
+            scenario, trust_fault=fault, on_complete=hook
+        ).serve(scenario.requests)
         uninterrupted, completed[:] = list(completed), []
         try:
-            payload = kill(scenario, window, on_complete=hook)
+            payload = kill(scenario, window, trust_fault=fault, on_complete=hook)
         except pytest.fail.Exception:
             # The run drained before the kill window — nothing to restore,
             # which is itself a pass (the service just finished).
             return
         payload = json.loads(json.dumps(payload))
-        resumed = build_service(scenario, on_complete=hook).resume(
-            payload, scenario.requests
-        )
+        resumed = build_service(
+            scenario, trust_fault=fault, on_complete=hook
+        ).resume(payload, scenario.requests)
         assert_same_settlement(resumed, baseline)
         # Completions still running at the checkpoint fire after the resume.
         assert completed == uninterrupted
+
+
+def _sha(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestParentBytes:
+    """Checkpoint bytes captured before each part saved its own state: the
+    sections a trust-source-free run writes must not move."""
+
+    #: Faulted Min-min kills: in-flight failures and retries, attempts and
+    #: exclusions are all non-empty by window 2.
+    KILLS = {
+        1: "b7c89b0ce6499dcc5e504ab986cc963149da88bcf3ca496881b9d92e800970ee",
+        2: "3adccfd7cda82fcdb15e178723f1e597b6253b1bf8eafb412c4e6b49c91d1fac",
+        3: "f2d6935b3457c4b69179b1a3bd72166517f5537d58d0c9a17203a3427a27d58f",
+    }
+    #: Every checkpoint of a run with a token bucket and backpressure.
+    ADMISSION = "3839fe877117addcd9e2ede8bb0877571428f28bc9bc04d6c9b9621011817b12"
+    #: The file ``repro-trms serve --tasks 300 --seed 0 --checkpoint-every 2``
+    #: writes with ``--checkpoint-out``.
+    SERVE_FILE = "8413c6b13f40b4c3b0e5ad20618c98fd4eea7c96fd5a1261115d02d0eac0b2a1"
+
+    @pytest.mark.parametrize("window", sorted(KILLS))
+    def test_kill_checkpoints(self, medium_scenario, window):
+        payload = kill(medium_scenario, window)
+        assert payload["failures"] and payload["attempts"]
+        assert _sha(payload) == self.KILLS[window]
+
+    def test_admission_and_backpressure_checkpoints(self, medium_scenario):
+        config = ServiceConfig(
+            admission=AdmissionPolicy(
+                rate=0.8 * medium_scenario.arrival_rate, burst=4.0
+            ),
+            backpressure_high=6,
+        )
+        result = build_service(medium_scenario, config=config).serve(
+            medium_scenario.requests, checkpoint_every=1
+        )
+        assert result.backpressure_engagements and result.shed_total
+        assert all(p["admission"] for p in result.checkpoint_payloads)
+        assert _sha(list(result.checkpoint_payloads)) == self.ADMISSION
+
+    def test_serve_checkpoint_file(self, tmp_path, capsys):
+        out = tmp_path / "svc.json"
+        argv = ["serve", "--tasks", "300", "--seed", "0", "--checkpoint-every", "2"]
+        assert main([*argv, "--checkpoint-out", str(out)]) == 0
+        assert f"checkpoint written to {out}" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SERVE_FILE
 
 
 class TestTrustJournalSidecar:

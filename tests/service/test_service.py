@@ -264,3 +264,21 @@ class TestObservability:
             medium_scenario.requests
         )
         assert summary["service"]["windows"] == result.windows
+
+
+def test_finished_run_is_freed_without_the_cycle_collector(medium_scenario):
+    # The engine holds every record's checkpoint field dicts; a reference
+    # cycle through it would keep a finished run's records alive until the
+    # cycle collector runs.
+    import gc
+    import weakref
+
+    service = make_service(medium_scenario)
+    service.serve(medium_scenario.requests, checkpoint_every=1)
+    engine = weakref.ref(service._engine)
+    gc.disable()
+    try:
+        del service
+        assert engine() is None
+    finally:
+        gc.enable()

@@ -28,6 +28,7 @@ PACKAGES = ["repro"] + [
 
 MODULES = [
     "repro.errors",
+    "repro.state",
     "repro.cli",
     "repro.core.ets",
     "repro.grid.session",
