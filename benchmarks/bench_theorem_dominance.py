@@ -3,20 +3,26 @@
 Regenerates the dominance evidence for all three paper heuristics under the
 headline accounting (strong positive margins) and documents the
 reproduction finding that the multi-task claim is a tendency, not a
-theorem, on the proof's own cost surface.
+theorem, on the proof's own cost surface.  The provable base case — one
+task on idle machines — is asserted for each heuristic as well.
 """
 
 from conftest import save_and_echo
 
-from repro.analysis.theorem import check_dominance
+from repro.analysis.theorem import check_dominance, single_task_dominance_holds
+from repro.experiments.config import PAPER_BATCH_INTERVAL
 from repro.metrics.report import Table
-from repro.scheduling.policy import SecurityAccounting
+from repro.scheduling import CostProvider, TRMScheduler, is_batch, make_heuristic
+from repro.scheduling.policy import SecurityAccounting, TrustPolicy
+from repro.workloads.scenario import ScenarioSpec, materialize
+
+HEURISTICS = ("mct", "min-min", "sufferage")
 
 
 def test_theorem_dominance(benchmark, results_dir):
     def run_all():
         reports = {}
-        for heuristic in ("mct", "min-min", "sufferage"):
+        for heuristic in HEURISTICS:
             for accounting in (
                 SecurityAccounting.CONSERVATIVE_FLAT,
                 SecurityAccounting.PAIR_REALIZED,
@@ -41,8 +47,53 @@ def test_theorem_dominance(benchmark, results_dir):
         )
     save_and_echo(results_dir, "theorem_dominance", table.render())
 
-    for heuristic in ("mct", "min-min", "sufferage"):
+    for heuristic in HEURISTICS:
         flat = reports[(heuristic, "conservative-flat")]
         # Under the headline accounting the aware scheduler wins clearly.
         assert flat.mean_margin > 0.05
         assert flat.violations <= flat.trials // 3
+
+
+def test_single_task_base_case(benchmark, results_dir):
+    """n = 1: on idle machines the trust-aware choice never costs more.
+
+    Both schedulers are judged on the same pair-specific cost surface
+    (``PAIR_REALIZED``), the setting of the proof's algebra.
+    """
+    aware = TrustPolicy.aware(accounting=SecurityAccounting.PAIR_REALIZED)
+    unaware = TrustPolicy.unaware(accounting=SecurityAccounting.PAIR_REALIZED)
+    trials = 50
+
+    def run_all():
+        held = {}
+        for heuristic in HEURISTICS:
+            interval = PAPER_BATCH_INTERVAL if is_batch(heuristic) else None
+            held[heuristic] = 0
+            for seed in range(trials):
+                scenario = materialize(ScenarioSpec(n_tasks=1, target_load=4.5), seed=seed)
+                (request,) = scenario.requests
+                costs = CostProvider(grid=scenario.grid, eec=scenario.eec, policy=aware)
+                base_case = single_task_dominance_holds(
+                    costs.eec_row(request), costs.trust_cost_row(request)
+                )
+                aware_run, unaware_run = (
+                    TRMScheduler(
+                        scenario.grid, scenario.eec, policy, make_heuristic(heuristic),
+                        batch_interval=interval,
+                    ).run(scenario.requests)
+                    for policy in (aware, unaware)
+                )
+                held[heuristic] += base_case and aware_run.makespan <= unaware_run.makespan
+        return held
+
+    held = benchmark.pedantic(run_all, rounds=1, iterations=1)
+
+    table = Table(
+        headers=["Heuristic", "Base case held"],
+        title=f"Single-task makespan dominance on idle machines ({trials} scenarios each).",
+    )
+    for heuristic in HEURISTICS:
+        table.add_row(heuristic, f"{held[heuristic]}/{trials}")
+    save_and_echo(results_dir, "theorem_base_case", table.render())
+
+    assert held == {heuristic: trials for heuristic in HEURISTICS}

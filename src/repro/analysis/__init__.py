@@ -11,18 +11,12 @@ from repro.analysis.ablation import (
 from repro.analysis.collusion import CollusionOutcome, run_collusion_study
 from repro.analysis.gamma_weights import GammaWeightOutcome, ablate_gamma_weights
 from repro.analysis.calibration import (
-    ChosenTcReport,
     aware_multiplier,
     improvement_cap,
-    measure_chosen_tc,
     predicted_improvement,
     unaware_multiplier,
 )
-from repro.analysis.significance import (
-    PairedTestResult,
-    bootstrap_ci,
-    paired_t_test,
-)
+from repro.analysis.significance import PairedTestResult, paired_t_test
 from repro.analysis.sweep import (
     SweepPoint,
     sweep_batch_interval,
@@ -45,15 +39,12 @@ __all__ = [
     "GammaWeightOutcome",
     "ablate_gamma_weights",
     "run_collusion_study",
-    "ChosenTcReport",
     "aware_multiplier",
     "unaware_multiplier",
     "improvement_cap",
     "predicted_improvement",
-    "measure_chosen_tc",
     "PairedTestResult",
     "paired_t_test",
-    "bootstrap_ci",
     "SweepPoint",
     "sweep_batch_interval",
     "sweep_policy",

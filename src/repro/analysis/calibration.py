@@ -14,29 +14,20 @@ argument as code:
   — with the printed 0.5 that is a hard ≈ 33 % ceiling *attained only at
   TC ≡ 0*, and the realistic ceiling with a measured mean chosen TC is
   lower still (:func:`improvement_cap`);
-* the **measured chosen TC** (:func:`measure_chosen_tc`): what trust cost
-  the aware scheduler actually pays under a spec, which plugs into the cap;
-* :func:`predicted_improvement` combines the two so the frozen
-  configuration's numbers can be sanity-checked against theory.
+* :func:`predicted_improvement` reads the same cap as a first-order
+  prediction, so the frozen configuration's numbers can be sanity-checked
+  against theory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-from repro.experiments.runner import run_single
-from repro.scheduling.policy import TRUST_WEIGHT, TrustPolicy
-from repro.sim.stats import RunningStats
-from repro.workloads.scenario import ScenarioSpec
+from repro.scheduling.policy import TRUST_WEIGHT
 
 __all__ = [
     "aware_multiplier",
     "unaware_multiplier",
     "improvement_cap",
     "predicted_improvement",
-    "ChosenTcReport",
-    "measure_chosen_tc",
 ]
 
 
@@ -71,51 +62,3 @@ def improvement_cap(
 #: Alias: the cap *is* the first-order predicted improvement.
 predicted_improvement = improvement_cap
 
-
-@dataclass(frozen=True)
-class ChosenTcReport:
-    """Measured trust costs actually paid by a trust-aware scheduler.
-
-    Attributes:
-        heuristic: heuristic measured.
-        chosen: stats of the per-request TC at the chosen machines.
-        replications: scenarios sampled.
-    """
-
-    heuristic: str
-    chosen: RunningStats
-    replications: int
-
-    @property
-    def mean(self) -> float:
-        """Mean chosen trust cost."""
-        return self.chosen.mean
-
-
-def measure_chosen_tc(
-    spec: ScenarioSpec | None = None,
-    *,
-    heuristic: str = "mct",
-    replications: int = 10,
-    base_seed: int = 0,
-    batch_interval: float = 600.0,
-    unaware_fraction: float = 0.9,
-) -> ChosenTcReport:
-    """Measure the mean TC the trust-aware scheduler pays under ``spec``.
-
-    Runs trust-aware schedules over ``replications`` scenarios and folds
-    every realised assignment's TC into the report.
-    """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    spec = spec if spec is not None else ScenarioSpec(n_tasks=50, target_load=4.5)
-    stats = RunningStats()
-    policy = TrustPolicy.aware(unaware_fraction=unaware_fraction)
-    for i in range(replications):
-        result = run_single(
-            spec, heuristic, policy, base_seed + i, batch_interval=batch_interval
-        )
-        stats.extend(r.trust_cost for r in result.records)
-    return ChosenTcReport(
-        heuristic=heuristic, chosen=stats, replications=replications
-    )

@@ -1,16 +1,12 @@
 """Statistical significance of paired improvements.
 
 The paper reports bare averages; a production harness should say whether a
-measured improvement could be replication noise.  Two complementary tools,
-both operating on *paired* per-replication differences (the aware and
-unaware runs of a replication share their scenario, so pairing removes the
-between-scenario variance):
-
-* :func:`paired_t_test` — classic paired t, implemented directly (the exact
-  t CDF via the regularised incomplete beta from :mod:`scipy.special` when
-  available, with a normal-approximation fallback);
-* :func:`bootstrap_ci` — percentile bootstrap confidence interval for the
-  mean difference, distribution-free.
+measured improvement could be replication noise.  :func:`paired_t_test`
+operates on *paired* per-replication differences (the aware and unaware
+runs of a replication share their scenario, so pairing removes the
+between-scenario variance).  It is the classic paired t, implemented
+directly: the exact t CDF via the regularised incomplete beta from
+:mod:`scipy.special` when available, with a normal-approximation fallback.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PairedTestResult", "paired_t_test", "bootstrap_ci"]
+__all__ = ["PairedTestResult", "paired_t_test"]
 
 
 @dataclass(frozen=True)
@@ -92,38 +88,3 @@ def paired_t_test(baseline, treatment) -> PairedTestResult:
     p = 2.0 * _student_t_sf(t, df)
     return PairedTestResult(mean, t, df, min(p, 1.0))
 
-
-def bootstrap_ci(
-    baseline,
-    treatment,
-    *,
-    confidence: float = 0.95,
-    n_resamples: int = 5000,
-    rng: np.random.Generator | None = None,
-) -> tuple[float, float]:
-    """Percentile-bootstrap CI for the mean paired difference.
-
-    Args:
-        baseline / treatment: paired per-replication values.
-        confidence: interval mass (default 95 %).
-        n_resamples: bootstrap resamples.
-        rng: random stream (default: fresh deterministic generator).
-
-    Returns:
-        ``(low, high)`` bounds on the mean of ``baseline − treatment``.
-    """
-    a = np.asarray(baseline, dtype=np.float64)
-    b = np.asarray(treatment, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError("need equal-length 1-D sequences with >= 2 pairs")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    if n_resamples < 100:
-        raise ValueError("n_resamples must be >= 100")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    diff = a - b
-    idx = rng.integers(0, diff.size, size=(n_resamples, diff.size))
-    means = diff[idx].mean(axis=1)
-    tail = (1.0 - confidence) / 2.0
-    low, high = np.quantile(means, [tail, 1.0 - tail])
-    return float(low), float(high)

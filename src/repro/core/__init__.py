@@ -17,10 +17,7 @@ from repro.core.context import (
 from repro.core.decay import (
     DecayFunction,
     ExponentialDecay,
-    HalfLifeDecay,
-    LinearDecay,
     NoDecay,
-    StepDecay,
 )
 from repro.core.direct import DirectTrust
 from repro.core.engine import TrustEngine
@@ -30,13 +27,9 @@ from repro.core.journal import (
     JOURNAL_SCHEMA,
     DurableTrustPlane,
     JournalConfig,
-    JournalReplay,
     JournalWriter,
     TrustJournalError,
     apply_op,
-    attach_journal,
-    detach_journal,
-    read_journal,
 )
 from repro.core.levels import (
     MAX_LEVEL,
@@ -57,7 +50,6 @@ from repro.core.tables import (
 )
 from repro.core.update import (
     AlwaysPublish,
-    HysteresisPolicy,
     MinEvidencePolicy,
     SignificancePolicy,
 )
@@ -72,9 +64,6 @@ __all__ = [
     "DecayFunction",
     "NoDecay",
     "ExponentialDecay",
-    "LinearDecay",
-    "StepDecay",
-    "HalfLifeDecay",
     "DirectTrust",
     "Reputation",
     "TrustEngine",
@@ -96,13 +85,9 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "TrustJournalError",
     "JournalConfig",
-    "JournalReplay",
     "JournalWriter",
     "DurableTrustPlane",
-    "read_journal",
     "apply_op",
-    "attach_journal",
-    "detach_journal",
     "RecommenderWeights",
     "TrustRecord",
     "TrustTable",
@@ -111,5 +96,4 @@ __all__ = [
     "SignificancePolicy",
     "AlwaysPublish",
     "MinEvidencePolicy",
-    "HysteresisPolicy",
 ]

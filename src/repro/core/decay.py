@@ -4,7 +4,7 @@ Trust information ages: an experience from five years ago says less about an
 entity's present behaviour than one from yesterday (Section 2.2).  The paper
 models this with a decay function ``Υ`` applied multiplicatively to stored
 trust levels; it does not commit to a particular functional form, so this
-module provides a small family of well-behaved decays sharing one protocol:
+module provides the identity and an exponential decay sharing one protocol:
 
 * each decay maps an *age* (elapsed time since the last transaction, ``>= 0``)
   to a multiplier in ``[floor, 1]``;
@@ -25,9 +25,6 @@ __all__ = [
     "DecayFunction",
     "NoDecay",
     "ExponentialDecay",
-    "LinearDecay",
-    "StepDecay",
-    "HalfLifeDecay",
 ]
 
 
@@ -85,60 +82,3 @@ class ExponentialDecay(DecayFunction):
         age = self._check_age(age)
         return self.floor + (1.0 - self.floor) * math.exp(-self.rate * age)
 
-
-@dataclass(frozen=True, slots=True)
-class LinearDecay(DecayFunction):
-    """Linear ramp from 1 at age 0 down to ``floor`` at ``horizon``.
-
-    Attributes:
-        horizon: age at which credibility reaches the floor.
-        floor: minimum multiplier (default 0).
-    """
-
-    horizon: float
-    floor: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if not 0.0 <= self.floor <= 1.0:
-            raise ValueError("floor must lie in [0, 1]")
-
-    def __call__(self, age: float) -> float:
-        age = self._check_age(age)
-        return 1.0 - (1.0 - self.floor) * min(age / self.horizon, 1.0)
-
-
-@dataclass(frozen=True, slots=True)
-class StepDecay(DecayFunction):
-    """Full credibility within ``fresh_for`` time units, ``stale_value`` after.
-
-    Models systems that treat trust data as either *current* or *stale*.
-    """
-
-    fresh_for: float
-    stale_value: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.fresh_for < 0:
-            raise ValueError("fresh_for must be non-negative")
-        if not 0.0 <= self.stale_value <= 1.0:
-            raise ValueError("stale_value must lie in [0, 1]")
-
-    def __call__(self, age: float) -> float:
-        age = self._check_age(age)
-        return 1.0 if age <= self.fresh_for else float(self.stale_value)
-
-
-class HalfLifeDecay(ExponentialDecay):
-    """Exponential decay parameterised by its half-life instead of a rate."""
-
-    def __init__(self, half_life: float, floor: float = 0.0) -> None:
-        if half_life <= 0:
-            raise ValueError("half_life must be positive")
-        super().__init__(rate=math.log(2.0) / half_life, floor=floor)
-
-    @property
-    def half_life(self) -> float:
-        """The age at which (floor-adjusted) credibility halves."""
-        return math.log(2.0) / self.rate

@@ -18,10 +18,9 @@ from typing import TYPE_CHECKING
 from repro.core.context import TrustContext
 from repro.core.decay import DecayFunction, NoDecay
 from repro.core.direct import DirectTrust
-from repro.core.levels import TrustLevel
 from repro.core.recommender import RecommenderWeights
 from repro.core.reputation import Reputation
-from repro.core.tables import EntityId, TrustTable, value_to_level
+from repro.core.tables import EntityId, TrustTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -115,13 +114,3 @@ class TrustEngine:
         theta = self.direct.evaluate(truster, trustee, context, now)
         omega = self.reputation.evaluate(trustee, context, now, asking=truster)
         return self.alpha * theta + self.beta * omega
-
-    def gamma_level(
-        self, truster: EntityId, trustee: EntityId, context: TrustContext, now: float
-    ) -> TrustLevel:
-        """The eventual trust quantised to a discrete :class:`TrustLevel`.
-
-        This is the bridge between the continuous Section-2 model and the
-        level-based Grid trust table of Section 3.
-        """
-        return value_to_level(self.gamma(truster, trustee, context, now))

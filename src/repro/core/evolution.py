@@ -9,19 +9,19 @@ well-behaved mechanism so the Fig. 1 agents have something to run:
   (1 = behaved exactly as expected);
 * the :class:`TrustEvolver` folds the score into the trust table with an
   exponential moving average, so trust is "not a fixed value ... but rather
-  subject to the entity's behavior" (Section 2.1);
-* when the outcome was preceded by recommendations, the evolver also scores
-  those recommenders, implementing the paper's "R ... is learned based on
-  actual outcomes".
+  subject to the entity's behavior" (Section 2.1).
+
+The recommenders behind an outcome are scored where the outcome is fed
+back (:class:`~repro.grid.feedback.TrustFeedback`), through
+:meth:`~repro.core.recommender.RecommenderWeights.observe_outcome`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.core.context import TrustContext
-from repro.core.recommender import RecommenderWeights
 from repro.core.tables import EntityId, TrustRecord, TrustTable
 from repro.errors import ConfigurationError
 
@@ -86,7 +86,6 @@ class TrustEvolver:
 
     Attributes:
         table: the table being evolved (shared DTT/RTT).
-        weights: recommender weights updated when recommendations are scored.
         smoothing: EMA factor; the new value is
             ``(1 - smoothing) * old + smoothing * satisfaction``.  A first
             outcome (no prior record) is taken at face value.
@@ -96,7 +95,6 @@ class TrustEvolver:
     """
 
     table: TrustTable
-    weights: RecommenderWeights = field(default_factory=RecommenderWeights)
     smoothing: float = 0.3
     initial_value: float | None = None
 
@@ -139,27 +137,3 @@ class TrustEvolver:
         return table.record(
             truster, trustee, context, value, time, transaction_count=count
         )
-
-    def score_recommendations(
-        self,
-        outcome: TransactionOutcome,
-        recommendations: dict[EntityId, float],
-    ) -> dict[EntityId, float]:
-        """Score recommenders against the realised outcome.
-
-        Args:
-            outcome: the realised transaction outcome.
-            recommendations: mapping recommender -> the trust value it had
-                reported for the trustee before the transaction.
-
-        Returns:
-            Mapping recommender -> its updated accuracy.
-        """
-        updated: dict[EntityId, float] = {}
-        for recommender, predicted in recommendations.items():
-            if recommender == outcome.truster:
-                continue
-            updated[recommender] = self.weights.observe_outcome(
-                recommender, predicted, outcome.satisfaction
-            )
-        return updated

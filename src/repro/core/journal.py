@@ -83,13 +83,9 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "TrustJournalError",
     "JournalConfig",
-    "JournalReplay",
     "JournalWriter",
     "DurableTrustPlane",
-    "read_journal",
     "apply_op",
-    "attach_journal",
-    "detach_journal",
     "sync_file",
     "sync_dir",
     "set_sync_hook",
@@ -249,8 +245,8 @@ def _frame(op: dict[str, Any]) -> bytes:
 
 
 @dataclass(frozen=True)
-class JournalReplay:
-    """Result of :func:`read_journal`.
+class _JournalReplay:
+    """Result of :func:`_read_journal`.
 
     Attributes:
         path: the journal file that was read.
@@ -274,13 +270,13 @@ class JournalReplay:
 _UNSET = object()
 
 
-def read_journal(
+def _read_journal(
     path: str | Path,
     *,
     upto: int | None = None,
     expected_base: Any = _UNSET,
     metrics: Any = None,
-) -> JournalReplay:
+) -> _JournalReplay:
     """Read and frame-validate a journal, truncating at the first tear.
 
     Args:
@@ -363,7 +359,7 @@ def read_journal(
                 "snapshot"
             )
         ops = tuple(frames[1:])
-    return JournalReplay(
+    return _JournalReplay(
         path=path,
         header=header,
         ops=ops,
@@ -436,7 +432,7 @@ class JournalWriter:
             return cls.create(
                 path, base=None if base is _UNSET else base, metrics=metrics
             )
-        replay = read_journal(
+        replay = _read_journal(
             path, upto=truncate_to, expected_base=base, metrics=metrics
         )
         valid = replay.valid_bytes
@@ -619,7 +615,7 @@ def apply_op(
         raise TrustJournalError(f"{where}: unknown journal op {kind!r}")
 
 
-def attach_journal(
+def _attach_journal(
     sink: Any,
     *,
     table: TrustTable | None = None,
@@ -642,14 +638,14 @@ def attach_journal(
         grid_table._journal = sink
 
 
-def detach_journal(
+def _detach_journal(
     *,
     table: TrustTable | None = None,
     weights: RecommenderWeights | None = None,
     grid_table: Any = None,
 ) -> None:
-    """Clear the mutation hooks installed by :func:`attach_journal`."""
-    attach_journal(
+    """Clear the mutation hooks installed by :func:`_attach_journal`."""
+    _attach_journal(
         None, table=table, weights=weights, grid_table=grid_table
     )
     if weights is not None:
@@ -740,7 +736,7 @@ class DurableTrustPlane:
         self._writer = writer
         self._base_digest = base_digest
         self._base_bytes = base_bytes
-        attach_journal(
+        _attach_journal(
             self, table=table, weights=weights, grid_table=grid_table
         )
 
@@ -872,7 +868,7 @@ class DurableTrustPlane:
             base_dir = parked
         manifest_path = base_dir / "manifest.json"
         digest = _manifest_digest(manifest_path)
-        replay = read_journal(journal_path, upto=upto, metrics=metrics)
+        replay = _read_journal(journal_path, upto=upto, metrics=metrics)
         # The header pins the manifest, which pins every segment: check
         # the pin first, so a tampered manifest is named as the offender.
         if replay.header is not None and replay.header.get("base") != digest:
@@ -1019,7 +1015,7 @@ class DurableTrustPlane:
 
     def close(self) -> None:
         """Sync outstanding frames, detach hooks, release the journal."""
-        detach_journal(
+        _detach_journal(
             table=self.table,
             weights=self.weights,
             grid_table=self.grid_table,

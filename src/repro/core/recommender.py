@@ -84,14 +84,6 @@ class AllianceRegistry:
             return False
         return not ga.isdisjoint(gb)
 
-    def allies_of(self, entity: EntityId) -> frozenset[EntityId]:
-        """Every entity allied with ``entity`` (excluding itself)."""
-        allies: set[EntityId] = set()
-        for name in self._membership.get(entity, ()):
-            allies.update(self._groups[name])
-        allies.discard(entity)
-        return frozenset(allies)
-
     def groups(self) -> frozenset[str]:
         """Names of all declared alliance groups."""
         return frozenset(self._groups)

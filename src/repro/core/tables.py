@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from repro.core.context import TrustContext
 from repro.core.levels import TrustLevel
-from repro.errors import ConfigurationError, UnknownEntityError
+from repro.errors import ConfigurationError
 
 __all__ = ["TrustRecord", "TrustTable", "value_to_level", "level_to_value"]
 
@@ -222,18 +222,6 @@ class TrustTable:
     ) -> TrustRecord | None:
         """Return the record, or ``None`` when the pair has no history."""
         return self._records.get((truster, trustee, context))
-
-    def require(
-        self, truster: EntityId, trustee: EntityId, context: TrustContext
-    ) -> TrustRecord:
-        """Return the record, raising :class:`UnknownEntityError` if absent."""
-        rec = self.get(truster, trustee, context)
-        if rec is None:
-            raise UnknownEntityError(
-                f"no trust record for truster={truster!r} trustee={trustee!r} "
-                f"context={context.name!r}"
-            )
-        return rec
 
     def opinions(
         self, trustee: EntityId, context: TrustContext

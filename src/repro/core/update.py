@@ -24,7 +24,6 @@ __all__ = [
     "SignificancePolicy",
     "AlwaysPublish",
     "MinEvidencePolicy",
-    "HysteresisPolicy",
 ]
 
 
@@ -75,28 +74,3 @@ class MinEvidencePolicy(SignificancePolicy):
             return False
         return published is None or self.proposed_level(record) != published
 
-
-@dataclass(frozen=True, slots=True)
-class HysteresisPolicy(SignificancePolicy):
-    """Publish only when the level moves by at least ``min_level_delta``.
-
-    Prevents oscillation between adjacent levels when the continuous value
-    hovers near a bin boundary — keeping the table the "slow varying"
-    attribute the paper describes.
-    """
-
-    min_level_delta: int = 1
-    min_transactions: int = 1
-
-    def __post_init__(self) -> None:
-        if self.min_level_delta < 1:
-            raise ValueError("min_level_delta must be >= 1")
-        if self.min_transactions < 1:
-            raise ValueError("min_transactions must be >= 1")
-
-    def should_publish(self, record: TrustRecord, published: TrustLevel | None) -> bool:
-        if record.transaction_count < self.min_transactions:
-            return False
-        if published is None:
-            return True
-        return abs(int(self.proposed_level(record)) - int(published)) >= self.min_level_delta

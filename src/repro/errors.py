@@ -11,7 +11,6 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "TrustModelError",
-    "UnknownEntityError",
     "TrustQueryError",
     "TrustQueryTimeout",
     "TrustSourceUnavailable",
@@ -38,10 +37,6 @@ class ConfigurationError(ReproError, ValueError):
 
 class TrustModelError(ReproError):
     """A trust-model operation could not be carried out."""
-
-
-class UnknownEntityError(TrustModelError, KeyError):
-    """A trust query referenced an entity that is not registered."""
 
 
 class TrustQueryError(TrustModelError):

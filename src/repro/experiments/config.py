@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
 from repro.scheduling.policy import SecurityAccounting, TrustPolicy
 from repro.workloads.consistency import Consistency
 from repro.workloads.scenario import ScenarioSpec
@@ -82,12 +83,19 @@ SCHEDULING_TABLES: dict[int, TableConfig] = {
 
 
 def table_config(number: int) -> TableConfig:
-    """The configuration of scheduling table ``number`` (4–9)."""
+    """The configuration of scheduling table ``number`` (4–9).
+
+    Raises:
+        ConfigurationError: for a number with no scheduling table, naming
+            the number and the valid ones.
+    """
     try:
         return SCHEDULING_TABLES[number]
     except KeyError:
         valid = ", ".join(str(k) for k in sorted(SCHEDULING_TABLES))
-        raise KeyError(f"no scheduling table {number}; expected one of {valid}") from None
+        raise ConfigurationError(
+            f"no scheduling table {number!r}; expected one of {valid}"
+        ) from None
 
 
 def paper_spec(

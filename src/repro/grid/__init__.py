@@ -7,8 +7,6 @@ from repro.grid.behavior import (
     BehaviorModel,
     BehaviorProfile,
     DegradingBehavior,
-    FlipBehavior,
-    OscillatingBehavior,
     StationaryBehavior,
 )
 from repro.grid.client import Client
@@ -16,7 +14,7 @@ from repro.grid.feedback import TrustFeedback
 from repro.grid.session import GridSession, RoundResult, SessionResult
 from repro.grid.domain import ClientDomain, GridDomain, ResourceDomain
 from repro.grid.machine import Machine, MachineState
-from repro.grid.request import MetaRequest, Request, Task
+from repro.grid.request import Request, Task
 from repro.grid.topology import Grid, GridBuilder
 from repro.grid.trust_table import GridTrustTable
 
@@ -31,8 +29,6 @@ __all__ = [
     "BehaviorProfile",
     "StationaryBehavior",
     "DegradingBehavior",
-    "OscillatingBehavior",
-    "FlipBehavior",
     "GridSession",
     "TrustFeedback",
     "RoundResult",
@@ -43,7 +39,6 @@ __all__ = [
     "ResourceDomain",
     "Machine",
     "MachineState",
-    "MetaRequest",
     "Request",
     "Task",
     "Grid",

@@ -8,13 +8,12 @@ time-varying distribution over transaction satisfaction for one domain.
 Profiles are deliberately dynamic — the paper's definition of trust insists
 the firm belief "is not a fixed value ... but rather it is subject to the
 entity's behavior ... at a given time" — so besides stationary reliable and
-flaky profiles there are degrading and oscillating ones, which let tests
-check that decayed, evolving trust actually tracks behaviour changes.
+flaky profiles there is a degrading one, which lets tests check that
+decayed, evolving trust actually tracks behaviour changes.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -24,8 +23,6 @@ __all__ = [
     "BehaviorProfile",
     "StationaryBehavior",
     "DegradingBehavior",
-    "OscillatingBehavior",
-    "FlipBehavior",
     "BehaviorModel",
 ]
 
@@ -98,61 +95,6 @@ class DegradingBehavior(BehaviorProfile):
     def mean_at(self, time: float) -> float:
         frac = min(max(time, 0.0) / self.horizon, 1.0)
         return self.start + (self.floor - self.start) * frac
-
-
-@dataclass(frozen=True)
-class OscillatingBehavior(BehaviorProfile):
-    """Behaviour oscillating sinusoidally between good and bad phases.
-
-    Attributes:
-        low: trough mean satisfaction.
-        high: peak mean satisfaction.
-        period: oscillation period.
-    """
-
-    low: float
-    high: float
-    period: float
-    noise: float = 0.08
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.low <= self.high <= 1.0:
-            raise ValueError("need 0 <= low <= high <= 1")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    def mean_at(self, time: float) -> float:
-        mid = (self.high + self.low) / 2.0
-        amp = (self.high - self.low) / 2.0
-        return mid + amp * math.sin(2.0 * math.pi * time / self.period)
-
-
-@dataclass(frozen=True)
-class FlipBehavior(BehaviorProfile):
-    """Behaviour that switches abruptly at ``flip_time``.
-
-    The classic betrayal scenario: build a good reputation, then defect.
-
-    Attributes:
-        before: mean satisfaction before the flip.
-        after: mean satisfaction after the flip.
-        flip_time: when the switch happens.
-    """
-
-    before: float
-    after: float
-    flip_time: float
-    noise: float = 0.08
-
-    def __post_init__(self) -> None:
-        for label, v in (("before", self.before), ("after", self.after)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1]")
-        if self.flip_time < 0:
-            raise ValueError("flip_time must be non-negative")
-
-    def mean_at(self, time: float) -> float:
-        return self.before if time < self.flip_time else self.after
 
 
 @dataclass

@@ -1,21 +1,20 @@
-"""Tasks, requests and meta-requests.
+"""Tasks and requests.
 
 Section 4.1's notation: a client presents a *request* ``r_i`` for the
 execution of a *task* ``t(r_i)`` originated by client ``c(r_i)``.  Tasks are
 indivisible and mapped non-preemptively.  Batch-mode heuristics collect the
 requests arriving during a predefined interval into a *meta-request*
-``R_j`` and map the whole batch at once.
+``R_j`` and map the whole batch at once (``SchedulingEngine.form_batch``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.grid.activities import ActivitySet
 from repro.grid.client import Client
 
-__all__ = ["Task", "Request", "MetaRequest"]
+__all__ = ["Task", "Request"]
 
 
 @dataclass(frozen=True)
@@ -63,48 +62,3 @@ class Request:
         """Index of the originating client domain (row in trust tables)."""
         return self.client.client_domain.index
 
-
-@dataclass(frozen=True)
-class MetaRequest:
-    """A batch of requests mapped together (the paper's ``R_j``).
-
-    Attributes:
-        index: dense meta-request index.
-        requests: the member requests, in arrival order.
-        formed_at: the time the batch was closed and handed to the mapper.
-    """
-
-    index: int
-    requests: tuple[Request, ...]
-    formed_at: float
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("meta-request index must be non-negative")
-        if self.formed_at < 0:
-            raise ValueError("formed_at must be non-negative")
-        late = [r for r in self.requests if r.arrival_time > self.formed_at]
-        if late:
-            raise ValueError(
-                f"{len(late)} request(s) arrive after the batch formed at "
-                f"{self.formed_at}"
-            )
-
-    @classmethod
-    def of(
-        cls, requests: Sequence[Request], formed_at: float, index: int = 0
-    ) -> "MetaRequest":
-        """Build a meta-request from any request sequence."""
-        ordered = tuple(sorted(requests, key=lambda r: (r.arrival_time, r.index)))
-        return cls(index=index, requests=ordered, formed_at=formed_at)
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __iter__(self) -> Iterator[Request]:
-        return iter(self.requests)
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the batch window saw no arrivals."""
-        return not self.requests

@@ -10,12 +10,7 @@ from repro.metrics.schedule import (
     goodput,
     jain_fairness,
     average_flow_time,
-    average_utilization,
-    machine_busy_times,
-    machine_utilizations,
     makespan,
-    per_domain_completion,
-    waiting_times,
     wasted_work,
     wasted_work_fraction,
 )
@@ -30,12 +25,7 @@ __all__ = [
     "jain_fairness",
     "domain_fairness",
     "average_flow_time",
-    "average_utilization",
-    "machine_busy_times",
-    "machine_utilizations",
     "makespan",
-    "per_domain_completion",
-    "waiting_times",
     "effective_makespan",
     "goodput",
     "wasted_work",

@@ -20,11 +20,6 @@ __all__ = [
     "makespan",
     "average_completion_time",
     "average_flow_time",
-    "machine_busy_times",
-    "machine_utilizations",
-    "average_utilization",
-    "per_domain_completion",
-    "waiting_times",
     "jain_fairness",
     "domain_fairness",
     "effective_makespan",
@@ -53,46 +48,6 @@ def average_flow_time(records: Sequence[CompletionRecord]) -> float:
     if not records:
         return 0.0
     return float(np.mean([r.flow_time for r in records]))
-
-
-def waiting_times(records: Sequence[CompletionRecord]) -> np.ndarray:
-    """Per-request wait before execution started (start − arrival)."""
-    return np.array([r.start_time - r.arrival_time for r in records])
-
-
-def machine_busy_times(
-    records: Sequence[CompletionRecord], n_machines: int
-) -> np.ndarray:
-    """Total realised execution cost booked on each machine."""
-    if n_machines < 1:
-        raise ValueError("n_machines must be >= 1")
-    busy = np.zeros(n_machines, dtype=np.float64)
-    for r in records:
-        if not 0 <= r.machine_index < n_machines:
-            raise ValueError(
-                f"record references machine {r.machine_index} outside "
-                f"[0, {n_machines - 1}]"
-            )
-        busy[r.machine_index] += r.realized_cost
-    return busy
-
-
-def machine_utilizations(
-    records: Sequence[CompletionRecord], n_machines: int
-) -> np.ndarray:
-    """Busy fraction of each machine over ``[0, makespan]``."""
-    horizon = makespan(records)
-    busy = machine_busy_times(records, n_machines)
-    if horizon <= 0:
-        return np.zeros_like(busy)
-    return np.minimum(busy / horizon, 1.0)
-
-
-def average_utilization(
-    records: Sequence[CompletionRecord], n_machines: int
-) -> float:
-    """Mean machine utilisation — the "Machine utilization" column."""
-    return float(machine_utilizations(records, n_machines).mean())
 
 
 def jain_fairness(values) -> float:
@@ -178,23 +133,3 @@ def goodput(
     if horizon <= 0:
         return 0.0
     return len(records) / horizon
-
-
-def per_domain_completion(
-    records: Sequence[CompletionRecord],
-    domain_of_request: Sequence[int],
-) -> dict[int, float]:
-    """Average completion time per originating client domain.
-
-    Args:
-        records: completion records.
-        domain_of_request: map from request index to CD index.
-
-    Returns:
-        CD index → mean completion time of its requests.
-    """
-    sums: dict[int, list[float]] = {}
-    for r in records:
-        cd = int(domain_of_request[r.request_index])
-        sums.setdefault(cd, []).append(r.completion_time)
-    return {cd: float(np.mean(v)) for cd, v in sorted(sums.items())}

@@ -6,7 +6,6 @@ from repro.scheduling.base import BatchHeuristic, ImmediateHeuristic, PlannedAss
 from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 from repro.scheduling.duplex import DuplexHeuristic
-from repro.scheduling.esc_models import EscModel, LadderEsc, LinearEsc, TableEsc
 from repro.scheduling.kpb import KpbHeuristic, kpb_subset_size
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.mct import MctHeuristic
@@ -20,9 +19,7 @@ from repro.scheduling.policy import (
     TrustPolicy,
 )
 from repro.scheduling.registry import (
-    batch_names,
     heuristic_names,
-    immediate_names,
     is_batch,
     make_heuristic,
     register_heuristic,
@@ -42,10 +39,6 @@ __all__ = [
     "TrustConstraint",
     "InfeasiblePolicy",
     "DuplexHeuristic",
-    "EscModel",
-    "LinearEsc",
-    "LadderEsc",
-    "TableEsc",
     "KpbHeuristic",
     "kpb_subset_size",
     "MaxMinHeuristic",
@@ -62,8 +55,6 @@ __all__ = [
     "make_heuristic",
     "register_heuristic",
     "heuristic_names",
-    "immediate_names",
-    "batch_names",
     "is_batch",
     "CompletionRecord",
     "ScheduleResult",

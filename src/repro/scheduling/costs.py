@@ -648,20 +648,3 @@ class CostProvider:
                 blanket = eec[degraded]
                 cost[degraded] = blanket + self.policy.esc_unaware(blanket)
         return eec, cost, tc
-
-    def with_policy(self, policy: TrustPolicy) -> "CostProvider":
-        """A provider over the same workload under a different policy.
-
-        The TC memo is rebuilt lazily; rows are identical because TC is
-        policy-independent.  The installed hard constraint (and metrics
-        registry, and resilient trust source) carry over — paired
-        aware/unaware comparisons must price feasibility identically.
-        """
-        return CostProvider(
-            grid=self.grid,
-            eec=self.eec,
-            policy=policy,
-            constraint=self.constraint,
-            metrics=self.metrics,
-            trust_source=self.trust_source,
-        )

@@ -25,12 +25,11 @@ implemented (see DESIGN.md):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.scheduling.esc_models import EscModel, LinearEsc
 
 __all__ = ["SecurityAccounting", "TrustPolicy", "TRUST_WEIGHT", "UNAWARE_FRACTION"]
 
@@ -54,51 +53,41 @@ class TrustPolicy:
     Attributes:
         trust_aware: whether the scheduler sees trust costs while mapping.
         accounting: which security cost the unaware deployment pays.
-        tc_weight: weight on TC in the aware ESC formula (paper: 15); used
-            when no explicit ``esc_model`` is supplied.
+        tc_weight: weight on TC in the aware ESC formula (paper: 15).
         unaware_fraction: blanket surcharge of the unaware formula (paper: 0.5).
-        esc_model: optional trust-aware ESC model replacing the linear
-            formula (e.g. :class:`~repro.scheduling.esc_models.LadderEsc`
-            to charge the measured mechanism costs instead).
     """
 
     trust_aware: bool
     accounting: SecurityAccounting = SecurityAccounting.CONSERVATIVE_FLAT
     tc_weight: float = TRUST_WEIGHT
     unaware_fraction: float = UNAWARE_FRACTION
-    esc_model: EscModel | None = None
 
     def __post_init__(self) -> None:
         if self.tc_weight < 0:
             raise ConfigurationError("tc_weight must be non-negative")
         if self.unaware_fraction < 0:
             raise ConfigurationError("unaware_fraction must be non-negative")
-        # Resolved once: ESC is evaluated per mapping row and per commit.
-        object.__setattr__(
-            self,
-            "_aware_model",
-            self.esc_model if self.esc_model is not None else LinearEsc(self.tc_weight),
-        )
-
-    def __getstate__(self) -> dict:
-        # Pickle the fields only; the resolved model is derived from them.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    @property
-    def aware_model(self) -> EscModel:
-        """The effective trust-aware ESC model."""
-        return self._aware_model
 
     # -- ESC formulas -------------------------------------------------------
 
     def esc_aware(self, eec: np.ndarray, tc: np.ndarray) -> np.ndarray:
-        """Trust-aware expected security cost (default: ``EEC × TC × w / 100``)."""
-        return self._aware_model.esc(eec, tc)
+        """Trust-aware expected security cost: ``EEC × TC × tc_weight / 100``.
+
+        Raises:
+            ConfigurationError: if the rows differ in shape or any trust
+                cost is negative.
+        """
+        eec = np.asarray(eec, dtype=np.float64)
+        tc = np.asarray(tc, dtype=np.float64)
+        if eec.shape != tc.shape:
+            raise ConfigurationError(
+                f"EEC and TC rows must have equal shape, got {eec.shape} vs {tc.shape}"
+            )
+        if (tc < 0).any():
+            raise ConfigurationError(
+                f"trust costs must be non-negative, got min {tc.min()}"
+            )
+        return eec * (tc * self.tc_weight / 100.0)
 
     def esc_unaware(self, eec: np.ndarray) -> np.ndarray:
         """Trust-unaware expected security cost: ``EEC × fraction``."""
@@ -114,8 +103,7 @@ class TrustPolicy:
         """
         eec = np.asarray(eec, dtype=np.float64)
         if self.trust_aware:
-            tc = np.asarray(tc, dtype=np.float64)
-            return eec + self._aware_model.esc_of(eec, tc)
+            return eec + self.esc_aware(eec, tc)
         return eec + self.esc_unaware(eec)
 
     def realized_ecc(self, eec: np.ndarray, tc: np.ndarray) -> np.ndarray:
@@ -130,8 +118,7 @@ class TrustPolicy:
             and self.accounting is SecurityAccounting.CONSERVATIVE_FLAT
         ):
             return eec + self.esc_unaware(eec)
-        tc = np.asarray(tc, dtype=np.float64)
-        return eec + self._aware_model.esc_of(eec, tc)
+        return eec + self.esc_aware(eec, tc)
 
     @property
     def label(self) -> str:

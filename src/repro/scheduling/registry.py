@@ -24,8 +24,6 @@ from repro.scheduling.sufferage import SufferageHeuristic
 __all__ = [
     "make_heuristic",
     "heuristic_names",
-    "immediate_names",
-    "batch_names",
     "register_heuristic",
     "is_batch",
 ]
@@ -79,13 +77,3 @@ def heuristic_names() -> tuple[str, ...]:
 def is_batch(name: str) -> bool:
     """Whether the named heuristic is batch-mode."""
     return isinstance(make_heuristic(name), BatchHeuristic)
-
-
-def immediate_names() -> tuple[str, ...]:
-    """Names of the registered immediate-mode heuristics."""
-    return tuple(n for n in heuristic_names() if not is_batch(n))
-
-
-def batch_names() -> tuple[str, ...]:
-    """Names of the registered batch-mode heuristics."""
-    return tuple(n for n in heuristic_names() if is_batch(n))

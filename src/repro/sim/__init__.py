@@ -4,7 +4,6 @@ processes, random-stream management, online statistics and tracing."""
 from repro.sim.arrivals import (
     ArrivalProcess,
     BatchArrivalProcess,
-    DeterministicProcess,
     PoissonProcess,
 )
 from repro.sim.events import Event, EventPriority
@@ -18,7 +17,6 @@ from repro.sim.trace import TraceEntry, Tracer
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
-    "DeterministicProcess",
     "BatchArrivalProcess",
     "Event",
     "EventPriority",

@@ -2,9 +2,8 @@
 
 The paper's simulations model request arrivals "using a Poisson random
 process" — i.e. exponentially distributed inter-arrival times.  The
-:class:`PoissonProcess` here produces that stream; :class:`DeterministicProcess`
-(fixed spacing) and :class:`BatchArrivalProcess` (all at once) exist for
-tests and ablations.
+:class:`PoissonProcess` here produces that stream; :class:`BatchArrivalProcess`
+(all at once) exists for tests and ablations.
 
 Arrival processes are plain iterators over arrival *times*; wiring them to
 kernel events is the scheduler driver's job.
@@ -20,7 +19,6 @@ import numpy as np
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
-    "DeterministicProcess",
     "BatchArrivalProcess",
 ]
 
@@ -69,29 +67,6 @@ class PoissonProcess(ArrivalProcess):
         count = self._check_count(count)
         gaps = self.rng.exponential(scale=1.0 / self.rate, size=count)
         return self.start + np.cumsum(gaps)
-
-
-@dataclass
-class DeterministicProcess(ArrivalProcess):
-    """Evenly spaced arrivals (useful for reproducible unit tests).
-
-    Attributes:
-        interval: constant spacing between consecutive arrivals.
-        start: time of the first arrival.
-    """
-
-    interval: float
-    start: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise ValueError("interval must be non-negative")
-        if self.start < 0:
-            raise ValueError("start must be non-negative")
-
-    def times(self, count: int) -> np.ndarray:
-        count = self._check_count(count)
-        return self.start + self.interval * np.arange(count, dtype=np.float64)
 
 
 @dataclass

@@ -48,7 +48,6 @@ class Event:
         sequence: queue-assigned tiebreaker (insertion order).
         handler: callable invoked as ``handler(event)`` when fired.
         payload: arbitrary data for the handler.
-        cancelled: cancelled events are skipped when popped.
     """
 
     time: float
@@ -56,15 +55,10 @@ class Event:
     sequence: int = field(default=0)
     handler: Callable[["Event"], None] | None = field(default=None, compare=False)
     payload: Any = field(default=None, compare=False)
-    cancelled: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.time < 0:
             raise ValueError(f"event time must be non-negative, got {self.time}")
-
-    def cancel(self) -> None:
-        """Mark the event as cancelled; the kernel will skip it."""
-        self.cancelled = True
 
     def fire(self) -> None:
         """Invoke the handler (no-op for handler-less marker events)."""

@@ -99,43 +99,12 @@ class Simulator:
                 )
         self._queue.push_many(times, handler, priority, payloads)
 
-    def schedule_after(
-        self,
-        delay: float,
-        handler: Callable[[Event], None] | None,
-        *,
-        priority: EventPriority = EventPriority.GENERIC,
-        payload: Any = None,
-    ) -> Event:
-        """Schedule relative to the current clock (``delay >= 0``)."""
-        if delay < 0:
-            raise EventOrderError(f"delay must be non-negative, got {delay}")
-        return self.schedule(
-            self.now + delay, handler, priority=priority, payload=payload
-        )
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a pending event."""
-        self._queue.cancel(event)
-
     # -- execution ----------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Number of live events awaiting execution."""
+        """Number of events awaiting execution."""
         return len(self._queue)
-
-    def step(self) -> Event:
-        """Fire exactly one event and advance the clock to it.
-
-        Raises:
-            SimulationError: if no events are pending.
-        """
-        event = self._queue.pop_due(None)
-        if event is None:
-            raise SimulationError("no pending events to step")
-        self._fire(event)
-        return event
 
     def _fire(self, event: Event) -> None:
         if event.time < self.now:  # pragma: no cover - guarded at schedule time
@@ -176,20 +145,6 @@ class Simulator:
             return self.now
         finally:
             self._running = False
-
-    def drain(self) -> int:
-        """Run the queue to empty (no horizon) and count the events fired.
-
-        A convenience for handler chains that re-schedule work (retries,
-        failure/repair cycles): drains everything, subject to the same
-        ``max_events`` budget as :meth:`run`.
-
-        Returns:
-            The number of events fired by this call.
-        """
-        before = self.processed
-        self.run()
-        return self.processed - before
 
     def _exhaustion_diagnostic(self) -> str:
         """Describe the simulator state at event-budget exhaustion.

@@ -2,7 +2,7 @@
 request streams and whole-experiment scenario materialisation."""
 
 from repro.workloads.consistency import Consistency, apply_consistency
-from repro.workloads.eec import cvb_matrix, matrix_heterogeneity, range_based_matrix
+from repro.workloads.eec import range_based_matrix
 from repro.workloads.heterogeneity import BY_NAME, HIHI, HILO, LOHI, LOLO, Heterogeneity
 from repro.workloads.requests import build_requests, generate_request_stream
 from repro.workloads.scenario import Scenario, ScenarioSpec, materialize
@@ -22,8 +22,6 @@ __all__ = [
     "Consistency",
     "apply_consistency",
     "range_based_matrix",
-    "cvb_matrix",
-    "matrix_heterogeneity",
     "Heterogeneity",
     "LOLO",
     "LOHI",

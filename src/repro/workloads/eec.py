@@ -1,16 +1,10 @@
 """Expected-execution-cost (EEC) matrix generation.
 
-Two generation methods:
-
-* :func:`range_based_matrix` — the method of the paper's reference [10]:
-  ``EEC[i, j] = U(1, φ_task)_i × U(1, φ_machine)_{ij}`` where the first
-  factor is drawn once per task and the second per entry, then restructured
-  for the requested consistency.  This is what the Table 4–9 reproductions
-  use.
-* :func:`cvb_matrix` — the coefficient-of-variation-based method (Ali et
-  al.), drawing gamma-distributed task means and per-entry values; provided
-  as an extension for sweeps because it gives direct control over the
-  heterogeneity coefficients.
+:func:`range_based_matrix` is the method of the paper's reference [10]:
+``EEC[i, j] = U(1, φ_task)_i × U(1, φ_machine)_{ij}`` where the first
+factor is drawn once per task and the second per entry, then restructured
+for the requested consistency.  This is what the Table 4–9 reproductions
+use.
 """
 
 from __future__ import annotations
@@ -21,7 +15,7 @@ from repro.errors import WorkloadError
 from repro.workloads.consistency import Consistency, apply_consistency
 from repro.workloads.heterogeneity import Heterogeneity
 
-__all__ = ["range_based_matrix", "cvb_matrix", "matrix_heterogeneity"]
+__all__ = ["range_based_matrix"]
 
 
 def _check_dims(n_tasks: int, n_machines: int) -> None:
@@ -58,62 +52,3 @@ def range_based_matrix(
     )
     return apply_consistency(task_factor * entry_factor, consistency)
 
-
-def cvb_matrix(
-    n_tasks: int,
-    n_machines: int,
-    rng: np.random.Generator,
-    *,
-    mean_task: float = 278.0,
-    v_task: float = 0.3,
-    v_machine: float = 0.3,
-    consistency: Consistency = Consistency.INCONSISTENT,
-) -> np.ndarray:
-    """Generate an EEC matrix with the coefficient-of-variation method.
-
-    Task means are gamma-distributed with mean ``mean_task`` and coefficient
-    of variation ``v_task``; each row is then gamma-distributed around its
-    task mean with coefficient of variation ``v_machine``.
-
-    The default ``mean_task`` matches the expected value of the range-based
-    LoLo class so the two methods are load-compatible.
-
-    Raises:
-        WorkloadError: on non-positive dimensions, mean, or CoVs.
-    """
-    _check_dims(n_tasks, n_machines)
-    if mean_task <= 0:
-        raise WorkloadError("mean_task must be positive")
-    if v_task <= 0 or v_machine <= 0:
-        raise WorkloadError("coefficients of variation must be positive")
-
-    # Gamma with mean m and CoV v: shape = 1/v^2, scale = m v^2.
-    shape_t = 1.0 / (v_task * v_task)
-    scale_t = mean_task * v_task * v_task
-    task_means = rng.gamma(shape_t, scale_t, size=n_tasks)
-
-    shape_m = 1.0 / (v_machine * v_machine)
-    # scale varies per row: scale = task_mean * v^2
-    scales = task_means[:, None] * (v_machine * v_machine)
-    matrix = rng.gamma(shape_m, scales, size=(n_tasks, n_machines))
-    # Gamma can in principle produce values arbitrarily close to 0; clamp to
-    # a tiny positive floor so downstream validation (strict positivity)
-    # holds without changing the distribution materially.
-    np.maximum(matrix, 1e-9, out=matrix)
-    return apply_consistency(matrix, consistency)
-
-
-def matrix_heterogeneity(matrix: np.ndarray) -> tuple[float, float]:
-    """Measure (task, machine) heterogeneity of an EEC matrix.
-
-    Returns the average coefficient of variation along columns (task
-    heterogeneity: how different tasks look to one machine) and along rows
-    (machine heterogeneity: how different machines look to one task),
-    matching the paper's Section 5.3 definitions.
-    """
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise WorkloadError("EEC matrix must be a non-empty 2-D array")
-    col_cov = arr.std(axis=0, ddof=0) / arr.mean(axis=0)
-    row_cov = arr.std(axis=1, ddof=0) / arr.mean(axis=1)
-    return float(col_cov.mean()), float(row_cov.mean())

@@ -5,11 +5,23 @@ import pytest
 from repro.analysis.calibration import (
     aware_multiplier,
     improvement_cap,
-    measure_chosen_tc,
     predicted_improvement,
     unaware_multiplier,
 )
+from repro.experiments.runner import run_single
+from repro.scheduling.policy import TrustPolicy
 from repro.workloads.scenario import ScenarioSpec
+
+
+def _chosen_tcs(replications: int) -> list[float]:
+    """TC paid at the chosen machine by every trust-aware MCT assignment."""
+    spec = ScenarioSpec(n_tasks=50, target_load=4.5)
+    policy = TrustPolicy.aware(unaware_fraction=0.9)
+    return [
+        record.trust_cost
+        for seed in range(replications)
+        for record in run_single(spec, "mct", policy, seed, batch_interval=600.0).records
+    ]
 
 
 class TestMultipliers:
@@ -51,24 +63,14 @@ class TestImprovementCap:
 
 class TestMeasuredChosenTc:
     def test_frozen_config_chosen_tc(self):
-        report = measure_chosen_tc(replications=5)
+        chosen = _chosen_tcs(5)
         # Calibration finding recorded in EXPERIMENTS.md: ~1.6-1.8.
-        assert 1.2 <= report.mean <= 2.2
-        assert report.chosen.count == 5 * 50
-        assert report.heuristic == "mct"
+        assert 1.2 <= sum(chosen) / len(chosen) <= 2.2
+        assert len(chosen) == 5 * 50
 
     def test_theory_matches_measured_table4(self):
         """The analytic cap with the measured TC predicts the measured
         Table-4 improvement to within a few points."""
-        report = measure_chosen_tc(replications=5)
-        predicted = improvement_cap(0.9, mean_chosen_tc=report.mean)
+        chosen = _chosen_tcs(5)
+        predicted = improvement_cap(0.9, mean_chosen_tc=sum(chosen) / len(chosen))
         assert predicted == pytest.approx(0.36, abs=0.06)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            measure_chosen_tc(replications=0)
-
-    def test_custom_spec(self):
-        spec = ScenarioSpec(n_tasks=10, target_load=2.0)
-        report = measure_chosen_tc(spec, replications=2)
-        assert report.chosen.count == 20

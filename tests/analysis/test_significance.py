@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.significance import bootstrap_ci, paired_t_test
+from repro.analysis.significance import paired_t_test
 
 
 class TestPairedTTest:
@@ -71,37 +71,6 @@ class TestPairedTTest:
         ba = paired_t_test(b, a)
         assert ab.p_value == pytest.approx(ba.p_value)
         assert ab.t_statistic == pytest.approx(-ba.t_statistic)
-
-
-class TestBootstrapCI:
-    def test_ci_brackets_true_difference(self):
-        rng = np.random.default_rng(2)
-        base = rng.normal(100, 5, size=50)
-        treat = base - 10 + rng.normal(0, 2, size=50)
-        low, high = bootstrap_ci(base, treat, rng=np.random.default_rng(3))
-        assert low < 10 < high
-        assert low > 5  # clearly positive
-
-    def test_ci_straddles_zero_for_null(self):
-        rng = np.random.default_rng(4)
-        base = rng.normal(100, 5, size=50)
-        treat = base + rng.normal(0, 5, size=50)
-        low, high = bootstrap_ci(base, treat, rng=np.random.default_rng(5))
-        assert low < 0 < high
-
-    def test_deterministic_given_rng(self):
-        base, treat = [1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 2.5, 3.0]
-        a = bootstrap_ci(base, treat, rng=np.random.default_rng(7))
-        b = bootstrap_ci(base, treat, rng=np.random.default_rng(7))
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], [1.0])
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0], [1.0, 2.0], confidence=1.5)
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0, 2.0], [1.0, 2.0], n_resamples=10)
 
 
 class TestCellIntegration:

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.decay import (
-    ExponentialDecay,
-    HalfLifeDecay,
-    LinearDecay,
-    NoDecay,
-    StepDecay,
-)
+from repro.core.decay import ExponentialDecay, NoDecay
 
 ages = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
@@ -21,10 +15,6 @@ ALL_DECAYS = [
     NoDecay(),
     ExponentialDecay(rate=0.01),
     ExponentialDecay(rate=0.5, floor=0.2),
-    LinearDecay(horizon=100.0),
-    LinearDecay(horizon=10.0, floor=0.1),
-    StepDecay(fresh_for=50.0, stale_value=0.3),
-    HalfLifeDecay(half_life=20.0),
 ]
 
 
@@ -67,21 +57,13 @@ class TestDecayProtocol:
 def _numpy_reference(decay, ages):
     if isinstance(decay, NoDecay):
         return np.ones_like(ages)
-    if isinstance(decay, ExponentialDecay):
-        return decay.floor + (1.0 - decay.floor) * np.exp(-decay.rate * ages)
-    if isinstance(decay, LinearDecay):
-        return 1.0 - (1.0 - decay.floor) * np.minimum(ages / decay.horizon, 1.0)
-    return np.where(ages <= decay.fresh_for, 1.0, decay.stale_value)
+    return decay.floor + (1.0 - decay.floor) * np.exp(-decay.rate * ages)
 
 
 def _math_closed_form(decay, age):
     if isinstance(decay, NoDecay):
         return 1.0
-    if isinstance(decay, ExponentialDecay):
-        return decay.floor + (1.0 - decay.floor) * math.exp(-decay.rate * age)
-    if isinstance(decay, LinearDecay):
-        return 1.0 - (1.0 - decay.floor) * min(age / decay.horizon, 1.0)
-    return 1.0 if age <= decay.fresh_for else decay.stale_value
+    return decay.floor + (1.0 - decay.floor) * math.exp(-decay.rate * age)
 
 
 @pytest.mark.parametrize("decay", ALL_DECAYS, ids=lambda d: type(d).__name__)
@@ -96,25 +78,6 @@ class TestSpecifics:
         d = ExponentialDecay(rate=1.0, floor=0.25)
         assert d(1e9) == pytest.approx(0.25)
 
-    def test_linear_reaches_floor_at_horizon(self):
-        d = LinearDecay(horizon=10.0, floor=0.4)
-        assert d(10.0) == pytest.approx(0.4)
-        assert d(50.0) == pytest.approx(0.4)
-
-    def test_linear_midpoint(self):
-        d = LinearDecay(horizon=10.0)
-        assert d(5.0) == pytest.approx(0.5)
-
-    def test_step_boundary_inclusive(self):
-        d = StepDecay(fresh_for=5.0, stale_value=0.2)
-        assert d(5.0) == 1.0
-        assert d(5.0001) == 0.2
-
-    def test_half_life(self):
-        d = HalfLifeDecay(half_life=7.0)
-        assert d(7.0) == pytest.approx(0.5)
-        assert d.half_life == pytest.approx(7.0)
-
     @given(ages)
     def test_no_decay_everywhere_one(self, age):
         assert NoDecay()(age) == 1.0
@@ -126,11 +89,6 @@ class TestValidation:
         [
             lambda: ExponentialDecay(rate=-1.0),
             lambda: ExponentialDecay(rate=1.0, floor=1.5),
-            lambda: LinearDecay(horizon=0.0),
-            lambda: LinearDecay(horizon=1.0, floor=-0.1),
-            lambda: StepDecay(fresh_for=-1.0),
-            lambda: StepDecay(fresh_for=1.0, stale_value=2.0),
-            lambda: HalfLifeDecay(half_life=0.0),
         ],
     )
     def test_bad_parameters_rejected(self, factory):

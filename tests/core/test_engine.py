@@ -1,17 +1,19 @@
 """Tests for Θ (direct), Ω (reputation) and Γ (engine)."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.context import EXECUTION, STORAGE
-from repro.core.decay import ExponentialDecay, LinearDecay, NoDecay
+from repro.core.decay import ExponentialDecay, NoDecay
 from repro.core.direct import DirectTrust
 from repro.core.engine import TrustEngine
 from repro.core.levels import TrustLevel
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.reputation import Reputation
-from repro.core.tables import TrustTable
+from repro.core.tables import TrustTable, value_to_level
 
 
 def make_engine(**kwargs) -> TrustEngine:
@@ -28,7 +30,7 @@ class TestDirectTrust:
     def test_decay_applies_to_age(self):
         table = TrustTable()
         table.record("x", "y", EXECUTION, 1.0, time=0.0)
-        theta = DirectTrust(table=table, decay=LinearDecay(horizon=10.0))
+        theta = DirectTrust(table=table, decay=ExponentialDecay(rate=math.log(2.0) / 5.0))
         assert theta.evaluate("x", "y", EXECUTION, now=5.0) == pytest.approx(0.5)
 
     def test_unknown_pair_gets_prior(self):
@@ -47,7 +49,7 @@ class TestDirectTrust:
         table.record("x", "y", EXECUTION, 1.0, time=0.0)
         table.record("x", "y", STORAGE, 1.0, time=0.0)
         theta = DirectTrust(table=table, decay=NoDecay())
-        theta.set_context_decay(STORAGE, LinearDecay(horizon=10.0))
+        theta.set_context_decay(STORAGE, ExponentialDecay(rate=math.log(2.0) / 5.0))
         assert theta.evaluate("x", "y", EXECUTION, now=5.0) == 1.0
         assert theta.evaluate("x", "y", STORAGE, now=5.0) == pytest.approx(0.5)
 
@@ -84,8 +86,8 @@ class TestReputation:
         table = TrustTable()
         table.record("a", "y", EXECUTION, 1.0, time=0.0)
         table.record("b", "y", EXECUTION, 1.0, time=10.0)
-        omega = Reputation(table=table, decay=LinearDecay(horizon=20.0))
-        # At t=10: a's opinion decayed to 0.5, b's fresh at 1.0.
+        omega = Reputation(table=table, decay=ExponentialDecay(rate=math.log(2.0) / 10.0))
+        # At t=10: a's opinion decayed by one half-life to 0.5, b's fresh at 1.0.
         assert omega.evaluate("y", EXECUTION, now=10.0, asking="x") == pytest.approx(0.75)
 
     def test_future_opinion_rejected(self):
@@ -115,12 +117,12 @@ class TestTrustEngine:
     def test_gamma_level_quantises(self):
         engine = make_engine(alpha=1.0, beta=0.0)
         engine.table.record("x", "y", EXECUTION, 0.95, time=0.0)
-        assert engine.gamma_level("x", "y", EXECUTION, now=0.0) is TrustLevel.F
+        assert value_to_level(engine.gamma("x", "y", EXECUTION, now=0.0)) is TrustLevel.F
 
     def test_unknown_entity_gives_prior_level(self):
         engine = make_engine()
         assert engine.gamma("x", "stranger", EXECUTION, now=0.0) == 0.0
-        assert engine.gamma_level("x", "stranger", EXECUTION, now=0.0) is TrustLevel.A
+        assert value_to_level(engine.gamma("x", "stranger", EXECUTION, now=0.0)) is TrustLevel.A
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),

@@ -6,7 +6,7 @@ from repro.core.context import EXECUTION
 from repro.core.evolution import TransactionOutcome, TrustEvolver
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable
-from repro.core.update import AlwaysPublish, HysteresisPolicy, MinEvidencePolicy
+from repro.core.update import AlwaysPublish, MinEvidencePolicy
 from repro.errors import ConfigurationError
 
 
@@ -62,14 +62,6 @@ class TestTrustEvolver:
         with pytest.raises(ValueError, match="time order"):
             evolver.observe(outcome(0.5, 9.0))
 
-    def test_score_recommendations_updates_weights(self):
-        evolver = TrustEvolver(table=TrustTable())
-        updated = evolver.score_recommendations(
-            outcome(1.0, 1.0), {"good": 1.0, "bad": 0.0, "x": 0.5}
-        )
-        assert set(updated) == {"good", "bad"}  # the truster itself is skipped
-        assert updated["good"] > updated["bad"]
-
     @pytest.mark.parametrize("smoothing", [0.0, 1.5])
     def test_bad_smoothing_rejected(self, smoothing):
         with pytest.raises(ValueError):
@@ -95,22 +87,10 @@ class TestPublicationPolicies:
         policy = MinEvidencePolicy(min_transactions=1)
         assert not policy.should_publish(self.rec(0.05, 10), TrustLevel.A)
 
-    def test_hysteresis_needs_level_jump(self):
-        policy = HysteresisPolicy(min_level_delta=2)
-        # value 0.25 -> level B; published A: delta 1 < 2.
-        assert not policy.should_publish(self.rec(0.25, 1), TrustLevel.A)
-        # value 0.45 -> level C; delta 2 >= 2.
-        assert policy.should_publish(self.rec(0.45, 1), TrustLevel.A)
-
-    def test_hysteresis_publishes_first_value(self):
-        assert HysteresisPolicy().should_publish(self.rec(0.5, 1), None)
-
     @pytest.mark.parametrize(
         "factory",
         [
             lambda: MinEvidencePolicy(min_transactions=0),
-            lambda: HysteresisPolicy(min_level_delta=0),
-            lambda: HysteresisPolicy(min_transactions=0),
         ],
     )
     def test_bad_policy_parameters(self, factory):

@@ -29,8 +29,8 @@ from repro.core.journal import (
     JournalWriter,
     TrustJournalError,
     _frame as journal_frame,
+    _read_journal,
     apply_op,
-    read_journal,
     set_sync_hook,
 )
 from repro.core.recommender import RecommenderWeights
@@ -84,7 +84,7 @@ class TestFrameCodec:
         path = _raw_journal(
             tmp_path, [json.dumps(o, sort_keys=True).encode() for o in ops]
         )
-        replay = read_journal(path)
+        replay = _read_journal(path)
         assert replay.ops == tuple(ops)
         assert not replay.truncated
         assert replay.valid_bytes == path.stat().st_size
@@ -92,7 +92,7 @@ class TestFrameCodec:
     def test_short_header_truncates_to_zero_ops(self, tmp_path):
         path = tmp_path / "j.wal"
         path.write_bytes(b"\x04\x00")  # half a frame header
-        replay = read_journal(path)
+        replay = _read_journal(path)
         assert replay.truncated
         assert replay.header is None
         assert replay.ops == ()
@@ -102,7 +102,7 @@ class TestFrameCodec:
         path = _raw_journal(tmp_path, [b'{"op": "remove", "z": "a"}'])
         good = path.stat().st_size
         path.write_bytes(path.read_bytes() + _frame(b'{"op": "x"}')[:-3])
-        replay = read_journal(path)
+        replay = _read_journal(path)
         assert replay.truncated
         assert replay.valid_bytes == good
         assert len(replay.ops) == 1
@@ -113,7 +113,7 @@ class TestFrameCodec:
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # corrupt the last payload byte
         path.write_bytes(bytes(data))
-        replay = read_journal(path)
+        replay = _read_journal(path)
         assert replay.truncated
         assert replay.reason is not None and "crc" in replay.reason.lower()
         assert replay.ops == ()
@@ -124,7 +124,7 @@ class TestFrameCodec:
         path = _raw_journal(tmp_path, [b'{"op": "remove", "z": "a"}'])
         good = path.stat().st_size
         path.write_bytes(path.read_bytes() + b"\x00" * 64)
-        replay = read_journal(path)
+        replay = _read_journal(path)
         assert replay.truncated
         assert replay.valid_bytes == good
 
@@ -133,7 +133,7 @@ class TestFrameCodec:
         header = json.dumps({"op": "header", "schema": "bogus/v9"}).encode()
         path.write_bytes(_frame(header))
         with pytest.raises(TrustJournalError, match="schema"):
-            read_journal(path)
+            _read_journal(path)
 
     def test_base_mismatch_refused(self, tmp_path):
         path = tmp_path / "j.wal"
@@ -142,13 +142,13 @@ class TestFrameCodec:
         ).encode()
         path.write_bytes(_frame(header))
         with pytest.raises(TrustJournalError, match="base"):
-            read_journal(path, expected_base="bb" * 32)
+            _read_journal(path, expected_base="bb" * 32)
 
     def test_torn_frames_counter(self, tmp_path):
         path = _raw_journal(tmp_path, [b'{"op": "remove", "z": "a"}'])
         path.write_bytes(path.read_bytes() + b"\xff\xff\xff\xff")
         metrics = MetricsRegistry()
-        read_journal(path, metrics=metrics)
+        _read_journal(path, metrics=metrics)
         assert metrics.counter("store.torn_frames").value == 1
 
 
@@ -279,7 +279,7 @@ class TestFrameBytes:
         weights.alliances.declare("g", ["cd:0", "rd:1"])
         plane.close()
         path = plane.journal_path
-        replay = read_journal(path)
+        replay = _read_journal(path)
         kinds = [op["op"] for op in replay.ops]
         assert kinds.count("record") == 600 and kinds.count("set") > 0
         reframed = _json_frame(replay.header) + b"".join(
@@ -292,7 +292,7 @@ class TestPinnedPrefix:
     def test_upto_beyond_file_refused(self, tmp_path):
         path = _raw_journal(tmp_path, [b'{"op": "remove", "z": "a"}'])
         with pytest.raises(TrustJournalError, match="pinned"):
-            read_journal(path, upto=path.stat().st_size + 100)
+            _read_journal(path, upto=path.stat().st_size + 100)
 
     def test_tear_inside_pin_refused(self, tmp_path):
         path = _raw_journal(tmp_path, [b'{"op": "remove", "z": "a"}'])
@@ -301,7 +301,7 @@ class TestPinnedPrefix:
         data[-1] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(TrustJournalError, match="pinned"):
-            read_journal(path, upto=size)
+            _read_journal(path, upto=size)
 
     def test_tear_beyond_pin_ignored(self, tmp_path):
         path = _raw_journal(
@@ -315,7 +315,7 @@ class TestPinnedPrefix:
         pin = size - len(_frame(b'{"op": "remove", "z": "b"}'))
         # Bytes past the pin belong to an abandoned timeline: the torn
         # frame there is sliced away, not even inspected.
-        replay = read_journal(path, upto=pin)
+        replay = _read_journal(path, upto=pin)
         assert not replay.truncated
         assert replay.valid_bytes == pin
         assert len(replay.ops) == 1
@@ -331,7 +331,7 @@ class TestJournalWriter:
         w.sync()
         assert w.pending_bytes == 0
         w.close()
-        assert read_journal(path).ops == (op,)
+        assert _read_journal(path).ops == (op,)
 
     def test_unsynced_appends_not_durable(self, tmp_path):
         path = tmp_path / "j.wal"
@@ -339,7 +339,7 @@ class TestJournalWriter:
         w.append({"op": "dissolve", "g": "g0", "e": 1})
         offset = w.synced_offset
         w.abandon()  # simulate a crash: buffered bytes are lost
-        replay = read_journal(path)
+        replay = _read_journal(path)
         assert replay.ops == ()
         assert replay.valid_bytes == offset
 
@@ -355,7 +355,7 @@ class TestJournalWriter:
         w.append({"op": "dissolve", "g": "g1", "e": 2})
         w.sync()
         w.close()
-        assert [o["g"] for o in read_journal(path).ops] == ["g0", "g1"]
+        assert [o["g"] for o in _read_journal(path).ops] == ["g0", "g1"]
 
     def test_append_validates_field_types(self, tmp_path):
         w = JournalWriter.create(tmp_path / "j.wal")

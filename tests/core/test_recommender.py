@@ -34,7 +34,6 @@ class TestAllianceRegistry:
         reg.declare("g2", ["b", "c"])
         assert reg.allied("a", "b") and reg.allied("b", "c")
         assert not reg.allied("a", "c")  # alliance is not transitive across groups
-        assert reg.allies_of("b") == {"a", "c"}
 
     def test_dissolve(self):
         reg = AllianceRegistry()
@@ -58,7 +57,7 @@ class TestAllianceRegistry:
         reg.declare("g", ["b"])
         reg.declare("g", ["c"])
         assert reg.allied("a", "c")
-        assert reg.allies_of("a") == {"b", "c"}
+        assert reg.allied("a", "b") and reg.allied("b", "c")
 
     def test_dissolve_keeps_other_memberships(self):
         reg = AllianceRegistry()

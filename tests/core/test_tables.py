@@ -10,7 +10,7 @@ from repro.core.context import EXECUTION, STORAGE
 from repro.core.journal import DurableTrustPlane, apply_op
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable, level_to_value, value_to_level
-from repro.errors import ConfigurationError, UnknownEntityError
+from repro.errors import ConfigurationError
 
 
 class TestConversions:
@@ -92,10 +92,6 @@ class TestTrustTable:
 
     def test_get_missing_returns_none(self):
         assert TrustTable().get("x", "y", EXECUTION) is None
-
-    def test_require_missing_raises(self):
-        with pytest.raises(UnknownEntityError):
-            TrustTable().require("x", "y", EXECUTION)
 
     def test_contexts_are_independent(self):
         table = TrustTable()

@@ -28,7 +28,7 @@ from repro.core.journal import (
     JOURNAL_SCHEMA,
     DurableTrustPlane,
     TrustJournalError,
-    read_journal,
+    _read_journal,
 )
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.store import restore_trust_store, snapshot_trust_store
@@ -93,7 +93,7 @@ def _persist(root, table, weights=None, grid_table=None):
 def _rewrite_journal_header(root, crc=zlib.crc32, **fields):
     """Rewrite the header frame of an empty generation-0 journal."""
     journal = root / "journal-0.wal"
-    header = {**read_journal(journal).header, **fields}
+    header = {**_read_journal(journal).header, **fields}
     payload = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
     journal.write_bytes(struct.pack("<II", len(payload), crc(payload)) + payload)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.config import (
     SCHEDULING_TABLES,
     paper_policies,
@@ -27,7 +28,9 @@ class TestConfig:
         cfg = table_config(8)
         assert cfg.heuristic == "sufferage"
         assert cfg.consistency is Consistency.INCONSISTENT
-        with pytest.raises(KeyError):
+        with pytest.raises(
+            ConfigurationError, match=r"no scheduling table 10; expected one of 4, 5, 6, 7, 8, 9"
+        ):
             table_config(10)
 
     def test_paper_spec_defaults(self):

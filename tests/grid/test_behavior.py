@@ -6,8 +6,6 @@ import pytest
 from repro.grid.behavior import (
     BehaviorModel,
     DegradingBehavior,
-    FlipBehavior,
-    OscillatingBehavior,
     StationaryBehavior,
 )
 
@@ -60,30 +58,6 @@ class TestDegradingBehavior:
             DegradingBehavior(start=2.0, floor=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             DegradingBehavior(start=0.5, floor=0.1, horizon=0.0)
-
-
-class TestOscillatingBehavior:
-    def test_range_and_period(self):
-        b = OscillatingBehavior(low=0.2, high=0.8, period=100.0, noise=0.0)
-        means = [b.mean_at(t) for t in np.linspace(0, 100, 200)]
-        assert min(means) >= 0.2 - 1e-9
-        assert max(means) <= 0.8 + 1e-9
-        assert b.mean_at(0.0) == pytest.approx(b.mean_at(100.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OscillatingBehavior(low=0.8, high=0.2, period=10.0)
-
-
-class TestFlipBehavior:
-    def test_switch(self):
-        b = FlipBehavior(before=0.9, after=0.1, flip_time=50.0)
-        assert b.mean_at(49.9) == 0.9
-        assert b.mean_at(50.0) == 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FlipBehavior(before=0.9, after=0.1, flip_time=-1.0)
 
 
 class TestBehaviorModel:

@@ -6,7 +6,7 @@ from repro.core.levels import TrustLevel
 from repro.grid.activities import ActivityCatalog, ActivitySet
 from repro.grid.client import Client
 from repro.grid.domain import ClientDomain, GridDomain
-from repro.grid.request import MetaRequest, Request, Task
+from repro.grid.request import Request, Task
 
 
 @pytest.fixture
@@ -38,37 +38,3 @@ class TestRequest:
         with pytest.raises(ValueError):
             Task(index=-1, activities=ActivitySet.of(catalog.by_index(0)))
 
-
-class TestMetaRequest:
-    def test_of_sorts_by_arrival(self, client, catalog):
-        reqs = [
-            make_request(client, catalog, index=0, arrival=5.0),
-            make_request(client, catalog, index=1, arrival=2.0),
-        ]
-        meta = MetaRequest.of(reqs, formed_at=10.0)
-        assert [r.index for r in meta] == [1, 0]
-        assert len(meta) == 2
-        assert not meta.is_empty
-
-    def test_late_arrival_rejected(self, client, catalog):
-        late = make_request(client, catalog, arrival=11.0)
-        with pytest.raises(ValueError, match="after the batch"):
-            MetaRequest.of([late], formed_at=10.0)
-
-    def test_arrival_exactly_at_boundary_allowed(self, client, catalog):
-        boundary = make_request(client, catalog, arrival=10.0)
-        meta = MetaRequest.of([boundary], formed_at=10.0)
-        assert len(meta) == 1
-
-    def test_empty_batch(self):
-        meta = MetaRequest.of([], formed_at=5.0)
-        assert meta.is_empty
-        assert len(meta) == 0
-
-    def test_tie_broken_by_index(self, client, catalog):
-        reqs = [
-            make_request(client, catalog, index=3, arrival=1.0),
-            make_request(client, catalog, index=1, arrival=1.0),
-        ]
-        meta = MetaRequest.of(reqs, formed_at=2.0)
-        assert [r.index for r in meta] == [1, 3]

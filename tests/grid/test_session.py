@@ -7,13 +7,23 @@ from repro.errors import ConfigurationError
 from repro.grid.agents import AgentFleet
 from repro.grid.behavior import (
     BehaviorModel,
+    BehaviorProfile,
     DegradingBehavior,
-    FlipBehavior,
     StationaryBehavior,
 )
 from repro.grid.session import GridSession
 from repro.scheduling.policy import TrustPolicy
 from repro.workloads.scenario import ScenarioSpec, materialize
+
+
+class _Betrayal(BehaviorProfile):
+    """Mean satisfaction 0.95 before ``flip_time``, 0.05 from then on."""
+
+    def __init__(self, flip_time: float) -> None:
+        self.flip_time = flip_time
+
+    def mean_at(self, time: float) -> float:
+        return 0.95 if time < self.flip_time else 0.05
 
 
 def make_grid(seed=5):
@@ -104,7 +114,7 @@ class TestRounds:
         """A domain that flips from good to bad is demoted."""
         grid = make_grid()
         behavior = BehaviorModel(
-            profiles={1: FlipBehavior(before=0.95, after=0.05, flip_time=1500.0)},
+            profiles={1: _Betrayal(flip_time=1500.0)},
             default=StationaryBehavior(0.85),
         )
         session = make_session(grid=grid, behavior=behavior)

@@ -1,17 +1,11 @@
 """Tests for standalone schedule metrics."""
 
-import numpy as np
 import pytest
 
 from repro.metrics.schedule import (
     average_completion_time,
     average_flow_time,
-    average_utilization,
-    machine_busy_times,
-    machine_utilizations,
     makespan,
-    per_domain_completion,
-    waiting_times,
 )
 from repro.scheduling.result import CompletionRecord
 
@@ -51,36 +45,6 @@ class TestBasicMetrics:
     def test_average_flow(self, records):
         # Flows: 10, 20, 15.
         assert average_flow_time(records) == pytest.approx(15.0)
-
-    def test_waiting_times(self, records):
-        np.testing.assert_allclose(waiting_times(records), [0.0, 0.0, 5.0])
-
-
-class TestMachineMetrics:
-    def test_busy_times(self, records):
-        np.testing.assert_allclose(machine_busy_times(records, 2), [20.0, 20.0])
-
-    def test_busy_times_validates_machine_index(self, records):
-        with pytest.raises(ValueError):
-            machine_busy_times(records, 1)
-
-    def test_utilizations(self, records):
-        np.testing.assert_allclose(machine_utilizations(records, 2), [1.0, 1.0])
-
-    def test_average_utilization_with_idle_machine(self, records):
-        # Add a third machine that does nothing.
-        assert average_utilization(records, 3) == pytest.approx(2 / 3)
-
-    def test_empty_records(self):
-        np.testing.assert_allclose(machine_utilizations([], 2), [0.0, 0.0])
-
-
-class TestPerDomain:
-    def test_grouping(self, records):
-        domain_of = {0: 0, 1: 1, 2: 0}
-        result = per_domain_completion(records, domain_of)
-        assert result[0] == pytest.approx(15.0)  # completions 10, 20
-        assert result[1] == pytest.approx(20.0)
 
 
 class TestFairness:

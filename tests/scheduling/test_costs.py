@@ -95,8 +95,8 @@ class TestRows:
         expected = np.array([10.0, 20.0, 30.0]) * np.array([1.3, 1.3, 1.45])
         np.testing.assert_allclose(provider.mapping_ecc_row(req), expected)
 
-    def test_with_policy_switches_formula(self, small_grid, provider):
-        unaware = provider.with_policy(TrustPolicy.unaware())
+    def test_unaware_policy_switches_formula(self, small_grid, provider):
+        unaware = CostProvider(grid=small_grid, eec=provider.eec, policy=TrustPolicy.unaware())
         req = make_request(small_grid, index=0)
         np.testing.assert_allclose(
             unaware.mapping_ecc_row(req), np.array([10.0, 20.0, 30.0]) * 1.5
@@ -120,22 +120,25 @@ class TestRows:
         np.testing.assert_allclose(provider2.trust_cost_row(composed)[:2], [2.0, 2.0])
 
 
-class TestWithPolicyCarriesState:
-    """Regression: ``with_policy`` used to drop the installed constraint,
-    so paired aware/unaware comparisons under a TrustConstraint silently
-    priced feasibility differently per policy."""
+class TestConstraintAcrossPolicies:
+    """A paired aware/unaware comparison under one TrustConstraint prices
+    feasibility identically under both policies."""
 
-    def test_constraint_carries_over(self, small_grid, provider):
+    @staticmethod
+    def pair(small_grid, provider, constraint):
+        return [
+            CostProvider(
+                grid=small_grid, eec=provider.eec, policy=policy, constraint=constraint
+            )
+            for policy in (TrustPolicy.aware(), TrustPolicy.unaware())
+        ]
+
+    def test_constraint_prices_both_policies(self, small_grid, provider):
         # TC row is [2, 2, 3]; cap at 2 -> machine 2 must price at +inf
         # under BOTH policies of a paired comparison.
-        constrained = CostProvider(
-            grid=small_grid,
-            eec=provider.eec,
-            policy=TrustPolicy.aware(),
-            constraint=TrustConstraint(max_trust_cost=2),
+        constrained, unaware = self.pair(
+            small_grid, provider, TrustConstraint(max_trust_cost=2)
         )
-        unaware = constrained.with_policy(TrustPolicy.unaware())
-        assert unaware.constraint is constrained.constraint
         req = make_request(small_grid, index=0)
         assert np.isinf(constrained.mapping_ecc_row(req)[2])
         assert np.isinf(unaware.mapping_ecc_row(req)[2])
@@ -146,29 +149,14 @@ class TestWithPolicyCarriesState:
 
     def test_feasibility_agrees_across_policies(self, small_grid, provider):
         # Cap below every machine's TC: both providers must reject.
-        constrained = CostProvider(
-            grid=small_grid,
-            eec=provider.eec,
-            policy=TrustPolicy.aware(),
-            constraint=TrustConstraint(
-                max_trust_cost=1, infeasible=InfeasiblePolicy.REJECT
-            ),
+        constrained, unaware = self.pair(
+            small_grid,
+            provider,
+            TrustConstraint(max_trust_cost=1, infeasible=InfeasiblePolicy.REJECT),
         )
-        unaware = constrained.with_policy(TrustPolicy.unaware())
         req = make_request(small_grid, index=0)
         assert not constrained.is_feasible(req)
         assert not unaware.is_feasible(req)
-
-    def test_metrics_registry_carries_over(self, small_grid, provider):
-        metrics = MetricsRegistry(enabled=True)
-        instrumented = CostProvider(
-            grid=small_grid,
-            eec=provider.eec,
-            policy=TrustPolicy.aware(),
-            metrics=metrics,
-        )
-        other = instrumented.with_policy(TrustPolicy.unaware())
-        assert other.metrics is metrics
 
 
 class TestRetryPricing:

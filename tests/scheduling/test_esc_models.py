@@ -1,110 +1,49 @@
-"""Tests for pluggable ESC models."""
+"""Tests for the paper's trust-aware ESC formula, ``TrustPolicy.esc_aware``."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.scheduling.esc_models import LadderEsc, LinearEsc, TableEsc
+from repro.errors import ConfigurationError
 from repro.scheduling.policy import TrustPolicy
-from repro.security.overhead import DEFAULT_LADDER, Mechanism, SupplementLadder
 
 
 class TestLinearEsc:
     def test_matches_paper_formula(self):
-        model = LinearEsc(weight=15.0)
+        policy = TrustPolicy.aware(tc_weight=15.0)
         eec = np.array([100.0, 200.0])
         tc = np.array([3.0, 6.0])
-        np.testing.assert_allclose(model.esc(eec, tc), [45.0, 180.0])
+        np.testing.assert_allclose(policy.esc_aware(eec, tc), [45.0, 180.0])
 
     def test_zero_tc_zero_cost(self):
-        model = LinearEsc()
-        np.testing.assert_allclose(model.esc(np.array([50.0]), np.array([0.0])), [0.0])
+        policy = TrustPolicy.aware()
+        np.testing.assert_allclose(
+            policy.esc_aware(np.array([50.0]), np.array([0.0])), [0.0]
+        )
 
     def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            LinearEsc(weight=-1.0)
-        with pytest.raises(ValueError):
-            LinearEsc().fractions(np.array([-1.0]))
+        with pytest.raises(ConfigurationError, match="tc_weight"):
+            TrustPolicy.aware(tc_weight=-1.0)
+        with pytest.raises(ConfigurationError, match="non-negative, got min -1.0"):
+            TrustPolicy.aware().esc_aware(np.array([1.0]), np.array([-1.0]))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LinearEsc().esc(np.array([1.0, 2.0]), np.array([1.0]))
+        with pytest.raises(ConfigurationError, match="equal shape"):
+            TrustPolicy.aware().esc_aware(np.array([1.0, 2.0]), np.array([1.0]))
 
     @given(st.floats(min_value=0, max_value=6), st.floats(min_value=0.1, max_value=1e3))
     def test_proportionality(self, tc, eec):
-        model = LinearEsc(weight=15.0)
-        out = model.esc(np.array([eec]), np.array([tc]))
+        policy = TrustPolicy.aware(tc_weight=15.0)
+        out = policy.esc_aware(np.array([eec]), np.array([tc]))
         assert out[0] == pytest.approx(eec * tc * 0.15)
-
-
-class TestTableEsc:
-    def test_integer_lookup(self):
-        model = TableEsc(table=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
-        np.testing.assert_allclose(
-            model.fractions(np.array([0.0, 3.0, 6.0])), [0.0, 0.3, 0.6]
-        )
-
-    def test_interpolation(self):
-        model = TableEsc(table=(0.0, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2))
-        assert model.fractions(np.array([0.5]))[0] == pytest.approx(0.1)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            TableEsc(table=(0.0, 0.1))
-
-    def test_out_of_range_tc_rejected(self):
-        model = TableEsc(table=(0.0,) * 7)
-        with pytest.raises(ValueError):
-            model.fractions(np.array([7.0]))
-
-
-class TestLadderEsc:
-    def test_default_ladder(self):
-        model = LadderEsc()
-        np.testing.assert_allclose(
-            model.fractions(np.arange(7.0)), DEFAULT_LADDER.overheads()
-        )
-
-    def test_custom_ladder(self):
-        ladder = SupplementLadder(
-            levels=tuple((Mechanism(f"m{i}", 0.1),) for i in range(6))
-        )
-        model = LadderEsc(ladder)
-        assert model.fractions(np.array([6.0]))[0] == pytest.approx(0.6)
-
-    def test_close_to_linear_15(self):
-        """The measured ladder tracks the paper's linear model closely."""
-        ladder = LadderEsc()
-        linear = LinearEsc(15.0)
-        tcs = np.arange(7.0)
-        diff = np.abs(ladder.fractions(tcs) - linear.fractions(tcs))
-        assert diff.max() < 0.12
 
 
 class TestPolicyIntegration:
     def test_policy_defaults_to_linear(self):
         policy = TrustPolicy.aware()
-        assert isinstance(policy.aware_model, LinearEsc)
-        assert policy.aware_model.weight == 15.0
-
-    def test_custom_model_flows_through(self):
-        policy = TrustPolicy.aware(esc_model=LadderEsc())
-        eec = np.array([100.0])
-        tc = np.array([6.0])
-        expected = 100.0 * DEFAULT_LADDER.overhead(6)
-        assert policy.esc_aware(eec, tc)[0] == pytest.approx(expected)
-
-    def test_ladder_policy_schedules_end_to_end(self):
-        from repro.experiments.runner import run_single
-        from repro.workloads.scenario import ScenarioSpec
-
-        spec = ScenarioSpec(n_tasks=10, target_load=3.0)
-        linear = run_single(spec, "mct", TrustPolicy.aware(), seed=0)
-        ladder = run_single(
-            spec, "mct", TrustPolicy.aware(esc_model=LadderEsc()), seed=0
+        assert policy.tc_weight == 15.0
+        np.testing.assert_array_equal(
+            policy.esc_aware(np.array([100.0] * 7), np.arange(7.0)),
+            100.0 * (np.arange(7.0) * 15.0 / 100.0),
         )
-        # Both complete; costs differ but stay in the same ballpark.
-        assert len(ladder) == len(linear) == 10
-        ratio = ladder.average_completion_time / linear.average_completion_time
-        assert 0.7 < ratio < 1.3

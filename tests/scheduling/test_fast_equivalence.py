@@ -41,7 +41,7 @@ from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 from repro.scheduling.maxmin import MaxMinHeuristic
 from repro.scheduling.minmin import MinMinHeuristic, greedy_min_completion_plan
 from repro.scheduling.policy import TrustPolicy
-from repro.scheduling.registry import batch_names, heuristic_names, make_heuristic
+from repro.scheduling.registry import heuristic_names, is_batch, make_heuristic
 from repro.scheduling.sufferage import SufferageHeuristic, sufferage_reference_plan
 from repro.workloads.scenario import ScenarioSpec, materialize
 from tests.scheduling.oracles import ORACLE_PLANS, duplex_oracle_plan
@@ -607,7 +607,7 @@ class TestRegistryExposure:
         assert isinstance(make_heuristic("min-min"), MinMinHeuristic)
         assert isinstance(make_heuristic("max-min"), MaxMinHeuristic)
         assert isinstance(make_heuristic("sufferage"), SufferageHeuristic)
-        assert set(KERNEL_NAMES) | {"duplex"} == set(batch_names())
+        assert set(KERNEL_NAMES) | {"duplex"} == {n for n in heuristic_names() if is_batch(n)}
         assert not [n for n in heuristic_names() if n.endswith("-fast")]
 
     def test_no_kernel_selector(self):

@@ -27,7 +27,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.scheduling.constraints import InfeasiblePolicy, TrustConstraint
 from repro.scheduling.costs import CostProvider
 from repro.scheduling.engine import SchedulingEngine
-from repro.scheduling.esc_models import LadderEsc, LinearEsc, TableEsc
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import SecurityAccounting, TrustPolicy
 from repro.scheduling.scheduler import TRMScheduler
@@ -36,12 +35,8 @@ from repro.trustfaults.model import TrustQueryConfig, TrustSourceFault
 from repro.trustfaults.query import ResilientTrustSource
 from tests.scheduling.oracles import realized_ecc_row_oracle
 
-ESC_MODELS = (
-    LinearEsc(),
-    LinearEsc(7.5),
-    TableEsc((0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8)),
-    LadderEsc(),
-)
+#: The paper's weight, a half weight and the two the ablations run.
+TC_WEIGHTS = (15.0, 7.5, 5.0, 25.0)
 STATES = ("fresh", "degraded", "retry-dirty", "retry-fetched")
 ACCESSORS = (
     "mapping_ecc_matrix",
@@ -57,15 +52,15 @@ N_MACHINES = 3
 N_ACTIVITIES = 3
 
 
-def policy_for(kind: str, esc_model) -> TrustPolicy:
+def policy_for(kind: str, tc_weight: float) -> TrustPolicy:
     if kind == "aware":
-        return TrustPolicy.aware(esc_model=esc_model)
+        return TrustPolicy.aware(tc_weight=tc_weight)
     accounting = (
         SecurityAccounting.CONSERVATIVE_FLAT
         if kind == "unaware-flat"
         else SecurityAccounting.PAIR_REALIZED
     )
-    return TrustPolicy.unaware(accounting=accounting, esc_model=esc_model)
+    return TrustPolicy.unaware(accounting=accounting, tc_weight=tc_weight)
 
 
 def build_grid():
@@ -232,11 +227,11 @@ def check_reads_track_publishes(provider, requests, machines, steps):
 @given(
     scenario=scenarios(),
     kind=st.sampled_from(("aware", "unaware-flat", "unaware-pair")),
-    esc_model=st.sampled_from(ESC_MODELS),
+    tc_weight=st.sampled_from(TC_WEIGHTS),
 )
-def test_realized_costs_equal_the_per_row_oracle(scenario, kind, esc_model):
+def test_realized_costs_equal_the_per_row_oracle(scenario, kind, tc_weight):
     eec, items, evolution, steps, cap = scenario
-    policy = policy_for(kind, esc_model)
+    policy = policy_for(kind, tc_weight)
     machines = [item[3] for item in items]
     fast, fast_requests = prepared(policy, eec, items, evolution, cap)
     slow, slow_requests = prepared(policy, eec, items, evolution, cap)

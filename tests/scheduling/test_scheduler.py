@@ -11,7 +11,6 @@ from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
 from repro.scheduling.base import BatchHeuristic, PlannedAssignment
 from repro.scheduling.engine import SchedulingEngine
-from repro.scheduling.esc_models import EscModel
 from repro.scheduling.mct import MctHeuristic
 from repro.scheduling.minmin import MinMinHeuristic
 from repro.scheduling.policy import TrustPolicy
@@ -240,11 +239,11 @@ class TestBadPlanRefusal:
         assert engine.pending == requests
 
 
-class Rebate(EscModel):
-    """A stub ESC model paying back twice the EEC: every cost is negative."""
+class Rebate(TrustPolicy):
+    """A stub policy paying back twice the EEC: every cost is negative."""
 
-    def fractions(self, tc):
-        return np.full_like(np.asarray(tc, dtype=np.float64), -2.0)
+    def esc_aware(self, eec, tc):
+        return np.asarray(eec, dtype=np.float64) * -2.0
 
 
 def assert_nothing_booked(engine, sim, hooked):
@@ -273,7 +272,7 @@ class TestWindowChecks:
     def test_negative_realized_cost_refused_in_batch(self, small_grid):
         engine, sim, hooked = self.build(
             small_grid, MinMinHeuristic(),
-            TrustPolicy.aware(esc_model=Rebate()), batch_interval=5.0,
+            Rebate(trust_aware=True), batch_interval=5.0,
         )
         engine.pending.extend(make_requests(small_grid, [1.0, 2.0, 3.0]))
         with pytest.raises(
@@ -285,7 +284,7 @@ class TestWindowChecks:
 
     def test_negative_realized_cost_refused_immediately(self, small_grid):
         engine, sim, hooked = self.build(
-            small_grid, MctHeuristic(), TrustPolicy.aware(esc_model=Rebate())
+            small_grid, MctHeuristic(), Rebate(trust_aware=True)
         )
         (request,) = make_requests(small_grid, [1.0])
         with pytest.raises(

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim.arrivals import (
     BatchArrivalProcess,
-    DeterministicProcess,
     PoissonProcess,
 )
 
@@ -48,16 +47,6 @@ class TestPoissonProcess:
         a = PoissonProcess(rate=1.0, rng=np.random.default_rng(9)).times(50)
         b = PoissonProcess(rate=1.0, rng=np.random.default_rng(9)).times(50)
         np.testing.assert_array_equal(a, b)
-
-
-class TestDeterministicProcess:
-    def test_even_spacing(self):
-        times = DeterministicProcess(interval=2.0, start=1.0).times(4)
-        assert times.tolist() == [1.0, 3.0, 5.0, 7.0]
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicProcess(interval=-1.0)
 
 
 class TestBatchArrivalProcess:

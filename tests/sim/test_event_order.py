@@ -3,8 +3,8 @@
 The queue keeps bulk-scheduled entries (``push_many`` /
 ``Simulator.schedule_many``) in a sorted stream beside its heap; these
 properties pin that the two together pop exactly in ``(time, priority,
-sequence)`` order, whatever the interleaving of pushes, bulk pushes, peeks,
-cancellations and pops.
+sequence)`` order, whatever the interleaving of pushes, bulk pushes, peeks
+and pops up to a horizon.
 """
 
 import gc
@@ -29,9 +29,10 @@ OPS = st.one_of(
     # Many entries clamped to one clock, as a resumed service re-schedules
     # every arrival that fell behind its checkpoint.
     st.tuples(st.just("clamped"), st.integers(1, 6), PRIORITIES),
-    st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("peek")),
     st.tuples(st.just("pop")),
+    # ``pop_due`` with a horizon, the simulator's run-loop call.
+    st.tuples(st.just("pop_due"), TIMES),
 )
 
 
@@ -40,25 +41,26 @@ OPS = st.one_of(
 def test_interleavings_pop_in_key_order(ops):
     queue = EventQueue()
     live: dict[int, tuple[float, EventPriority, int]] = {}  # tag -> key
-    handles: dict[int, Event] = {}  # tag -> materialised, unfired event
     clock = 0.0
     next_tag = 0
     sequence = 0
 
-    def expect_pop():
+    def expect_pop(until=None):
         nonlocal clock
+        event = queue.pop_due(until)
+        if not live or (until is not None and min(live.values())[0] > until):
+            assert event is None
+            return
         tag = min(live, key=live.__getitem__)
-        event = queue.pop()
         assert (event.time, event.priority, event.sequence) == live.pop(tag)
         assert event.payload == tag
-        handles.pop(tag, None)
         clock = event.time
 
     for op in ops:
         kind = op[0]
         if kind == "push":
             time = max(op[1], clock)
-            handles[next_tag] = queue.push(Event(time, op[2], payload=next_tag))
+            queue.push(Event(time, op[2], payload=next_tag))
             live[next_tag] = (time, op[2], sequence)
             next_tag += 1
             sequence += 1
@@ -73,27 +75,20 @@ def test_interleavings_pop_in_key_order(ops):
                 live[tag] = (time, op[2], sequence + offset)
             next_tag += len(times)
             sequence += len(times)
-        elif kind == "cancel":
-            if handles:
-                tag = sorted(handles)[op[1] % len(handles)]
-                queue.cancel(handles.pop(tag))
-                del live[tag]
         elif kind == "peek":
             head = queue.peek()
             if live:
                 tag = min(live, key=live.__getitem__)
+                assert (head.time, head.priority, head.sequence) == live[tag]
                 assert head.payload == tag
-                handles[tag] = head
             else:
                 assert head is None
-        elif live:
-            expect_pop()
+        elif kind == "pop_due":
+            expect_pop(op[1])
         else:
-            with pytest.raises(IndexError):
-                queue.pop()
+            expect_pop()
         assert len(queue) == len(live)
-        if live:
-            assert queue.peek_time() == min(live.values())[0]
+        assert bool(queue) == bool(live)
     while live:
         expect_pop()
     assert not queue
@@ -196,18 +191,6 @@ class TestRefusals:
         assert sim.pending == 0
 
 
-def test_cancelled_materialised_stream_head_is_skipped():
-    queue = EventQueue()
-    queue.push_many([1.0, 2.0], None, EventPriority.ARRIVAL, ["first", "second"])
-    head = queue.peek()
-    assert head.payload == "first"
-    queue.cancel(head)
-    assert len(queue) == 1
-    assert queue.peek_time() == 2.0
-    assert queue.pop().payload == "second"
-    assert not queue
-
-
 def test_fired_entry_releases_its_payload():
     class Payload:
         pass
@@ -217,7 +200,7 @@ def test_fired_entry_releases_its_payload():
     ref = weakref.ref(payload)
     queue.push_many([1.0, 2.0], None, EventPriority.ARRIVAL, [payload, Payload()])
     del payload
-    event = queue.pop()
+    event = queue.pop_due(None)
     assert event.payload is ref()
     del event
     gc.collect()

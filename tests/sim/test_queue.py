@@ -29,14 +29,14 @@ class TestEventQueue:
         q = EventQueue()
         for t in [5.0, 1.0, 3.0]:
             q.push(Event(time=t))
-        assert [q.pop().time for _ in range(3)] == [1.0, 3.0, 5.0]
+        assert [q.pop_due(None).time for _ in range(3)] == [1.0, 3.0, 5.0]
 
     def test_priority_breaks_time_ties(self):
         q = EventQueue()
         q.push(Event(time=1.0, priority=EventPriority.BATCH))
         q.push(Event(time=1.0, priority=EventPriority.COMPLETION))
         q.push(Event(time=1.0, priority=EventPriority.ARRIVAL))
-        got = [q.pop().priority for _ in range(3)]
+        got = [q.pop_due(None).priority for _ in range(3)]
         assert got == [
             EventPriority.COMPLETION,
             EventPriority.ARRIVAL,
@@ -47,45 +47,21 @@ class TestEventQueue:
         q = EventQueue()
         first = q.push(Event(time=1.0, payload="first"))
         second = q.push(Event(time=1.0, payload="second"))
-        assert q.pop() is first
-        assert q.pop() is second
+        assert q.pop_due(None) is first
+        assert q.pop_due(None) is second
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+    def test_pop_due_empty_returns_none(self):
+        assert EventQueue().pop_due(None) is None
 
-    def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        keep = q.push(Event(time=2.0))
-        drop = q.push(Event(time=1.0))
-        q.cancel(drop)
-        assert len(q) == 1
-        assert q.pop() is keep
-
-    def test_double_cancel_counts_once(self):
-        q = EventQueue()
-        ev = q.push(Event(time=1.0))
-        q.push(Event(time=2.0))
-        q.cancel(ev)
-        q.cancel(ev)
-        assert len(q) == 1
-
-    def test_peek_time_skips_cancelled(self):
-        q = EventQueue()
-        early = q.push(Event(time=1.0))
-        q.push(Event(time=2.0))
-        q.cancel(early)
-        assert q.peek_time() == 2.0
-
-    def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+    def test_peek_empty(self):
+        assert EventQueue().peek() is None
 
     def test_bool_reflects_live_events(self):
         q = EventQueue()
         assert not q
-        ev = q.push(Event(time=1.0))
+        q.push(Event(time=1.0))
         assert q
-        q.cancel(ev)
+        q.pop_due(None)
         assert not q
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -94,5 +70,5 @@ class TestEventQueue:
         q = EventQueue()
         for t in times:
             q.push(Event(time=t))
-        popped = [q.pop().time for _ in range(len(times))]
+        popped = [q.pop_due(None).time for _ in range(len(times))]
         assert popped == sorted(times)

@@ -7,18 +7,22 @@ tests fail fast when a refactor breaks an export or ships an undocumented
 public object.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import repro
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+REPO = Path(__file__).resolve().parents[1]
+
+sys.path.insert(0, str(REPO / "tools"))
 
 import gen_api_docs  # noqa: E402
 
@@ -44,7 +48,6 @@ MODULES = [
     "repro.obs.invariants",
     "repro.obs.profile",
     "repro.scheduling.engine",
-    "repro.scheduling.esc_models",
     "repro.service.admission",
     "repro.service.backpressure",
     "repro.service.checkpoint",
@@ -97,6 +100,65 @@ def test_api_docs_are_current():
     assert committed == gen_api_docs.render(), (
         "docs/API.md is stale; run PYTHONPATH=src python tools/gen_api_docs.py"
     )
+
+
+#: Trees whose code counts as a caller: everything in the repository but
+#: the tests.
+CALLER_ROOTS = ("src", "perfbench", "tools", "examples", "benchmarks")
+
+#: Public names kept although nothing outside the tests calls them.
+UNCALLED_ALLOWED = {
+    "ExponentialDecay": "carries the paper's decay Υ(t − t_xy, c); runs default to NoDecay",
+    "load_checkpoint": "CI's service-smoke job reads the serve checkpoint back with it",
+    "check_trace_lifecycle": "the trace-lifecycle oracle of three test modules",
+}
+
+
+def _public_callables() -> dict[str, list[str]]:
+    """Every module-level public function and class under ``src/repro``,
+    mapped to the modules defining it.
+
+    Package ``__init__`` files only re-export, so they define nothing here.
+    """
+    found: dict[str, list[str]] = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.setdefault(node.name, []).append(str(path.relative_to(REPO)))
+    return found
+
+
+def _referenced_names() -> set[str]:
+    """Every name read, called, subclassed or taken as an attribute in the
+    caller trees.  Imports, ``__all__`` strings and docstrings do not count.
+    """
+    names: set[str] = set()
+    for root in CALLER_ROOTS:
+        for path in sorted((REPO / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class that only its own tests call is surface
+    nobody uses: give it a caller or delete it."""
+    referenced = _referenced_names()
+    uncalled = {
+        name: modules
+        for name, modules in _public_callables().items()
+        if name not in referenced
+    }
+    unexpected = {n: m for n, m in uncalled.items() if n not in UNCALLED_ALLOWED}
+    assert not unexpected, f"public names with no caller outside tests: {unexpected}"
+    stale = sorted(set(UNCALLED_ALLOWED) - set(uncalled))
+    assert not stale, f"allowlisted names now called or gone: {stale}"
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -170,6 +232,31 @@ class TestTopLevelEntryPoints:
         restore = inspect.signature(store.restore_trust_store)
         assert "verify" not in restore.parameters
         assert "DurableTrustPlane" in core.__all__
+
+    def test_one_esc_formula(self):
+        from repro.scheduling.policy import TrustPolicy
+
+        assert importlib.util.find_spec("repro.scheduling.esc_models") is None
+        assert "esc_model" not in {f.name for f in fields(TrustPolicy)}
+        assert not hasattr(TrustPolicy, "aware_model")
+
+    def test_des_events_are_not_cancellable(self):
+        from repro.sim.events import Event
+        from repro.sim.kernel import Simulator
+        from repro.sim.queue import EventQueue
+
+        assert not hasattr(Event, "cancel")
+        assert not [n for n in ("cancel", "pop", "peek_time") if hasattr(EventQueue, n)]
+        assert not [
+            n for n in ("cancel", "step", "drain", "schedule_after") if hasattr(Simulator, n)
+        ]
+
+    def test_journal_internals_are_private(self):
+        import repro.core as core
+
+        internals = ("read_journal", "JournalReplay", "attach_journal", "detach_journal")
+        assert not [n for n in internals if n in core.__all__]
+        assert not [n for n in internals if hasattr(core, n)]
 
     def test_one_des_programming_model(self):
         import repro.experiments as experiments

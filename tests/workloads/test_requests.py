@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.sim.arrivals import DeterministicProcess
+from repro.sim.arrivals import BatchArrivalProcess
 from repro.workloads.requests import build_requests, generate_request_stream
 
 
@@ -48,14 +48,14 @@ class TestBuildRequests:
 class TestGenerateRequestStream:
     def test_generates_n_requests(self, small_grid, rng):
         reqs = generate_request_stream(
-            small_grid, 25, DeterministicProcess(interval=1.0), rng
+            small_grid, 25, BatchArrivalProcess(at=0.0), rng
         )
         assert len(reqs) == 25
         assert [r.index for r in reqs] == list(range(25))
 
     def test_respects_toa_bounds(self, small_grid, rng):
         reqs = generate_request_stream(
-            small_grid, 100, DeterministicProcess(interval=1.0), rng,
+            small_grid, 100, BatchArrivalProcess(at=0.0), rng,
             min_toas=2, max_toas=3,
         )
         sizes = {len(r.task.activities) for r in reqs}
@@ -63,7 +63,7 @@ class TestGenerateRequestStream:
 
     def test_clients_drawn_from_grid(self, small_grid, rng):
         reqs = generate_request_stream(
-            small_grid, 200, DeterministicProcess(interval=1.0), rng
+            small_grid, 200, BatchArrivalProcess(at=0.0), rng
         )
         used = {r.client.index for r in reqs}
         assert used == {0, 1}
@@ -71,5 +71,5 @@ class TestGenerateRequestStream:
     def test_negative_count_rejected(self, small_grid, rng):
         with pytest.raises(WorkloadError):
             generate_request_stream(
-                small_grid, -1, DeterministicProcess(interval=1.0), rng
+                small_grid, -1, BatchArrivalProcess(at=0.0), rng
             )
