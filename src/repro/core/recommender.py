@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
+
 __all__ = ["AllianceRegistry", "RecommenderWeights"]
 
 EntityId = Hashable
@@ -39,7 +41,7 @@ class AllianceRegistry:
         self._membership: dict[EntityId, set[str]] = {}
         self._epoch = 0
         # Write-ahead journal sink (see repro.core.journal); when set,
-        # declare/dissolve append a framed delta after applying.
+        # declare/dissolve append a delta op after applying.
         self._journal = None
 
     @property
@@ -116,16 +118,23 @@ class RecommenderWeights:
     _accuracy: dict[EntityId, float] = field(default_factory=dict, repr=False)
     _epoch: int = field(default=0, repr=False, compare=False)
     # Write-ahead journal sink (see repro.core.journal); when set,
-    # observe_outcome appends a framed delta after applying.
+    # observe_outcome appends a delta op after applying.
     _journal: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ally_weight <= 1.0:
-            raise ValueError("ally_weight must lie in [0, 1]")
+            raise ConfigurationError(
+                f"ally_weight must lie in [0, 1], got {self.ally_weight!r}"
+            )
         if not 0.0 <= self.default_accuracy <= 1.0:
-            raise ValueError("default_accuracy must lie in [0, 1]")
+            raise ConfigurationError(
+                "default_accuracy must lie in [0, 1], got "
+                f"{self.default_accuracy!r}"
+            )
         if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must lie in (0, 1]")
+            raise ConfigurationError(
+                f"learning_rate must lie in (0, 1], got {self.learning_rate!r}"
+            )
 
     def factor(self, recommender: EntityId, target: EntityId) -> float:
         """Return ``R(recommender, target)`` in ``[0, 1]``."""
@@ -158,7 +167,7 @@ class RecommenderWeights:
         """
         for name, v in (("predicted", predicted), ("actual", actual)):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+                raise ConfigurationError(f"{name} must lie in [0, 1], got {v!r}")
         sample = 1.0 - abs(predicted - actual)
         old = self._accuracy.get(recommender, self.default_accuracy)
         new = (1.0 - self.learning_rate) * old + self.learning_rate * sample

@@ -19,6 +19,7 @@ from repro.core.context import TrustContext
 from repro.core.decay import DecayFunction, NoDecay
 from repro.core.recommender import RecommenderWeights
 from repro.core.tables import EntityId, TrustTable
+from repro.errors import ConfigurationError
 
 __all__ = ["Reputation"]
 
@@ -53,7 +54,9 @@ class Reputation:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.unknown_prior <= 1.0:
-            raise ValueError("unknown_prior must lie in [0, 1]")
+            raise ConfigurationError(
+                f"unknown_prior must lie in [0, 1], got {self.unknown_prior!r}"
+            )
 
     def set_context_decay(self, context: TrustContext, decay: DecayFunction) -> None:
         """Install a context-specific decay, overriding the default for it."""
@@ -80,7 +83,7 @@ class Reputation:
         eventual trust through the direct component instead).
 
         Raises:
-            ValueError: if any opinion's last transaction lies in the future.
+            ConfigurationError: if any opinion's last transaction lies in the future.
         """
         decay = self.decay_for(context)
         source_filter = self.source_filter
@@ -94,7 +97,7 @@ class Reputation:
                 continue
             age = now - rec.last_transaction
             if age < 0:
-                raise ValueError(
+                raise ConfigurationError(
                     f"now={now} precedes opinion of {recommender!r} recorded at "
                     f"{rec.last_transaction}"
                 )

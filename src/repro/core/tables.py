@@ -125,7 +125,7 @@ class TrustTable:
         self._latest: dict[tuple[EntityId, str], float] = {}
         self._epoch = 0
         # Write-ahead journal sink (see repro.core.journal); when set,
-        # every record/remove appends a framed delta after applying.
+        # every record/remove appends a delta op after applying.
         self._journal = None
 
     @property

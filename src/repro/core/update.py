@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, value_to_level
+from repro.errors import ConfigurationError
 
 __all__ = [
     "SignificancePolicy",
@@ -67,7 +68,9 @@ class MinEvidencePolicy(SignificancePolicy):
 
     def __post_init__(self) -> None:
         if self.min_transactions < 1:
-            raise ValueError("min_transactions must be >= 1")
+            raise ConfigurationError(
+                f"min_transactions must be >= 1, got {self.min_transactions!r}"
+            )
 
     def should_publish(self, record: TrustRecord, published: TrustLevel | None) -> bool:
         if record.transaction_count < self.min_transactions:

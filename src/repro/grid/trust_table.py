@@ -73,7 +73,7 @@ class GridTrustTable:
         self._epoch = 0
         self._cd_epochs: dict[int, int] = {}
         # Write-ahead journal sink (see repro.core.journal); when set,
-        # set/fill_from append a framed delta after applying.
+        # set/fill_from append a delta op after applying.
         self._journal = None
 
     @property

@@ -33,7 +33,11 @@ from crash_harness import (  # noqa: E402
     build_workload,
     apply_workload_op,
     fresh_state,
+    generation_bases,
     oracle_prefix,
+    policy_compactions,
+    read_acks,
+    run_child,
 )
 
 
@@ -184,3 +188,18 @@ def test_bit_flip_recovers_some_prefix(tmp_path_factory, seed, where, bit):
     data[pos] ^= 1 << bit
     journal.write_bytes(bytes(data))
     _verify_recovery(root, ops, 0, f"seed={seed} flip@{pos}.{bit}")
+
+
+@pytest.mark.parametrize("n_ops", [36, 60], ids=["quick", "full"])
+def test_harness_sweep_compacts_by_policy_and_explicitly(tmp_path, n_ops):
+    # The subprocess sweep (tools/crash_harness.py, --quick in CI) kills
+    # the writer inside every compaction of this uncrashed run; at least
+    # one must be triggered by checkpoint()'s policy, which folds the
+    # tail without framing it.
+    compact_at = 2 * n_ops // 3
+    run_child(
+        tmp_path / "plane", build_workload(0, n_ops), 8, compact_at, crash_at=-1
+    )
+    acks = read_acks(tmp_path)
+    assert policy_compactions(acks)
+    assert compact_at in generation_bases(acks).values()

@@ -2,11 +2,12 @@
 
 Covers the frame codec (CRC-32 check vector, byte identity of every frame
 with ``json.dumps``, torn/short/corrupt tails),
-:class:`~repro.core.journal.JournalWriter` round trips and pinned-prefix
-refusal, replay epoch verification, the fsync seam, and
+:class:`~repro.core.journal.JournalWriter` round trips, lazy framing and
+pinned-prefix refusal, replay epoch verification, the fsync seam, and
 :class:`~repro.core.journal.DurableTrustPlane` lifecycle — create,
-recover, checkpoint, compaction, generation retention, and rollback to a
-pinned generation.
+recover, checkpoint, compaction (decided from the unframed tail's size
+floor exactly as from its framed size), generation retention, and
+rollback to a pinned generation.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import TrustContext
@@ -40,6 +43,15 @@ from repro.grid.agents import AgentFleet
 from repro.grid.behavior import StationaryBehavior
 from repro.grid.trust_table import GridTrustTable
 from repro.obs import MetricsRegistry
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from crash_harness import (  # noqa: E402
+    apply_workload_op,
+    build_workload,
+    fresh_state,
+    state_fingerprint,
+)
 
 EXECUTE = TrustContext("execute")
 _FRAME = struct.Struct("<II")
@@ -372,6 +384,126 @@ class TestJournalWriter:
         assert metrics.counter("store.journal_appends").value == 1
 
 
+def _frame_or_none(op) -> bytes | None:
+    try:
+        return journal_frame(op)
+    except TrustJournalError:
+        return None
+
+
+class TestLazyFraming:
+    """Appended ops are framed only when their bytes are needed; the
+    floor read without framing never exceeds the framed size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(_ops(), max_size=8))
+    def test_floor_bounds_the_frames_of_any_ops(self, tmp_path_factory, ops):
+        # Malformed ops (missing or extra keys, bools, numpy scalars,
+        # non-finite floats) included; an op json cannot write is refused,
+        # so it has no frame to bound.
+        framed = [op for op in ops if _frame_or_none(op) is not None]
+        frames = [journal_frame(op) for op in framed]
+        path = tmp_path_factory.mktemp("lazy") / "j.wal"
+        w = JournalWriter.create(path)
+        header = w.synced_offset
+        for op in framed:
+            w.append(op)
+        floor = w.pending_floor
+        assert floor <= w.pending_bytes == sum(map(len, frames))
+        assert w.pending_floor == w.pending_bytes  # framed now: exact
+        w.close()
+        # Framed in one batch, the ops write exactly their single frames.
+        assert path.read_bytes()[header:] == b"".join(frames)
+
+    def test_shared_time_spelling_follows_identity(self, tmp_path):
+        zero, negative_zero = 0.0, -0.0
+        shared = 1234.5678
+        ops = [
+            {"op": "record", "z": "cd:0", "y": "rd:1", "c": "execute",
+             "v": 0.5, "t": t, "n": 1, "e": e}
+            for e, t in enumerate((shared, shared, zero, negative_zero, zero, 0.1 + 0.2))
+        ]
+        path = tmp_path / "j.wal"
+        w = JournalWriter.create(path)
+        header = w.synced_offset
+        for op in ops:
+            w.append(op)
+        w.close()
+        assert path.read_bytes()[header:] == b"".join(map(journal_frame, ops))
+        assert [op["t"] for op in _read_journal(path).ops] == [
+            shared, shared, 0.0, -0.0, 0.0, 0.1 + 0.2
+        ]
+        assert math.copysign(1.0, _read_journal(path).ops[3]["t"]) == -1.0
+
+    def test_unframeable_op_is_dropped_and_refused(self, tmp_path):
+        path = tmp_path / "j.wal"
+        w = JournalWriter.create(path)
+        header = w.synced_offset
+        good = [{"op": "dissolve", "g": "g0", "e": 1}, {"op": "dissolve", "g": "g1", "e": 2}]
+        w.append(good[0])
+        w.append({"op": "declare", "g": "g", "m": [object()], "e": 1})
+        w.append(good[1])
+        with pytest.raises(TrustJournalError, match="not JSON-representable"):
+            w.sync()
+        assert w.synced_offset == header
+        # The refused op is gone; the others were framed in order.
+        assert w.pending_bytes == sum(len(journal_frame(op)) for op in good)
+        w.close()
+        assert _read_journal(path).ops == tuple(good)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 1 << 16),
+        n_ops=st.integers(1, 48),
+        sync_every=st.integers(1, 10),
+        min_compact_bytes=st.integers(0, 2500),
+        compact_ratio=st.sampled_from([1e-9, 0.5]),
+    )
+    def test_floor_decides_compaction_as_framing_does(
+        self, tmp_path_factory, seed, n_ops, sync_every, min_compact_bytes,
+        compact_ratio,
+    ):
+        # One op stream, two planes.  The framed plane reads pending_bytes
+        # before every checkpoint, which frames its tail and so makes the
+        # decision from the exact size; the lazy plane decides from the
+        # floor where it can.
+        ops = build_workload(seed, n_ops)
+        config = JournalConfig(
+            compact_ratio=compact_ratio, min_compact_bytes=min_compact_bytes
+        )
+        root = tmp_path_factory.mktemp("floor")
+        planes = {}
+        for name in ("lazy", "framed"):
+            table, weights, grid = fresh_state()
+            planes[name] = DurableTrustPlane.create(
+                root / name, table, weights, grid_table=grid, config=config
+            )
+        pins = {name: [] for name in planes}
+        for i, op in enumerate(ops):
+            for plane in planes.values():
+                apply_workload_op(op, plane.table, plane.weights, plane.grid_table)
+            if (i + 1) % sync_every == 0 or i + 1 == n_ops:
+                planes["framed"]._writer.pending_bytes
+                for name, plane in planes.items():
+                    pin = plane.checkpoint()
+                    del pin["root"]
+                    pins[name].append(pin)
+        assert pins["lazy"] == pins["framed"]
+        recovered = []
+        for name, plane in planes.items():
+            plane.close()
+            pin = pins[name][-1]
+            rec = DurableTrustPlane.recover(
+                root / name, generation=pin["generation"], upto=pin["offset"]
+            )
+            recovered.append(state_fingerprint(rec.table, rec.weights, rec.grid_table))
+            rec.close()
+        live = planes["lazy"]
+        assert recovered[0] == recovered[1] == state_fingerprint(
+            live.table, live.weights, live.grid_table
+        )
+
+
 class TestApplyOp:
     def test_epoch_mismatch_detected(self, tmp_path):
         table = TrustTable()
@@ -521,6 +653,36 @@ class TestDurableTrustPlane:
         assert rec.table.get("a", "z", EXECUTE).value == 0.9
         assert rec.table.get("a", "b3", EXECUTE).value == 0.5
         rec.close()
+
+    @pytest.mark.parametrize("decided_by", ["floor", "framed size"])
+    def test_compacting_checkpoint_frames_only_a_tail_under_the_floor(
+        self, tmp_path, decided_by
+    ):
+        op_args = ("a", "b", EXECUTE, 0.7, 1.0)
+        op = {"op": "record", "z": "a", "y": "b", "c": "execute",
+              "v": 0.7, "t": 1.0, "n": 1, "e": 1}
+        probe = _plane(tmp_path / "probe")
+        header = probe.journal_offset
+        probe.table.record(*op_args)
+        floor = probe._writer.pending_floor
+        probe.close()
+        framed = len(journal_frame(op))
+        assert floor < framed
+        # Past the threshold by its floor alone, the tail is folded
+        # unframed and the superseded journal keeps only what was synced;
+        # under it, the tail is synced and its framed size decides.
+        threshold = header + (floor - 1 if decided_by == "floor" else floor)
+        plane = _plane(
+            tmp_path,
+            config=JournalConfig(compact_ratio=1e-9, min_compact_bytes=threshold),
+        )
+        plane.table.record(*op_args)
+        pin = plane.checkpoint()
+        assert pin["generation"] == plane.generation == 1
+        assert pin["offset"] == header
+        written = (tmp_path / "plane" / "journal-0.wal").stat().st_size
+        assert written == (header if decided_by == "floor" else header + framed)
+        plane.close()
 
     def test_auto_compaction_on_checkpoint(self, tmp_path):
         plane = _plane(

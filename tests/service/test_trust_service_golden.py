@@ -38,7 +38,11 @@ SEED = 5
 #: Captured before the trust-feedback path was reworked for speed.
 GOLDEN = {
     "schedule": "7b31b4fb6c1b125d1b15090cb649430ea51f0a66d74be7c5ac7681c1eee95562",
-    "plane": "3a60a43c19fbcd9e760cad4a85c3fb071d572b08902a332a438cc9b43a9ce553",
+    # Re-pinned when a compacting checkpoint stopped writing the tail it
+    # folds: the superseded generation kept by ``keep_generations=1`` now
+    # ends at the offset the previous checkpoint pinned, and the earlier
+    # plane directory with that journal cut there hashes to this value.
+    "plane": "2e425e2004d4708e6d927d3c416074a3a6646cf3e708ba7e41fc618e303c1e20",
     "grid_levels": "896e6f5a31085d7e1f91e69c8f34f080a8a118ef37529ee5232d553476ae8ed4",
     "internal_items": "074cf5b68197a88add081f0198adeb702e2ab8daa907cab74e5325095eb78624",
     "checkpoints": "efeee016d34a71cf3fb82d5c853601932c6a7d94bf06652d377bcfde25a41e50",
@@ -189,9 +193,28 @@ def test_run_checkpoints_and_compacts(served):
     assert run["fleet"].total_published() > 0
 
 
+def _assert_superseded_journals_end_at_pins(run: dict) -> None:
+    """Each kept superseded journal ends exactly at an offset a checkpoint
+    pinned: the tail a compaction folds is never written."""
+    plane = run["plane"]
+    pinned = {
+        (payload["trust_journal"]["generation"], payload["trust_journal"]["offset"])
+        for payload in run["result"].checkpoint_payloads
+    }
+    superseded = [
+        path for path in plane.root.glob("journal-*.wal")
+        if path != plane.journal_path
+    ]
+    assert len(superseded) == JOURNAL.keep_generations
+    for path in superseded:
+        generation = int(path.stem.removeprefix("journal-"))
+        assert (generation, path.stat().st_size) in pinned, path.name
+
+
 def test_outputs_match_the_pinned_run(served):
-    _, digests = served
+    run, digests = served
     assert digests == GOLDEN
+    _assert_superseded_journals_end_at_pins(run)
 
 
 def test_checkpoint_records_are_not_shared_between_checkpoints(served):
@@ -209,6 +232,7 @@ def test_checkpoint_records_are_not_shared_between_checkpoints(served):
 def test_trust_feedback_reproduces_the_pinned_run(served_via_feedback):
     run, digests = served_via_feedback
     assert digests == GOLDEN
+    _assert_superseded_journals_end_at_pins(run)
     payloads = run["result"].checkpoint_payloads
     assert all("feedback" in payload for payload in payloads)
     published = [sum(payload["feedback"]["published"]) for payload in payloads]

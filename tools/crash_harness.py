@@ -19,6 +19,11 @@ asserts **recovery equivalence**:
 * the **durability floor** holds: every op acknowledged by a completed
   ``checkpoint()`` before the kill is part of that prefix.
 
+The plane compacts both ways: by policy, whenever a ``checkpoint()`` finds
+the journal past half the base (it then folds the tail without framing
+or writing it), and once explicitly, at ``compact_at``.  The clean run's
+acknowledgements map each generation to the ops folded into its base.
+
 A torn-tail sweep then truncates (and bit-flips) the clean run's journal
 at sampled byte offsets and asserts each recovery settles on some intact
 prefix — torn frames truncate, they never poison or refuse recovery.
@@ -242,7 +247,7 @@ def run_child(
 
     acks = root.parent / "acks.jsonl"
 
-    def ack(n_applied: int, plane: DurableTrustPlane) -> None:
+    def ack(n_applied: int, plane: DurableTrustPlane, by: str) -> None:
         # Plain appended+fsynced line, deliberately outside the hook seam:
         # the ack is the parent's ground truth for the durability floor
         # and must not shift the swept kill points.
@@ -251,6 +256,7 @@ def run_child(
                 json.dumps(
                     {
                         "n": n_applied,
+                        "by": by,
                         "generation": plane.generation,
                         "offset": plane.journal_offset,
                     }
@@ -268,20 +274,20 @@ def run_child(
             table,
             weights,
             grid_table=grid,
-            # Compaction is triggered explicitly (compact_at) so the
-            # parent can map recovered-op counts back to workload ops.
-            config=JournalConfig(min_compact_bytes=1 << 30),
+            # No byte floor: checkpoint() compacts by the ratio policy
+            # alone, besides the explicit compaction at compact_at.
+            config=JournalConfig(min_compact_bytes=0),
         )
         for i, op in enumerate(ops):
             apply_workload_op(op, table, weights, grid)
             if (i + 1) % sync_every == 0:
                 plane.checkpoint()
-                ack(i + 1, plane)
+                ack(i + 1, plane, "checkpoint")
             if compact_at is not None and i + 1 == compact_at:
                 plane.compact()
-                ack(i + 1, plane)
+                ack(i + 1, plane, "compact")
         plane.checkpoint()
-        ack(len(ops), plane)
+        ack(len(ops), plane, "checkpoint")
         plane.close()
     finally:
         set_sync_hook(None)
@@ -303,21 +309,46 @@ def child_main() -> None:
 
 # -- parent-side verification ----------------------------------------------
 
+def read_acks(workdir: Path) -> list[dict]:
+    """The checkpoint acknowledgements a child wrote under ``workdir``."""
+    path = workdir / "acks.jsonl"
+    if not path.is_file():
+        return []
+    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+
+
+def generation_bases(acks: list[dict]) -> dict[int, int]:
+    """Generation → number of workload ops folded into its base: the op
+    count of the first acknowledgement at that generation."""
+    bases = {0: 0}
+    for ack in acks:
+        bases.setdefault(ack["generation"], ack["n"])
+    return bases
+
+
+def policy_compactions(acks: list[dict]) -> list[int]:
+    """Op counts at which a ``checkpoint()`` compacted by policy."""
+    found = []
+    generation = 0
+    for ack in acks:
+        if ack["generation"] != generation and ack["by"] == "checkpoint":
+            found.append(ack["n"])
+        generation = ack["generation"]
+    return found
+
+
 def verify_root(
     root: Path,
     ops: list[tuple],
-    compact_at: int | None,
+    bases: dict[int, int],
     label: str,
 ) -> None:
-    """Recover ``root`` and assert recovery-equivalence + durability floor."""
-    acks_path = root.parent / "acks.jsonl"
-    acks = []
-    if acks_path.is_file():
-        acks = [
-            json.loads(line)
-            for line in acks_path.read_text().splitlines()
-            if line.strip()
-        ]
+    """Recover ``root`` and assert recovery-equivalence + durability floor.
+
+    ``bases`` maps each generation of the uncrashed run to the ops folded
+    into its base (see :func:`generation_bases`).
+    """
+    acks = read_acks(root.parent)
     try:
         plane = DurableTrustPlane.recover(root)
     except TrustJournalError as exc:
@@ -329,12 +360,13 @@ def verify_root(
         # Killed before provisioning completed: the plane never promised
         # anything, a typed refusal is the contract.
         return
-    if plane.generation == 0:
-        n = plane.recovered_ops
-    else:
-        # Ops before the explicit compaction live in the folded base.
-        assert compact_at is not None, f"{label}: unexpected generation"
-        n = compact_at + plane.recovered_ops
+    if plane.generation not in bases:
+        raise AssertionError(
+            f"{label}: recovered generation {plane.generation}, which the "
+            "uncrashed run never reached"
+        )
+    # Ops before the compaction that started this generation live in its base.
+    n = bases[plane.generation] + plane.recovered_ops
     if not 0 <= n <= len(ops):
         raise AssertionError(f"{label}: recovered {n} ops of {len(ops)}")
     assert_equivalent(
@@ -375,15 +407,22 @@ def spawn_child(
 
 def kill_point_sweep(
     base: Path, spec: dict, ops: list[tuple], stride: int
-) -> tuple[int, int]:
-    """Kill the child at every ``stride``-th fsync-boundary event."""
-    # Clean run first: counts the boundary events and feeds the torn sweep.
+) -> tuple[int, int, list[dict]]:
+    """Kill the child at every ``stride``-th fsync-boundary event.
+
+    Returns the boundary count, the kill points swept and the clean run's
+    acknowledgements.
+    """
+    # Clean run first: counts the boundary events, maps generations to
+    # their bases and feeds the torn sweep.
     clean_dir = base / "clean"
     code, out = spawn_child(clean_dir, spec, crash_at=-1)
     if code != 0:
         raise AssertionError(f"clean run failed with exit {code}: {out}")
     total_events = json.loads(out.splitlines()[-1])["events"]
-    verify_root(clean_dir / "plane", ops, spec["compact_at"], "clean run")
+    acks = read_acks(clean_dir)
+    bases = generation_bases(acks)
+    verify_root(clean_dir / "plane", ops, bases, "clean run")
     swept = 0
     for k in range(0, total_events, stride):
         workdir = base / "kill"
@@ -393,15 +432,17 @@ def kill_point_sweep(
                 f"kill point {k}: child exited {code} instead of crashing "
                 f"({out})"
             )
-        verify_root(
-            workdir / "plane", ops, spec["compact_at"], f"kill point {k}"
-        )
+        verify_root(workdir / "plane", ops, bases, f"kill point {k}")
         swept += 1
-    return total_events, swept
+    return total_events, swept, acks
 
 
 def torn_tail_sweep(
-    base: Path, spec: dict, ops: list[tuple], stride: int
+    base: Path,
+    spec: dict,
+    ops: list[tuple],
+    stride: int,
+    bases: dict[int, int],
 ) -> int:
     """Truncate/corrupt the clean journal at sampled offsets and recover."""
     clean_root = base / "clean" / "plane"
@@ -421,9 +462,7 @@ def torn_tail_sweep(
         # No acks file in the torn copy: losing acknowledged ops to a
         # *post-mortem* truncation is detection, not a floor violation.
         (workdir / "acks.jsonl").unlink(missing_ok=True)
-        verify_root(
-            workdir / "plane", ops, spec["compact_at"], f"torn cut@{cut}"
-        )
+        verify_root(workdir / "plane", ops, bases, f"torn cut@{cut}")
         checked += 1
     # Bit-flips inside tail frames: CRC catches them, recovery truncates.
     rng = random.Random(spec["seed"] + 1)
@@ -437,9 +476,7 @@ def torn_tail_sweep(
         data[flip] ^= 0x40
         target.write_bytes(bytes(data))
         (workdir / "acks.jsonl").unlink(missing_ok=True)
-        verify_root(
-            workdir / "plane", ops, spec["compact_at"], f"bitflip@{flip}"
-        )
+        verify_root(workdir / "plane", ops, bases, f"bitflip@{flip}")
         checked += 1
     return checked
 
@@ -485,15 +522,20 @@ def main(argv: list[str] | None = None) -> int:
     ops = build_workload(args.seed, args.ops)
     base = Path(tempfile.mkdtemp(prefix="crash-harness-"))
     try:
-        total_events, swept = kill_point_sweep(base, spec, ops, args.stride)
-        torn = torn_tail_sweep(base, spec, ops, args.torn_stride)
+        total_events, swept, acks = kill_point_sweep(
+            base, spec, ops, args.stride
+        )
+        torn = torn_tail_sweep(
+            base, spec, ops, args.torn_stride, generation_bases(acks)
+        )
     finally:
         shutil.rmtree(base, ignore_errors=True)
     print(
         f"crash harness OK: {swept} of {total_events} fsync-boundary kill "
         f"points swept (stride {args.stride}), {torn} torn-tail/bit-flip "
         f"recoveries verified, {args.ops} ops, sync every "
-        f"{args.sync_every}, compaction at {compact_at}"
+        f"{args.sync_every}, compaction at {compact_at} and by policy at "
+        f"{policy_compactions(acks)}"
     )
     return 0
 
