@@ -13,7 +13,6 @@ from repro.analysis.gamma_weights import GammaWeightOutcome, ablate_gamma_weight
 from repro.analysis.calibration import (
     aware_multiplier,
     improvement_cap,
-    predicted_improvement,
     unaware_multiplier,
 )
 from repro.analysis.significance import PairedTestResult, paired_t_test
@@ -42,7 +41,6 @@ __all__ = [
     "aware_multiplier",
     "unaware_multiplier",
     "improvement_cap",
-    "predicted_improvement",
     "PairedTestResult",
     "paired_t_test",
     "SweepPoint",

@@ -13,35 +13,36 @@ argument as code:
 
   — with the printed 0.5 that is a hard ≈ 33 % ceiling *attained only at
   TC ≡ 0*, and the realistic ceiling with a measured mean chosen TC is
-  lower still (:func:`improvement_cap`);
-* :func:`predicted_improvement` reads the same cap as a first-order
+  lower still (:func:`improvement_cap`), which doubles as a first-order
   prediction, so the frozen configuration's numbers can be sanity-checked
   against theory.
 """
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.scheduling.policy import TRUST_WEIGHT
 
 __all__ = [
     "aware_multiplier",
     "unaware_multiplier",
     "improvement_cap",
-    "predicted_improvement",
 ]
 
 
 def aware_multiplier(mean_tc: float, tc_weight: float = TRUST_WEIGHT) -> float:
     """Mean service multiplier paid by the trust-aware deployment."""
     if mean_tc < 0:
-        raise ValueError("mean_tc must be non-negative")
+        raise ConfigurationError(f"mean_tc must be non-negative, got {mean_tc!r}")
     return 1.0 + mean_tc * tc_weight / 100.0
 
 
 def unaware_multiplier(unaware_fraction: float) -> float:
     """Service multiplier paid by the blanket-security deployment."""
     if unaware_fraction < 0:
-        raise ValueError("unaware_fraction must be non-negative")
+        raise ConfigurationError(
+            f"unaware_fraction must be non-negative, got {unaware_fraction!r}"
+        )
     return 1.0 + unaware_fraction
 
 
@@ -57,8 +58,3 @@ def improvement_cap(
     return 1.0 - aware_multiplier(mean_chosen_tc, tc_weight) / unaware_multiplier(
         unaware_fraction
     )
-
-
-#: Alias: the cap *is* the first-order predicted improvement.
-predicted_improvement = improvement_cap
-

@@ -7,11 +7,7 @@ and outcome-driven trust evolution.
 """
 
 from repro.core.context import (
-    DEFAULT_CONTEXTS,
-    DISPLAY,
     EXECUTION,
-    PRINTING,
-    STORAGE,
     TrustContext,
 )
 from repro.core.decay import (
@@ -57,10 +53,6 @@ from repro.core.update import (
 __all__ = [
     "TrustContext",
     "EXECUTION",
-    "STORAGE",
-    "PRINTING",
-    "DISPLAY",
-    "DEFAULT_CONTEXTS",
     "DecayFunction",
     "NoDecay",
     "ExponentialDecay",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TrustContext", "EXECUTION", "STORAGE", "PRINTING", "DISPLAY", "DEFAULT_CONTEXTS"]
+__all__ = ["TrustContext", "EXECUTION"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,10 +46,6 @@ class TrustContext:
         return self.name
 
 
-#: The example activity contexts the paper mentions in Section 3.1.
+#: The first of the example activity contexts the paper mentions in
+#: Section 3.1 (the others are storing, printing and display).
 EXECUTION = TrustContext("execute", "executing programs on the resource")
-STORAGE = TrustContext("store", "storing data on the resource")
-PRINTING = TrustContext("print", "using printing services")
-DISPLAY = TrustContext("display", "using display services")
-
-DEFAULT_CONTEXTS: tuple[TrustContext, ...] = (EXECUTION, STORAGE, PRINTING, DISPLAY)

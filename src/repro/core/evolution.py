@@ -89,23 +89,15 @@ class TrustEvolver:
         smoothing: EMA factor; the new value is
             ``(1 - smoothing) * old + smoothing * satisfaction``.  A first
             outcome (no prior record) is taken at face value.
-        initial_value: value recorded for a first-ever outcome when blending
-            with a prior is desired; ``None`` (default) takes the first
-            satisfaction verbatim.
     """
 
     table: TrustTable
     smoothing: float = 0.3
-    initial_value: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.smoothing <= 1.0:
             raise ConfigurationError(
                 f"smoothing must lie in (0, 1], got {self.smoothing!r}"
-            )
-        if self.initial_value is not None and not 0.0 <= self.initial_value <= 1.0:
-            raise ConfigurationError(
-                f"initial_value must lie in [0, 1], got {self.initial_value!r}"
             )
 
     def observe(self, outcome: TransactionOutcome) -> TrustRecord:
@@ -119,12 +111,8 @@ class TrustEvolver:
         truster, trustee, context, satisfaction, time = outcome
         table = self.table
         prior = table.get(truster, trustee, context)
-        smoothing = self.smoothing
         if prior is None:
-            if self.initial_value is None:
-                value = satisfaction
-            else:
-                value = (1.0 - smoothing) * self.initial_value + smoothing * satisfaction
+            value = satisfaction
             count = 1
         else:
             if time < prior.last_transaction:
@@ -132,6 +120,7 @@ class TrustEvolver:
                     "outcomes must be observed in non-decreasing time order: "
                     f"time {time!r} < {prior.last_transaction!r}"
                 )
+            smoothing = self.smoothing
             value = (1.0 - smoothing) * prior.value + smoothing * satisfaction
             count = prior.transaction_count + 1
         return table.record(

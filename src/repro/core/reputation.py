@@ -12,7 +12,6 @@ caller-supplied prior (default 0).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.context import TrustContext
@@ -34,20 +33,12 @@ class Reputation:
         weights: resolver for the recommender trust factor ``R(z, y)``.
         decay: decay function ``Υ`` applied to each opinion's age.
         unknown_prior: value returned when no third party holds an opinion.
-        source_filter: optional availability predicate ``(recommender, now)
-            -> bool``; recommenders it rejects are skipped (and do not count
-            toward the average), so reputation degrades gracefully when
-            some opinion sources are unreachable.  ``None`` keeps every
-            recommender (the default, and the paper's behaviour).
     """
 
     table: TrustTable
     weights: RecommenderWeights = field(default_factory=RecommenderWeights)
     decay: DecayFunction = field(default_factory=NoDecay)
     unknown_prior: float = 0.0
-    source_filter: Callable[[EntityId, float], bool] | None = field(
-        default=None, repr=False
-    )
     _context_decay: dict[TrustContext, DecayFunction] = field(
         default_factory=dict, repr=False
     )
@@ -86,14 +77,11 @@ class Reputation:
             ConfigurationError: if any opinion's last transaction lies in the future.
         """
         decay = self.decay_for(context)
-        source_filter = self.source_filter
         factor = self.weights.factor
         total = 0.0
         count = 0
         for recommender, rec in self.table.opinions(trustee, context).items():
             if recommender == asking:
-                continue
-            if source_filter is not None and not source_filter(recommender, now):
                 continue
             age = now - rec.last_transaction
             if age < 0:

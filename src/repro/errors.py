@@ -21,7 +21,6 @@ __all__ = [
     "EventOrderError",
     "WorkloadError",
     "ServiceError",
-    "ServiceStalled",
     "ServiceKilled",
     "CheckpointError",
 ]
@@ -83,10 +82,6 @@ class WorkloadError(ReproError, ValueError):
 
 class ServiceError(ReproError):
     """The always-on scheduling service reached an invalid state."""
-
-
-class ServiceStalled(ServiceError):
-    """The service watchdog detected a stuck window (fail-fast mode)."""
 
 
 class ServiceKilled(ServiceError):

@@ -16,11 +16,10 @@ differ only in *where* they send work.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import _map
 from repro.faults.model import FaultModel, MachineFailureModel, TaskFailureModel
 from repro.faults.retry import RetryPolicy
 from repro.grid.behavior import BehaviorModel, StationaryBehavior
@@ -203,12 +202,7 @@ def run_fault_recovery(
         )
         for policy in policies
     ]
-    n_workers = min(workers or (os.cpu_count() or 1), len(arm_args))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_policy_arm, arm_args))
-    else:
-        results = [_run_policy_arm(args) for args in arm_args]
+    results = _map(_run_policy_arm, arm_args, workers)
     outcomes = {
         policy.trust_aware: outcome for policy, outcome in zip(policies, results)
     }

@@ -29,8 +29,6 @@ attack-induced gap the defence wins back:
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +36,7 @@ import numpy as np
 
 from repro.core.recommender import RecommenderWeights
 from repro.errors import ConfigurationError
+from repro.experiments.parallel import _map
 from repro.faults.model import FaultModel, TaskFailureModel
 from repro.faults.retry import RetryPolicy
 from repro.grid.agents import AgentFleet, AgentSide, domain_entity_id
@@ -312,12 +311,7 @@ def run_trustfault_study(
         ("attacked", True, False, shared),
         ("defended", True, True, shared),
     ]
-    n_workers = min(workers or (os.cpu_count() or 1), len(arm_args))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            arms = list(pool.map(_build_arm, arm_args))
-    else:
-        arms = [_build_arm(args) for args in arm_args]
+    arms = _map(_build_arm, arm_args, workers)
     return TrustFaultStudy(honest=arms[0], attacked=arms[1], defended=arms[2])
 
 

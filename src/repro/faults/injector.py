@@ -129,13 +129,12 @@ class FaultInjector:
         cached = self._timelines.get(machine_index)
         if cached is not None:
             return cached
-        mtbf, mttr = self.model.machines.params_for(
-            machine_index, self.rd_of(machine_index)
-        )
+        self.rd_of(machine_index)  # refuses an unbound injector or index
+        machines = self.model.machines
         timeline = MachineTimeline(
             self._rng.stream(f"updown-{machine_index}"),
-            mtbf,
-            mttr,
+            machines.mtbf,
+            machines.mttr,
             start=self.start,
         )
         self._timelines[machine_index] = timeline

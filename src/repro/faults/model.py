@@ -7,8 +7,8 @@ Two orthogonal processes, both seeded through the existing
   hosting *resource domain* (flakiness is a domain property in this model,
   exactly like trust).  The crash point within the attempt follows either a
   uniform fraction (Bernoulli mode) or a conditional Weibull law.
-* :class:`MachineFailureModel` — exponential MTBF/MTTR up-down processes
-  per machine (with per-RD and per-machine overrides).  A
+* :class:`MachineFailureModel` — exponential MTBF/MTTR up-down processes,
+  one per machine, all with the same parameters.  A
   :class:`MachineTimeline` materialises one machine's sample path lazily,
   so a scheduler can resolve "is this machine up at ``t``?" and "does a
   downtime interrupt this execution window?" deterministically at booking
@@ -97,40 +97,22 @@ class TaskFailureModel:
 
 @dataclass(frozen=True)
 class MachineFailureModel:
-    """Exponential MTBF/MTTR up-down process parameters.
+    """Exponential MTBF/MTTR up-down process parameters of every machine.
 
     Attributes:
-        mtbf: default mean time between failures (mean up-interval).
-        mttr: default mean time to repair (mean down-interval).
-        per_rd: RD index → ``(mtbf, mttr)`` override for all its machines.
-        per_machine: machine index → ``(mtbf, mttr)`` override (wins over
-            the RD override).
+        mtbf: mean time between failures (mean up-interval).
+        mttr: mean time to repair (mean down-interval).
     """
 
     mtbf: float
     mttr: float
-    per_rd: dict[int, tuple[float, float]] = field(default_factory=dict)
-    per_machine: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for label, pair in (
-            ("default", (self.mtbf, self.mttr)),
-            *((f"RD {k}", v) for k, v in self.per_rd.items()),
-            *((f"machine {k}", v) for k, v in self.per_machine.items()),
-        ):
-            up, down = pair
-            if up <= 0 or down <= 0:
-                raise ConfigurationError(
-                    f"MTBF/MTTR must be positive, got {pair} for {label}"
-                )
-
-    def params_for(self, machine_index: int, rd_index: int) -> tuple[float, float]:
-        """Resolve ``(mtbf, mttr)`` for one machine (machine > RD > default)."""
-        if machine_index in self.per_machine:
-            return self.per_machine[machine_index]
-        if rd_index in self.per_rd:
-            return self.per_rd[rd_index]
-        return (self.mtbf, self.mttr)
+        if self.mtbf <= 0 or self.mttr <= 0:
+            raise ConfigurationError(
+                "mtbf and mttr must be positive, got "
+                f"mtbf={self.mtbf!r}, mttr={self.mttr!r}"
+            )
 
 
 class MachineTimeline:

@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.context import TrustContext
+from repro.errors import ConfigurationError
 
 __all__ = ["ActivityType", "ActivityCatalog", "ActivitySet"]
 
@@ -37,9 +38,13 @@ class ActivityType:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("activity index must be non-negative")
+            raise ConfigurationError(
+                f"activity index must be non-negative, got {self.index!r}"
+            )
         if not self.name:
-            raise ValueError("activity name must be non-empty")
+            raise ConfigurationError(
+                f"activity name must be non-empty, got {self.name!r}"
+            )
         object.__setattr__(self, "context", TrustContext(self.name))
 
     def __str__(self) -> str:  # pragma: no cover - trivial
@@ -69,10 +74,6 @@ class ActivityCatalog:
         self._by_name[name] = activity
         return activity
 
-    def by_name(self, name: str) -> ActivityType:
-        """Look up an activity by name; raises ``KeyError`` if unknown."""
-        return self._by_name[name]
-
     def by_index(self, index: int) -> ActivityType:
         """Look up an activity by dense index; raises ``IndexError`` if out of range."""
         return self._activities[index]
@@ -94,7 +95,9 @@ class ActivityCatalog:
         ``[1, 4]``, so four generic activities is the canonical setup.
         """
         if n_activities < 1:
-            raise ValueError("need at least one activity type")
+            raise ConfigurationError(
+                f"n_activities must be >= 1, got {n_activities!r}"
+            )
         return cls(f"toa-{i}" for i in range(n_activities))
 
 
@@ -114,10 +117,15 @@ class ActivitySet:
 
     def __post_init__(self) -> None:
         if not self.activities:
-            raise ValueError("an activity set must contain at least one ToA")
+            raise ConfigurationError(
+                f"activities must hold at least one ToA, got {self.activities!r}"
+            )
         indices = {a.index for a in self.activities}
         if len(indices) != len(self.activities):
-            raise ValueError("activity set contains duplicate ToAs")
+            raise ConfigurationError(
+                "activities must not repeat a ToA, got indices "
+                f"{[a.index for a in self.activities]}"
+            )
         object.__setattr__(self, "sorted_indices", tuple(sorted(indices)))
 
     def __getstate__(self) -> dict:
@@ -134,11 +142,6 @@ class ActivitySet:
         if isinstance(activities, ActivityType):
             return cls((activities,))
         return cls(tuple(activities))
-
-    @property
-    def is_atomic(self) -> bool:
-        """True when the request involves exactly one ToA."""
-        return len(self.activities) == 1
 
     @property
     def indices(self) -> tuple[int, ...]:

@@ -93,11 +93,6 @@ class DomainTrustAgent:
             domain_entity_id(other_side, i) for i in range(n_other)
         )
 
-    @property
-    def entity_id(self) -> str:
-        """The agent's identity in the internal trust table."""
-        return self._entity_id
-
     def observe_transaction(
         self,
         counterpart_index: int,

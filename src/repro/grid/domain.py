@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.levels import TrustLevel
+from repro.errors import ConfigurationError
 from repro.grid.activities import ActivityType
 
 __all__ = ["GridDomain", "ResourceDomain", "ClientDomain"]
@@ -39,9 +40,13 @@ class GridDomain:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("grid domain index must be non-negative")
+            raise ConfigurationError(
+                f"grid domain index must be non-negative, got {self.index!r}"
+            )
         if not self.name:
-            raise ValueError("grid domain name must be non-empty")
+            raise ConfigurationError(
+                f"grid domain name must be non-empty, got {self.name!r}"
+            )
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
@@ -67,13 +72,14 @@ class ResourceDomain:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("resource domain index must be non-negative")
+            raise ConfigurationError(
+                f"resource domain index must be non-negative, got {self.index!r}"
+            )
         if not self.supported_activities:
-            raise ValueError("a resource domain must support at least one ToA")
-
-    def supports(self, activity: ActivityType) -> bool:
-        """Whether this RD hosts the given activity type."""
-        return activity in self.supported_activities
+            raise ConfigurationError(
+                "supported_activities must hold at least one ToA, got "
+                f"{self.supported_activities!r}"
+            )
 
     @property
     def name(self) -> str:
@@ -99,7 +105,9 @@ class ClientDomain:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("client domain index must be non-negative")
+            raise ConfigurationError(
+                f"client domain index must be non-negative, got {self.index!r}"
+            )
 
     @property
     def name(self) -> str:

@@ -67,35 +67,15 @@ class MachineState:
     assigned_count: int = 0
     failed_count: int = 0
 
-    def assign(self, start: float, cost: float) -> float:
-        """Book ``cost`` units of work beginning no earlier than ``start``.
-
-        The task begins at ``max(available_time, start)`` (a machine cannot
-        run a task before it arrives) and runs non-preemptively.
-
-        Returns:
-            The completion time of the newly assigned work.
-
-        Raises:
-            ValueError: if ``cost`` is negative.
-        """
-        if cost < 0:
-            raise ValueError(f"cost must be non-negative, got {cost}")
-        begin = max(self.available_time, start)
-        self.available_time = begin + cost
-        self.busy_time += cost
-        self.assigned_count += 1
-        return self.available_time
-
     def book_attempt(
         self, executed: float, next_free: float, *, failed: bool = False
     ) -> None:
         """Book one fault-resolved execution attempt.
 
-        Unlike :meth:`assign`, the caller has already resolved when the
-        attempt ends (possibly early, on failure) and when the machine can
-        take new work (possibly later than the attempt's end, when a
-        machine failure leaves it in repair).
+        The caller has already resolved when the attempt ends (possibly
+        early, on failure) and when the machine can take new work (possibly
+        later than the attempt's end, when a machine failure leaves it in
+        repair).
 
         Args:
             executed: machine time the attempt actually consumed.

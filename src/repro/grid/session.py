@@ -101,30 +101,9 @@ class SessionResult:
     rounds: tuple[RoundResult, ...]
 
     @property
-    def completion_series(self) -> list[float]:
-        """Average completion time per round (absolute session clock)."""
-        return [r.schedule.average_completion_time for r in self.rounds]
-
-    @property
-    def flow_series(self) -> list[float]:
-        """Average flow time per round — comparable across rounds, since
-        the session clock keeps advancing."""
-        return [r.schedule.average_flow_time for r in self.rounds]
-
-    @property
-    def trust_cost_series(self) -> list[float]:
-        """Mean realised trust cost per round."""
-        return [r.mean_trust_cost for r in self.rounds]
-
-    @property
     def total_published(self) -> int:
         """Total trust-table updates over the whole session."""
         return sum(r.published_updates for r in self.rounds)
-
-    @property
-    def goodput_series(self) -> list[float]:
-        """Goodput (completions per unit time) per round."""
-        return [r.schedule.goodput for r in self.rounds]
 
     @property
     def total_failures(self) -> int:
@@ -252,10 +231,7 @@ CredibilityWeights`, recommenders are scored against every realised
         # Imported here: repro.grid must stay importable without the
         # trustfaults package in the dependency graph of its core types.
         from repro.trustfaults.adversary import AdversaryFleet
-        from repro.trustfaults.query import (
-            RecommenderAvailability,
-            ResilientTrustSource,
-        )
+        from repro.trustfaults.query import ResilientTrustSource
 
         model = self.trustfaults
         assert model is not None and self.fleet is not None
@@ -270,19 +246,6 @@ CredibilityWeights`, recommenders are scored against every realised
                 metrics=self.metrics,
             )
         engine = self.fleet.cd_agents[0].engine if self.fleet.cd_agents else None
-        if model.recommenders:
-            if engine is None:
-                raise ConfigurationError(
-                    "recommender availability faults need a Γ-blended fleet "
-                    "(AgentFleet.for_table(..., gamma_weights=...)); a "
-                    "direct-only fleet never aggregates recommendations"
-                )
-            availability = RecommenderAvailability(
-                dict(model.recommenders),
-                rng=self._rng,
-                metrics=self.metrics,
-            )
-            engine.reputation.source_filter = availability.as_filter()
         if model.integrity is not None:
             if engine is None:
                 raise ConfigurationError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.scheduling.result import ScheduleResult
 
 __all__ = ["improvement_fraction", "PairedComparison"]
@@ -21,10 +22,12 @@ def improvement_fraction(unaware_value: float, aware_value: float) -> float:
     Positive when the trust-aware run is better (smaller).
 
     Raises:
-        ValueError: if the baseline is not positive.
+        ConfigurationError: if the baseline is not positive.
     """
     if unaware_value <= 0:
-        raise ValueError("baseline value must be positive")
+        raise ConfigurationError(
+            f"unaware_value (the baseline) must be positive, got {unaware_value!r}"
+        )
     return (unaware_value - aware_value) / unaware_value
 
 
@@ -42,12 +45,15 @@ class PairedComparison:
 
     def __post_init__(self) -> None:
         if self.aware.heuristic != self.unaware.heuristic:
-            raise ValueError(
-                "paired runs must use the same heuristic, got "
+            raise ConfigurationError(
+                "aware and unaware runs must use the same heuristic, got "
                 f"{self.aware.heuristic!r} vs {self.unaware.heuristic!r}"
             )
         if len(self.aware.records) != len(self.unaware.records):
-            raise ValueError("paired runs must cover the same request set")
+            raise ConfigurationError(
+                "aware and unaware runs must cover the same request set, got "
+                f"{len(self.aware.records)} vs {len(self.unaware.records)} records"
+            )
 
     @property
     def completion_improvement(self) -> float:
@@ -56,16 +62,3 @@ class PairedComparison:
             self.unaware.average_completion_time,
             self.aware.average_completion_time,
         )
-
-    @property
-    def makespan_improvement(self) -> float:
-        """Improvement in makespan."""
-        return improvement_fraction(self.unaware.makespan, self.aware.makespan)
-
-    @property
-    def security_cost_saved(self) -> float:
-        """Fraction of the unaware run's security cost avoided."""
-        base = self.unaware.total_security_cost
-        if base <= 0:
-            return 0.0
-        return (base - self.aware.total_security_cost) / base

@@ -4,7 +4,7 @@ The north-star system has to be *steerable*: you cannot make a hot path
 measurably faster, or notice an instrumentation regression, without
 measurement that is itself trustworthy.  ``repro.obs`` supplies that layer:
 
-* :class:`MetricsRegistry` — counters, gauges and streaming histograms
+* :class:`MetricsRegistry` — counters and streaming histograms
   (p50/p95/p99 without sample retention) plus wall-clock timer contexts.
   A disabled registry hands out shared no-op instruments, matching the
   disabled-:class:`~repro.sim.trace.Tracer` discipline, so instrumentation
@@ -31,7 +31,6 @@ from repro.obs.export import (
 from repro.obs.invariants import LifecycleViolation, check_trace_lifecycle
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -39,7 +38,6 @@ from repro.obs.profile import ProfiledRun, config_hash
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ProfiledRun",

@@ -146,11 +146,6 @@ def render_run_report(manifest: dict[str, Any]) -> str:
         for name, data in metrics.items():
             if data["type"] == "counter":
                 table.add_row(name, "counter", data["value"], "", "", "")
-            elif data["type"] == "gauge":
-                table.add_row(
-                    name, "gauge",
-                    f"{data['last']:g} (max {data['max']:g})", "", "", "",
-                )
             else:
                 table.add_row(
                     name, "histogram",

@@ -1,4 +1,4 @@
-"""Run-metrics registry: counters, gauges, streaming histograms, timers.
+"""Run-metrics registry: counters, streaming histograms, timers.
 
 Design constraints, in order:
 
@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Counter", "Gauge", "Histogram", "Timer", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "Timer", "MetricsRegistry"]
 
 #: Geometric bucket growth factor: ~5% relative quantile error, ~420
 #: buckets to span 1e-9 .. 1e9 (held sparsely, so typically a few dozen).
@@ -46,32 +46,6 @@ class Counter:
         if n < 0:
             raise ConfigurationError("counters only move forward")
         self.value += n
-
-
-class Gauge:
-    """A point-in-time level, tracking last / min / max."""
-
-    __slots__ = ("name", "value", "minimum", "maximum", "updates")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.updates = 0
-
-    def set(self, value: float) -> None:
-        """Record the current level."""
-        self.value = value
-        self.updates += 1
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    def add(self, delta: float) -> None:
-        """Move the level by ``delta``."""
-        self.set(self.value + delta)
 
 
 class Histogram:
@@ -166,7 +140,7 @@ class Timer:
 
 
 class _NoopInstrument:
-    """One object serving as disabled counter, gauge, histogram and timer.
+    """One object serving as disabled counter, histogram and timer.
 
     Every mutator is empty and every reading is a neutral constant, so a
     disabled registry can hand out a single shared instance for any
@@ -179,16 +153,12 @@ class _NoopInstrument:
     value = 0
     count = 0
     total = 0.0
-    updates = 0
     mean = 0.0
     p50 = p95 = p99 = 0.0
     minimum = math.inf
     maximum = -math.inf
 
     def add(self, n: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
         pass
 
     def observe(self, value: float) -> None:
@@ -221,7 +191,6 @@ class MetricsRegistry:
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     @classmethod
@@ -238,15 +207,6 @@ class MetricsRegistry:
         instrument = self._counters.get(name)
         if instrument is None:
             instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under ``name``."""
-        if not self.enabled:
-            return _NOOP  # type: ignore[return-value]
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
         return instrument
 
     def histogram(self, name: str) -> Histogram:
@@ -269,22 +229,13 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """All metrics as one JSON-serialisable dict, ordered by name.
 
-        Counters report ``value``; gauges ``last/min/max/updates``;
-        histograms ``count/mean/p50/p95/p99/min/max``.  Empty when the
+        Counters report ``value``; histograms
+        ``count/mean/p50/p95/p99/min/max``.  Empty when the
         registry is disabled.
         """
         out: dict[str, dict[str, Any]] = {}
         for name in sorted(self._counters):
             out[name] = {"type": "counter", "value": self._counters[name].value}
-        for name in sorted(self._gauges):
-            g = self._gauges[name]
-            out[name] = {
-                "type": "gauge",
-                "last": g.value,
-                "min": g.minimum if g.updates else 0.0,
-                "max": g.maximum if g.updates else 0.0,
-                "updates": g.updates,
-            }
         for name in sorted(self._histograms):
             h = self._histograms[name]
             out[name] = {

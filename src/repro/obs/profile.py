@@ -64,7 +64,6 @@ class ProfiledRun:
         config: the run's configuration — a dataclass or dict; hashed into
             the manifest so runs are identity-checkable.
         seed: the run's root seed.
-        trace_capacity: optional retention cap on the tracer.
 
     Usage::
 
@@ -86,13 +85,12 @@ class ProfiledRun:
         name: str,
         config: Any = None,
         seed: int | None = None,
-        trace_capacity: int | None = None,
     ) -> None:
         self.name = name
         self.config = config
         self.seed = seed
         self.metrics = MetricsRegistry(enabled=True)
-        self.tracer = Tracer(enabled=True, capacity=trace_capacity)
+        self.tracer = Tracer(enabled=True)
         self._started: float | None = None
         self._wall_time: float | None = None
         self._results: dict[str, Any] = {}

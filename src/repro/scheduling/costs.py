@@ -467,10 +467,6 @@ class CostProvider:
             raise ConfigurationError(f"machine index {machine_index} out of range")
         self._excluded.setdefault(request_index, set()).add(machine_index)
 
-    def exclusions(self, request_index: int) -> frozenset[int]:
-        """Machines currently excluded for ``request_index``."""
-        return frozenset(self._excluded.get(request_index, ()))
-
     def clear_exclusions(self, request_index: int) -> None:
         """Drop all exclusions of one request (relaxation fallback)."""
         self._excluded.pop(request_index, None)

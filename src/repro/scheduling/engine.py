@@ -378,10 +378,9 @@ class SchedulingEngine:
         if sched.trust_source is not None:
             sched.trust_source.advance(event.time)
         sched.costs.invalidate_trust_cache(request.index)
-        if sched.retry.exclude_failed:
-            sched.costs.exclude(request.index, failure.machine_index)
-            if not np.isfinite(sched.costs.mapping_ecc_row(request)).any():
-                sched.costs.clear_exclusions(request.index)
+        sched.costs.exclude(request.index, failure.machine_index)
+        if not np.isfinite(sched.costs.mapping_ecc_row(request)).any():
+            sched.costs.clear_exclusions(request.index)
         self.schedule_retry(
             request,
             event.time + sched.retry.delay_for(failure.attempt),

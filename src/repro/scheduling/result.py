@@ -188,14 +188,6 @@ class ScheduleResult:
             return 0.0
         return self.n_rejected / total
 
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of submitted requests dropped after retries."""
-        total = self.n_submitted
-        if total == 0:
-            return 0.0
-        return self.n_dropped / total
-
     # -- the paper's metrics -------------------------------------------------
 
     @cached_property
@@ -278,11 +270,6 @@ class ScheduleResult:
         if horizon <= 0:
             return 0.0
         return self.n_completed / horizon
-
-    @cached_property
-    def total_attempts(self) -> int:
-        """Execution attempts booked on machines (completions + failures)."""
-        return self.n_completed + len(self.failures)
 
     def summary(self) -> dict[str, Any]:
         """Headline accounting of the run as a plain dictionary.

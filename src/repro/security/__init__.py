@@ -4,7 +4,6 @@ supplement-ladder grounding of the 15 %/level trust-cost weight."""
 
 from repro.security.crypto import (
     AES128_SHA1,
-    BLOWFISH_SHA1,
     PIII_866,
     TRIPLE_DES_SHA1,
     CipherSuite,
@@ -45,7 +44,6 @@ __all__ = [
     "HostCpu",
     "PIII_866",
     "TRIPLE_DES_SHA1",
-    "BLOWFISH_SHA1",
     "AES128_SHA1",
     "NetworkLink",
     "FAST_ETHERNET",

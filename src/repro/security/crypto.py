@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["CipherSuite", "HostCpu", "TRIPLE_DES_SHA1", "BLOWFISH_SHA1", "AES128_SHA1", "PIII_866"]
+from repro.errors import ConfigurationError
+
+__all__ = ["CipherSuite", "HostCpu", "TRIPLE_DES_SHA1", "AES128_SHA1", "PIII_866"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,7 +33,9 @@ class HostCpu:
 
     def __post_init__(self) -> None:
         if self.clock_mhz <= 0:
-            raise ValueError("clock rate must be positive")
+            raise ConfigurationError(
+                f"clock_mhz must be positive, got {self.clock_mhz!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +52,9 @@ class CipherSuite:
 
     def __post_init__(self) -> None:
         if self.cycles_per_byte <= 0:
-            raise ValueError("cycles_per_byte must be positive")
+            raise ConfigurationError(
+                f"cycles_per_byte must be positive, got {self.cycles_per_byte!r}"
+            )
 
     def throughput_mbs(self, cpu: HostCpu) -> float:
         """Sustained cipher throughput on ``cpu`` in MB/s."""
@@ -63,9 +69,6 @@ PIII_866 = HostCpu("Pentium III 866 MHz", clock_mhz=866.0)
 #: is calibrated so a PIII-866 sustains ~6.3 MB/s, matching the large-file
 #: scp rates of Tables 2–3.
 TRIPLE_DES_SHA1 = CipherSuite("3des-sha1", cycles_per_byte=130.0)
-
-#: Blowfish: the faster optional cipher of the era (~3x 3DES).
-BLOWFISH_SHA1 = CipherSuite("blowfish-sha1", cycles_per_byte=45.0)
 
 #: AES-128 (post-2001): faster still; included for what-if sweeps.
 AES128_SHA1 = CipherSuite("aes128-sha1", cycles_per_byte=32.0)

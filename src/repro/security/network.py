@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
+
 __all__ = ["NetworkLink", "FAST_ETHERNET", "GIGABIT_ETHERNET"]
 
 _BITS_PER_MEGABYTE = 8.0 * 1.048576  # Mbit per MB (MiB-based, as file sizes)
@@ -36,22 +38,22 @@ class NetworkLink:
 
     def __post_init__(self) -> None:
         if self.line_rate_mbps <= 0:
-            raise ValueError("line rate must be positive")
+            raise ConfigurationError(
+                f"line_rate_mbps must be positive, got {self.line_rate_mbps!r}"
+            )
         if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
+            raise ConfigurationError(
+                f"efficiency must lie in (0, 1], got {self.efficiency!r}"
+            )
         if self.latency_s < 0:
-            raise ValueError("latency must be non-negative")
+            raise ConfigurationError(
+                f"latency_s must be non-negative, got {self.latency_s!r}"
+            )
 
     @property
     def throughput_mbs(self) -> float:
         """Effective application throughput in megabytes per second."""
         return self.line_rate_mbps * self.efficiency / _BITS_PER_MEGABYTE
-
-    def transfer_seconds(self, megabytes: float) -> float:
-        """Wire time for ``megabytes`` of payload (no endpoint costs)."""
-        if megabytes < 0:
-            raise ValueError("size must be non-negative")
-        return self.latency_s + megabytes / self.throughput_mbs
 
 
 #: The 100 Mbps LAN of Table 2.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.security.crypto import PIII_866, TRIPLE_DES_SHA1, CipherSuite, HostCpu
 from repro.security.network import NetworkLink
 
@@ -45,7 +46,9 @@ class TransferEndpoint:
 
     def __post_init__(self) -> None:
         if self.disk_mbs <= 0:
-            raise ValueError("disk throughput must be positive")
+            raise ConfigurationError(
+                f"disk_mbs must be positive, got {self.disk_mbs!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,12 +69,9 @@ class TransferProtocol:
 
     def __post_init__(self) -> None:
         if self.handshake_s < 0:
-            raise ValueError("handshake time must be non-negative")
-
-    @property
-    def is_secure(self) -> bool:
-        """Whether the protocol encrypts the stream."""
-        return self.cipher is not None
+            raise ConfigurationError(
+                f"handshake_s must be non-negative, got {self.handshake_s!r}"
+            )
 
 
 #: Plain remote copy over rsh: negligible setup, no crypto.
@@ -98,7 +98,7 @@ def simulate_transfer(
         Transfer time in seconds.
     """
     if size_mb < 0:
-        raise ValueError("size must be non-negative")
+        raise ConfigurationError(f"size_mb must be non-negative, got {size_mb!r}")
     endpoint = endpoint if endpoint is not None else TransferEndpoint()
     stages = [endpoint.disk_mbs, link.throughput_mbs]
     if protocol.cipher is not None:
@@ -122,5 +122,8 @@ def transfer_overhead(
     t_plain = simulate_transfer(size_mb, plain, link, endpoint)
     t_secure = simulate_transfer(size_mb, secure, link, endpoint)
     if t_secure <= 0:
-        raise ValueError("secure transfer time must be positive")
+        raise ConfigurationError(
+            f"secure protocol {secure.name!r} must take positive time, got "
+            f"{t_secure!r} s for size_mb={size_mb!r}"
+        )
     return 1.0 - t_plain / t_secure

@@ -27,7 +27,6 @@ from repro.service.service import (
     GridService,
     ServiceConfig,
     ServiceResult,
-    WatchdogConfig,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "GridService",
     "ServiceConfig",
     "ServiceResult",
-    "WatchdogConfig",
 ]

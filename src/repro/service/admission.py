@@ -15,7 +15,6 @@ bit-reproducible and admission decisions can be replayed.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -44,12 +43,6 @@ class ShedReason(enum.Enum):
     BACKPRESSURE = "shed-backpressure"
     #: The request waited in the pending queue past its deadline.
     DEADLINE_EXPIRED = "deadline-expired"
-    #: The request arrived after the service's accept horizon (the service
-    #: is draining toward shutdown).
-    DRAINING = "shed-draining"
-    #: The request was evicted from the pending queue by a higher-priority
-    #: arrival (priority shedding under a full queue).
-    PRIORITY_EVICTED = "shed-priority"
 
 
 class TokenBucket:
@@ -118,28 +111,19 @@ class AdmissionPolicy:
 
     Attributes:
         queue_capacity: bound on the scheduler's pending queue (batch mode);
-            arrivals finding it full are shed — or, with ``priority_of``
-            set, may evict a lower-priority queued request.  ``None``
-            disables the bound.
+            arrivals finding it full are shed.  ``None`` disables the bound.
         rate: sustained admission rate for the token bucket (requests per
             simulated second); ``None`` disables rate limiting.
         burst: token-bucket capacity (ignored without ``rate``).
         deadline: maximum simulated time a request may wait in the pending
             queue before it is shed as ``deadline-expired``; measured from
             its arrival.  ``None`` disables deadlines.
-        priority_of: optional request → priority mapping (higher wins) used
-            for eviction under a full queue; ``None`` sheds the newcomer.
-        accept_horizon: arrivals after this simulated time are shed as
-            ``shed-draining`` (the service stops taking work but drains
-            what it holds).  ``None`` accepts forever.
     """
 
     queue_capacity: int | None = None
     rate: float | None = None
     burst: float = 1.0
     deadline: float | None = None
-    priority_of: Callable[[Request], float] | None = None
-    accept_horizon: float | None = None
 
     def __post_init__(self) -> None:
         if self.queue_capacity is not None and self.queue_capacity < 1:
@@ -150,23 +134,11 @@ class AdmissionPolicy:
             raise ConfigurationError("burst must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ConfigurationError("deadline must be positive (or None)")
-        if self.accept_horizon is not None and self.accept_horizon < 0:
-            raise ConfigurationError("accept_horizon must be non-negative")
 
     @classmethod
     def unlimited(cls) -> "AdmissionPolicy":
         """Admit everything — the configuration of the equivalence proof."""
         return cls()
-
-    @property
-    def is_unlimited(self) -> bool:
-        """Whether this policy can never shed anything by itself."""
-        return (
-            self.queue_capacity is None
-            and self.rate is None
-            and self.deadline is None
-            and self.accept_horizon is None
-        )
 
 
 class AdmissionController:
@@ -174,10 +146,7 @@ class AdmissionController:
 
     The controller is deliberately free of scheduler knowledge: the service
     passes in the observable state (queue length, backpressure), and the
-    controller answers "admit, or shed with which reason".  Priority
-    eviction — which mutates the queue — is signalled back via
-    :attr:`ShedReason.QUEUE_FULL` plus :meth:`eviction_victim`, keeping the
-    queue mutation in the service where settled accounting lives.
+    controller answers "admit, or shed with which reason".
     """
 
     def __init__(self, policy: AdmissionPolicy) -> None:
@@ -208,16 +177,9 @@ class AdmissionController:
                 engaged.
 
         Returns:
-            ``None`` to admit, else the shed reason.  Note that a
-            ``QUEUE_FULL`` verdict may be softened by the service into a
-            priority eviction (see :meth:`eviction_victim`).
+            ``None`` to admit, else the shed reason.
         """
         policy = self.policy
-        if (
-            policy.accept_horizon is not None
-            and now > policy.accept_horizon
-        ):
-            return ShedReason.DRAINING
         if backpressure:
             return ShedReason.BACKPRESSURE
         if self.bucket is not None and not self.bucket.try_take(now):
@@ -228,24 +190,4 @@ class AdmissionController:
             and len(queue) >= policy.queue_capacity
         ):
             return ShedReason.QUEUE_FULL
-        return None
-
-    def eviction_victim(
-        self, request: Request, queue: list[Request]
-    ) -> Request | None:
-        """The queued request ``request`` may evict, if any.
-
-        With a priority function configured, the lowest-priority queued
-        request loses its slot to a strictly higher-priority newcomer
-        (ties keep the incumbent; among equal-priority incumbents the
-        oldest arrival is the victim, matching drop-tail intuition).
-        """
-        priority_of = self.policy.priority_of
-        if priority_of is None or not queue:
-            return None
-        victim = min(
-            queue, key=lambda r: (priority_of(r), -r.arrival_time, -r.index)
-        )
-        if priority_of(request) > priority_of(victim):
-            return victim
         return None

@@ -21,8 +21,8 @@ class BackpressureLatch:
 
     Attributes:
         high: backlog size at which the latch engages (inclusive).
-        low: backlog size at which it releases (inclusive); defaults to
-            half the high watermark.
+        low: backlog size at which it releases (inclusive): half the
+            high watermark.
         engaged: whether ingestion is currently being pushed back on.
         engagements: number of disengaged→engaged transitions.
         releases: number of engaged→disengaged transitions.
@@ -38,17 +38,13 @@ class BackpressureLatch:
         nullable=True,
     )
 
-    def __init__(self, high: int, low: int | None = None) -> None:
+    def __init__(self, high: int) -> None:
         if high < 1:
-            raise ConfigurationError("backpressure high watermark must be >= 1")
-        if low is None:
-            low = high // 2
-        if not 0 <= low < high:
             raise ConfigurationError(
-                "backpressure low watermark must satisfy 0 <= low < high"
+                f"backpressure high watermark must be >= 1, got {high!r}"
             )
         self.high = high
-        self.low = low
+        self.low = high // 2
         self.engaged = False
         self.engagements = 0
         self.releases = 0

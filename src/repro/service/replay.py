@@ -51,8 +51,8 @@ def replay_scenario(
         scenario: the materialised workload (grid, EEC matrix, requests).
         heuristic: registry name of the mapping heuristic.
         policy: trust policy for pricing and accounting.
-        config: service-plane configuration (admission, backpressure,
-            watchdog); defaults to unlimited admission.
+        config: service-plane configuration (admission, backpressure);
+            defaults to unlimited admission.
         batch_interval: meta-request formation period for batch
             heuristics; defaults to the paper's 600 s.
         faults: optional machine/task failure model to inject.
@@ -81,8 +81,9 @@ def replay_scenario(
     else:
         if batch_interval is not None:
             raise ConfigurationError(
-                f"{heuristic} is an immediate heuristic; use the service "
-                "window_interval, not batch_interval"
+                f"{heuristic} is an immediate heuristic, which the service "
+                "windows every DEFAULT_WINDOW_INTERVAL; batch_interval must "
+                f"be None, got {batch_interval!r}"
             )
         interval = None
 

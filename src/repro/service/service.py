@@ -6,15 +6,17 @@ long-lived system instead of a one-shot batch experiment:
 
 * an **ingestion plane** (:mod:`repro.service.admission`) decides, per
   arrival, whether the request is admitted to the scheduler or shed with a
-  typed reason (queue full, rate limited, backpressure, draining);
-* a **rolling window** fires every ``window_interval`` simulated seconds —
-  for batch heuristics it is the meta-request formation tick, reusing the
-  incremental fast kernels across windows; for immediate heuristics it
-  only carries the service housekeeping;
+  typed reason (queue full, rate limited, backpressure, deadline);
+* a **rolling window** fires every batch interval — for batch heuristics
+  it is the meta-request formation tick, reusing the incremental fast
+  kernels across windows; for immediate heuristics it fires every
+  :data:`DEFAULT_WINDOW_INTERVAL` and only carries the service
+  housekeeping;
 * **backpressure** (:mod:`repro.service.backpressure`) latches when the
   unsettled backlog crosses a watermark and pushes back on ingestion;
-* a **watchdog** trips on windows that blow their wall-clock budget or on
-  a backlog that stops making progress;
+* a **watchdog** counts windows that blow their wall-clock budget
+  (:data:`WINDOW_WALL_BUDGET_S`) and backlogs that stop making progress
+  (:data:`STALL_WINDOW_LIMIT` windows);
 * **checkpoints** at window boundaries capture the complete service state
   (:mod:`repro.service.checkpoint`) so a crash between windows resumes
   with settled-exactly-once accounting.
@@ -42,7 +44,6 @@ from repro.errors import (
     SchedulingError,
     ServiceError,
     ServiceKilled,
-    ServiceStalled,
 )
 from repro.grid.feedback import TrustFeedback
 from repro.grid.request import Request
@@ -61,16 +62,23 @@ from repro.sim.events import Event, EventPriority
 from repro.sim.kernel import Simulator
 
 __all__ = [
-    "WatchdogConfig",
     "ServiceConfig",
     "ServiceResult",
     "GridService",
     "DEFAULT_WINDOW_INTERVAL",
 ]
 
-#: Window period used for immediate heuristics when none is configured
-#: (batch heuristics always use their ``batch_interval``).
+#: Window period of immediate heuristics (batch heuristics use their
+#: ``batch_interval``).
 DEFAULT_WINDOW_INTERVAL = 600.0
+
+#: Wall-clock budget of one window's batch mapping; a window exceeding it
+#: trips the watchdog.
+WINDOW_WALL_BUDGET_S = 5.0
+
+#: Consecutive windows with a non-empty backlog and no settling progress
+#: that trip the watchdog.
+STALL_WINDOW_LIMIT = 64
 
 #: Each optional checkpoint section → what it holds, and the part of a
 #: service that owns it.  A section without its owner, or an owner without
@@ -89,59 +97,18 @@ _SECTIONS = {
 
 
 @dataclass(frozen=True)
-class WatchdogConfig:
-    """Stuck-window detection.
-
-    Attributes:
-        window_wall_budget_s: wall-clock budget for one window's batch
-            mapping; a window exceeding it trips the watchdog.
-        stall_window_limit: consecutive windows with a non-empty backlog
-            and no settling progress that trip the watchdog.
-        fail_fast: raise :class:`~repro.errors.ServiceStalled` on a trip
-            instead of only counting it.
-    """
-
-    window_wall_budget_s: float = 5.0
-    stall_window_limit: int = 64
-    fail_fast: bool = False
-
-    def __post_init__(self) -> None:
-        if self.window_wall_budget_s <= 0:
-            raise ConfigurationError("window_wall_budget_s must be positive")
-        if self.stall_window_limit < 1:
-            raise ConfigurationError("stall_window_limit must be >= 1")
-
-
-@dataclass(frozen=True)
 class ServiceConfig:
     """Configuration of one :class:`GridService`.
 
     Attributes:
         admission: the ingestion plane's policy; defaults to unlimited
             (admit everything — the equivalence configuration).
-        window_interval: rolling-window period for *immediate* heuristics
-            (batch heuristics use the scheduler's ``batch_interval``);
-            defaults to :data:`DEFAULT_WINDOW_INTERVAL`.
-        backpressure_high: backlog size engaging the backpressure latch;
-            ``None`` disables backpressure.
-        backpressure_low: backlog size releasing it (defaults to half of
-            ``backpressure_high``).
-        watchdog: stuck-window detection settings.
+        backpressure_high: backlog size engaging the backpressure latch
+            (it releases at half of it); ``None`` disables backpressure.
     """
 
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy.unlimited)
-    window_interval: float | None = None
     backpressure_high: int | None = None
-    backpressure_low: int | None = None
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
-
-    def __post_init__(self) -> None:
-        if self.window_interval is not None and self.window_interval <= 0:
-            raise ConfigurationError("window_interval must be positive")
-        if self.backpressure_low is not None and self.backpressure_high is None:
-            raise ConfigurationError(
-                "backpressure_low needs backpressure_high"
-            )
 
 
 @dataclass(frozen=True)
@@ -208,7 +175,7 @@ class GridService:
     Args:
         scheduler: the configured batch driver to run as a service.
         config: service-plane configuration; defaults to unlimited
-            admission, no backpressure, counting watchdog.
+            admission, no backpressure.
         trust_plane: optional :class:`~repro.core.journal.DurableTrustPlane`
             whose delta checkpoints ride along in every service
             checkpoint (``trust_journal`` sidecar) — the hot path then
@@ -230,20 +197,15 @@ class GridService:
         self.metrics = scheduler.metrics
         self.admission = AdmissionController(self.config.admission)
         self.latch = (
-            BackpressureLatch(
-                self.config.backpressure_high, self.config.backpressure_low
-            )
+            BackpressureLatch(self.config.backpressure_high)
             if self.config.backpressure_high is not None
             else None
         )
-        if scheduler.batch_interval is not None:
-            self.interval = scheduler.batch_interval
-        else:
-            self.interval = (
-                self.config.window_interval
-                if self.config.window_interval is not None
-                else DEFAULT_WINDOW_INTERVAL
-            )
+        self.interval = (
+            scheduler.batch_interval
+            if scheduler.batch_interval is not None
+            else DEFAULT_WINDOW_INTERVAL
+        )
         self._batch_mode = scheduler.batch_interval is not None
         self._served = False
         # Per-run state, bound by _bind().
@@ -517,14 +479,6 @@ class GridService:
             queue_bounded=self._batch_mode,
             backpressure=latch is not None and latch.engaged,
         )
-        if reason is ShedReason.QUEUE_FULL:
-            victim = self.admission.eviction_victim(request, engine.pending)
-            if victim is not None:
-                self._shed_request(
-                    victim, event.time, ShedReason.PRIORITY_EVICTED,
-                    pending=True,
-                )
-                reason = None
         if reason is not None:
             self._shed_request(request, event.time, reason)
             return
@@ -592,29 +546,18 @@ class GridService:
             )
 
     def _watch(self, wall: float, backlog: int, settled: int) -> None:
-        wd = self.config.watchdog
-        tripped: str | None = None
-        if self._batch_mode and wall > wd.window_wall_budget_s:
-            tripped = (
-                f"window {self._epoch} spent {wall:.3f}s wall-clock "
-                f"(budget {wd.window_wall_budget_s}s)"
-            )
+        tripped = self._batch_mode and wall > WINDOW_WALL_BUDGET_S
         if settled == self._last_settled and backlog > 0:
             self._stalled_windows += 1
-            if self._stalled_windows >= wd.stall_window_limit:
-                tripped = (
-                    f"{self._stalled_windows} consecutive windows with a "
-                    f"backlog of {backlog} and no settling progress"
-                )
+            if self._stalled_windows >= STALL_WINDOW_LIMIT:
+                tripped = True
         else:
             self._stalled_windows = 0
         self._last_settled = settled
-        if tripped is not None:
+        if tripped:
             self._watchdog_trips += 1
             if self.metrics.enabled:
                 self.metrics.counter("svc.watchdog.trips").add()
-            if wd.fail_fast:
-                raise ServiceStalled(tripped)
 
     # -- helpers -------------------------------------------------------------
 

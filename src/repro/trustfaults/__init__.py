@@ -35,7 +35,6 @@ from repro.trustfaults.model import (
     TrustSourceFault,
 )
 from repro.trustfaults.query import (
-    RecommenderAvailability,
     ResilientTrustSource,
     SourcePath,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "CircuitBreaker",
     "CredibilityWeights",
     "IntegrityFaultModel",
-    "RecommenderAvailability",
     "ResilientTrustSource",
     "SourcePath",
     "TrustFaultModel",

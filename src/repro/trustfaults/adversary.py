@@ -65,17 +65,6 @@ class AdversaryFleet:
             for pos, spec in enumerate(model.adversaries)
         }
 
-    @property
-    def recommender_ids(self) -> tuple[str, ...]:
-        """Every adversarial recommender identity, across all groups."""
-        return tuple(
-            member for members in self._members.values() for member in members
-        )
-
-    def members_of(self, spec_index: int) -> tuple[str, ...]:
-        """The recommender identities of one adversary spec."""
-        return self._members[spec_index]
-
     def inject(self, now: float, round_index: int) -> int:
         """Write one wave of crafted opinions at time ``now``.
 

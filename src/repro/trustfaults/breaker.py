@@ -105,11 +105,6 @@ class CircuitBreaker:
         """Whether a query may be attempted at ``now`` (OPEN fast-fails)."""
         return self.state(now) is not BreakerState.OPEN
 
-    @property
-    def transition_count(self) -> int:
-        """Total state transitions so far."""
-        return self._transitions
-
     # -- checkpoint ----------------------------------------------------------
 
     def state_dict(self) -> dict:

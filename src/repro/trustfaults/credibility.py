@@ -62,10 +62,6 @@ class CredibilityWeights(RecommenderWeights):
         """Recommenders currently purged from the aggregation."""
         return frozenset(self._purged)
 
-    def observation_count(self, recommender: EntityId) -> int:
-        """How many realised outcomes have scored ``recommender`` so far."""
-        return self._observations.get(recommender, 0)
-
     def factor(self, recommender: EntityId, target: EntityId) -> float:
         """``R(recommender, target)``; 0 when the recommender is purged."""
         if recommender in self._purged:

@@ -3,12 +3,12 @@
 Mirrors :mod:`repro.faults.model` — which makes *machines* fail — for the
 trust information plane itself.  Two orthogonal fault families:
 
-* **availability faults** (:class:`TrustSourceFault`): a trust source (the
-  central trust-level table, or an individual recommender) can be slow,
-  down, or serving stale data.  Outages come from explicit windows, a
-  hard blackout flag, or an exponential MTBF/MTTR up-down process sampled
-  on the deterministic simulation RNG (reusing the
-  :class:`~repro.faults.model.MachineTimeline` sample-path machinery).
+* **availability faults** (:class:`TrustSourceFault`): the central
+  trust-level table can be slow, down, or serving stale data.  Outages
+  come from explicit windows, a hard blackout flag, or an exponential
+  MTBF/MTTR up-down process sampled on the deterministic simulation RNG
+  (reusing the :class:`~repro.faults.model.MachineTimeline` sample-path
+  machinery).
 * **integrity faults** (:class:`AdversarySpec` / :class:`IntegrityFaultModel`):
   adversarial recommenders inject crafted opinions into the shared
   reputation table — badmouthing honest targets, ballot-stuffing favoured
@@ -79,17 +79,6 @@ class TrustSourceFault:
             raise ConfigurationError("latency_mean must be non-negative")
         if self.refresh_interval is not None and self.refresh_interval <= 0:
             raise ConfigurationError("refresh_interval must be positive")
-
-    @property
-    def faulty(self) -> bool:
-        """Whether this profile can ever disturb a query."""
-        return (
-            self.blackout
-            or bool(self.outages)
-            or self.outage_mtbf is not None
-            or self.latency_mean > 0
-            or self.refresh_interval is not None
-        )
 
 
 @dataclass(frozen=True)
@@ -195,25 +184,16 @@ class TrustFaultModel:
     Attributes:
         table: availability fault profile of the central trust-level table
             (``None`` → the table is perfectly available).
-        recommenders: per-recommender availability profiles, keyed by the
-            recommender's entity id in the shared reputation table; an
-            unavailable recommender's opinions are skipped by the
-            availability-aware reputation evaluation.
         integrity: adversarial recommendation streams (``None`` → honest).
         query: resilient query-path tuning (timeout / backoff / breaker /
             staleness bound).
     """
 
     table: TrustSourceFault | None = None
-    recommenders: dict[str, TrustSourceFault] = field(default_factory=dict)
     integrity: IntegrityFaultModel | None = None
     query: TrustQueryConfig = field(default_factory=TrustQueryConfig)
 
     @property
     def enabled(self) -> bool:
         """Whether any trust-plane fault process is configured."""
-        return (
-            self.table is not None
-            or bool(self.recommenders)
-            or self.integrity is not None
-        )
+        return self.table is not None or self.integrity is not None

@@ -18,12 +18,6 @@ the full degradation ladder on the deterministic simulation clock/RNG:
 
 The query clock is advanced externally (:meth:`ResilientTrustSource.advance`)
 by whoever owns the simulation time — the scheduler, at every mapping event.
-
-:class:`RecommenderAvailability` is the per-recommender counterpart: it
-materialises an availability sample path per recommender entity and plugs
-into :class:`~repro.core.reputation.Reputation` as a source filter, so the
-opinions of currently-unreachable recommenders simply drop out of the
-reputation average (availability-aware selection) instead of blocking it.
 """
 
 from __future__ import annotations
@@ -42,12 +36,11 @@ from repro.errors import (
 from repro.faults.model import MachineTimeline
 from repro.grid.topology import Grid
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.rng import RngFactory
 from repro.state import Obj, restore_rng, rng_state
 from repro.trustfaults.breaker import BreakerState, CircuitBreaker
 from repro.trustfaults.model import TrustFaultModel, TrustQueryConfig, TrustSourceFault
 
-__all__ = ["SourcePath", "ResilientTrustSource", "RecommenderAvailability"]
+__all__ = ["SourcePath", "ResilientTrustSource"]
 
 
 class SourcePath:
@@ -306,56 +299,3 @@ class ResilientTrustSource:
             start=start,
         )
 
-
-class RecommenderAvailability:
-    """Per-recommender availability sample paths.
-
-    Plugs into :class:`~repro.core.reputation.Reputation` via
-    :attr:`~repro.core.reputation.Reputation.source_filter`: recommenders
-    whose source is down at evaluation time drop out of the reputation
-    average (and are counted), instead of stalling the evaluation.
-
-    Args:
-        profiles: entity id → availability fault profile; entities without
-            a profile are always reachable.
-        rng: an :class:`~repro.sim.rng.RngFactory` (or integer seed)
-            providing one independent stream per profiled recommender.
-        metrics: optional registry counting ``trustq.recommenders_skipped``.
-        start: clock value the sample paths begin at.
-    """
-
-    def __init__(
-        self,
-        profiles: dict[str, TrustSourceFault],
-        rng: RngFactory | int = 0,
-        *,
-        metrics: MetricsRegistry | None = None,
-        start: float = 0.0,
-    ) -> None:
-        if isinstance(rng, int):
-            rng = RngFactory(seed=rng)
-        elif not isinstance(rng, RngFactory):
-            raise ConfigurationError(
-                "RecommenderAvailability needs an RngFactory or an int seed"
-            )
-        self.metrics = metrics if metrics is not None else MetricsRegistry.disabled()
-        self._paths = {
-            entity: SourcePath(
-                fault, rng.stream(f"trust-source:{entity}"), start=start
-            )
-            for entity, fault in profiles.items()
-        }
-
-    def available(self, entity, now: float) -> bool:
-        """Whether ``entity``'s opinions are reachable at ``now``."""
-        path = self._paths.get(entity)
-        if path is None:
-            return True
-        up = not path.is_down(now)
-        if not up and self.metrics.enabled:
-            self.metrics.counter("trustq.recommenders_skipped").add()
-        return up
-
-    def as_filter(self):
-        """The ``(entity, now) -> bool`` callable Reputation expects."""
-        return self.available

@@ -10,7 +10,7 @@ workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,10 +112,6 @@ class ScenarioSpec:
             raise ConfigurationError("n_activities must be >= 1")
         if self.burstiness is not None and self.burstiness <= 1.0:
             raise ConfigurationError("burstiness must exceed 1 (or be None)")
-
-    def with_(self, **changes) -> "ScenarioSpec":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.calibration import (
     aware_multiplier,
     improvement_cap,
-    predicted_improvement,
     unaware_multiplier,
 )
 from repro.experiments.runner import run_single
@@ -56,9 +55,6 @@ class TestImprovementCap:
     def test_worst_case_blanket_reaches_paper_band(self):
         cap = improvement_cap(0.9, mean_chosen_tc=1.7)
         assert 0.30 <= cap <= 0.40  # consistent with Tables 4-5
-
-    def test_alias(self):
-        assert predicted_improvement is improvement_cap
 
 
 class TestMeasuredChosenTc:

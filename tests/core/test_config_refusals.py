@@ -1,4 +1,4 @@
-"""Refusals on the trust loop's configuration are typed and say what they got.
+"""Refusals on the library's configuration are typed and say what they got.
 
 Each raises :class:`~repro.errors.ConfigurationError`, which is also a
 ``ValueError``, and names the argument and the value it was given.
@@ -6,15 +6,34 @@ Each raises :class:`~repro.errors.ConfigurationError`, which is also a
 
 import pytest
 
+from repro.analysis.calibration import aware_multiplier, unaware_multiplier
 from repro.core.context import TrustContext
+from repro.core.levels import TrustLevel
 from repro.core.journal import JournalConfig
 from repro.core.recommender import RecommenderWeights
 from repro.core.reputation import Reputation
 from repro.core.tables import TrustTable
 from repro.core.update import MinEvidencePolicy
 from repro.errors import ConfigurationError
+from repro.experiments.faulttol import run_fault_recovery
+from repro.experiments.trustfaults import run_trustfault_study
+from repro.faults.retry import RetryPolicy
+from repro.grid.activities import ActivityCatalog, ActivitySet, ActivityType
+from repro.grid.domain import ClientDomain, GridDomain, ResourceDomain
+from repro.metrics.improvement import improvement_fraction
+from repro.security.crypto import CipherSuite, HostCpu
+from repro.security.network import NetworkLink
+from repro.security.transfer import (
+    TransferEndpoint,
+    TransferProtocol,
+    simulate_transfer,
+    transfer_overhead,
+)
 
 CTX = TrustContext("toa")
+GD = GridDomain(0, "site")
+TOA = ActivityType(0, "x")
+LINK = NetworkLink("lan", line_rate_mbps=100.0)
 
 
 def _future_opinion() -> None:
@@ -37,6 +56,50 @@ def _future_opinion() -> None:
         (lambda: Reputation(table=TrustTable(), unknown_prior=2.0), "unknown_prior .*got 2.0"),
         (_future_opinion, "now=100.0 precedes opinion of 'c' recorded at 105.0"),
         (lambda: MinEvidencePolicy(min_transactions=0), "min_transactions .*got 0"),
+        (lambda: run_fault_recovery(workers=0), "workers .*got 0"),
+        (lambda: run_fault_recovery(workers=-1), "workers .*got -1"),
+        (lambda: run_trustfault_study(workers=0), "workers .*got 0"),
+        (lambda: run_trustfault_study(workers=-1), "workers .*got -1"),
+        (lambda: RetryPolicy().should_retry(0), "failed_attempt .*got 0"),
+        (lambda: RetryPolicy().delay_for(-1), "failed_attempt .*got -1"),
+        (lambda: improvement_fraction(0.0, 1.0), "unaware_value .*got 0.0"),
+        (lambda: GridDomain(-1, "site"), "grid domain index .*got -1"),
+        (lambda: GridDomain(0, ""), "grid domain name .*got ''"),
+        (
+            lambda: ResourceDomain(-2, GD, frozenset({TOA}), TrustLevel.A),
+            "resource domain index .*got -2",
+        ),
+        (
+            lambda: ResourceDomain(0, GD, frozenset(), TrustLevel.A),
+            "supported_activities .*got frozenset",
+        ),
+        (lambda: ClientDomain(-3, GD, TrustLevel.A), "client domain index .*got -3"),
+        (lambda: ActivityType(-1, "x"), "activity index .*got -1"),
+        (lambda: ActivityType(0, ""), "activity name .*got ''"),
+        (lambda: ActivityCatalog.default(0), "n_activities .*got 0"),
+        (lambda: ActivitySet(()), r"activities .*got \(\)"),
+        (lambda: ActivitySet((TOA, TOA)), r"activities must not repeat .*got indices \[0, 0\]"),
+        (lambda: TransferEndpoint(disk_mbs=0.0), "disk_mbs .*got 0.0"),
+        (lambda: TransferProtocol("p", handshake_s=-0.5), "handshake_s .*got -0.5"),
+        (
+            lambda: simulate_transfer(-1.0, TransferProtocol("p", 0.0), LINK),
+            "size_mb .*got -1.0",
+        ),
+        (
+            lambda: transfer_overhead(
+                0.0,
+                NetworkLink("lan", line_rate_mbps=100.0, latency_s=0.0),
+                secure=TransferProtocol("s", handshake_s=0.0),
+            ),
+            "secure protocol 's' .*got 0.0 s for size_mb=0.0",
+        ),
+        (lambda: NetworkLink("x", line_rate_mbps=0.0), "line_rate_mbps .*got 0.0"),
+        (lambda: NetworkLink("x", 100.0, efficiency=1.5), r"efficiency .*got 1.5"),
+        (lambda: NetworkLink("x", 100.0, latency_s=-1.0), "latency_s .*got -1.0"),
+        (lambda: HostCpu("cpu", clock_mhz=0.0), "clock_mhz .*got 0.0"),
+        (lambda: CipherSuite("c", cycles_per_byte=-2.0), "cycles_per_byte .*got -2.0"),
+        (lambda: aware_multiplier(-0.5), "mean_tc .*got -0.5"),
+        (lambda: unaware_multiplier(-0.5), "unaware_fraction .*got -0.5"),
     ],
 )
 def test_refusal_is_typed_and_names_argument_and_value(refused, named):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.context import EXECUTION, STORAGE
+from repro.core.context import EXECUTION, TrustContext
 from repro.core.decay import ExponentialDecay, NoDecay
 from repro.core.direct import DirectTrust
 from repro.core.engine import TrustEngine
@@ -14,6 +14,8 @@ from repro.core.levels import TrustLevel
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.reputation import Reputation
 from repro.core.tables import TrustTable, value_to_level
+
+STORAGE = TrustContext("store", "storing data on the resource")
 
 
 def make_engine(**kwargs) -> TrustEngine:

@@ -35,11 +35,6 @@ class TestTrustEvolver:
         assert rec.value == pytest.approx(0.8)
         assert rec.transaction_count == 1
 
-    def test_first_outcome_blended_with_initial_value(self):
-        evolver = TrustEvolver(table=TrustTable(), smoothing=0.5, initial_value=0.0)
-        rec = evolver.observe(outcome(1.0, 1.0))
-        assert rec.value == pytest.approx(0.5)
-
     def test_ema_update(self):
         evolver = TrustEvolver(table=TrustTable(), smoothing=0.5)
         evolver.observe(outcome(1.0, 1.0))
@@ -110,12 +105,8 @@ class TestPublicationPolicies:
             lambda: TrustEvolver(table=TrustTable(), smoothing=1.5),
             r"smoothing must lie in \(0, 1\], got 1.5",
         ),
-        (
-            lambda: TrustEvolver(table=TrustTable(), initial_value=-0.25),
-            r"initial_value must lie in \[0, 1\], got -0.25",
-        ),
     ],
-    ids=["satisfaction", "self-outcome", "smoothing", "initial-value"],
+    ids=["satisfaction", "self-outcome", "smoothing"],
 )
 def test_refusals_are_typed_and_name_the_value(refuse, match):
     with pytest.raises(ConfigurationError, match=match):

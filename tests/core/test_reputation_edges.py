@@ -1,7 +1,8 @@
 """Edge semantics of Ω, pinned on :meth:`Reputation.evaluate`.
 
-* every source rejected by ``source_filter`` -> the unknown prior, not an
-  average over nothing; a partial filter shrinks the divisor;
+* every source excluded (the asker's own opinion never counts) -> the
+  unknown prior, not an average over nothing; an excluded source shrinks
+  the divisor;
 * ``R = 0`` recommenders leave the divisor too (a purged badmouther must
   not drag its target toward zero);
 * an opinion recorded in the future raises and names its holder — unless
@@ -42,19 +43,15 @@ def _omega(rep: Reputation, trustee: str = "y", asking: str = "q") -> float:
 
 class TestAllSourcesFiltered:
     def test_falls_back_to_unknown_prior(self):
-        rep = Reputation(
-            table=_table(),
-            unknown_prior=0.25,
-            source_filter=lambda recommender, now: False,
-        )
-        assert _omega(rep) == 0.25
+        table = TrustTable()
+        table.record("q", "y", CTX, 0.8, 10.0)
+        rep = Reputation(table=table, unknown_prior=0.25)
+        assert _omega(rep, asking="q") == 0.25
 
     def test_partial_filter_excludes_source_from_divisor(self):
-        rep = Reputation(
-            table=_table(), source_filter=lambda recommender, now: recommender == "a"
-        )
-        # Only "a" survives: 0.8 / 1, not (0.8 + 0.4) / 2 or 0.8 / 2.
-        assert _omega(rep) == 0.8
+        rep = Reputation(table=_table())
+        # Only "a" survives the asker "b": 0.8 / 1, not (0.8 + 0.4) / 2 or 0.8 / 2.
+        assert _omega(rep, asking="b") == 0.8
 
 
 class TestZeroFactorExcludedFromDivisor:

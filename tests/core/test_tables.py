@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.context import EXECUTION, STORAGE
+from repro.core.context import EXECUTION, TrustContext
 from repro.core.journal import DurableTrustPlane, apply_op
 from repro.core.levels import TrustLevel
 from repro.core.tables import TrustRecord, TrustTable, level_to_value, value_to_level
 from repro.errors import ConfigurationError
+
+STORAGE = TrustContext("store", "storing data on the resource")
 
 
 class TestConversions:

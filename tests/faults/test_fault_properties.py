@@ -39,7 +39,6 @@ fault_params = st.fixed_dictionaries(
         "mttr": st.floats(min_value=5.0, max_value=100.0),
         "max_attempts": st.integers(min_value=1, max_value=4),
         "backoff_base": st.floats(min_value=0.0, max_value=20.0),
-        "exclude_failed": st.booleans(),
         "batch": st.booleans(),
     }
 )
@@ -68,7 +67,6 @@ def run_case(params):
     retry = RetryPolicy(
         max_attempts=params["max_attempts"],
         backoff_base=params["backoff_base"],
-        exclude_failed=params["exclude_failed"],
     )
     tracer = Tracer()
     scheduler = TRMScheduler(
@@ -108,7 +106,9 @@ def test_faults_never_violate_des_ordering(params):
     for f in result.failures:
         assert f.start_time <= f.failure_time
         assert f.wasted_work >= 0.0
-    assert len(result.failures) + len(result.records) == result.total_attempts
+    assert len(result.failures) + len(result.records) == (
+        result.n_completed + len(result.failures)
+    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -84,18 +84,7 @@ class TestMachineFailureModel:
         with pytest.raises(ConfigurationError):
             MachineFailureModel(mtbf=0.0, mttr=10.0)
         with pytest.raises(ConfigurationError):
-            MachineFailureModel(mtbf=10.0, mttr=10.0, per_rd={1: (5.0, -1.0)})
-
-    def test_override_precedence_machine_over_rd_over_default(self):
-        model = MachineFailureModel(
-            mtbf=100.0,
-            mttr=10.0,
-            per_rd={1: (50.0, 5.0)},
-            per_machine={3: (25.0, 2.0)},
-        )
-        assert model.params_for(0, 0) == (100.0, 10.0)
-        assert model.params_for(2, 1) == (50.0, 5.0)
-        assert model.params_for(3, 1) == (25.0, 2.0)
+            MachineFailureModel(mtbf=10.0, mttr=-1.0)
 
 
 class TestMachineTimeline:

@@ -47,12 +47,6 @@ class TestActivityCatalog:
         assert first is second
         assert len(catalog) == 1
 
-    def test_by_name(self):
-        catalog = ActivityCatalog(["store"])
-        assert catalog.by_name("store").index == 0
-        with pytest.raises(KeyError):
-            catalog.by_name("nope")
-
     def test_contains(self):
         catalog = ActivityCatalog(["a"])
         assert "a" in catalog and "b" not in catalog
@@ -71,14 +65,13 @@ class TestActivitySet:
     def test_atomic(self):
         a = ActivityType(0, "x")
         s = ActivitySet.of(a)
-        assert s.is_atomic
         assert s.indices == (0,)
         assert len(s) == 1
 
     def test_composed(self):
         catalog = ActivityCatalog(["a", "b", "c"])
-        s = ActivitySet.of([catalog.by_name("a"), catalog.by_name("c")])
-        assert not s.is_atomic
+        s = ActivitySet.of([catalog.by_index(0), catalog.by_index(2)])
+        assert len(s) == 2
         assert s.indices == (0, 2)
         assert [x.name for x in s] == ["a", "c"]
 
@@ -100,7 +93,7 @@ class TestActivitySet:
 
     def test_sorted_indices_leave_identity_alone(self):
         catalog = ActivityCatalog(["a", "b", "c"])
-        a, c = catalog.by_name("a"), catalog.by_name("c")
+        a, c = catalog.by_index(0), catalog.by_index(2)
         s, t = ActivitySet.of([c, a]), ActivitySet.of([c, a])
         assert s == t and hash(s) == hash(t) == hash((s.activities,))
         # Member order still distinguishes sets, as before.
@@ -109,7 +102,7 @@ class TestActivitySet:
 
     def test_pickle_carries_only_the_activities(self):
         catalog = ActivityCatalog(["a", "b", "c"])
-        s = ActivitySet.of([catalog.by_name("c"), catalog.by_name("b")])
+        s = ActivitySet.of([catalog.by_index(2), catalog.by_index(1)])
         # The pickled state is the one field; the sorted indices are rebuilt.
         assert s.__reduce_ex__(2)[2] == {"activities": s.activities}
         restored = pickle.loads(pickle.dumps(s))

@@ -8,7 +8,7 @@ from repro.core.levels import TrustLevel
 from repro.core.tables import TrustTable
 from repro.core.update import MinEvidencePolicy
 from repro.grid.activities import ActivityCatalog
-from repro.grid.agents import AgentFleet, AgentSide, DomainTrustAgent
+from repro.grid.agents import AgentFleet, AgentSide, DomainTrustAgent, domain_entity_id
 from repro.errors import ConfigurationError
 from repro.grid.trust_table import GridTrustTable
 
@@ -72,7 +72,9 @@ class TestDomainTrustAgent:
     def test_entity_ids_distinct_per_side(self, grid_table):
         cd_agent = make_agent(grid_table, side=AgentSide.CLIENT_DOMAIN, index=1)
         rd_agent = make_agent(grid_table, side=AgentSide.RESOURCE_DOMAIN, index=1)
-        assert cd_agent.entity_id != rd_agent.entity_id
+        assert domain_entity_id(cd_agent.side, cd_agent.domain_index) != (
+            domain_entity_id(rd_agent.side, rd_agent.domain_index)
+        )
 
 
 class TestAgentFleet:

@@ -29,8 +29,8 @@ class TestDomains:
     def test_resource_domain_supports(self):
         rd = make_rd()
         act = next(iter(rd.supported_activities))
-        assert rd.supports(act)
-        assert not rd.supports(ActivityType(5, "other"))
+        assert act in rd.supported_activities
+        assert ActivityType(5, "other") not in rd.supported_activities
 
     def test_resource_domain_needs_activities(self):
         gd = GridDomain(index=0, name="site")
@@ -62,33 +62,34 @@ class TestMachine:
 class TestMachineState:
     def test_assign_from_idle(self):
         state = MachineState(machine=Machine(0, make_rd()))
-        completion = state.assign(start=10.0, cost=5.0)
-        assert completion == 15.0
+        state.book_attempt(5.0, 15.0)
         assert state.available_time == 15.0
         assert state.busy_time == 5.0
         assert state.assigned_count == 1
 
     def test_assign_queues_behind_existing_work(self):
         state = MachineState(machine=Machine(0, make_rd()))
-        state.assign(start=0.0, cost=10.0)
-        completion = state.assign(start=2.0, cost=3.0)  # must wait until t=10
-        assert completion == 13.0
+        state.book_attempt(10.0, 10.0)
+        state.book_attempt(3.0, 13.0)  # the second attempt waited until t=10
+        assert state.available_time == 13.0
         assert state.busy_time == 13.0
+        with pytest.raises(ValueError):
+            state.book_attempt(1.0, 12.0)  # would end before booked work
 
     def test_idle_gap_not_counted_busy(self):
         state = MachineState(machine=Machine(0, make_rd()))
-        state.assign(start=100.0, cost=1.0)
+        state.book_attempt(1.0, 101.0)
         assert state.busy_time == 1.0
         assert state.available_time == 101.0
 
     def test_negative_cost_rejected(self):
         state = MachineState(machine=Machine(0, make_rd()))
         with pytest.raises(ValueError):
-            state.assign(start=0.0, cost=-1.0)
+            state.book_attempt(-1.0, 0.0)
 
     def test_utilization(self):
         state = MachineState(machine=Machine(0, make_rd()))
-        state.assign(start=0.0, cost=5.0)
+        state.book_attempt(5.0, 5.0)
         assert state.utilization(horizon=10.0) == pytest.approx(0.5)
         assert state.utilization(horizon=0.0) == 0.0
         # Capped at 1 even if horizon shorter than busy time.

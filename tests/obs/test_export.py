@@ -81,10 +81,6 @@ class TestRunReport:
             "trace": {"entries": 4, "dropped": 0},
             "metrics": {
                 "sched.mappings": {"type": "counter", "value": 12},
-                "sim.queue_depth": {
-                    "type": "gauge", "last": 3.0, "min": 0.0,
-                    "max": 9.0, "updates": 12,
-                },
                 "sched.map_latency_s.mct": {
                     "type": "histogram", "count": 12, "mean": 1e-4,
                     "p50": 9e-5, "p95": 2e-4, "p99": 3e-4,

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -21,24 +21,6 @@ class TestCounter:
     def test_rejects_negative_increments(self):
         with pytest.raises(ConfigurationError):
             Counter("x").add(-1)
-
-
-class TestGauge:
-    def test_tracks_last_min_max(self):
-        g = Gauge("depth")
-        g.set(3.0)
-        g.set(1.0)
-        g.set(7.0)
-        assert g.value == 7.0
-        assert g.minimum == 1.0
-        assert g.maximum == 7.0
-        assert g.updates == 3
-
-    def test_add_moves_the_level(self):
-        g = Gauge("depth")
-        g.add(2.0)
-        g.add(-1.5)
-        assert g.value == pytest.approx(0.5)
 
 
 class TestHistogram:
@@ -103,7 +85,6 @@ class TestRegistry:
     def test_instruments_are_created_once(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
         assert reg.histogram("c") is reg.histogram("c")
 
     def test_timer_observes_wall_time(self):
@@ -117,19 +98,15 @@ class TestRegistry:
     def test_snapshot_is_sorted_and_typed(self):
         reg = MetricsRegistry()
         reg.counter("z.count").add(2)
-        reg.gauge("a.level").set(1.5)
         reg.histogram("m.lat").observe(0.25)
         snap = reg.snapshot()
         assert list(snap) == sorted(snap)
         assert snap["z.count"] == {"type": "counter", "value": 2}
-        assert snap["a.level"]["type"] == "gauge"
-        assert snap["a.level"]["last"] == 1.5
         assert snap["m.lat"]["type"] == "histogram"
         assert snap["m.lat"]["count"] == 1
 
     def test_empty_gauge_histogram_snapshot_is_finite(self):
         reg = MetricsRegistry()
-        reg.gauge("g")
         reg.histogram("h")
         snap = reg.snapshot()
         for data in snap.values():
@@ -144,12 +121,10 @@ class TestDisabledRegistry:
         assert not reg.enabled
         c = reg.counter("a")
         assert c is reg.histogram("b")
-        assert c is reg.gauge("c")
 
     def test_noop_mutations_record_nothing(self):
         reg = MetricsRegistry.disabled()
         reg.counter("a").add(5)
-        reg.gauge("b").set(1.0)
         reg.histogram("c").observe(2.0)
         with reg.timer("d"):
             pass

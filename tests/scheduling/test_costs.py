@@ -170,7 +170,7 @@ class TestRetryPricing:
         row = provider.mapping_ecc_row(req)
         assert np.isinf(row[1])
         assert np.isfinite(row[[0, 2]]).all()
-        assert provider.exclusions(req.index) == frozenset({1})
+        assert provider.state_dict()["exclusions"] == {str(req.index): [1]}
 
     def test_exclusion_survives_tc_cache_invalidation(self, small_grid, provider):
         req = make_request(small_grid, index=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, NoFeasibleMachineError
+from repro.errors import NoFeasibleMachineError
 from repro.grid.activities import ActivitySet
 from repro.grid.request import Request, Task
 from repro.scheduling.costs import CostProvider
@@ -77,29 +77,12 @@ class TestOlb:
 
 
 class TestKpb:
-    def test_full_percentage_equals_mct(self, small_grid, costs):
-        req = request(small_grid)
-        avail = np.array([0.0, 9.0, 0.0])
-        kpb = KpbHeuristic(k_percent=100.0)
-        assert kpb.choose(req, costs, avail) == MctHeuristic().choose(req, costs, avail)
-
-    def test_smallest_subset_equals_met(self, small_grid, costs):
-        req = request(small_grid)
-        avail = np.array([0.0, 1e9, 0.0])
-        kpb = KpbHeuristic(k_percent=1.0)
-        assert kpb.choose(req, costs, avail) == MetHeuristic().choose(req, costs, avail)
-
     def test_subset_restricts_candidates(self, small_grid, costs):
         req = request(small_grid)
-        # Top ~67% by EEC = machines {1, 2}; machine 1 heavily loaded.
+        # Top 40% of 3 machines by EEC = machines {1, 2}; machine 1 heavily
+        # loaded, and machine 0 (idle) is outside the subset.
         avail = np.array([0.0, 100.0, 0.0])
-        assert KpbHeuristic(k_percent=67.0).choose(req, costs, avail) == 2
-
-    def test_invalid_percent(self):
-        with pytest.raises(ConfigurationError):
-            KpbHeuristic(k_percent=0.0)
-        with pytest.raises(ConfigurationError):
-            KpbHeuristic(k_percent=101.0)
+        assert KpbHeuristic().choose(req, costs, avail) == 2
 
 
 class TestSwitching:
@@ -110,23 +93,19 @@ class TestSwitching:
 
     def test_switches_to_met_when_balanced(self, small_grid, costs):
         req = request(small_grid)
-        sa = SwitchingHeuristic(low=0.3, high=0.8)
-        balanced = np.array([10.0, 9.5, 9.8])  # ratio 0.95 > high
+        sa = SwitchingHeuristic()
+        balanced = np.array([10.0, 9.5, 9.8])  # ratio 0.95 > high (0.9)
         # MET would pick 1 even if loaded.
         assert sa.choose(req, costs, balanced) == 1
 
     def test_all_idle_counts_as_balanced(self, small_grid, costs):
         req = request(small_grid)
-        sa = SwitchingHeuristic(low=0.3, high=0.8)
+        sa = SwitchingHeuristic()
         assert sa.choose(req, costs, np.zeros(3)) == 1  # ratio treated as 1.0 -> MET
 
     def test_switches_back_under_imbalance(self, small_grid, costs):
         req = request(small_grid)
-        sa = SwitchingHeuristic(low=0.5, high=0.9)
+        sa = SwitchingHeuristic()
         sa.choose(req, costs, np.array([10.0, 10.0, 10.0]))  # -> MET mode
-        choice = sa.choose(req, costs, np.array([1.0, 100.0, 1.0]))  # ratio 0.01 -> MCT
+        choice = sa.choose(req, costs, np.array([1.0, 100.0, 1.0]))  # ratio 0.01 < 0.6 -> MCT
         assert choice in (0, 2)
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(ConfigurationError):
-            SwitchingHeuristic(low=0.9, high=0.5)

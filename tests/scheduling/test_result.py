@@ -82,7 +82,8 @@ def make_result(records, n_machines=2) -> ScheduleResult:
         state = MachineState(machine=Machine(m, rd))
         for rec in records:
             if rec.machine_index == m:
-                state.assign(rec.start_time, rec.realized_cost)
+                begin = max(state.available_time, rec.start_time)
+                state.book_attempt(rec.realized_cost, begin + rec.realized_cost)
         states.append(state)
     return ScheduleResult(
         heuristic="mct",

@@ -135,7 +135,7 @@ def test_sufferage_tie_breaks(tie_case, Heuristic):
 def test_kpb_tie_breaks(tie_case, Heuristic):
     # k=40% of 3 machines -> subset of 2, admitted in (cost, index) order.
     requests, costs = tie_case
-    heuristic = Heuristic(40.0)
+    heuristic = Heuristic()
     avail = np.array([5.0, 0.0, 0.0])
     # t3 (all costs equal): candidates are the lowest-index pair [m0, m1];
     # completions [8, 3] -> m1.

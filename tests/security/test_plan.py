@@ -13,7 +13,8 @@ def catalog():
 
 
 def acts(catalog, *names):
-    return ActivitySet.of([catalog.by_name(n) for n in names])
+    by_name = {activity.name: activity for activity in catalog}
+    return ActivitySet.of([by_name[n] for n in names])
 
 
 class TestPlanSupplement:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.security.crypto import (
     AES128_SHA1,
-    BLOWFISH_SHA1,
     PIII_866,
     TRIPLE_DES_SHA1,
     CipherSuite,
@@ -30,18 +29,11 @@ class TestNetworkLink:
         ratio = GIGABIT_ETHERNET.throughput_mbs / FAST_ETHERNET.throughput_mbs
         assert ratio == pytest.approx(10.0)
 
-    def test_transfer_seconds_linear(self):
-        t1 = FAST_ETHERNET.transfer_seconds(100)
-        t2 = FAST_ETHERNET.transfer_seconds(200)
-        assert t2 - t1 == pytest.approx(100 / FAST_ETHERNET.throughput_mbs)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkLink("x", line_rate_mbps=0)
         with pytest.raises(ValueError):
             NetworkLink("x", line_rate_mbps=100, efficiency=1.5)
-        with pytest.raises(ValueError):
-            FAST_ETHERNET.transfer_seconds(-1)
 
 
 class TestCipherSuite:
@@ -51,7 +43,7 @@ class TestCipherSuite:
 
     def test_faster_ciphers_rank_correctly(self):
         r3des = TRIPLE_DES_SHA1.throughput_mbs(PIII_866)
-        rblow = BLOWFISH_SHA1.throughput_mbs(PIII_866)
+        rblow = CipherSuite("blowfish-sha1", cycles_per_byte=45.0).throughput_mbs(PIII_866)
         raes = AES128_SHA1.throughput_mbs(PIII_866)
         assert r3des < rblow < raes
 

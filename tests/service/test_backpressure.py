@@ -12,24 +12,20 @@ class TestBackpressureLatch:
     def test_validations(self):
         with pytest.raises(ConfigurationError):
             BackpressureLatch(0)
-        with pytest.raises(ConfigurationError):
-            BackpressureLatch(10, low=10)
-        with pytest.raises(ConfigurationError):
-            BackpressureLatch(10, low=-1)
 
     def test_low_defaults_to_half_of_high(self):
         assert BackpressureLatch(10).low == 5
         assert BackpressureLatch(1).low == 0
 
     def test_hysteresis(self):
-        latch = BackpressureLatch(4, low=1)
+        latch = BackpressureLatch(4)
         assert not latch.update(3)
         assert latch.update(4)
         assert latch.engaged
-        # Draining below high but above low keeps the latch engaged.
-        assert not latch.update(2)
+        # Draining below high but above low (2) keeps the latch engaged.
+        assert not latch.update(3)
         assert latch.engaged
-        assert latch.update(1)
+        assert latch.update(2)
         assert not latch.engaged
         assert latch.engagements == 1
         assert latch.releases == 1

@@ -40,7 +40,6 @@ class TestChaosSmoke:
         config = ServiceConfig(
             admission=AdmissionPolicy(queue_capacity=40, deadline=2400.0),
             backpressure_high=30,
-            backpressure_low=10,
         )
         result = replay_scenario(
             sc,

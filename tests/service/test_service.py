@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError, ServiceError, ServiceStalled
+from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.config import PAPER_BATCH_INTERVAL, paper_policies
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultModel, TaskFailureModel
@@ -18,8 +18,8 @@ from repro.service import (
     GridService,
     ServiceConfig,
     ServiceResult,
-    WatchdogConfig,
 )
+from repro.service import service as service_module
 from repro.sim.trace import Tracer
 
 
@@ -59,30 +59,14 @@ def assert_settled_exactly_once(result: ServiceResult, total: int) -> None:
         schedule.n_completed + schedule.n_rejected + schedule.n_dropped
         == total
     )
-    # Deadline expiries and priority evictions hit *after* admission, so
-    # they don't count against the ingress split.
-    post_admission = result.shed.get("deadline-expired", 0) + result.shed.get(
-        "shed-priority", 0
-    )
+    # Deadline expiries hit *after* admission, so they don't count against
+    # the ingress split.
+    post_admission = result.shed.get("deadline-expired", 0)
     ingress_shed = result.shed_total - post_admission
     assert result.admitted + ingress_shed == total
 
 
 class TestConfigValidation:
-    def test_window_interval_positive(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(window_interval=0.0)
-
-    def test_backpressure_low_needs_high(self):
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(backpressure_low=2)
-
-    def test_watchdog_validation(self):
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(window_wall_budget_s=0.0)
-        with pytest.raises(ConfigurationError):
-            WatchdogConfig(stall_window_limit=0)
-
     def test_kill_and_checkpoint_knobs_validated(self, medium_scenario):
         with pytest.raises(ConfigurationError):
             make_service(medium_scenario).serve(
@@ -136,44 +120,10 @@ class TestShedding:
         assert_settled_exactly_once(result, len(medium_scenario.requests))
         assert result.shed.get("deadline-expired", 0) > 0
 
-    def test_accept_horizon_drains(self, medium_scenario):
-        config = ServiceConfig(
-            admission=AdmissionPolicy(accept_horizon=0.0)
-        )
-        result = make_service(medium_scenario, config).serve(
-            medium_scenario.requests
-        )
-        total = len(medium_scenario.requests)
-        assert_settled_exactly_once(result, total)
-        late = [r for r in medium_scenario.requests if r.arrival_time > 0.0]
-        assert result.shed.get("shed-draining", 0) == len(late)
-
-    def test_priority_eviction(self, medium_scenario):
-        # Higher request index = higher priority; with a tiny queue, later
-        # arrivals evict earlier ones.
-        config = ServiceConfig(
-            admission=AdmissionPolicy(
-                queue_capacity=3, priority_of=lambda r: float(r.index)
-            )
-        )
-        result = make_service(medium_scenario, config).serve(
-            medium_scenario.requests
-        )
-        assert_settled_exactly_once(result, len(medium_scenario.requests))
-        assert result.shed.get("shed-priority", 0) > 0
-        # The evicted requests are the *low*-priority (low-index) ones.
-        evicted = [
-            idx
-            for idx, reason in result.schedule.rejection_reasons.items()
-            if reason == "shed-priority"
-        ]
-        completed = {r.request_index for r in result.schedule.records}
-        assert max(evicted) < max(completed)
-
 
 class TestBackpressure:
     def test_latch_engages_and_releases(self, table6_scenario):
-        config = ServiceConfig(backpressure_high=10, backpressure_low=2)
+        config = ServiceConfig(backpressure_high=10)
         result = make_service(table6_scenario, config).serve(
             table6_scenario.requests
         )
@@ -185,7 +135,7 @@ class TestBackpressure:
 
 
 class TestWatchdog:
-    def fault_service(self, scenario, watchdog):
+    def fault_service(self, scenario):
         # One doomed request chain: crashes keep the backlog alive across
         # many windows thanks to an enormous retry backoff.
         # Crash probability must stay < 1.0; this close to certainty, no
@@ -195,30 +145,23 @@ class TestWatchdog:
         )
         return make_service(
             scenario,
-            ServiceConfig(watchdog=watchdog),
+            ServiceConfig(),
             faults=FaultInjector(model, rng=1),
             retry=RetryPolicy(
                 max_attempts=3, backoff_base=5 * PAPER_BATCH_INTERVAL
             ),
         )
 
-    def test_stall_is_counted(self, medium_scenario):
-        service = self.fault_service(
-            medium_scenario, WatchdogConfig(stall_window_limit=3)
-        )
+    def test_stall_is_counted(self, medium_scenario, monkeypatch):
+        # The retry backoff stalls the backlog for fewer windows than the
+        # service's limit; a lower limit makes the stall trip.
+        monkeypatch.setattr(service_module, "STALL_WINDOW_LIMIT", 3)
+        service = self.fault_service(medium_scenario)
         result = service.serve(medium_scenario.requests)
         assert result.watchdog_trips > 0
         # Counting mode still drains to completion.
         assert_settled_exactly_once(result, len(medium_scenario.requests))
         assert result.schedule.n_dropped == len(medium_scenario.requests)
-
-    def test_fail_fast_raises(self, medium_scenario):
-        service = self.fault_service(
-            medium_scenario,
-            WatchdogConfig(stall_window_limit=3, fail_fast=True),
-        )
-        with pytest.raises(ServiceStalled):
-            service.serve(medium_scenario.requests)
 
 
 class TestObservability:

@@ -8,11 +8,13 @@ public object.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
 import pkgutil
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -106,36 +108,101 @@ def test_api_docs_are_current():
 #: the tests.
 CALLER_ROOTS = ("src", "perfbench", "tools", "examples", "benchmarks")
 
+#: Calls whose string arguments name an attribute: perfbench resolves its
+#: span targets by name, and ``getattr``/``hasattr`` read one.  Any other
+#: string (a checkpoint key, a trace kind) that spells a name is no caller.
+NAMING_CALLS = frozenset({"Target", "getattr", "hasattr"})
+
+#: Dataclasses whose defaulted fields are options a caller must set.
+OPTION_SUFFIXES = ("Config", "Policy", "Model", "Fault", "Spec")
+
 #: Public names kept although nothing outside the tests calls them.
 UNCALLED_ALLOWED = {
     "ExponentialDecay": "carries the paper's decay Υ(t − t_xy, c); runs default to NoDecay",
     "load_checkpoint": "CI's service-smoke job reads the serve checkpoint back with it",
     "check_trace_lifecycle": "the trace-lifecycle oracle of three test modules",
+    "improvement_cap": (
+        "the paper's analytic ceiling on the ESC improvement; "
+        "test_calibration holds measured Table 4 against it"
+    ),
+}
+
+#: Public methods and properties kept although nothing outside the tests
+#: reads them.
+UNREAD_METHODS_ALLOWED = {
+    "GridService.resume": "the checkpoint reader the kill/restore suites drive",
+    "Reputation.set_context_decay": "the paper's context-dependent decay Υ(t − t_xy, c) of Ω",
+    "DirectTrust.set_context_decay": "the paper's context-dependent decay Υ(t − t_xy, c) of Θ",
+}
+
+#: Public module constants kept although nothing outside the tests reads
+#: them.
+UNREAD_CONSTANTS_ALLOWED: dict[str, str] = {}
+
+_OUTAGE = "the trust-outage model, which the kill/restore tests cross with outages"
+
+#: Defaulted option fields kept although no caller outside the tests sets
+#: them.
+UNSET_FIELDS_ALLOWED = {
+    "JournalConfig.compact_ratio": "the journal's durability policy (safety code)",
+    "JournalConfig.keep_generations": "the journal's durability policy (safety code)",
+    **{
+        f"TrustSourceFault.{name}": _OUTAGE
+        for name in (
+            "outages", "outage_mtbf", "outage_mttr", "latency_mean", "refresh_interval",
+        )
+    },
+    **{
+        f"TrustQueryConfig.{name}": _OUTAGE
+        for name in (
+            "timeout", "staleness_bound", "backoff",
+            "failure_threshold", "cooldown", "probe_successes",
+        )
+    },
+    **{
+        f"BackoffPolicy.{name}": _OUTAGE
+        for name in ("base", "factor", "max_delay", "jitter", "max_retries")
+    },
+    **{
+        f"AdversarySpec.{name}": "an attack shape the adversary tests vary"
+        for name in ("value_low", "value_high", "period")
+    },
 }
 
 
-def _public_callables() -> dict[str, list[str]]:
-    """Every module-level public function and class under ``src/repro``,
-    mapped to the modules defining it.
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+@functools.cache
+def _source_modules() -> tuple[tuple[str, ast.Module], ...]:
+    """Every non-package module under ``src/repro`` and its syntax tree.
 
     Package ``__init__`` files only re-export, so they define nothing here.
     """
-    found: dict[str, list[str]] = {}
-    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    found.setdefault(node.name, []).append(str(path.relative_to(REPO)))
-    return found
+    return tuple(
+        (str(path.relative_to(REPO)), ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        if path.name != "__init__.py"
+    )
 
 
-def _referenced_names() -> set[str]:
-    """Every name read, called, subclassed or taken as an attribute in the
-    caller trees.  Imports, ``__all__`` strings and docstrings do not count.
+@functools.cache
+def _references() -> tuple[frozenset[str], dict[str, list[tuple[int, frozenset[str]]]]]:
+    """What the caller trees reach.
+
+    Returns every name read, called, subclassed or taken as an attribute
+    (plus the strings passed to a :data:`NAMING_CALLS` call), and, per
+    callee name, each call's positional count and keyword names.  Imports,
+    ``__all__`` strings and docstrings do not count.
     """
     names: set[str] = set()
+    calls: dict[str, list[tuple[int, frozenset[str]]]] = {}
     for root in CALLER_ROOTS:
         for path in sorted((REPO / root).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -143,22 +210,149 @@ def _referenced_names() -> set[str]:
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     names.add(node.attr)
-    return names
+                elif isinstance(node, ast.Call) and (callee := _callee(node)):
+                    calls.setdefault(callee, []).append(
+                        (len(node.args), frozenset(k.arg for k in node.keywords if k.arg))
+                    )
+                    if callee in NAMING_CALLS:
+                        names.update(
+                            a.value for a in node.args
+                            if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                        )
+    return frozenset(names), calls
+
+
+def _public_classes() -> Iterator[tuple[str, ast.ClassDef]]:
+    for module, tree in _source_modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield module, node
+
+
+def _public_callables() -> dict[str, list[str]]:
+    """Every module-level public function and class under ``src/repro``,
+    mapped to the modules defining it."""
+    found: dict[str, list[str]] = {}
+    for module, tree in _source_modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.setdefault(node.name, []).append(module)
+    return found
+
+
+def _public_methods() -> dict[str, str]:
+    """``Class.method`` → module, for every public method and property of
+    a public class."""
+    return {
+        f"{cls.name}.{item.name}": module
+        for module, cls in _public_classes()
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
+def _public_constants() -> dict[str, str]:
+    """Every public module-level assignment target → its module."""
+    found: dict[str, str] = {}
+    for module, tree in _source_modules():
+        for node in tree.body:
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target] if isinstance(node, ast.AnnAssign)
+                else []
+            )
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                    found[target.id] = module
+    return found
+
+
+def _option_fields() -> dict[str, tuple[str, int]]:
+    """``Class.field`` → (module, position among the init fields) for every
+    defaulted init field of a public option dataclass (a class named
+    ``*Config``, ``*Policy``, ``*Model``, ``*Fault`` or ``*Spec``)."""
+    found: dict[str, tuple[str, int]] = {}
+    for module, cls in _public_classes():
+        is_dataclass = any(
+            (isinstance(d, ast.Call) and _callee(d) == "dataclass")
+            or (isinstance(d, ast.Name) and d.id == "dataclass")
+            for d in cls.decorator_list
+        )
+        if not (is_dataclass and cls.name.endswith(OPTION_SUFFIXES)):
+            continue
+        position = 0
+        for item in cls.body:
+            if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+                continue
+            if "ClassVar" in ast.unparse(item.annotation):
+                continue
+            default = item.value
+            if isinstance(default, ast.Call) and _callee(default) == "field":
+                keywords = {k.arg: k.value for k in default.keywords}
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                if not keywords.keys() & {"default", "default_factory"}:
+                    default = None
+            if default is not None:
+                found[f"{cls.name}.{item.target.id}"] = (module, position)
+            position += 1
+    return found
+
+
+def _assert_reached(unreached: dict, allowed: dict[str, str], what: str) -> None:
+    """Everything unreached is allowlisted, and every allowlisted entry
+    is still there and still unreached."""
+    unexpected = {n: m for n, m in unreached.items() if n not in allowed}
+    assert not unexpected, f"{what} with no caller outside tests: {unexpected}"
+    stale = sorted(set(allowed) - set(unreached))
+    assert not stale, f"allowlisted {what} now reached or gone: {stale}"
 
 
 def test_every_public_name_has_a_caller():
     """A public function or class that only its own tests call is surface
     nobody uses: give it a caller or delete it."""
-    referenced = _referenced_names()
-    uncalled = {
-        name: modules
-        for name, modules in _public_callables().items()
-        if name not in referenced
+    referenced, _ = _references()
+    found = _public_callables()
+    uncalled = {n: m for n, m in found.items() if n not in referenced}
+    _assert_reached(uncalled, UNCALLED_ALLOWED, "public names")
+
+
+def test_every_public_method_has_a_caller():
+    """A public method or property that only tests read is surface nobody
+    uses.  A method counts as read where its name is read anywhere in the
+    caller trees (a name set, not a call graph: it errs toward keeping)."""
+    referenced, _ = _references()
+    found = _public_methods()
+    unread = {n: m for n, m in found.items() if n.split(".")[1] not in referenced}
+    _assert_reached(unread, UNREAD_METHODS_ALLOWED, "public methods")
+
+
+def test_every_public_constant_is_read():
+    """A module constant that only tests read is a value nobody uses."""
+    referenced, _ = _references()
+    found = _public_constants()
+    unread = {n: m for n, m in found.items() if n not in referenced}
+    _assert_reached(unread, UNREAD_CONSTANTS_ALLOWED, "public constants")
+
+
+def test_every_option_field_is_set_by_a_caller():
+    """A defaulted option field that no caller sets — by keyword, or by
+    position through its class name — is a knob nobody turns: its default
+    is a constant, and the code serving other values is dead."""
+    _, calls = _references()
+    found = _option_fields()
+    unset = {
+        name: module
+        for name, (module, position) in found.items()
+        if not any(
+            name.split(".")[1] in keywords or n_args > position
+            for n_args, keywords in calls.get(name.split(".")[0], ())
+        )
     }
-    unexpected = {n: m for n, m in uncalled.items() if n not in UNCALLED_ALLOWED}
-    assert not unexpected, f"public names with no caller outside tests: {unexpected}"
-    stale = sorted(set(UNCALLED_ALLOWED) - set(uncalled))
-    assert not stale, f"allowlisted names now called or gone: {stale}"
+    _assert_reached(unset, UNSET_FIELDS_ALLOWED, "option fields")
 
 
 @pytest.mark.parametrize("module_name", MODULES)

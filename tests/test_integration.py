@@ -120,7 +120,7 @@ class TestClosedLoopImprovesScheduling:
             seed=2,
         )
         result = session.run(rounds=5, requests_per_round=30)
-        assert result.trust_cost_series[-1] < result.trust_cost_series[0]
+        assert result.rounds[-1].mean_trust_cost < result.rounds[0].mean_trust_cost
 
 
 class TestBurstyScheduling:

@@ -61,7 +61,9 @@ class TestInjection:
         )
         fleet, table = make_fleet(small_grid, spec)
         fleet.inject(0.0, round_index=0)
-        members = fleet.members_of(0)
+        members = tuple(
+            f"adv:{spec.group_label}:{i}" for i in range(spec.n_recommenders)
+        )
         context = small_grid.catalog.by_index(0).context
         for member in members:
             peers = dict(
@@ -104,8 +106,12 @@ class TestInjection:
             n_recommenders=2,
             label="cartel",
         )
-        fleet, _ = make_fleet(small_grid, spec)
-        assert fleet.recommender_ids == ("adv:cartel:0", "adv:cartel:1")
+        fleet, table = make_fleet(small_grid, spec)
+        fleet.inject(0.0, round_index=0)
+        context = small_grid.catalog.by_index(0).context
+        assert set(opinions_about(table, 0, context)) == {
+            "adv:cartel:0", "adv:cartel:1"
+        }
 
     def test_injected_opinions_metered(self, small_grid):
         metrics = MetricsRegistry(enabled=True)

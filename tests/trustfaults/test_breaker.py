@@ -68,7 +68,7 @@ class TestBreakerStateMachine:
         )
         b.record_failure(0.0)
         b.record_success(10.0)  # half-open via lazy cooldown, then closed
-        assert b.transition_count == 3
+        assert b.state_dict()["transitions"] == 3
         snap = metrics.snapshot()
         assert snap["trustq.breaker.src.closed->open"]["value"] == 1
         assert snap["trustq.breaker.src.open->half-open"]["value"] == 1

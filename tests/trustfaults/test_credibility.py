@@ -33,7 +33,10 @@ class TestPurging:
         )
         w.observe_outcome("z", predicted=1.0, actual=0.0)  # accuracy 0
         assert w.purged == frozenset()  # one unlucky sample is not enough
-        assert w.observation_count("z") == 1
+        w.observe_outcome("z", predicted=1.0, actual=0.0)
+        assert w.purged == frozenset()
+        w.observe_outcome("z", predicted=1.0, actual=0.0)  # the third counts
+        assert w.purged == frozenset({"z"})
 
     def test_accurate_recommender_never_purged(self):
         w = CredibilityWeights(

@@ -102,7 +102,7 @@ class TestTransparency:
         # whenever at least one query happened the breaker must have
         # tripped, since every query fails under a blackout (it may sit
         # HALF_OPEN when the clock already passed the cooldown).
-        if source.breaker.transition_count:
+        if source.breaker.state_dict()["transitions"]:
             assert source.state is not BreakerState.CLOSED
 
 

@@ -16,7 +16,6 @@ from repro.trustfaults.model import (
     TrustSourceFault,
 )
 from repro.trustfaults.query import (
-    RecommenderAvailability,
     ResilientTrustSource,
     SourcePath,
 )
@@ -180,35 +179,3 @@ class TestResilientQueryLadder:
         with pytest.raises(TrustQueryTimeout):
             source.check()
         assert "trustq.breaker.table.closed->open" in metrics.snapshot()
-
-
-class TestRecommenderAvailability:
-    def test_unknown_entities_always_available(self):
-        avail = RecommenderAvailability({})
-        assert avail.available("anyone", 0.0)
-
-    def test_profiled_entity_follows_its_outages(self):
-        avail = RecommenderAvailability(
-            {"z": TrustSourceFault(outages=((0.0, 10.0),))}
-        )
-        assert not avail.available("z", 5.0)
-        assert avail.available("z", 15.0)
-
-    def test_skips_are_counted(self):
-        metrics = MetricsRegistry(enabled=True)
-        avail = RecommenderAvailability(
-            {"z": TrustSourceFault(blackout=True)}, metrics=metrics
-        )
-        avail.available("z", 1.0)
-        avail.available("z", 2.0)
-        assert (
-            metrics.snapshot()["trustq.recommenders_skipped"]["value"] == 2
-        )
-
-    def test_as_filter_matches_reputation_signature(self):
-        avail = RecommenderAvailability(
-            {"z": TrustSourceFault(blackout=True)}
-        )
-        fn = avail.as_filter()
-        assert fn("z", 0.0) is False
-        assert fn("w", 0.0) is True

@@ -63,15 +63,6 @@ class TestWiring:
                 trustfaults=TrustFaultModel(integrity=INTEGRITY),
             )
 
-    def test_recommender_faults_require_gamma_fleet(self):
-        with pytest.raises(ConfigurationError, match="Γ-blended"):
-            make_session(
-                make_grid(),
-                trustfaults=TrustFaultModel(
-                    recommenders={"cd:1": TrustSourceFault(blackout=True)}
-                ),
-            )
-
     def test_adversaries_inject_each_round(self):
         grid = make_grid()
         fleet = AgentFleet.for_table(

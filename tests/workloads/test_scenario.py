@@ -1,5 +1,7 @@
 """Tests for scenario specification and materialisation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestScenarioSpec:
 
     def test_with_returns_modified_copy(self):
         spec = ScenarioSpec(n_tasks=50)
-        other = spec.with_(n_tasks=100)
+        other = dataclasses.replace(spec, n_tasks=100)
         assert other.n_tasks == 100
         assert spec.n_tasks == 50
 
