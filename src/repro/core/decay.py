@@ -21,6 +21,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "DecayFunction",
     "NoDecay",
@@ -36,15 +38,15 @@ class DecayFunction(ABC):
         """Return the decay multiplier for information ``age`` time units old.
 
         Raises:
-            ValueError: if ``age`` is negative (information from the future)
-                or NaN.
+            ConfigurationError: if ``age`` is negative (information from
+                the future) or NaN.
         """
 
     @staticmethod
     def _check_age(age: float) -> float:
         age = float(age)
         if not age >= 0:
-            raise ValueError(f"age must be non-negative, got {age}")
+            raise ConfigurationError(f"age must be non-negative, got {age!r}")
         return age
 
 
@@ -74,9 +76,11 @@ class ExponentialDecay(DecayFunction):
 
     def __post_init__(self) -> None:
         if self.rate < 0:
-            raise ValueError("decay rate must be non-negative")
+            raise ConfigurationError(
+                f"decay rate must be non-negative, got {self.rate!r}"
+            )
         if not 0.0 <= self.floor <= 1.0:
-            raise ValueError("floor must lie in [0, 1]")
+            raise ConfigurationError(f"floor must lie in [0, 1], got {self.floor!r}")
 
     def __call__(self, age: float) -> float:
         age = self._check_age(age)

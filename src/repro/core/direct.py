@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from repro.core.context import TrustContext
 from repro.core.decay import DecayFunction, NoDecay
 from repro.core.tables import EntityId, TrustTable
+from repro.errors import ConfigurationError
 
 __all__ = ["DirectTrust"]
 
@@ -41,7 +42,9 @@ class DirectTrust:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.unknown_prior <= 1.0:
-            raise ValueError("unknown_prior must lie in [0, 1]")
+            raise ConfigurationError(
+                f"unknown_prior must lie in [0, 1], got {self.unknown_prior!r}"
+            )
 
     def set_context_decay(self, context: TrustContext, decay: DecayFunction) -> None:
         """Install a context-specific decay, overriding the default for it."""
@@ -60,15 +63,15 @@ class DirectTrust:
         """Compute ``Θ(truster, trustee, now, context)`` in ``[0, 1]``.
 
         Raises:
-            ValueError: if ``now`` predates the recorded last transaction
-                (the clock ran backwards).
+            ConfigurationError: if ``now`` predates the recorded last
+                transaction (the clock ran backwards).
         """
         rec = self.table.get(truster, trustee, context)
         if rec is None:
             return self.unknown_prior
         age = now - rec.last_transaction
         if age < 0:
-            raise ValueError(
-                f"now={now} precedes last transaction at {rec.last_transaction}"
+            raise ConfigurationError(
+                f"now={now!r} precedes last transaction at {rec.last_transaction!r}"
             )
         return rec.value * self.decay_for(context)(age)

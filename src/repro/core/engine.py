@@ -21,6 +21,7 @@ from repro.core.direct import DirectTrust
 from repro.core.recommender import RecommenderWeights
 from repro.core.reputation import Reputation
 from repro.core.tables import EntityId, TrustTable
+from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -50,9 +51,15 @@ class TrustEngine:
 
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+            raise ConfigurationError(
+                "alpha and beta must be non-negative, got "
+                f"alpha={self.alpha!r} beta={self.beta!r}"
+            )
         if abs(self.alpha + self.beta - 1.0) > 1e-9:
-            raise ValueError(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
+            raise ConfigurationError(
+                f"alpha + beta must equal 1, got alpha={self.alpha!r} "
+                f"beta={self.beta!r} (sum {self.alpha + self.beta!r})"
+            )
 
     @classmethod
     def build(

@@ -196,6 +196,7 @@ _RECORD_FLOOR = _FRAME.size + len(
 )
 _SET_FLOOR = _FRAME.size + len('{"cd":0,"e":0,"k":0,"l":0,"op":"set","rd":0}')
 _GENERIC_FLOOR = _FRAME.size + len("{}")
+_HELD_FLOOR = {"record": _RECORD_FLOOR, "set": _SET_FLOOR}
 
 
 def _check_ids(op: dict[str, Any]) -> None:
@@ -209,33 +210,44 @@ def _check_ids(op: dict[str, Any]) -> None:
             )
 
 
-def _hold(op: dict[str, Any]) -> tuple[Any, int]:
+def _hold(op: dict[str, Any] | tuple[Any, ...]) -> tuple[Any, int]:
     """The form an op is held in until it is framed, and a lower bound on
     the size of its frame.
 
-    A ``record`` or ``set`` op that carries exactly its own keys is held
-    as the tuple of its values in :data:`_HELD_KEYS` order, its kind
-    first, and bounded by the smallest frame those keys allow; any other
-    op is held as it is and bounded by the frame of ``{}``.
+    A ``record`` or ``set`` op is held as the tuple of its values in
+    :data:`_HELD_KEYS` order, its kind first, and bounded by the smallest
+    frame those keys allow: a tuple in that form is taken as it is (the
+    trust tables build their ops so), a dict that carries exactly those
+    keys is laid out so.  Any other dict is held as it is and bounded by
+    the frame of ``{}``.
 
     Raises:
-        TrustJournalError: an entity id is not a ``str`` or ``int``.
+        TrustJournalError: an entity id is not a ``str`` or ``int``, or a
+            tuple is not the held form of a ``record`` or ``set`` op.
     """
-    kind = op.get("op")
-    try:
-        if kind == "record" and len(op) == 8:
-            held = (
-                "record", op["z"], op["y"], op["c"], op["v"], op["t"], op["n"], op["e"]
+    if type(op) is tuple:
+        keys = _HELD_KEYS.get(op[0]) if op and type(op[0]) is str else None
+        if keys is None or len(op) != len(keys):
+            raise TrustJournalError(
+                f"journal op {op!r} is not the held form of a record or set op"
             )
-            if type(held[1]) not in _ID_TYPES or type(held[2]) not in _ID_TYPES:
-                _check_ids(op)
-            return held, _RECORD_FLOOR
-        if kind == "set" and len(op) == 6:
-            return ("set", op["cd"], op["rd"], op["k"], op["l"], op["e"]), _SET_FLOOR
-    except KeyError:
-        pass
-    _check_ids(op)
-    return op, _GENERIC_FLOOR
+        held = op
+    else:
+        kind = op.get("op")
+        keys = _HELD_KEYS.get(kind) if type(kind) is str else None
+        if keys is None or len(op) != len(keys):
+            _check_ids(op)
+            return op, _GENERIC_FLOOR
+        try:
+            held = tuple(map(op.__getitem__, keys))
+        except KeyError:
+            _check_ids(op)
+            return op, _GENERIC_FLOOR
+    if held[0] == "record" and (
+        type(held[1]) not in _ID_TYPES or type(held[2]) not in _ID_TYPES
+    ):
+        _check_ids({"z": held[1], "y": held[2]})
+    return held, _HELD_FLOOR[held[0]]
 
 
 def _payload(held: tuple[Any, ...] | dict[str, Any], last_t: list[Any]) -> str:
@@ -558,20 +570,41 @@ class JournalWriter:
         """A lower bound on :attr:`pending_bytes`, read without framing."""
         return len(self._buffer) + self._floor
 
-    def append(self, op: dict[str, Any]) -> None:
+    def append(self, op: dict[str, Any] | tuple[Any, ...]) -> None:
         """Hold one op for the next sync; it is framed when its bytes are
         needed.  The op must not be mutated afterwards.
 
+        ``op`` is a dict, or a ``record``/``set`` op already in its held
+        form: the tuple of its values in key order ``op, z, y, c, v, t,
+        n, e`` or ``op, cd, rd, k, l, e``.  Both forms frame the same
+        bytes.
+
         Raises:
-            TrustJournalError: an entity id is not a ``str`` or ``int``.
-                Any other content ``json`` cannot write is refused when
-                the op is framed.
+            TrustJournalError: an entity id is not a ``str`` or ``int``,
+                or a tuple is not a held form; nothing is held then.  Any
+                other content ``json`` cannot write is refused when the op
+                is framed.
         """
-        held, floor = _hold(op)
-        if type(held) is tuple:
-            self._pending += held
+        # The trust tables' held-form ops (one per trust mutation) are
+        # checked here, without a call; _hold lays out any other op, or
+        # refuses it.
+        if type(op) is not tuple:
+            op, floor = _hold(op)
+        elif (
+            len(op) == 8
+            and op[0] == "record"
+            and type(op[1]) in _ID_TYPES
+            and type(op[2]) in _ID_TYPES
+        ):
+            floor = _RECORD_FLOOR
+        elif len(op) == 6 and op[0] == "set":
+            floor = _SET_FLOOR
         else:
-            self._pending.append(held)
+            op, floor = _hold(op)
+        if type(op) is tuple:
+            self._pending += op
+        else:
+            self._pending.append(op)
         self._floor += floor
         if self._metrics is not None and self._metrics.enabled:
             self._metrics.counter("store.journal_appends").add()
@@ -875,8 +908,9 @@ class DurableTrustPlane:
 
     # -- sink protocol -----------------------------------------------------
 
-    def append(self, op: dict[str, Any]) -> None:
-        """Mutation hook target: hold one op for the current journal."""
+    def append(self, op: dict[str, Any] | tuple[Any, ...]) -> None:
+        """Mutation hook target: hold one op for the current journal (see
+        :meth:`JournalWriter.append`)."""
         self._writer.append(op)
 
     # -- provisioning ------------------------------------------------------

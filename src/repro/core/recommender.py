@@ -148,6 +148,18 @@ class RecommenderWeights:
             r *= self.ally_weight
         return r
 
+    def constant_factor(self) -> float | None:
+        """The ``R(z, y)`` every recommender ``z ≠ y`` gets, or ``None``.
+
+        ``R`` is one number while no accuracy has been learned and no
+        alliance has a member: it is then ``default_accuracy`` for every
+        pair, and :class:`~repro.core.reputation.Reputation` sums the
+        opinions without resolving ``R`` per recommender.
+        """
+        if self._accuracy or self.alliances._membership:
+            return None
+        return self.default_accuracy
+
     def accuracy(self, recommender: EntityId) -> float:
         """Current learned accuracy of ``recommender``."""
         return self._accuracy.get(recommender, self.default_accuracy)

@@ -77,10 +77,34 @@ class Reputation:
             ConfigurationError: if any opinion's last transaction lies in the future.
         """
         decay = self.decay_for(context)
+        table = self.table
+        opinions = table.opinions(trustee, context)
+        if not opinions:
+            return self.unknown_prior
+        weight = self.weights.constant_factor()
+        if (
+            weight is not None
+            and type(decay) is NoDecay
+            and now >= table.latest(trustee, context)
+        ):
+            # R is one number and Υ ≡ 1, and no opinion is newer than
+            # ``now`` (a NaN ``now`` fails the test too): the loop below
+            # would compute v·R·1.0 == v·R per opinion, in this order, and
+            # raise nothing.
+            if weight == 0.0:
+                return self.unknown_prior
+            total = 0.0
+            count = 0
+            for recommender, rec in opinions.items():
+                if recommender == asking:
+                    continue
+                total += rec.value * weight
+                count += 1
+            return total / count if count else self.unknown_prior
         factor = self.weights.factor
         total = 0.0
         count = 0
-        for recommender, rec in self.table.opinions(trustee, context).items():
+        for recommender, rec in opinions.items():
             if recommender == asking:
                 continue
             age = now - rec.last_transaction

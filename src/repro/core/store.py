@@ -150,6 +150,14 @@ def _weights_from_dict(data: dict[str, Any]) -> RecommenderWeights:
 
 
 
+def _new_entity(entity: Any, index: int) -> int:
+    """The index of an entity seen for the first time; refuses one a
+    manifest cannot name."""
+    if not isinstance(entity, (str, int)):
+        raise TrustJournalError(f"entity {entity!r} is not JSON-representable")
+    return index
+
+
 def snapshot_trust_store(
     directory: str | Path,
     table: TrustTable,
@@ -193,32 +201,39 @@ def snapshot_trust_store(
         elif leftover.exists():
             leftover.unlink()
     directory.mkdir()
-    keys = list(table)
-    records = [rec for _, rec in table.items()]
-    # Entities and contexts are numbered in order of first appearance,
-    # truster before trustee; contexts are keyed by their name (their
-    # identity), whose hash the string caches.
-    entities = list(dict.fromkeys(e for key in keys for e in key[:2]))
-    for entity in entities:
-        if not isinstance(entity, (str, int)):
-            raise TrustJournalError(f"entity {entity!r} is not JSON-representable")
-    entity_index = {e: i for i, e in enumerate(entities)}
-    context_names = [c.name for _, _, c in keys]
-    contexts = list(dict.fromkeys(context_names))
-    context_index = {name: i for i, name in enumerate(contexts)}
-    rows = {
-        "truster": [entity_index[z] for z, _, _ in keys],
-        "trustee": [entity_index[y] for _, y, _ in keys],
-        "context": [context_index[name] for name in context_names],
-        "value": [rec.value for rec in records],
-        "time": [rec.last_transaction for rec in records],
-        "txcount": [rec.transaction_count for rec in records],
-    }
+    # One pass over the records builds every column.  Entities and
+    # contexts are numbered in order of first appearance, truster before
+    # trustee; contexts are keyed by their name (their identity), whose
+    # hash the string caches.
+    entity_index: dict[Any, int] = {}
+    context_index: dict[str, int] = {}
+    trusters: list[int] = []
+    trustees: list[int] = []
+    context_col: list[int] = []
+    values: list[float] = []
+    times: list[float] = []
+    txcounts: list[int] = []
+    for (z, y, c), rec in table.items():
+        zi = entity_index.get(z)
+        if zi is None:
+            zi = entity_index[z] = _new_entity(z, len(entity_index))
+        yi = entity_index.get(y)
+        if yi is None:
+            yi = entity_index[y] = _new_entity(y, len(entity_index))
+        name = c.name
+        ci = context_index.get(name)
+        if ci is None:
+            ci = context_index[name] = len(context_index)
+        trusters.append(zi)
+        trustees.append(yi)
+        context_col.append(ci)
+        values.append(rec.value)
+        times.append(rec.last_transaction)
+        txcounts.append(rec.transaction_count)
+    rows = (trusters, trustees, context_col, values, times, txcounts)
     columns = {
-        name: _write_segment(
-            directory, f"{name}.bin", np.asarray(rows[name], dtype=dtype)
-        )
-        for name, dtype in _COLUMNS
+        name: _write_segment(directory, f"{name}.bin", np.asarray(row, dtype=dtype))
+        for (name, dtype), row in zip(_COLUMNS, rows)
     }
     grid: dict[str, Any] | None = None
     if grid_table is not None:
@@ -231,8 +246,8 @@ def snapshot_trust_store(
         }
     manifest: dict[str, Any] = {
         "schema": STORE_SCHEMA,
-        "entities": entities,
-        "contexts": contexts,
+        "entities": list(entity_index),
+        "contexts": list(context_index),
         "table_epoch": table.epoch,
         "rows": len(table),
         "columns": columns,

@@ -177,17 +177,13 @@ class TrustTable:
             self._latest[key] = max(r.last_transaction for r in bucket.values())
         self._epoch += 1
         if self._journal is not None:
+            # The op in the flat form the journal holds it in (see
+            # repro.core.journal.JournalWriter.append).
             self._journal.append(
-                {
-                    "op": "record",
-                    "z": truster,
-                    "y": trustee,
-                    "c": context.name,
-                    "v": rec.value,
-                    "t": rec.last_transaction,
-                    "n": rec.transaction_count,
-                    "e": self._epoch,
-                }
+                (
+                    "record", truster, trustee, context.name, rec.value,
+                    rec.last_transaction, rec.transaction_count, self._epoch,
+                )
             )
         return rec
 
@@ -221,7 +217,10 @@ class TrustTable:
         self, truster: EntityId, trustee: EntityId, context: TrustContext
     ) -> TrustRecord | None:
         """Return the record, or ``None`` when the pair has no history."""
-        return self._records.get((truster, trustee, context))
+        # Through the trustee index: its key hashes the context's name
+        # (cached by the string), not the context object.
+        bucket = self._by_trustee.get((trustee, context.name))
+        return None if bucket is None else bucket.get(truster)
 
     def opinions(
         self, trustee: EntityId, context: TrustContext

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "BehaviorProfile",
     "StationaryBehavior",
@@ -59,9 +61,11 @@ class StationaryBehavior(BehaviorProfile):
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mean <= 1.0:
-            raise ValueError("mean must lie in [0, 1]")
+            raise ConfigurationError(f"mean must lie in [0, 1], got {self.mean!r}")
         if self.noise < 0:
-            raise ValueError("noise must be non-negative")
+            raise ConfigurationError(
+                f"noise must be non-negative, got {self.noise!r}"
+            )
 
     def mean_at(self, time: float) -> float:
         return self.mean
@@ -88,9 +92,11 @@ class DegradingBehavior(BehaviorProfile):
     def __post_init__(self) -> None:
         for label, v in (("start", self.start), ("floor", self.floor)):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1]")
+                raise ConfigurationError(f"{label} must lie in [0, 1], got {v!r}")
         if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise ConfigurationError(
+                f"horizon must be positive, got {self.horizon!r}"
+            )
 
     def mean_at(self, time: float) -> float:
         frac = min(max(time, 0.0) / self.horizon, 1.0)

@@ -60,10 +60,18 @@ class GridTrustTable:
         ets: EtsTable | None = None,
     ) -> None:
         if min(n_client_domains, n_resource_domains, n_activities) < 1:
-            raise ValueError("table dimensions must all be >= 1")
+            raise ConfigurationError(
+                "table dimensions must all be >= 1, got "
+                f"n_client_domains={n_client_domains!r} "
+                f"n_resource_domains={n_resource_domains!r} "
+                f"n_activities={n_activities!r}"
+            )
         initial = TrustLevel.from_value(initial_level)
         if not initial.is_offerable:
-            raise ValueError("offered levels span A..E; F cannot be stored")
+            raise ConfigurationError(
+                "offered levels span A..E; F cannot be stored, got "
+                f"initial_level={initial_level!r}"
+            )
         self._levels = np.full(
             (n_client_domains, n_resource_domains, n_activities),
             int(initial),
@@ -135,26 +143,23 @@ class GridTrustTable:
         """Publish a new level for one (CD, RD, ToA) triple.
 
         Raises:
-            ConfigurationError: if an index lies outside its axis.
-            ValueError: if the level is ``F`` (not an offerable level).
+            ConfigurationError: if an index lies outside its axis, or the
+                level is ``F`` (not an offerable level).
         """
         self._check_cell(cd, rd, activity)
         value = TrustLevel.from_value(level)
         if not value.is_offerable:
-            raise ValueError("offered levels span A..E; F cannot be stored")
+            raise ConfigurationError(
+                f"offered levels span A..E; F cannot be stored, got level={level!r}"
+            )
         self._levels[cd, rd, activity] = int(value)
         self._epoch += 1
         self._cd_epochs[cd] = self._cd_epochs.get(cd, 0) + 1
         if self._journal is not None:
+            # The op in the flat form the journal holds it in (see
+            # repro.core.journal.JournalWriter.append).
             self._journal.append(
-                {
-                    "op": "set",
-                    "cd": cd,
-                    "rd": rd,
-                    "k": activity,
-                    "l": int(value),
-                    "e": self._cd_epochs[cd],
-                }
+                ("set", cd, rd, activity, int(value), self._cd_epochs[cd])
             )
 
     def fill_from(self, levels: np.ndarray) -> None:
@@ -164,11 +169,14 @@ class GridTrustTable:
         """
         arr = np.asarray(levels, dtype=np.int64)
         if arr.shape != self._levels.shape:
-            raise ValueError(
-                f"level array shape {arr.shape} != table shape {self._levels.shape}"
+            raise ConfigurationError(
+                f"levels: array shape {arr.shape} != table shape {self._levels.shape}"
             )
         if arr.min() < int(MIN_LEVEL) or arr.max() > int(MAX_OFFERED_LEVEL):
-            raise ValueError("offered levels must lie in [A, E] = [1, 5]")
+            raise ConfigurationError(
+                "levels: offered levels must lie in [A, E] = [1, 5], got "
+                f"min {int(arr.min())} max {int(arr.max())}"
+            )
         self._levels[...] = arr
         self._epoch += 1
         for cd in range(self._levels.shape[0]):
@@ -221,14 +229,13 @@ class GridTrustTable:
 
         Raises:
             ConfigurationError: if a client-domain index lies outside the
-                table.
-            ValueError: if the masks are misshapen or a mask is empty.
+                table, the masks are misshapen or a mask is empty.
         """
         cds = np.asarray(cds, dtype=np.int64)
         masks = np.asarray(activity_masks, dtype=bool)
         n_cd, _, n_act = self._levels.shape
         if masks.ndim != 2 or masks.shape != (cds.shape[0], n_act):
-            raise ValueError(
+            raise ConfigurationError(
                 f"activity_masks shape {masks.shape} != ({cds.shape[0]}, {n_act})"
             )
         if cds.size and (cds.min() < 0 or cds.max() >= n_cd):
@@ -236,7 +243,11 @@ class GridTrustTable:
                 f"client domain indices must lie in [0, {n_cd - 1}]"
             )
         if not masks.any(axis=1).all():
-            raise ValueError("every activity mask must select at least one ToA")
+            empty = np.flatnonzero(~masks.any(axis=1)).tolist()
+            raise ConfigurationError(
+                "every activity mask must select at least one ToA, got empty "
+                f"activity_masks rows {empty}"
+            )
         # The min over the activity axis sees only the member ToAs.
         return self._levels[cds].min(
             axis=2, where=masks[:, None, :], initial=_ABOVE_OFFERED
@@ -265,7 +276,7 @@ class GridTrustTable:
         """
         otls = self.offered_rows(cds, activity_masks)
         if required_per_pair.shape != self._levels.shape[:2]:
-            raise ValueError(
+            raise ConfigurationError(
                 f"required_per_pair shape {required_per_pair.shape} != "
                 f"{self._levels.shape[:2]}"
             )
@@ -285,8 +296,13 @@ class GridTrustTable:
     def _check_activities(self, activities: Sequence[int]) -> np.ndarray:
         acts = np.asarray(list(activities), dtype=np.int64)
         if acts.size == 0:
-            raise ValueError("activity set must be non-empty")
+            raise ConfigurationError(
+                f"activity set must be non-empty, got activities={acts.tolist()}"
+            )
         n_act = self._levels.shape[2]
         if acts.min() < 0 or acts.max() >= n_act:
-            raise ValueError(f"activity indices must lie in [0, {n_act - 1}]")
+            raise ConfigurationError(
+                f"activity indices must lie in [0, {n_act - 1}], got "
+                f"activities={acts.tolist()}"
+            )
         return acts

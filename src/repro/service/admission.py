@@ -159,7 +159,6 @@ class AdmissionController:
 
     def decide(
         self,
-        request: Request,
         now: float,
         *,
         queue: list[Request],
@@ -168,8 +167,10 @@ class AdmissionController:
     ) -> ShedReason | None:
         """The admission decision for one arrival.
 
+        Every verdict depends on the clock and the scheduler's state,
+        never on the arriving request itself.
+
         Args:
-            request: the arriving request.
             now: the simulation clock.
             queue: the scheduler's pending queue (read-only here).
             queue_bounded: whether the queue bound applies (batch mode).

@@ -473,7 +473,6 @@ class GridService:
             self.metrics.counter("svc.submitted").add()
         latch = self.latch
         reason = self.admission.decide(
-            request,
             event.time,
             queue=engine.pending,
             queue_bounded=self._batch_mode,

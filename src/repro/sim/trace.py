@@ -36,15 +36,14 @@ class Tracer:
 
     Args:
         enabled: whether :meth:`emit` actually records anything.
-        capacity: optional cap on retained entries; oldest are dropped
-            (``None`` = unbounded).
+
+    Attributes:
+        dropped: entries discarded rather than retained; every entry is
+            retained, so it reads 0 (profile exports report it).
     """
 
-    def __init__(self, *, enabled: bool = True, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive or None")
+    def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._capacity = capacity
         self._entries: list[TraceEntry] = []
         self.dropped = 0
 
@@ -53,10 +52,6 @@ class Tracer:
         if not self.enabled:
             return
         self._entries.append(TraceEntry(time=time, kind=kind, detail=detail))
-        if self._capacity is not None and len(self._entries) > self._capacity:
-            overflow = len(self._entries) - self._capacity
-            del self._entries[:overflow]
-            self.dropped += overflow
 
     def entries(self, kind: str | None = None) -> list[TraceEntry]:
         """All retained entries, optionally filtered by ``kind``."""
@@ -67,7 +62,6 @@ class Tracer:
     def clear(self) -> None:
         """Discard all retained entries."""
         self._entries.clear()
-        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -68,6 +68,12 @@ class CredibilityWeights(RecommenderWeights):
             return 0.0
         return super().factor(recommender, target)
 
+    def constant_factor(self) -> float | None:
+        """See the base class; ``None`` once any recommender is purged."""
+        if self._purged:
+            return None
+        return super().constant_factor()
+
     def observe_outcome(
         self, recommender: EntityId, predicted: float, actual: float
     ) -> float:

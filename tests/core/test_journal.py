@@ -504,6 +504,88 @@ class TestLazyFraming:
         )
 
 
+#: Key order of a ``record``/``set`` op's held tuple form.
+_TUPLE_KEYS = {
+    "record": ("op", "z", "y", "c", "v", "t", "n", "e"),
+    "set": ("op", "cd", "rd", "k", "l", "e"),
+}
+
+
+def _append_outcome(writer: JournalWriter, op):
+    try:
+        writer.append(op)
+    except TrustJournalError as exc:
+        return str(exc)
+    return None
+
+
+class TestTupleFormAppend:
+    """The trust tables append ``record``/``set`` ops as the tuple the
+    writer holds; that form must frame, bound and refuse as the dict does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ops=st.lists(_ops(), max_size=8))
+    def test_tuple_form_equals_dict_form(self, tmp_path_factory, ops):
+        # Only ops with exactly their own keys have a tuple form; bools,
+        # numpy scalars, non-finite floats and bad ids are kept.
+        ops = [
+            op for op in ops
+            if op["op"] in _TUPLE_KEYS and set(op) == set(_TUPLE_KEYS[op["op"]])
+        ]
+        root = tmp_path_factory.mktemp("tuple")
+        writers = {
+            form: JournalWriter.create(root / f"{form}.wal")
+            for form in ("dict", "tuple")
+        }
+        for op in ops:
+            held = tuple(op[key] for key in _TUPLE_KEYS[op["op"]])
+            refused = _append_outcome(writers["dict"], op)
+            assert _append_outcome(writers["tuple"], held) == refused
+            assert writers["tuple"].pending_floor == writers["dict"].pending_floor
+        framed = {}
+        for form, writer in writers.items():
+            floor = writer.pending_floor
+            try:
+                assert floor <= writer.pending_bytes
+                writer.sync()
+            except TrustJournalError as exc:
+                framed[form] = str(exc)
+            writer.close()
+        assert framed.get("tuple") == framed.get("dict")
+        assert (root / "tuple.wal").read_bytes() == (root / "dict.wal").read_bytes()
+
+    @pytest.mark.parametrize("bad", [1.5, ("cd", 0), b"cd:0"])
+    @pytest.mark.parametrize("field", [1, 2])
+    def test_bad_id_refused_before_anything_is_held(self, tmp_path, bad, field):
+        w = JournalWriter.create(tmp_path / "j.wal")
+        w.append(("record", "cd:0", "rd:0", "execute", 0.5, 1.0, 1, 1))
+        floor = w.pending_floor
+        op = ["record", "cd:0", "rd:1", "execute", 0.5, 2.0, 1, 2]
+        op[field] = bad
+        with pytest.raises(TrustJournalError, match="str or int entity ids"):
+            w.append(tuple(op))
+        assert w.pending_floor == floor
+        w.close()
+        assert [o["e"] for o in _read_journal(tmp_path / "j.wal").ops] == [1]
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            (),
+            ([], 0),
+            ("record", "cd:0", "rd:0", "execute", 0.5, 1.0, 1),
+            ("set", 0, 0, 0, 1, 1, 1),
+            ("remove", "cd:0", "rd:0", "execute", 1),
+        ],
+    )
+    def test_tuple_that_is_not_a_held_form_is_refused(self, tmp_path, op):
+        w = JournalWriter.create(tmp_path / "j.wal")
+        with pytest.raises(TrustJournalError, match="not the held form"):
+            w.append(op)
+        assert w.pending_floor == 0
+        w.close()
+
+
 class TestApplyOp:
     def test_epoch_mismatch_detected(self, tmp_path):
         table = TrustTable()

@@ -85,14 +85,14 @@ class TestDecisionOrder:
     def test_unlimited_admits_everything(self):
         ctl = AdmissionController(AdmissionPolicy.unlimited())
         verdict = ctl.decide(
-            request(0), 0.0, queue=[], queue_bounded=True, backpressure=False
+            0.0, queue=[], queue_bounded=True, backpressure=False
         )
         assert verdict is None
 
     def test_backpressure_outranks_the_bucket(self):
         ctl = AdmissionController(AdmissionPolicy(rate=100.0))
         verdict = ctl.decide(
-            request(0), 0.0, queue=[], queue_bounded=True, backpressure=True
+            0.0, queue=[], queue_bounded=True, backpressure=True
         )
         assert verdict is ShedReason.BACKPRESSURE
         # The bucket was not charged for a backpressure shed.
@@ -101,10 +101,10 @@ class TestDecisionOrder:
     def test_rate_limit(self):
         ctl = AdmissionController(AdmissionPolicy(rate=0.001, burst=1.0))
         first = ctl.decide(
-            request(0), 0.0, queue=[], queue_bounded=True, backpressure=False
+            0.0, queue=[], queue_bounded=True, backpressure=False
         )
         second = ctl.decide(
-            request(1), 0.0, queue=[], queue_bounded=True, backpressure=False
+            0.0, queue=[], queue_bounded=True, backpressure=False
         )
         assert first is None
         assert second is ShedReason.RATE_LIMITED
@@ -113,10 +113,10 @@ class TestDecisionOrder:
         ctl = AdmissionController(AdmissionPolicy(queue_capacity=1))
         queue = [request(0)]
         batch = ctl.decide(
-            request(1), 0.0, queue=queue, queue_bounded=True, backpressure=False
+            0.0, queue=queue, queue_bounded=True, backpressure=False
         )
         immediate = ctl.decide(
-            request(1), 0.0, queue=queue, queue_bounded=False, backpressure=False
+            0.0, queue=queue, queue_bounded=False, backpressure=False
         )
         assert batch is ShedReason.QUEUE_FULL
         assert immediate is None

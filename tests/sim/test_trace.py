@@ -1,7 +1,5 @@
 """Tests for the simulation tracer."""
 
-import pytest
-
 from repro.sim.trace import Tracer
 
 
@@ -20,24 +18,12 @@ class TestTracer:
         tracer.emit(1.0, "arrival")
         assert len(tracer) == 0
 
-    def test_capacity_drops_oldest(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.emit(float(i), "tick", i=i)
-        assert len(tracer) == 2
-        assert [e.detail["i"] for e in tracer] == [3, 4]
-        assert tracer.dropped == 3
-
     def test_clear(self):
         tracer = Tracer()
         tracer.emit(1.0, "x")
         tracer.clear()
         assert len(tracer) == 0
         assert tracer.dropped == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
 
     def test_entries_returns_copy(self):
         tracer = Tracer()
