@@ -6,7 +6,8 @@ values follow the Table-6 OTL distribution (Section 5.3's uniform [1, 5]
 offered levels — the Hi/Hi scheduling workload's trust plane):
 
 * a *full snapshot* — :func:`~repro.core.store.snapshot_trust_store`
-  rewrites and fsyncs every base segment, O(store);
+  rewrites the one base file (header, columns written in sequence by one
+  ``os.writev``, digest), fsyncs it and renames it into place, O(store);
 * a *delta checkpoint* — ``DIRTY_ENTITY_RATIO`` of the entities are
   overwritten through an attached write-ahead journal, then
   :meth:`~repro.core.journal.DurableTrustPlane.checkpoint` fsyncs the

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.levels import MAX_OFFERED_LEVEL, TrustLevel, offered_levels, required_levels
+from repro.errors import ConfigurationError
 
 __all__ = ["expected_trust_supplement", "trust_cost", "EtsTable", "TC_MIN", "TC_MAX"]
 
@@ -51,13 +52,15 @@ def expected_trust_supplement(
         The integer trust cost ``TC`` in ``[0, 6]``.
 
     Raises:
-        ValueError: if ``otl`` is ``F`` (not a legal offer) or either value is
-            not a trust level.
+        ConfigurationError: if ``otl`` is ``F`` (not a legal offer) or either
+            value is not a trust level.
     """
     rtl = TrustLevel.from_value(rtl)
     otl = TrustLevel.from_value(otl)
     if not otl.is_offerable:
-        raise ValueError("offered trust level cannot be F; offers span A..E")
+        raise ConfigurationError(
+            f"otl: an offered trust level cannot be F (offers span A..E), got {otl.name}"
+        )
     if f_forces_max and rtl is TrustLevel.F:
         return int(TrustLevel.F)
     return max(int(rtl) - int(otl), 0)
@@ -92,7 +95,9 @@ class EtsTable:
         rtl = TrustLevel.from_value(rtl)
         otl = TrustLevel.from_value(otl)
         if not otl.is_offerable:
-            raise ValueError("offered trust level cannot be F; offers span A..E")
+            raise ConfigurationError(
+                f"otl: an offered trust level cannot be F (offers span A..E), got {otl.name}"
+            )
         return int(self.matrix[int(rtl) - 1, int(otl) - 1])
 
     def lookup_many(self, rtls: np.ndarray, otls: np.ndarray) -> np.ndarray:
@@ -100,9 +105,15 @@ class EtsTable:
         rtls = np.asarray(rtls, dtype=np.int64)
         otls = np.asarray(otls, dtype=np.int64)
         if rtls.size and (rtls.min() < 1 or rtls.max() > 6):
-            raise ValueError("RTL values must lie in [1, 6]")
+            raise ConfigurationError(
+                "rtls: RTL values must lie in [1, 6], got values in "
+                f"[{rtls.min()}, {rtls.max()}]"
+            )
         if otls.size and (otls.min() < 1 or otls.max() > 5):
-            raise ValueError("OTL values must lie in [1, 5]")
+            raise ConfigurationError(
+                "otls: OTL values must lie in [1, 5], got values in "
+                f"[{otls.min()}, {otls.max()}]"
+            )
         return self.matrix[rtls - 1, otls - 1]
 
     @property

@@ -4,7 +4,7 @@
 state: a snapshot is a generation with an empty journal tail
 (:meth:`DurableTrustPlane.create` then :meth:`~DurableTrustPlane.close`),
 a restore is :meth:`DurableTrustPlane.recover`.  Rewriting a base
-snapshot (:mod:`repro.core.store`, the base-segment codec) costs
+snapshot (:mod:`repro.core.store`, the base-file codec) costs
 O(store), which no hot service wants to pay per window, so this module
 layers an append-only **write-ahead journal** over the base and the
 steady state fsyncs only the delta: every trust mutation
@@ -24,11 +24,11 @@ Frame format (all little-endian)::
     <u32 payload length> <u32 CRC-32 (zlib) of payload> <payload: compact JSON>
 
 The first frame is a header pinning the journal schema and the SHA-256 of
-the base snapshot's manifest, so a journal can never be replayed over the
-wrong base.  Each mutation op carries, as ``e``, the epoch the mutation
-produced on the object it mutated (``TrustTable.epoch`` for
-``record``/``remove``, the weights' counter for ``observe``,
-``AllianceRegistry.epoch`` for ``declare``/``dissolve``,
+the base file (the digest the file itself ends with), so a journal can
+never be replayed over the wrong base.  Each mutation op carries, as
+``e``, the epoch the mutation produced on the object it mutated
+(``TrustTable.epoch`` for ``record``/``remove``, the weights' counter
+for ``observe``, ``AllianceRegistry.epoch`` for ``declare``/``dissolve``,
 ``GridTrustTable.cd_epoch`` for ``set`` and ``.epoch`` for ``fill``);
 replay re-applies the op and verifies the epoch, turning any
 base/journal divergence into a typed refusal instead of silent skew.
@@ -42,27 +42,38 @@ opposite contract: the pinned prefix was acknowledged as durable, so a
 tear inside it is a hard error.
 
 Every refusal — a plane of another schema (named by ``CURRENT``, checked
-before any journal is read), a torn pinned prefix, a wrong
-base, a diverging op, or a missing, tampered or truncated base segment
-(Grid levels included) — raises
+before any journal is read), a ``repro.trust.store/v2`` base directory
+or a missing, tampered or truncated base file (Grid levels included),
+both checked before the journal is read, a torn pinned prefix, a wrong
+base or a diverging op — raises
 :class:`TrustJournalError` naming the offending path;
 :func:`~repro.service.checkpoint.resolve_trust_journal` turns it into a
 :class:`~repro.errors.CheckpointError`.
 
-:class:`DurableTrustPlane` packages the full discipline: generation
-directories (``base-<N>/`` + ``journal-<N>.wal``) selected by an
+:class:`DurableTrustPlane` packages the full discipline: generations of
+two files each (``base-<N>`` + ``journal-<N>.wal``) selected by an
 atomically swapped ``CURRENT`` file, delta checkpoints that fsync only
 the journal tail, and compaction that folds the tail into a fresh base
-once the journal outgrows ``compact_ratio`` × base size — keeping
-checkpoint cost O(changes), not O(store).
+once the journal outgrows :data:`COMPACT_RATIO` × base size — keeping
+checkpoint cost O(changes), not O(store).  A compaction makes five
+fsyncs, in this order::
+
+    base-<N+1>.tmp      written, fsynced
+    journal-<N+1>.wal   header frame pinning the base digest, fsynced
+    base-<N+1>          os.replace of the tmp file, then one fsync of the
+                        root makes both new names durable
+    CURRENT             CURRENT.tmp written, fsynced, os.replace, root fsynced
+
+and then unlinks the generations :data:`KEEP_GENERATIONS` no longer
+keeps.  Until the ``CURRENT`` swap the previous generation stays live.
 
 Every ``os.fsync`` in the durability path (here, in
 :func:`~repro.core.store.snapshot_trust_store` and in
 :func:`~repro.service.checkpoint.save_checkpoint`) runs through
-:func:`sync_file` / :func:`sync_dir`, which bracket the call with an
-installable hook — the seam the crash-injection harness
-(``tools/crash_harness.py``) uses to kill the writer at every fsync
-boundary.
+:func:`sync_file` / :func:`sync_dir` (or the descriptor form they share),
+which bracket the call with an installable hook — the seam the
+crash-injection harness (``tools/crash_harness.py``) uses to kill the
+writer at every fsync boundary.
 """
 
 from __future__ import annotations
@@ -72,6 +83,7 @@ import itertools
 import json
 import math
 import os
+import re
 import struct
 import zlib
 from collections.abc import Callable
@@ -131,32 +143,50 @@ def set_sync_hook(hook: Callable[[str, str, Path], None] | None) -> None:
     _SYNC_HOOK = hook
 
 
+def _fsync(fd: int, kind: str, path: Path) -> None:
+    """``fsync`` an open descriptor, bracketed by the crash hook."""
+    if _SYNC_HOOK is not None:
+        _SYNC_HOOK("before", kind, path)
+    os.fsync(fd)
+    if _SYNC_HOOK is not None:
+        _SYNC_HOOK("after", kind, path)
+
+
 def sync_file(path: str | Path) -> None:
     """``fsync`` a file's contents, bracketed by the crash hook."""
     path = Path(path)
-    if _SYNC_HOOK is not None:
-        _SYNC_HOOK("before", "file", path)
     fd = os.open(path, os.O_RDONLY)
     try:
-        os.fsync(fd)
+        _fsync(fd, "file", path)
     finally:
         os.close(fd)
-    if _SYNC_HOOK is not None:
-        _SYNC_HOOK("after", "file", path)
 
 
 def sync_dir(path: str | Path) -> None:
     """``fsync`` a directory entry (makes renames/creates durable)."""
     path = Path(path)
-    if _SYNC_HOOK is not None:
-        _SYNC_HOOK("before", "dir", path)
     fd = os.open(path, os.O_RDONLY)
     try:
-        os.fsync(fd)
+        _fsync(fd, "dir", path)
     finally:
         os.close(fd)
-    if _SYNC_HOOK is not None:
-        _SYNC_HOOK("after", "dir", path)
+
+
+def _write_synced(path: Path, parts: list[Any]) -> None:
+    """Create (or truncate) ``path``, write ``parts`` in order with
+    ``os.writev`` and ``fsync`` it; the parts are never concatenated."""
+    views = [memoryview(part).cast("B") for part in parts]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        while views:
+            written = os.writev(fd, views)
+            while views and written >= len(views[0]):
+                written -= len(views.pop(0))
+            if views:
+                views[0] = views[0][written:]
+        _fsync(fd, "file", path)
+    finally:
+        os.close(fd)
 
 
 # -- frame codec ------------------------------------------------------------
@@ -200,10 +230,10 @@ _HELD_FLOOR = {"record": _RECORD_FLOOR, "set": _SET_FLOOR}
 
 
 def _check_ids(op: dict[str, Any]) -> None:
-    """Refuse an op whose entity id is not a ``str`` or ``int``."""
+    """Refuse an op whose entity id (``None`` included) is not a ``str``
+    or ``int``."""
     for key in ("z", "y", "g"):
-        value = op.get(key)
-        if value is not None and not isinstance(value, (str, int)):
+        if key in op and not isinstance(value := op[key], _ID_TYPES):
             raise TrustJournalError(
                 f"journal op field {key!r} carries {value!r}, which is "
                 "not JSON-representable (use str or int entity ids)"
@@ -550,7 +580,7 @@ class JournalWriter:
 
     @property
     def base(self) -> Any:
-        """Base-manifest digest pinned in the header frame."""
+        """Base-file digest pinned in the header frame."""
         return self._base
 
     @property
@@ -812,51 +842,71 @@ def _detach_journal(
 
 # -- durable plane ----------------------------------------------------------
 
+#: Fold the journal into a fresh base once its synced size exceeds this
+#: fraction of the base file's size.
+COMPACT_RATIO = 0.5
+
+#: Superseded generations kept after a compaction: the generation a
+#: service checkpoint pinned backs its offset until the next checkpoint.
+KEEP_GENERATIONS = 1
+
+
 @dataclass(frozen=True)
 class JournalConfig:
     """Compaction policy of a :class:`DurableTrustPlane`.
 
     Attributes:
-        compact_ratio: fold the journal into a fresh base once its synced
-            size exceeds this fraction of the base snapshot's size.
         min_compact_bytes: never compact below this journal size — a tiny
-            base would otherwise trigger compaction on every checkpoint.
-        keep_generations: how many superseded generations to retain after
-            a compaction (old generations back a service checkpoint's
-            pinned offset until the next checkpoint supersedes it).
+            base would otherwise trigger compaction on every checkpoint
+            (above it, :data:`COMPACT_RATIO` × base size decides).
     """
 
-    compact_ratio: float = 0.5
     min_compact_bytes: int = 1 << 16
-    keep_generations: int = 1
 
     def __post_init__(self) -> None:
-        if self.compact_ratio <= 0.0:
-            raise ConfigurationError(
-                f"compact_ratio must be positive, got {self.compact_ratio!r}"
-            )
         if self.min_compact_bytes < 0:
             raise ConfigurationError(
                 "min_compact_bytes must be non-negative, got "
                 f"{self.min_compact_bytes!r}"
             )
-        if self.keep_generations < 0:
-            raise ConfigurationError(
-                "keep_generations must be non-negative, got "
-                f"{self.keep_generations!r}"
-            )
 
 
 def _atomic_write_json(path: Path, payload: dict[str, Any]) -> None:
+    """Swap ``path`` for ``payload``: tmp, fsync, replace, fsync the
+    directory."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, sort_keys=True), "utf-8")
-    sync_file(tmp)
-    tmp.replace(path)
+    _write_synced(tmp, [json.dumps(payload, indent=1, sort_keys=True).encode()])
+    os.replace(tmp, path)
     sync_dir(path.parent)
 
 
-def _dir_bytes(directory: Path) -> int:
-    return sum(p.stat().st_size for p in directory.iterdir() if p.is_file())
+def _write_generation(
+    root: Path,
+    gen: int,
+    table: TrustTable,
+    weights: RecommenderWeights | None,
+    grid_table: Any,
+    metrics: Any,
+) -> tuple[JournalWriter, str, int]:
+    """Write generation ``gen`` and make it the live one, in the five
+    fsyncs of the module docstring; returns its journal writer, base
+    digest and base size.  A kill before the ``CURRENT`` swap leaves the
+    previous generation live, and the next compaction overwrites the
+    debris."""
+    from repro.core.store import _write_base
+
+    base = root / f"base-{gen}"
+    tmp = base.with_name(base.name + ".tmp")
+    digest, size = _write_base(tmp, table, weights, grid_table)
+    writer = JournalWriter.create(
+        root / f"journal-{gen}.wal", base=digest, metrics=metrics
+    )
+    os.replace(tmp, base)
+    sync_dir(root)
+    _atomic_write_json(
+        root / "CURRENT", {"schema": JOURNAL_SCHEMA, "generation": gen}
+    )
+    return writer, digest, size
 
 
 class DurableTrustPlane:
@@ -865,7 +915,7 @@ class DurableTrustPlane:
     Layout under ``root``::
 
         CURRENT             {"schema": ..., "generation": N}  (atomic swap)
-        base-<N>/           base snapshot (table, weights, Grid levels)
+        base-<N>            base file (table, weights, Grid levels)
         journal-<N>.wal     framed mutation tail over base-<N>
 
     Use :meth:`create` to provision from live objects, :meth:`recover`
@@ -928,26 +978,17 @@ class DurableTrustPlane:
     ) -> "DurableTrustPlane":
         """Provision a fresh plane at ``root`` from live objects.
 
-        Snapshots the current state as ``base-0``, starts ``journal-0``,
-        and attaches the mutation hooks.  Until the trailing ``CURRENT``
-        write lands, :meth:`recover` refuses the root — provisioning is
+        Writes the current state as ``base-0``, starts ``journal-0``,
+        and attaches the mutation hooks, in the order a compaction uses
+        (see :meth:`compact`).  Until the trailing ``CURRENT`` write
+        lands, :meth:`recover` refuses the root — provisioning is
         all-or-nothing.
         """
-        from repro.core.store import snapshot_trust_store
-
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         config = config or JournalConfig()
-        base_dir = root / "base-0"
-        manifest_path = snapshot_trust_store(
-            base_dir, table, weights, grid_table=grid_table
-        )
-        digest = _manifest_digest(manifest_path)
-        writer = JournalWriter.create(
-            root / "journal-0.wal", base=digest, metrics=metrics
-        )
-        _atomic_write_json(
-            root / "CURRENT", {"schema": JOURNAL_SCHEMA, "generation": 0}
+        writer, digest, size = _write_generation(
+            root, 0, table, weights, grid_table, metrics
         )
         return cls(
             root=root,
@@ -957,7 +998,7 @@ class DurableTrustPlane:
             grid_table=grid_table,
             writer=writer,
             base_digest=digest,
-            base_bytes=_dir_bytes(base_dir),
+            base_bytes=size,
             config=config,
             metrics=metrics,
         )
@@ -1018,36 +1059,22 @@ class DurableTrustPlane:
                 f"{JOURNAL_SCHEMA!r}; refusing to recover it"
             )
         gen = active if generation is None else generation
-        base_dir = root / f"base-{gen}"
+        base_path = root / f"base-{gen}"
         journal_path = root / f"journal-{gen}.wal"
-        if not (base_dir / "manifest.json").is_file():
-            # A crash between the two renames of an atomic re-snapshot
-            # leaves the previous (complete, fsynced) base parked as
-            # "base-<N>.old": restore that rather than refusing over a
-            # target the swap never finished.
-            parked = root / f"base-{gen}.old"
-            if not (parked / "manifest.json").is_file():
-                raise TrustJournalError(
-                    f"trust-plane generation {gen} has no base manifest at "
-                    f"{base_dir / 'manifest.json'} (compacted away?); "
-                    "cannot recover it"
-                )
-            base_dir = parked
-        manifest_path = base_dir / "manifest.json"
-        digest = _manifest_digest(manifest_path)
+        # The base is checked before the journal is read: an older
+        # layout, a torn or a tampered base is refused, naming the file,
+        # with the journal untouched.
+        table, weights, grid, digest = restore_trust_store(
+            base_path, grid_table=grid_table
+        )
         replay = _read_journal(journal_path, upto=upto, metrics=metrics)
-        # The header pins the manifest, which pins every segment: check
-        # the pin first, so a tampered manifest is named as the offender.
         if replay.header is not None and replay.header.get("base") != digest:
             raise TrustJournalError(
-                f"base manifest {manifest_path} is not the base "
-                f"{journal_path} was written against (sha256 {digest!r} != "
+                f"base {base_path} is not the base {journal_path} was "
+                f"written against (sha256 {digest!r} != "
                 f"{replay.header.get('base')!r}); refusing to replay the "
                 "journal over the wrong snapshot"
             )
-        table, weights, grid = restore_trust_store(
-            base_dir, grid_table=grid_table
-        )
         for i, op in enumerate(replay.ops):
             try:
                 apply_op(
@@ -1079,7 +1106,7 @@ class DurableTrustPlane:
                 root / "CURRENT",
                 {"schema": JOURNAL_SCHEMA, "generation": gen},
             )
-            _drop_generations(root, keep_from=gen, keep_back=0, active=gen)
+            _drop_generations(root, keep=range(gen, gen + 1))
         if metrics is not None and metrics.enabled:
             metrics.counter("store.recoveries").add()
         return cls(
@@ -1090,7 +1117,7 @@ class DurableTrustPlane:
             grid_table=grid,
             writer=writer,
             base_digest=digest,
-            base_bytes=_dir_bytes(base_dir),
+            base_bytes=base_path.stat().st_size,
             config=config,
             metrics=metrics,
             recovered_ops=len(replay.ops),
@@ -1110,13 +1137,13 @@ class DurableTrustPlane:
 
     @property
     def base_digest(self) -> str:
-        """SHA-256 of the current base snapshot's manifest."""
+        """SHA-256 of the current base file (its trailing digest)."""
         return self._base_digest
 
     def checkpoint(self) -> dict[str, Any]:
         """Make every held mutation durable; O(changes), not O(store).
 
-        When the journal has outgrown ``compact_ratio`` × base size it is
+        When the journal has outgrown :data:`COMPACT_RATIO` × base size it is
         folded into a fresh base; otherwise only the journal tail is
         framed and fsynced.  The decision is the one an fsync of the whole
         tail would make: if the synced bytes plus the tail's
@@ -1144,47 +1171,31 @@ class DurableTrustPlane:
     def _should_compact(self, journal_bytes: int) -> bool:
         threshold = max(
             self.config.min_compact_bytes,
-            int(self.config.compact_ratio * self._base_bytes),
+            int(COMPACT_RATIO * self._base_bytes),
         )
         return journal_bytes > threshold
 
     def compact(self) -> None:
         """Fold the journal tail into a fresh base generation.
 
-        Writes ``base-<N+1>`` from the live objects, starts an empty
-        ``journal-<N+1>``, atomically swaps ``CURRENT``, then prunes
-        generations older than ``keep_generations``.  A crash anywhere
-        before the ``CURRENT`` swap leaves the old generation authoritative
-        and intact.
+        Writes ``base-<N+1>`` from the live objects and starts an empty
+        ``journal-<N+1>``, swapping ``CURRENT`` last, then unlinks the
+        generations older than :data:`KEEP_GENERATIONS`.  A crash
+        anywhere before the ``CURRENT`` swap leaves the old generation
+        authoritative and intact.
         """
-        from repro.core.store import snapshot_trust_store
-
         new_gen = self.generation + 1
-        base_dir = self.root / f"base-{new_gen}"
-        manifest_path = snapshot_trust_store(
-            base_dir, self.table, self.weights, grid_table=self.grid_table
+        writer, digest, size = _write_generation(
+            self.root, new_gen, self.table, self.weights, self.grid_table,
+            self.metrics,
         )
-        digest = _manifest_digest(manifest_path)
-        writer = JournalWriter.create(
-            self.root / f"journal-{new_gen}.wal",
-            base=digest,
-            metrics=self.metrics,
-        )
-        _atomic_write_json(
-            self.root / "CURRENT",
-            {"schema": JOURNAL_SCHEMA, "generation": new_gen},
-        )
-        old_writer = self._writer
+        self._writer.abandon()
         self._writer = writer
         self.generation = new_gen
         self._base_digest = digest
-        self._base_bytes = _dir_bytes(base_dir)
-        old_writer.abandon()
+        self._base_bytes = size
         _drop_generations(
-            self.root,
-            keep_from=new_gen,
-            keep_back=self.config.keep_generations,
-            active=new_gen,
+            self.root, keep=range(new_gen - KEEP_GENERATIONS, new_gen + 1)
         )
 
     def close(self) -> None:
@@ -1197,34 +1208,17 @@ class DurableTrustPlane:
         self._writer.close()
 
 
-def _manifest_digest(manifest_path: Path) -> str:
-    import hashlib
-
-    return hashlib.sha256(manifest_path.read_bytes()).hexdigest()
+_GENERATION_FILE = re.compile(r"base-(\d+)|journal-(\d+)\.wal")
 
 
-def _drop_generations(
-    root: Path, *, keep_from: int, keep_back: int, active: int
-) -> None:
-    """Best-effort removal of generations outside the retention window."""
-    import re
-    import shutil
-
-    floor = keep_from - keep_back
-    for entry in root.iterdir():
-        match = re.fullmatch(r"base-(\d+)", entry.name) or re.fullmatch(
-            r"journal-(\d+)\.wal", entry.name
-        )
-        if match is None:
-            continue
-        gen = int(match.group(1))
-        if gen == active or floor <= gen <= keep_from:
-            continue
-        try:
-            if entry.is_dir():
-                shutil.rmtree(entry)
-            else:
-                entry.unlink()
-        except OSError:  # pragma: no cover - cleanup is advisory
-            pass
-
+def _drop_generations(root: Path, *, keep: range) -> None:
+    """Best-effort unlinking of every generation's files outside ``keep``."""
+    with os.scandir(root) as entries:
+        for entry in entries:
+            match = _GENERATION_FILE.fullmatch(entry.name)
+            if match is None or int(match.group(match.lastindex)) in keep:
+                continue
+            try:
+                os.unlink(entry.path)
+            except OSError:  # pragma: no cover - cleanup is advisory
+                pass

@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterator
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "TrustLevel",
     "MIN_LEVEL",
@@ -50,7 +52,7 @@ class TrustLevel(enum.IntEnum):
         insensitive) letter ``"a"``..``"f"``.
 
         Raises:
-            ValueError: if the value does not correspond to a level.
+            ConfigurationError: if the value does not correspond to a level.
         """
         if isinstance(value, cls):
             return value
@@ -59,14 +61,18 @@ class TrustLevel(enum.IntEnum):
             try:
                 return cls[name]
             except KeyError:
-                raise ValueError(f"unknown trust level name: {value!r}") from None
+                raise ConfigurationError(
+                    f"unknown trust level name: value must be a letter A..F, got {value!r}"
+                ) from None
         try:
             numeric = int(value)
             if numeric != value:  # reject non-integral floats like 2.5
                 raise ValueError
             return cls(numeric)
         except (TypeError, ValueError):
-            raise ValueError(f"unknown trust level value: {value!r}") from None
+            raise ConfigurationError(
+                f"unknown trust level value: value must be an integer 1..6, got {value!r}"
+            ) from None
 
     @property
     def is_offerable(self) -> bool:

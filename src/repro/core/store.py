@@ -1,51 +1,57 @@
-"""Base-snapshot codec of the durable trust plane (``repro.trust.store/v2``).
+"""Base-file codec of the durable trust plane (``repro.trust.store/v3``).
 
 Every generation of a :class:`~repro.core.journal.DurableTrustPlane`
-starts from a base snapshot written by this module; the write-ahead
-journal then records the mutations on top of it.  The snapshot holds a
+starts from a base written by this module; the write-ahead journal then
+records the mutations on top of it.  The base holds a
 :class:`~repro.core.tables.TrustTable`, optionally its learned
 :class:`~repro.core.recommender.RecommenderWeights`, and optionally the
 Grid's CD×RD×ToA :class:`~repro.grid.trust_table.GridTrustTable`, as
-**one fixed-dtype binary segment per column** plus one segment of Grid
-levels, with a JSON manifest carrying the epoch counters and a SHA-256
-digest per segment.  The layout follows tahoe-lafs' grid-manager
-certificate discipline: durable state files plus a signed-by-digest
-index, so partial or tampered snapshots are *refused* with a
-:class:`~repro.core.journal.TrustJournalError` naming the offending
-file, never silently repaired.  This module owns the whole base format;
-the journal header pins the manifest's SHA-256, which in turn pins every
-segment.
+**one file**: a compact JSON header, the table's fixed-dtype columns,
+the Grid levels, and one SHA-256 digest over everything before it.  The
+digest is computed over the bytes in memory as they are written, and the
+journal header pins it, so a journal can never be replayed over another
+base.  Partial or tampered bases are *refused* with a
+:class:`~repro.core.journal.TrustJournalError` naming the file, never
+silently repaired; so is a ``repro.trust.store/v2`` base (a ``base-<N>/``
+directory of segments under a ``manifest.json``).
 
-Restore checks every segment's digest and size, then replays the rows
-in the table's insertion order into a fresh table: the restored table
-iterates exactly like the original, so the reputation average
-accumulates in the same order and the restored Γ surface is
-bit-identical to one computed before the snapshot.
+Restore checks the digest and then the column sizes the header implies
+before it uses any value, then replays the rows in the table's insertion
+order into a fresh table: the restored table iterates exactly like the
+original, so the reputation average accumulates in the same order and
+the restored Γ surface is bit-identical to one computed before the
+snapshot.
 
-On-disk layout (all integers ``<i8``, all floats ``<f8``, little-endian):
+On-disk layout (little-endian; column integers ``<i8``, floats ``<f8``):
 
 .. code-block:: text
 
-    <dir>/manifest.json                     repro.trust.store/v2
-    <dir>/<column>.bin                      6 table columns, one row per record:
-        truster, trustee, context           indices into manifest lists
+    <u32 n>                                 header length, padding included
+    <n bytes>   compact JSON header         repro.trust.store/v3: entities,
+                                            contexts, epochs, row count, Grid
+                                            shape/epochs, weights; space-padded
+                                            so the columns start 8-aligned
+    6 columns, one row per record:
+        truster, trustee, context           indices into the header lists
         value, time                         float payload
         txcount                             TrustRecord.transaction_count
-    <dir>/grid-levels.bin                   Grid levels, C order (if persisted)
+    Grid levels, C order                    (if persisted)
+    <32 bytes>                              SHA-256 of every byte before it
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import shutil
+import os
+import struct
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.core.context import TrustContext
-from repro.core.journal import TrustJournalError, sync_dir, sync_file
+from repro.core.journal import TrustJournalError, _write_synced, sync_dir
 from repro.core.recommender import AllianceRegistry, RecommenderWeights
 from repro.core.tables import TrustTable
 
@@ -55,31 +61,15 @@ __all__ = [
     "restore_trust_store",
 ]
 
-STORE_SCHEMA = "repro.trust.store/v2"
+STORE_SCHEMA = "repro.trust.store/v3"
 
-_COLUMNS = (
-    ("truster", "<i8"),
-    ("trustee", "<i8"),
-    ("context", "<i8"),
-    ("value", "<f8"),
-    ("time", "<f8"),
-    ("txcount", "<i8"),
+_COLUMN_DTYPES = ("<i8", "<i8", "<i8", "<f8", "<f8", "<i8")
+
+_LENGTH = struct.Struct("<I")
+_DIGEST_SIZE = 32
+_HEADER_KEYS = (
+    "schema", "entities", "contexts", "table_epoch", "rows", "grid", "weights",
 )
-
-_SEGMENT_KEYS = frozenset({"file", "dtype", "sha256"})
-
-
-def _write_segment(directory: Path, fname: str, data: np.ndarray) -> dict[str, Any]:
-    """Write and fsync one segment; return its manifest entry."""
-    payload = data.tobytes()
-    fpath = directory / fname
-    fpath.write_bytes(payload)
-    sync_file(fpath)
-    return {
-        "file": fname,
-        "dtype": data.dtype.str,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-    }
 
 
 def _weights_to_dict(weights: RecommenderWeights) -> dict[str, Any]:
@@ -148,59 +138,28 @@ def _weights_from_dict(data: dict[str, Any]) -> RecommenderWeights:
     return weights
 
 
-
-
 def _new_entity(entity: Any, index: int) -> int:
-    """The index of an entity seen for the first time; refuses one a
-    manifest cannot name."""
+    """The index of an entity seen for the first time; refuses one the
+    header cannot name."""
     if not isinstance(entity, (str, int)):
         raise TrustJournalError(f"entity {entity!r} is not JSON-representable")
     return index
 
 
-def snapshot_trust_store(
-    directory: str | Path,
+def _write_base(
+    path: Path,
     table: TrustTable,
     weights: RecommenderWeights | None = None,
-    *,
     grid_table: Any = None,
-) -> Path:
-    """Snapshot ``table`` (and optionally ``weights`` and ``grid_table``)
-    into ``directory``.
-
-    Writes one little-endian binary segment per column, in the table's
-    insertion order, plus (with ``grid_table``) one segment of Grid
-    levels, and a ``manifest.json`` carrying the schema tag, the
-    interned entity and context lists, the epoch counters, the Grid
-    table's shape and a SHA-256 digest per segment.  Returns the
-    manifest path.
-
-    The snapshot is **crash-atomic**: segments and manifest are written
-    into a temporary sibling directory (``<name>.tmp``), fsynced, and
-    swapped into place by rename — any previous snapshot at ``directory``
-    is parked as ``<name>.old`` for the instant of the swap and removed
-    once the new one is durable.  A kill at any point leaves either the
-    old snapshot or the new one restorable (see the ``.old`` fallback of
-    :meth:`DurableTrustPlane.recover
-    <repro.core.journal.DurableTrustPlane.recover>`), never a
-    half-written mix that the digest check would turn into total loss.
-
-    Entity identifiers must be JSON-representable (strings or integers);
-    the Grid agents' ``"cd:0"`` convention satisfies this.
+) -> tuple[str, int]:
+    """Write and fsync the base of ``table`` (with ``weights`` and
+    ``grid_table``) at ``path``, in place; returns its SHA-256 (hex) and
+    its size in bytes.
 
     Raises:
-        TrustJournalError: if an entity cannot be persisted.
+        TrustJournalError: if an entity cannot be persisted; nothing is
+            written then.
     """
-    target = Path(directory)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    directory = target.parent / (target.name + ".tmp")
-    parked = target.parent / (target.name + ".old")
-    for leftover in (directory, parked):
-        if leftover.is_dir():
-            shutil.rmtree(leftover)
-        elif leftover.exists():
-            leftover.unlink()
-    directory.mkdir()
     # One pass over the records builds every column.  Entities and
     # contexts are numbered in order of first appearance, truster before
     # trustee; contexts are keyed by their name (their identity), whose
@@ -230,113 +189,83 @@ def snapshot_trust_store(
         values.append(rec.value)
         times.append(rec.last_transaction)
         txcounts.append(rec.transaction_count)
-    rows = (trusters, trustees, context_col, values, times, txcounts)
-    columns = {
-        name: _write_segment(directory, f"{name}.bin", np.asarray(row, dtype=dtype))
-        for (name, dtype), row in zip(_COLUMNS, rows)
-    }
+    rows = [trusters, trustees, context_col, values, times, txcounts]
+    del trusters, trustees, context_col, values, times, txcounts
+    columns = []
+    for i, dtype in enumerate(_COLUMN_DTYPES):
+        columns.append(np.asarray(rows[i], dtype))
+        rows[i] = None  # one list and its column alive at a time, not all
     grid: dict[str, Any] | None = None
     if grid_table is not None:
-        levels = np.asarray(grid_table.levels, dtype="<i8")
+        levels = np.ascontiguousarray(grid_table.levels, dtype="<i8")
         grid = {
             "shape": list(levels.shape),
             "epoch": grid_table.epoch,
             "cd_epochs": sorted(grid_table._cd_epochs.items()),
-            **_write_segment(directory, "grid-levels.bin", levels),
         }
-    manifest: dict[str, Any] = {
+        columns.append(levels)
+    header = {
         "schema": STORE_SCHEMA,
         "entities": list(entity_index),
         "contexts": list(context_index),
         "table_epoch": table.epoch,
         "rows": len(table),
-        "columns": columns,
         "grid": grid,
         "weights": None if weights is None else _weights_to_dict(weights),
     }
-    manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    sync_file(manifest_path)
-    sync_dir(directory)
-    # Swap the fsynced tmp directory into place.  The rename pair is the
-    # only non-durable window, and both sides of it are complete
-    # snapshots: before the parent fsync lands a crash may resurface the
-    # old state, never a torn one.
-    if target.exists():
-        target.rename(parked)
-    directory.rename(target)
+    text = json.dumps(header, separators=(",", ":")).encode("ascii")
+    text += b" " * (-(_LENGTH.size + len(text)) % 8)
+    parts = [_LENGTH.pack(len(text)) + text, *columns]
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(part)
+    parts.append(sha.digest())
+    _write_synced(path, parts)
+    return parts[-1].hex(), sum(memoryview(part).nbytes for part in parts)
+
+
+def snapshot_trust_store(
+    path: str | Path,
+    table: TrustTable,
+    weights: RecommenderWeights | None = None,
+    *,
+    grid_table: Any = None,
+) -> str:
+    """Snapshot ``table`` (and optionally ``weights`` and ``grid_table``)
+    into the base file ``path``; returns its SHA-256 (hex).
+
+    The snapshot is **crash-atomic**: the file is written as
+    ``<name>.tmp``, fsynced, renamed over ``path`` and made durable by an
+    fsync of the parent directory.  A kill at any point leaves either the
+    old snapshot or the new one at ``path``, never a torn mix.
+
+    Entity identifiers must be JSON-representable (strings or integers);
+    the Grid agents' ``"cd:0"`` convention satisfies this.
+
+    Raises:
+        TrustJournalError: if an entity cannot be persisted.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    tmp = target.with_name(target.name + ".tmp")
+    digest, _ = _write_base(tmp, table, weights, grid_table)
+    os.replace(tmp, target)
     sync_dir(target.parent)
-    if parked.exists():
-        shutil.rmtree(parked)
-    return target / "manifest.json"
+    return digest
 
 
-def _load_manifest(directory: Path) -> dict[str, Any]:
-    """Read and structurally validate a snapshot manifest."""
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise TrustJournalError(f"no trust-store manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TrustJournalError(
-            f"corrupted trust-store manifest {manifest_path}: {exc}"
-        ) from exc
-    if not isinstance(manifest, dict) or manifest.get("schema") != STORE_SCHEMA:
-        raise TrustJournalError(
-            f"trust-store manifest {manifest_path}: expected schema "
-            f"{STORE_SCHEMA!r}, got {manifest.get('schema')!r}"
-        )
-    for key in ("entities", "contexts", "table_epoch", "rows", "columns"):
-        if key not in manifest:
-            raise TrustJournalError(
-                f"trust-store manifest {manifest_path} missing {key!r}"
-            )
-    for name, _ in _COLUMNS:
-        meta = manifest["columns"].get(name)
-        if meta is None or not _SEGMENT_KEYS <= set(meta):
-            raise TrustJournalError(
-                f"trust-store manifest {manifest_path} missing column {name!r}"
-            )
-    grid = manifest.get("grid")
-    if grid is not None and not (
-        _SEGMENT_KEYS | {"shape", "epoch", "cd_epochs"}
-    ) <= set(grid):
-        raise TrustJournalError(
-            f"trust-store manifest {manifest_path}: malformed Grid-levels entry"
-        )
-    return manifest
-
-
-def _read_segment(directory: Path, meta: dict[str, Any], count: int) -> np.ndarray:
-    """Digest- and size-check one segment; return its values."""
-    fpath = directory / meta["file"]
-    if not fpath.is_file():
-        raise TrustJournalError(f"missing trust-store segment {fpath}")
-    data = fpath.read_bytes()
-    if hashlib.sha256(data).hexdigest() != meta["sha256"]:
-        raise TrustJournalError(
-            f"digest mismatch for trust-store segment {fpath}; "
-            "refusing to restore"
-        )
-    if len(data) != count * 8:
-        raise TrustJournalError(
-            f"trust-store segment {fpath} has wrong size for {count} values"
-        )
-    return np.frombuffer(data, dtype=meta["dtype"])
-
-
-def _restore_grid(directory: Path, meta: dict[str, Any], grid_table: Any) -> Any:
-    """Rebuild (or refill) the Grid trust table from its levels segment."""
+def _restore_grid(
+    path: Path, meta: dict[str, Any], levels: np.ndarray, grid_table: Any
+) -> Any:
+    """Rebuild (or refill) the Grid trust table from its levels."""
     shape = tuple(int(s) for s in meta["shape"])
-    levels = _read_segment(directory, meta, int(np.prod(shape)))
     if grid_table is None:
         from repro.grid.trust_table import GridTrustTable
 
         grid_table = GridTrustTable(*shape)
     if tuple(grid_table.shape) != shape:
         raise TrustJournalError(
-            f"Grid levels in {directory / meta['file']} have shape {shape}, "
+            f"Grid levels in {path} have shape {shape}, "
             f"but the provided table is {tuple(grid_table.shape)}"
         )
     # Direct assignment (not fill_from) so restore neither bumps epochs
@@ -348,31 +277,79 @@ def _restore_grid(directory: Path, meta: dict[str, Any], grid_table: Any) -> Any
 
 
 def restore_trust_store(
-    directory: str | Path, *, grid_table: Any = None
-) -> tuple[TrustTable, RecommenderWeights | None, Any]:
-    """Restore a snapshot taken by :func:`snapshot_trust_store`.
+    path: str | Path, *, grid_table: Any = None
+) -> tuple[TrustTable, RecommenderWeights | None, Any, str]:
+    """Restore a base written by :func:`snapshot_trust_store`.
 
-    Every segment is digest- and size-checked before its values are
-    used.  Returns ``(table, weights, grid_table)``: ``weights`` is
-    ``None`` when the snapshot carried none; the persisted Grid levels
-    are restored into ``grid_table`` when given (custom ETS tables do not
-    survive JSON), into a fresh table of the persisted shape otherwise,
-    and ``grid_table`` is passed through unchanged when the snapshot
-    carried no Grid levels.
+    The digest, then the header and the sizes it implies are checked
+    before any value is used.  Returns ``(table, weights, grid_table,
+    sha256)``: ``weights`` is ``None`` when the base carried none; the
+    persisted Grid levels are restored into ``grid_table`` when given
+    (custom ETS tables do not survive JSON), into a fresh table of the
+    persisted shape otherwise, and ``grid_table`` is passed through
+    unchanged when the base carried no Grid levels; ``sha256`` is the
+    base's digest (hex), the value a journal header pins.
 
     Raises:
-        TrustJournalError: on schema/structure problems, a digest
-            mismatch, a missing or truncated segment, or a Grid table of
-            the wrong shape — naming the offending path.
+        TrustJournalError: on a missing, truncated, tampered or malformed
+            base, a ``repro.trust.store/v2`` directory, another schema, or
+            a Grid table of the wrong shape — naming the file.
     """
-    directory = Path(directory)
-    manifest = _load_manifest(directory)
-    entities = manifest["entities"]
-    contexts = [TrustContext(name) for name in manifest["contexts"]]
-    count = int(manifest["rows"])
+    path = Path(path)
+    if path.is_dir():
+        raise TrustJournalError(
+            f"trust-store base {path} is a directory, the "
+            f"repro.trust.store/v2 layout; this codec reads only "
+            f"{STORE_SCHEMA} single-file bases — refusing to restore it"
+        )
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise TrustJournalError(f"no trust-store base at {path}") from None
+    body = len(data) - _DIGEST_SIZE
+    if body < _LENGTH.size:
+        raise TrustJournalError(
+            f"trust-store base {path} is truncated ({len(data)} bytes)"
+        )
+    digest = hashlib.sha256(memoryview(data)[:body]).digest()
+    if digest != data[body:]:
+        raise TrustJournalError(
+            f"digest mismatch for trust-store base {path} (torn or "
+            "tampered); refusing to restore"
+        )
+    (length,) = _LENGTH.unpack_from(data)
+    start = _LENGTH.size + length
+    try:
+        header = json.loads(data[_LENGTH.size:start]) if start <= body else None
+    except ValueError:  # a JSON or UTF-8 decoding error
+        header = None
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != STORE_SCHEMA or not header.keys() >= set(_HEADER_KEYS):
+        raise TrustJournalError(
+            f"trust-store base {path}: expected schema {STORE_SCHEMA!r} with "
+            f"header keys {list(_HEADER_KEYS)}, got {schema!r}; refusing to "
+            "restore"
+        )
+    grid = header["grid"]
+    try:
+        count = int(header["rows"])
+        cells = 0 if grid is None else int(np.prod(grid["shape"]))
+    except (TypeError, ValueError, KeyError) as exc:
+        raise TrustJournalError(
+            f"trust-store base {path}: malformed header ({exc!r})"
+        ) from None
+    expected = start + 8 * (len(_COLUMN_DTYPES) * count + cells)
+    if expected != body:
+        raise TrustJournalError(
+            f"trust-store base {path} holds {body - start} bytes of columns "
+            f"and Grid levels, but its header describes {expected - start} "
+            f"({count} rows, Grid of {cells} cells)"
+        )
+    entities = header["entities"]
+    contexts = [TrustContext(name) for name in header["contexts"]]
     cols = [
-        _read_segment(directory, manifest["columns"][name], count).tolist()
-        for name, _ in _COLUMNS
+        np.frombuffer(data, dtype, count, start + 8 * count * i).tolist()
+        for i, dtype in enumerate(_COLUMN_DTYPES)
     ]
     table = TrustTable()
     for zi, yi, ci, value, time, txcount in zip(*cols):
@@ -386,9 +363,11 @@ def restore_trust_store(
     # verifies replayed ops against the original counter.  Persisted >=
     # replayed always holds (every surviving record cost at least one
     # bump), so max() never regresses it.
-    table._epoch = max(table._epoch, int(manifest["table_epoch"]))
-    weights_data = manifest.get("weights")
+    table._epoch = max(table._epoch, int(header["table_epoch"]))
+    weights_data = header["weights"]
     weights = None if weights_data is None else _weights_from_dict(weights_data)
-    if manifest.get("grid") is not None:
-        grid_table = _restore_grid(directory, manifest["grid"], grid_table)
-    return table, weights, grid_table
+    if grid is not None:
+        offset = start + 8 * count * len(_COLUMN_DTYPES)
+        levels = np.frombuffer(data, "<i8", cells, offset)
+        grid_table = _restore_grid(path, grid, levels, grid_table)
+    return table, weights, grid_table, digest.hex()

@@ -107,7 +107,7 @@ class TrustTable:
     """Mutable mapping ``(truster, trustee, context) -> TrustRecord``.
 
     Serves as both DTT and RTT (see module docstring).  Iteration order is
-    insertion order, which keeps replays deterministic; the base-segment
+    insertion order, which keeps replays deterministic; the base-file
     codec (:mod:`repro.core.store`) persists records in it, so a restored
     table iterates exactly like the original.
 
@@ -125,7 +125,7 @@ class TrustTable:
         self._latest: dict[tuple[EntityId, str], float] = {}
         self._epoch = 0
         # Write-ahead journal sink (see repro.core.journal); when set,
-        # every record/remove appends a delta op after applying.
+        # every record/remove appends a delta op.
         self._journal = None
 
     @property
@@ -157,6 +157,9 @@ class TrustTable:
             ConfigurationError: if ``truster`` is ``trustee``, or the record
                 is invalid (see :class:`TrustRecord`); the table is left
                 unchanged.
+            TrustJournalError: if the attached journal refuses the op (an
+                id that is not a ``str`` or ``int``); the table is left
+                unchanged.
         """
         if truster == trustee:
             raise ConfigurationError(
@@ -164,6 +167,16 @@ class TrustTable:
                 f"truster={truster!r} trustee={trustee!r}"
             )
         rec = TrustRecord(value, time, transaction_count)
+        if self._journal is not None:
+            # The op in the flat form the journal holds it in (see
+            # repro.core.journal.JournalWriter.append), held before the
+            # table changes: an op the journal refuses leaves it unchanged.
+            self._journal.append(
+                (
+                    "record", truster, trustee, context.name, rec.value,
+                    rec.last_transaction, rec.transaction_count, self._epoch + 1,
+                )
+            )
         self._records[truster, trustee, context] = rec
         key = (trustee, context.name)
         bucket = self._by_trustee.get(key)
@@ -176,15 +189,6 @@ class TrustTable:
             # A backdated overwrite may have been the newest opinion.
             self._latest[key] = max(r.last_transaction for r in bucket.values())
         self._epoch += 1
-        if self._journal is not None:
-            # The op in the flat form the journal holds it in (see
-            # repro.core.journal.JournalWriter.append).
-            self._journal.append(
-                (
-                    "record", truster, trustee, context.name, rec.value,
-                    rec.last_transaction, rec.transaction_count, self._epoch,
-                )
-            )
         return rec
 
     def remove(self, truster: EntityId, trustee: EntityId, context: TrustContext) -> None:

@@ -237,7 +237,7 @@ def resolve_trust_journal(payload: dict, **recover_kwargs: Any) -> Any:
             recovered or does not match its pinned base digest.  Every
             :class:`~repro.core.journal.TrustJournalError` — a torn
             pinned prefix, or a missing, tampered or truncated base
-            segment — surfaces here, naming the path.
+            file — surfaces here, naming the path.
     """
     from repro.core.journal import DurableTrustPlane, TrustJournalError
 

@@ -4,10 +4,12 @@ Each raises :class:`~repro.errors.ConfigurationError`, which is also a
 ``ValueError``, and names the argument and the value it was given.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.calibration import aware_multiplier, unaware_multiplier
 from repro.core.context import TrustContext
+from repro.core.ets import EtsTable, expected_trust_supplement
 from repro.core.levels import TrustLevel
 from repro.core.journal import JournalConfig
 from repro.core.recommender import RecommenderWeights
@@ -45,9 +47,20 @@ def _future_opinion() -> None:
 @pytest.mark.parametrize(
     "refused, named",
     [
-        (lambda: JournalConfig(compact_ratio=0.0), "compact_ratio .*got 0.0"),
         (lambda: JournalConfig(min_compact_bytes=-1), "min_compact_bytes .*got -1"),
-        (lambda: JournalConfig(keep_generations=-2), "keep_generations .*got -2"),
+        (lambda: TrustLevel.from_value("G"), "value must be a letter A..F, got 'G'"),
+        (lambda: TrustLevel.from_value(2.5), "value must be an integer 1..6, got 2.5"),
+        (lambda: TrustLevel.from_value(7), "value must be an integer 1..6, got 7"),
+        (lambda: expected_trust_supplement("A", "F"), "otl: .*cannot be F .*got F"),
+        (lambda: EtsTable().lookup("B", 6), "otl: .*cannot be F .*got F"),
+        (
+            lambda: EtsTable().lookup_many(np.array([0, 3]), np.array([1, 1])),
+            r"rtls: RTL values must lie in \[1, 6\], got values in \[0, 3\]",
+        ),
+        (
+            lambda: EtsTable().lookup_many(np.array([1, 2]), np.array([2, 6])),
+            r"otls: OTL values must lie in \[1, 5\], got values in \[2, 6\]",
+        ),
         (lambda: RecommenderWeights(ally_weight=1.5), "ally_weight .*got 1.5"),
         (lambda: RecommenderWeights(default_accuracy=-0.1), "default_accuracy .*got -0.1"),
         (lambda: RecommenderWeights(learning_rate=0.0), r"learning_rate .*got 0.0"),

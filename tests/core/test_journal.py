@@ -18,12 +18,14 @@ import struct
 import sys
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.journal as journal
 from repro.core.context import TrustContext
 from repro.core.journal import (
     JOURNAL_SCHEMA,
@@ -468,40 +470,40 @@ class TestLazyFraming:
         # decision from the exact size; the lazy plane decides from the
         # floor where it can.
         ops = build_workload(seed, n_ops)
-        config = JournalConfig(
-            compact_ratio=compact_ratio, min_compact_bytes=min_compact_bytes
-        )
+        config = JournalConfig(min_compact_bytes=min_compact_bytes)
         root = tmp_path_factory.mktemp("floor")
-        planes = {}
-        for name in ("lazy", "framed"):
-            table, weights, grid = fresh_state()
-            planes[name] = DurableTrustPlane.create(
-                root / name, table, weights, grid_table=grid, config=config
+        # The ratio under test is patched in for both planes' decisions.
+        with mock.patch.object(journal, "COMPACT_RATIO", compact_ratio):
+            planes = {}
+            for name in ("lazy", "framed"):
+                table, weights, grid = fresh_state()
+                planes[name] = DurableTrustPlane.create(
+                    root / name, table, weights, grid_table=grid, config=config
+                )
+            pins = {name: [] for name in planes}
+            for i, op in enumerate(ops):
+                for plane in planes.values():
+                    apply_workload_op(op, plane.table, plane.weights, plane.grid_table)
+                if (i + 1) % sync_every == 0 or i + 1 == n_ops:
+                    planes["framed"]._writer.pending_bytes
+                    for name, plane in planes.items():
+                        pin = plane.checkpoint()
+                        del pin["root"]
+                        pins[name].append(pin)
+            assert pins["lazy"] == pins["framed"]
+            recovered = []
+            for name, plane in planes.items():
+                plane.close()
+                pin = pins[name][-1]
+                rec = DurableTrustPlane.recover(
+                    root / name, generation=pin["generation"], upto=pin["offset"]
+                )
+                recovered.append(state_fingerprint(rec.table, rec.weights, rec.grid_table))
+                rec.close()
+            live = planes["lazy"]
+            assert recovered[0] == recovered[1] == state_fingerprint(
+                live.table, live.weights, live.grid_table
             )
-        pins = {name: [] for name in planes}
-        for i, op in enumerate(ops):
-            for plane in planes.values():
-                apply_workload_op(op, plane.table, plane.weights, plane.grid_table)
-            if (i + 1) % sync_every == 0 or i + 1 == n_ops:
-                planes["framed"]._writer.pending_bytes
-                for name, plane in planes.items():
-                    pin = plane.checkpoint()
-                    del pin["root"]
-                    pins[name].append(pin)
-        assert pins["lazy"] == pins["framed"]
-        recovered = []
-        for name, plane in planes.items():
-            plane.close()
-            pin = pins[name][-1]
-            rec = DurableTrustPlane.recover(
-                root / name, generation=pin["generation"], upto=pin["offset"]
-            )
-            recovered.append(state_fingerprint(rec.table, rec.weights, rec.grid_table))
-            rec.close()
-        live = planes["lazy"]
-        assert recovered[0] == recovered[1] == state_fingerprint(
-            live.table, live.weights, live.grid_table
-        )
 
 
 #: Key order of a ``record``/``set`` op's held tuple form.
@@ -567,6 +569,34 @@ class TestTupleFormAppend:
         assert w.pending_floor == floor
         w.close()
         assert [o["e"] for o in _read_journal(tmp_path / "j.wal").ops] == [1]
+
+    @pytest.mark.parametrize("form", ["tuple", "dict"])
+    @pytest.mark.parametrize("field", ["z", "y"])
+    def test_none_id_refused_before_anything_is_held(self, tmp_path, form, field):
+        w = JournalWriter.create(tmp_path / "j.wal")
+        op = {"op": "record", "z": "cd:0", "y": "rd:0", "c": "execute",
+              "v": 0.5, "t": 1.0, "n": 1, "e": 1, field: None}
+        if form == "tuple":
+            op = tuple(op[key] for key in _TUPLE_KEYS["record"])
+        with pytest.raises(TrustJournalError, match="str or int entity ids"):
+            w.append(op)
+        assert w.pending_floor == 0
+        w.close()
+
+    def test_none_id_record_leaves_table_and_journal_unchanged(self, tmp_path):
+        plane = _plane(tmp_path)
+        plane.table.record("a", "b", EXECUTE, 0.7, 1.0)
+        epoch, floor = plane.table.epoch, plane._writer.pending_floor
+        with pytest.raises(TrustJournalError, match="'z' carries None"):
+            plane.table.record(None, "y", EXECUTE, 0.5, 1.0)
+        assert plane.table.epoch == epoch
+        assert plane.table.get(None, "y", EXECUTE) is None
+        assert plane._writer.pending_floor == floor
+        plane.compact()
+        plane.close()
+        rec = DurableTrustPlane.recover(tmp_path / "plane")
+        assert list(rec.table.items()) == list(plane.table.items())
+        rec.close()
 
     @pytest.mark.parametrize(
         "op",
@@ -713,10 +743,10 @@ class TestDurableTrustPlane:
         assert ("after", "file", journal) in events
         rec.close()
 
-    def test_compaction_folds_tail_and_prunes(self, tmp_path):
+    def test_compaction_folds_tail_and_prunes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal, "KEEP_GENERATIONS", 0)
         plane = _plane(
-            tmp_path,
-            config=JournalConfig(keep_generations=0, min_compact_bytes=1 << 30),
+            tmp_path, config=JournalConfig(min_compact_bytes=1 << 30)
         )
         for i in range(6):
             plane.table.record("a", f"b{i}", EXECUTE, 0.5, float(i + 1))
@@ -738,7 +768,7 @@ class TestDurableTrustPlane:
 
     @pytest.mark.parametrize("decided_by", ["floor", "framed size"])
     def test_compacting_checkpoint_frames_only_a_tail_under_the_floor(
-        self, tmp_path, decided_by
+        self, tmp_path, monkeypatch, decided_by
     ):
         op_args = ("a", "b", EXECUTE, 0.7, 1.0)
         op = {"op": "record", "z": "a", "y": "b", "c": "execute",
@@ -754,9 +784,9 @@ class TestDurableTrustPlane:
         # unframed and the superseded journal keeps only what was synced;
         # under it, the tail is synced and its framed size decides.
         threshold = header + (floor - 1 if decided_by == "floor" else floor)
+        monkeypatch.setattr(journal, "COMPACT_RATIO", 1e-9)
         plane = _plane(
-            tmp_path,
-            config=JournalConfig(compact_ratio=1e-9, min_compact_bytes=threshold),
+            tmp_path, config=JournalConfig(min_compact_bytes=threshold)
         )
         plane.table.record(*op_args)
         pin = plane.checkpoint()
@@ -766,14 +796,42 @@ class TestDurableTrustPlane:
         assert written == (header if decided_by == "floor" else header + framed)
         plane.close()
 
-    def test_auto_compaction_on_checkpoint(self, tmp_path):
-        plane = _plane(
-            tmp_path,
-            config=JournalConfig(compact_ratio=1e-9, min_compact_bytes=1),
-        )
+    def test_auto_compaction_on_checkpoint(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(journal, "COMPACT_RATIO", 1e-9)
+        plane = _plane(tmp_path, config=JournalConfig(min_compact_bytes=1))
         plane.table.record("a", "b", EXECUTE, 0.5, 1.0)
         plane.checkpoint()
         assert plane.generation >= 1
+        plane.close()
+
+    def test_compaction_fsync_budget(self, tmp_path):
+        # One compaction: the base file, the journal header, the root
+        # (both new names), then the CURRENT swap's file and root.  Each
+        # boundary is a kill point of the crash harness.
+        plane = _plane(tmp_path, config=JournalConfig(min_compact_bytes=1 << 30))
+        for i in range(4):
+            plane.table.record("a", f"b{i}", EXECUTE, 0.5, float(i + 1))
+        plane.checkpoint()
+        events = []
+        set_sync_hook(lambda phase, kind, path: events.append((phase, kind, path.name)))
+        try:
+            plane.compact()
+        finally:
+            set_sync_hook(None)
+        fsyncs = [(kind, name) for phase, kind, name in events if phase == "before"]
+        assert fsyncs == [
+            ("file", "base-1.tmp"),
+            ("file", "journal-1.wal"),
+            ("dir", "plane"),
+            ("file", "CURRENT.tmp"),
+            ("dir", "plane"),
+        ]
+        assert len(events) == 2 * len(fsyncs)
+        root = tmp_path / "plane"
+        assert sorted(p.name for p in root.iterdir()) == [
+            "CURRENT", "base-0", "base-1", "journal-0.wal", "journal-1.wal",
+        ]
+        assert plane._base_bytes == (root / "base-1").stat().st_size
         plane.close()
 
     def test_recover_pinned_generation_rolls_back(self, tmp_path):

@@ -1,12 +1,13 @@
-"""Base-snapshot format of the durable trust plane: round-trip and refusal.
+"""Base-file format of the durable trust plane: round-trip and refusal.
 
 A trust plane persisted by :meth:`DurableTrustPlane.create` (a generation
 with an empty journal tail) and restored by
 :meth:`DurableTrustPlane.recover` must come back with a Γ surface that is
 *bit-identical* to the one it persisted — without replaying transaction
 history — and recovery must refuse, with a :class:`TrustJournalError`
-naming the offending file, a base whose segments (Grid levels included)
-or manifest no longer match their pinned digests.  The hypothesis
+naming the base file, a base whose header, columns or Grid levels no
+longer match its digest, whose sizes disagree with its header, or that is
+an older (``repro.trust.store/v2``) directory.  The hypothesis
 property drives random worlds and post-restore mutation orders through
 the full create → recover → mutate → evaluate → recover cycle.
 """
@@ -85,9 +86,48 @@ def _grid():
 
 
 def _persist(root, table, weights=None, grid_table=None):
-    """Persist a plane as one generation with an empty journal tail."""
+    """Persist a plane as one generation with an empty journal tail;
+    return its base file."""
     DurableTrustPlane.create(root, table, weights, grid_table=grid_table).close()
-    return root / "base-0" / "manifest.json"
+    return root / "base-0"
+
+
+_COLUMN_NAMES = ("truster", "trustee", "context", "value", "time", "txcount")
+
+
+def _layout(base):
+    """The header of a base file and the byte offset of each region:
+    every column, ``"grid"`` (the Grid levels) and ``"digest"``."""
+    data = base.read_bytes()
+    (length,) = struct.unpack_from("<I", data)
+    header = json.loads(data[4:4 + length])
+    start = 4 + length
+    regions = {
+        name: start + 8 * header["rows"] * i for i, name in enumerate(_COLUMN_NAMES)
+    }
+    regions["grid"] = start + 8 * header["rows"] * len(_COLUMN_NAMES)
+    regions["digest"] = len(data) - 32
+    return header, regions
+
+
+def _flip(path, pos, mask=0x01):
+    data = bytearray(path.read_bytes())
+    data[pos] ^= mask
+    path.write_bytes(bytes(data))
+
+
+def _reseal(base, **fields):
+    """Rewrite a base's header fields and re-sign it with a valid digest
+    (a self-consistent file the writer never produced); return the new
+    digest."""
+    data = base.read_bytes()
+    (length,) = struct.unpack_from("<I", data)
+    header = {**json.loads(data[4:4 + length]), **fields}
+    text = json.dumps(header, separators=(",", ":")).encode()
+    text += b" " * (-(4 + len(text)) % 8)
+    body = struct.pack("<I", len(text)) + text + data[4 + length:-32]
+    base.write_bytes(body + hashlib.sha256(body).digest())
+    return hashlib.sha256(body).hexdigest()
 
 
 def _rewrite_journal_header(root, crc=zlib.crc32, **fields):
@@ -108,21 +148,15 @@ def _crc32c(data):
     return crc ^ 0xFFFFFFFF
 
 
-def _tamper_grid_levels(manifest, where):
-    """Flip one byte of the Grid-levels segment or of its manifest entry;
-    return the file that was changed."""
-    entry = json.loads(manifest.read_text())["grid"]
+def _tamper_grid_levels(base, where):
+    """Flip one bit of the Grid levels or of their header entry; return
+    the file that was changed."""
     if where == "segment":
-        target = manifest.parent / entry["file"]
-        data = bytearray(target.read_bytes())
-        data[0] ^= 0x01
+        _flip(base, _layout(base)[1]["grid"])
     else:
-        target = manifest
-        data = bytearray(target.read_bytes())
-        i = data.index(entry["sha256"].encode())
-        data[i] = ord("0") if data[i] != ord("0") else ord("1")
-    target.write_bytes(bytes(data))
-    return target
+        data = base.read_bytes()
+        _flip(base, data.index(b'"cd_epochs"') + 2)
+    return base
 
 
 def _recover(root, **kwargs):
@@ -239,14 +273,11 @@ class TestRefusal:
         )
 
     def test_corrupted_segment_is_refused(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        segment = manifest.parent / "value.bin"
-        data = bytearray(segment.read_bytes())
-        data[0] ^= 0xFF
-        segment.write_bytes(bytes(data))
+        base = self._snapshot(tmp_path)
+        _flip(base, _layout(base)[1]["value"], 0xFF)
         with pytest.raises(TrustJournalError, match="digest"):
             DurableTrustPlane.recover(tmp_path)
-        assert manifest.is_file()
+        assert base.is_file()
 
     @pytest.mark.parametrize("where", ["segment", "manifest entry"])
     def test_tampered_grid_levels_are_refused(self, tmp_path, where):
@@ -255,28 +286,24 @@ class TestRefusal:
             DurableTrustPlane.recover(tmp_path)
 
     def test_truncated_segment_is_refused(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        segment = manifest.parent / "time.bin"
-        segment.write_bytes(segment.read_bytes()[:-8])
+        base = self._snapshot(tmp_path)
+        base.write_bytes(base.read_bytes()[:-8])
         with pytest.raises(TrustJournalError):
             DurableTrustPlane.recover(tmp_path)
 
     def test_corrupted_manifest_is_refused(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        manifest.write_text(manifest.read_text()[:-40])
+        # The JSON header took the place of the v2 manifest.
+        base = self._snapshot(tmp_path)
+        _flip(base, 8)
         with pytest.raises(TrustJournalError):
             DurableTrustPlane.recover(tmp_path)
 
     def test_wrong_schema_tag_is_refused(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        payload = json.loads(manifest.read_text())
-        payload["schema"] = "repro.trust.store/v0"
-        manifest.write_text(json.dumps(payload))
-        # Re-pin the journal to the edited manifest so the schema check,
+        base = self._snapshot(tmp_path)
+        digest = _reseal(base, schema="repro.trust.store/v0")
+        # Re-pin the journal to the re-signed base so the schema check,
         # not the pin check, is what refuses it.
-        _rewrite_journal_header(
-            tmp_path, base=hashlib.sha256(manifest.read_bytes()).hexdigest()
-        )
+        _rewrite_journal_header(tmp_path, base=digest)
         with pytest.raises(TrustJournalError, match="got 'repro.trust.store/v0'"):
             DurableTrustPlane.recover(tmp_path)
 
@@ -301,6 +328,25 @@ class TestRefusal:
             assert repr(schema) in message and repr(JOURNAL_SCHEMA) in message
             assert journal.read_bytes() == before
 
+    def test_v2_base_directory_is_refused_before_the_journal_is_read(self, tmp_path):
+        # A repro.trust.store/v2 plane: base-0/ is a directory of segments
+        # under a manifest.json.  Its journal carries a torn tail, which a
+        # read would truncate; the refusal must come first.
+        base = self._snapshot(tmp_path)
+        base.unlink()
+        base.mkdir()
+        (base / "manifest.json").write_text('{"schema": "repro.trust.store/v2"}')
+        journal = tmp_path / "journal-0.wal"
+        journal.write_bytes(journal.read_bytes() + b"\x01\x02\x03")
+        before = journal.read_bytes()
+        for restore, target in (
+            (DurableTrustPlane.recover, tmp_path), (restore_trust_store, base)
+        ):
+            with pytest.raises(TrustJournalError, match="repro.trust.store/v2") as err:
+                restore(target)
+            assert str(base) in str(err.value)
+        assert journal.read_bytes() == before
+
     def test_missing_manifest_is_refused(self, tmp_path):
         self._snapshot(tmp_path).unlink()
         with pytest.raises(TrustJournalError):
@@ -313,38 +359,62 @@ class TestRefusal:
             DurableTrustPlane.create(tmp_path, table)
 
 
+def _damage(base, where):
+    """Truncate a base, or flip one bit of its header, a column or its
+    Grid levels."""
+    if where == "truncated":
+        base.write_bytes(base.read_bytes()[:-1])
+    else:
+        _, regions = _layout(base)
+        pos = {"header": 8, "column": regions["time"] + 3, "grid": regions["grid"]}
+        _flip(base, pos[where])
+
+
+@pytest.mark.parametrize("where", ["truncated", "header", "column", "grid"])
+@pytest.mark.parametrize("via", ["recover", "restore_trust_store"])
+def test_damaged_base_is_refused_naming_the_file(tmp_path, where, via):
+    engine, _ = _build_world()
+    base = _persist(tmp_path, engine.table, engine.reputation.weights, _grid())
+    _damage(base, where)
+    with pytest.raises(TrustJournalError, match=re.escape(str(base))):
+        if via == "recover":
+            DurableTrustPlane.recover(tmp_path)
+        else:
+            restore_trust_store(base)
+
+
 class TestManifest:
+    """The header of the one base file (it took the v2 manifest's place)."""
+
     def test_manifest_shape(self, tmp_path):
         engine, entities = _build_world()
         grid = _grid()
-        path = snapshot_trust_store(
-            tmp_path, engine.table, engine.reputation.weights, grid_table=grid
+        path = tmp_path / "base"
+        digest = snapshot_trust_store(
+            path, engine.table, engine.reputation.weights, grid_table=grid
         )
-        manifest = json.loads(path.read_text())
-        assert manifest["schema"] == STORE_SCHEMA == "repro.trust.store/v2"
-        assert manifest["rows"] == len(engine.table)
-        assert set(manifest["columns"]) == {
-            "truster", "trustee", "context", "value", "time", "txcount",
-        }
-        assert manifest["grid"]["shape"] == [2, 3, 2]
-        assert manifest["grid"]["epoch"] == grid.epoch
-        assert manifest["grid"]["dtype"] == "<i8"
-        segments = [*manifest["columns"].values(), manifest["grid"]]
-        for meta in segments:
-            assert (tmp_path / meta["file"]).is_file()
-            assert len(meta["sha256"]) == 64
-        # One manifest plus one segment per column and one of Grid levels.
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["manifest.json", *(meta["file"] for meta in segments)]
-        )
-        assert path.name == "manifest.json"
+        header, regions = _layout(path)
+        assert header["schema"] == STORE_SCHEMA == "repro.trust.store/v3"
+        assert header["rows"] == len(engine.table)
+        assert header["grid"]["shape"] == [2, 3, 2]
+        assert header["grid"]["epoch"] == grid.epoch
+        assert header["weights"]["epoch"] == engine.reputation.weights._epoch
+        # The columns start 8-aligned, the Grid levels follow them, and
+        # one SHA-256 over every byte before it closes the file.
+        assert regions["truster"] % 8 == 0
+        assert regions["digest"] == regions["grid"] + 8 * 2 * 3 * 2
+        data = path.read_bytes()
+        assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+        assert digest == data[-32:].hex()
+        # One file, no sibling left behind.
+        assert [p.name for p in tmp_path.iterdir()] == ["base"]
 
     def test_snapshot_is_deterministic(self, tmp_path):
         engine, _ = _build_world()
         a, b = tmp_path / "a", tmp_path / "b"
         snapshot_trust_store(a, engine.table, engine.reputation.weights)
         snapshot_trust_store(b, engine.table, engine.reputation.weights)
-        assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestRefusalNamesOffendingPath:
@@ -358,27 +428,27 @@ class TestRefusalNamesOffendingPath:
         )
 
     def test_truncated_manifest_names_manifest(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        manifest.write_text(manifest.read_text()[:-40])
-        with pytest.raises(TrustJournalError, match=re.escape(str(manifest))):
+        base = self._snapshot(tmp_path)
+        base.write_bytes(base.read_bytes()[:10])
+        with pytest.raises(TrustJournalError, match=re.escape(str(base))):
             DurableTrustPlane.recover(tmp_path)
 
     def test_missing_segment_names_segment(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        segment = manifest.parent / "value.bin"
-        segment.unlink()
-        with pytest.raises(TrustJournalError, match=re.escape(str(segment))):
+        # A self-consistent file whose header claims a row its columns do
+        # not hold: the size check, not the digest, refuses it.
+        base = self._snapshot(tmp_path)
+        header, _ = _layout(base)
+        _rewrite_journal_header(tmp_path, base=_reseal(base, rows=header["rows"] + 1))
+        with pytest.raises(TrustJournalError, match="describes") as exc_info:
             DurableTrustPlane.recover(tmp_path)
+        assert str(base) in str(exc_info.value)
 
     def test_digest_mismatch_names_segment(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        segment = manifest.parent / "txcount.bin"
-        data = bytearray(segment.read_bytes())
-        data[-1] ^= 0x01
-        segment.write_bytes(bytes(data))
+        base = self._snapshot(tmp_path)
+        _flip(base, _layout(base)[1]["grid"] - 1)  # last txcount byte
         with pytest.raises(TrustJournalError) as exc_info:
             DurableTrustPlane.recover(tmp_path)
-        assert str(segment) in str(exc_info.value)
+        assert str(base) in str(exc_info.value)
         assert "digest" in str(exc_info.value)
 
     @pytest.mark.parametrize("where", ["segment", "manifest entry"])
@@ -388,21 +458,20 @@ class TestRefusalNamesOffendingPath:
             DurableTrustPlane.recover(tmp_path)
 
     def test_truncated_segment_names_segment(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        segment = manifest.parent / "time.bin"
-        segment.write_bytes(segment.read_bytes()[:-8])
-        with pytest.raises(TrustJournalError, match=re.escape(str(segment))):
+        base = self._snapshot(tmp_path)
+        base.write_bytes(base.read_bytes()[:-8])
+        with pytest.raises(TrustJournalError, match=re.escape(str(base))):
             DurableTrustPlane.recover(tmp_path)
 
     def test_missing_manifest_names_manifest(self, tmp_path):
-        manifest = self._snapshot(tmp_path)
-        manifest.unlink()
-        with pytest.raises(TrustJournalError, match=re.escape(str(manifest))):
+        base = self._snapshot(tmp_path)
+        base.unlink()
+        with pytest.raises(TrustJournalError, match=re.escape(str(base))):
             DurableTrustPlane.recover(tmp_path)
 
 
 class TestAtomicSnapshot:
-    """Snapshots land via temp-sibling + fsync + atomic rename: an
+    """Snapshots land via temp sibling + fsync + atomic rename: an
     interrupted re-snapshot never destroys the previous good one."""
 
     def test_no_tmp_or_old_residue(self, tmp_path):
@@ -419,7 +488,7 @@ class TestAtomicSnapshot:
         engine, entities = _build_world()
         target = tmp_path / "store"
         snapshot_trust_store(target, engine.table, engine.reputation.weights)
-        before = (target / "manifest.json").read_bytes()
+        before = target.read_bytes()
         engine.table.record(entities[0], entities[1], CONTEXTS[0], 0.9, 99.0)
 
         class Boom(BaseException):
@@ -441,35 +510,16 @@ class TestAtomicSnapshot:
                 )
         finally:
             set_sync_hook(None)
-        # The first fsync died before any rename: the old snapshot is
+        # The first fsync died before the rename: the old snapshot is
         # untouched and still restores.
-        assert (target / "manifest.json").read_bytes() == before
+        assert target.read_bytes() == before
         restore_trust_store(target)
 
     def test_leftover_tmp_from_crash_is_cleaned(self, tmp_path):
         engine, _ = _build_world()
         target = tmp_path / "store"
         stale = tmp_path / "store.tmp"
-        stale.mkdir()
-        (stale / "junk.bin").write_bytes(b"\x00" * 16)
+        stale.write_bytes(b"\x00" * 16)
         snapshot_trust_store(target, engine.table, engine.reputation.weights)
         assert not stale.exists()
         restore_trust_store(target)
-
-    def test_recover_falls_back_to_parked_base(self, tmp_path):
-        """A kill between the two renames of a re-snapshot leaves the
-        previous base parked as ``base-<N>.old``; recovery restores it and
-        replays its journal instead of refusing."""
-        engine, entities = _build_world()
-        plane = DurableTrustPlane.create(
-            tmp_path, engine.table, engine.reputation.weights
-        )
-        engine.table.record(entities[0], entities[1], CONTEXTS[0], 0.9, 99.0)
-        plane.checkpoint()
-        plane.close()
-        before = _surface(engine, entities)
-        (tmp_path / "base-0").rename(tmp_path / "base-0.old")
-        restored = _recover(tmp_path)
-        assert restored.recovered_ops == 1
-        engine2 = _engine(restored.table, restored.weights)
-        assert np.array_equal(_surface(engine2, entities), before)

@@ -718,7 +718,7 @@ class TestTrustJournalSidecar:
         from repro.service.checkpoint import attach_trust_journal
 
         plane = self._plane(tmp_path)
-        plane.compact()  # fold the records into a base with segments
+        plane.compact()  # fold the records into a base with columns
         payload = kill(medium_scenario, 1)
         attach_trust_journal(payload, plane)
         plane.close()
@@ -729,39 +729,38 @@ class TestTrustJournalSidecar:
         from repro.service.checkpoint import resolve_trust_journal
 
         payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
-        segment = base / "value.bin"
-        data = bytearray(segment.read_bytes())
-        data[0] ^= 0xFF
-        segment.write_bytes(bytes(data))
+        data = bytearray(base.read_bytes())
+        data[-40] ^= 0xFF  # the last txcount, just before the digest
+        base.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="digest") as exc:
             resolve_trust_journal(payload)
-        assert str(segment) in str(exc.value)
+        assert str(base) in str(exc.value)
 
     def test_truncated_base_segment_is_refused(self, tmp_path, medium_scenario):
         from repro.service.checkpoint import resolve_trust_journal
 
         payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
-        segment = base / "time.bin"
-        segment.write_bytes(segment.read_bytes()[:-8])
-        with pytest.raises(CheckpointError, match=re.escape(str(segment))):
+        base.write_bytes(base.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match=re.escape(str(base))):
             resolve_trust_journal(payload)
 
     def test_tampered_base_manifest_is_refused(self, tmp_path, medium_scenario):
+        # The base's JSON header took the place of the v2 manifest.
         from repro.service.checkpoint import resolve_trust_journal
 
         payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
-        manifest = base / "manifest.json"
-        manifest.write_text(manifest.read_text() + "\n")
-        with pytest.raises(CheckpointError, match=re.escape(str(manifest))):
+        data = bytearray(base.read_bytes())
+        data[data.index(b'"table_epoch"') + 1] ^= 0x01
+        base.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=re.escape(str(base))):
             resolve_trust_journal(payload)
 
     def test_missing_base_manifest_is_refused(self, tmp_path, medium_scenario):
         from repro.service.checkpoint import resolve_trust_journal
 
         payload, base = self._pinned_then_closed(tmp_path, medium_scenario)
-        manifest = base / "manifest.json"
-        manifest.unlink()
-        with pytest.raises(CheckpointError, match=re.escape(str(manifest))):
+        base.unlink()
+        with pytest.raises(CheckpointError, match=re.escape(str(base))):
             resolve_trust_journal(payload)
 
     def test_malformed_sidecar_is_rejected(self, medium_scenario):

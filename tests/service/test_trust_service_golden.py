@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.journal import DurableTrustPlane, JournalConfig
+from repro.core.journal import KEEP_GENERATIONS, DurableTrustPlane, JournalConfig
 from repro.experiments.config import PAPER_BATCH_INTERVAL, paper_policies
 from repro.grid.agents import AgentFleet
 from repro.grid.behavior import BehaviorModel, StationaryBehavior
@@ -38,14 +38,19 @@ SEED = 5
 #: Captured before the trust-feedback path was reworked for speed.
 GOLDEN = {
     "schedule": "7b31b4fb6c1b125d1b15090cb649430ea51f0a66d74be7c5ac7681c1eee95562",
-    # Re-pinned when a compacting checkpoint stopped writing the tail it
-    # folds: the superseded generation kept by ``keep_generations=1`` now
-    # ends at the offset the previous checkpoint pinned, and the earlier
-    # plane directory with that journal cut there hashes to this value.
-    "plane": "2e425e2004d4708e6d927d3c416074a3a6646cf3e708ba7e41fc618e303c1e20",
+    # Re-pinned when each base became one file (``repro.trust.store/v3``):
+    # the base files' bytes and the ``base_sha256`` each journal header
+    # and checkpoint names changed, nothing else.  The checkpoint payloads
+    # with ``base_sha256`` removed (``checkpoints_without_base``) hash the
+    # same before and after, so every generation and offset, (0, 7918),
+    # (1, 131) … (4, 131), held.
+    "plane": "d21f9108f0155b5844cd58d841e4df20daa36f8ac158d39a4f5cbd9fad3612da",
     "grid_levels": "896e6f5a31085d7e1f91e69c8f34f080a8a118ef37529ee5232d553476ae8ed4",
     "internal_items": "074cf5b68197a88add081f0198adeb702e2ab8daa907cab74e5325095eb78624",
-    "checkpoints": "efeee016d34a71cf3fb82d5c853601932c6a7d94bf06652d377bcfde25a41e50",
+    "checkpoints": "6aa895d311b12ac45ee6210f1dcef7c2361302cf299a15fc77522e21705164e1",
+    "checkpoints_without_base": (
+        "049bb5e94f9b0e385cd12f49f9e4c5f68837fef4e3c44cfb9fed26dfa8f5a9de"
+    ),
 }
 
 
@@ -154,10 +159,21 @@ def _digests(run: dict, root: Path) -> dict[str, str]:
         (z, y, c.name, rec.value.hex(), rec.last_transaction.hex(), rec.transaction_count)
         for (z, y, c), rec in run["fleet"].internal_table.items()
     ]
-    payloads = json.dumps(
+    kept = [
+        {key: value for key, value in payload.items() if key != "feedback"}
+        for payload in result.checkpoint_payloads
+    ]
+    payloads = json.dumps(kept, sort_keys=True)
+    without_base = json.dumps(
         [
-            {key: value for key, value in payload.items() if key != "feedback"}
-            for payload in result.checkpoint_payloads
+            {
+                **payload,
+                "trust_journal": {
+                    key: value for key, value in payload["trust_journal"].items()
+                    if key != "base_sha256"
+                },
+            }
+            for payload in kept
         ],
         sort_keys=True,
     )
@@ -167,6 +183,9 @@ def _digests(run: dict, root: Path) -> dict[str, str]:
         "grid_levels": _sha(np.ascontiguousarray(run["grid"].trust_table.levels).tobytes()),
         "internal_items": _sha(repr(items).encode()),
         "checkpoints": _sha(payloads.replace(str(root), "<root>").encode()),
+        "checkpoints_without_base": _sha(
+            without_base.replace(str(root), "<root>").encode()
+        ),
     }
 
 
@@ -205,7 +224,7 @@ def _assert_superseded_journals_end_at_pins(run: dict) -> None:
         path for path in plane.root.glob("journal-*.wal")
         if path != plane.journal_path
     ]
-    assert len(superseded) == JOURNAL.keep_generations
+    assert len(superseded) == KEEP_GENERATIONS
     for path in superseded:
         generation = int(path.stem.removeprefix("journal-"))
         assert (generation, path.stat().st_size) in pinned, path.name

@@ -144,8 +144,6 @@ _OUTAGE = "the trust-outage model, which the kill/restore tests cross with outag
 #: Defaulted option fields kept although no caller outside the tests sets
 #: them.
 UNSET_FIELDS_ALLOWED = {
-    "JournalConfig.compact_ratio": "the journal's durability policy (safety code)",
-    "JournalConfig.keep_generations": "the journal's durability policy (safety code)",
     **{
         f"TrustSourceFault.{name}": _OUTAGE
         for name in (

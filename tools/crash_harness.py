@@ -4,13 +4,14 @@
 Drives a deterministic mixed workload (record / remove / observe /
 declare / dissolve / grid set) through a
 :class:`~repro.core.journal.DurableTrustPlane`, then re-runs it in a
-subprocess that ``os._exit``-s at the *k*-th fsync boundary — the hook
-installed via :func:`repro.core.journal.set_sync_hook` fires before and
-after every ``fsync`` in the durability path (journal syncs, snapshot
-segment/manifest syncs, directory syncs, CURRENT swaps), so sweeping
-``k`` over every boundary kills the writer at every point the tentpole
-contract covers.  After each kill the parent recovers the plane and
-asserts **recovery equivalence**:
+forked child process that ``os._exit``-s at the *k*-th fsync boundary —
+the hook installed via :func:`repro.core.journal.set_sync_hook` fires
+before and after every ``fsync`` in the durability path (journal syncs,
+and per compaction the five of a new generation: the base file, the new
+journal's header, the root directory, then the ``CURRENT`` file and the
+root again), so sweeping ``k`` over every boundary kills the writer at
+every point the durability contract covers.  After each kill the parent
+recovers the plane and asserts **recovery equivalence**:
 
 * the recovered state is *identical* — trust records, epoch counters,
   learned accuracies, alliances, grid levels, and a bit-identical Γ
@@ -43,10 +44,17 @@ import json
 import os
 import random
 import shutil
-import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
+
+if __name__ == "__main__":
+    # The kill-point children are forked, which is safe only in a process
+    # without threads: run as a script, the harness pins BLAS thread pools
+    # to the calling thread before numpy is first imported.
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -294,19 +302,6 @@ def run_child(
     return events
 
 
-def child_main() -> None:
-    spec = json.loads(os.environ["CRASH_HARNESS_SPEC"])
-    ops = build_workload(spec["seed"], spec["n_ops"])
-    events = run_child(
-        Path(spec["root"]),
-        ops,
-        spec["sync_every"],
-        spec["compact_at"],
-        spec["crash_at"],
-    )
-    print(json.dumps({"events": events}))
-
-
 # -- parent-side verification ----------------------------------------------
 
 def read_acks(workdir: Path) -> list[dict]:
@@ -384,25 +379,35 @@ def verify_root(
 
 
 def spawn_child(
-    workdir: Path, spec: dict, crash_at: int
+    workdir: Path, spec: dict, ops: list[tuple], crash_at: int
 ) -> tuple[int, str]:
-    root = workdir / "plane"
+    """Run the workload under ``workdir`` in a forked child; returns its
+    exit status and what it reported (the boundary count of a clean run,
+    or the traceback of a failed one)."""
     if workdir.exists():
         shutil.rmtree(workdir)
     workdir.mkdir(parents=True)
-    env = dict(os.environ)
-    env["CRASH_HARNESS_SPEC"] = json.dumps(
-        {**spec, "root": str(root), "crash_at": crash_at}
-    )
-    env["CRASH_HARNESS_CHILD"] = "1"
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve())],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: it reports through the pipe, then _exit-s
+        os.close(read_fd)
+        code = 1
+        try:
+            events = run_child(
+                workdir / "plane", ops, spec["sync_every"], spec["compact_at"],
+                crash_at,
+            )
+            os.write(write_fd, str(events).encode())
+            code = 0
+        except Exception:
+            os.write(write_fd, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        out = pipe.read().decode()
+    _, status = os.waitpid(pid, 0)
+    return os.waitstatus_to_exitcode(status), out
 
 
 def kill_point_sweep(
@@ -416,17 +421,17 @@ def kill_point_sweep(
     # Clean run first: counts the boundary events, maps generations to
     # their bases and feeds the torn sweep.
     clean_dir = base / "clean"
-    code, out = spawn_child(clean_dir, spec, crash_at=-1)
+    code, out = spawn_child(clean_dir, spec, ops, crash_at=-1)
     if code != 0:
         raise AssertionError(f"clean run failed with exit {code}: {out}")
-    total_events = json.loads(out.splitlines()[-1])["events"]
+    total_events = int(out)
     acks = read_acks(clean_dir)
     bases = generation_bases(acks)
     verify_root(clean_dir / "plane", ops, bases, "clean run")
     swept = 0
     for k in range(0, total_events, stride):
         workdir = base / "kill"
-        code, out = spawn_child(workdir, spec, crash_at=k)
+        code, out = spawn_child(workdir, spec, ops, crash_at=k)
         if code != CHILD_EXIT_CRASHED:
             raise AssertionError(
                 f"kill point {k}: child exited {code} instead of crashing "
@@ -501,13 +506,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI bound: fewer ops, strided kill points",
+        help="CI bound: fewer ops (every kill point is still swept)",
     )
     args = parser.parse_args(argv)
     if args.quick:
         args.ops = min(args.ops, 36)
-        args.stride = max(args.stride, 3)
-        args.torn_stride = max(args.torn_stride, 13)
     compact_at = (
         args.compact_at
         if args.compact_at is not None
@@ -541,7 +544,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    if os.environ.get("CRASH_HARNESS_CHILD") == "1":
-        child_main()
-    else:
-        sys.exit(main())
+    sys.exit(main())
