@@ -182,11 +182,15 @@ class TrustTable:
         bucket = self._by_trustee.get(key)
         if bucket is None:
             bucket = self._by_trustee[key] = {}
+        replaced = bucket.get(truster)
         bucket[truster] = rec
-        if time >= self._latest.get(key, _NEVER):
+        latest = self._latest.get(key, _NEVER)
+        if time >= latest:
             self._latest[key] = time
-        else:
-            # A backdated overwrite may have been the newest opinion.
+        elif replaced is not None and replaced.last_transaction == latest:
+            # A backdated overwrite of the newest opinion: the newest time
+            # may have left the bucket.  Any other backdated write leaves
+            # it where it was.
             self._latest[key] = max(r.last_transaction for r in bucket.values())
         self._epoch += 1
         return rec

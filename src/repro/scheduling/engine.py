@@ -47,7 +47,7 @@ from repro.faults.records import FailureEvent, FailureKind
 from repro.grid.machine import MachineState
 from repro.grid.request import Request
 from repro.scheduling.result import CompletionRecord, ScheduleResult
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 from repro.state import INDEX, Obj
 
@@ -347,13 +347,14 @@ class SchedulingEngine:
             sched.metrics.counter("sched.completions").add(booked)
 
     def _on_failed_attempt(
-        self, event: Event, failure: FailureEvent, request: Request
+        self, time: float, held: tuple[FailureEvent, Request]
     ) -> None:
+        failure, request = held
         sched = self.scheduler
         assert sched.retry is not None
         self.inflight_failures.pop(request.index, None)
         sched.tracer.emit(
-            event.time,
+            time,
             "failure",
             request=failure.request_index,
             machine=failure.machine_index,
@@ -368,7 +369,7 @@ class SchedulingEngine:
             if sched.metrics.enabled:
                 sched.metrics.counter("sched.drops").add()
             sched.tracer.emit(
-                event.time, "drop", request=request.index,
+                time, "drop", request=request.index,
                 attempts=failure.attempt,
             )
             return
@@ -376,14 +377,14 @@ class SchedulingEngine:
         # mapping, and the failed machine is excluded (best effort —
         # relaxed if nothing finite would remain).
         if sched.trust_source is not None:
-            sched.trust_source.advance(event.time)
+            sched.trust_source.advance(time)
         sched.costs.invalidate_trust_cache(request.index)
         sched.costs.exclude(request.index, failure.machine_index)
         if not np.isfinite(sched.costs.mapping_ecc_row(request)).any():
             sched.costs.clear_exclusions(request.index)
         self.schedule_retry(
             request,
-            event.time + sched.retry.delay_for(failure.attempt),
+            time + sched.retry.delay_for(failure.attempt),
             failure.attempt,
         )
 
@@ -391,10 +392,11 @@ class SchedulingEngine:
         """Schedule the retry re-dispatch of ``request`` at ``due``."""
         self.inflight_retries[request.index] = (due, attempt)
         self.sim.schedule(
-            due,
-            lambda ev, r=request: self.submit(r, ev.time, retry=True),
-            priority=EventPriority.ARRIVAL,
+            due, self._on_retry_due, priority=EventPriority.ARRIVAL, payload=request
         )
+
+    def _on_retry_due(self, time: float, request: Request) -> None:
+        self.submit(request, time, retry=True)
 
     def rearm_completion(self, record: CompletionRecord) -> None:
         """Schedule the ``on_complete`` notification of a booked record.
@@ -403,13 +405,16 @@ class SchedulingEngine:
         every record still running at the checkpoint clock, so the hook
         (and the trust evolution it drives) sees every transaction once.
         """
-        sched = self.scheduler
-        if sched.on_complete is not None:
+        if self.scheduler.on_complete is not None:
             self.sim.schedule(
                 record.completion_time,
-                lambda ev, rec=record: sched.on_complete(rec),
+                self._on_completion,
                 priority=EventPriority.COMPLETION,
+                payload=record,
             )
+
+    def _on_completion(self, _time: float, record: CompletionRecord) -> None:
+        self.scheduler.on_complete(record)  # type: ignore[misc]
 
     def rearm_failure(self, failure: FailureEvent, request: Request) -> None:
         """Schedule the FAILURE event of a failed attempt.
@@ -423,8 +428,9 @@ class SchedulingEngine:
         self.inflight_failures[request.index] = failure
         self.sim.schedule(
             failure.failure_time,
-            lambda ev, f=failure, r=request: self._on_failed_attempt(ev, f, r),
+            self._on_failed_attempt,
             priority=EventPriority.FAILURE,
+            payload=(failure, request),
         )
 
     # -- ingestion -----------------------------------------------------------
@@ -532,28 +538,31 @@ class SchedulingEngine:
         down_start, repair_end = timeline.first_down_at_or_after(after)
         self.sim.schedule(
             down_start,
-            lambda ev, m=machine, r=repair_end: self._on_machine_down(ev, m, r),
+            self._on_machine_down,
             priority=EventPriority.MACHINE,
+            payload=(machine, repair_end),
         )
 
     def _more_work(self) -> bool:
         return self._total is None or self.settled < self._total
 
-    def _on_machine_down(self, event: Event, machine: int, repair_end: float) -> None:
+    def _on_machine_down(self, time: float, held: tuple[int, float]) -> None:
+        machine, repair_end = held
         self.scheduler.tracer.emit(
-            event.time, "machine-down", machine=machine, until=repair_end
+            time, "machine-down", machine=machine, until=repair_end
         )
         if self._more_work():
             self.sim.schedule(
                 repair_end,
-                lambda ev, m=machine: self._on_machine_up(ev, m),
+                self._on_machine_up,
                 priority=EventPriority.MACHINE,
+                payload=machine,
             )
 
-    def _on_machine_up(self, event: Event, machine: int) -> None:
-        self.scheduler.tracer.emit(event.time, "machine-up", machine=machine)
+    def _on_machine_up(self, time: float, machine: int) -> None:
+        self.scheduler.tracer.emit(time, "machine-up", machine=machine)
         if self._more_work():
-            self._schedule_next_down(machine, after=event.time)
+            self._schedule_next_down(machine, after=time)
 
     # -- checkpoint ----------------------------------------------------------
 
@@ -694,20 +703,26 @@ class SchedulingEngine:
         indices.sort()
         # Records are non-empty tuples: ``filter`` drops only the misses.
         ordered = tuple(filter(None, map(self.records.get, indices)))
+        # A run without rejections, failures or drops (the common case)
+        # sorts and allocates nothing for them.  Allocation is dear right
+        # after a full collection, as a timed run starts: this saves ~5 µs
+        # of the ~100 µs a 61-request run spends outside ``Simulator.run``
+        # (2-vCPU Xeon host).
+        rejected, failures, dropped = self.rejected, self.failures, self.dropped
         return ScheduleResult(
             heuristic=sched.heuristic.name,
             policy_label=sched.policy.label,
             records=ordered,
             machine_states=tuple(self.states),
-            rejected=tuple(sorted(self.rejected)),
-            rejection_reasons=dict(sorted(self.rejected.items())),
+            rejected=tuple(sorted(rejected)) if rejected else (),
+            rejection_reasons=dict(sorted(rejected.items())) if rejected else {},
             failures=tuple(
                 sorted(
-                    self.failures,
+                    failures,
                     key=lambda f: (f.failure_time, f.request_index, f.attempt),
                 )
-            ),
-            dropped=tuple(sorted(self.dropped)),
+            ) if failures else (),
+            dropped=tuple(sorted(dropped)) if dropped else (),
         )
 
     def _check_machine(self, request: Request, machine: int) -> None:

@@ -8,8 +8,9 @@ completion cost over all machines, then commits the request whose best
 completion is smallest (Min-min) or largest (Max-min), updates the chosen
 machine's availability, and repeats until the meta-request is exhausted.
 
-:class:`MinMinHeuristic` runs this as per-machine sorted claim queues,
-which its claim loop reads through bounded Python-list block cursors.
+:class:`MinMinHeuristic` runs this as per-machine sorted claim queues
+under one heap of their candidates' keys, reading each queue through a
+bounded Python-list block cursor.
 :func:`greedy_min_completion_plan` is the scalar transcription of the
 rounds above: an unregistered oracle that the equivalence suite and the
 kernel bench hold the production kernels to, bit-for-bit, including the
@@ -19,6 +20,7 @@ lowest-index tie-breaks.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from heapq import heapify, heapreplace
 
 import numpy as np
 
@@ -82,13 +84,12 @@ def greedy_min_completion_plan(
 
 
 class MinMinHeuristic(BatchHeuristic):
-    """Min-min as per-machine sorted claim queues: O(m) per round.
+    """Min-min as per-machine sorted claim queues under one heap of keys.
 
     Each machine's queue holds every row sorted by its *static*
     ``ecc[row, machine]``, so a whole queue's current completions are one
     shared ``+ avail[machine]`` away and no entry is ever re-priced when
-    availability moves: O(nm log n) total work.  The columns are filled
-    from the streaming
+    availability moves.  The columns are filled from the streaming
     :meth:`~repro.scheduling.costs.CostProvider.mapping_ecc_chunks`
     assembly, so no row-major ``(n, m)`` matrix exists; this is the
     10⁶-task path.
@@ -101,6 +102,20 @@ class MinMinHeuristic(BatchHeuristic):
     (lowest best, lowest position, first-argmin) commit.  Ties inside a
     column surface lowest-position-first via the stable sort; ties across
     columns resolve by position then machine index.
+
+    Heap keys: a :mod:`heapq` heap holds one ``(value, position, machine)``
+    key per queue, so each round reads the minimum in O(log m) instead of
+    scanning m candidates.  A key is re-keyed only when its queue's head
+    moves: after its row wins (the winning machine's availability moved
+    too), or when the key reaches the top holding a row another machine
+    already committed.  Such a stale key is never above its queue's true
+    candidate: the static order ascends in (value, position), the queue's
+    availability has not moved since it was keyed (only a win moves it,
+    and a win re-keys), and adding that availability preserves the order.
+    A fresh key on top is therefore the scan's minimum, tie-breaks
+    included.  Like the scan, this reads the sum's order off the static
+    order, so it is exact as long as adding a machine's availability
+    keeps its distinct ECC values distinct.
 
     Block cursors: the claim loop reads each queue through a Python-list
     block of at most :data:`_BLOCK` entries (the rows in static order and
@@ -142,57 +157,44 @@ class MinMinHeuristic(BatchHeuristic):
         committed = bytearray(n)
         avail_f = avail.tolist()
         # Nothing is committed yet: every queue's candidate is its head.
-        cand_pos = [rows[0] for rows in q_rows]
-        cand_val = [vals[0] + a for vals, a in zip(q_vals, avail_f)]
+        keys = [
+            (vals[0] + a, rows[0], j)
+            for j, (rows, vals, a) in enumerate(zip(q_rows, q_vals, avail_f))
+        ]
+        heapify(keys)
 
         plan: list[PlannedAssignment] = []
+        append = plan.append
         new_item = tuple.__new__
-        others = range(1, m)
-        for order in range(n):
-            # Lexicographic minimum of (value, position, machine).  Every
-            # queue holds every row, so none runs dry before the last round.
-            win_v = cand_val[0]
-            win_p = cand_pos[0]
-            win_j = 0
-            for j in others:
-                v = cand_val[j]
-                if v < win_v or (v == win_v and cand_pos[j] < win_p):
-                    win_v = v
-                    win_p = cand_pos[j]
-                    win_j = j
-            committed[win_p] = 1
-            avail_f[win_j] = win_v
-            plan.append(
-                new_item(PlannedAssignment, (requests[win_p], win_j, order))
-            )
-            if order == n - 1:
-                break  # every row is committed: no queue has a next candidate
-            # Only queues whose candidate was the committed row move (the
-            # winning machine's among them); every other candidate, and
-            # its machine's availability, is unchanged.
-            j = win_j
+        order = 0
+        while True:
+            value, pos, j = keys[0]
+            if not committed[pos]:
+                committed[pos] = 1
+                avail_f[j] = value
+                append(new_item(PlannedAssignment, (requests[pos], j, order)))
+                order += 1
+                if order == n:
+                    return plan
+            # Queue j's head is committed (by j just now, or earlier by
+            # another machine): move its cursor to the next uncommitted
+            # row.  Some row is still uncommitted, and every queue holds
+            # every row, so the queue has one to give.
+            rows = q_rows[j]
+            at = q_at[j] + 1
+            end = len(rows)
             while True:
-                rows = q_rows[j]
-                at = q_at[j] + 1
-                end = len(rows)
-                while True:
-                    while at < end and committed[rows[at]]:
-                        at += 1
-                    if at < end:
-                        break
-                    # Past the block: read the next one.  Some row is
-                    # still uncommitted, so the queue has one to give.
-                    lo = q_lo[j] + end
-                    picked = orders[j, lo : lo + block]
-                    rows = q_rows[j] = picked.tolist()
-                    q_vals[j] = cols[j, picked].tolist()
-                    q_lo[j] = lo
-                    at = 0
-                    end = len(rows)
-                q_at[j] = at
-                cand_pos[j] = rows[at]
-                cand_val[j] = q_vals[j][at] + avail_f[j]
-                if win_p not in cand_pos:
+                while at < end and committed[rows[at]]:
+                    at += 1
+                if at < end:
                     break
-                j = cand_pos.index(win_p)
-        return plan
+                # Past the block: read the next one.
+                lo = q_lo[j] + end
+                picked = orders[j, lo : lo + block]
+                rows = q_rows[j] = picked.tolist()
+                q_vals[j] = cols[j, picked].tolist()
+                q_lo[j] = lo
+                at = 0
+                end = len(rows)
+            q_at[j] = at
+            heapreplace(keys, (q_vals[j][at] + avail_f[j], rows[at], j))

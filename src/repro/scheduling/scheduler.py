@@ -53,7 +53,7 @@ from repro.scheduling.costs import CostProvider
 from repro.scheduling.engine import REASON_CONSTRAINT, SchedulingEngine
 from repro.scheduling.policy import TrustPolicy
 from repro.scheduling.result import CompletionRecord, ScheduleResult
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Tracer
 
@@ -191,17 +191,16 @@ class TRMScheduler:
         total = len(requests)
         engine = SchedulingEngine(self, sim, total=total)
 
-        def on_arrival(event: Event) -> None:
-            request: Request = event.payload
+        def on_arrival(time: float, request: Request) -> None:
             if self.tracer.enabled:
-                self.tracer.emit(event.time, "arrival", request=request.index)
-            engine.submit(request, event.time)
+                self.tracer.emit(time, "arrival", request=request.index)
+            engine.submit(request, time)
 
-        def on_batch(event: Event) -> None:
-            engine.form_batch(event.time)
+        def on_batch(time: float, _payload: None) -> None:
+            engine.form_batch(time)
             if engine.settled < total:
                 sim.schedule(
-                    event.time + self.batch_interval,
+                    time + self.batch_interval,
                     on_batch,
                     priority=EventPriority.BATCH,
                 )

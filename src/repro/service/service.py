@@ -58,7 +58,7 @@ from repro.service.checkpoint import (
     validate_checkpoint,
     verify_trust_journal,
 )
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 
 __all__ = [
@@ -461,55 +461,54 @@ class GridService:
 
     # -- event handlers ------------------------------------------------------
 
-    def _on_arrival(self, event: Event) -> None:
+    def _on_arrival(self, time: float, request: Request) -> None:
         engine, _ = self._running()
-        request: Request = event.payload
         tracer = self.scheduler.tracer
         if tracer.enabled:
-            tracer.emit(event.time, "arrival", request=request.index)
+            tracer.emit(time, "arrival", request=request.index)
         self._submitted += 1
         metered = self.metrics.enabled
         if metered:
             self.metrics.counter("svc.submitted").add()
         latch = self.latch
         reason = self.admission.decide(
-            event.time,
+            time,
             queue=engine.pending,
             queue_bounded=self._batch_mode,
             backpressure=latch is not None and latch.engaged,
         )
         if reason is not None:
-            self._shed_request(request, event.time, reason)
+            self._shed_request(request, time, reason)
             return
         self._admitted += 1
         if metered:
             self.metrics.counter("svc.admitted").add()
             with self.metrics.timer("svc.enqueue_latency_s"):
-                engine.submit(request, event.time)
+                engine.submit(request, time)
         else:
-            engine.submit(request, event.time)
+            engine.submit(request, time)
         if latch is not None:
             self._update_latch(self._backlog())
 
-    def _on_window(self, event: Event) -> None:
+    def _on_window(self, time: float, _payload: None) -> None:
         engine, sim = self._running()
         deadline = self.admission.policy.deadline
         if deadline is not None and engine.pending:
             expired = [
                 r
                 for r in engine.pending
-                if event.time - r.arrival_time > deadline
+                if time - r.arrival_time > deadline
             ]
             for request in expired:
                 self._shed_request(
-                    request, event.time, ShedReason.DEADLINE_EXPIRED,
+                    request, time, ShedReason.DEADLINE_EXPIRED,
                     pending=True,
                 )
         mapped = 0
         wall = 0.0
         if self._batch_mode:
             begin = _time.perf_counter()
-            mapped = engine.form_batch(event.time)
+            mapped = engine.form_batch(time)
             wall = _time.perf_counter() - begin
         self._epoch += 1
         if self.metrics.enabled:
@@ -524,7 +523,7 @@ class GridService:
         self._watch(wall, backlog, engine.settled)
         # The next window's exact accumulated float — checkpointed so a
         # resumed chain reproduces the same mapped_time values bit-for-bit.
-        self._next_window = event.time + self.interval
+        self._next_window = time + self.interval
         if (
             self._checkpoint_every is not None
             and self._epoch % self._checkpoint_every == 0
@@ -535,7 +534,7 @@ class GridService:
         if self._kill_after is not None and self._epoch >= self._kill_after:
             raise ServiceKilled(
                 f"service killed at window {self._epoch} boundary "
-                f"(t={event.time})",
+                f"(t={time})",
                 self.checkpoint(),
             )
         if engine.settled < self._total:

@@ -6,7 +6,7 @@ from repro.sim.arrivals import (
     BatchArrivalProcess,
     PoissonProcess,
 )
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.mmpp import MmppProcess
 from repro.sim.queue import EventQueue
@@ -18,7 +18,6 @@ __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
     "BatchArrivalProcess",
-    "Event",
     "EventPriority",
     "EventQueue",
     "Simulator",

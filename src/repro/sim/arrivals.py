@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "ArrivalProcess",
     "PoissonProcess",
@@ -33,13 +35,13 @@ class ArrivalProcess(ABC):
         Times are non-negative and non-decreasing.
 
         Raises:
-            ValueError: if ``count`` is negative.
+            ConfigurationError: if ``count`` is negative.
         """
 
     @staticmethod
     def _check_count(count: int) -> int:
         if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
+            raise ConfigurationError(f"count must be non-negative, got {count!r}")
         return count
 
 
@@ -59,9 +61,9 @@ class PoissonProcess(ArrivalProcess):
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
+            raise ConfigurationError(f"rate must be positive, got {self.rate!r}")
         if self.start < 0:
-            raise ValueError("start must be non-negative")
+            raise ConfigurationError(f"start must be non-negative, got {self.start!r}")
 
     def times(self, count: int) -> np.ndarray:
         count = self._check_count(count)
@@ -77,7 +79,7 @@ class BatchArrivalProcess(ArrivalProcess):
 
     def __post_init__(self) -> None:
         if self.at < 0:
-            raise ValueError("arrival time must be non-negative")
+            raise ConfigurationError(f"at must be non-negative, got {self.at!r}")
 
     def times(self, count: int) -> np.ndarray:
         count = self._check_count(count)

@@ -1,18 +1,19 @@
-"""Event representation for the discrete-event kernel.
+"""Event ordering for the discrete-event kernel.
 
-An :class:`Event` pairs a firing time with a handler callback.  Events are
-totally ordered by ``(time, priority, sequence)`` — the sequence number is a
+A pending event is one ``(time, priority, sequence, handler, payload)``
+entry of the :class:`~repro.sim.queue.EventQueue`.  Entries are totally
+ordered by ``(time, priority, sequence)`` — the sequence number is a
 monotonically increasing tiebreaker assigned by the queue, so simultaneous
-events fire in scheduling order and runs are fully deterministic.
+events fire in scheduling order and runs are fully deterministic.  When an
+entry fires, the kernel calls ``handler(time, payload)``; no event object
+is built.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable
 
-__all__ = ["Event", "EventPriority"]
+__all__ = ["EventPriority"]
 
 
 class EventPriority(enum.IntEnum):
@@ -36,31 +37,3 @@ class EventPriority(enum.IntEnum):
     ARRIVAL = 3
     BATCH = 4
     GENERIC = 5
-
-
-@dataclass(order=True)
-class Event:
-    """A scheduled occurrence.
-
-    Attributes:
-        time: simulation time at which the event fires.
-        priority: same-time ordering class.
-        sequence: queue-assigned tiebreaker (insertion order).
-        handler: callable invoked as ``handler(event)`` when fired.
-        payload: arbitrary data for the handler.
-    """
-
-    time: float
-    priority: EventPriority = field(default=EventPriority.GENERIC)
-    sequence: int = field(default=0)
-    handler: Callable[["Event"], None] | None = field(default=None, compare=False)
-    payload: Any = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
-
-    def fire(self) -> None:
-        """Invoke the handler (no-op for handler-less marker events)."""
-        if self.handler is not None:
-            self.handler(self)

@@ -1,10 +1,11 @@
 """The discrete-event simulation kernel.
 
 A minimal, deterministic DES engine: a clock, an event queue, and a run
-loop.  Handlers scheduled on the kernel receive the fired event and may
-schedule further events (never in the past).  The kernel is deliberately
-free of domain knowledge — the Grid scheduler, arrival processes and trust
-agents are all plugged in as handlers.
+loop.  A handler scheduled on the kernel is called as
+``handler(time, payload)`` when its event fires, and may schedule further
+events (never in the past).  The kernel is deliberately free of domain
+knowledge — the Grid scheduler, arrival processes and trust agents are all
+plugged in as handlers.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.errors import EventOrderError, SimulationError
+from repro.errors import ConfigurationError, EventOrderError, SimulationError
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.queue import EventQueue
 
 __all__ = ["Simulator"]
@@ -40,7 +41,9 @@ class Simulator:
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_events < 1:
-            raise ValueError("max_events must be positive")
+            raise ConfigurationError(
+                f"max_events must be positive, got {max_events!r}"
+            )
         self.now: float = 0.0
         self.processed: int = 0
         self.metrics = metrics if metrics is not None else MetricsRegistry.disabled()
@@ -53,12 +56,15 @@ class Simulator:
     def schedule(
         self,
         time: float,
-        handler: Callable[[Event], None] | None,
+        handler: Callable[[float, Any], None] | None,
         *,
         priority: EventPriority = EventPriority.GENERIC,
         payload: Any = None,
-    ) -> Event:
-        """Schedule ``handler`` to fire at absolute time ``time``.
+    ) -> None:
+        """Schedule ``handler(time, payload)`` at absolute time ``time``.
+
+        A ``None`` handler schedules a marker event: it advances the clock
+        and counts as processed, but calls nothing.
 
         Raises:
             EventOrderError: if ``time`` lies in the simulation's past.
@@ -67,13 +73,12 @@ class Simulator:
             raise EventOrderError(
                 f"cannot schedule at {time}: clock is already at {self.now}"
             )
-        event = Event(time=time, priority=priority, handler=handler, payload=payload)
-        return self._queue.push(event)
+        self._queue.push(time, handler, priority, payload)
 
     def schedule_many(
         self,
         times: Sequence[float],
-        handler: Callable[[Event], None] | None,
+        handler: Callable[[float, Any], None] | None,
         *,
         priority: EventPriority = EventPriority.GENERIC,
         payloads: Sequence[Any],
@@ -82,14 +87,14 @@ class Simulator:
 
         Fires exactly like ``schedule(times[i], handler, priority=...,
         payload=payloads[i])`` called in input order, but the entries wait
-        in a sorted stream and each becomes an :class:`Event` only when it
-        fires — the bulk path for a run's arrivals.  Nothing is enqueued
-        when any time is refused.
+        in a sorted stream beside the heap — the bulk path for a run's
+        arrivals.  Nothing is enqueued when any time is refused.
 
         Raises:
             EventOrderError: if any time lies in the simulation's past
                 (negative times included, as in :meth:`schedule`).
-            ValueError: if ``times`` and ``payloads`` differ in length.
+            ConfigurationError: if ``times`` and ``payloads`` differ in
+                length.
         """
         if len(times):
             earliest = min(times)
@@ -106,22 +111,13 @@ class Simulator:
         """Number of events awaiting execution."""
         return len(self._queue)
 
-    def _fire(self, event: Event) -> None:
-        if event.time < self.now:  # pragma: no cover - guarded at schedule time
-            raise EventOrderError(
-                f"event at {event.time} fired with clock at {self.now}"
-            )
-        self.now = event.time
-        self.processed += 1
-        if self.metrics.enabled:
-            self.metrics.counter("sim.events").add()
-            self.metrics.histogram("sim.queue_depth").observe(len(self._queue))
-        event.fire()
-
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
 
-        Events scheduled exactly at ``until`` are still fired.
+        Events scheduled exactly at ``until`` are still fired.  Each fired
+        entry moves the clock to its time and calls ``handler(time,
+        payload)``; the entry is the queue's own tuple, so firing builds no
+        object.
 
         Returns:
             The final simulation time.
@@ -135,10 +131,21 @@ class Simulator:
         self._running = True
         try:
             with self.metrics.timer("sim.run_wall_s"):
-                pop_due = self._queue.pop_due
-                while (event := pop_due(until)) is not None:
-                    self._fire(event)
-                    if self.processed > self._max_events:
+                queue = self._queue
+                pop_due = queue.pop_due
+                budget = self._max_events
+                metrics = self.metrics
+                metered = metrics.enabled
+                while (entry := pop_due(until)) is not None:
+                    time, _priority, _sequence, handler, payload = entry
+                    self.now = time
+                    self.processed += 1
+                    if metered:
+                        metrics.counter("sim.events").add()
+                        metrics.histogram("sim.queue_depth").observe(len(queue))
+                    if handler is not None:
+                        handler(time, payload)
+                    if self.processed > budget:
                         raise SimulationError(self._exhaustion_diagnostic())
             if until is not None and self.now < until:
                 self.now = until
@@ -160,7 +167,7 @@ class Simulator:
         head = self._queue.peek()
         if head is not None:
             message += (
-                f", next event at {head.time:g} "
-                f"(priority {head.priority.name})"
+                f", next event at {head[0]:g} "
+                f"(priority {EventPriority(head[1]).name})"
             )
         return message

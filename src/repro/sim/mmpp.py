@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 from repro.sim.arrivals import ArrivalProcess
 
 __all__ = ["MmppProcess"]
@@ -49,14 +51,17 @@ class MmppProcess(ArrivalProcess):
     start: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.quiet_rate <= 0 or self.burst_rate <= 0:
-            raise ValueError("rates must be positive")
+        for name in ("quiet_rate", "burst_rate", "quiet_duration", "burst_duration"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value!r}")
         if self.burst_rate <= self.quiet_rate:
-            raise ValueError("burst_rate must exceed quiet_rate")
-        if self.quiet_duration <= 0 or self.burst_duration <= 0:
-            raise ValueError("state durations must be positive")
+            raise ConfigurationError(
+                f"burst_rate must exceed quiet_rate={self.quiet_rate!r}, "
+                f"got {self.burst_rate!r}"
+            )
         if self.start < 0:
-            raise ValueError("start must be non-negative")
+            raise ConfigurationError(f"start must be non-negative, got {self.start!r}")
 
     @property
     def mean_rate(self) -> float:
@@ -86,9 +91,9 @@ class MmppProcess(ArrivalProcess):
             quiet_duration / burst_duration: mean state sojourns.
         """
         if mean_rate <= 0:
-            raise ValueError("mean_rate must be positive")
+            raise ConfigurationError(f"mean_rate must be positive, got {mean_rate!r}")
         if burstiness <= 1.0:
-            raise ValueError("burstiness must exceed 1")
+            raise ConfigurationError(f"burstiness must exceed 1, got {burstiness!r}")
         total = quiet_duration + burst_duration
         # mean = (q·dq + b·q·db)/total with b = burstiness·q.
         quiet = mean_rate * total / (quiet_duration + burstiness * burst_duration)

@@ -3,17 +3,16 @@
 A thin, well-tested wrapper over :mod:`heapq` that assigns monotone sequence
 numbers (deterministic tiebreaking for simultaneous events).
 
-Heap entries are ``(time, priority, sequence, event)`` tuples, so every
-heap comparison runs in C; sequence numbers are unique, so a comparison
-never reaches the event itself.
-
-Bulk-scheduled work (a run's arrivals) does not go through the heap at all:
-:meth:`EventQueue.push_many` keeps it as one *stream* of
-``(time, priority, sequence, handler, payload)`` tuples sorted in reverse,
-beside the heap.  :meth:`EventQueue.pop_due` takes whichever head is smaller on
-``(time, priority, sequence)`` and builds the stream entry's
-:class:`~repro.sim.events.Event` only when it fires; ``list.pop()`` drops
-the fired entry, so the stream never pins a payload that already fired.
+Every pending event is one ``(time, priority, sequence, handler, payload)``
+tuple, wherever it waits: sequence numbers are unique, so every comparison
+runs in C and never reaches the handler.  Events scheduled one at a time
+(:meth:`EventQueue.push`) wait in the heap.  Bulk-scheduled work (a run's
+arrivals, :meth:`EventQueue.push_many`) does not go through the heap at
+all: it waits in one *stream* sorted in reverse, beside the heap.
+:meth:`EventQueue.pop_due`, the simulator's one dequeue, takes whichever
+head is smaller and returns the entry itself, so firing an event builds no
+object; ``list.pop()`` drops a fired stream entry, so the stream never pins
+a payload that already fired.
 """
 
 from __future__ import annotations
@@ -23,34 +22,40 @@ from collections.abc import Callable, Sequence
 from itertools import repeat
 from typing import Any
 
-from repro.sim.events import Event, EventPriority
+from repro.errors import ConfigurationError
+from repro.sim.events import EventPriority
 
 __all__ = ["EventQueue"]
 
+#: A pending event: ``(time, priority, sequence, handler, payload)``.
+Entry = tuple[float, EventPriority, int, Callable[[float, Any], None] | None, Any]
+
 
 class EventQueue:
-    """Priority queue of :class:`~repro.sim.events.Event` objects."""
+    """Priority queue of ``(time, priority, sequence, handler, payload)``
+    event entries."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
-        self._stream: list[tuple[float, int, int, Any, Any]] = []
+        self._heap: list[Entry] = []
+        self._stream: list[Entry] = []
         self._next_sequence = 0
 
-    def push(self, event: Event) -> Event:
-        """Insert ``event``, assigning its tiebreaking sequence number.
-
-        Returns the event (for chaining).
-        """
+    def push(
+        self,
+        time: float,
+        handler: Callable[[float, Any], None] | None,
+        priority: EventPriority,
+        payload: Any,
+    ) -> None:
+        """Insert one event, assigning its tiebreaking sequence number."""
         sequence = self._next_sequence
-        event.sequence = sequence
         self._next_sequence = sequence + 1
-        heapq.heappush(self._heap, (event.time, event.priority, sequence, event))
-        return event
+        heapq.heappush(self._heap, (time, priority, sequence, handler, payload))
 
     def push_many(
         self,
         times: Sequence[float],
-        handler: Callable[[Event], None] | None,
+        handler: Callable[[float, Any], None] | None,
         priority: EventPriority,
         payloads: Sequence[Any],
     ) -> None:
@@ -58,14 +63,17 @@ class EventQueue:
         ``handler`` and ``priority``.
 
         Sequence numbers are assigned in input order, so the pop order is
-        exactly that of pushing the same events one by one.  The events are
-        not materialised: each becomes an :class:`Event` when it is popped
-        (or peeked at), which is why no handle is returned.
+        exactly that of pushing the same events one by one.
+
+        Raises:
+            ConfigurationError: if ``times`` and ``payloads`` differ in
+                length; nothing is inserted then.
         """
         n = len(times)
         if len(payloads) != n:
-            raise ValueError(
-                f"{n} times but {len(payloads)} payloads for push_many"
+            raise ConfigurationError(
+                f"payloads must match times one for one: got {len(payloads)} "
+                f"payloads for {n} times"
             )
         if n == 0:
             return
@@ -80,33 +88,29 @@ class EventQueue:
         # merges in linear time.
         stream.sort(reverse=True)
 
-    def pop_due(self, until: float | None) -> Event | None:
-        """Pop the earliest event if it fires at or before ``until``.
+    def pop_due(self, until: float | None) -> Entry | None:
+        """Pop the earliest entry if it fires at or before ``until``.
 
         Returns ``None``, popping nothing, when the queue is empty or its
-        earliest event lies beyond ``until`` (``None`` means no horizon).
+        earliest entry lies beyond ``until`` (``None`` means no horizon).
         """
         stream = self._stream
         heap = self._heap
         if stream and (not heap or stream[-1] < heap[0]):
             if until is not None and stream[-1][0] > until:
                 return None
-            return Event(*stream.pop())
+            return stream.pop()
         if not heap or (until is not None and heap[0][0] > until):
             return None
-        return heapq.heappop(heap)[3]
+        return heapq.heappop(heap)
 
-    def peek(self) -> Event | None:
-        """The earliest event, or ``None`` if empty.
-
-        A stream head is returned as a fresh :class:`Event` equal to the one
-        that later pops; the queue is left unchanged.
-        """
+    def peek(self) -> Entry | None:
+        """The earliest entry, or ``None`` if empty; nothing is popped."""
         stream = self._stream
         heap = self._heap
         if stream and (not heap or stream[-1] < heap[0]):
-            return Event(*stream[-1])
-        return heap[0][3] if heap else None
+            return stream[-1]
+        return heap[0] if heap else None
 
     def __len__(self) -> int:
         """Number of pending events."""

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = ["RngFactory"]
 
 
@@ -43,7 +45,7 @@ class RngFactory:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed!r}")
 
     def stream(self, name: str) -> np.random.Generator:
         """Return a fresh generator for the named stream.
@@ -53,7 +55,7 @@ class RngFactory:
         a persistent stream should hold on to the returned generator.
         """
         if not name:
-            raise ValueError("stream name must be non-empty")
+            raise ConfigurationError(f"stream name must be non-empty, got {name!r}")
         key = zlib.crc32(name.encode("utf-8"))
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(key,))
         return np.random.default_rng(seq)
@@ -65,7 +67,7 @@ class RngFactory:
         sibling child's, as long as the names differ.
         """
         if not name:
-            raise ValueError("child name must be non-empty")
+            raise ConfigurationError(f"child name must be non-empty, got {name!r}")
         derived = zlib.crc32(f"child:{name}".encode("utf-8"))
         # Mix the child key into the seed via a SeedSequence-generated state.
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(derived,))

@@ -31,11 +31,23 @@ from repro.security.transfer import (
     simulate_transfer,
     transfer_overhead,
 )
+from repro.sim.arrivals import BatchArrivalProcess, PoissonProcess
+from repro.sim.events import EventPriority
+from repro.sim.kernel import Simulator
+from repro.sim.mmpp import MmppProcess
+from repro.sim.queue import EventQueue
+from repro.sim.rng import RngFactory
 
 CTX = TrustContext("toa")
 GD = GridDomain(0, "site")
 TOA = ActivityType(0, "x")
 LINK = NetworkLink("lan", line_rate_mbps=100.0)
+RNG = np.random.default_rng(0)
+
+
+def _mmpp(**overrides) -> MmppProcess:
+    args = dict(quiet_rate=1.0, burst_rate=4.0, quiet_duration=10.0, burst_duration=2.0, rng=RNG)
+    return MmppProcess(**{**args, **overrides})
 
 
 def _future_opinion() -> None:
@@ -113,6 +125,26 @@ def _future_opinion() -> None:
         (lambda: CipherSuite("c", cycles_per_byte=-2.0), "cycles_per_byte .*got -2.0"),
         (lambda: aware_multiplier(-0.5), "mean_tc .*got -0.5"),
         (lambda: unaware_multiplier(-0.5), "unaware_fraction .*got -0.5"),
+        (lambda: _mmpp(quiet_rate=0.0), "quiet_rate .*got 0.0"),
+        (lambda: _mmpp(burst_rate=-4.0), "burst_rate .*got -4.0"),
+        (lambda: _mmpp(burst_rate=0.5), "burst_rate must exceed quiet_rate=1.0, got 0.5"),
+        (lambda: _mmpp(quiet_duration=0.0), "quiet_duration .*got 0.0"),
+        (lambda: _mmpp(burst_duration=-1.0), "burst_duration .*got -1.0"),
+        (lambda: _mmpp(start=-2.0), "start .*got -2.0"),
+        (lambda: MmppProcess.load_equivalent(0.0, RNG), "mean_rate .*got 0.0"),
+        (lambda: MmppProcess.load_equivalent(1.0, RNG, burstiness=1.0), "burstiness .*got 1.0"),
+        (lambda: PoissonProcess(0.0, RNG), "rate .*got 0.0"),
+        (lambda: PoissonProcess(1.0, RNG, start=-1.0), "start .*got -1.0"),
+        (lambda: PoissonProcess(1.0, RNG).times(-3), "count .*got -3"),
+        (lambda: BatchArrivalProcess(at=-0.5), "at .*got -0.5"),
+        (lambda: RngFactory(seed=-1), "seed .*got -1"),
+        (lambda: RngFactory(seed=0).stream(""), "stream name .*got ''"),
+        (lambda: RngFactory(seed=0).child(""), "child name .*got ''"),
+        (lambda: Simulator(max_events=0), "max_events .*got 0"),
+        (
+            lambda: EventQueue().push_many([1.0, 2.0], None, EventPriority.ARRIVAL, [0]),
+            "payloads .*got 1 payloads for 2 times",
+        ),
     ],
 )
 def test_refusal_is_typed_and_names_argument_and_value(refused, named):

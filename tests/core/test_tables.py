@@ -275,3 +275,44 @@ def test_refused_record_leaves_the_table_unchanged():
         with pytest.raises(ConfigurationError):
             bad()
     assert (list(table.items()), table.epoch, list(table.opinions("y", EXECUTION))) == before
+
+
+#: Few times, so ties with the newest time and backdated overwrites of it
+#: are common.
+_TIMES = st.sampled_from((0.0, 1.0, 1.0, 2.5, 4.0, 7.0))
+
+_timed_mutations = st.lists(
+    st.tuples(
+        st.sampled_from(("record", "record", "remove")),
+        st.sampled_from(ENTITIES),
+        st.sampled_from(TRUSTEES),
+        st.sampled_from(CONTEXTS),
+        _TIMES,
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_timed_mutations)
+def test_latest_is_the_newest_opinion_time(ops):
+    """Records at any time (backdated overwrites of the newest opinion
+    included) and removes in any order: ``latest`` is always the maximum
+    ``last_transaction`` over the bucket's opinions, ``-inf`` when empty."""
+    table = TrustTable()
+    for op, z, y, c, time in ops:
+        if z == y:
+            continue
+        if op == "record":
+            table.record(z, y, c, 0.5, time)
+        elif (z, y, c) in table:
+            table.remove(z, y, c)
+        for trustee in TRUSTEES:
+            for context in CONTEXTS:
+                times = [
+                    rec.last_transaction
+                    for (_z, yy, cc), rec in table.items()
+                    if yy == trustee and cc == context
+                ]
+                assert table.latest(trustee, context) == max(times, default=-math.inf)

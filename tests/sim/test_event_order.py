@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import EventOrderError
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.queue import EventQueue
 
@@ -47,20 +47,21 @@ def test_interleavings_pop_in_key_order(ops):
 
     def expect_pop(until=None):
         nonlocal clock
-        event = queue.pop_due(until)
+        entry = queue.pop_due(until)
         if not live or (until is not None and min(live.values())[0] > until):
-            assert event is None
+            assert entry is None
             return
         tag = min(live, key=live.__getitem__)
-        assert (event.time, event.priority, event.sequence) == live.pop(tag)
-        assert event.payload == tag
-        clock = event.time
+        time, priority, sequence, _handler, payload = entry
+        assert (time, priority, sequence) == live.pop(tag)
+        assert payload == tag
+        clock = time
 
     for op in ops:
         kind = op[0]
         if kind == "push":
             time = max(op[1], clock)
-            queue.push(Event(time, op[2], payload=next_tag))
+            queue.push(time, None, op[2], next_tag)
             live[next_tag] = (time, op[2], sequence)
             next_tag += 1
             sequence += 1
@@ -79,8 +80,8 @@ def test_interleavings_pop_in_key_order(ops):
             head = queue.peek()
             if live:
                 tag = min(live, key=live.__getitem__)
-                assert (head.time, head.priority, head.sequence) == live[tag]
-                assert head.payload == tag
+                assert head[:3] == live[tag]
+                assert head[4] == tag
             else:
                 assert head is None
         elif kind == "pop_due":
@@ -118,30 +119,33 @@ def test_schedule_many_fires_like_a_schedule_loop(arrivals, spawn):
         fired = []
         tags = iter(range(10**6))
 
-        def handler(event):
-            fired.append((event.time, event.priority, event.payload))
-            if event.payload >= len(spawn):
+        # Each payload carries its own priority, so the fired order is
+        # compared on (time, priority, tag) as the scheduling key orders it.
+        def handler(at, payload):
+            tag, priority = payload
+            fired.append((at, priority, tag))
+            if tag >= len(spawn):
                 return
             groups: dict[EventPriority, list] = {}
-            for delay, priority, clamp in spawn[event.payload]:
+            for delay, child, clamp in spawn[tag]:
                 time = sim.now if clamp else sim.now + delay
-                groups.setdefault(priority, []).append((time, next(tags)))
-            for priority, entries in groups.items():
+                groups.setdefault(child, []).append((time, (next(tags), child)))
+            for child, entries in groups.items():
                 if bulk:
                     sim.schedule_many(
                         [t for t, _ in entries], handler,
-                        priority=priority, payloads=[tag for _, tag in entries],
+                        priority=child, payloads=[load for _, load in entries],
                     )
                 else:
-                    for time, tag in entries:
-                        sim.schedule(time, handler, priority=priority, payload=tag)
+                    for time, load in entries:
+                        sim.schedule(time, handler, priority=child, payload=load)
 
         for time, priority in arrivals:
-            tag = next(tags)
+            load = (next(tags), priority)
             if bulk:
-                sim.schedule_many([time], handler, priority=priority, payloads=[tag])
+                sim.schedule_many([time], handler, priority=priority, payloads=[load])
             else:
-                sim.schedule(time, handler, priority=priority, payload=tag)
+                sim.schedule(time, handler, priority=priority, payload=load)
         sim.run()
         return fired
 
@@ -152,7 +156,7 @@ def test_run_horizon_leaves_later_stream_entries_queued():
     sim = Simulator()
     fired = []
     sim.schedule_many(
-        [1.0, 2.0, 5.0], lambda ev: fired.append(ev.payload),
+        [1.0, 2.0, 5.0], lambda time, payload: fired.append(payload),
         priority=EventPriority.ARRIVAL, payloads=["a", "b", "c"],
     )
     assert sim.run(until=2.0) == 2.0
@@ -200,9 +204,9 @@ def test_fired_entry_releases_its_payload():
     ref = weakref.ref(payload)
     queue.push_many([1.0, 2.0], None, EventPriority.ARRIVAL, [payload, Payload()])
     del payload
-    event = queue.pop_due(None)
-    assert event.payload is ref()
-    del event
+    entry = queue.pop_due(None)
+    assert entry[4] is ref()
+    del entry
     gc.collect()
     assert ref() is None
     assert len(queue) == 1

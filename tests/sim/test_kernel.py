@@ -24,20 +24,29 @@ class TestExecution:
         sim = Simulator()
         log = []
         for t in [3.0, 1.0, 2.0]:
-            sim.schedule(t, lambda ev: log.append((ev.time, sim.now)))
+            sim.schedule(t, lambda time, payload: log.append((time, sim.now)))
         end = sim.run()
         assert log == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
         assert end == 3.0
         assert sim.processed == 3
 
+    def test_handler_receives_time_and_payload(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(2.0, lambda time, payload: seen.append((time, payload)), payload="x")
+        sim.schedule(1.0, None)  # a marker: moves the clock, calls nothing
+        sim.run()
+        assert seen == [(2.0, "x")]
+        assert sim.processed == 2
+
     def test_handlers_can_schedule_more_events(self):
         sim = Simulator()
         fired = []
 
-        def chain(ev):
-            fired.append(ev.time)
-            if ev.time < 3.0:
-                sim.schedule(ev.time + 1.0, chain)
+        def chain(time, payload):
+            fired.append(time)
+            if time < 3.0:
+                sim.schedule(time + 1.0, chain)
 
         sim.schedule(1.0, chain)
         sim.run()
@@ -46,8 +55,8 @@ class TestExecution:
     def test_run_until_stops_but_keeps_future_events(self):
         sim = Simulator()
         fired = []
-        sim.schedule(1.0, lambda ev: fired.append(1))
-        sim.schedule(10.0, lambda ev: fired.append(10))
+        sim.schedule(1.0, lambda time, payload: fired.append(1))
+        sim.schedule(10.0, lambda time, payload: fired.append(10))
         sim.run(until=5.0)
         assert fired == [1]
         assert sim.now == 5.0
@@ -58,7 +67,7 @@ class TestExecution:
     def test_run_until_includes_boundary_event(self):
         sim = Simulator()
         fired = []
-        sim.schedule(5.0, lambda ev: fired.append(ev.time))
+        sim.schedule(5.0, lambda time, payload: fired.append(time))
         sim.run(until=5.0)
         assert fired == [5.0]
 
@@ -70,7 +79,7 @@ class TestExecution:
     def test_event_budget_guards_runaway(self):
         sim = Simulator(max_events=10)
 
-        def forever(ev):
+        def forever(time, payload):
             sim.schedule(sim.now + 1.0, forever)
 
         sim.schedule(0.0, forever)
@@ -80,7 +89,7 @@ class TestExecution:
     def test_exhaustion_diagnostic_names_the_simulator_state(self):
         sim = Simulator(max_events=5)
 
-        def forever(ev):
+        def forever(time, payload):
             sim.schedule(sim.now + 1.0, forever)
             sim.schedule(sim.now + 2.0, forever)
 
@@ -98,8 +107,8 @@ class TestExecution:
     def test_priority_ordering_at_same_instant(self):
         sim = Simulator()
         order = []
-        sim.schedule(1.0, lambda ev: order.append("batch"), priority=EventPriority.BATCH)
-        sim.schedule(1.0, lambda ev: order.append("completion"), priority=EventPriority.COMPLETION)
-        sim.schedule(1.0, lambda ev: order.append("arrival"), priority=EventPriority.ARRIVAL)
+        sim.schedule(1.0, lambda time, payload: order.append("batch"), priority=EventPriority.BATCH)
+        sim.schedule(1.0, lambda time, payload: order.append("completion"), priority=EventPriority.COMPLETION)
+        sim.schedule(1.0, lambda time, payload: order.append("arrival"), priority=EventPriority.ARRIVAL)
         sim.run()
         assert order == ["completion", "arrival", "batch"]

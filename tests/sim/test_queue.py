@@ -1,42 +1,28 @@
-"""Tests for the event queue and event objects."""
+"""Tests for the event queue and its ``(time, priority, sequence, handler,
+payload)`` entries."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.events import Event, EventPriority
+from repro.sim.events import EventPriority
 from repro.sim.queue import EventQueue
 
-
-class TestEvent:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            Event(time=-1.0)
-
-    def test_fire_without_handler_is_noop(self):
-        Event(time=0.0).fire()
-
-    def test_fire_invokes_handler_with_event(self):
-        seen = []
-        ev = Event(time=1.0, handler=seen.append, payload="x")
-        ev.fire()
-        assert seen == [ev]
-        assert seen[0].payload == "x"
+GENERIC = EventPriority.GENERIC
 
 
 class TestEventQueue:
     def test_pop_in_time_order(self):
         q = EventQueue()
         for t in [5.0, 1.0, 3.0]:
-            q.push(Event(time=t))
-        assert [q.pop_due(None).time for _ in range(3)] == [1.0, 3.0, 5.0]
+            q.push(t, None, GENERIC, None)
+        assert [q.pop_due(None)[0] for _ in range(3)] == [1.0, 3.0, 5.0]
 
     def test_priority_breaks_time_ties(self):
         q = EventQueue()
-        q.push(Event(time=1.0, priority=EventPriority.BATCH))
-        q.push(Event(time=1.0, priority=EventPriority.COMPLETION))
-        q.push(Event(time=1.0, priority=EventPriority.ARRIVAL))
-        got = [q.pop_due(None).priority for _ in range(3)]
+        q.push(1.0, None, EventPriority.BATCH, None)
+        q.push(1.0, None, EventPriority.COMPLETION, None)
+        q.push(1.0, None, EventPriority.ARRIVAL, None)
+        got = [q.pop_due(None)[1] for _ in range(3)]
         assert got == [
             EventPriority.COMPLETION,
             EventPriority.ARRIVAL,
@@ -45,10 +31,19 @@ class TestEventQueue:
 
     def test_insertion_order_breaks_full_ties(self):
         q = EventQueue()
-        first = q.push(Event(time=1.0, payload="first"))
-        second = q.push(Event(time=1.0, payload="second"))
-        assert q.pop_due(None) is first
-        assert q.pop_due(None) is second
+        q.push(1.0, None, GENERIC, "first")
+        q.push(1.0, None, GENERIC, "second")
+        assert q.pop_due(None) == (1.0, GENERIC, 0, None, "first")
+        assert q.pop_due(None) == (1.0, GENERIC, 1, None, "second")
+
+    def test_entry_carries_handler_and_payload(self):
+        def handler(time, payload):
+            pass
+
+        q = EventQueue()
+        q.push(2.0, handler, EventPriority.ARRIVAL, "x")
+        assert q.peek() == (2.0, EventPriority.ARRIVAL, 0, handler, "x")
+        assert q.pop_due(None) == (2.0, EventPriority.ARRIVAL, 0, handler, "x")
 
     def test_pop_due_empty_returns_none(self):
         assert EventQueue().pop_due(None) is None
@@ -59,7 +54,7 @@ class TestEventQueue:
     def test_bool_reflects_live_events(self):
         q = EventQueue()
         assert not q
-        q.push(Event(time=1.0))
+        q.push(1.0, None, GENERIC, None)
         assert q
         q.pop_due(None)
         assert not q
@@ -69,6 +64,6 @@ class TestEventQueue:
         """Property: popping everything yields times in sorted order."""
         q = EventQueue()
         for t in times:
-            q.push(Event(time=t))
-        popped = [q.pop_due(None).time for _ in range(len(times))]
+            q.push(t, None, GENERIC, None)
+        popped = [q.pop_due(None)[0] for _ in range(len(times))]
         assert popped == sorted(times)

@@ -433,11 +433,14 @@ class TestTopLevelEntryPoints:
         assert not hasattr(TrustPolicy, "aware_model")
 
     def test_des_events_are_not_cancellable(self):
-        from repro.sim.events import Event
+        import repro.sim as sim
+        import repro.sim.events as events
         from repro.sim.kernel import Simulator
         from repro.sim.queue import EventQueue
 
-        assert not hasattr(Event, "cancel")
+        # A pending event is a plain entry tuple: no event object exists
+        # to hold a handle, so there is nothing to cancel.
+        assert not hasattr(events, "Event") and "Event" not in sim.__all__
         assert not [n for n in ("cancel", "pop", "peek_time") if hasattr(EventQueue, n)]
         assert not [
             n for n in ("cancel", "step", "drain", "schedule_after") if hasattr(Simulator, n)

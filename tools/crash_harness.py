@@ -25,9 +25,12 @@ the journal past half the base (it then folds the tail without framing
 or writing it), and once explicitly, at ``compact_at``.  The clean run's
 acknowledgements map each generation to the ops folded into its base.
 
-A torn-tail sweep then truncates (and bit-flips) the clean run's journal
-at sampled byte offsets and asserts each recovery settles on some intact
-prefix — torn frames truncate, they never poison or refuse recovery.
+A torn-tail sweep then truncates (and bit-flips) the journal of every
+generation the clean run wrote — each as it stood when the next compaction
+began, and the final one — at sampled byte offsets, and asserts each
+recovery settles on some intact prefix — torn frames truncate, they never
+poison or refuse recovery.  Sweeping every generation makes the swept ops
+independent of where the policy compactions fall.
 
 Usage::
 
@@ -238,12 +241,17 @@ def run_child(
     sync_every: int,
     compact_at: int | None,
     crash_at: int,
+    keep: Path | None = None,
 ) -> int:
     """Workload body; returns the total number of fsync-boundary events.
 
     With ``crash_at >= 0`` the process ``os._exit``-s the instant the
     hook fires for the ``crash_at``-th time — no cleanup, no flushing,
-    the closest a single process gets to ``kill -9``.
+    the closest a single process gets to ``kill -9``.  With ``keep``, the
+    plane is copied to ``keep/generation-<N>/plane`` as a compaction
+    starts writing generation N+1's base, so each superseded generation
+    survives as it then stood (copying fsyncs nothing, so the boundary
+    count is unchanged).
     """
     events = 0
 
@@ -252,6 +260,18 @@ def run_child(
         if events == crash_at:
             os._exit(CHILD_EXIT_CRASHED)
         events += 1
+        if (
+            keep is not None
+            and phase == "before"
+            and path.name.startswith("base-")
+            and path.suffix == ".tmp"
+            and (root / "CURRENT").is_file()
+        ):
+            current = current_generation(root)
+            shutil.copytree(
+                root, keep / f"generation-{current}" / "plane",
+                ignore=shutil.ignore_patterns("*.tmp"),
+            )
 
     acks = root.parent / "acks.jsonl"
 
@@ -303,6 +323,11 @@ def run_child(
 
 
 # -- parent-side verification ----------------------------------------------
+
+def current_generation(root: Path) -> int:
+    """The generation a plane's ``CURRENT`` file names."""
+    return json.loads((root / "CURRENT").read_text())["generation"]
+
 
 def read_acks(workdir: Path) -> list[dict]:
     """The checkpoint acknowledgements a child wrote under ``workdir``."""
@@ -379,13 +404,16 @@ def verify_root(
 
 
 def spawn_child(
-    workdir: Path, spec: dict, ops: list[tuple], crash_at: int
+    workdir: Path, spec: dict, ops: list[tuple], crash_at: int,
+    keep: Path | None = None,
 ) -> tuple[int, str]:
     """Run the workload under ``workdir`` in a forked child; returns its
     exit status and what it reported (the boundary count of a clean run,
-    or the traceback of a failed one)."""
-    if workdir.exists():
-        shutil.rmtree(workdir)
+    or the traceback of a failed one).  ``keep`` is passed to
+    :func:`run_child`."""
+    for path in (workdir, keep):
+        if path is not None and path.exists():
+            shutil.rmtree(path)
     workdir.mkdir(parents=True)
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -395,7 +423,7 @@ def spawn_child(
         try:
             events = run_child(
                 workdir / "plane", ops, spec["sync_every"], spec["compact_at"],
-                crash_at,
+                crash_at, keep,
             )
             os.write(write_fd, str(events).encode())
             code = 0
@@ -419,9 +447,12 @@ def kill_point_sweep(
     acknowledgements.
     """
     # Clean run first: counts the boundary events, maps generations to
-    # their bases and feeds the torn sweep.
+    # their bases and feeds the torn sweep (its final plane, and every
+    # superseded generation kept under base/generations).
     clean_dir = base / "clean"
-    code, out = spawn_child(clean_dir, spec, ops, crash_at=-1)
+    code, out = spawn_child(
+        clean_dir, spec, ops, crash_at=-1, keep=base / "generations"
+    )
     if code != 0:
         raise AssertionError(f"clean run failed with exit {code}: {out}")
     total_events = int(out)
@@ -449,39 +480,56 @@ def torn_tail_sweep(
     stride: int,
     bases: dict[int, int],
 ) -> int:
-    """Truncate/corrupt the clean journal at sampled offsets and recover."""
-    clean_root = base / "clean" / "plane"
-    generation = json.loads((clean_root / "CURRENT").read_text())["generation"]
-    journal = clean_root / f"journal-{generation}.wal"
-    size = journal.stat().st_size
+    """Truncate/corrupt every generation's journal at sampled offsets and
+    recover: the clean run's final plane first, then each generation kept
+    when a compaction superseded it."""
+    kept = sorted(
+        (base / "generations").glob("generation-*"),
+        key=lambda path: int(path.name.removeprefix("generation-")),
+    )
     checked = 0
-    offsets = list(range(0, size, stride)) + [max(0, size - 1)]
-    for cut in offsets:
-        workdir = base / "torn"
+    for i, source in enumerate([base / "clean", *kept]):
+        checked += _tear_journal(base, source, spec["seed"] + 1 + i, ops, stride, bases)
+    return checked
+
+
+def _tear_journal(
+    base: Path,
+    source: Path,
+    seed: int,
+    ops: list[tuple],
+    stride: int,
+    bases: dict[int, int],
+) -> int:
+    """Recover copies of ``source/plane`` whose current journal is cut at
+    every ``stride``-th byte offset (and its last byte), then copies with
+    one of eight ``seed``-sampled bits flipped."""
+    journal = source / "plane" / f"journal-{current_generation(source / 'plane')}.wal"
+    size = journal.stat().st_size
+    workdir = base / "torn"
+
+    def torn_copy() -> Path:
         if workdir.exists():
             shutil.rmtree(workdir)
-        shutil.copytree(base / "clean", workdir)
-        target = workdir / "plane" / f"journal-{generation}.wal"
-        with target.open("r+b") as fh:
-            fh.truncate(cut)
         # No acks file in the torn copy: losing acknowledged ops to a
         # *post-mortem* truncation is detection, not a floor violation.
-        (workdir / "acks.jsonl").unlink(missing_ok=True)
-        verify_root(workdir / "plane", ops, bases, f"torn cut@{cut}")
+        shutil.copytree(source / "plane", workdir / "plane")
+        return workdir / "plane" / journal.name
+
+    checked = 0
+    for cut in list(range(0, size, stride)) + [max(0, size - 1)]:
+        with torn_copy().open("r+b") as fh:
+            fh.truncate(cut)
+        verify_root(workdir / "plane", ops, bases, f"{journal.name} torn cut@{cut}")
         checked += 1
     # Bit-flips inside tail frames: CRC catches them, recovery truncates.
-    rng = random.Random(spec["seed"] + 1)
+    rng = random.Random(seed)
     for flip in sorted(rng.sample(range(size), min(8, size))):
-        workdir = base / "torn"
-        if workdir.exists():
-            shutil.rmtree(workdir)
-        shutil.copytree(base / "clean", workdir)
-        target = workdir / "plane" / f"journal-{generation}.wal"
+        target = torn_copy()
         data = bytearray(target.read_bytes())
         data[flip] ^= 0x40
         target.write_bytes(bytes(data))
-        (workdir / "acks.jsonl").unlink(missing_ok=True)
-        verify_root(workdir / "plane", ops, bases, f"bitflip@{flip}")
+        verify_root(workdir / "plane", ops, bases, f"{journal.name} bitflip@{flip}")
         checked += 1
     return checked
 
@@ -502,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--torn-stride", type=int, default=7,
-        help="truncate the clean journal at every Nth byte offset",
+        help="truncate each generation's journal at every Nth byte offset",
     )
     parser.add_argument(
         "--quick", action="store_true",
