@@ -316,15 +316,16 @@ SCALE_SMOKE_DIGEST = (
     "c809ddce111964f3cca8c38494a90f0673b01227ab9a6b380c5d65044d77bb43"
 )
 #: Generous wall-time ceiling for the scale smoke: the measured time is
-#: ~1 s on one core, so tripping this means the claim queues lost their
-#: near-linear round cost, not that the runner was slow.
+#: 0.3–0.4 s on one core of a 2-vCPU Xeon host, so tripping this means the
+#: claim queues lost their near-linear round cost, not that the runner was
+#: slow.
 SCALE_SMOKE_CEILING_S = 120.0
 
 
 #: Traced peak of one n=10⁵ ``min-min`` plan (tracemalloc, warmed trust-cost
 #: caches) when the claim loop still read its queues element by element
 #: into frozen-dataclass plan items: 33.5 MiB.  The block cursors and tuple
-#: items measure 35.7 MiB; the bound holds the kernel within 10 % of the
+#: items measure 35.4 MiB; the bound holds the kernel within 10 % of the
 #: element-wise loop, so a cursor that buffers whole queues fails it.
 SCALE_SMOKE_ELEMENTWISE_PEAK_MIB = 33.5
 SCALE_SMOKE_PEAK_LIMIT = 1.10

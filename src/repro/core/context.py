@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import ConfigurationError
+
 __all__ = ["TrustContext", "EXECUTION"]
 
 
@@ -35,7 +37,9 @@ class TrustContext:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ValueError("trust context name must be non-empty")
+            raise ConfigurationError(
+                f"trust context name must be non-empty, got {self.name!r}"
+            )
 
     def __hash__(self) -> int:
         # The name's own (cached) hash: contexts key every trust-table

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.grid.domain import ClientDomain
 
 __all__ = ["Client"]
@@ -30,7 +31,9 @@ class Client:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("client index must be non-negative")
+            raise ConfigurationError(
+                f"client index must be non-negative, got {self.index!r}"
+            )
         if not self.name:
             object.__setattr__(
                 self, "name", f"{self.client_domain.name}/c{self.index}"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.grid.domain import ResourceDomain
 
 __all__ = ["Machine", "MachineState"]
@@ -35,7 +36,9 @@ class Machine:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("machine index must be non-negative")
+            raise ConfigurationError(
+                f"machine index must be non-negative, got {self.index!r}"
+            )
         if not self.name:
             object.__setattr__(
                 self, "name", f"{self.resource_domain.name}/m{self.index}"
@@ -84,10 +87,12 @@ class MachineState:
             failed: whether the attempt died (counts toward ``failed_count``).
         """
         if executed < 0:
-            raise ValueError(f"executed time must be non-negative, got {executed}")
+            raise ConfigurationError(
+                f"executed time must be non-negative, got {executed!r}"
+            )
         if next_free < self.available_time:
-            raise ValueError(
-                f"next_free {next_free} precedes booked work ending at "
+            raise ConfigurationError(
+                f"next_free {next_free!r} precedes booked work ending at "
                 f"{self.available_time}"
             )
         self.available_time = next_free

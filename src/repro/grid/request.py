@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.grid.activities import ActivitySet
 from repro.grid.client import Client
 
@@ -32,7 +33,9 @@ class Task:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("task index must be non-negative")
+            raise ConfigurationError(
+                f"task index must be non-negative, got {self.index!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,13 @@ class Request:
 
     def __post_init__(self) -> None:
         if self.index < 0:
-            raise ValueError("request index must be non-negative")
+            raise ConfigurationError(
+                f"request index must be non-negative, got {self.index!r}"
+            )
         if self.arrival_time < 0:
-            raise ValueError("arrival time must be non-negative")
+            raise ConfigurationError(
+                f"arrival_time must be non-negative, got {self.arrival_time!r}"
+            )
 
     @property
     def client_domain_index(self) -> int:

@@ -48,7 +48,13 @@ class PlannedAssignment(NamedTuple):
 
 
 def check_avail(avail: np.ndarray, n_machines: int) -> np.ndarray:
-    """Validate an availability vector (shape, non-negativity)."""
+    """Validate an availability vector (shape, non-negativity).
+
+    The sign is tested on Python floats: one numpy reduction per window or
+    per immediate-mode decision costs more than the whole test.  ``min``
+    returns a leading NaN whatever follows it, so then every entry is
+    tested; a NaN entry itself is not refused.
+    """
     avail = np.asarray(avail, dtype=np.float64)
     if avail.shape != (n_machines,):
         raise NoFeasibleMachineError(
@@ -56,7 +62,9 @@ def check_avail(avail: np.ndarray, n_machines: int) -> np.ndarray:
         )
     if n_machines == 0:
         raise NoFeasibleMachineError("no machines to map onto")
-    if (avail < 0).any():
+    values = avail.tolist()
+    lowest = min(values)
+    if lowest < 0 or (lowest != lowest and any(a < 0 for a in values)):
         raise NoFeasibleMachineError("availability times must be non-negative")
     return avail
 

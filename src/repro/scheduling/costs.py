@@ -237,10 +237,12 @@ class CostProvider:
         # Read once, before any pricing: a row is never stamped with an
         # epoch newer than the table it was priced from.
         cd_epochs = self.grid.trust_table.cd_epochs()
-        tc_key = self._tc_key
-        # Positions whose key is stale or missing; ``fetch_slot`` will hold
-        # the row of the priced batch that serves each of them.
+        # Positions whose key is stale or missing, and the row of the priced
+        # batch that will serve each of them; ``missing`` numbers those keys
+        # in discovery order.
         fetch_pos: list[int] = []
+        fetch_slot: list[int] = []
+        missing: dict[TcKey, int] = {}
         retrying: list[int] = []
         for pos, request in enumerate(requests):
             if dirty and request.index in dirty:
@@ -256,14 +258,9 @@ class CostProvider:
                 rows[pos] = entry[1]
             else:
                 fetch_pos.append(pos)
+                fetch_slot.append(missing.setdefault(key, len(missing)))
         if not (fetch_pos or retrying):
             return rows, []
-        # The stale or missing keys, numbered in discovery order.
-        missing: dict[TcKey, int] = {}
-        fetch_slot = [
-            missing.setdefault(tc_key(requests[pos]), len(missing))
-            for pos in fetch_pos
-        ]
         degraded: list[int] = []
         retried: list[int] = []
         for pos in retrying:
@@ -278,7 +275,7 @@ class CostProvider:
         for pos in retried:
             fetch_pos.append(pos)
             fetch_slot.append(len(keys))
-            keys.append(tc_key(requests[pos]))
+            keys.append(self._tc_key(requests[pos]))
         if keys:
             priced = self._price(keys)
             for key, row in zip(keys, priced):

@@ -10,7 +10,7 @@ machine's availability, and repeats until the meta-request is exhausted.
 
 :class:`MinMinHeuristic` runs this as per-machine sorted claim queues
 under one heap of their candidates' keys, reading each queue through a
-bounded Python-list block cursor.
+bounded Python-list block cursor whose refills drop committed rows.
 :func:`greedy_min_completion_plan` is the scalar transcription of the
 rounds above: an unregistered oracle that the equivalence suite and the
 kernel bench hold the production kernels to, bit-for-bit, including the
@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.grid.request import Request
 from repro.scheduling.base import BatchHeuristic, PlannedAssignment, check_avail
-from repro.scheduling.costs import CostProvider
+from repro.scheduling.costs import DEFAULT_CHUNK_TASKS, CostProvider
 
 __all__ = ["MinMinHeuristic", "greedy_min_completion_plan"]
 
@@ -100,8 +100,18 @@ class MinMinHeuristic(BatchHeuristic):
     value, candidate position, machine index) — candidate = first
     uncommitted row in static per-column order — is exactly the oracle's
     (lowest best, lowest position, first-argmin) commit.  Ties inside a
-    column surface lowest-position-first via the stable sort; ties across
-    columns resolve by position then machine index.
+    column surface lowest-position-first via the static (value, position)
+    order; ties across columns resolve by position then machine index.
+
+    Sort: the static order comes from NumPy's default (SIMD) sort, which
+    agrees with a stable sort everywhere but inside runs of equal values.
+    A queue with an equal adjacent pair (ties, ``+inf`` constraint masks)
+    is re-sorted on the unique integer key ``run * n + position``, where
+    ``run`` numbers its runs of equal values.  The columns are then
+    sorted in place, so row j of the block holds queue j's values in
+    queue order and no gather reads them.  Ties are found in spans of
+    :data:`~repro.scheduling.costs.DEFAULT_CHUNK_TASKS` columns' worth,
+    so no ``(m, n)`` mask exists.
 
     Heap keys: a :mod:`heapq` heap holds one ``(value, position, machine)``
     key per queue, so each round reads the minimum in O(log m) instead of
@@ -119,8 +129,12 @@ class MinMinHeuristic(BatchHeuristic):
 
     Block cursors: the claim loop reads each queue through a Python-list
     block of at most :data:`_BLOCK` entries (the rows in static order and
-    their ECC in that column), refilled by slicing the sorted order when
-    the cursor runs off its end.  The loop then touches Python ints and
+    their ECC in that column).  When the cursor runs off its end, the next
+    raw block of the sorted order is read and the rows already committed
+    are dropped from it in one vector op (through a NumPy view of the
+    ``committed`` flags); a raw block with nothing left is skipped whole.
+    A row never becomes uncommitted, so dropping it when its block is read
+    equals skipping it later.  The loop then touches Python ints and
     floats only, while the blocks stay O(m · _BLOCK) at any window size.
     """
 
@@ -143,18 +157,40 @@ class MinMinHeuristic(BatchHeuristic):
         cols = np.empty((m, n), dtype=np.float64)
         for start, chunk in costs.mapping_ecc_chunks(requests):
             cols[:, start : start + chunk.shape[0]] = chunk.T
-        orders = np.argsort(cols, axis=1, kind="stable")
+        # Static (value, position) order: the default sort, then a repair
+        # of each row holding an equal adjacent pair.  Sorted in place,
+        # row j of ``cols`` holds queue j's values in queue order.  The
+        # flat scan for equal pairs drops those that straddle two rows.
+        orders = np.argsort(cols, axis=1)
+        cols.sort(axis=1)
+        flat = cols.reshape(-1)
+        size = m * n
+        span = m * DEFAULT_CHUNK_TASKS
+        tied: set[int] = set()
+        for lo in range(0, size - 1, span):
+            hi = min(lo + span, size - 1)
+            equal = flat[lo:hi] == flat[lo + 1 : hi + 1]
+            if np.count_nonzero(equal):
+                pairs = np.flatnonzero(equal) + lo
+                tied.update((pairs[pairs % n != n - 1] // n).tolist())
+        for j in tied:
+            # Number the row's runs of equal values; ``run * n + position``
+            # is then a unique key in (value, position) order.
+            values, queue = cols[j], orders[j]
+            queue[1:] += np.cumsum(values[1:] != values[:-1]) * n
+            queue.sort()
+            queue %= n
 
-        # Queue j's cursor: its current block of rows (static order) and
-        # their values, where the block starts in the queue, and the
-        # candidate's place in the block.
+        # Queue j's cursor: its current block of uncommitted rows (static
+        # order) and their values, where the next raw block starts in the
+        # queue, and the candidate's place in the block.
         block = _BLOCK
-        heads = orders[:, :block]
-        q_rows = heads.tolist()
-        q_vals = cols[np.arange(m)[:, None], heads].tolist()
-        q_lo = [0] * m
+        q_rows = orders[:, :block].tolist()
+        q_vals = cols[:, :block].tolist()
+        q_next = [block] * m
         q_at = [0] * m
         committed = bytearray(n)
+        done = np.frombuffer(committed, dtype=bool)
         avail_f = avail.tolist()
         # Nothing is committed yet: every queue's candidate is its head.
         keys = [
@@ -183,18 +219,22 @@ class MinMinHeuristic(BatchHeuristic):
             rows = q_rows[j]
             at = q_at[j] + 1
             end = len(rows)
-            while True:
-                while at < end and committed[rows[at]]:
-                    at += 1
-                if at < end:
-                    break
-                # Past the block: read the next one.
-                lo = q_lo[j] + end
-                picked = orders[j, lo : lo + block]
-                rows = q_rows[j] = picked.tolist()
-                q_vals[j] = cols[j, picked].tolist()
-                q_lo[j] = lo
+            while at < end and committed[rows[at]]:
+                at += 1
+            if at == end:
+                # Past the block: read raw blocks until one keeps a row
+                # that is still uncommitted, dropping the committed ones.
+                lo = q_next[j]
+                while True:
+                    picked = orders[j, lo : lo + block]
+                    live = ~done[picked]
+                    rows = picked[live].tolist()
+                    if rows:
+                        break
+                    lo += block
+                q_rows[j] = rows
+                q_vals[j] = cols[j, lo : lo + block][live].tolist()
+                q_next[j] = lo + block
                 at = 0
-                end = len(rows)
             q_at[j] = at
             heapreplace(keys, (q_vals[j][at] + avail_f[j], rows[at], j))

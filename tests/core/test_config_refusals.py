@@ -21,7 +21,10 @@ from repro.experiments.faulttol import run_fault_recovery
 from repro.experiments.trustfaults import run_trustfault_study
 from repro.faults.retry import RetryPolicy
 from repro.grid.activities import ActivityCatalog, ActivitySet, ActivityType
+from repro.grid.client import Client
 from repro.grid.domain import ClientDomain, GridDomain, ResourceDomain
+from repro.grid.machine import Machine, MachineState
+from repro.grid.request import Request, Task
 from repro.metrics.improvement import improvement_fraction
 from repro.security.crypto import CipherSuite, HostCpu
 from repro.security.network import NetworkLink
@@ -41,6 +44,9 @@ from repro.sim.rng import RngFactory
 CTX = TrustContext("toa")
 GD = GridDomain(0, "site")
 TOA = ActivityType(0, "x")
+RD = ResourceDomain(0, GD, frozenset({TOA}), TrustLevel.A)
+CLIENT = Client(0, ClientDomain(0, GD, TrustLevel.A))
+TASK = Task(0, ActivitySet((TOA,)))
 LINK = NetworkLink("lan", line_rate_mbps=100.0)
 RNG = np.random.default_rng(0)
 
@@ -99,6 +105,17 @@ def _future_opinion() -> None:
             "supported_activities .*got frozenset",
         ),
         (lambda: ClientDomain(-3, GD, TrustLevel.A), "client domain index .*got -3"),
+        (lambda: TrustContext(""), "trust context name .*got ''"),
+        (lambda: Client(-1, CLIENT.client_domain), "client index .*got -1"),
+        (lambda: Machine(-2, RD), "machine index .*got -2"),
+        (lambda: MachineState(Machine(0, RD)).book_attempt(-1.5, 2.0), "executed time .*got -1.5"),
+        (
+            lambda: MachineState(Machine(0, RD), available_time=5.0).book_attempt(1.0, 4.0),
+            "next_free 4.0 precedes booked work ending at 5.0",
+        ),
+        (lambda: Task(-4, TASK.activities), "task index .*got -4"),
+        (lambda: Request(-5, CLIENT, TASK, 0.0), "request index .*got -5"),
+        (lambda: Request(0, CLIENT, TASK, -0.25), "arrival_time .*got -0.25"),
         (lambda: ActivityType(-1, "x"), "activity index .*got -1"),
         (lambda: ActivityType(0, ""), "activity name .*got ''"),
         (lambda: ActivityCatalog.default(0), "n_activities .*got 0"),

@@ -28,6 +28,27 @@ class TestCheckAvail:
         with pytest.raises(NoFeasibleMachineError):
             check_avail(np.array([1.0, -0.1]), 2)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.nan, -1.0],
+            [np.nan, 2.0, -np.inf],
+            [3.0, np.nan, -0.5],
+            [np.nan, np.nan],
+            [np.nan, 1.0],
+            [-0.0, 0.0],
+            [np.inf, 0.0],
+        ],
+    )
+    def test_refusals_match_the_elementwise_sign_test(self, values):
+        # The refusal set of the numpy reduction ``(avail < 0).any()``,
+        # NaN entries included: a NaN is not refused and hides no negative.
+        if (np.array(values) < 0).any():
+            with pytest.raises(NoFeasibleMachineError, match="non-negative"):
+                check_avail(np.array(values), len(values))
+        else:
+            check_avail(np.array(values), len(values))
+
     def test_zero_machines_rejected(self):
         with pytest.raises(NoFeasibleMachineError):
             check_avail(np.zeros(0), 0)

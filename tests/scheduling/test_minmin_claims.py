@@ -9,6 +9,13 @@ item on ECC matrices built to stress exactly that: rows cheapest on many
 machines (stale keys pile up), duplicate values around the claim queues'
 block boundary, ``+inf`` entries (constraint masks and retry exclusions,
 all-``inf`` rows included) and a single machine.
+
+The queues are ordered by an unstable sort whose ties are repaired, and a
+refill drops the rows already committed and reads past raw blocks that
+hold none; the deterministic cases at the end pin both: long runs of
+equal values across several blocks, a run that straddles a block
+boundary, a next raw block that is fully committed, and a constrained
+window whose every column ends in a run of ``+inf``.
 """
 
 from types import SimpleNamespace
@@ -121,3 +128,60 @@ def test_one_row_cheapest_everywhere_each_round():
 def test_single_machine():
     ecc = np.array([[4.0], [1.0], [1.0], [np.inf], [2.0]])
     assert_matches_oracle(ecc, np.array([3.0]))
+
+
+def test_tied_columns_over_three_blocks():
+    # Five distinct values over 3·_BLOCK + 17 rows: every queue is a few
+    # long runs of equal values, each read across several blocks, and
+    # their order inside a run decides which request commits first.
+    rng = np.random.default_rng(11)
+    n, m = 3 * _BLOCK + 17, 4
+    ecc = rng.choice(TIED, size=(n, m))
+    assert_matches_oracle(ecc, np.array([0.0, 1.0, 0.0, 4.0]))
+
+
+def test_equal_run_straddles_a_block_boundary():
+    # Each queue holds _BLOCK - 40 rows at 1.0, then a run of 80 rows at
+    # 3.0 that starts in its first block and ends in its second.
+    rng = np.random.default_rng(12)
+    n, m = 2 * _BLOCK + 64, 3
+    ecc = np.full((n, m), 9.0)
+    for j in range(m):
+        rows = rng.permutation(n)
+        ecc[rows[: _BLOCK - 40], j] = 1.0
+        ecc[rows[_BLOCK - 40 : _BLOCK + 40], j] = 3.0
+    assert_matches_oracle(ecc, np.zeros(m))
+
+
+def test_next_raw_block_fully_committed():
+    # Queue 0 orders rows by index.  Machine 1 is cheapest for rows
+    # _BLOCK .. 2·_BLOCK - 1 and commits all of them while machine 0 is
+    # still in its first block, so machine 0's refill finds its second
+    # raw block fully committed and must read on into the third, where
+    # the two machines compete for the remaining rows.
+    n = 3 * _BLOCK
+    ecc = np.empty((n, 2))
+    ecc[:, 0] = np.arange(1.0, n + 1.0)
+    ecc[:, 1] = 1e6
+    ecc[_BLOCK : 2 * _BLOCK, 1] = 0.5
+    ecc[2 * _BLOCK :, 1] = 3000.0 + np.arange(_BLOCK)[::-1]
+    items = MinMinHeuristic().plan(list(range(n)), MatrixCosts(ecc, 64), np.zeros(2))
+    plan = {p.request: p for p in items}
+    first = [plan[r] for r in range(_BLOCK)]
+    second = [plan[r] for r in range(_BLOCK, 2 * _BLOCK)]
+    assert all(p.machine_index == 0 for p in first)
+    assert all(p.machine_index == 1 for p in second)
+    assert max(p.order for p in second) < max(p.order for p in first)
+    assert_matches_oracle(ecc, np.zeros(2))
+
+
+def test_constrained_window_every_column_ties_at_inf():
+    # A trust constraint prices infeasible machines at +inf: every column
+    # ends in a run of +inf, and REJECT-style rows are +inf everywhere.
+    rng = np.random.default_rng(13)
+    n, m = 2 * _BLOCK + 30, 4
+    ecc = rng.uniform(1.0, 50.0, size=(n, m))
+    ecc[rng.random((n, m)) < 0.4] = np.inf
+    ecc[rng.random(n) < 0.05] = np.inf
+    assert all(np.isinf(ecc[:, j]).sum() > 1 for j in range(m))
+    assert_matches_oracle(ecc, np.array([0.0, 2.0, 5.0, 1.0]))
