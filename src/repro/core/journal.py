@@ -1132,10 +1132,6 @@ class DurableTrustPlane:
         return self._writer.synced_offset
 
     @property
-    def journal_path(self) -> Path:
-        return self._writer.path
-
-    @property
     def base_digest(self) -> str:
         """SHA-256 of the current base file (its trailing digest)."""
         return self._base_digest

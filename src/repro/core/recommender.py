@@ -160,10 +160,6 @@ class RecommenderWeights:
             return None
         return self.default_accuracy
 
-    def accuracy(self, recommender: EntityId) -> float:
-        """Current learned accuracy of ``recommender``."""
-        return self._accuracy.get(recommender, self.default_accuracy)
-
     def observe_outcome(
         self, recommender: EntityId, predicted: float, actual: float
     ) -> float:

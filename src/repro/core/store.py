@@ -80,7 +80,7 @@ def _weights_to_dict(weights: RecommenderWeights) -> dict[str, Any]:
         "accuracy": dict(weights._accuracy),
         "alliances": {
             name: sorted(weights.alliances._groups[name])
-            for name in sorted(weights.alliances._groups)
+            for name in sorted(weights.alliances.groups())
         },
         # The write-ahead journal (repro.core.journal) verifies each
         # replayed op against these counters, so a restore must reproduce

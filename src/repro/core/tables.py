@@ -97,11 +97,6 @@ class TrustRecord:
         self.last_transaction = last_transaction
         self.transaction_count = transaction_count
 
-    @property
-    def level(self) -> TrustLevel:
-        """The discrete trust level this record quantises to."""
-        return value_to_level(self.value)
-
 
 class TrustTable:
     """Mutable mapping ``(truster, trustee, context) -> TrustRecord``.

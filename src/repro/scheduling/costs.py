@@ -565,18 +565,25 @@ class CostProvider:
         """Indices of requests whose latest pricing lacked fresh trust data."""
         return frozenset(self._degraded)
 
+    @property
+    def screens(self) -> bool:
+        """Whether :meth:`is_feasible` can refuse a request: a constraint is
+        installed and its infeasibility policy is not RELAX."""
+        return (
+            self.constraint is not None
+            and self.constraint.infeasible is not InfeasiblePolicy.RELAX
+        )
+
     def is_feasible(self, request: Request) -> bool:
         """Whether at least one machine may legally host ``request``.
 
-        Always True without a constraint or under the RELAX policy.  With a
+        Always True unless the provider :attr:`screens`.  With a
         ``trust_source`` installed, admission is judged against whatever TC
         data is obtainable: the real row when the plane answers, the forced
         row when it does not (unknown pairings are admitted — rejecting on
         absent evidence would turn every outage into mass rejection).
         """
-        if self.constraint is None:
-            return True
-        if self.constraint.infeasible is InfeasiblePolicy.RELAX:
+        if not self.screens:
             return True
         (tc,), _degraded = self._tc_rows(
             (request,), guarded=self.trust_source is not None

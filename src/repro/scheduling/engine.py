@@ -35,7 +35,7 @@ re-schedule, everything that was in the air at a window boundary.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import islice
 from operator import attrgetter, gt
 from typing import TYPE_CHECKING, Any
@@ -465,6 +465,40 @@ class SchedulingEngine:
         else:
             self.pending.append(request)
 
+    def ingest(self, run: Iterable[tuple[float, Request]]) -> None:
+        """Dispatch a run of arrivals, in order: the arrival handler of
+        :meth:`TRMScheduler.run <repro.scheduling.scheduler.TRMScheduler.run>`
+        (see :meth:`Simulator.schedule_many
+        <repro.sim.kernel.Simulator.schedule_many>`).
+
+        Each ``(time, request)`` pair is traced as an ``arrival`` and then
+        dispatched as :meth:`submit` dispatches it.  What cannot change
+        inside a run — the tracer switch, the mode, the trust source and
+        whether the cost provider screens — is read once per run; in batch
+        mode a feasible arrival costs one ``pending.append``.
+        """
+        sched = self.scheduler
+        tracer = sched.tracer if sched.tracer.enabled else None
+        if sched.batch_interval is None:
+            for time, request in run:
+                if tracer is not None:
+                    tracer.emit(time, "arrival", request=request.index)
+                self.submit(request, time)
+            return
+        source = sched.trust_source
+        costs = sched.costs
+        screens = costs.screens
+        append = self.pending.append
+        for time, request in run:
+            if tracer is not None:
+                tracer.emit(time, "arrival", request=request.index)
+            if source is not None:
+                source.advance(time)
+            if screens and not costs.is_feasible(request):
+                self.reject(request, time)
+            else:
+                append(request)
+
     def form_batch(self, time: float) -> int:
         """Form and execute a meta-request from :attr:`pending` at ``time``.
 
@@ -514,6 +548,27 @@ class SchedulingEngine:
         self._commit(requests, machines, time)
         self.pending = []
         return size
+
+    # -- the batch timer -----------------------------------------------------
+
+    def start_batch_timer(self) -> None:
+        """Form a meta-request every ``batch_interval`` (batch heuristics
+        only), until ``total`` requests have settled."""
+        if self.scheduler.batch_interval is not None:
+            self.sim.schedule(
+                self.scheduler.batch_interval,
+                self._on_batch_timer,
+                priority=EventPriority.BATCH,
+            )
+
+    def _on_batch_timer(self, time: float, _payload: None) -> None:
+        self.form_batch(time)
+        if self._more_work():
+            self.sim.schedule(
+                time + self.scheduler.batch_interval,
+                self._on_batch_timer,
+                priority=EventPriority.BATCH,
+            )
 
     # -- machine up/down transitions as first-class DES events ---------------
     # The injector's timelines are the source of truth (outcomes are

@@ -184,36 +184,23 @@ class TRMScheduler:
 
         The execution machinery lives in
         :class:`~repro.scheduling.engine.SchedulingEngine`; this driver
-        schedules the arrivals, the batch-timer chain and the machine
-        up/down watch, then runs the simulation to completion.
+        schedules the arrivals (fired in runs into
+        :meth:`~repro.scheduling.engine.SchedulingEngine.ingest`), the
+        batch-timer chain and the machine up/down watch, then runs the
+        simulation to completion.
         """
         sim = Simulator(metrics=self.metrics)
         total = len(requests)
         engine = SchedulingEngine(self, sim, total=total)
 
-        def on_arrival(time: float, request: Request) -> None:
-            if self.tracer.enabled:
-                self.tracer.emit(time, "arrival", request=request.index)
-            engine.submit(request, time)
-
-        def on_batch(time: float, _payload: None) -> None:
-            engine.form_batch(time)
-            if engine.settled < total:
-                sim.schedule(
-                    time + self.batch_interval,
-                    on_batch,
-                    priority=EventPriority.BATCH,
-                )
-
         sim.schedule_many(
             [request.arrival_time for request in requests],
-            on_arrival,
+            engine.ingest,
             priority=EventPriority.ARRIVAL,
             payloads=requests,
         )
-        if self.batch_interval is not None and total > 0:
-            sim.schedule(self.batch_interval, on_batch, priority=EventPriority.BATCH)
         if total > 0:
+            engine.start_batch_timer()
             engine.start_machine_watch()
 
         sim.run()

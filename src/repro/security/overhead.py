@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.ets import TC_MAX, TC_MIN
+from repro.errors import ConfigurationError
 
 __all__ = ["Mechanism", "SupplementLadder", "DEFAULT_LADDER", "calibrate_weight", "linear_supplement_fraction"]
 
@@ -40,7 +41,10 @@ class Mechanism:
 
     def __post_init__(self) -> None:
         if self.overhead_fraction < 0:
-            raise ValueError("overhead fraction must be non-negative")
+            raise ConfigurationError(
+                f"overhead_fraction of mechanism {self.name!r} must be "
+                f"non-negative, got {self.overhead_fraction!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -59,12 +63,17 @@ class SupplementLadder:
 
     def __post_init__(self) -> None:
         if len(self.levels) != TC_MAX:
-            raise ValueError(f"a ladder needs exactly {TC_MAX} levels")
+            raise ConfigurationError(
+                f"levels: a ladder needs exactly {TC_MAX} levels, "
+                f"got {len(self.levels)}"
+            )
 
     def overhead(self, tc: int) -> float:
         """Total overhead fraction at trust cost ``tc``."""
         if not TC_MIN <= tc <= TC_MAX:
-            raise ValueError(f"trust cost must lie in [{TC_MIN}, {TC_MAX}]")
+            raise ConfigurationError(
+                f"tc: trust cost must lie in [{TC_MIN}, {TC_MAX}], got {tc!r}"
+            )
         return sum(
             m.overhead_fraction for level in self.levels[:tc] for m in level
         )
@@ -94,9 +103,9 @@ DEFAULT_LADDER = SupplementLadder(
 def linear_supplement_fraction(tc: float, weight: float = 15.0) -> float:
     """The paper's linear model: overhead fraction ``tc × weight / 100``."""
     if tc < 0:
-        raise ValueError("trust cost must be non-negative")
+        raise ConfigurationError(f"tc: trust cost must be non-negative, got {tc!r}")
     if weight < 0:
-        raise ValueError("weight must be non-negative")
+        raise ConfigurationError(f"weight must be non-negative, got {weight!r}")
     return tc * weight / 100.0
 
 

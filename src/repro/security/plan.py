@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.ets import TC_MAX, TC_MIN
+from repro.errors import ConfigurationError
 from repro.grid.activities import ActivitySet
 from repro.security.overhead import DEFAULT_LADDER, Mechanism, SupplementLadder
 
@@ -96,10 +97,12 @@ def plan_supplement(
     *composite* activity.
 
     Raises:
-        ValueError: if ``trust_cost`` is outside ``[0, 6]``.
+        ConfigurationError: if ``trust_cost`` is outside ``[0, 6]``.
     """
     if not TC_MIN <= trust_cost <= TC_MAX:
-        raise ValueError(f"trust cost must lie in [{TC_MIN}, {TC_MAX}]")
+        raise ConfigurationError(
+            f"trust_cost must lie in [{TC_MIN}, {TC_MAX}], got {trust_cost!r}"
+        )
     ladder = ladder if ladder is not None else DEFAULT_LADDER
 
     engaged: list[Mechanism] = [

@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 __all__ = [
     "InstructionMix",
     "SfiTool",
@@ -73,9 +75,12 @@ class InstructionMix:
             ("jump_frac", self.jump_frac),
         ):
             if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{label} must lie in [0, 1], got {v}")
+                raise ConfigurationError(f"{label} must lie in [0, 1], got {v!r}")
         if self.write_frac + self.read_frac + self.jump_frac > 1.0 + 1e-12:
-            raise ValueError("instruction fractions must sum to at most 1")
+            raise ConfigurationError(
+                "write_frac + read_frac + jump_frac must be at most 1, got "
+                f"{self.write_frac + self.read_frac + self.jump_frac!r}"
+            )
 
     @property
     def other_frac(self) -> float:
@@ -106,7 +111,7 @@ class SfiTool:
             ("jump_check", self.jump_check),
         ):
             if v < 0:
-                raise ValueError(f"{label} must be non-negative, got {v}")
+                raise ConfigurationError(f"{label} must be non-negative, got {v!r}")
 
 
 #: MiSFIT sandboxes C++ writes and indirect jumps; reads are unguarded.
@@ -160,7 +165,9 @@ def simulate_sandboxed_run(
     :func:`predicted_overhead` as the stream grows.
     """
     if n_instructions < 1:
-        raise ValueError("n_instructions must be positive")
+        raise ConfigurationError(
+            f"n_instructions must be positive, got {n_instructions!r}"
+        )
     probs = np.array(
         [app.write_frac, app.read_frac, app.jump_frac, app.other_frac]
     )

@@ -160,7 +160,6 @@ class AdmissionController:
     def decide(
         self,
         now: float,
-        *,
         queue: list[Request],
         queue_bounded: bool,
         backpressure: bool,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import Counter as _Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -254,7 +254,7 @@ class GridService:
         )
         sim.schedule_many(
             [request.arrival_time for request in requests],
-            self._on_arrival,
+            self._arrival_handler(engine),
             priority=EventPriority.ARRIVAL,
             payloads=requests,
         )
@@ -362,7 +362,7 @@ class GridService:
         remaining = [r for r in requests if r.index not in ingested]
         sim.schedule_many(
             [max(request.arrival_time, clock) for request in remaining],
-            self._on_arrival,
+            self._arrival_handler(engine),
             priority=EventPriority.ARRIVAL,
             payloads=remaining,
         )
@@ -461,34 +461,80 @@ class GridService:
 
     # -- event handlers ------------------------------------------------------
 
-    def _on_arrival(self, time: float, request: Request) -> None:
-        engine, _ = self._running()
-        tracer = self.scheduler.tracer
-        if tracer.enabled:
-            tracer.emit(time, "arrival", request=request.index)
-        self._submitted += 1
-        metered = self.metrics.enabled
-        if metered:
-            self.metrics.counter("svc.submitted").add()
+    def _arrival_handler(
+        self, engine: SchedulingEngine
+    ) -> Callable[[Iterator[tuple[float, Request]]], None]:
+        """The handler that admits or sheds each arrival of a run, in
+        order (see :meth:`Simulator.schedule_many
+        <repro.sim.kernel.Simulator.schedule_many>`).
+
+        What no event can change is read once, here: the tracer and
+        metrics switches, which admission limits and latch exist, the mode,
+        the trust source and whether the cost provider screens.  The token
+        bucket, the queue bound, the latch state and feasibility are judged
+        per arrival; with no limit and no latch every arrival is admitted
+        without a decision.  In batch mode an admitted, feasible arrival
+        costs one ``pending.append``.
+        """
+        sched = self.scheduler
+        tracer = sched.tracer if sched.tracer.enabled else None
+        metrics = self.metrics if self.metrics.enabled else None
+        admission = self.admission
         latch = self.latch
-        reason = self.admission.decide(
-            time,
-            queue=engine.pending,
-            queue_bounded=self._batch_mode,
-            backpressure=latch is not None and latch.engaged,
+        batch = self._batch_mode
+        limited = (
+            latch is not None
+            or admission.bucket is not None
+            or (batch and admission.policy.queue_capacity is not None)
         )
-        if reason is not None:
-            self._shed_request(request, time, reason)
-            return
-        self._admitted += 1
-        if metered:
-            self.metrics.counter("svc.admitted").add()
-            with self.metrics.timer("svc.enqueue_latency_s"):
-                engine.submit(request, time)
-        else:
-            engine.submit(request, time)
-        if latch is not None:
-            self._update_latch(self._backlog())
+        decide = admission.decide
+        source = sched.trust_source
+        costs = sched.costs
+        screens = costs.screens
+
+        def on_arrivals(run: Iterator[tuple[float, Request]]) -> None:
+            # The window replaces the pending list, never a run.
+            pending = engine.pending
+            append = pending.append
+            submitted = admitted = 0
+            try:
+                for time, request in run:
+                    if tracer is not None:
+                        tracer.emit(time, "arrival", request=request.index)
+                    submitted += 1
+                    if metrics is not None:
+                        metrics.counter("svc.submitted").add()
+                    if limited:
+                        reason = decide(
+                            time, pending, batch, latch is not None and latch.engaged
+                        )
+                        if reason is not None:
+                            self._shed_request(request, time, reason)
+                            continue
+                    admitted += 1
+                    if metrics is not None:
+                        metrics.counter("svc.admitted").add()
+                        started = _time.perf_counter()
+                    if not batch:
+                        engine.submit(request, time)
+                    else:
+                        if source is not None:
+                            source.advance(time)
+                        if screens and not costs.is_feasible(request):
+                            engine.reject(request, time)
+                        else:
+                            append(request)
+                    if metrics is not None:
+                        metrics.histogram("svc.enqueue_latency_s").observe(
+                            _time.perf_counter() - started
+                        )
+                    if latch is not None:
+                        self._update_latch(self._backlog())
+            finally:
+                self._submitted += submitted
+                self._admitted += admitted
+
+        return on_arrivals
 
     def _on_window(self, time: float, _payload: None) -> None:
         engine, sim = self._running()

@@ -1,16 +1,28 @@
 """The discrete-event simulation kernel.
 
 A minimal, deterministic DES engine: a clock, an event queue, and a run
-loop.  A handler scheduled on the kernel is called as
-``handler(time, payload)`` when its event fires, and may schedule further
-events (never in the past).  The kernel is deliberately free of domain
-knowledge — the Grid scheduler, arrival processes and trust agents are all
-plugged in as handlers.
+loop.  A handler scheduled on the kernel with :meth:`Simulator.schedule` is
+called as ``handler(time, payload)`` when its event fires, and may schedule
+further events (never in the past).  The kernel is deliberately free of
+domain knowledge — the Grid scheduler, arrival processes and trust agents
+are all plugged in as handlers.
+
+Bulk-scheduled entries (:meth:`Simulator.schedule_many`, a run's arrivals)
+fire in *runs*: when the stream's head fires next, its handler is called
+once, as ``handler(run)``, and iterates ``run`` for ``(time, payload)``
+pairs.  A run holds the longest stretch of consecutive stream entries of
+that handler that still fire before the heap's head and ``until``; the
+condition is checked again after every entry, so an event the handler
+schedules mid-run (a completion, a failure, another bulk entry) ends the
+run exactly where it would have fired between two single events.  Every
+entry of a run moves the clock, counts as processed and against the event
+budget, and is metered, just as a single event is.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+import heapq
+from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
 from repro.errors import ConfigurationError, EventOrderError, SimulationError
@@ -78,17 +90,28 @@ class Simulator:
     def schedule_many(
         self,
         times: Sequence[float],
-        handler: Callable[[float, Any], None] | None,
+        handler: Callable[[Iterator[tuple[float, Any]]], None] | None,
         *,
         priority: EventPriority = EventPriority.GENERIC,
         payloads: Sequence[Any],
     ) -> None:
-        """Schedule ``handler`` once per ``(times[i], payloads[i])`` pair.
+        """Schedule one entry per ``(times[i], payloads[i])`` pair, fired
+        in runs through ``handler(run)``.
 
-        Fires exactly like ``schedule(times[i], handler, priority=...,
-        payload=payloads[i])`` called in input order, but the entries wait
-        in a sorted stream beside the heap — the bulk path for a run's
-        arrivals.  Nothing is enqueued when any time is refused.
+        The entries wait in a sorted stream beside the heap — the bulk path
+        for a run's arrivals — and fire in the order of ``schedule`` called
+        in input order: sequence numbers follow the input.  When the
+        stream's head fires next, ``handler`` is called with an iterator
+        over ``(time, payload)`` pairs: the longest stretch of the stream
+        (of this call's entries) that still fires before every other
+        pending event and the run's horizon, checked again before each
+        pair.  The clock reads ``time`` while a pair is handled.  A handler
+        that stops iterating early leaves the rest queued, to fire as the
+        next run; the iterator is valid only during the call.
+
+        A ``None`` handler schedules marker entries: each advances the
+        clock and counts as processed, but calls nothing.  Nothing is
+        enqueued when any time is refused.
 
         Raises:
             EventOrderError: if any time lies in the simulation's past
@@ -114,17 +137,19 @@ class Simulator:
     def run(self, until: float | None = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
 
-        Events scheduled exactly at ``until`` are still fired.  Each fired
-        entry moves the clock to its time and calls ``handler(time,
+        Events scheduled exactly at ``until`` are still fired.  A single
+        event moves the clock to its time and calls ``handler(time,
         payload)``; the entry is the queue's own tuple, so firing builds no
-        object.
+        object.  Bulk entries fire in runs (see :meth:`schedule_many`).
 
         Returns:
             The final simulation time.
 
         Raises:
             SimulationError: if the event budget ``max_events`` is exhausted
-                (guards against runaway self-rescheduling handlers).
+                (guards against runaway self-rescheduling handlers); raised
+                after the handling of the event that exceeds it, whether
+                that event is single or part of a run.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
@@ -132,19 +157,54 @@ class Simulator:
         try:
             with self.metrics.timer("sim.run_wall_s"):
                 queue = self._queue
-                pop_due = queue.pop_due
+                heap = queue._heap
+                stream = queue._stream
+                heappop = heapq.heappop
                 budget = self._max_events
-                metrics = self.metrics
-                metered = metrics.enabled
-                while (entry := pop_due(until)) is not None:
-                    time, _priority, _sequence, handler, payload = entry
-                    self.now = time
-                    self.processed += 1
-                    if metered:
-                        metrics.counter("sim.events").add()
-                        metrics.histogram("sim.queue_depth").observe(len(queue))
-                    if handler is not None:
-                        handler(time, payload)
+                metered = self.metrics.enabled
+                while True:
+                    # The earlier head fires: the stream's starts a run,
+                    # the heap's is a single event.
+                    if stream and (not heap or stream[-1] < heap[0]):
+                        if until is not None and stream[-1][0] > until:
+                            break
+                        time, _priority, _sequence, handler, payload = stream.pop()
+                        self.now = time
+                        self.processed += 1
+                        if metered:
+                            self._meter()
+                        if handler is None:
+                            pass
+                        elif (
+                            stream
+                            and (head := stream[-1])[3] is handler
+                            and not (heap and heap[0] < head)
+                            and (until is None or head[0] <= until)
+                        ):
+                            # The next entry may join: the run goes on for
+                            # as long as the check holds after each entry.
+                            handler(
+                                self._run(
+                                    handler, until, time, payload,
+                                    heap, stream, budget, metered,
+                                )
+                            )
+                        else:
+                            # Nothing the handler schedules moves the next
+                            # entry ahead of what stops it, so the run is this
+                            # one entry (a stream entry the handler adds
+                            # fires later as a run of its own, in order).
+                            handler(((time, payload),))
+                    elif heap and (until is None or heap[0][0] <= until):
+                        time, _priority, _sequence, handler, payload = heappop(heap)
+                        self.now = time
+                        self.processed += 1
+                        if metered:
+                            self._meter()
+                        if handler is not None:
+                            handler(time, payload)
+                    else:
+                        break
                     if self.processed > budget:
                         raise SimulationError(self._exhaustion_diagnostic())
             if until is not None and self.now < until:
@@ -152,6 +212,48 @@ class Simulator:
             return self.now
         finally:
             self._running = False
+
+    def _run(
+        self,
+        handler: Callable[..., None],
+        until: float | None,
+        time: float,
+        payload: Any,
+        heap: list,
+        stream: list,
+        budget: int,
+        metered: bool,
+    ) -> Iterator[tuple[float, Any]]:
+        """Yield the run that starts with the fired ``(time, payload)``,
+        then pop, count and yield the stream's next entry for as long as it
+        is ``handler``'s and fires before the heap's head and ``until``.
+
+        ``heap``, ``stream``, ``budget`` and ``metered`` are the run loop's
+        own locals, passed in so a short run costs no look-ups."""
+        pop = stream.pop
+        while True:
+            yield time, payload
+            if self.processed > budget:
+                raise SimulationError(self._exhaustion_diagnostic())
+            if not stream:
+                return
+            head = stream[-1]
+            if (
+                head[3] is not handler
+                or (heap and heap[0] < head)
+                or (until is not None and head[0] > until)
+            ):
+                return
+            time, _priority, _sequence, _handler, payload = pop()
+            self.now = time
+            self.processed += 1
+            if metered:
+                self._meter()
+
+    def _meter(self) -> None:
+        """Count one fired event and sample the queue depth after its pop."""
+        self.metrics.counter("sim.events").add()
+        self.metrics.histogram("sim.queue_depth").observe(len(self._queue))
 
     def _exhaustion_diagnostic(self) -> str:
         """Describe the simulator state at event-budget exhaustion.

@@ -8,11 +8,17 @@ tuple, wherever it waits: sequence numbers are unique, so every comparison
 runs in C and never reaches the handler.  Events scheduled one at a time
 (:meth:`EventQueue.push`) wait in the heap.  Bulk-scheduled work (a run's
 arrivals, :meth:`EventQueue.push_many`) does not go through the heap at
-all: it waits in one *stream* sorted in reverse, beside the heap.
-:meth:`EventQueue.pop_due`, the simulator's one dequeue, takes whichever
-head is smaller and returns the entry itself, so firing an event builds no
-object; ``list.pop()`` drops a fired stream entry, so the stream never pins
-a payload that already fired.
+all: it waits in one *stream* sorted in reverse, beside the heap, so its
+earliest entry is the list's last and ``list.pop()`` takes it in O(1).
+:meth:`EventQueue.pop_due` takes whichever head is smaller and returns the
+entry itself, so firing an event builds no object.
+
+The simulator fires the stream in *runs*
+(:meth:`~repro.sim.kernel.Simulator.schedule_many`): it reads the two lists
+directly, pops stream entries for as long as they still precede the heap's
+head, and fires heap entries through :meth:`EventQueue.pop_due`.  A fired
+stream entry leaves the list, so the stream never pins a payload that
+already fired.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ class EventQueue:
     event entries."""
 
     def __init__(self) -> None:
+        # The simulator's run loop reads both lists directly (see the
+        # module docstring); nothing else outside this class does.
         self._heap: list[Entry] = []
         self._stream: list[Entry] = []
         self._next_sequence = 0

@@ -43,11 +43,6 @@ class Heterogeneity:
         if self.task_range < 1 or self.machine_range < 1:
             raise ValueError("heterogeneity ranges must be >= 1")
 
-    @property
-    def mean_cost(self) -> float:
-        """Expected EEC entry value: product of the two uniform means."""
-        return ((1.0 + self.task_range) / 2.0) * ((1.0 + self.machine_range) / 2.0)
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
 

@@ -28,6 +28,14 @@ from repro.grid.request import Request, Task
 from repro.metrics.improvement import improvement_fraction
 from repro.security.crypto import CipherSuite, HostCpu
 from repro.security.network import NetworkLink
+from repro.security.overhead import (
+    DEFAULT_LADDER,
+    Mechanism,
+    SupplementLadder,
+    linear_supplement_fraction,
+)
+from repro.security.plan import plan_supplement
+from repro.security.sandbox import InstructionMix, SfiTool, simulate_sandboxed_run
 from repro.security.transfer import (
     TransferEndpoint,
     TransferProtocol,
@@ -157,6 +165,25 @@ def _future_opinion() -> None:
         (lambda: RngFactory(seed=-1), "seed .*got -1"),
         (lambda: RngFactory(seed=0).stream(""), "stream name .*got ''"),
         (lambda: RngFactory(seed=0).child(""), "child name .*got ''"),
+        (lambda: Mechanism("md5", -0.1), "overhead_fraction of mechanism 'md5' .*got -0.1"),
+        (lambda: SupplementLadder(((),)), "levels: .*got 1"),
+        (lambda: DEFAULT_LADDER.overhead(7), r"tc: .*\[0, 6\], got 7"),
+        (lambda: linear_supplement_fraction(-1.0), "tc: .*got -1.0"),
+        (lambda: linear_supplement_fraction(2.0, weight=-15.0), "weight .*got -15.0"),
+        (lambda: plan_supplement(TASK.activities, 8), r"trust_cost .*\[0, 6\], got 8"),
+        (lambda: InstructionMix("app", 1.5, 0.0, 0.0), r"write_frac .*\[0, 1\], got 1.5"),
+        (
+            lambda: InstructionMix("app", 0.5, 0.4, 0.3),
+            "write_frac \\+ read_frac \\+ jump_frac .*got 1.2",
+        ),
+        (lambda: SfiTool("sfi", 1.0, -2.0, 1.0), "read_check .*got -2.0"),
+        (
+            lambda: simulate_sandboxed_run(
+                InstructionMix("app", 0.1, 0.2, 0.1), SfiTool("sfi", 1.0, 0.0, 1.0), RNG,
+                n_instructions=0,
+            ),
+            "n_instructions .*got 0",
+        ),
         (lambda: Simulator(max_events=0), "max_events .*got 0"),
         (
             lambda: EventQueue().push_many([1.0, 2.0], None, EventPriority.ARRIVAL, [0]),

@@ -292,7 +292,7 @@ class TestFrameBytes:
         weights.observe_outcome("cd:0", 0.4, 0.6)
         weights.alliances.declare("g", ["cd:0", "rd:1"])
         plane.close()
-        path = plane.journal_path
+        path = plane.root / f"journal-{plane.generation}.wal"
         replay = _read_journal(path)
         kinds = [op["op"] for op in replay.ops]
         assert kinds.count("record") == 600 and kinds.count("set") > 0

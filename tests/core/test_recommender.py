@@ -104,7 +104,7 @@ class TestRecommenderWeights:
     def test_accurate_recommender_keeps_weight(self):
         w = RecommenderWeights(learning_rate=0.5)
         w.observe_outcome("z", predicted=0.8, actual=0.8)
-        assert w.accuracy("z") == pytest.approx(1.0)
+        assert w.factor("z", "y") == pytest.approx(1.0)
 
     def test_inaccurate_recommender_loses_weight(self):
         w = RecommenderWeights(learning_rate=0.5)
@@ -115,9 +115,9 @@ class TestRecommenderWeights:
     def test_learning_is_ema(self):
         w = RecommenderWeights(learning_rate=0.1, default_accuracy=1.0)
         w.observe_outcome("z", 1.0, 0.0)  # sample 0.0
-        assert w.accuracy("z") == pytest.approx(0.9)
+        assert w.factor("z", "y") == pytest.approx(0.9)
         w.observe_outcome("z", 1.0, 1.0)  # sample 1.0
-        assert w.accuracy("z") == pytest.approx(0.91)
+        assert w.factor("z", "y") == pytest.approx(0.91)
 
     def test_alliance_and_accuracy_compose(self):
         reg = AllianceRegistry()

@@ -54,10 +54,6 @@ class TestConversions:
 
 
 class TestTrustRecord:
-    def test_level_property(self):
-        rec = TrustRecord(value=0.9, last_transaction=10.0)
-        assert rec.level is TrustLevel.F
-
     def test_invalid_value_rejected(self):
         with pytest.raises(ValueError):
             TrustRecord(value=1.5, last_transaction=0.0)

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServiceKilled
-from repro.grid.agents import AgentFleet, domain_entity_id
+from repro.grid.agents import AgentFleet
 from repro.grid.feedback import TrustFeedback
 from repro.service.checkpoint import resolve_trust_journal
 from tests.service.test_trust_service_golden import (
@@ -78,13 +78,7 @@ def final_state(result, feedback: TrustFeedback) -> dict:
         "grid_levels": table.levels.tobytes(),
         "grid_epoch": table.epoch,
         "internal_items": list(feedback.fleet.internal_table.items()),
-        "weights": {
-            entity: feedback.score_weights.accuracy(entity)
-            for entity in (
-                domain_entity_id(agent.side, agent.domain_index)
-                for agent in (*feedback.fleet.cd_agents, *feedback.fleet.rd_agents)
-            )
-        },
+        "weights": dict(feedback.score_weights._accuracy),
         "published": feedback.fleet.total_published(),
     }
 

@@ -222,7 +222,7 @@ def _assert_superseded_journals_end_at_pins(run: dict) -> None:
     }
     superseded = [
         path for path in plane.root.glob("journal-*.wal")
-        if path != plane.journal_path
+        if path.name != f"journal-{plane.generation}.wal"
     ]
     assert len(superseded) == KEEP_GENERATIONS
     for path in superseded:

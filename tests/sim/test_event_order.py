@@ -4,7 +4,10 @@ The queue keeps bulk-scheduled entries (``push_many`` /
 ``Simulator.schedule_many``) in a sorted stream beside its heap; these
 properties pin that the two together pop exactly in ``(time, priority,
 sequence)`` order, whatever the interleaving of pushes, bulk pushes, peeks
-and pops up to a horizon.
+and pops up to a horizon.  The simulator hands bulk entries to their
+handler in runs (``tests/sim/test_run_order.py`` checks runs against
+per-event firing); here a run handler passes each entry of its run on to
+the per-event handler.
 """
 
 import gc
@@ -121,6 +124,10 @@ def test_schedule_many_fires_like_a_schedule_loop(arrivals, spawn):
 
         # Each payload carries its own priority, so the fired order is
         # compared on (time, priority, tag) as the scheduling key orders it.
+        def on_run(run):
+            for at, payload in run:
+                handler(at, payload)
+
         def handler(at, payload):
             tag, priority = payload
             fired.append((at, priority, tag))
@@ -133,7 +140,7 @@ def test_schedule_many_fires_like_a_schedule_loop(arrivals, spawn):
             for child, entries in groups.items():
                 if bulk:
                     sim.schedule_many(
-                        [t for t, _ in entries], handler,
+                        [t for t, _ in entries], on_run,
                         priority=child, payloads=[load for _, load in entries],
                     )
                 else:
@@ -143,7 +150,7 @@ def test_schedule_many_fires_like_a_schedule_loop(arrivals, spawn):
         for time, priority in arrivals:
             load = (next(tags), priority)
             if bulk:
-                sim.schedule_many([time], handler, priority=priority, payloads=[load])
+                sim.schedule_many([time], on_run, priority=priority, payloads=[load])
             else:
                 sim.schedule(time, handler, priority=priority, payload=load)
         sim.run()
@@ -156,7 +163,7 @@ def test_run_horizon_leaves_later_stream_entries_queued():
     sim = Simulator()
     fired = []
     sim.schedule_many(
-        [1.0, 2.0, 5.0], lambda time, payload: fired.append(payload),
+        [1.0, 2.0, 5.0], lambda run: fired.extend(payload for _, payload in run),
         priority=EventPriority.ARRIVAL, payloads=["a", "b", "c"],
     )
     assert sim.run(until=2.0) == 2.0

@@ -26,9 +26,6 @@ class TestHeterogeneityClasses:
         assert BY_NAME["lolo"] is LOLO
         assert BY_NAME["hihi"] is HIHI
 
-    def test_mean_cost(self):
-        assert LOLO.mean_cost == pytest.approx(50.5 * 5.5)
-
 
 class TestRangeBasedMatrix:
     def test_shape_and_positivity(self, rng):
@@ -43,7 +40,10 @@ class TestRangeBasedMatrix:
 
     def test_mean_matches_expectation(self, rng):
         m = range_based_matrix(2000, 10, LOLO, rng)
-        assert m.mean() == pytest.approx(LOLO.mean_cost, rel=0.05)
+        # The product of the two uniform means: 50.5 x 5.5 for LoLo.
+        expected = (1.0 + LOLO.task_range) / 2.0 * (1.0 + LOLO.machine_range) / 2.0
+        assert expected == pytest.approx(50.5 * 5.5)
+        assert m.mean() == pytest.approx(expected, rel=0.05)
 
     def test_consistent_rows_are_sorted(self, rng):
         m = range_based_matrix(30, 6, LOLO, rng, consistency=Consistency.CONSISTENT)
