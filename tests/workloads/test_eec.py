@@ -16,6 +16,11 @@ def _task_heterogeneity(matrix: np.ndarray) -> float:
     return float((matrix.std(axis=0) / matrix.mean(axis=0)).mean())
 
 
+def _expected_entry(h) -> float:
+    """Expected EEC entry of a class: the product of the two uniform means."""
+    return (1.0 + h.task_range) / 2.0 * (1.0 + h.machine_range) / 2.0
+
+
 class TestHeterogeneityClasses:
     def test_canonical_ranges(self):
         assert (LOLO.task_range, LOLO.machine_range) == (100.0, 10.0)
@@ -25,6 +30,9 @@ class TestHeterogeneityClasses:
     def test_lookup_by_name(self):
         assert BY_NAME["lolo"] is LOLO
         assert BY_NAME["hihi"] is HIHI
+
+    def test_mean_cost(self):
+        assert _expected_entry(LOLO) == pytest.approx(50.5 * 5.5)
 
 
 class TestRangeBasedMatrix:
@@ -40,10 +48,7 @@ class TestRangeBasedMatrix:
 
     def test_mean_matches_expectation(self, rng):
         m = range_based_matrix(2000, 10, LOLO, rng)
-        # The product of the two uniform means: 50.5 x 5.5 for LoLo.
-        expected = (1.0 + LOLO.task_range) / 2.0 * (1.0 + LOLO.machine_range) / 2.0
-        assert expected == pytest.approx(50.5 * 5.5)
-        assert m.mean() == pytest.approx(expected, rel=0.05)
+        assert m.mean() == pytest.approx(_expected_entry(LOLO), rel=0.05)
 
     def test_consistent_rows_are_sorted(self, rng):
         m = range_based_matrix(30, 6, LOLO, rng, consistency=Consistency.CONSISTENT)
